@@ -3,12 +3,13 @@
 # fuzz smoke on each fuzz target (go's -fuzz flag accepts a single package,
 # hence one invocation per target), and a 20-iteration benchmark smoke that
 # gates ns/op and allocs/op against the committed BENCH_pipeline.json
-# before replacing it.
+# before replacing it. bench-check vets and tests the bench/ module, which
+# is its own Go module and so outside `./...`.
 
 GO      ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet lint test race bench bench-smoke fuzz-smoke serve-smoke precision-smoke ci
+.PHONY: all build vet lint test race bench bench-smoke bench-check fuzz-smoke serve-smoke precision-smoke ci
 
 all: build
 
@@ -47,6 +48,14 @@ bench-smoke:
 	mv BENCH_new.json BENCH_pipeline.json
 	@cat BENCH_pipeline.json
 
+# bench/ has its own go.mod (replace fits => ../), so `go build ./...` and
+# `go test ./...` never compile it against the current server and client
+# APIs; this target does, before the benchmark itself would trip over a
+# break.
+bench-check:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
+
 # Precision scoreboard: scores the alias + path-feasibility passes against
 # the baseline engine on planted ground truth across the three synth
 # families and fails unless the full configuration is strictly more precise
@@ -68,4 +77,4 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDiskStore -fuzztime=$(FUZZTIME) ./internal/diskstore
 	$(GO) test -run='^$$' -fuzz=FuzzFrontend -fuzztime=$(FUZZTIME) ./internal/frontend
 
-ci: vet lint build test race fuzz-smoke precision-smoke bench-smoke serve-smoke
+ci: vet lint build test race fuzz-smoke precision-smoke bench-smoke bench-check serve-smoke

@@ -15,8 +15,6 @@ package client
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -234,12 +232,7 @@ func (c *Client) call(ctx context.Context, method, path string, body []byte, con
 // Submit posts firmware bytes with the given options and returns the
 // accepted job. A full queue surfaces as ErrQueueFull.
 func (c *Client) Submit(ctx context.Context, firmware []byte, opts optbuild.Spec) (*server.SubmitResponse, error) {
-	body, err := json.Marshal(server.SubmitRequest{Firmware: firmware, Options: opts})
-	if err != nil {
-		return nil, err
-	}
-	sum := sha256.Sum256(firmware)
-	return c.submitTo(ctx, "/v1/jobs", body, hex.EncodeToString(sum[:]), opts)
+	return c.submit(ctx, "/v1/jobs", "", server.SubmitRequest{Firmware: firmware, Options: opts}, opts, firmware)
 }
 
 // SubmitPath asks the server to read the firmware from a path on *its*
@@ -247,70 +240,52 @@ func (c *Client) Submit(ctx context.Context, firmware []byte, opts optbuild.Spec
 // sees the bytes, so no content hash is available for idempotent
 // recovery of an interrupted submission.
 func (c *Client) SubmitPath(ctx context.Context, path string, opts optbuild.Spec) (*server.SubmitResponse, error) {
-	body, err := json.Marshal(server.SubmitRequest{Path: path, Options: opts})
-	if err != nil {
-		return nil, err
-	}
-	return c.submitTo(ctx, "/v1/jobs", body, "", opts)
+	return c.submit(ctx, "/v1/jobs", "", server.SubmitRequest{Path: path, Options: opts}, opts)
 }
 
 // SubmitCorpus posts a packed firmware corpus (fits.PackCorpus bytes) for
 // a cross-binary taint scan and returns the accepted job; its result is the
 // CorpusReport JSON of fits.XScan.
 func (c *Client) SubmitCorpus(ctx context.Context, packed []byte, opts optbuild.Spec) (*server.SubmitResponse, error) {
-	body, err := json.Marshal(server.CorpusSubmitRequest{Corpus: packed, Options: opts})
-	if err != nil {
-		return nil, err
-	}
-	sum := sha256.Sum256(packed)
-	return c.submitTo(ctx, "/v1/corpora", body, hex.EncodeToString(sum[:]), opts)
+	return c.submit(ctx, "/v1/corpora", server.KindCorpus, server.CorpusSubmitRequest{Corpus: packed, Options: opts}, opts, packed)
 }
 
 // SubmitCorpusPath asks the server to read a packed corpus from a path on
 // its own filesystem.
 func (c *Client) SubmitCorpusPath(ctx context.Context, path string, opts optbuild.Spec) (*server.SubmitResponse, error) {
-	body, err := json.Marshal(server.CorpusSubmitRequest{Path: path, Options: opts})
-	if err != nil {
-		return nil, err
-	}
-	return c.submitTo(ctx, "/v1/corpora", body, "", opts)
+	return c.submit(ctx, "/v1/corpora", server.KindCorpus, server.CorpusSubmitRequest{Path: path, Options: opts}, opts)
 }
 
 // SubmitDiff posts two firmware versions for an evolution diff and returns
 // the accepted job; its result is the server's DiffJobResult JSON.
 func (c *Client) SubmitDiff(ctx context.Context, oldFw, newFw []byte, opts optbuild.Spec) (*server.SubmitResponse, error) {
-	body, err := json.Marshal(server.DiffSubmitRequest{OldFirmware: oldFw, NewFirmware: newFw, Options: opts})
-	if err != nil {
-		return nil, err
-	}
-	// Mirror the server's pair identity: both sides hashed separately,
-	// then the concatenated digests hashed again.
-	oldSum := sha256.Sum256(oldFw)
-	newSum := sha256.Sum256(newFw)
-	pair := sha256.Sum256(append(oldSum[:], newSum[:]...))
-	return c.submitTo(ctx, "/v1/diffs", body, hex.EncodeToString(pair[:]), opts)
+	return c.submit(ctx, "/v1/diffs", server.KindDiff,
+		server.DiffSubmitRequest{OldFirmware: oldFw, NewFirmware: newFw, Options: opts}, opts, oldFw, newFw)
 }
 
 // SubmitDiffPaths asks the server to read both versions from paths on its
 // own filesystem.
 func (c *Client) SubmitDiffPaths(ctx context.Context, oldPath, newPath string, opts optbuild.Spec) (*server.SubmitResponse, error) {
-	body, err := json.Marshal(server.DiffSubmitRequest{OldPath: oldPath, NewPath: newPath, Options: opts})
+	return c.submit(ctx, "/v1/diffs", server.KindDiff,
+		server.DiffSubmitRequest{OldPath: oldPath, NewPath: newPath, Options: opts}, opts)
+}
+
+// submit posts a request envelope to a job kind's route. A POST whose
+// response is lost may still have been accepted by the server, so a plain
+// retry could run the same submission twice; instead, when a transport
+// error interrupts a submission whose inputs the client holds, it looks
+// the job up by server.SubmissionSHA and adopts the server's copy if kind
+// and options match.
+func (c *Client) submit(ctx context.Context, route, kind string, req any, opts optbuild.Spec, inputs ...[]byte) (*server.SubmitResponse, error) {
+	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, err
 	}
-	return c.submitTo(ctx, "/v1/diffs", body, "", opts)
-}
-
-// submitTo posts a submission. A POST whose response is lost may still
-// have been accepted by the server, so a plain retry could run the same
-// firmware twice; instead, when a transport error interrupts a
-// hash-carrying submission, the client looks the job up by content hash
-// and adopts the server's copy if one matches.
-func (c *Client) submitTo(ctx context.Context, path string, body []byte, sha string, opts optbuild.Spec) (*server.SubmitResponse, error) {
-	status, respBody, err := c.call(ctx, http.MethodPost, path, body, "application/json")
+	status, respBody, err := c.call(ctx, http.MethodPost, route, body, "application/json")
 	if err != nil {
-		if sha != "" && ctx.Err() == nil && c.retry.MaxAttempts > 1 {
-			if resp, rerr := c.recoverSubmitted(ctx, sha, opts); rerr == nil && resp != nil {
+		if len(inputs) > 0 && ctx.Err() == nil && c.retry.MaxAttempts > 1 {
+			sha := server.SubmissionSHA(inputs...)
+			if resp, rerr := c.recoverSubmitted(ctx, sha, kind, opts); rerr == nil && resp != nil {
 				return resp, nil
 			}
 		}
@@ -328,9 +303,11 @@ func (c *Client) submitTo(ctx context.Context, path string, body []byte, sha str
 
 // recoverSubmitted checks whether a submission that died mid-flight was
 // in fact accepted: it lists the server's jobs for the content hash and
-// adopts the newest one whose options match what we posted. A nil, nil
-// return means no match — the caller surfaces the original error.
-func (c *Client) recoverSubmitted(ctx context.Context, sha string, opts optbuild.Spec) (*server.SubmitResponse, error) {
+// adopts the newest one of the same kind whose options match what we
+// posted. Kind matters: a plain job and a corpus job over equal bytes
+// share a hash but not a result shape. A nil, nil return means no match —
+// the caller surfaces the original error.
+func (c *Client) recoverSubmitted(ctx context.Context, sha, kind string, opts optbuild.Spec) (*server.SubmitResponse, error) {
 	norm := opts
 	if err := norm.Normalize(); err != nil {
 		return nil, err
@@ -341,7 +318,7 @@ func (c *Client) recoverSubmitted(ctx context.Context, sha string, opts optbuild
 	}
 	for i := len(jobs) - 1; i >= 0; i-- {
 		st := jobs[i]
-		if reflect.DeepEqual(st.Options, norm) {
+		if st.Kind == kind && reflect.DeepEqual(st.Options, norm) {
 			return &server.SubmitResponse{
 				ID: st.ID, Location: "/v1/jobs/" + st.ID, State: st.State,
 			}, nil
@@ -368,9 +345,9 @@ func (c *Client) Jobs(ctx context.Context) ([]server.JobStatus, error) {
 	return resp.Jobs, nil
 }
 
-// JobsBySHA lists the retained jobs whose content hash is sha — for a
-// diff job, the hash of both versions' digests. This is the idempotency
-// index: it answers "did my earlier submission of these bytes land?".
+// JobsBySHA lists the retained jobs whose content hash
+// (server.SubmissionSHA) is sha. This is the idempotency index: it
+// answers "did my earlier submission of these bytes land?".
 func (c *Client) JobsBySHA(ctx context.Context, sha string) ([]server.JobStatus, error) {
 	var resp server.ListResponse
 	if err := c.getJSON(ctx, "/v1/jobs?sha="+url.QueryEscape(sha), &resp); err != nil {

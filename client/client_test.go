@@ -260,6 +260,40 @@ func TestIdempotentRecoveryRejectsOtherOptions(t *testing.T) {
 	}
 }
 
+// TestIdempotentRecoveryRejectsOtherKind: a plain job and a corpus job over
+// equal bytes with default options share a hash and a normalized spec, but
+// not a result shape. A SubmitCorpus whose 202 was lost must adopt the
+// corpus job even when a newer plain job matches everything else.
+func TestIdempotentRecoveryRejectsOtherKind(t *testing.T) {
+	packed := []byte("the packed corpus bytes")
+	sha := server.SubmissionSHA(packed)
+	spec := specWithTopK(3)
+
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			hj := w.(http.Hijacker)
+			conn, _, _ := hj.Hijack()
+			conn.Close()
+			return
+		}
+		json.NewEncoder(w).Encode(server.ListResponse{Jobs: []server.JobStatus{
+			{ID: "j000001", State: server.StateQueued, Kind: server.KindCorpus, SHA256: sha, Options: spec},
+			{ID: "j000002", State: server.StateQueued, SHA256: sha, Options: spec},
+		}})
+	}))
+	defer ts.Close()
+
+	var slept []time.Duration
+	c := New(ts.URL, nil).WithRetry(testPolicy(2, &slept))
+	resp, err := c.SubmitCorpus(context.Background(), packed, spec)
+	if err != nil {
+		t.Fatalf("SubmitCorpus: %v", err)
+	}
+	if resp.ID != "j000001" {
+		t.Fatalf("recovered ID = %q, want the corpus job j000001", resp.ID)
+	}
+}
+
 // TestCallTimeoutBoundsAttempt: a hung server must not hang the call
 // when the policy carries a per-attempt deadline.
 func TestCallTimeoutBoundsAttempt(t *testing.T) {

@@ -9,8 +9,9 @@
 //	fitsd -listen 127.0.0.1:0 -addr-file a # ephemeral port, written to a
 //	fitsd -workers 4 -queue 128 -job-timeout 2m
 //
-// Endpoints: POST/GET /v1/jobs, GET /v1/jobs/{id}[/result],
-// DELETE /v1/jobs/{id}, GET /healthz, GET /metrics. SIGINT/SIGTERM drain
+// Endpoints: POST/GET /v1/jobs, POST /v1/diffs, POST /v1/corpora,
+// GET /v1/jobs/{id}[/result], DELETE /v1/jobs/{id}, GET /healthz,
+// GET /metrics. SIGINT/SIGTERM drain
 // gracefully: intake stops, queued jobs are canceled, in-flight jobs get
 // -drain-timeout to finish before their contexts are canceled.
 package main

@@ -51,7 +51,7 @@ type Record struct {
 	Op   string `json:"op"`
 	ID   string `json:"id"`
 	Seq  uint64 `json:"seq,omitempty"`
-	Kind string `json:"kind,omitempty"` // "" analysis, "diff" evolution diff
+	Kind string `json:"kind,omitempty"` // "" analysis, "diff" evolution diff, "corpus" corpus scan
 	// SHA and SHA2 name the firmware blobs (hex SHA-256); SHA2 is set for
 	// diff jobs only.
 	SHA  string          `json:"sha,omitempty"`

@@ -53,7 +53,9 @@ const (
 )
 
 // KindDiff marks a job submitted via POST /v1/diffs; KindCorpus one
-// submitted via POST /v1/corpora. Plain analysis jobs have an empty kind.
+// submitted via POST /v1/corpora. Plain analysis jobs (POST /v1/jobs) have
+// an empty kind. kind.go's table maps each kind to its route, envelope and
+// pipeline.
 const (
 	KindDiff   = "diff"
 	KindCorpus = "corpus"
@@ -91,6 +93,35 @@ type CorpusSubmitRequest struct {
 	Options optbuild.Spec `json:"options"`
 }
 
+// request is a decoded submit envelope: its options and its named inputs,
+// in the order the kind's runner receives them.
+type request interface {
+	envelope() (optbuild.Spec, []input)
+}
+
+// input is one input of an envelope, given inline or as a server-side path,
+// with the JSON names of the two fields.
+type input struct {
+	inline                 []byte
+	path                   string
+	inlineField, pathField string
+}
+
+func (r *SubmitRequest) envelope() (optbuild.Spec, []input) {
+	return r.Options, []input{{r.Firmware, r.Path, "firmware", "path"}}
+}
+
+func (r *DiffSubmitRequest) envelope() (optbuild.Spec, []input) {
+	return r.Options, []input{
+		{r.OldFirmware, r.OldPath, "old_firmware", "old_path"},
+		{r.NewFirmware, r.NewPath, "new_firmware", "new_path"},
+	}
+}
+
+func (r *CorpusSubmitRequest) envelope() (optbuild.Spec, []input) {
+	return r.Options, []input{{r.Corpus, r.Path, "corpus", "path"}}
+}
+
 // SubmitResponse is the 202 body of POST /v1/jobs.
 type SubmitResponse struct {
 	ID string `json:"id"`
@@ -110,7 +141,8 @@ type CacheDelta struct {
 type JobStatus struct {
 	ID    string `json:"id"`
 	State string `json:"state"`
-	// Kind is "diff" for evolution diffs, empty for plain analyses.
+	// Kind is "diff" for evolution diffs, "corpus" for corpus scans and
+	// empty for plain analyses.
 	Kind        string        `json:"kind,omitempty"`
 	SHA256      string        `json:"sha256"`
 	SizeBytes   int           `json:"size_bytes"`
@@ -288,21 +320,23 @@ type RunEnv struct {
 	Truncated func()
 }
 
-// Runner executes one job. The default is DefaultRunner; tests substitute
-// stub pipelines to exercise queueing, cancellation and drain without
-// firmware fixtures.
-type Runner func(ctx context.Context, raw []byte, spec optbuild.Spec, env RunEnv) (*RunOutput, error)
+// Runner executes one job of the given kind ("", KindDiff or KindCorpus)
+// on its inputs, in envelope order. The default is DefaultRunner; tests
+// substitute stub pipelines to exercise queueing, cancellation and drain
+// without firmware fixtures.
+type Runner func(ctx context.Context, kind string, in [][]byte, spec optbuild.Spec, env RunEnv) (*RunOutput, error)
 
-// DefaultRunner runs the full fits pipeline: inference over every network
-// binary, optionally followed by a taint scan, reported as a JobResult.
-func DefaultRunner(ctx context.Context, raw []byte, spec optbuild.Spec, env RunEnv) (*RunOutput, error) {
+// runAnalysis is the plain job pipeline: inference over every network
+// binary of in[0], optionally followed by a taint scan, reported as a
+// JobResult.
+func runAnalysis(ctx context.Context, in [][]byte, spec optbuild.Spec, env RunEnv) (*RunOutput, error) {
 	aopts, err := spec.AnalyzeOptions(env.Cache)
 	if err != nil {
 		return nil, err
 	}
 	aopts.Scheduler = env.Sched
 	aopts.Stages = env.Stages
-	res, err := fits.AnalyzeContext(ctx, raw, aopts)
+	res, err := fits.AnalyzeContext(ctx, in[0], aopts)
 	if err != nil {
 		return nil, err
 	}
@@ -352,20 +386,17 @@ func DefaultRunner(ctx context.Context, raw []byte, spec optbuild.Spec, env RunE
 	}, nil
 }
 
-// DiffRunner executes one diff job. The default is DefaultDiffRunner.
-type DiffRunner func(ctx context.Context, oldRaw, newRaw []byte, spec optbuild.Spec, env RunEnv) (*RunOutput, error)
-
-// DefaultDiffRunner runs the evolution pipeline: both versions are analyzed
-// and scanned, the new one incrementally against the old, and the churn
-// report is rendered as a DiffJobResult.
-func DefaultDiffRunner(ctx context.Context, oldRaw, newRaw []byte, spec optbuild.Spec, env RunEnv) (*RunOutput, error) {
+// runDiff is the KindDiff pipeline: both versions (in[0] old, in[1] new)
+// are analyzed and scanned, the new one incrementally against the old, and
+// the churn report is rendered as a DiffJobResult.
+func runDiff(ctx context.Context, in [][]byte, spec optbuild.Spec, env RunEnv) (*RunOutput, error) {
 	dopts, err := spec.DiffOptions(env.Cache)
 	if err != nil {
 		return nil, err
 	}
 	dopts.Scheduler = env.Sched
 	dopts.Stages = env.Stages
-	d, err := fits.DiffContext(ctx, oldRaw, newRaw, dopts)
+	d, err := fits.DiffContext(ctx, in[0], in[1], dopts)
 	if err != nil {
 		return nil, err
 	}
@@ -422,15 +453,12 @@ func DefaultDiffRunner(ctx context.Context, oldRaw, newRaw []byte, spec optbuild
 	}, nil
 }
 
-// CorpusRunner executes one corpus job: raw is a packed corpus container
-// (fits.PackCorpus bytes). The default is DefaultCorpusRunner.
-type CorpusRunner func(ctx context.Context, raw []byte, spec optbuild.Spec, env RunEnv) (*RunOutput, error)
-
-// DefaultCorpusRunner unpacks the corpus container and runs the
-// cross-binary taint fixpoint over the file set. The result JSON is the
-// CorpusReport verbatim — byte-stable across worker counts and cache
-// temperature, so resubmitting an identical corpus yields identical bytes.
-func DefaultCorpusRunner(ctx context.Context, raw []byte, spec optbuild.Spec, env RunEnv) (*RunOutput, error) {
+// runCorpus is the KindCorpus pipeline: it unpacks the corpus container
+// in[0] (fits.PackCorpus bytes) and runs the cross-binary taint fixpoint
+// over the file set. The result JSON is the CorpusReport verbatim —
+// byte-stable across worker counts and cache temperature, so resubmitting
+// an identical corpus yields identical bytes.
+func runCorpus(ctx context.Context, in [][]byte, spec optbuild.Spec, env RunEnv) (*RunOutput, error) {
 	xopts, err := spec.XScanOptions(env.Cache)
 	if err != nil {
 		return nil, err
@@ -438,7 +466,7 @@ func DefaultCorpusRunner(ctx context.Context, raw []byte, spec optbuild.Spec, en
 	xopts.Scheduler = env.Sched
 	xopts.Stages = env.Stages
 	xopts.Progress = env.Progress
-	img, err := firmware.Unpack(raw)
+	img, err := firmware.Unpack(in[0])
 	if err != nil {
 		return nil, err
 	}

@@ -175,12 +175,14 @@ func TestCorpusModeOption(t *testing.T) {
 func TestCorpusProgressStream(t *testing.T) {
 	r := newStubRunner()
 	progressed := make(chan struct{})
-	corpusRunner := func(ctx context.Context, raw []byte, spec optbuild.Spec, env server.RunEnv) (*server.RunOutput, error) {
-		env.Progress("round 1: scanning")
-		close(progressed)
-		return r.run(ctx, raw, spec, env)
+	runner := func(ctx context.Context, kind string, in [][]byte, spec optbuild.Spec, env server.RunEnv) (*server.RunOutput, error) {
+		if kind == server.KindCorpus {
+			env.Progress("round 1: scanning")
+			close(progressed)
+		}
+		return r.run(ctx, kind, in, spec, env)
 	}
-	_, c := newTestService(t, server.Config{Workers: 1, Runner: r.run, CorpusRunner: corpusRunner})
+	_, c := newTestService(t, server.Config{Workers: 1, Runner: runner})
 	ctx := context.Background()
 
 	sub, err := c.SubmitCorpus(ctx, []byte("packed-corpus"), optbuild.Spec{})
@@ -221,9 +223,7 @@ func TestCorpusProgressStream(t *testing.T) {
 func TestCorpusBadRequests(t *testing.T) {
 	r := newStubRunner()
 	close(r.release)
-	_, c := newTestService(t, server.Config{Workers: 1, CorpusRunner: func(ctx context.Context, raw []byte, spec optbuild.Spec, env server.RunEnv) (*server.RunOutput, error) {
-		return r.run(ctx, raw, spec, env)
-	}})
+	_, c := newTestService(t, server.Config{Workers: 1, Runner: r.run})
 	ctx := context.Background()
 	var apiErr *client.APIError
 

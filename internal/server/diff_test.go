@@ -33,18 +33,6 @@ var samplePair = sync.OnceValue(func() [2][]byte {
 	return [2][]byte{c.Versions[0].Packed, c.Versions[1].Packed}
 })
 
-// runDiff adapts the stub runner to the diff signature: it signals with
-// both sides' bytes and blocks until released or canceled.
-func (r *stubRunner) runDiff(ctx context.Context, oldRaw, newRaw []byte, spec optbuild.Spec, env server.RunEnv) (*server.RunOutput, error) {
-	r.started <- string(oldRaw) + "|" + string(newRaw)
-	select {
-	case <-r.release:
-		return &server.RunOutput{ResultJSON: []byte(`{"stub":"diff"}`)}, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
 // TestDiffJobLifecycle drives the real evolution pipeline end to end twice:
 // a valid churn report the first time, byte-identical result JSON on
 // resubmission with the analysis served from the shared model cache, and
@@ -136,7 +124,7 @@ func TestDiffJobLifecycle(t *testing.T) {
 // TestDiffCancelRunning cancels a diff mid-flight via context propagation.
 func TestDiffCancelRunning(t *testing.T) {
 	r := newStubRunner()
-	_, c := newTestService(t, server.Config{Workers: 1, DiffRunner: r.runDiff})
+	_, c := newTestService(t, server.Config{Workers: 1, Runner: r.run})
 	ctx := context.Background()
 
 	sub, err := c.SubmitDiff(ctx, []byte("fw-old"), []byte("fw-new"), optbuild.Spec{})
@@ -166,7 +154,7 @@ func TestDiffCancelRunning(t *testing.T) {
 func TestDiffSharesQueueWithJobs(t *testing.T) {
 	r := newStubRunner()
 	_, c := newTestService(t, server.Config{
-		Workers: 1, QueueDepth: 1, Runner: r.run, DiffRunner: r.runDiff,
+		Workers: 1, QueueDepth: 1, Runner: r.run,
 	})
 	ctx := context.Background()
 
@@ -187,7 +175,7 @@ func TestDiffSharesQueueWithJobs(t *testing.T) {
 func TestDiffBadRequests(t *testing.T) {
 	r := newStubRunner()
 	close(r.release)
-	srv := mustServer(t, server.Config{Workers: 1, DiffRunner: r.runDiff})
+	srv := mustServer(t, server.Config{Workers: 1, Runner: r.run})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	defer func() {

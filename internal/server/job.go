@@ -19,7 +19,7 @@ type Job struct {
 	seq  uint64
 	sha  string
 	size int
-	kind string // "" for analysis, KindDiff for evolution diffs; immutable
+	kind string // row of the job-kind table: "", KindDiff or KindCorpus; immutable
 	spec optbuild.Spec
 	// diskKey is the job's identity in the on-disk result store (content
 	// hash + config epoch + options); empty when persistence is off.
@@ -31,15 +31,14 @@ type Job struct {
 	loadResult func() []byte
 
 	mu        sync.Mutex
-	state     string    // guarded by mu
-	raw       []byte    // firmware bytes; dropped once the job is terminal; guarded by mu
-	raw2      []byte    // diff jobs only: the new version's bytes; guarded by mu
-	submitted time.Time // guarded by mu
-	started   time.Time // guarded by mu
-	finished  time.Time // guarded by mu
-	err       string    // guarded by mu
-	reason    string    // failure classification (ReasonCorrupt, ReasonPanic); guarded by mu
-	result    []byte    // guarded by mu
+	state     string     // guarded by mu
+	in        [][]byte   // the inputs, in envelope order; dropped once terminal; guarded by mu
+	submitted time.Time  // guarded by mu
+	started   time.Time  // guarded by mu
+	finished  time.Time  // guarded by mu
+	err       string     // guarded by mu
+	reason    string     // failure classification (ReasonCorrupt, ReasonPanic); guarded by mu
+	result    []byte     // guarded by mu
 	cache     CacheDelta // guarded by mu
 	progress  string     // latest runner progress line, cleared when terminal; guarded by mu
 	// cancelRequested distinguishes a DELETE-initiated abort from a
@@ -51,15 +50,14 @@ type Job struct {
 
 // start transitions queued → running and derives the job context: the
 // server base context, capped by the server job timeout and the job's own
-// requested timeout. The firmware bytes are handed out under the lock so
-// the worker never touches j.raw or j.raw2 unlocked; raw2 is nil except for
-// diff jobs. It returns false (and no context) when the job was canceled
-// while queued.
-func (j *Job) start(base context.Context, serverTimeout time.Duration, now time.Time) (context.Context, []byte, []byte, bool) {
+// requested timeout. The inputs are handed out under the lock so the
+// worker never touches j.in unlocked. It returns false (and no context)
+// when the job was canceled while queued.
+func (j *Job) start(base context.Context, serverTimeout time.Duration, now time.Time) (context.Context, [][]byte, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateQueued {
-		return nil, nil, nil, false
+		return nil, nil, false
 	}
 	var ctx context.Context
 	var cancel context.CancelFunc
@@ -76,7 +74,7 @@ func (j *Job) start(base context.Context, serverTimeout time.Duration, now time.
 	j.state = StateRunning
 	j.started = now
 	j.cancel = cancel
-	return ctx, j.raw, j.raw2, true
+	return ctx, j.in, true
 }
 
 // finish records the runner outcome and classifies the terminal state,
@@ -93,8 +91,7 @@ func (j *Job) finish(out *RunOutput, err error, now time.Time, durable func(stat
 		j.cancel()
 		j.cancel = nil
 	}
-	j.raw = nil
-	j.raw2 = nil
+	j.in = nil
 	j.progress = ""
 	j.finished = now
 	var pe *panicError
@@ -143,8 +140,7 @@ func (j *Job) requestCancel(now time.Time) (terminalNow, ok bool) {
 		j.err = "canceled"
 		j.cancelRequested = true
 		j.finished = now
-		j.raw = nil
-		j.raw2 = nil
+		j.in = nil
 		return true, true
 	case StateRunning:
 		j.cancelRequested = true

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -51,88 +50,83 @@ func jobKey(kind string, spec optbuild.Spec, sums ...modelcache.Hash) string {
 	return modelcache.Key(k, string(specJSON), sums...)
 }
 
-// journalAccept appends the job's accepted record (and its firmware
-// blobs) to the durability layer. It must succeed before the 202 is
-// written: an acknowledged job that is not journaled would be lost by a
-// crash, which is the one outcome this subsystem exists to prevent.
-func (s *Server) journalAccept(j *Job, raw, raw2 []byte) error {
+// journalAccept appends the job's accepted record (and its input blobs)
+// to the durability layer. It must succeed before the 202 is written: an
+// acknowledged job that is not journaled would be lost by a crash, which
+// is the one outcome this subsystem exists to prevent.
+func (s *Server) journalAccept(j *Job, in [][]byte) error {
 	if s.journal == nil {
 		return nil
 	}
-	blobSHA, err := s.persist.PutBlob(raw)
-	if err != nil {
-		return fmt.Errorf("persisting firmware blob: %w", err)
-	}
-	var blobSHA2 string
-	if raw2 != nil {
-		if blobSHA2, err = s.persist.PutBlob(raw2); err != nil {
+	shas := make([]string, len(in))
+	for i, b := range in {
+		var err error
+		if shas[i], err = s.persist.PutBlob(b); err != nil {
 			return fmt.Errorf("persisting firmware blob: %w", err)
 		}
 	}
-	specJSON, err := json.Marshal(j.spec)
+	rec, err := acceptedRecord(j, shas)
 	if err != nil {
 		return err
 	}
-	return s.journal.Append(diskstore.Record{
-		Op:   diskstore.OpAccepted,
-		ID:   j.id,
-		Seq:  j.seq,
-		Kind: j.kind,
-		SHA:  blobSHA,
-		SHA2: blobSHA2,
-		Size: j.size,
-		Spec: specJSON,
-		Key:  j.diskKey,
-	})
+	return s.journal.Append(rec)
+}
+
+// acceptedRecord is the journal's accepted record of j, naming its inputs
+// by blob hash. The record has room for two inputs, the most any job kind
+// takes.
+func acceptedRecord(j *Job, shas []string) (diskstore.Record, error) {
+	specJSON, err := json.Marshal(j.spec)
+	if err != nil {
+		return diskstore.Record{}, err
+	}
+	rec := diskstore.Record{
+		Op: diskstore.OpAccepted, ID: j.id, Seq: j.seq, Kind: j.kind,
+		SHA: shas[0], Size: j.size, Spec: specJSON, Key: j.diskKey,
+	}
+	if len(shas) > 1 {
+		rec.SHA2 = shas[1]
+	}
+	return rec, nil
 }
 
 // journalStarted marks the job as picked up by a worker. Best-effort: if
 // the append fails the job still runs; a crash would then replay it as
 // queued (re-run) instead of interrupted, which loses no information.
 func (s *Server) journalStarted(j *Job) {
-	if s.journal == nil {
-		return
-	}
-	if err := s.journal.Append(diskstore.Record{Op: diskstore.OpStarted, ID: j.id}); err != nil {
-		s.mPersistErrors.Inc()
-		s.cfg.Logf("job %s: journal started append failed: %v", j.id, err)
-	}
+	s.journalBestEffort(j, diskstore.Record{Op: diskstore.OpStarted, ID: j.id})
 }
 
 // journalFinished records the terminal outcome. Best-effort: on failure
 // the next boot replays the job as interrupted rather than terminal,
 // which is still never-lost, merely pessimistic.
 func (s *Server) journalFinished(j *Job, state, errStr string) {
-	if s.journal == nil {
-		return
-	}
-	if err := s.journal.Append(diskstore.Record{
-		Op: diskstore.OpFinished, ID: j.id, State: state, Error: errStr,
-	}); err != nil {
-		s.mPersistErrors.Inc()
-		s.cfg.Logf("job %s: journal finished append failed: %v", j.id, err)
-	}
+	s.journalBestEffort(j, diskstore.Record{Op: diskstore.OpFinished, ID: j.id, State: state, Error: errStr})
 }
 
 // journalDone records a disk-hit job — born terminal, never run — so its
 // ID survives a restart: an accepted record (without blobs, since replay
 // never re-runs a finished job) followed by the done record. Best-effort.
-func (s *Server) journalDone(j *Job, sha, sha2 string) {
+func (s *Server) journalDone(j *Job, sums []modelcache.Hash) {
+	shas := make([]string, len(sums))
+	for i, sum := range sums {
+		shas[i] = hex.EncodeToString(sum[:])
+	}
+	if acc, err := acceptedRecord(j, shas); err == nil {
+		s.journalBestEffort(j, acc, diskstore.Record{Op: diskstore.OpFinished, ID: j.id, State: StateDone})
+	}
+}
+
+// journalBestEffort appends records the job does not depend on: a failure
+// is counted and logged, and the remaining records are skipped.
+func (s *Server) journalBestEffort(j *Job, recs ...diskstore.Record) {
 	if s.journal == nil {
 		return
 	}
-	specJSON, err := json.Marshal(j.spec)
-	if err != nil {
-		return
-	}
-	for _, rec := range []diskstore.Record{
-		{Op: diskstore.OpAccepted, ID: j.id, Seq: j.seq, Kind: j.kind,
-			SHA: sha, SHA2: sha2, Size: j.size, Spec: specJSON, Key: j.diskKey},
-		{Op: diskstore.OpFinished, ID: j.id, State: StateDone},
-	} {
+	for _, rec := range recs {
 		if err := s.journal.Append(rec); err != nil {
 			s.mPersistErrors.Inc()
-			s.cfg.Logf("job %s: journal append failed: %v", j.id, err)
+			s.cfg.Logf("job %s: journal %s append failed: %v", j.id, rec.Op, err)
 			return
 		}
 	}
@@ -243,15 +237,12 @@ func (s *Server) recoverJob(st *replayState) *Job {
 	j := &Job{
 		id:        acc.ID,
 		seq:       acc.Seq,
-		sha:       acc.SHA,
+		sha:       recordIdentity(acc),
 		size:      acc.Size,
 		kind:      acc.Kind,
 		spec:      spec,
 		diskKey:   acc.Key,
 		submitted: s.now(),
-	}
-	if acc.Kind == KindDiff {
-		j.sha = pairSHA(acc.SHA, acc.SHA2)
 	}
 	// The job is unpublished, but take its (fresh, uncontended) lock so
 	// the guarded-field invariant holds by construction.
@@ -277,10 +268,10 @@ func (s *Server) recoverJob(st *replayState) *Job {
 		j.finished = j.submitted
 		s.mInterrupted.Inc()
 	default:
-		// Accepted, never started: bring the firmware bytes back from the
-		// blob store and requeue. The blob was fsynced before the accepted
+		// Accepted, never started: bring the inputs back from the blob
+		// store and requeue. The blobs were fsynced before the accepted
 		// record, so a miss here means on-disk corruption — fail cleanly.
-		raw, raw2, err := s.recoverBlobs(acc)
+		in, err := s.recoverBlobs(acc)
 		if err != nil {
 			j.state = StateFailed
 			j.err = fmt.Sprintf("firmware bytes unrecoverable after restart: %v", err)
@@ -288,43 +279,50 @@ func (s *Server) recoverJob(st *replayState) *Job {
 			break
 		}
 		j.state = StateQueued
-		j.raw = raw
-		j.raw2 = raw2
+		j.in = in
 	}
 	return j
 }
 
-// recoverBlobs loads a replayed job's firmware bytes from the blob store.
-func (s *Server) recoverBlobs(acc diskstore.Record) (raw, raw2 []byte, err error) {
-	raw, err = s.persist.GetBlob(acc.SHA)
-	if err != nil {
-		return nil, nil, err
+// recordShas lists the blob hashes of an accepted record's inputs.
+func recordShas(acc diskstore.Record) []string {
+	if acc.SHA2 == "" {
+		return []string{acc.SHA}
 	}
-	if raw == nil {
-		return nil, nil, fmt.Errorf("blob %s missing", acc.SHA)
-	}
-	if acc.SHA2 != "" {
-		raw2, err = s.persist.GetBlob(acc.SHA2)
-		if err != nil {
-			return nil, nil, err
-		}
-		if raw2 == nil {
-			return nil, nil, fmt.Errorf("blob %s missing", acc.SHA2)
-		}
-	}
-	return raw, raw2, nil
+	return []string{acc.SHA, acc.SHA2}
 }
 
-// pairSHA recomputes a diff job's pair identity from its two blob hashes,
-// matching handleSubmitDiff's construction.
-func pairSHA(sha, sha2 string) string {
-	b1, err1 := hex.DecodeString(sha)
-	b2, err2 := hex.DecodeString(sha2)
-	if err1 != nil || err2 != nil {
-		return sha
+// recordIdentity recomputes a journaled job's SubmissionSHA from its
+// inputs' blob hashes. A record whose hashes do not parse (a hand-edited
+// log) keeps its first hash.
+func recordIdentity(acc diskstore.Record) string {
+	shas := recordShas(acc)
+	sums := make([]modelcache.Hash, len(shas))
+	for i, sha := range shas {
+		b, err := hex.DecodeString(sha)
+		if err != nil || len(b) != len(sums[i]) {
+			return acc.SHA
+		}
+		copy(sums[i][:], b)
 	}
-	pair := sha256.Sum256(append(b1, b2...))
-	return hex.EncodeToString(pair[:])
+	return identity(sums)
+}
+
+// recoverBlobs loads a replayed job's inputs from the blob store.
+func (s *Server) recoverBlobs(acc diskstore.Record) ([][]byte, error) {
+	shas := recordShas(acc)
+	in := make([][]byte, len(shas))
+	for i, sha := range shas {
+		b, err := s.persist.GetBlob(sha)
+		if err != nil {
+			return nil, err
+		}
+		if b == nil {
+			return nil, fmt.Errorf("blob %s missing", sha)
+		}
+		in[i] = b
+	}
+	return in, nil
 }
 
 // snapshotError reads the job's error string under its lock.

@@ -23,19 +23,29 @@ import (
 	"fits/internal/server"
 )
 
-// echoRunner completes instantly with a result that embeds the firmware
-// payload, so tests can verify which bytes a result was computed from.
-func echoRunner(ctx context.Context, raw []byte, spec optbuild.Spec, env server.RunEnv) (*server.RunOutput, error) {
-	return &server.RunOutput{ResultJSON: []byte(`{"echo":` + strconv.Quote(string(raw)) + `}`)}, nil
+// echoRunner completes instantly with a result that embeds the job's kind
+// and every input, so tests can verify which bytes a result was computed
+// from.
+func echoRunner(ctx context.Context, kind string, in [][]byte, spec optbuild.Spec, env server.RunEnv) (*server.RunOutput, error) {
+	parts := make([]string, len(in))
+	for i, b := range in {
+		parts[i] = string(b)
+	}
+	return &server.RunOutput{ResultJSON: []byte(echoResult(kind, parts...))}, nil
 }
 
-func echoResult(payload string) string {
+// echoResult is echoRunner's result for a job of the kind over inputs.
+func echoResult(kind string, inputs ...string) string {
+	payload := strings.Join(inputs, "|")
+	if kind != "" {
+		payload = kind + ":" + payload
+	}
 	return `{"echo":` + strconv.Quote(payload) + `}`
 }
 
-// holdRunner blocks jobs whose payload is "hold" until their context dies
-// (signalling on started first) and echoes everything else instantly. It
-// lets a test park one job mid-run and stack more behind it.
+// holdRunner blocks jobs whose first input is "hold" until their context
+// dies (signalling on started first) and echoes everything else instantly.
+// It lets a test park one job mid-run and stack more behind it.
 type holdRunner struct {
 	started chan struct{}
 }
@@ -44,13 +54,13 @@ func newHoldRunner() *holdRunner {
 	return &holdRunner{started: make(chan struct{}, 64)}
 }
 
-func (r *holdRunner) run(ctx context.Context, raw []byte, spec optbuild.Spec, env server.RunEnv) (*server.RunOutput, error) {
-	if string(raw) == "hold" {
+func (r *holdRunner) run(ctx context.Context, kind string, in [][]byte, spec optbuild.Spec, env server.RunEnv) (*server.RunOutput, error) {
+	if string(in[0]) == "hold" {
 		r.started <- struct{}{}
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
-	return echoRunner(ctx, raw, spec, env)
+	return echoRunner(ctx, kind, in, spec, env)
 }
 
 func (r *holdRunner) waitStarted(t *testing.T) {
@@ -135,9 +145,9 @@ func TestPersistResubmitServedFromDisk(t *testing.T) {
 	ran := false
 	srv2, ts2, c2 := startService(t, server.Config{
 		Workers: 1, DataDir: dir,
-		Runner: func(ctx context.Context, raw []byte, spec optbuild.Spec, env server.RunEnv) (*server.RunOutput, error) {
+		Runner: func(ctx context.Context, kind string, in [][]byte, spec optbuild.Spec, env server.RunEnv) (*server.RunOutput, error) {
 			ran = true
-			return echoRunner(ctx, raw, spec, env)
+			return echoRunner(ctx, kind, in, spec, env)
 		},
 	})
 	defer func() {
@@ -234,7 +244,7 @@ func TestReplayRequeuesAndInterrupts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(res) != echoResult("queued-behind") {
+	if string(res) != echoResult("", "queued-behind") {
 		t.Fatalf("requeued job ran on wrong bytes: %s", res)
 	}
 	m, err := c2.Metrics(ctx)
@@ -250,11 +260,11 @@ func TestReplayRequeuesAndInterrupts(t *testing.T) {
 // only that job — with the reason and stack captured — and the worker
 // keeps serving subsequent jobs.
 func TestWorkerPanicIsolated(t *testing.T) {
-	panicky := func(ctx context.Context, raw []byte, spec optbuild.Spec, env server.RunEnv) (*server.RunOutput, error) {
-		if string(raw) == "boom" {
+	panicky := func(ctx context.Context, kind string, in [][]byte, spec optbuild.Spec, env server.RunEnv) (*server.RunOutput, error) {
+		if string(in[0]) == "boom" {
 			panic("hostile image dereferenced a nil model")
 		}
-		return echoRunner(ctx, raw, spec, env)
+		return echoRunner(ctx, kind, in, spec, env)
 	}
 	_, c := newTestService(t, server.Config{Workers: 1, Runner: panicky})
 	ctx := context.Background()
@@ -309,12 +319,50 @@ func TestCorruptImage422(t *testing.T) {
 	}
 }
 
+// jobKinds are the kinds a crash-recovery round draws from.
+var jobKinds = []string{"", server.KindDiff, server.KindCorpus}
+
+// submission is one job of some kind over inputs derived from a payload:
+// a diff pairs the payload with payload+"-new".
+type submission struct{ kind, payload string }
+
+func (sub submission) inputs() []string {
+	if sub.kind == server.KindDiff {
+		return []string{sub.payload, sub.payload + "-new"}
+	}
+	return []string{sub.payload}
+}
+
+func (sub submission) post(ctx context.Context, c *client.Client) (*server.SubmitResponse, error) {
+	in := sub.inputs()
+	switch sub.kind {
+	case server.KindDiff:
+		return c.SubmitDiff(ctx, []byte(in[0]), []byte(in[1]), optbuild.Spec{})
+	case server.KindCorpus:
+		return c.SubmitCorpus(ctx, []byte(in[0]), optbuild.Spec{})
+	}
+	return c.Submit(ctx, []byte(in[0]), optbuild.Spec{})
+}
+
+// sha is the submission's expected JobStatus.SHA256.
+func (sub submission) sha() string {
+	var in [][]byte
+	for _, s := range sub.inputs() {
+		in = append(in, []byte(s))
+	}
+	return server.SubmissionSHA(in...)
+}
+
+func (sub submission) echo() string { return echoResult(sub.kind, sub.inputs()...) }
+
 // TestCrashRecoveryProperty is the randomized kill-point harness at the
 // server level: each round builds a random mix of done, mid-run and
-// queued jobs, crashes the daemon without ceremony, sometimes corrupts a
-// random on-disk result, restarts on the same directory, and asserts the
-// two invariants — every acknowledged job is still addressable with the
-// right outcome, and corrupted bytes are never served as a result.
+// queued jobs, each of a random kind (plain, diff, corpus), crashes the
+// daemon without ceremony, sometimes corrupts a random on-disk result,
+// restarts on the same directory, and asserts the invariants — every
+// acknowledged job is still addressable with the right outcome, identity
+// and inputs, corrupted bytes are never served as a result, and
+// resubmitting a finished job's inputs reproduces its result.
 func TestCrashRecoveryProperty(t *testing.T) {
 	const rounds = 30
 	ctx := context.Background()
@@ -322,6 +370,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		round := round
 		t.Run(fmt.Sprintf("round%02d", round), func(t *testing.T) {
 			rnd := rand.New(rand.NewSource(int64(round) * 7919))
+			kind := func() string { return jobKinds[rnd.Intn(len(jobKinds))] }
 			dir := t.TempDir()
 			nDone := rnd.Intn(3)
 			hold := rnd.Intn(2) == 1
@@ -334,32 +383,37 @@ func TestCrashRecoveryProperty(t *testing.T) {
 			r := newHoldRunner()
 			srv1, ts1, c1 := startService(t, server.Config{Workers: 1, DataDir: dir, Runner: r.run})
 			type acked struct {
-				id, payload string
-				want        string // expected state after recovery
+				id   string
+				sub  submission
+				want string // expected state after recovery
 			}
 			var jobs []acked
-			for i := 0; i < nDone; i++ {
-				payload := fmt.Sprintf("done-%d-%d", round, i)
-				st := submitAndWait(t, c1, payload)
-				if st.State != server.StateDone {
-					t.Fatalf("setup job %s: %s", payload, st.Error)
+			submit := func(sub submission) string {
+				resp, err := sub.post(ctx, c1)
+				if err != nil {
+					t.Fatalf("submit %+v: %v", sub, err)
 				}
-				jobs = append(jobs, acked{st.ID, payload, server.StateDone})
+				return resp.ID
+			}
+			for i := 0; i < nDone; i++ {
+				sub := submission{kind(), fmt.Sprintf("done-%d-%d", round, i)}
+				id := submit(sub)
+				wctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+				st, err := c1.Wait(wctx, id, 5*time.Millisecond)
+				cancel()
+				if err != nil || st.State != server.StateDone {
+					t.Fatalf("setup job %+v: %v %+v", sub, err, st)
+				}
+				jobs = append(jobs, acked{id, sub, server.StateDone})
 			}
 			if hold {
-				sub, err := c1.Submit(ctx, []byte("hold"), optbuild.Spec{})
-				if err != nil {
-					t.Fatal(err)
-				}
+				sub := submission{kind(), "hold"}
+				id := submit(sub)
 				r.waitStarted(t)
-				jobs = append(jobs, acked{sub.ID, "hold", server.StateInterrupted})
+				jobs = append(jobs, acked{id, sub, server.StateInterrupted})
 				for i := 0; i < nQueued; i++ {
-					payload := fmt.Sprintf("q-%d-%d", round, i)
-					sub, err := c1.Submit(ctx, []byte(payload), optbuild.Spec{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					jobs = append(jobs, acked{sub.ID, payload, server.StateDone})
+					sub := submission{kind(), fmt.Sprintf("q-%d-%d", round, i)}
+					jobs = append(jobs, acked{submit(sub), sub, server.StateDone})
 				}
 			}
 
@@ -404,10 +458,14 @@ func TestCrashRecoveryProperty(t *testing.T) {
 				st, err := c2.Wait(wctx, j.id, 5*time.Millisecond)
 				cancel()
 				if err != nil {
-					t.Fatalf("acknowledged job %s (%s) lost after crash: %v", j.id, j.payload, err)
+					t.Fatalf("acknowledged job %s (%+v) lost after crash: %v", j.id, j.sub, err)
 				}
 				if st.State != j.want {
-					t.Fatalf("job %s (%s): state %s (%s), want %s", j.id, j.payload, st.State, st.Error, j.want)
+					t.Fatalf("job %s (%+v): state %s (%s), want %s", j.id, j.sub, st.State, st.Error, j.want)
+				}
+				if st.Kind != j.sub.kind || st.SHA256 != j.sub.sha() {
+					t.Fatalf("job %s (%+v): replayed as kind %q sha %s, want %q %s",
+						j.id, j.sub, st.Kind, st.SHA256, j.sub.kind, j.sub.sha())
 				}
 				if j.want != server.StateDone {
 					continue
@@ -415,7 +473,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 				res, err := c2.Result(ctx, j.id)
 				switch {
 				case err == nil:
-					if string(res) != echoResult(j.payload) {
+					if string(res) != j.sub.echo() {
 						t.Fatalf("job %s served wrong bytes: %s", j.id, res)
 					}
 				case corrupted:
@@ -426,6 +484,23 @@ func TestCrashRecoveryProperty(t *testing.T) {
 					}
 				default:
 					t.Fatalf("job %s result: %v", j.id, err)
+				}
+
+				// Resubmitting the same inputs is the same submission: a disk
+				// hit, or a rerun where the entry was corrupted, with the
+				// same identity and result either way.
+				resp, err := j.sub.post(ctx, c2)
+				if err != nil {
+					t.Fatalf("resubmit %+v: %v", j.sub, err)
+				}
+				wctx, cancel = context.WithTimeout(ctx, 10*time.Second)
+				st2, err := c2.Wait(wctx, resp.ID, 5*time.Millisecond)
+				cancel()
+				if err != nil || st2.State != server.StateDone || st2.SHA256 != st.SHA256 {
+					t.Fatalf("resubmit %+v: %v %+v, want done with sha %s", j.sub, err, st2, st.SHA256)
+				}
+				if res, err := c2.Result(ctx, resp.ID); err != nil || string(res) != j.sub.echo() {
+					t.Fatalf("resubmit %+v result: %s, %v", j.sub, res, err)
 				}
 			}
 		})

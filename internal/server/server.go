@@ -5,7 +5,7 @@
 //
 // The lifecycle of a submission:
 //
-//	POST /v1/jobs ── queue (bounded; full ⇒ 429 + Retry-After) ── worker
+//	POST /v1/{jobs,diffs,corpora} ── queue (bounded; full ⇒ 429 + Retry-After) ── worker
 //	  ⇒ running (per-job context: base ∧ server timeout ∧ job timeout)
 //	  ⇒ done | failed | canceled ── result store (LRU + TTL)
 //
@@ -25,19 +25,14 @@ package server
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
-	"os"
 	"path/filepath"
 	"runtime/debug"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,7 +41,6 @@ import (
 	"fits/internal/diskstore"
 	"fits/internal/faultinj"
 	"fits/internal/modelcache"
-	"fits/internal/optbuild"
 	"fits/internal/stagetime"
 )
 
@@ -80,15 +74,9 @@ type Config struct {
 	// Cache is the process-wide model cache shared by all workers; nil
 	// disables model reuse across jobs.
 	Cache *fits.Cache
-	// Runner replaces the analysis pipeline (default DefaultRunner);
-	// tests inject stubs to exercise queueing and drain.
+	// Runner replaces the pipelines of every job kind (default
+	// DefaultRunner); tests inject stubs to exercise queueing and drain.
 	Runner Runner
-	// DiffRunner replaces the evolution-diff pipeline behind POST /v1/diffs
-	// (default DefaultDiffRunner).
-	DiffRunner DiffRunner
-	// CorpusRunner replaces the cross-binary corpus pipeline behind
-	// POST /v1/corpora (default DefaultCorpusRunner).
-	CorpusRunner CorpusRunner
 	// DataDir enables the durability layer: a content-addressed on-disk
 	// result store and a write-ahead journal for the job queue, rooted at
 	// this directory. Empty disables persistence (the pre-existing,
@@ -119,12 +107,6 @@ func (c *Config) fill() {
 	}
 	if c.Runner == nil {
 		c.Runner = DefaultRunner
-	}
-	if c.DiffRunner == nil {
-		c.DiffRunner = DefaultDiffRunner
-	}
-	if c.CorpusRunner == nil {
-		c.CorpusRunner = DefaultCorpusRunner
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -322,9 +304,9 @@ func New(cfg Config) (*Server, error) {
 }
 
 func (s *Server) routes() {
-	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	s.mux.HandleFunc("POST /v1/diffs", s.handleSubmitDiff)
-	s.mux.HandleFunc("POST /v1/corpora", s.handleSubmitCorpus)
+	for _, k := range jobKinds {
+		s.mux.HandleFunc("POST "+k.route, func(w http.ResponseWriter, r *http.Request) { s.handleSubmit(w, r, k) })
+	}
 	s.mux.HandleFunc("GET /v1/jobs", s.handleList)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
@@ -369,7 +351,7 @@ func (s *Server) worker() {
 }
 
 func (s *Server) runJob(j *Job) {
-	ctx, raw, raw2, ok := j.start(s.baseCtx, s.cfg.JobTimeout, s.now())
+	ctx, in, ok := j.start(s.baseCtx, s.cfg.JobTimeout, s.now())
 	if !ok {
 		// Canceled while queued; already terminal and counted.
 		return
@@ -379,7 +361,7 @@ func (s *Server) runJob(j *Job) {
 	s.gRunning.Add(1)
 	s.cfg.Logf("job %s: running (%d bytes, sha %s)", j.id, j.size, j.sha[:12])
 	env := RunEnv{Cache: s.cfg.Cache, Sched: s.sched, Stages: new(fits.StageTimer), Progress: j.setProgress, Truncated: s.mTruncated.Inc}
-	out, err := s.invokeRunner(ctx, j, raw, raw2, env)
+	out, err := s.invokeRunner(ctx, j, in, env)
 	// Persist the result, then journal the terminal record, both before
 	// the job's new state is observable (the callback runs under the job
 	// lock): a client that reads "done" is guaranteed a restart replays
@@ -431,12 +413,12 @@ func (e *panicError) Error() string {
 	return fmt.Sprintf("analysis panicked: %v\n%s", e.val, e.stack)
 }
 
-// invokeRunner dispatches to the analysis or diff pipeline and confines
+// invokeRunner runs the job through the configured Runner and confines
 // any panic to the calling job: the worker goroutine survives, the job
 // fails with the captured stack, and the daemon keeps serving. Without
 // this, one hostile image in internal/binimg's decode path would take
 // down every queued job with it.
-func (s *Server) invokeRunner(ctx context.Context, j *Job, raw, raw2 []byte, env RunEnv) (out *RunOutput, err error) {
+func (s *Server) invokeRunner(ctx context.Context, j *Job, in [][]byte, env RunEnv) (out *RunOutput, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.mPanics.Inc()
@@ -445,13 +427,7 @@ func (s *Server) invokeRunner(ctx context.Context, j *Job, raw, raw2 []byte, env
 			s.cfg.Logf("job %s: panic isolated: %v", j.id, r)
 		}
 	}()
-	switch j.kind {
-	case KindDiff:
-		return s.cfg.DiffRunner(ctx, raw, raw2, j.spec, env)
-	case KindCorpus:
-		return s.cfg.CorpusRunner(ctx, raw, j.spec, env)
-	}
-	return s.cfg.Runner(ctx, raw, j.spec, env)
+	return s.cfg.Runner(ctx, j.kind, in, j.spec, env)
 }
 
 // observeDiff folds one completed diff's diagnostics into the metrics.
@@ -576,204 +552,12 @@ func (s *Server) Close() error {
 
 // ---- handlers ----
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	s.qmu.Lock()
-	draining := s.draining
-	s.qmu.Unlock()
-	if draining {
-		writeErr(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	raw, spec, err := s.readSubmission(r)
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeErr(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("firmware exceeds the %d byte upload limit", mbe.Limit))
-			return
-		}
-		writeErr(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if err := spec.Normalize(); err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	sum := sha256.Sum256(raw)
-	seq := s.seq.Add(1)
-	j := &Job{
-		id:        fmt.Sprintf("j%06d", seq),
-		seq:       seq,
-		sha:       hex.EncodeToString(sum[:]),
-		size:      len(raw),
-		spec:      spec,
-		state:     StateQueued,
-		raw:       raw,
-		submitted: s.now(),
-	}
-	if s.persist != nil {
-		j.diskKey = jobKey(j.kind, spec, modelcache.Hash(sum))
-		if payload := s.diskLookup(j.diskKey); payload != nil {
-			s.completeFromDisk(w, j, payload, j.sha, "")
-			return
-		}
-	}
-	s.accept(w, j, raw, nil)
-}
-
-// handleSubmitDiff accepts an evolution-diff job: two firmware versions,
-// analyzed incrementally and reported as alert/ITS churn. It shares the
-// queue, store and backpressure of plain jobs.
-func (s *Server) handleSubmitDiff(w http.ResponseWriter, r *http.Request) {
-	s.qmu.Lock()
-	draining := s.draining
-	s.qmu.Unlock()
-	if draining {
-		writeErr(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	oldRaw, newRaw, spec, err := s.readDiffSubmission(r)
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeErr(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("firmware exceeds the %d byte upload limit", mbe.Limit))
-			return
-		}
-		writeErr(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if err := spec.Normalize(); err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	// The pair identity hashes both sides separately so ("ab","c") and
-	// ("a","bc") cannot collide.
-	oldSum := sha256.Sum256(oldRaw)
-	newSum := sha256.Sum256(newRaw)
-	pair := sha256.Sum256(append(oldSum[:], newSum[:]...))
-	seq := s.seq.Add(1)
-	j := &Job{
-		id:        fmt.Sprintf("j%06d", seq),
-		seq:       seq,
-		sha:       hex.EncodeToString(pair[:]),
-		size:      len(oldRaw) + len(newRaw),
-		kind:      KindDiff,
-		spec:      spec,
-		state:     StateQueued,
-		raw:       oldRaw,
-		raw2:      newRaw,
-		submitted: s.now(),
-	}
-	if s.persist != nil {
-		j.diskKey = jobKey(j.kind, spec, modelcache.Hash(oldSum), modelcache.Hash(newSum))
-		if payload := s.diskLookup(j.diskKey); payload != nil {
-			s.completeFromDisk(w, j, payload,
-				hex.EncodeToString(oldSum[:]), hex.EncodeToString(newSum[:]))
-			return
-		}
-	}
-	s.accept(w, j, oldRaw, newRaw)
-}
-
-// handleSubmitCorpus accepts a cross-binary corpus job: a packed firmware
-// tree (fits.PackCorpus bytes), scanned as one system by the channel-taint
-// fixpoint. It shares the queue, store, backpressure and durability of
-// plain jobs.
-func (s *Server) handleSubmitCorpus(w http.ResponseWriter, r *http.Request) {
-	s.qmu.Lock()
-	draining := s.draining
-	s.qmu.Unlock()
-	if draining {
-		writeErr(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	raw, spec, err := s.readCorpusSubmission(r)
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeErr(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("corpus exceeds the %d byte upload limit", mbe.Limit))
-			return
-		}
-		writeErr(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if err := spec.Normalize(); err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	sum := sha256.Sum256(raw)
-	seq := s.seq.Add(1)
-	j := &Job{
-		id:        fmt.Sprintf("j%06d", seq),
-		seq:       seq,
-		sha:       hex.EncodeToString(sum[:]),
-		size:      len(raw),
-		kind:      KindCorpus,
-		spec:      spec,
-		state:     StateQueued,
-		raw:       raw,
-		submitted: s.now(),
-	}
-	if s.persist != nil {
-		j.diskKey = jobKey(j.kind, spec, modelcache.Hash(sum))
-		if payload := s.diskLookup(j.diskKey); payload != nil {
-			s.completeFromDisk(w, j, payload, j.sha, "")
-			return
-		}
-	}
-	s.accept(w, j, raw, nil)
-}
-
-// readCorpusSubmission decodes the packed corpus bytes and options from
-// either a JSON envelope or a raw octet-stream body.
-func (s *Server) readCorpusSubmission(r *http.Request) ([]byte, optbuild.Spec, error) {
-	var spec optbuild.Spec
-	body := http.MaxBytesReader(nil, r.Body, s.cfg.MaxUploadBytes)
-	defer body.Close()
-	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, "application/json") {
-		var req CorpusSubmitRequest
-		dec := json.NewDecoder(body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			return nil, spec, fmt.Errorf("invalid corpus request: %w", err)
-		}
-		spec = req.Options
-		switch {
-		case len(req.Corpus) > 0 && req.Path != "":
-			return nil, spec, errors.New(`set exactly one of "corpus" and "path"`)
-		case len(req.Corpus) > 0:
-			return req.Corpus, spec, nil
-		case req.Path != "":
-			raw, err := os.ReadFile(req.Path)
-			if err != nil {
-				return nil, spec, fmt.Errorf("reading corpus path: %v", err)
-			}
-			if int64(len(raw)) > s.cfg.MaxUploadBytes {
-				return nil, spec, fmt.Errorf("corpus at %s exceeds the %d byte limit", req.Path, s.cfg.MaxUploadBytes)
-			}
-			return raw, spec, nil
-		default:
-			return nil, spec, errors.New(`set one of "corpus" (base64 packed bytes) and "path"`)
-		}
-	}
-	raw, err := io.ReadAll(body)
-	if err != nil {
-		return nil, spec, err
-	}
-	if len(raw) == 0 {
-		return nil, spec, errors.New("empty corpus body")
-	}
-	return raw, spec, nil
-}
-
 // accept stores, enqueues and journals a prepared job, writing the 202
 // (or the backpressure refusal) to w. The backpressure path touches no
 // disk — a loaded server refuses cheaply — and the 202 is written only
 // after the accepted record is durable, so a crash at any point either
 // loses a job the client was never promised or keeps one it was.
-func (s *Server) accept(w http.ResponseWriter, j *Job, raw, raw2 []byte) {
+func (s *Server) accept(w http.ResponseWriter, j *Job, in [][]byte) {
 	s.store.add(j)
 	if err := s.enqueue(j); err != nil {
 		s.store.remove(j.id)
@@ -787,7 +571,7 @@ func (s *Server) accept(w http.ResponseWriter, j *Job, raw, raw2 []byte) {
 			fmt.Sprintf("job queue is full (depth %d); retry later", s.cfg.QueueDepth))
 		return
 	}
-	if err := s.journalAccept(j, raw, raw2); err != nil {
+	if err := s.journalAccept(j, in); err != nil {
 		// The job may already be in a worker; cancel it instead of
 		// acknowledging a submission the journal cannot protect. Replay
 		// drops the orphaned started/finished records it may still write.
@@ -812,14 +596,13 @@ func (s *Server) accept(w http.ResponseWriter, j *Job, raw, raw2 []byte) {
 // completeFromDisk finishes a submission whose result already exists in
 // the on-disk store: the job is born terminal, its result is the stored
 // bytes, and no worker runs. The journal still records it so the job ID
-// survives a further restart.
-func (s *Server) completeFromDisk(w http.ResponseWriter, j *Job, payload []byte, sha, sha2 string) {
+// survives a further restart; sums are the digests of the job's inputs.
+func (s *Server) completeFromDisk(w http.ResponseWriter, j *Job, payload []byte, sums []modelcache.Hash) {
 	now := s.now()
 	j.mu.Lock()
 	j.state = StateDone
 	j.result = payload
-	j.raw = nil
-	j.raw2 = nil
+	j.in = nil
 	j.finished = now
 	j.mu.Unlock()
 	key := j.diskKey
@@ -827,96 +610,12 @@ func (s *Server) completeFromDisk(w http.ResponseWriter, j *Job, payload []byte,
 	s.store.add(j)
 	s.store.markTerminal(j)
 	s.mDiskHits.Inc()
-	s.journalDone(j, sha, sha2)
+	s.journalDone(j, sums)
 	s.cfg.Logf("job %s: served from disk store (%d bytes, sha %s)", j.id, j.size, j.sha[:12])
 	w.Header().Set("Location", "/v1/jobs/"+j.id)
 	writeJSON(w, http.StatusAccepted, SubmitResponse{
 		ID: j.id, Location: "/v1/jobs/" + j.id, State: StateDone,
 	})
-}
-
-// readSubmission decodes the firmware bytes and options from either a JSON
-// envelope or a raw octet-stream body.
-func (s *Server) readSubmission(r *http.Request) ([]byte, optbuild.Spec, error) {
-	var spec optbuild.Spec
-	body := http.MaxBytesReader(nil, r.Body, s.cfg.MaxUploadBytes)
-	defer body.Close()
-	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, "application/json") {
-		var req SubmitRequest
-		dec := json.NewDecoder(body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			return nil, spec, fmt.Errorf("invalid job request: %w", err)
-		}
-		spec = req.Options
-		switch {
-		case len(req.Firmware) > 0 && req.Path != "":
-			return nil, spec, errors.New(`set exactly one of "firmware" and "path"`)
-		case len(req.Firmware) > 0:
-			return req.Firmware, spec, nil
-		case req.Path != "":
-			raw, err := os.ReadFile(req.Path)
-			if err != nil {
-				return nil, spec, fmt.Errorf("reading firmware path: %v", err)
-			}
-			if int64(len(raw)) > s.cfg.MaxUploadBytes {
-				return nil, spec, fmt.Errorf("firmware at %s exceeds the %d byte limit", req.Path, s.cfg.MaxUploadBytes)
-			}
-			return raw, spec, nil
-		default:
-			return nil, spec, errors.New(`set one of "firmware" (base64 bytes) and "path"`)
-		}
-	}
-	raw, err := io.ReadAll(body)
-	if err != nil {
-		return nil, spec, err
-	}
-	if len(raw) == 0 {
-		return nil, spec, errors.New("empty firmware body")
-	}
-	return raw, spec, nil
-}
-
-// readDiffSubmission decodes the two firmware versions and options of a
-// diff request. Unlike plain submissions there is no raw-body shorthand:
-// the envelope is the only way to name two images.
-func (s *Server) readDiffSubmission(r *http.Request) (oldRaw, newRaw []byte, spec optbuild.Spec, err error) {
-	body := http.MaxBytesReader(nil, r.Body, s.cfg.MaxUploadBytes)
-	defer body.Close()
-	var req DiffSubmitRequest
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return nil, nil, spec, fmt.Errorf("invalid diff request: %w", err)
-	}
-	spec = req.Options
-	if oldRaw, err = s.sideBytes(req.OldFirmware, req.OldPath, "old"); err != nil {
-		return nil, nil, spec, err
-	}
-	if newRaw, err = s.sideBytes(req.NewFirmware, req.NewPath, "new"); err != nil {
-		return nil, nil, spec, err
-	}
-	return oldRaw, newRaw, spec, nil
-}
-
-// sideBytes resolves one side of a diff request to firmware bytes.
-func (s *Server) sideBytes(fw []byte, path, side string) ([]byte, error) {
-	switch {
-	case len(fw) > 0 && path != "":
-		return nil, fmt.Errorf("set exactly one of %q and %q", side+"_firmware", side+"_path")
-	case len(fw) > 0:
-		return fw, nil
-	case path != "":
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("reading %s firmware path: %v", side, err)
-		}
-		if int64(len(raw)) > s.cfg.MaxUploadBytes {
-			return nil, fmt.Errorf("firmware at %s exceeds the %d byte limit", path, s.cfg.MaxUploadBytes)
-		}
-		return raw, nil
-	}
-	return nil, fmt.Errorf("set one of %q (base64 bytes) and %q", side+"_firmware", side+"_path")
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -993,10 +692,15 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, j.Snapshot(false))
 }
 
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
+// isDraining reports whether Shutdown has stopped intake.
+func (s *Server) isDraining() bool {
 	s.qmu.Lock()
-	draining := s.draining
-	s.qmu.Unlock()
+	defer s.qmu.Unlock()
+	return s.draining
+}
+
+func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
+	draining := s.isDraining()
 	code := http.StatusOK
 	status := "ok"
 	if draining {

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -34,8 +35,8 @@ var sampleFirmware = sync.OnceValue(func() []byte {
 	return sample.Packed
 })
 
-// stubRunner is a controllable pipeline: it signals when a job starts and
-// blocks until released or canceled.
+// stubRunner is a controllable pipeline for every job kind: it signals the
+// kind when a job starts and blocks until released or canceled.
 type stubRunner struct {
 	started chan string
 	release chan struct{}
@@ -45,8 +46,8 @@ func newStubRunner() *stubRunner {
 	return &stubRunner{started: make(chan string, 64), release: make(chan struct{})}
 }
 
-func (r *stubRunner) run(ctx context.Context, raw []byte, spec optbuild.Spec, env server.RunEnv) (*server.RunOutput, error) {
-	r.started <- string(raw)
+func (r *stubRunner) run(ctx context.Context, kind string, in [][]byte, spec optbuild.Spec, env server.RunEnv) (*server.RunOutput, error) {
+	r.started <- kind
 	select {
 	case <-r.release:
 		return &server.RunOutput{ResultJSON: []byte(`{"stub":true}`)}, nil
@@ -502,5 +503,50 @@ func TestBadRequests(t *testing.T) {
 	// Unknown job.
 	if _, err := c.Job(ctx, "j999999"); !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job: %v", err)
+	}
+}
+
+// TestPathReadsBounded: an input named by a server-side path is read only
+// up to the upload limit, so a path to an endless file is refused with 400
+// in moments instead of exhausting the daemon's memory. Every kind and
+// every side of a diff goes through the same bounded read.
+func TestPathReadsBounded(t *testing.T) {
+	if _, err := os.Stat("/dev/zero"); err != nil {
+		t.Skip("no /dev/zero on this system")
+	}
+	r := newStubRunner()
+	close(r.release)
+	srv := mustServer(t, server.Config{Workers: 1, Runner: r.run, MaxUploadBytes: 64})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	}()
+	for _, tc := range []struct{ route, body string }{
+		{"/v1/jobs", `{"path":"/dev/zero"}`},
+		{"/v1/corpora", `{"path":"/dev/zero"}`},
+		{"/v1/diffs", `{"old_path":"/dev/zero","new_firmware":"bmV3"}`},
+		{"/v1/diffs", `{"old_firmware":"b2xk","new_path":"/dev/zero"}`},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+tc.route, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			cancel()
+			t.Fatalf("%s %s: %v", tc.route, tc.body, err)
+		}
+		var e server.ErrorResponse
+		json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		cancel()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "exceeds the 64 byte limit") {
+			t.Errorf("%s %s: status %d %q, want 400 naming the limit", tc.route, tc.body, resp.StatusCode, e.Error)
+		}
 	}
 }
