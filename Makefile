@@ -9,7 +9,7 @@
 GO      ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet lint test race bench bench-smoke bench-check fuzz-smoke serve-smoke precision-smoke ci
+.PHONY: all build vet lint test race bench bench-smoke bench-check fuzz-smoke serve-smoke precision-smoke netlines ci
 
 all: build
 
@@ -68,6 +68,13 @@ precision-smoke:
 # model-cache hit in /metrics, and a clean SIGTERM drain.
 serve-smoke:
 	GO=$(GO) sh ./scripts/serve_smoke.sh
+
+# Added, removed and net non-test Go lines per package against a git
+# revision, untracked files included: `make netlines BASE=<rev>`. Tests,
+# bench/ and Markdown are left out; simplicity changes report this figure.
+netlines:
+	@test -n "$(BASE)" || { echo "usage: make netlines BASE=<rev>" >&2; exit 2; }
+	@sh ./scripts/netlines.sh $(BASE)
 
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/binimg

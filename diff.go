@@ -2,7 +2,6 @@ package fits
 
 import (
 	"context"
-	"runtime"
 	"time"
 
 	"fits/internal/evolve"
@@ -66,11 +65,16 @@ func Diff(oldRaw, newRaw []byte, opts DiffOptions) (*DiffResult, error) {
 // scanning entirely. The new-version results are byte-identical to a cold
 // Analyze of the same image: reuse only ever skips work whose output is
 // proven unchanged. Without a cache in opts a private one is created for
-// the call, since all reuse bookkeeping rides on content hashes.
+// the call, since all reuse bookkeeping rides on content hashes; without a
+// Scheduler, both analyses and the alignment share one private Scheduler
+// sized from opts.Parallelism.
 func DiffContext(ctx context.Context, oldRaw, newRaw []byte, opts DiffOptions) (*DiffResult, error) {
 	start := time.Now()
 	if opts.Cache == nil {
 		opts.Cache = NewCache(0, 0)
+	}
+	if opts.Scheduler == nil {
+		opts.Scheduler = NewScheduler(opts.Parallelism)
 	}
 	if opts.TopK <= 0 {
 		opts.TopK = 3
@@ -113,11 +117,7 @@ func DiffContext(ctx context.Context, oldRaw, newRaw []byte, opts DiffOptions) (
 	out.Timings.ScanNew = time.Since(stage)
 
 	stage = time.Now()
-	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	report, err := evolve.BuildReport(ctx, oldSide, newSide, inferConfig(opts.Options, workers))
+	report, err := evolve.BuildReport(ctx, oldSide, newSide, inferConfig(opts.Options))
 	if err != nil {
 		return nil, err
 	}

@@ -30,18 +30,16 @@ package fits
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
-	"strings"
 	"time"
 
 	"fits/internal/infer"
 	"fits/internal/intern"
-	"fits/internal/karonte"
 	"fits/internal/know"
 	"fits/internal/loader"
 	"fits/internal/modelcache"
 	"fits/internal/pool"
+	"fits/internal/scan"
 	"fits/internal/score"
 	"fits/internal/stagetime"
 	"fits/internal/taint"
@@ -86,11 +84,11 @@ type Options struct {
 	Metric score.Metric
 	// SkipIndirectResolution disables UCSE-based indirect call resolution.
 	SkipIndirectResolution bool
-	// Parallelism bounds the worker goroutines at every fan-out layer of
-	// the pipeline (per-binary model building, per-target inference,
-	// per-function feature extraction). 0 means runtime.GOMAXPROCS(0); 1
-	// runs the pipeline serially. The result is byte-identical at every
-	// setting.
+	// Parallelism sizes the analysis's private Scheduler when none is
+	// given: one budget bounds every fan-out layer of the pipeline
+	// (per-binary model building, per-target inference, per-function
+	// feature extraction) together. 0 means runtime.GOMAXPROCS(0); 1 runs
+	// the pipeline serially. The result is byte-identical at every setting.
 	Parallelism int
 	// Cache, when non-nil, memoizes decoded binaries, whole-binary models
 	// and per-target feature vectors across Analyze calls. Results are
@@ -98,7 +96,7 @@ type Options struct {
 	// CacheInfo diagnostics differ.
 	Cache *Cache
 	// Scheduler, when non-nil, draws every fan-out of this analysis from a
-	// shared worker budget instead of sizing per-call pools from
+	// shared worker budget instead of a private one sized from
 	// Parallelism. AnalyzeCorpus sets it to batch images; long-running
 	// services share one across jobs. Results are byte-identical either way.
 	Scheduler *Scheduler
@@ -121,10 +119,9 @@ func DefaultOptions() Options { return Options{Metric: score.Cosine} }
 
 // inferConfig maps analysis options onto the inference pipeline's
 // configuration.
-func inferConfig(opts Options, workers int) infer.Config {
+func inferConfig(opts Options) infer.Config {
 	cfgn := infer.DefaultConfig()
 	cfgn.Metric = opts.Metric
-	cfgn.Parallelism = workers
 	cfgn.Cache = opts.Cache
 	cfgn.Sched = opts.Scheduler
 	cfgn.Intern = opts.intern
@@ -153,12 +150,9 @@ type TargetResult struct {
 	Candidates []Candidate // descending score
 
 	target *loader.Target
-	// Scan memoization context: the cache the analysis ran with, the
-	// target's content hash, and the model configuration label. Zero values
-	// disable alert caching.
-	cache    *Cache
-	hash     modelcache.Hash
-	modelCfg string
+	// cache is the cache the analysis ran with; nil disables alert
+	// memoization.
+	cache *Cache
 	// stages carries the analysis's stage timer into Scan so taint-engine
 	// time lands in the same Timer as the inference stages; nil disables.
 	stages *StageTimer
@@ -205,23 +199,22 @@ func Analyze(raw []byte, opts Options) (*Result, error) {
 
 // AnalyzeContext is Analyze with cancellation and bounded parallelism: model
 // building, per-target inference and per-function feature extraction fan out
-// across opts.Parallelism workers, and the context is checked at target and
-// function granularity, so scanning a large image can be aborted mid-flight
-// (the error is then ctx.Err()). Targets are assembled in input order and
+// on one Scheduler (opts.Scheduler, or a private one of opts.Parallelism
+// workers), and the context is checked at target and function granularity,
+// so scanning a large image can be aborted mid-flight (the error is then
+// ctx.Err()). Targets are assembled in input order and
 // every ranking carries explicit deterministic sort keys, so the Result is
 // byte-identical — Elapsed aside — at every worker count.
 func AnalyzeContext(ctx context.Context, raw []byte, opts Options) (*Result, error) {
 	start := time.Now()
-	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if opts.Scheduler == nil {
+		opts.Scheduler = NewScheduler(opts.Parallelism)
 	}
 	if opts.intern == nil {
 		opts.intern = intern.NewTable()
 	}
 	res, err := loader.LoadContext(ctx, raw, loader.Options{
 		SkipResolver: opts.SkipIndirectResolution,
-		Parallelism:  workers,
 		Cache:        opts.Cache,
 		Prev:         opts.prev,
 		Sched:        opts.Scheduler,
@@ -231,7 +224,7 @@ func AnalyzeContext(ctx context.Context, raw []byte, opts Options) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	cfgn := inferConfig(opts, workers)
+	cfgn := inferConfig(opts)
 	out := &Result{
 		Vendor:  res.Image.Vendor,
 		Product: res.Image.Product,
@@ -247,9 +240,8 @@ func AnalyzeContext(ctx context.Context, raw []byte, opts Options) (*Result, err
 		}
 		tr := &TargetResult{
 			Path: t.Path, Binary: r.Binary, NumFuncs: r.NumFuncs,
-			target: t, cache: opts.Cache, hash: t.Hash, modelCfg: t.ModelConfig,
-			stages: opts.Stages,
-			prec:   new(taint.PrecisionCache),
+			target: t, cache: opts.Cache, stages: opts.Stages,
+			prec: new(taint.PrecisionCache),
 		}
 		for _, e := range r.Ranked {
 			tr.Candidates = append(tr.Candidates, Candidate{Entry: e.Entry, Score: e.Score})
@@ -257,11 +249,7 @@ func AnalyzeContext(ctx context.Context, raw []byte, opts Options) (*Result, err
 		out.Targets[i] = tr
 		return nil
 	}
-	if opts.Scheduler != nil {
-		err = opts.Scheduler.ForEach(ctx, len(res.Targets), inferJob)
-	} else {
-		err = pool.ForEach(ctx, workers, len(res.Targets), inferJob)
-	}
+	err = opts.Scheduler.ForEach(ctx, len(res.Targets), inferJob)
 	inferDone()
 	if err != nil {
 		return nil, err
@@ -311,8 +299,8 @@ type Engine uint8
 // Engines: the static reachability engine (STA) and the budgeted
 // symbolic-execution engine (Karonte-style).
 const (
-	EngineStatic Engine = iota
-	EngineSymbolic
+	EngineStatic   = Engine(scan.Static)
+	EngineSymbolic = Engine(scan.Symbolic)
 )
 
 // Alert is one reported potentially-vulnerable flow.
@@ -365,85 +353,13 @@ func (t *TargetResult) ScanContext(ctx context.Context, opts ScanOptions) ([]Ale
 	if t.target == nil {
 		return nil, fmt.Errorf("fits: target was not produced by Analyze")
 	}
-	if t.cache == nil || t.hash == (modelcache.Hash{}) {
-		return t.scan(ctx, opts)
-	}
-	key := modelcache.Key("alerts", scanSig(t.modelCfg, opts), t.hash)
-	v, _, err := t.cache.GetOrCompute(key, func() (any, int64, error) {
-		alerts, err := t.scan(ctx, opts)
-		if err != nil {
-			return nil, 0, err
-		}
-		return alerts, int64(len(alerts))*96 + 64, nil
-	})
+	raw, err := scan.Run(ctx, t.target, scan.Engine(opts.Engine), taint.Options{
+		UseCTS: true, ITS: opts.ITS, ITSOut: opts.ITSOut,
+		StringFilter: opts.StringFilter,
+		NoAlias:      opts.NoAlias, NoPathcheck: opts.NoPathcheck,
+		Precision: t.prec,
+	}, t.cache, t.stages)
 	if err != nil {
-		return nil, err
-	}
-	base := v.([]Alert)
-	return append(make([]Alert, 0, len(base)), base...), nil
-}
-
-// scanSig serializes everything a scan's outcome depends on besides the
-// binary's bytes: model configuration, engine, the seeded sources, and the
-// filter. ITS entries are sorted (the engines treat them as a set); ITSOut
-// keys are sorted with their index lists kept in caller order.
-func scanSig(modelCfg string, opts ScanOptions) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "model=%s|engine=%d|sf=%t|noalias=%t|nopathcheck=%t|its=",
-		modelCfg, opts.Engine, opts.StringFilter, opts.NoAlias, opts.NoPathcheck)
-	its := append(make([]uint32, 0, len(opts.ITS)), opts.ITS...)
-	sort.Slice(its, func(i, j int) bool { return its[i] < its[j] })
-	for _, e := range its {
-		fmt.Fprintf(&sb, "%x,", e)
-	}
-	sb.WriteString("|itsout=")
-	outs := make([]uint32, 0, len(opts.ITSOut))
-	for e := range opts.ITSOut {
-		outs = append(outs, e)
-	}
-	sort.Slice(outs, func(i, j int) bool { return outs[i] < outs[j] })
-	for _, e := range outs {
-		fmt.Fprintf(&sb, "%x:%v,", e, opts.ITSOut[e])
-	}
-	return sb.String()
-}
-
-func (t *TargetResult) scan(ctx context.Context, opts ScanOptions) ([]Alert, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	defer t.stages.Span(stagetime.Taint)()
-	var raw []taint.Alert
-	switch opts.Engine {
-	case EngineSymbolic:
-		e := karonte.New(t.target.Bin, t.target.Model, karonte.Options{
-			UseCTS: true, ITS: opts.ITS, ITSOut: opts.ITSOut,
-		})
-		raw = e.Run()
-	default:
-		topts := taint.Options{
-			UseCTS: true, ITS: opts.ITS, ITSOut: opts.ITSOut,
-			StringFilter: opts.StringFilter,
-			NoAlias:      opts.NoAlias, NoPathcheck: opts.NoPathcheck,
-			Precision:    t.prec,
-		}
-		if t.stages != nil {
-			st := t.stages
-			topts.Clock = stagetime.Clock
-			topts.AllocCount = stagetime.AllocCount
-			topts.OnAlias = func(ns, allocs int64) {
-				st.Add(stagetime.Alias, ns)
-				st.AddAllocs(stagetime.Alias, allocs)
-			}
-			topts.OnPathcheck = func(ns, allocs int64) {
-				st.Add(stagetime.PathCheck, ns)
-				st.AddAllocs(stagetime.PathCheck, allocs)
-			}
-		}
-		e := taint.New(t.target.Bin, t.target.Model, topts)
-		raw = e.Run()
-	}
-	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	out := make([]Alert, 0, len(raw))

@@ -18,7 +18,6 @@ package corpustaint
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -33,6 +32,7 @@ import (
 	"fits/internal/loader"
 	"fits/internal/modelcache"
 	"fits/internal/pool"
+	"fits/internal/scan"
 	"fits/internal/stagetime"
 	"fits/internal/taint"
 	"fits/internal/xchan"
@@ -81,12 +81,11 @@ type Options struct {
 	TopK int
 	// StringFilter drops alerts keyed on system-data fields.
 	StringFilter bool
-	// Parallelism bounds worker goroutines (0 = GOMAXPROCS). Reports are
-	// byte-identical at every setting.
-	Parallelism int
 	// Cache memoizes models, rankings and per-round scan results.
 	Cache *modelcache.Cache
-	// Scheduler, when non-nil, draws all fan-outs from a shared budget.
+	// Scheduler draws every fan-out of the run; nil means a private one of
+	// runtime.GOMAXPROCS(0) workers. Reports are byte-identical at every
+	// worker count.
 	Scheduler *pool.Scheduler
 	// Stages accumulates per-stage costs; nil disables.
 	Stages *stagetime.Timer
@@ -202,9 +201,8 @@ func Run(ctx context.Context, files []firmware.File, opts Options) (*Report, err
 	if opts.MaxRounds <= 0 {
 		opts.MaxRounds = DefaultMaxRounds
 	}
-	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if opts.Scheduler == nil {
+		opts.Scheduler = pool.NewScheduler(0)
 	}
 	progress := opts.Progress
 	if progress == nil {
@@ -238,7 +236,6 @@ func Run(ctx context.Context, files []firmware.File, opts Options) (*Report, err
 	img := &firmware.Image{Files: files}
 	res, err := loader.LoadImageContext(ctx, img, loader.Options{
 		AllExecutables: true,
-		Parallelism:    workers,
 		Cache:          opts.Cache,
 		Sched:          opts.Scheduler,
 		Intern:         intern.NewTable(),
@@ -265,7 +262,6 @@ func Run(ctx context.Context, files []firmware.File, opts Options) (*Report, err
 		switch opts.Mode {
 		case ModeITS:
 			cfgn := infer.DefaultConfig()
-			cfgn.Parallelism = workers
 			cfgn.Cache = opts.Cache
 			cfgn.Sched = opts.Scheduler
 			r, err := infer.InferTargetContext(ctx, t, cfgn)
@@ -285,7 +281,7 @@ func Run(ctx context.Context, files []firmware.File, opts Options) (*Report, err
 		states[i] = st
 		return nil
 	}
-	if err := forEach(ctx, opts, workers, len(res.Targets), seedJob); err != nil {
+	if err := opts.Scheduler.ForEach(ctx, len(res.Targets), seedJob); err != nil {
 		return nil, err
 	}
 
@@ -300,16 +296,25 @@ func Run(ctx context.Context, files []firmware.File, opts Options) (*Report, err
 	for rounds < opts.MaxRounds {
 		rounds++
 		progress(fmt.Sprintf("round %d: scanning %d binaries", rounds, len(states)))
-		scanDone := opts.Stages.Span(stagetime.Taint)
-		scanJob := func(i int) error {
-			if err := ctx.Err(); err != nil {
-				return err
+		err := opts.Scheduler.ForEach(ctx, len(states), func(i int) error {
+			st := states[i]
+			topts := taint.Options{
+				UseCTS:       true,
+				ITS:          st.seeds,
+				StringFilter: opts.StringFilter,
+				SelfPath:     st.target.Path,
+				NoAlias:      opts.NoAlias,
+				NoPathcheck:  opts.NoPathcheck,
+				Precision:    st.prec,
 			}
-			states[i].alerts = scanBinary(states[i], opts, tainted)
-			return nil
-		}
-		err := forEach(ctx, opts, workers, len(states), scanJob)
-		scanDone()
+			if opts.Mode == ModeCross {
+				topts.ChannelSetters = know.ChannelSetters
+				topts.ChannelSeeds = tainted
+			}
+			alerts, err := scan.Run(ctx, st.target, scan.Static, topts, opts.Cache, opts.Stages)
+			st.alerts = alerts
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -429,74 +434,6 @@ func stringArg0(t *loader.Target, caller *cfg.Function, addr uint32) (string, bo
 	return dataflow.ClassifyStringConstant(t.Bin, c)
 }
 
-// scanBinary runs one binary's taint analysis under the current seed state,
-// memoizing the alert list on the binary's content hash plus the complete
-// scan signature when a cache is available.
-func scanBinary(st *binState, opts Options, tainted map[know.ChanKind]map[string]bool) []taint.Alert {
-	t := st.target
-	topts := taint.Options{
-		UseCTS:       true,
-		ITS:          st.seeds,
-		StringFilter: opts.StringFilter,
-		SelfPath:     t.Path,
-		NoAlias:      opts.NoAlias,
-		NoPathcheck:  opts.NoPathcheck,
-		Precision:    st.prec,
-	}
-	if opts.Mode == ModeCross {
-		topts.ChannelSetters = know.ChannelSetters
-		topts.ChannelSeeds = tainted
-	}
-	if opts.Stages != nil {
-		st := opts.Stages
-		topts.Clock = stagetime.Clock
-		topts.AllocCount = stagetime.AllocCount
-		topts.OnAlias = func(ns, allocs int64) {
-			st.Add(stagetime.Alias, ns)
-			st.AddAllocs(stagetime.Alias, allocs)
-		}
-		topts.OnPathcheck = func(ns, allocs int64) {
-			st.Add(stagetime.PathCheck, ns)
-			st.AddAllocs(stagetime.PathCheck, allocs)
-		}
-	}
-	run := func() []taint.Alert {
-		return taint.New(t.Bin, t.Model, topts).Run()
-	}
-	if opts.Cache == nil || t.Hash == (modelcache.Hash{}) {
-		return run()
-	}
-	key := modelcache.Key("xalerts", xscanSig(t, topts, opts), t.Hash)
-	v, _, err := opts.Cache.GetOrCompute(key, func() (any, int64, error) {
-		alerts := run()
-		return alerts, int64(len(alerts))*112 + 64, nil
-	})
-	if err != nil {
-		return run()
-	}
-	base := v.([]taint.Alert)
-	return append(make([]taint.Alert, 0, len(base)), base...)
-}
-
-// xscanSig serializes everything a corpus scan's outcome depends on besides
-// the binary's bytes: model configuration, mode, filter, the binary's own
-// path (keyless getters key on it), the seeded entries and the cumulative
-// channel seed set.
-func xscanSig(t *loader.Target, topts taint.Options, opts Options) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "model=%s|mode=%s|sf=%t|noalias=%t|nopathcheck=%t|self=%s|its=",
-		t.ModelConfig, opts.Mode, topts.StringFilter, topts.NoAlias, topts.NoPathcheck, topts.SelfPath)
-	for _, e := range topts.ITS {
-		fmt.Fprintf(&sb, "%x,", e)
-	}
-	sb.WriteString("|seeds=")
-	for _, via := range sortedVias(topts.ChannelSeeds) {
-		sb.WriteString(via)
-		sb.WriteByte(',')
-	}
-	return sb.String()
-}
-
 // provenance reconstructs an alert's origin chain. FromITS alerts keyed on a
 // front-end keyword get the artifact location; FromChannel alerts walk the
 // endpoint origin graph back to the front end. Origins always point at
@@ -567,17 +504,6 @@ func splitVia(via string) (know.ChanKind, string, bool) {
 	return 0, "", false
 }
 
-func sortedVias(seeds map[know.ChanKind]map[string]bool) []string {
-	var out []string
-	for _, ch := range []know.ChanKind{know.ChanNVRAM, know.ChanEnv, know.ChanSpawn} {
-		for key := range seeds[ch] {
-			out = append(out, ch.String()+":"+key)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 func less(a, b frontend.Keyword) bool {
 	if a.File != b.File {
 		return a.File < b.File
@@ -586,11 +512,4 @@ func less(a, b frontend.Keyword) bool {
 		return a.Line < b.Line
 	}
 	return a.Col < b.Col
-}
-
-func forEach(ctx context.Context, opts Options, workers, n int, job func(int) error) error {
-	if opts.Scheduler != nil {
-		return opts.Scheduler.ForEach(ctx, n, job)
-	}
-	return pool.ForEach(ctx, workers, n, job)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fits/internal/modelcache"
+	"fits/internal/pool"
 	"fits/internal/synth"
 )
 
@@ -37,7 +38,7 @@ func TestModeCrossFindsPlantedFlows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(context.Background(), x.Files, Options{Mode: ModeCross, Parallelism: 1})
+	rep, err := Run(context.Background(), x.Files, Options{Mode: ModeCross, Scheduler: pool.NewScheduler(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestSingleBinaryModesMissCrossFlows(t *testing.T) {
 	}
 	m := x.Manifest
 	for _, mode := range []Mode{ModeCTS, ModeITS} {
-		rep, err := Run(context.Background(), x.Files, Options{Mode: mode, Parallelism: 1})
+		rep, err := Run(context.Background(), x.Files, Options{Mode: mode, Scheduler: pool.NewScheduler(1)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,11 +133,11 @@ func TestSingleBinaryModesMissCrossFlows(t *testing.T) {
 
 	// Mode separation on the border binary itself: CTS sees only the raw
 	// flow; ITS adds the keyed local flow.
-	cts := xrun(t, Options{Mode: ModeCTS, Parallelism: 1})
+	cts := xrun(t, Options{Mode: ModeCTS, Scheduler: pool.NewScheduler(1)})
 	if len(cts.Alerts) != 1 || cts.Alerts[0].Source != "cts-region" {
 		t.Errorf("cts alerts = %+v, want the one raw flow", cts.Alerts)
 	}
-	its := xrun(t, Options{Mode: ModeITS, Parallelism: 1})
+	its := xrun(t, Options{Mode: ModeITS, Scheduler: pool.NewScheduler(1)})
 	var local, raw bool
 	for _, f := range m.Flows {
 		if a, ok := alertAt(its, f.SinkBinary, f.SinkEntry, f.Sink); ok {
@@ -154,16 +155,16 @@ func TestSingleBinaryModesMissCrossFlows(t *testing.T) {
 }
 
 func TestRunDeterministicAcrossWorkersAndCache(t *testing.T) {
-	base := xrun(t, Options{Mode: ModeCross, Parallelism: 1})
+	base := xrun(t, Options{Mode: ModeCross, Scheduler: pool.NewScheduler(1)})
 	for _, par := range []int{2, 4, 8} {
-		got := xrun(t, Options{Mode: ModeCross, Parallelism: par})
+		got := xrun(t, Options{Mode: ModeCross, Scheduler: pool.NewScheduler(par)})
 		if !reflect.DeepEqual(base, got) {
 			t.Fatalf("parallelism %d diverges from 1", par)
 		}
 	}
 	cache := modelcache.New(0, 0)
-	cold := xrun(t, Options{Mode: ModeCross, Parallelism: 4, Cache: cache})
-	warm := xrun(t, Options{Mode: ModeCross, Parallelism: 4, Cache: cache})
+	cold := xrun(t, Options{Mode: ModeCross, Scheduler: pool.NewScheduler(4), Cache: cache})
+	warm := xrun(t, Options{Mode: ModeCross, Scheduler: pool.NewScheduler(4), Cache: cache})
 	if !reflect.DeepEqual(cold, warm) {
 		t.Fatal("cold and warm cache reports differ")
 	}

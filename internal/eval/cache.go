@@ -21,7 +21,7 @@ func CacheStats() modelcache.Stats { return sharedCache.Stats() }
 
 // loadCached loads one packed sample through the shared cache. A non-nil
 // sched draws the model-building fan-out from the corpus-level worker budget
-// (batched sweeps); nil keeps the loader's own per-call pool.
+// (batched sweeps); nil gives the load a private Scheduler.
 func loadCached(packed []byte, sched *pool.Scheduler) (*loader.Result, error) {
 	return loader.Load(packed, loader.Options{Cache: sharedCache, Sched: sched})
 }

@@ -88,12 +88,13 @@ type Config struct {
 	DBSCAN      cluster.Params
 	// PCAComponents for StrategyPCA.
 	PCAComponents int
-	// Parallelism bounds the goroutines extracting per-function vectors;
-	// 0 means runtime.GOMAXPROCS(0). Output is deterministic at any value.
+	// Parallelism sizes the private Scheduler extracting per-function
+	// vectors when Sched is nil; 0 means runtime.GOMAXPROCS(0). Output is
+	// deterministic at any value.
 	Parallelism int
-	// Sched, when non-nil, draws every fan-out from a shared corpus-level
-	// worker budget instead of sizing a per-call pool from Parallelism.
-	// Batched corpus runs hand one Scheduler to every image's pipeline.
+	// Sched, when non-nil, draws every fan-out from a shared worker budget:
+	// an analysis hands its own Scheduler down, and batched corpus runs hand
+	// one to every image's pipeline.
 	Sched *pool.Scheduler
 	// Intern canonicalizes strings materialized during extraction (call-site
 	// constants); nil disables interning. Rankings are byte-identical either
@@ -146,15 +147,14 @@ func (r *Ranking) Top(k int) []score.Ranked {
 	return r.Ranked[:k]
 }
 
-// forEach fans n items out on the shared scheduler when the config carries
-// one, or on a per-call pool sized by Parallelism otherwise. Both paths have
-// identical error semantics and item i writes only slot i, so results do not
-// depend on which path (or worker count) ran.
-func forEach(ctx context.Context, cfgn Config, n int, fn func(i int) error) error {
-	if cfgn.Sched != nil {
-		return cfgn.Sched.ForEach(ctx, n, fn)
+// scheduled returns cfgn with a Scheduler for its fan-outs: a private one
+// sized from Parallelism when the caller shared none. Every exported entry
+// point applies it once, so the internal fan-outs all call Sched.ForEach.
+func scheduled(cfgn Config) Config {
+	if cfgn.Sched == nil {
+		cfgn.Sched = pool.NewScheduler(cfgn.Parallelism)
 	}
-	return pool.ForEach(ctx, cfgn.Parallelism, n, fn)
+	return cfgn
 }
 
 // newExtractor builds a bfv extractor wired with the config's intern table
@@ -212,10 +212,10 @@ func cachedVectors(c *modelcache.Cache, key string, compute func() ([]bfv.Vector
 }
 
 // customVectors extracts the representation vector of every custom function,
-// in CustomFuncs order, fanning out across the pool. With a cache the whole
-// per-target slice is memoized on (content hash, representation): RQ3/RQ4
-// and ablation sweeps re-rank the same base vectors many times and only the
-// first pass pays for extraction.
+// in CustomFuncs order, fanning out on the config's Scheduler. With a cache
+// the whole per-target slice is memoized on (content hash, representation):
+// RQ3/RQ4 and ablation sweeps re-rank the same base vectors many times and
+// only the first pass pays for extraction.
 func customVectors(ctx context.Context, t *loader.Target, cfgn Config, customs []*cfg.Function) ([]bfv.Vector, error) {
 	compute := func() ([]bfv.Vector, error) {
 		prevVecs, prevIdx, err := prevCustomVectors(ctx, t, cfgn)
@@ -224,7 +224,7 @@ func customVectors(ctx context.Context, t *loader.Target, cfgn Config, customs [
 		}
 		ex := newExtractor(t.Bin, t.Model, cfgn)
 		out := make([]bfv.Vector, len(customs))
-		err = forEach(ctx, cfgn, len(customs), func(i int) error {
+		err = cfgn.Sched.ForEach(ctx, len(customs), func(i int) error {
 			if j, ok := prevIdx[customs[i].Entry]; ok {
 				out[i] = prevVecs[j]
 				return nil
@@ -292,7 +292,7 @@ func prevCustomVectors(ctx context.Context, t *loader.Target, cfgn Config) ([]bf
 // by vector similarity.
 func TargetVectors(ctx context.Context, t *loader.Target, cfgn Config) ([]*cfg.Function, []bfv.Vector, error) {
 	customs := t.Model.CustomFuncs()
-	vecs, err := customVectors(ctx, t, cfgn, customs)
+	vecs, err := customVectors(ctx, t, scheduled(cfgn), customs)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -303,10 +303,10 @@ func TargetVectors(ctx context.Context, t *loader.Target, cfgn Config) ([]*cfg.F
 // implementation in the target's dependency libraries. For BFV the anchor's
 // caller count also includes call sites in the target binary reaching the
 // anchor's PLT stub, since the library alone understates how busy an anchor
-// is. Extraction fans out across the pool; the returned order is the serial
-// one (libraries by name, exports in table order) at any parallelism. With a
-// cache the slice is memoized on the target's and its libraries' content
-// hashes plus the representation.
+// is. Extraction fans out on the config's Scheduler; the returned order is
+// the serial one (libraries by name, exports in table order) at any
+// parallelism. With a cache the slice is memoized on the target's and its
+// libraries' content hashes plus the representation.
 func anchorVectors(ctx context.Context, t *loader.Target, cfgn Config) ([]bfv.Vector, error) {
 	c := vectorCache(t, cfgn)
 	if c == nil {
@@ -404,7 +404,7 @@ func extractAnchorVectors(ctx context.Context, t *loader.Target, cfgn Config) ([
 		}
 	}
 	out := make([]bfv.Vector, len(jobs))
-	err := forEach(ctx, cfgn, len(jobs), func(i int) error {
+	err := cfgn.Sched.ForEach(ctx, len(jobs), func(i int) error {
 		j := jobs[i]
 		vec := vectorFor(cfgn.Representation, j.ex, j.bin, j.m, j.f)
 		if cfgn.Representation == RepBFV {
@@ -452,14 +452,15 @@ func InferTarget(t *loader.Target, cfgn Config) *Ranking {
 
 // InferTargetContext is InferTarget with cancellation and bounded
 // parallelism: per-function representation extraction — the pipeline's hot
-// loop — fans out across cfgn.Parallelism goroutines, the context is checked
-// before each function, and results assemble in function order, so the
-// ranking is byte-identical at every worker count. The only error returned
+// loop — fans out on cfgn's Scheduler, the context is checked before each
+// function, and results assemble in function order, so the ranking is
+// byte-identical at every worker count. The only error returned
 // is the context's. With a cache the whole ranking is memoized on the
 // target's and its libraries' content hashes plus every variant knob, so
 // re-analyzing unchanged binaries — the common case in evolution diffs —
 // skips clustering and scoring entirely.
 func InferTargetContext(ctx context.Context, t *loader.Target, cfgn Config) (*Ranking, error) {
+	cfgn = scheduled(cfgn)
 	c := vectorCache(t, cfgn)
 	if c == nil {
 		return inferTarget(ctx, t, cfgn)
@@ -594,12 +595,13 @@ func InferAll(res *loader.Result, cfgn Config) []*Ranking {
 	return out
 }
 
-// InferAllContext runs inference on every target, fanning targets out across
-// the pool on top of the per-function parallelism inside each target.
+// InferAllContext runs inference on every target, fanning targets out on
+// the same Scheduler as the per-function extraction inside each target.
 // Rankings are returned in target order regardless of completion order.
 func InferAllContext(ctx context.Context, res *loader.Result, cfgn Config) ([]*Ranking, error) {
+	cfgn = scheduled(cfgn)
 	out := make([]*Ranking, len(res.Targets))
-	err := forEach(ctx, cfgn, len(res.Targets), func(i int) error {
+	err := cfgn.Sched.ForEach(ctx, len(res.Targets), func(i int) error {
 		r, err := InferTargetContext(ctx, res.Targets[i], cfgn)
 		if err != nil {
 			return err
@@ -617,6 +619,6 @@ func InferAllContext(ctx context.Context, res *loader.Result, cfgn Config) ([]*R
 // tests.
 func AnchorVectorsForTest(t *loader.Target) []bfv.Vector {
 	//fitslint:ignore ctxflow test-only helper; corpus-tuning tests need no cancellation
-	out, _ := anchorVectors(context.Background(), t, DefaultConfig())
+	out, _ := anchorVectors(context.Background(), t, scheduled(DefaultConfig()))
 	return out
 }

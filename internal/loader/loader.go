@@ -120,8 +120,8 @@ type Options struct {
 	AllExecutables bool
 	// KeepUnstripped retains debug symbols if present (test corpora).
 	KeepUnstripped bool
-	// Parallelism bounds the goroutines building binary models;
-	// 0 means runtime.GOMAXPROCS(0).
+	// Parallelism sizes the private Scheduler building binary models when
+	// Sched is nil; 0 means runtime.GOMAXPROCS(0).
 	Parallelism int
 	// Cache memoizes decoded binaries and whole-binary models across loads,
 	// addressed by the SHA-256 of the binary's bytes plus the resolver
@@ -137,8 +137,8 @@ type Options struct {
 	// output remains byte-identical to a cold load.
 	Prev []*Target
 	// Sched, when non-nil, draws the model-building fan-out from a shared
-	// corpus-level worker budget instead of sizing a per-call pool from
-	// Parallelism; batched corpus runs hand one scheduler to every load.
+	// worker budget: an analysis hands its own Scheduler down, and batched
+	// corpus runs hand one to every load.
 	Sched *pool.Scheduler
 	// Intern canonicalizes strings materialized while decoding binaries
 	// (symbol, import and library names repeated across binaries); nil
@@ -387,12 +387,11 @@ func (res *Result) load(ctx context.Context, opts Options) error {
 		models[i] = v.(*cfg.Model)
 		return nil
 	}
-	var err error
-	if opts.Sched != nil {
-		err = opts.Sched.ForEach(ctx, len(jobs), buildJob)
-	} else {
-		err = pool.ForEach(ctx, opts.Parallelism, len(jobs), buildJob)
+	sched := opts.Sched
+	if sched == nil {
+		sched = pool.NewScheduler(opts.Parallelism)
 	}
+	err := sched.ForEach(ctx, len(jobs), buildJob)
 	if opts.Stages != nil {
 		opts.Stages.Add(stagetime.Lift, buildStats.LiftNanos.Load())
 		opts.Stages.AddAllocs(stagetime.Lift, buildStats.LiftAllocs.Load())

@@ -25,6 +25,8 @@ package modelcache
 
 import (
 	"container/list"
+	"context"
+	"errors"
 	"sync"
 )
 
@@ -121,24 +123,35 @@ func (c *Cache) Get(key string) (any, bool) {
 // GetOrCompute returns the value for key, computing it at most once across
 // concurrent callers. compute returns the value, its estimated cost in bytes,
 // and an error; errors are propagated to every waiter and never cached, so a
-// failed computation is retried by the next caller. The hit result reports
-// whether the value was served without running compute in this call (either
-// resident, or joined from another caller's in-flight computation).
+// failed computation is retried by the next caller. The exception is a
+// context error (context.Canceled, context.DeadlineExceeded): that is the
+// computing caller's own cancellation, not a property of the key, so a
+// waiter that joined such a flight retries instead of inheriting it. The hit
+// result reports whether the value was served without running compute in
+// this call (either resident, or joined from another caller's in-flight
+// computation).
 func (c *Cache) GetOrCompute(key string, compute func() (val any, cost int64, err error)) (val any, hit bool, err error) {
 	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		v := el.Value.(*entry).val
-		c.mu.Unlock()
-		return v, true, nil
-	}
-	if fl, ok := c.inflight[key]; ok {
+	for {
+		if el, ok := c.items[key]; ok {
+			c.ll.MoveToFront(el)
+			c.hits++
+			v := el.Value.(*entry).val
+			c.mu.Unlock()
+			return v, true, nil
+		}
+		fl, ok := c.inflight[key]
+		if !ok {
+			break
+		}
 		// Join the in-flight computation: the lift happens once.
 		c.hits++
 		c.mu.Unlock()
 		<-fl.done
-		return fl.val, true, fl.err
+		if !errors.Is(fl.err, context.Canceled) && !errors.Is(fl.err, context.DeadlineExceeded) {
+			return fl.val, true, fl.err
+		}
+		c.mu.Lock()
 	}
 	c.misses++
 	fl := &flight{done: make(chan struct{})}

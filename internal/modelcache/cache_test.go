@@ -1,12 +1,14 @@
 package modelcache
 
 import (
+	"context"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func computeConst(v int, cost int64) func() (any, int64, error) {
@@ -132,6 +134,51 @@ func TestErrorsPropagateAndAreNotCached(t *testing.T) {
 	v, hit, err := c.GetOrCompute("bad", computeConst(7, 1))
 	if err != nil || hit || v.(int) != 7 {
 		t.Errorf("retry after error: v=%v hit=%v err=%v, want fresh compute", v, hit, err)
+	}
+}
+
+// TestCancelledFlightDoesNotFailWaiters: when the computing caller's own
+// context ends its computation, a second caller that joined the flight must
+// retry with its own compute instead of inheriting that cancellation — two
+// identical service jobs must not share one job's cancel or timeout.
+func TestCancelledFlightDoesNotFailWaiters(t *testing.T) {
+	for _, cause := range []error{context.Canceled, context.DeadlineExceeded} {
+		c := New(8, 1<<20)
+		release := make(chan struct{})
+		first := make(chan error, 1)
+		go func() {
+			_, _, err := c.GetOrCompute("ranking", func() (any, int64, error) {
+				<-release
+				return nil, 0, fmt.Errorf("infer: %w", cause)
+			})
+			first <- err
+		}()
+		second := make(chan error, 1)
+		var secondVal any
+		go func() {
+			// Wait until the first caller owns the flight, then join it.
+			for c.Stats().Misses == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			v, _, err := c.GetOrCompute("ranking", computeConst(7, 1))
+			secondVal = v
+			second <- err
+		}()
+		for c.Stats().Hits == 0 { // the second caller has joined
+			time.Sleep(time.Millisecond)
+		}
+		close(release)
+		if err := <-first; !errors.Is(err, cause) {
+			t.Errorf("%v: computing caller got %v, want its own cancellation", cause, err)
+		}
+		if err := <-second; err != nil {
+			t.Errorf("%v: waiter inherited the computing caller's error: %v", cause, err)
+		} else if secondVal != 7 {
+			t.Errorf("%v: waiter got %v, want its own computed 7", cause, secondVal)
+		}
+		if v, ok := c.Get("ranking"); !ok || v != 7 {
+			t.Errorf("%v: retried value not cached: %v %v", cause, v, ok)
+		}
 	}
 }
 

@@ -1,12 +1,13 @@
-// Package pool provides the bounded fan-out primitive used by the parallel
-// analysis pipeline: run n index-addressed work items on up to `workers`
-// goroutines with context cancellation checked at item granularity.
+// Package pool provides the one fan-out primitive of the parallel analysis
+// pipeline, Scheduler.ForEach: run n index-addressed work items on a bounded
+// worker budget with context cancellation checked at item granularity.
 //
-// The pool is deliberately order-agnostic: callers that need deterministic
-// output pre-size a result slice and have item i write only slot i, so the
-// assembled result is identical at every worker count. Cancellation and
-// errors stop the dispatch of further items; items already in flight run to
-// completion before ForEach returns, so no goroutine outlives the call.
+// The scheduler is deliberately order-agnostic: callers that need
+// deterministic output pre-size a result slice and have item i write only
+// slot i, so the assembled result is identical at every worker count.
+// Cancellation and errors stop the dispatch of further items; items already
+// in flight run to completion before ForEach returns, so no goroutine
+// outlives the call.
 package pool
 
 import (
@@ -16,10 +17,10 @@ import (
 	"sync/atomic"
 )
 
-// A Scheduler shares one bounded worker budget across every fan-out of a
-// batch: corpus-level scans hand the same Scheduler to each image's
-// pipeline, so model building for image A and vector extraction for image B
-// draw from one pool instead of each Analyze call sizing its own.
+// A Scheduler shares one bounded worker budget across every fan-out of an
+// analysis, or of a whole batch: corpus-level scans hand the same Scheduler
+// to each image's pipeline, so model building for image A and vector
+// extraction for image B draw from one budget.
 //
 // ForEach on a Scheduler is caller-runs-inline: the calling goroutine always
 // executes items itself and extra goroutines are added only when a budget
@@ -43,10 +44,12 @@ func NewScheduler(workers int) *Scheduler {
 }
 
 // ForEach invokes fn(i) for every index in [0, n) on the scheduler's shared
-// budget. Error and cancellation semantics match the package-level ForEach:
-// the lowest failing index's error wins and in-flight items drain before
-// return. Callers needing deterministic output write slot i from item i, so
-// results are identical at every worker count and borrow pattern.
+// budget. The context is checked before every item: once ctx is done, no
+// further items start and ForEach returns ctx.Err(). If an fn call returns
+// an error, dispatch stops and the error of the lowest failing index is
+// returned, whatever the scheduling. In-flight items drain before return.
+// Callers needing deterministic output write slot i from item i, so results
+// are identical at every worker count and borrow pattern.
 func (s *Scheduler) ForEach(ctx context.Context, n int, fn func(i int) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -100,82 +103,6 @@ func (s *Scheduler) ForEach(ctx context.Context, n int, fn func(i int) error) er
 		break
 	}
 	run()
-	wg.Wait()
-	mu.Lock()
-	err := firstErr
-	mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return ctx.Err()
-}
-
-// ForEach invokes fn(i) for every index in [0, n), running at most `workers`
-// items concurrently (workers <= 0 means runtime.GOMAXPROCS(0)).
-//
-// The context is checked before every item: once ctx is done, no further
-// items start and ForEach returns ctx.Err(). If an fn call returns an error,
-// dispatch stops and the error of the lowest failing index is returned —
-// a deterministic choice regardless of scheduling. ForEach always waits for
-// in-flight items before returning.
-func ForEach(ctx context.Context, workers, n int, fn func(i int) error) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if n <= 0 {
-		return nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	var (
-		next     atomic.Int64 // next index to dispatch
-		stop     atomic.Bool  // set on first error to halt dispatch
-		mu       sync.Mutex
-		firstIdx = n
-		firstErr error
-	)
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if stop.Load() || ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
-				if err := fn(i); err != nil {
-					mu.Lock()
-					if i < firstIdx {
-						firstIdx, firstErr = i, err
-					}
-					mu.Unlock()
-					stop.Store(true)
-					return
-				}
-			}
-		}()
-	}
 	wg.Wait()
 	mu.Lock()
 	err := firstErr

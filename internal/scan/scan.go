@@ -1,0 +1,151 @@
+// Package scan is the one memoised entry point to the taint engines. Both
+// the single-image scan (fits.TargetResult.ScanContext) and every round of
+// the corpus channel fixpoint (corpustaint) run a binary's taint analysis
+// through Run, which owns the alert cache key, the one alert cache kind and
+// the stage-timer wiring of the engines.
+package scan
+
+import (
+	"cmp"
+	"context"
+	"slices"
+	"strconv"
+
+	"fits/internal/karonte"
+	"fits/internal/loader"
+	"fits/internal/modelcache"
+	"fits/internal/stagetime"
+	"fits/internal/taint"
+)
+
+// Engine selects a taint engine.
+type Engine uint8
+
+// Engines: the static reachability engine (STA) and the budgeted
+// symbolic-execution engine (Karonte-style). Any other value runs the
+// static engine.
+const (
+	Static Engine = iota
+	Symbolic
+)
+
+// Run runs eng over t under opts and returns the engine's alerts in its
+// deterministic order. The symbolic engine reads only UseCTS, ITS and ITSOut.
+//
+// With a cache and a content-hashed target the alert list is memoised under
+// key, so re-scanning an unchanged binary — a diff's unchanged targets, a
+// fixpoint round whose seeds did not grow — is a lookup; the returned slice
+// may then be shared with the cache and must not be modified. The context
+// is checked before and after the engine but never inside the memoised
+// computation, so a scan that finished is always cached. Stage costs land in
+// st (nil disables), the Taint span on cache misses only.
+func Run(ctx context.Context, t *loader.Target, eng Engine, opts taint.Options, cache *modelcache.Cache, st *stagetime.Timer) ([]taint.Alert, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	run := func() []taint.Alert {
+		defer st.Span(stagetime.Taint)()
+		if eng == Symbolic {
+			return karonte.New(t.Bin, t.Model, karonte.Options{
+				UseCTS: opts.UseCTS, ITS: opts.ITS, ITSOut: opts.ITSOut,
+			}).Run()
+		}
+		return taint.New(t.Bin, t.Model, instrument(opts, st)).Run()
+	}
+	var alerts []taint.Alert
+	if cache == nil || t.Hash == (modelcache.Hash{}) {
+		alerts = run()
+	} else {
+		// The compute never fails, so neither does the lookup.
+		v, _, _ := cache.GetOrCompute(key(t, eng, opts), func() (any, int64, error) {
+			a := run()
+			return a, int64(len(a))*112 + 64, nil
+		})
+		alerts = v.([]taint.Alert)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return alerts, nil
+}
+
+// instrument wires the static engine's alias and pathcheck hooks into st.
+func instrument(opts taint.Options, st *stagetime.Timer) taint.Options {
+	if st == nil {
+		return opts
+	}
+	opts.Clock = stagetime.Clock
+	opts.AllocCount = stagetime.AllocCount
+	opts.OnAlias = func(ns, allocs int64) {
+		st.Add(stagetime.Alias, ns)
+		st.AddAllocs(stagetime.Alias, allocs)
+	}
+	opts.OnPathcheck = func(ns, allocs int64) {
+		st.Add(stagetime.PathCheck, ns)
+		st.AddAllocs(stagetime.PathCheck, allocs)
+	}
+	return opts
+}
+
+// key is the memo key of one scan: the engine, the target's model
+// configuration and content hash, and every taint.Options field that can
+// change the alert list. Precision and the instrumentation hooks (Clock,
+// AllocCount, OnAlias, OnPathcheck) never change output and are left out.
+// The engines treat ITS as a set, so its entries are sorted; map-valued
+// fields are written in sorted key order, and free-form strings quoted so
+// no two option sets share a key. Built with strconv rather than fmt: a
+// corpus fixpoint builds one key per binary per round.
+func key(t *loader.Target, eng Engine, o taint.Options) string {
+	b := make([]byte, 0, 256)
+	b = append(b, "model="...)
+	b = append(b, t.ModelConfig...)
+	b = strconv.AppendUint(append(b, "|engine="...), uint64(eng), 10)
+	b = strconv.AppendBool(append(b, "|cts="...), o.UseCTS)
+	b = strconv.AppendBool(append(b, "|sf="...), o.StringFilter)
+	b = strconv.AppendInt(append(b, "|depth="...), int64(o.MaxDepth), 10)
+	b = strconv.AppendBool(append(b, "|noalias="...), o.NoAlias)
+	b = strconv.AppendBool(append(b, "|nopathcheck="...), o.NoPathcheck)
+	b = strconv.AppendQuote(append(b, "|self="...), o.SelfPath)
+	b = append(b, "|its="...)
+	its := slices.Clone(o.ITS)
+	slices.Sort(its)
+	for _, e := range its {
+		b = append(strconv.AppendUint(b, uint64(e), 16), ',')
+	}
+	b = append(b, "|itsout="...)
+	for _, e := range sortedKeys(o.ITSOut) {
+		b = append(strconv.AppendUint(b, uint64(e), 16), ':')
+		for _, p := range o.ITSOut[e] {
+			b = append(strconv.AppendInt(b, int64(p), 10), ' ')
+		}
+		b = append(b, ',')
+	}
+	b = append(b, "|setters="...)
+	for _, name := range sortedKeys(o.ChannelSetters) {
+		sp := o.ChannelSetters[name]
+		b = append(strconv.AppendQuote(b, name), ':')
+		b = append(strconv.AppendUint(b, uint64(sp.Chan), 10), '/')
+		b = append(strconv.AppendInt(b, int64(sp.Arity), 10), '/')
+		b = append(strconv.AppendInt(b, int64(sp.KeyParam), 10), '/')
+		b = append(strconv.AppendInt(b, int64(sp.ValParam), 10), '/')
+		b = append(strconv.AppendBool(b, sp.TaintsReturn), ',')
+	}
+	b = append(b, "|seeds="...)
+	for _, ch := range sortedKeys(o.ChannelSeeds) {
+		for _, key := range sortedKeys(o.ChannelSeeds[ch]) {
+			b = append(strconv.AppendUint(b, uint64(ch), 10), ':')
+			b = append(strconv.AppendQuote(b, key), '=')
+			b = append(strconv.AppendBool(b, o.ChannelSeeds[ch][key]), ',')
+		}
+	}
+	return modelcache.Key("alerts", string(b), t.Hash)
+}
+
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}

@@ -39,8 +39,8 @@ type XScanOptions struct {
 	// path-feasibility pass. Both precision passes are on by default.
 	NoAlias     bool
 	NoPathcheck bool
-	// Parallelism bounds worker goroutines (0 = all CPUs); the report is
-	// byte-identical at every setting.
+	// Parallelism sizes the scan's private Scheduler when none is given
+	// (0 = all CPUs); the report is byte-identical at every setting.
 	Parallelism int
 	// Cache memoizes models, rankings and per-round scan results across
 	// calls; reports are byte-identical with and without one.
@@ -74,13 +74,15 @@ func XScanContext(ctx context.Context, files []CorpusFile, opts XScanOptions) (*
 	for i, f := range files {
 		fw[i] = firmware.File{Path: f.Path, Data: f.Data}
 	}
+	if opts.Scheduler == nil {
+		opts.Scheduler = NewScheduler(opts.Parallelism)
+	}
 	return corpustaint.Run(ctx, fw, corpustaint.Options{
 		Mode:         mode,
 		TopK:         opts.TopK,
 		StringFilter: opts.StringFilter,
 		NoAlias:      opts.NoAlias,
 		NoPathcheck:  opts.NoPathcheck,
-		Parallelism:  opts.Parallelism,
 		Cache:        opts.Cache,
 		Scheduler:    opts.Scheduler,
 		Stages:       opts.Stages,
