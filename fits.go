@@ -45,9 +45,10 @@ import (
 	"fits/internal/taint"
 )
 
-// StageTimer accumulates per-stage wall-clock and allocation costs of one
+// StageTimer accumulates per-stage self time and allocations of one
 // analysis or a whole corpus batch (decode, lift, cfg, reachdef, infer,
-// taint); see Options.Stages. The zero value is ready to use.
+// taint, alias, pathcheck), each stage net of the stages nested in it; see
+// Options.Stages. The zero value is ready to use.
 type StageTimer = stagetime.Timer
 
 // Scheduler is a shared bounded worker budget. One Scheduler handed to many
@@ -100,10 +101,11 @@ type Options struct {
 	// Parallelism. AnalyzeCorpus sets it to batch images; long-running
 	// services share one across jobs. Results are byte-identical either way.
 	Scheduler *Scheduler
-	// Stages, when non-nil, accumulates this analysis's per-stage wall and
-	// allocation costs (decode, lift, cfg, reachdef, infer, taint). Purely
-	// diagnostic: results are unaffected. Allocation attribution is exact
-	// only at Parallelism 1; wall times sum across workers.
+	// Stages, when non-nil, accumulates this analysis's per-stage self time
+	// and allocations, and its scans'. Purely diagnostic: results are
+	// unaffected. At Parallelism 1 the stages partition the analysis; at
+	// higher settings wall times sum across workers and allocation counts
+	// mix concurrent stages.
 	Stages *StageTimer
 	// intern is the per-analysis string intern table. Analyze creates one
 	// per call; AnalyzeCorpus shares one across the batch so names repeated
@@ -125,14 +127,7 @@ func inferConfig(opts Options) infer.Config {
 	cfgn.Cache = opts.Cache
 	cfgn.Sched = opts.Scheduler
 	cfgn.Intern = opts.intern
-	if st := opts.Stages; st != nil {
-		cfgn.Clock = stagetime.Clock
-		cfgn.AllocCount = stagetime.AllocCount
-		cfgn.OnReachDef = func(wallNanos, allocObjs int64) {
-			st.Add(stagetime.ReachDef, wallNanos)
-			st.AddAllocs(stagetime.ReachDef, allocObjs)
-		}
-	}
+	cfgn.Probe = opts.Stages
 	return cfgn
 }
 
@@ -231,7 +226,6 @@ func AnalyzeContext(ctx context.Context, raw []byte, opts Options) (*Result, err
 		Version: res.Image.Version,
 		Targets: make([]*TargetResult, len(res.Targets)),
 	}
-	inferDone := opts.Stages.Span(stagetime.Infer)
 	inferJob := func(i int) error {
 		t := res.Targets[i]
 		r, err := infer.InferTargetContext(ctx, t, cfgn)
@@ -249,9 +243,7 @@ func AnalyzeContext(ctx context.Context, raw []byte, opts Options) (*Result, err
 		out.Targets[i] = tr
 		return nil
 	}
-	err = opts.Scheduler.ForEach(ctx, len(res.Targets), inferJob)
-	inferDone()
-	if err != nil {
+	if err := opts.Scheduler.ForEach(ctx, len(res.Targets), inferJob); err != nil {
 		return nil, err
 	}
 	out.Elapsed = time.Since(start)

@@ -11,6 +11,7 @@ import (
 	"fits/internal/dataflow"
 	"fits/internal/intern"
 	"fits/internal/know"
+	"fits/internal/stagetime"
 )
 
 // Dim is the dimensionality of the feature vector.
@@ -69,13 +70,10 @@ type Extractor struct {
 	// value seen at many sites costs one allocation per analysis. Interning
 	// never changes vector contents.
 	Intern *intern.Table
-	// Clock and OnReachDef instrument the reaching-definition stage: when
-	// both are set, each dataflow.Analyze call's wall time (and, with
-	// AllocCount, its heap-object count) is reported through OnReachDef.
-	// This package never reads a clock itself — impure callers inject one.
-	Clock      func() int64
-	AllocCount func() int64
-	OnReachDef func(wallNanos, allocObjs int64)
+	// Probe, when set, opens an Infer span around each FuncVector and a
+	// nested ReachDef span around its reaching-definition pass. Vectors are
+	// unaffected.
+	Probe stagetime.Probe
 
 	// anchorFn is e.anchorInfo bound once at construction: method values
 	// allocate, and FuncVector needs one per call otherwise. Read-only after
@@ -115,6 +113,7 @@ func (e *Extractor) anchorInfo(cs cfg.CallSite) dataflow.AnchorInfo {
 
 // FuncVector computes the 11-dimensional BFV of one function.
 func (e *Extractor) FuncVector(f *cfg.Function) Vector {
+	defer stagetime.Open(e.Probe, stagetime.Infer)()
 	var v Vector
 	// Structural features from the CFG and CG.
 	v[FBasicBlocks] = float64(f.NumBlocks())
@@ -143,22 +142,9 @@ func (e *Extractor) FuncVector(f *cfg.Function) Vector {
 	if anchorFn == nil { // literal-constructed extractor (tests)
 		anchorFn = e.anchorInfo
 	}
-	var facts dataflow.FlowFacts
-	if e.OnReachDef != nil && e.Clock != nil {
-		t0 := e.Clock()
-		var a0 int64
-		if e.AllocCount != nil {
-			a0 = e.AllocCount()
-		}
-		facts = dataflow.Analyze(f, anchorFn)
-		var allocs int64
-		if e.AllocCount != nil {
-			allocs = e.AllocCount() - a0
-		}
-		e.OnReachDef(e.Clock()-t0, allocs)
-	} else {
-		facts = dataflow.Analyze(f, anchorFn)
-	}
+	reachDone := stagetime.Open(e.Probe, stagetime.ReachDef)
+	facts := dataflow.Analyze(f, anchorFn)
+	reachDone()
 	if facts.ParamControlsLoop {
 		v[FParamLoop] = 1
 	}

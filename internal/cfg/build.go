@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
-	"sync/atomic"
 
 	"fits/internal/binimg"
 	"fits/internal/ir"
 	"fits/internal/isa"
+	"fits/internal/stagetime"
 )
 
 // IndirectResolver resolves the possible targets of an indirect call site.
@@ -37,26 +37,10 @@ type Options struct {
 	// source is bypassed for functions with resolved jump tables, whose
 	// recovery depends on resolver state the source cannot reproduce.
 	FuncSource func(entry uint32) (*Function, bool)
-	// Clock and Stats, when both set, split the build's cost between
-	// function recovery/lifting and the rest of model construction
-	// (resolution passes, call-graph assembly). AllocCount additionally
-	// attributes heap-object counts the same way. This package never reads a
-	// clock itself — impure callers inject one (the nondet invariant).
-	Clock      func() int64
-	AllocCount func() int64
-	Stats      *BuildStats
-}
-
-// BuildStats accumulates where Build's time and allocations go: the lift
-// counters cover buildFunction (instruction recovery and IR lifting), the
-// total counters the whole Build call. Fields are atomic so one BuildStats
-// may be shared by concurrent builds; a corpus's loader aggregates them into
-// per-stage timers.
-type BuildStats struct {
-	LiftNanos   atomic.Int64
-	LiftAllocs  atomic.Int64
-	TotalNanos  atomic.Int64
-	TotalAllocs atomic.Int64
+	// Probe, when set, opens a CFG span around each Build and a nested Lift
+	// span around each function's recovery and lifting. Models are
+	// unaffected.
+	Probe stagetime.Probe
 }
 
 const defaultMaxFuncs = 1 << 16
@@ -65,39 +49,9 @@ const defaultMaxFuncs = 1 << 16
 // estimates, and the (reverse) call graph, iterating discovery and indirect
 // resolution to a fixed point.
 func Build(bin *binimg.Binary, opts Options) (*Model, error) {
+	defer stagetime.Open(opts.Probe, stagetime.CFG)()
 	if opts.MaxFuncs == 0 {
 		opts.MaxFuncs = defaultMaxFuncs
-	}
-	instrumented := opts.Clock != nil && opts.Stats != nil
-	if instrumented {
-		t0 := opts.Clock()
-		var a0 int64
-		if opts.AllocCount != nil {
-			a0 = opts.AllocCount()
-		}
-		defer func() {
-			opts.Stats.TotalNanos.Add(opts.Clock() - t0)
-			if opts.AllocCount != nil {
-				opts.Stats.TotalAllocs.Add(opts.AllocCount() - a0)
-			}
-		}()
-	}
-	// lift wraps buildFunction with the per-function cost attribution.
-	lift := func(entry uint32, extraJumps map[uint32][]uint32) (*Function, error) {
-		if !instrumented {
-			return buildFunction(bin, entry, extraJumps)
-		}
-		t0 := opts.Clock()
-		var a0 int64
-		if opts.AllocCount != nil {
-			a0 = opts.AllocCount()
-		}
-		f, err := buildFunction(bin, entry, extraJumps)
-		opts.Stats.LiftNanos.Add(opts.Clock() - t0)
-		if opts.AllocCount != nil {
-			opts.Stats.LiftAllocs.Add(opts.AllocCount() - a0)
-		}
-		return f, err
 	}
 	m := &Model{Bin: bin, Funcs: map[uint32]*Function{}, Callers: map[uint32][]CallSite{}}
 
@@ -125,7 +79,9 @@ func Build(bin *binimg.Binary, opts Options) (*Model, error) {
 					continue
 				}
 			}
-			f, err := lift(entry, jumpTables[entry])
+			lifted := stagetime.Open(opts.Probe, stagetime.Lift)
+			f, err := buildFunction(bin, entry, jumpTables[entry])
+			lifted()
 			if err != nil {
 				// Unparseable seed (e.g. a data word that happened to look
 				// like a code pointer): skip it, as real tools do.

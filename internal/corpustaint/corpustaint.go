@@ -264,6 +264,7 @@ func Run(ctx context.Context, files []firmware.File, opts Options) (*Report, err
 			cfgn := infer.DefaultConfig()
 			cfgn.Cache = opts.Cache
 			cfgn.Sched = opts.Scheduler
+			cfgn.Probe = opts.Stages
 			r, err := infer.InferTargetContext(ctx, t, cfgn)
 			if err != nil {
 				return err

@@ -25,6 +25,7 @@ import (
 	"fits/internal/modelcache"
 	"fits/internal/pool"
 	"fits/internal/score"
+	"fits/internal/stagetime"
 )
 
 // Representation selects the function representation.
@@ -100,14 +101,10 @@ type Config struct {
 	// constants); nil disables interning. Rankings are byte-identical either
 	// way.
 	Intern *intern.Table
-	// Clock, AllocCount and OnReachDef instrument the reaching-definition
-	// sub-stage: when Clock and OnReachDef are both set, each per-function
-	// dataflow pass reports its wall time (and heap-object count, with
-	// AllocCount) through OnReachDef. Injected by impure callers; this
-	// package reads no clocks itself.
-	Clock      func() int64
-	AllocCount func() int64
-	OnReachDef func(wallNanos, allocObjs int64)
+	// Probe, when set, charges vector extraction, clustering and scoring to
+	// the Infer stage and reaching definitions to ReachDef. Rankings are
+	// unaffected.
+	Probe stagetime.Probe
 	// Cache memoizes the per-target base vectors (custom functions and
 	// anchors) by binary content hash and representation. Variant sweeps
 	// that only mask features (DropFeature) or change strategy/metric derive
@@ -158,13 +155,11 @@ func scheduled(cfgn Config) Config {
 }
 
 // newExtractor builds a bfv extractor wired with the config's intern table
-// and reaching-definition instrumentation.
+// and probe.
 func newExtractor(bin *binimg.Binary, m *cfg.Model, cfgn Config) *bfv.Extractor {
 	ex := bfv.New(bin, m)
 	ex.Intern = cfgn.Intern
-	ex.Clock = cfgn.Clock
-	ex.AllocCount = cfgn.AllocCount
-	ex.OnReachDef = cfgn.OnReachDef
+	ex.Probe = cfgn.Probe
 	return ex
 }
 
@@ -408,7 +403,9 @@ func extractAnchorVectors(ctx context.Context, t *loader.Target, cfgn Config) ([
 		j := jobs[i]
 		vec := vectorFor(cfgn.Representation, j.ex, j.bin, j.m, j.f)
 		if cfgn.Representation == RepBFV {
+			merged := stagetime.Open(cfgn.Probe, stagetime.Infer)
 			mergeTargetStrings(t, j.name, j.arity, cfgn.Intern, &vec)
+			merged()
 		}
 		out[i] = vec
 		return nil
@@ -465,6 +462,8 @@ func InferTargetContext(ctx context.Context, t *loader.Target, cfgn Config) (*Ra
 	if c == nil {
 		return inferTarget(ctx, t, cfgn)
 	}
+	// Building the key is all the inference a cached ranking costs.
+	keyed := stagetime.Open(cfgn.Probe, stagetime.Infer)
 	libs := make([]string, 0, len(t.LibHashes))
 	for name := range t.LibHashes {
 		libs = append(libs, name)
@@ -478,7 +477,9 @@ func InferTargetContext(ctx context.Context, t *loader.Target, cfgn Config) (*Ra
 	sig := fmt.Sprintf("%s|strategy=%s|metric=%s|drop=%d|eps=%g|minpts=%d|pca=%d",
 		vectorSig(t, cfgn), cfgn.Strategy, cfgn.Metric, cfgn.DropFeature,
 		cfgn.DBSCAN.Eps, cfgn.DBSCAN.MinPts, cfgn.PCAComponents)
-	v, _, err := c.GetOrCompute(modelcache.Key("ranking", sig, hashes...), func() (any, int64, error) {
+	key := modelcache.Key("ranking", sig, hashes...)
+	keyed()
+	v, _, err := c.GetOrCompute(key, func() (any, int64, error) {
 		r, err := inferTarget(ctx, t, cfgn)
 		if err != nil {
 			return nil, 0, err
@@ -521,13 +522,15 @@ func inferTarget(ctx context.Context, t *loader.Target, cfgn Config) (*Ranking, 
 	if err != nil {
 		return nil, err
 	}
-	points := make([]cluster.Point, len(customs))
-	for i, f := range customs {
-		points[i] = cluster.Point{Entry: f.Entry, Vec: base[i]}
-	}
 	anchors, err := anchorVectors(ctx, t, cfgn)
 	if err != nil {
 		return nil, err
+	}
+	// Opened only now: the extraction fan-outs above span their own items.
+	defer stagetime.Open(cfgn.Probe, stagetime.Infer)()
+	points := make([]cluster.Point, len(customs))
+	for i, f := range customs {
+		points[i] = cluster.Point{Entry: f.Entry, Vec: base[i]}
 	}
 
 	if cfgn.DropFeature >= 0 && cfgn.DropFeature < bfv.Dim {

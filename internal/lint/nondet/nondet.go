@@ -1,6 +1,7 @@
 // Package nondet flags calls that introduce run-to-run nondeterminism —
-// wall-clock reads, math/rand, environment lookups — inside the pure
-// analysis packages whose results must be byte-identical across runs.
+// wall-clock reads, math/rand, environment lookups, allocation counters —
+// inside the pure analysis packages whose results must be byte-identical
+// across runs.
 //
 // The FITS pipeline's cache-equivalence and determinism guarantees (see
 // cache_equivalence_test.go and parallel_test.go) hold only if the analysis
@@ -19,8 +20,8 @@ import (
 // Analyzer implements the check.
 var Analyzer = &analysis.Analyzer{
 	Name: "nondet",
-	Doc: "flags time.Now/Since/Until, math/rand, and os environment reads inside pure " +
-		"analysis packages whose output must be byte-identical across runs",
+	Doc: "flags time.Now/Since/Until, math/rand, os environment reads and runtime allocation " +
+		"counters inside pure analysis packages whose output must be byte-identical across runs",
 	Run: run,
 }
 
@@ -59,6 +60,10 @@ var banned = map[string]map[string]bool{
 	"math/rand":    {},
 	"math/rand/v2": {},
 	"os":           {"Getenv": true, "LookupEnv": true, "Environ": true},
+	// Allocation counters: pure packages account for stages only through a
+	// stagetime.Probe, which opens spans and reads nothing back.
+	"runtime":         {"ReadMemStats": true},
+	"runtime/metrics": {"Read": true},
 }
 
 func run(pass *analysis.Pass) error {

@@ -20,6 +20,9 @@ var supportPackages = map[string]bool{
 	"fits/internal/binimg": true, // decoded binary image (data carrier)
 	"fits/internal/isa":    true, // instruction tables
 	"fits/internal/know":   true, // sink/source knowledge base
+	// probe interface, write-only: pure code opens spans but never reads a
+	// clock or a total back.
+	"fits/internal/stagetime": true,
 }
 
 // taintImports parses the import lists of every non-test source file of

@@ -5,6 +5,8 @@ package fixture
 import (
 	"math/rand"
 	"os"
+	"runtime"
+	"runtime/metrics"
 	"time"
 )
 
@@ -21,6 +23,20 @@ func Jitter() int {
 // Env makes analysis output depend on the process environment.
 func Env() string {
 	return os.Getenv("FITS_DEBUG") // want `os\.Getenv in pure analysis package`
+}
+
+// HeapObjects reads the allocation counter inside the pure core.
+func HeapObjects() uint64 {
+	s := []metrics.Sample{{Name: "/gc/heap/allocs:objects"}}
+	metrics.Read(s) // want `metrics\.Read in pure analysis package`
+	return s[0].Value.Uint64()
+}
+
+// HeapBytes reads memory statistics inside the pure core.
+func HeapBytes() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms) // want `runtime\.ReadMemStats in pure analysis package`
+	return ms.TotalAlloc
 }
 
 // Elapsed is deterministic arithmetic on injected values: clean.

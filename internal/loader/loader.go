@@ -146,10 +146,9 @@ type Options struct {
 	// whatever backing its first decode produced — contents are identical
 	// either way.
 	Intern *intern.Table
-	// Stages, when non-nil, accumulates per-stage wall-clock and allocation
-	// costs of this load: Decode (unpack + container decode), Lift (function
-	// recovery) and CFG (the rest of model building). Allocation attribution
-	// is only exact at Parallelism 1.
+	// Stages, when non-nil, accumulates per-stage costs of this load: Decode
+	// (unpack + container decode), and the Lift and CFG spans cfg.Build
+	// opens on it as its probe.
 	Stages *stagetime.Timer
 }
 
@@ -259,16 +258,7 @@ func (res *Result) load(ctx context.Context, opts Options) error {
 		resolver = ucse.Resolver()
 		jumpResolver = ucse.JumpResolver()
 	}
-	cfgOpts := cfg.Options{Resolver: resolver, JumpResolver: jumpResolver}
-	// With a stage timer, builds report how their cost splits between
-	// lifting and the rest of model construction; the shared BuildStats is
-	// folded into the timer once the fan-out below drains.
-	var buildStats cfg.BuildStats
-	if opts.Stages != nil {
-		cfgOpts.Clock = stagetime.Clock
-		cfgOpts.AllocCount = stagetime.AllocCount
-		cfgOpts.Stats = &buildStats
-	}
+	cfgOpts := cfg.Options{Resolver: resolver, JumpResolver: jumpResolver, Probe: opts.Stages}
 
 	// Select the network targets, in deterministic path order.
 	var targetPaths []string
@@ -391,14 +381,7 @@ func (res *Result) load(ctx context.Context, opts Options) error {
 	if sched == nil {
 		sched = pool.NewScheduler(opts.Parallelism)
 	}
-	err := sched.ForEach(ctx, len(jobs), buildJob)
-	if opts.Stages != nil {
-		opts.Stages.Add(stagetime.Lift, buildStats.LiftNanos.Load())
-		opts.Stages.AddAllocs(stagetime.Lift, buildStats.LiftAllocs.Load())
-		opts.Stages.Add(stagetime.CFG, buildStats.TotalNanos.Load()-buildStats.LiftNanos.Load())
-		opts.Stages.AddAllocs(stagetime.CFG, buildStats.TotalAllocs.Load()-buildStats.LiftAllocs.Load())
-	}
-	if err != nil {
+	if err := sched.ForEach(ctx, len(jobs), buildJob); err != nil {
 		return err
 	}
 	res.Reused = int(reused.Load())

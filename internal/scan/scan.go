@@ -2,7 +2,7 @@
 // the single-image scan (fits.TargetResult.ScanContext) and every round of
 // the corpus channel fixpoint (corpustaint) run a binary's taint analysis
 // through Run, which owns the alert cache key, the one alert cache kind and
-// the stage-timer wiring of the engines.
+// the Taint span around the engines.
 package scan
 
 import (
@@ -43,6 +43,7 @@ func Run(ctx context.Context, t *loader.Target, eng Engine, opts taint.Options, 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	opts.Probe = st
 	run := func() []taint.Alert {
 		defer st.Span(stagetime.Taint)()
 		if eng == Symbolic {
@@ -50,7 +51,7 @@ func Run(ctx context.Context, t *loader.Target, eng Engine, opts taint.Options, 
 				UseCTS: opts.UseCTS, ITS: opts.ITS, ITSOut: opts.ITSOut,
 			}).Run()
 		}
-		return taint.New(t.Bin, t.Model, instrument(opts, st)).Run()
+		return taint.New(t.Bin, t.Model, opts).Run()
 	}
 	var alerts []taint.Alert
 	if cache == nil || t.Hash == (modelcache.Hash{}) {
@@ -69,28 +70,10 @@ func Run(ctx context.Context, t *loader.Target, eng Engine, opts taint.Options, 
 	return alerts, nil
 }
 
-// instrument wires the static engine's alias and pathcheck hooks into st.
-func instrument(opts taint.Options, st *stagetime.Timer) taint.Options {
-	if st == nil {
-		return opts
-	}
-	opts.Clock = stagetime.Clock
-	opts.AllocCount = stagetime.AllocCount
-	opts.OnAlias = func(ns, allocs int64) {
-		st.Add(stagetime.Alias, ns)
-		st.AddAllocs(stagetime.Alias, allocs)
-	}
-	opts.OnPathcheck = func(ns, allocs int64) {
-		st.Add(stagetime.PathCheck, ns)
-		st.AddAllocs(stagetime.PathCheck, allocs)
-	}
-	return opts
-}
-
 // key is the memo key of one scan: the engine, the target's model
 // configuration and content hash, and every taint.Options field that can
-// change the alert list. Precision and the instrumentation hooks (Clock,
-// AllocCount, OnAlias, OnPathcheck) never change output and are left out.
+// change the alert list. Precision and Probe never change output and are
+// left out.
 // The engines treat ITS as a set, so its entries are sorted; map-valued
 // fields are written in sorted key order, and free-form strings quoted so
 // no two option sets share a key. Built with strconv rather than fmt: a

@@ -19,11 +19,8 @@ import (
 // outputNeutral lists the taint.Options fields that cannot change the alert
 // list and so stay out of the memo key. Every other field must be in it.
 var outputNeutral = map[string]bool{
-	"Precision":   true,
-	"Clock":       true,
-	"AllocCount":  true,
-	"OnAlias":     true,
-	"OnPathcheck": true,
+	"Precision": true,
+	"Probe":     true,
 }
 
 // nonZero builds a value of type t that differs from the zero value in a
@@ -53,6 +50,9 @@ func nonZero(t reflect.Type) reflect.Value {
 		}
 	case reflect.Pointer:
 		v.Set(reflect.New(t.Elem()))
+	case reflect.Interface:
+		// The stage probe is the only interface-typed option.
+		v.Set(reflect.ValueOf(new(stagetime.Timer)))
 	case reflect.Func:
 		v.Set(reflect.MakeFunc(t, func([]reflect.Value) []reflect.Value {
 			out := make([]reflect.Value, t.NumOut())

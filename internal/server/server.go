@@ -225,7 +225,7 @@ func New(cfg Config) (*Server, error) {
 	s.hStage = map[stagetime.Stage]*Histogram{}
 	for _, st := range stagetime.Stages() {
 		s.hStage[st] = s.reg.Histogram("fitsd_stage_"+st.String()+"_seconds",
-			"Per-job wall time of the "+st.String()+" pipeline stage.",
+			"Per-job self time of the "+st.String()+" pipeline stage (nested stages excluded).",
 			0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30)
 	}
 	s.hDiffStage = map[string]*Histogram{}

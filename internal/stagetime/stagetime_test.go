@@ -7,28 +7,48 @@ import (
 
 func TestNilTimerIsNoop(t *testing.T) {
 	var tm *Timer
-	tm.Add(Lift, 100)
-	tm.AddAllocs(Lift, 100)
 	tm.Span(Infer)()
-	if tm.WallNanos(Lift) != 0 || tm.Allocs(Lift) != 0 {
+	Open(nil, Infer)()
+	Open(tm, Infer)()
+	if tm.WallNanos(Infer) != 0 || tm.Allocs(Infer) != 0 {
 		t.Error("nil timer accumulated")
+	}
+	if n := testing.AllocsPerRun(100, func() { Open(nil, Lift)(); Open(tm, Lift)() }); n != 0 {
+		t.Errorf("a nil probe allocated %.0f objects per span", n)
 	}
 }
 
+// TestAccumulation: spans of one stage add up, and the accessors report
+// self numbers — a stage minus its nested stages, never minus a sibling.
 func TestAccumulation(t *testing.T) {
 	var tm Timer
-	tm.Add(Decode, 5)
-	tm.Add(Decode, 7)
-	tm.AddAllocs(Decode, 3)
-	tm.AddAllocs(Decode, -1) // negative deltas (counter races) are dropped
-	if got := tm.WallNanos(Decode); got != 12 {
-		t.Errorf("wall = %d, want 12", got)
+	tm.Span(Decode)()
+	first := tm.WallNanos(Decode)
+	tm.Span(Decode)()
+	if first <= 0 || tm.WallNanos(Decode) <= first {
+		t.Errorf("decode wall = %d after one span, %d after two; want it to grow", first, tm.WallNanos(Decode))
 	}
-	if got := tm.Allocs(Decode); got != 3 {
-		t.Errorf("allocs = %d, want 3", got)
-	}
-	if tm.WallNanos(Taint) != 0 {
-		t.Error("untouched stage nonzero")
+
+	var nested Timer
+	nested.wall[CFG].Store(10)
+	nested.wall[Lift].Store(4)
+	nested.wall[Infer].Store(5)
+	nested.allocs[Taint].Store(9)
+	nested.allocs[Alias].Store(2)
+	nested.allocs[PathCheck].Store(3)
+	for _, c := range []struct {
+		what      string
+		got, want int64
+	}{
+		{"cfg self time", nested.WallNanos(CFG), 6},
+		{"lift self time", nested.WallNanos(Lift), 4},
+		{"infer self time", nested.WallNanos(Infer), 5},
+		{"taint self allocs", nested.Allocs(Taint), 4},
+		{"pathcheck self allocs", nested.Allocs(PathCheck), 3},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.what, c.got, c.want)
+		}
 	}
 }
 
@@ -68,6 +88,8 @@ func TestStageNames(t *testing.T) {
 	}
 }
 
+// TestTimerConcurrent: goroutines sharing a Timer, each nesting child spans
+// inside a parent span, leave every self number non-negative.
 func TestTimerConcurrent(t *testing.T) {
 	var tm Timer
 	var wg sync.WaitGroup
@@ -75,14 +97,21 @@ func TestTimerConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				tm.Add(Lift, 1)
-				tm.AddAllocs(CFG, 1)
+			for i := 0; i < 200; i++ {
+				done := tm.Span(Taint)
+				tm.Span(Alias)()
+				tm.Span(PathCheck)()
+				done()
 			}
 		}()
 	}
 	wg.Wait()
-	if tm.WallNanos(Lift) != 8000 || tm.Allocs(CFG) != 8000 {
-		t.Errorf("lift=%d cfg=%d, want 8000 each", tm.WallNanos(Lift), tm.Allocs(CFG))
+	for _, s := range Stages() {
+		if tm.WallNanos(s) < 0 || tm.Allocs(s) < 0 {
+			t.Errorf("stage %s: self time %d, self allocs %d; want both >= 0", s, tm.WallNanos(s), tm.Allocs(s))
+		}
+	}
+	if tm.WallNanos(Alias) <= 0 || tm.WallNanos(Taint) <= 0 {
+		t.Errorf("taint=%d alias=%d, want both > 0", tm.WallNanos(Taint), tm.WallNanos(Alias))
 	}
 }

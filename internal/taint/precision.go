@@ -15,6 +15,7 @@ import (
 	"fits/internal/cfg"
 	"fits/internal/dataflow"
 	"fits/internal/pathcheck"
+	"fits/internal/stagetime"
 )
 
 // PrecisionCache memoizes the pure per-function inputs of the precision
@@ -26,32 +27,12 @@ import (
 // is ready to use and safe for concurrent engines.
 type PrecisionCache struct {
 	mu    sync.Mutex
-	flow  map[uint32]bool        // function entry -> FlowFacts.Truncated
+	flow  map[uint32]bool         // function entry -> FlowFacts.Truncated
 	facts map[uint32]*alias.Facts // function entry -> points-to facts
 	path  map[pathKey]pathcheck.Result
 }
 
 type pathKey struct{ entry, site uint32 }
-
-// span samples the injected clock/alloc counter around one pass execution
-// and reports the deltas to report. With no injected clock it is free.
-func (e *Engine) span(report func(wallNs, allocs int64)) func() {
-	if report == nil || e.opts.Clock == nil {
-		return func() {}
-	}
-	t0 := e.opts.Clock()
-	var a0 int64
-	if e.opts.AllocCount != nil {
-		a0 = e.opts.AllocCount()
-	}
-	return func() {
-		var da int64
-		if e.opts.AllocCount != nil {
-			da = e.opts.AllocCount() - a0
-		}
-		report(e.opts.Clock()-t0, da)
-	}
-}
 
 // aliasFactsFor returns the memoized points-to facts of fn, or nil when
 // the pass is disabled.
@@ -72,7 +53,7 @@ func (e *Engine) aliasFactsFor(fn *cfg.Function) *alias.Facts {
 func (e *Engine) computeAliasFacts(fn *cfg.Function) *alias.Facts {
 	c := e.opts.Precision
 	if c == nil {
-		stop := e.span(e.opts.OnAlias)
+		stop := stagetime.Open(e.opts.Probe, stagetime.Alias)
 		f := alias.Analyze(e.bin, fn)
 		stop()
 		return f
@@ -82,7 +63,7 @@ func (e *Engine) computeAliasFacts(fn *cfg.Function) *alias.Facts {
 	if f, ok := c.facts[fn.Entry]; ok {
 		return f
 	}
-	stop := e.span(e.opts.OnAlias)
+	stop := stagetime.Open(e.opts.Probe, stagetime.Alias)
 	f := alias.Analyze(e.bin, fn)
 	stop()
 	if c.facts == nil {
@@ -184,7 +165,7 @@ func (e *Engine) finishAlerts() {
 	}
 	sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
 
-	stop := e.span(e.opts.OnPathcheck)
+	stop := stagetime.Open(e.opts.Probe, stagetime.PathCheck)
 	if !e.opts.NoPathcheck {
 		for _, site := range sites {
 			a := e.alerts[site]

@@ -27,6 +27,7 @@ import (
 	"fits/internal/dataflow"
 	"fits/internal/isa"
 	"fits/internal/know"
+	"fits/internal/stagetime"
 )
 
 // SourceKind says what seeded an alert.
@@ -136,14 +137,10 @@ type Options struct {
 	// saving — results are byte-identical with or without it.
 	Precision *PrecisionCache
 
-	// Clock/AllocCount, when set, sample wall nanoseconds and heap-object
-	// counts around the alias and pathcheck passes; the deltas are handed
-	// to OnAlias/OnPathcheck. Injected by impure callers — this package is
-	// under the nondet lint and never reads a clock itself.
-	Clock       func() int64
-	AllocCount  func() int64
-	OnAlias     func(wallNs, allocs int64)
-	OnPathcheck func(wallNs, allocs int64)
+	// Probe, when set, opens Alias and PathCheck spans around the
+	// precision passes; callers run the engine inside a Taint span, which
+	// those nest in. Output-neutral.
+	Probe stagetime.Probe
 }
 
 // DefaultMaxDepth bounds value propagation; deep wrapper chains stay in

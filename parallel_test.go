@@ -40,7 +40,7 @@ func normalize(res *Result) comparableResult {
 
 // TestAnalyzeDeterministicAcrossParallelism asserts the full Result —
 // targets, candidate order, scores — and the subsequent Scan alerts are
-// deep-equal at parallelism 1, 2 and 8.
+// deep-equal at parallelism 1, 2 and 8, and with a stage Timer attached.
 func TestAnalyzeDeterministicAcrossParallelism(t *testing.T) {
 	// Sample 42 (Tenda) has many planted bugs, and NETGEAR samples carry a
 	// second network binary, exercising multi-target assembly order.
@@ -48,9 +48,16 @@ func TestAnalyzeDeterministicAcrossParallelism(t *testing.T) {
 		s := sample(t, idx)
 		var base comparableResult
 		var baseAlerts [][]Alert
-		for _, workers := range []int{1, 2, 8} {
+		for _, run := range []struct {
+			workers int
+			timed   bool
+		}{{1, false}, {2, false}, {8, false}, {8, true}} {
+			workers := run.workers
 			opts := DefaultOptions()
 			opts.Parallelism = workers
+			if run.timed {
+				opts.Stages = new(StageTimer)
+			}
 			res, err := AnalyzeContext(context.Background(), s.Packed, opts)
 			if err != nil {
 				t.Fatalf("sample %d workers=%d: %v", idx, workers, err)
@@ -73,11 +80,11 @@ func TestAnalyzeDeterministicAcrossParallelism(t *testing.T) {
 				continue
 			}
 			if !reflect.DeepEqual(got, base) {
-				t.Errorf("sample %d: result at parallelism %d differs from serial run\nserial: %+v\ngot:    %+v",
-					idx, workers, base, got)
+				t.Errorf("sample %d: result at parallelism %d (timer %v) differs from serial run\nserial: %+v\ngot:    %+v",
+					idx, workers, run.timed, base, got)
 			}
 			if !reflect.DeepEqual(alerts, baseAlerts) {
-				t.Errorf("sample %d: alerts at parallelism %d differ from serial run", idx, workers)
+				t.Errorf("sample %d: alerts at parallelism %d (timer %v) differ from serial run", idx, workers, run.timed)
 			}
 		}
 	}
