@@ -65,7 +65,8 @@ func Diff(oldRaw, newRaw []byte, opts DiffOptions) (*DiffResult, error) {
 // scanning entirely. The new-version results are byte-identical to a cold
 // Analyze of the same image: reuse only ever skips work whose output is
 // proven unchanged. Without a cache in opts a private one is created for
-// the call, since all reuse bookkeeping rides on content hashes; without a
+// the call: the new side reuses the old side's feature vectors, rankings and
+// alerts through memo hits, which a nil cache would recompute. Without a
 // Scheduler, both analyses and the alignment share one private Scheduler
 // sized from opts.Parallelism.
 func DiffContext(ctx context.Context, oldRaw, newRaw []byte, opts DiffOptions) (*DiffResult, error) {

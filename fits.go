@@ -145,8 +145,8 @@ type TargetResult struct {
 	Candidates []Candidate // descending score
 
 	target *loader.Target
-	// cache is the cache the analysis ran with; nil disables alert
-	// memoization.
+	// cache is the cache the analysis ran with; Scan memoizes alerts in it,
+	// and a nil cache keeps none.
 	cache *Cache
 	// stages carries the analysis's stage timer into Scan so taint-engine
 	// time lands in the same Timer as the inference stages; nil disables.
@@ -247,10 +247,7 @@ func AnalyzeContext(ctx context.Context, raw []byte, opts Options) (*Result, err
 		return nil, err
 	}
 	out.Elapsed = time.Since(start)
-	out.Cache = CacheInfo{Lifted: res.Lifted, Reused: res.Reused}
-	if opts.Cache != nil {
-		out.Cache.Stats = opts.Cache.Stats()
-	}
+	out.Cache = CacheInfo{Lifted: res.Lifted, Reused: res.Reused, Stats: opts.Cache.Stats()}
 	return out, nil
 }
 
@@ -338,7 +335,7 @@ func (t *TargetResult) Scan(opts ScanOptions) ([]Alert, error) {
 // granularity long-running services (fitsd) cancel at. Alerts are returned
 // in a fully deterministic order (site, function, sink, kind, source), so
 // repeated scans of one target are byte-identical. When the analysis ran
-// with a cache, the alert list is memoized on the target's content hash and
+// with a cache, the alert list is kept under the target's content hash and
 // the full scan configuration, so re-scanning an unchanged binary — the
 // common case when diffing firmware versions — is a lookup.
 func (t *TargetResult) ScanContext(ctx context.Context, opts ScanOptions) ([]Alert, error) {

@@ -19,7 +19,6 @@ import (
 	"fits/internal/bfv"
 	"fits/internal/infer"
 	"fits/internal/loader"
-	"fits/internal/modelcache"
 )
 
 // Alert mirrors the pipeline's alert shape without importing it: one
@@ -274,7 +273,7 @@ func align(ctx context.Context, oldT, newT *loader.Target, cfgn infer.Config) (*
 	}
 
 	// Tier 1: byte-identical binaries map every function to itself.
-	if newT.Hash != (modelcache.Hash{}) && newT.Hash == oldT.Hash {
+	if newT.Hash == oldT.Hash {
 		for _, f := range newCustoms {
 			if oldEntries[f.Entry] {
 				al.add(f.Entry, f.Entry, MatchIdentical)
@@ -501,8 +500,7 @@ func reuseStats(newSide []TargetAnalysis) (reused, total int) {
 			libSeen[name] = true
 			ln := len(m.CustomFuncs())
 			total += ln
-			h := t.LibHashes[name]
-			if p := t.Prev; p != nil && h != (modelcache.Hash{}) && p.Target.LibHashes[name] == h {
+			if p := t.Prev; p != nil && p.Target.LibHashes[name] == t.LibHashes[name] {
 				reused += ln
 			}
 		}

@@ -108,8 +108,8 @@ type Config struct {
 	// Cache memoizes the per-target base vectors (custom functions and
 	// anchors) by binary content hash and representation. Variant sweeps
 	// that only mask features (DropFeature) or change strategy/metric derive
-	// from the cached base instead of re-extracting. Nil disables caching;
-	// caching also requires targets loaded with a cache (content hashes set).
+	// from the cached base instead of re-extracting. A nil Cache keeps
+	// nothing.
 	Cache *modelcache.Cache
 }
 
@@ -175,23 +175,10 @@ func vectorFor(rep Representation, ex *bfv.Extractor, bin *binimg.Binary, m *cfg
 	}
 }
 
-// vectorCache returns the cache to consult for t's derived vectors, or nil:
-// content-addressed keys need t's hashes, which only a cache-enabled load
-// fills in (a zero hash would alias every unhashed target).
-func vectorCache(t *loader.Target, cfgn Config) *modelcache.Cache {
-	if cfgn.Cache == nil || t.Hash == (modelcache.Hash{}) {
-		return nil
-	}
-	return cfgn.Cache
-}
-
 // cachedVectors memoizes a vector-slice computation under key, returning a
 // copy so callers may transform elements in place (ablation masking,
 // preprocessing) without corrupting the cached base.
 func cachedVectors(c *modelcache.Cache, key string, compute func() ([]bfv.Vector, error)) ([]bfv.Vector, error) {
-	if c == nil {
-		return compute()
-	}
 	v, _, err := c.GetOrCompute(key, func() (any, int64, error) {
 		vecs, err := compute()
 		if err != nil {
@@ -207,8 +194,8 @@ func cachedVectors(c *modelcache.Cache, key string, compute func() ([]bfv.Vector
 }
 
 // customVectors extracts the representation vector of every custom function,
-// in CustomFuncs order, fanning out on the config's Scheduler. With a cache
-// the whole per-target slice is memoized on (content hash, representation):
+// in CustomFuncs order, fanning out on the config's Scheduler. The whole
+// per-target slice is memoized on (content hash, representation):
 // RQ3/RQ4 and ablation sweeps re-rank the same base vectors many times and
 // only the first pass pays for extraction.
 func customVectors(ctx context.Context, t *loader.Target, cfgn Config, customs []*cfg.Function) ([]bfv.Vector, error) {
@@ -232,12 +219,7 @@ func customVectors(ctx context.Context, t *loader.Target, cfgn Config, customs [
 		}
 		return out, nil
 	}
-	c := vectorCache(t, cfgn)
-	key := ""
-	if c != nil {
-		key = modelcache.Key("bfv", vectorSig(t, cfgn), t.Hash)
-	}
-	return cachedVectors(c, key, compute)
+	return cachedVectors(cfgn.Cache, modelcache.Key("bfv", vectorSig(t, cfgn), t.Hash), compute)
 }
 
 // vectorSig is the configuration component of vector cache keys:
@@ -300,25 +282,11 @@ func TargetVectors(ctx context.Context, t *loader.Target, cfgn Config) ([]*cfg.F
 // anchor's PLT stub, since the library alone understates how busy an anchor
 // is. Extraction fans out on the config's Scheduler; the returned order is
 // the serial one (libraries by name, exports in table order) at any
-// parallelism. With a cache the slice is memoized on the target's and its
-// libraries' content hashes plus the representation.
+// parallelism. The slice is memoized on the target's and its libraries'
+// content hashes plus the representation.
 func anchorVectors(ctx context.Context, t *loader.Target, cfgn Config) ([]bfv.Vector, error) {
-	c := vectorCache(t, cfgn)
-	if c == nil {
-		return extractAnchorVectors(ctx, t, cfgn)
-	}
-	libs := make([]string, 0, len(t.LibHashes))
-	for name := range t.LibHashes {
-		libs = append(libs, name)
-	}
-	sort.Strings(libs)
-	hashes := make([]modelcache.Hash, 0, len(libs)+1)
-	hashes = append(hashes, t.Hash)
-	for _, name := range libs {
-		hashes = append(hashes, t.LibHashes[name])
-	}
-	key := modelcache.Key("anchors", vectorSig(t, cfgn), hashes...)
-	return cachedVectors(c, key, func() ([]bfv.Vector, error) {
+	key := modelcache.Key("anchors", vectorSig(t, cfgn), contentHashes(t)...)
+	return cachedVectors(cfgn.Cache, key, func() ([]bfv.Vector, error) {
 		if prev, ok := prevAnchorsReusable(t, cfgn); ok {
 			return anchorVectors(ctx, prev, cfgn)
 		}
@@ -341,7 +309,7 @@ func prevAnchorsReusable(t *loader.Target, cfgn Config) (*loader.Target, bool) {
 	}
 	//fitslint:ignore maporder order-independent: returns false iff any entry mismatches, same verdict in every order
 	for name, h := range t.LibHashes {
-		if h == (modelcache.Hash{}) || prev.LibHashes[name] != h {
+		if prev.LibHashes[name] != h {
 			return nil, false
 		}
 	}
@@ -452,34 +420,17 @@ func InferTarget(t *loader.Target, cfgn Config) *Ranking {
 // loop — fans out on cfgn's Scheduler, the context is checked before each
 // function, and results assemble in function order, so the ranking is
 // byte-identical at every worker count. The only error returned
-// is the context's. With a cache the whole ranking is memoized on the
-// target's and its libraries' content hashes plus every variant knob, so
-// re-analyzing unchanged binaries — the common case in evolution diffs —
-// skips clustering and scoring entirely.
+// is the context's. The whole ranking is memoized on the target's and its
+// libraries' content hashes plus every variant knob, so re-analyzing
+// unchanged binaries — the common case in evolution diffs — skips
+// clustering and scoring entirely.
 func InferTargetContext(ctx context.Context, t *loader.Target, cfgn Config) (*Ranking, error) {
 	cfgn = scheduled(cfgn)
-	c := vectorCache(t, cfgn)
-	if c == nil {
-		return inferTarget(ctx, t, cfgn)
-	}
 	// Building the key is all the inference a cached ranking costs.
 	keyed := stagetime.Open(cfgn.Probe, stagetime.Infer)
-	libs := make([]string, 0, len(t.LibHashes))
-	for name := range t.LibHashes {
-		libs = append(libs, name)
-	}
-	sort.Strings(libs)
-	hashes := make([]modelcache.Hash, 0, len(libs)+1)
-	hashes = append(hashes, t.Hash)
-	for _, name := range libs {
-		hashes = append(hashes, t.LibHashes[name])
-	}
-	sig := fmt.Sprintf("%s|strategy=%s|metric=%s|drop=%d|eps=%g|minpts=%d|pca=%d",
-		vectorSig(t, cfgn), cfgn.Strategy, cfgn.Metric, cfgn.DropFeature,
-		cfgn.DBSCAN.Eps, cfgn.DBSCAN.MinPts, cfgn.PCAComponents)
-	key := modelcache.Key("ranking", sig, hashes...)
+	key := rankingKey(t, cfgn)
 	keyed()
-	v, _, err := c.GetOrCompute(key, func() (any, int64, error) {
+	v, _, err := cfgn.Cache.GetOrCompute(key, func() (any, int64, error) {
 		r, err := inferTarget(ctx, t, cfgn)
 		if err != nil {
 			return nil, 0, err
@@ -504,6 +455,33 @@ func InferTargetContext(ctx context.Context, t *loader.Target, cfgn Config) (*Ra
 		NumCandidates: core.NumCandidates,
 		NumAnchors:    core.NumAnchors,
 	}, nil
+}
+
+// rankingKey is the memo key of one target's ranking: the target's and its
+// libraries' content hashes plus every Config field that can change the
+// ranking. Parallelism, Sched, Intern, Probe and Cache never change output
+// and are left out.
+func rankingKey(t *loader.Target, cfgn Config) string {
+	sig := fmt.Sprintf("%s|strategy=%s|metric=%s|drop=%d|eps=%g|minpts=%d|pca=%d",
+		vectorSig(t, cfgn), cfgn.Strategy, cfgn.Metric, cfgn.DropFeature,
+		cfgn.DBSCAN.Eps, cfgn.DBSCAN.MinPts, cfgn.PCAComponents)
+	return modelcache.Key("ranking", sig, contentHashes(t)...)
+}
+
+// contentHashes lists the hashes every derived artifact of t reads: the
+// target's own, then its libraries' in name order.
+func contentHashes(t *loader.Target) []modelcache.Hash {
+	libs := make([]string, 0, len(t.LibHashes))
+	for name := range t.LibHashes {
+		libs = append(libs, name)
+	}
+	sort.Strings(libs)
+	hashes := make([]modelcache.Hash, 0, len(libs)+1)
+	hashes = append(hashes, t.Hash)
+	for _, name := range libs {
+		hashes = append(hashes, t.LibHashes[name])
+	}
+	return hashes
 }
 
 // rankingCore is the cacheable part of a Ranking: everything except the

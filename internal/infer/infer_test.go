@@ -1,11 +1,15 @@
 package infer
 
 import (
+	"reflect"
 	"testing"
 
 	"fits/internal/bfv"
+	"fits/internal/cluster"
 	"fits/internal/loader"
+	"fits/internal/modelcache"
 	"fits/internal/score"
+	"fits/internal/stagetime"
 	"fits/internal/synth"
 )
 
@@ -174,5 +178,87 @@ func TestInferAllCoversTargets(t *testing.T) {
 	rankings := InferAll(res, DefaultConfig())
 	if len(rankings) != len(res.Targets) {
 		t.Errorf("rankings = %d, targets = %d", len(rankings), len(res.Targets))
+	}
+}
+
+// outputNeutral lists the Config fields that cannot change a ranking and so
+// stay out of its memo key. Every other field must be in it.
+var outputNeutral = map[string]bool{
+	"Parallelism": true,
+	"Sched":       true,
+	"Intern":      true,
+	"Probe":       true,
+	"Cache":       true,
+}
+
+// nonZero builds a value of type t that differs from its zero value.
+func nonZero(t reflect.Type) reflect.Value {
+	v := reflect.New(t).Elem()
+	switch t.Kind() {
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(1)
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(1)
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			v.Field(i).Set(nonZero(t.Field(i).Type))
+		}
+	case reflect.Pointer:
+		v.Set(reflect.New(t.Elem()))
+	case reflect.Interface:
+		// The stage probe is the only interface-typed field.
+		v.Set(reflect.ValueOf(new(stagetime.Timer)))
+	default:
+		panic("nonZero: unhandled kind " + t.Kind().String())
+	}
+	return v
+}
+
+// TestRankingKeyCoversEveryConfigField: setting any Config field, or any
+// DBSCAN parameter, except the output-neutral ones changes the ranking key,
+// so a field added later can never silently alias cached rankings.
+func TestRankingKeyCoversEveryConfigField(t *testing.T) {
+	target := &loader.Target{
+		ModelConfig: "ucse=1",
+		Hash:        modelcache.HashBytes([]byte("bin")),
+		LibHashes:   map[string]modelcache.Hash{"libc.so": modelcache.HashBytes([]byte("libc"))},
+	}
+	base := rankingKey(target, Config{})
+	typ := reflect.TypeOf(Config{})
+	for name := range outputNeutral {
+		if _, ok := typ.FieldByName(name); !ok {
+			t.Errorf("outputNeutral names %s, which Config no longer has", name)
+		}
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		var c Config
+		reflect.ValueOf(&c).Elem().Field(i).Set(nonZero(f.Type))
+		changed := rankingKey(target, c) != base
+		if outputNeutral[f.Name] && changed {
+			t.Errorf("output-neutral field %s changes the key: identical inferences would miss", f.Name)
+		}
+		if !outputNeutral[f.Name] && !changed {
+			t.Errorf("field %s does not change the key: inferences differing only in it alias one entry", f.Name)
+		}
+	}
+	params := reflect.TypeOf(cluster.Params{})
+	for j := 0; j < params.NumField(); j++ {
+		var c Config
+		reflect.ValueOf(&c.DBSCAN).Elem().Field(j).Set(nonZero(params.Field(j).Type))
+		if rankingKey(target, c) == base {
+			t.Errorf("cluster.Params.%s does not change the key", params.Field(j).Name)
+		}
+	}
+	for _, other := range []*loader.Target{
+		{ModelConfig: "ucse=0", Hash: target.Hash, LibHashes: target.LibHashes},
+		{ModelConfig: target.ModelConfig, Hash: modelcache.HashBytes([]byte("other")), LibHashes: target.LibHashes},
+		{ModelConfig: target.ModelConfig, Hash: target.Hash, LibHashes: map[string]modelcache.Hash{"libc.so": target.Hash}},
+	} {
+		if rankingKey(other, Config{}) == base {
+			t.Errorf("model configuration, target hash and library hashes must each change the key")
+		}
 	}
 }

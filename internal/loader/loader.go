@@ -52,9 +52,9 @@ type Target struct {
 	// libraries to their arity.
 	Anchors map[string]int
 	// Hash is the content hash of the target binary's bytes and LibHashes
-	// the hashes of its resolved libraries, keyed by library name. Both are
-	// populated only when loading ran with a cache; downstream stages use
-	// them to address derived artifacts (feature vectors) by content.
+	// the hashes of its resolved libraries, keyed by library name. Every
+	// load sets both; downstream stages use them to address derived
+	// artifacts (feature vectors, rankings, alerts) by content.
 	Hash      modelcache.Hash
 	LibHashes map[string]modelcache.Hash
 	// ModelConfig is the configuration label under which the model was built
@@ -126,15 +126,14 @@ type Options struct {
 	// Cache memoizes decoded binaries and whole-binary models across loads,
 	// addressed by the SHA-256 of the binary's bytes plus the resolver
 	// configuration. Cached values are shared read-only; concurrent loads of
-	// the same content deduplicate the build. Nil disables caching.
+	// the same content deduplicate the build. A nil Cache keeps nothing.
 	Cache *modelcache.Cache
 	// Prev supplies the targets of a previous firmware version. A target at
 	// the same path guides the new model build: unchanged or uniformly
 	// shifted functions are replayed from the old model instead of being
 	// recovered from scratch, and the resulting Target.Prev records what was
-	// reused so later stages can skip redundant work. Requires Cache (the
-	// reuse bookkeeping rides on content hashes); ignored without one. The
-	// output remains byte-identical to a cold load.
+	// reused so later stages can skip redundant work. Honoured with or
+	// without a Cache. The output remains byte-identical to a cold load.
 	Prev []*Target
 	// Sched, when non-nil, draws the model-building fan-out from a shared
 	// worker budget: an analysis hands its own Scheduler down, and batched
@@ -206,22 +205,14 @@ func LoadImageContext(ctx context.Context, img *firmware.Image, opts Options) (*
 
 func (res *Result) load(ctx context.Context, opts Options) error {
 	img := res.Image
-	// Decode every binary in the filesystem. With a cache, decoding is
-	// memoized on the file's content hash: decoded binaries are immutable
-	// downstream, so one decode serves every image embedding the same file.
+	// Decode every binary in the filesystem, memoized on the file's content
+	// hash: decoded binaries are immutable downstream, so one decode serves
+	// every image embedding the same file.
 	bins := map[string]*binimg.Binary{}
 	hashes := map[string]modelcache.Hash{}
 	decodeDone := opts.Stages.Span(stagetime.Decode)
 	for _, f := range img.Files {
 		if !binimg.IsBinary(f.Data) {
-			continue
-		}
-		if opts.Cache == nil {
-			b, err := binimg.DecodeIntern(f.Data, opts.Intern)
-			if err != nil {
-				continue // corrupt binaries are skipped, as binwalk-style tools do
-			}
-			bins[f.Path] = b
 			continue
 		}
 		h := modelcache.HashBytes(f.Data)
@@ -234,7 +225,7 @@ func (res *Result) load(ctx context.Context, opts Options) error {
 			return b, int64(len(data)), nil
 		})
 		if err != nil {
-			continue
+			continue // corrupt binaries are skipped, as binwalk-style tools do
 		}
 		bins[f.Path] = v.(*binimg.Binary)
 		hashes[f.Path] = h
@@ -292,9 +283,9 @@ func (res *Result) load(ctx context.Context, opts Options) error {
 
 	// Build every model in one fan-out: targets first, then libraries. Each
 	// job writes only its own slot, so assembly below is order-independent.
-	// With a cache, each build is memoized on the binary's content hash plus
-	// the resolver configuration; the singleflight layer ensures one build
-	// per distinct binary even when loads race.
+	// Each build is memoized on the binary's content hash plus the resolver
+	// configuration; the singleflight layer ensures one build per distinct
+	// binary even when loads race.
 	type job struct {
 		name string // diagnostic label: path for targets, file name for libs
 		bin  *binimg.Binary
@@ -302,11 +293,9 @@ func (res *Result) load(ctx context.Context, opts Options) error {
 		prev *Target // previous-version counterpart, targets only
 	}
 	prevByPath := map[string]*Target{}
-	if opts.Cache != nil {
-		for _, pt := range opts.Prev {
-			if pt != nil && pt.Bin != nil && pt.Model != nil {
-				prevByPath[pt.Path] = pt
-			}
+	for _, pt := range opts.Prev {
+		if pt != nil && pt.Bin != nil && pt.Model != nil {
+			prevByPath[pt.Path] = pt
 		}
 	}
 	jobs := make([]job, 0, len(targetPaths)+len(libNames))
@@ -325,21 +314,14 @@ func (res *Result) load(ctx context.Context, opts Options) error {
 	cachedModel := make([]bool, len(jobs))
 	var reused atomic.Int64
 	buildJob := func(i int) error {
-		if opts.Cache == nil {
-			m, err := cfg.Build(jobs[i].bin, cfgOpts)
-			if err != nil {
-				return fmt.Errorf("loader: %s: %w", jobs[i].name, err)
-			}
-			models[i] = m
-			return nil
-		}
 		v, hit, err := opts.Cache.GetOrCompute(
 			modelcache.Key("model", modelCfg, jobs[i].hash),
 			func() (any, int64, error) {
 				buildOpts := cfgOpts
 				// A changed previous version guides the build; an identical
-				// one never reaches this closure (same hash, same key, so the
-				// old model is already cached under it).
+				// one builds from scratch, and with a cache never reaches
+				// this closure (same hash, same key, so the old model is
+				// already cached under it).
 				if prev := jobs[i].prev; prev != nil && prev.Hash != jobs[i].hash {
 					plan := cfg.NewReusePlan(prev.Bin, prev.Model, jobs[i].bin)
 					buildOpts.FuncSource = plan.Source

@@ -2,10 +2,12 @@ package loader
 
 import (
 	"errors"
+	"path"
 	"testing"
 
 	"fits/internal/firmware"
 	"fits/internal/know"
+	"fits/internal/modelcache"
 	"fits/internal/synth"
 )
 
@@ -181,5 +183,75 @@ func TestTargetsDeterministicOrder(t *testing.T) {
 		if a.Targets[i].Path != b.Targets[i].Path {
 			t.Error("target order not deterministic")
 		}
+	}
+}
+
+// TestLoadWithoutCacheHashesContent: every load gives its targets content
+// identities, cache or not, so downstream memo keys never see a zero hash.
+func TestLoadWithoutCacheHashesContent(t *testing.T) {
+	s := generate(t, 0)
+	res, err := Load(s.Packed, Options{SkipResolver: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := map[string][]byte{}
+	for _, f := range res.Image.Files {
+		data[f.Path] = f.Data
+		data[path.Base(f.Path)] = f.Data
+	}
+	for _, tg := range res.Targets {
+		if tg.Hash != modelcache.HashBytes(data[tg.Path]) {
+			t.Errorf("%s: Hash is not the content hash of its bytes", tg.Path)
+		}
+		if len(tg.LibHashes) == 0 || len(tg.LibHashes) != len(tg.Libs) {
+			t.Errorf("%s: %d lib hashes for %d libs", tg.Path, len(tg.LibHashes), len(tg.Libs))
+		}
+		for name, h := range tg.LibHashes {
+			if h != modelcache.HashBytes(data[name]) {
+				t.Errorf("%s: LibHashes[%s] is not the content hash of its bytes", tg.Path, name)
+			}
+		}
+	}
+}
+
+// TestPrevWithoutCache: Options.Prev is honoured without a cache. Reloading
+// the same bytes links each target to its identical predecessor; a changed
+// binary gets a reuse plan.
+func TestPrevWithoutCache(t *testing.T) {
+	ch, err := synth.GenerateChain(synth.ChainDataset()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := Load(ch.Versions[0].Packed, Options{SkipResolver: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	same, err := Load(ch.Versions[0].Packed, Options{SkipResolver: true, Prev: old.Targets})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tg := range same.Targets {
+		if tg.Prev == nil || tg.Prev.Target != old.Targets[i] || !tg.Prev.Identical {
+			t.Errorf("%s: Prev = %+v, want the identical old target", tg.Path, tg.Prev)
+		}
+	}
+	changed, err := Load(ch.Versions[1].Packed, Options{SkipResolver: true, Prev: old.Targets})
+	if err != nil {
+		t.Fatal(err)
+	}
+	planned := 0
+	for _, tg := range changed.Targets {
+		if tg.Prev == nil {
+			t.Fatalf("%s: Prev not set", tg.Path)
+		}
+		if !tg.Prev.Identical {
+			if tg.Prev.Plan == nil {
+				t.Errorf("%s: changed binary has no reuse plan", tg.Path)
+			}
+			planned++
+		}
+	}
+	if planned == 0 {
+		t.Error("no target changed between versions")
 	}
 }

@@ -21,6 +21,10 @@
 //     parallel workers never lift the same binary twice.
 //   - Bounded memory: an LRU holds at most MaxEntries entries and MaxBytes
 //     estimated bytes; Stats() exposes hit/miss/eviction counters.
+//
+// A nil *Cache is valid and memoizes nothing: GetOrCompute runs compute on
+// every call, so callers keep exactly one compute path and the cache only
+// decides whether its result is kept.
 package modelcache
 
 import (
@@ -67,14 +71,15 @@ type entry struct {
 
 // flight is one in-progress computation other callers can join.
 type flight struct {
-	done chan struct{}
-	val  any
-	cost int64
-	err  error
+	done     chan struct{}
+	val      any
+	cost     int64
+	err      error
+	panicked bool // compute did not return; cleared once it does
 }
 
 // Cache is a concurrency-safe, content-addressed LRU with singleflight
-// deduplication. The zero value is not usable; construct with New.
+// deduplication. Construct with New; a nil *Cache computes every call.
 type Cache struct {
 	mu         sync.Mutex
 	maxEntries int
@@ -109,6 +114,9 @@ func New(maxEntries int, maxBytes int64) *Cache {
 // Get returns the cached value for key, if resident, and marks it recently
 // used. It does not join in-flight computations.
 func (c *Cache) Get(key string) (any, bool) {
+	if c == nil {
+		return nil, false
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
@@ -129,8 +137,14 @@ func (c *Cache) Get(key string) (any, bool) {
 // waiter that joined such a flight retries instead of inheriting it. The hit
 // result reports whether the value was served without running compute in
 // this call (either resident, or joined from another caller's in-flight
-// computation).
+// computation). A compute that panics abandons its flight the same way: the
+// flight is closed and forgotten before the panic propagates, and joined
+// waiters retry. On a nil *Cache, compute runs and hit is always false.
 func (c *Cache) GetOrCompute(key string, compute func() (val any, cost int64, err error)) (val any, hit bool, err error) {
+	if c == nil {
+		val, _, err = compute()
+		return val, false, err
+	}
 	c.mu.Lock()
 	for {
 		if el, ok := c.items[key]; ok {
@@ -148,25 +162,27 @@ func (c *Cache) GetOrCompute(key string, compute func() (val any, cost int64, er
 		c.hits++
 		c.mu.Unlock()
 		<-fl.done
-		if !errors.Is(fl.err, context.Canceled) && !errors.Is(fl.err, context.DeadlineExceeded) {
+		if !fl.panicked && !errors.Is(fl.err, context.Canceled) && !errors.Is(fl.err, context.DeadlineExceeded) {
 			return fl.val, true, fl.err
 		}
 		c.mu.Lock()
 	}
 	c.misses++
-	fl := &flight{done: make(chan struct{})}
+	fl := &flight{done: make(chan struct{}), panicked: true}
 	c.inflight[key] = fl
 	c.mu.Unlock()
 
+	defer func() {
+		c.mu.Lock()
+		delete(c.inflight, key)
+		if !fl.panicked && fl.err == nil {
+			c.insert(key, fl.val, fl.cost)
+		}
+		c.mu.Unlock()
+		close(fl.done)
+	}()
 	fl.val, fl.cost, fl.err = compute()
-	close(fl.done)
-
-	c.mu.Lock()
-	delete(c.inflight, key)
-	if fl.err == nil {
-		c.insert(key, fl.val, fl.cost)
-	}
-	c.mu.Unlock()
+	fl.panicked = false
 	return fl.val, false, fl.err
 }
 
@@ -200,8 +216,11 @@ func (c *Cache) insert(key string, val any, cost int64) {
 	}
 }
 
-// Stats returns a snapshot of the cache counters.
+// Stats returns a snapshot of the cache counters; zero for a nil *Cache.
 func (c *Cache) Stats() Stats {
+	if c == nil {
+		return Stats{}
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
@@ -213,8 +232,11 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
-// Len returns the number of resident entries.
+// Len returns the number of resident entries; zero for a nil *Cache.
 func (c *Cache) Len() int {
+	if c == nil {
+		return 0
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()

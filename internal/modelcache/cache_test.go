@@ -250,3 +250,88 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 		t.Errorf("entries = %d, want <= 16", c.Len())
 	}
 }
+
+// TestNilCacheComputesEveryCall: a nil *Cache is a valid cache that keeps
+// nothing, so callers need no uncached fork of their compute path.
+func TestNilCacheComputesEveryCall(t *testing.T) {
+	var c *Cache
+	calls := 0
+	for i := 1; i <= 2; i++ {
+		v, hit, err := c.GetOrCompute("k", func() (any, int64, error) {
+			calls++
+			return calls, 1, nil
+		})
+		if err != nil || hit || v.(int) != i {
+			t.Errorf("call %d: v=%v hit=%v err=%v, want a fresh compute", i, v, hit, err)
+		}
+	}
+	boom := errors.New("lift failed")
+	if _, hit, err := c.GetOrCompute("k", func() (any, int64, error) { return nil, 0, boom }); hit || !errors.Is(err, boom) {
+		t.Errorf("hit=%v err=%v, want the compute error", hit, err)
+	}
+	if _, ok := c.Get("k"); ok {
+		t.Error("nil cache reported a resident value")
+	}
+	if s := c.Stats(); s != (Stats{}) || c.Len() != 0 {
+		t.Errorf("stats = %+v, len = %d, want zero", s, c.Len())
+	}
+}
+
+// TestPanickingComputeReleasesFlight: a compute that panics must not leave
+// its flight behind. A waiter that joined it retries with its own compute,
+// and a later caller for the same key computes instead of blocking forever.
+func TestPanickingComputeReleasesFlight(t *testing.T) {
+	c := New(8, 1<<20)
+	release := make(chan struct{})
+	first := make(chan any, 1)
+	go func() {
+		defer func() { first <- recover() }()
+		c.GetOrCompute("model", func() (any, int64, error) {
+			<-release
+			panic("decode: hostile input")
+		})
+	}()
+	second := make(chan any, 1)
+	go func() {
+		for c.Stats().Misses == 0 { // the first caller owns the flight
+			time.Sleep(time.Millisecond)
+		}
+		v, _, err := c.GetOrCompute("model", computeConst(7, 1))
+		if err != nil {
+			t.Errorf("waiter: %v", err)
+		}
+		second <- v
+	}()
+	for c.Stats().Hits == 0 { // the second caller has joined
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	within := func(ch chan any, what string) any {
+		select {
+		case v := <-ch:
+			return v
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s blocked on the panicked flight", what)
+			return nil
+		}
+	}
+	if p := within(first, "computing caller"); p == nil {
+		t.Error("the panic did not reach the computing caller")
+	}
+	if v := within(second, "waiter"); v != 7 {
+		t.Errorf("waiter got %v, want its own computed 7", v)
+	}
+
+	func() {
+		defer func() { recover() }()
+		c.GetOrCompute("again", func() (any, int64, error) { panic("cfg: hostile input") })
+	}()
+	later := make(chan any, 1)
+	go func() {
+		v, _, _ := c.GetOrCompute("again", computeConst(9, 1))
+		later <- v
+	}()
+	if v := within(later, "later caller"); v != 9 {
+		t.Errorf("later caller got %v, want 9", v)
+	}
+}

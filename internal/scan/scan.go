@@ -32,10 +32,10 @@ const (
 // Run runs eng over t under opts and returns the engine's alerts in its
 // deterministic order. The symbolic engine reads only UseCTS, ITS and ITSOut.
 //
-// With a cache and a content-hashed target the alert list is memoised under
-// key, so re-scanning an unchanged binary — a diff's unchanged targets, a
-// fixpoint round whose seeds did not grow — is a lookup; the returned slice
-// may then be shared with the cache and must not be modified. The context
+// The alert list is memoised in cache under key (a nil cache keeps
+// nothing), so re-scanning an unchanged binary — a diff's unchanged targets,
+// a fixpoint round whose seeds did not grow — is a lookup; the returned
+// slice may be shared with the cache and must not be modified. The context
 // is checked before and after the engine but never inside the memoised
 // computation, so a scan that finished is always cached. Stage costs land in
 // st (nil disables), the Taint span on cache misses only.
@@ -44,30 +44,23 @@ func Run(ctx context.Context, t *loader.Target, eng Engine, opts taint.Options, 
 		return nil, err
 	}
 	opts.Probe = st
-	run := func() []taint.Alert {
+	// The compute never fails, so neither does the lookup.
+	v, _, _ := cache.GetOrCompute(key(t, eng, opts), func() (any, int64, error) {
 		defer st.Span(stagetime.Taint)()
+		var a []taint.Alert
 		if eng == Symbolic {
-			return karonte.New(t.Bin, t.Model, karonte.Options{
+			a = karonte.New(t.Bin, t.Model, karonte.Options{
 				UseCTS: opts.UseCTS, ITS: opts.ITS, ITSOut: opts.ITSOut,
 			}).Run()
+		} else {
+			a = taint.New(t.Bin, t.Model, opts).Run()
 		}
-		return taint.New(t.Bin, t.Model, opts).Run()
-	}
-	var alerts []taint.Alert
-	if cache == nil || t.Hash == (modelcache.Hash{}) {
-		alerts = run()
-	} else {
-		// The compute never fails, so neither does the lookup.
-		v, _, _ := cache.GetOrCompute(key(t, eng, opts), func() (any, int64, error) {
-			a := run()
-			return a, int64(len(a))*112 + 64, nil
-		})
-		alerts = v.([]taint.Alert)
-	}
+		return a, int64(len(a))*112 + 64, nil
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return alerts, nil
+	return v.([]taint.Alert), nil
 }
 
 // key is the memo key of one scan: the engine, the target's model

@@ -24,7 +24,8 @@ import (
 // depend only on the binary's bytes, so callers that scan the same target
 // repeatedly (corpus fixpoint rounds, warm-cache rescans) share one cache
 // via Options.Precision instead of recomputing per engine. The zero value
-// is ready to use and safe for concurrent engines.
+// is ready to use and safe for concurrent engines; a nil *PrecisionCache
+// keeps nothing.
 type PrecisionCache struct {
 	mu    sync.Mutex
 	flow  map[uint32]bool         // function entry -> FlowFacts.Truncated
@@ -34,8 +35,28 @@ type PrecisionCache struct {
 
 type pathKey struct{ entry, site uint32 }
 
+// memo returns table(c)[k], computing and storing it on a miss. A nil c
+// computes every call.
+func memo[K comparable, V any](c *PrecisionCache, table func(*PrecisionCache) *map[K]V, k K, compute func() V) V {
+	if c == nil {
+		return compute()
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	m := table(c)
+	if v, ok := (*m)[k]; ok {
+		return v
+	}
+	v := compute()
+	if *m == nil {
+		*m = map[K]V{}
+	}
+	(*m)[k] = v
+	return v
+}
+
 // aliasFactsFor returns the memoized points-to facts of fn, or nil when
-// the pass is disabled.
+// the pass is disabled. Actual computation is charged to the alias span.
 func (e *Engine) aliasFactsFor(fn *cfg.Function) *alias.Facts {
 	if e.opts.NoAlias {
 		return nil
@@ -43,75 +64,31 @@ func (e *Engine) aliasFactsFor(fn *cfg.Function) *alias.Facts {
 	if f, ok := e.aliasFacts[fn.Entry]; ok {
 		return f
 	}
-	f := e.computeAliasFacts(fn)
+	f := memo(e.opts.Precision,
+		func(c *PrecisionCache) *map[uint32]*alias.Facts { return &c.facts },
+		fn.Entry, func() *alias.Facts {
+			defer stagetime.Open(e.opts.Probe, stagetime.Alias)()
+			return alias.Analyze(e.bin, fn)
+		})
 	e.aliasFacts[fn.Entry] = f
 	return f
 }
 
-// computeAliasFacts runs (or fetches from the shared PrecisionCache) the
-// points-to analysis of fn, charging actual computation to the alias span.
-func (e *Engine) computeAliasFacts(fn *cfg.Function) *alias.Facts {
-	c := e.opts.Precision
-	if c == nil {
-		stop := stagetime.Open(e.opts.Probe, stagetime.Alias)
-		f := alias.Analyze(e.bin, fn)
-		stop()
-		return f
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if f, ok := c.facts[fn.Entry]; ok {
-		return f
-	}
-	stop := stagetime.Open(e.opts.Probe, stagetime.Alias)
-	f := alias.Analyze(e.bin, fn)
-	stop()
-	if c.facts == nil {
-		c.facts = map[uint32]*alias.Facts{}
-	}
-	c.facts[fn.Entry] = f
-	return f
-}
-
-// pathCheckAt runs (or fetches from the shared PrecisionCache) the
-// path-feasibility verdict for the alert site in fn.
+// pathCheckAt returns the path-feasibility verdict for the alert site in fn.
 func (e *Engine) pathCheckAt(fn *cfg.Function, site uint32) pathcheck.Result {
-	c := e.opts.Precision
-	if c == nil {
-		return pathcheck.Check(e.bin, fn, site)
-	}
-	k := pathKey{entry: fn.Entry, site: site}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if r, ok := c.path[k]; ok {
-		return r
-	}
-	r := pathcheck.Check(e.bin, fn, site)
-	if c.path == nil {
-		c.path = map[pathKey]pathcheck.Result{}
-	}
-	c.path[k] = r
-	return r
+	return memo(e.opts.Precision,
+		func(c *PrecisionCache) *map[pathKey]pathcheck.Result { return &c.path },
+		pathKey{entry: fn.Entry, site: site}, func() pathcheck.Result {
+			return pathcheck.Check(e.bin, fn, site)
+		})
 }
 
 // flowTruncated reports whether fn's reaching-definition fixpoint runs out
-// of budget, consulting the shared PrecisionCache when present.
+// of budget.
 func (e *Engine) flowTruncated(fn *cfg.Function) bool {
-	c := e.opts.Precision
-	if c == nil {
-		return dataflow.Analyze(fn, nil).Truncated
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if d, ok := c.flow[fn.Entry]; ok {
-		return d
-	}
-	d := dataflow.Analyze(fn, nil).Truncated
-	if c.flow == nil {
-		c.flow = map[uint32]bool{}
-	}
-	c.flow[fn.Entry] = d
-	return d
+	return memo(e.opts.Precision,
+		func(c *PrecisionCache) *map[uint32]bool { return &c.flow },
+		fn.Entry, func() bool { return dataflow.Analyze(fn, nil).Truncated })
 }
 
 // aliasStoreTainted records that the store at instr in fn put a tainted
