@@ -37,14 +37,14 @@ func main() {
 	var cacheCfg optbuild.CacheConfig
 	cacheCfg.BindFlags(flag.CommandLine)
 	unpackOnly := flag.Bool("unpack", false, "only unpack and list the filesystem")
-	xmode := flag.String("xmode", "cross", "corpus seeding mode for xscan: cts, its or cross")
+	flag.StringVar(&spec.XMode, "xmode", "cross", "corpus seeding mode for xscan: cts, its or cross")
 	flag.Parse()
 	if flag.NArg() == 3 && flag.Arg(0) == "diff" {
 		runDiff(spec, cacheCfg, flag.Arg(1), flag.Arg(2))
 		return
 	}
 	if flag.NArg() == 2 && flag.Arg(0) == "xscan" {
-		runXScan(spec, cacheCfg, *xmode, flag.Arg(1))
+		runXScan(spec, cacheCfg, flag.Arg(1))
 		return
 	}
 	if flag.NArg() != 1 {
@@ -91,21 +91,19 @@ func main() {
 // runXScan analyzes an unpacked firmware tree as one corpus and prints the
 // report as JSON. The output is byte-identical across worker counts and
 // cache temperature.
-func runXScan(spec optbuild.Spec, cacheCfg optbuild.CacheConfig, mode, dir string) {
+func runXScan(spec optbuild.Spec, cacheCfg optbuild.CacheConfig, dir string) {
 	files, err := readCorpusDir(dir)
 	if err != nil {
 		log.Fatal(err)
 	}
+	xopts, err := spec.XScanOptions(cacheCfg.New())
+	if err != nil {
+		log.Fatal(err)
+	}
+	xopts.Progress = func(msg string) { fmt.Fprintln(os.Stderr, "xscan: "+msg) }
 	ctx, cancel := spec.Context(context.Background())
 	defer cancel()
-	rep, err := fits.XScanContext(ctx, files, fits.XScanOptions{
-		Mode:         mode,
-		TopK:         spec.TopK,
-		StringFilter: true,
-		Parallelism:  spec.Parallelism,
-		Cache:        cacheCfg.New(),
-		Progress:     func(msg string) { fmt.Fprintln(os.Stderr, "xscan: "+msg) },
-	})
+	rep, err := fits.XScanContext(ctx, files, xopts)
 	if err != nil {
 		log.Fatal(err)
 	}

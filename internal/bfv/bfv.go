@@ -61,11 +61,6 @@ func (v Vector) Drop(i int) Vector {
 type Extractor struct {
 	Bin   *binimg.Binary
 	Model *cfg.Model
-	// Anchors maps anchor names to arity; defaults to know.Anchors.
-	Anchors map[string]int
-	// ExtraCallers adds caller counts contributed by other binaries
-	// (e.g. call sites in the main binary reaching a library's export).
-	ExtraCallers map[uint32]int
 	// Intern, when non-nil, canonicalizes call-site string constants so a
 	// value seen at many sites costs one allocation per analysis. Interning
 	// never changes vector contents.
@@ -81,9 +76,9 @@ type Extractor struct {
 	anchorFn dataflow.AnchorFunc
 }
 
-// New returns an extractor with the default anchor set.
+// New returns an extractor over one binary model.
 func New(bin *binimg.Binary, m *cfg.Model) *Extractor {
-	e := &Extractor{Bin: bin, Model: m, Anchors: know.Anchors}
+	e := &Extractor{Bin: bin, Model: m}
 	e.anchorFn = e.anchorInfo
 	return e
 }
@@ -105,7 +100,7 @@ func (e *Extractor) calleeName(cs cfg.CallSite) string {
 // anchorInfo classifies a call site for the dataflow analysis.
 func (e *Extractor) anchorInfo(cs cfg.CallSite) dataflow.AnchorInfo {
 	name := e.calleeName(cs)
-	if arity, ok := e.Anchors[name]; ok {
+	if arity, ok := know.Anchors[name]; ok {
 		return dataflow.AnchorInfo{Arity: arity, Anchor: true}
 	}
 	return dataflow.AnchorInfo{}
@@ -120,11 +115,7 @@ func (e *Extractor) FuncVector(f *cfg.Function) Vector {
 	if f.HasLoop() {
 		v[FHasLoop] = 1
 	}
-	callers := len(e.Model.Callers[f.Entry])
-	if e.ExtraCallers != nil {
-		callers += e.ExtraCallers[f.Entry]
-	}
-	v[FCallers] = float64(callers)
+	v[FCallers] = float64(len(e.Model.Callers[f.Entry]))
 	v[FParams] = float64(f.Params)
 	for _, cs := range f.Calls {
 		name := e.calleeName(cs)
@@ -132,18 +123,14 @@ func (e *Extractor) FuncVector(f *cfg.Function) Vector {
 			continue
 		}
 		v[FLibCalls]++
-		if _, ok := e.Anchors[name]; ok {
+		if _, ok := know.Anchors[name]; ok {
 			v[FAnchorCalls]++
 		}
 	}
 
 	// Intraprocedural flow features from reaching definitions.
-	anchorFn := e.anchorFn
-	if anchorFn == nil { // literal-constructed extractor (tests)
-		anchorFn = e.anchorInfo
-	}
 	reachDone := stagetime.Open(e.Probe, stagetime.ReachDef)
-	facts := dataflow.Analyze(f, anchorFn)
+	facts := dataflow.Analyze(f, e.anchorFn)
 	reachDone()
 	if facts.ParamControlsLoop {
 		v[FParamLoop] = 1

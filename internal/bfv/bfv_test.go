@@ -161,15 +161,27 @@ func TestAllSkipsStubs(t *testing.T) {
 	}
 }
 
+// TestExtraCallers: FCallers is a plain count of call sites, so one more
+// caller moves it by exactly one and leaves every other feature alone. That
+// is what lets infer add a target's calls to a library export's PLT stub onto
+// the library's memoized anchor vector after extraction.
 func TestExtraCallers(t *testing.T) {
 	bin, m := buildModel(t, itsProgram())
-	ex := New(bin, m)
-	getvar := fnNamed(t, bin, m, "getvar")
-	base := ex.FuncVector(getvar)[FCallers]
-	ex.ExtraCallers = map[uint32]int{getvar.Entry: 5}
-	boosted := ex.FuncVector(getvar)[FCallers]
-	if boosted != base+5 {
-		t.Errorf("callers %g -> %g, want +5", base, boosted)
+	base := New(bin, m).FuncVector(fnNamed(t, bin, m, "getvar"))
+
+	p := itsProgram()
+	p.Funcs = append(p.Funcs, &minic.Func{
+		Name: "status", NParams: 1, Body: []minic.Stmt{
+			minic.Return{E: minic.Call{Name: "getvar", Args: []minic.Expr{
+				minic.Var("p0"), minic.GlobalRef("reqbuf"), minic.Int(64)}}},
+		},
+	})
+	bin, m = buildModel(t, p)
+	boosted := New(bin, m).FuncVector(fnNamed(t, bin, m, "getvar"))
+	want := base
+	want[FCallers]++
+	if boosted != want {
+		t.Errorf("one more caller: %v -> %v, want %v", base, boosted, want)
 	}
 }
 

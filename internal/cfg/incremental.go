@@ -30,7 +30,7 @@ import (
 
 // ReusePlan guides the incremental rebuild of one binary against its previous
 // version. Install its Source method as Options.FuncSource, then call
-// Finalize with the completed model to compute the vector-reuse tiers.
+// Finalize with the completed model to compute BFVSafe.
 // A plan is not safe for concurrent use; Build is single-threaded per binary,
 // which is the only consumer during construction.
 type ReusePlan struct {
@@ -59,11 +59,6 @@ type ReusePlan struct {
 	// all its callers are raw-identical in place, its callee-name profile is
 	// unchanged, and the data sections the string features read are unchanged.
 	BFVSafe map[uint32]bool
-	// AnchorsSafe, filled by Finalize, reports that the binary's anchor
-	// call-site profile (which import is called from where) is unchanged and
-	// every calling function is raw-identical, so anchor feature extraction
-	// over the new model must reproduce the old result.
-	AnchorsSafe bool
 
 	// Reused counts functions installed by Source; Total counts the custom
 	// (non-stub) functions of the finished new model.
@@ -336,9 +331,9 @@ func (p *ReusePlan) relift(oldF *Function, newEntry uint32, delta int64, newInst
 	return f
 }
 
-// Finalize computes the vector-reuse tiers over the finished new model. Both
-// tiers require the data sections to be unchanged, because string features
-// read rodata through call-site constants.
+// Finalize counts the finished new model's custom functions and computes
+// BFVSafe over them. Nothing is vector-safe unless the data sections are
+// unchanged, because string features read rodata through call-site constants.
 func (p *ReusePlan) Finalize(newModel *Model) {
 	p.Total = 0
 	for _, f := range newModel.Funcs {
@@ -358,7 +353,6 @@ func (p *ReusePlan) Finalize(newModel *Model) {
 			p.BFVSafe[entry] = true
 		}
 	}
-	p.AnchorsSafe = p.anchorProfileUnchanged(newModel)
 }
 
 // RawIdentical reports whether the function at entry was reused fully
@@ -413,49 +407,6 @@ func (p *ReusePlan) vectorSafe(entry uint32, newModel *Model) bool {
 	sortReuseSites(ns)
 	sortReuseSites(os)
 	return slices.Equal(ns, os)
-}
-
-// anchorProfileUnchanged compares the multiset of import call sites
-// (import name, caller, site address) between the two models and requires
-// every calling function to be raw-identical: under that condition anchor
-// feature extraction reads exactly the same instructions, names and strings
-// in both versions.
-func (p *ReusePlan) anchorProfileUnchanged(newModel *Model) bool {
-	type importSite struct {
-		name         string
-		caller, addr uint32
-	}
-	collect := func(m *Model) []importSite {
-		var out []importSite
-		for _, f := range m.FuncsInOrder() {
-			for _, cs := range f.Calls {
-				if cs.ImportName != "" {
-					out = append(out, importSite{cs.ImportName, cs.Caller, cs.Addr})
-				}
-			}
-		}
-		sort.Slice(out, func(i, j int) bool {
-			a, b := out[i], out[j]
-			if a.name != b.name {
-				return a.name < b.name
-			}
-			if a.caller != b.caller {
-				return a.caller < b.caller
-			}
-			return a.addr < b.addr
-		})
-		return out
-	}
-	ns, os := collect(newModel), collect(p.oldModel)
-	if !slices.Equal(ns, os) {
-		return false
-	}
-	for _, s := range ns {
-		if !p.rawEq[s.caller] {
-			return false
-		}
-	}
-	return true
 }
 
 func sortReuseSites(s []reuseSite) {

@@ -93,8 +93,6 @@ type Options struct {
 	// the path-feasibility pass (both on by default).
 	NoAlias     bool
 	NoPathcheck bool
-	// MaxRounds caps fixpoint rounds (0 selects DefaultMaxRounds).
-	MaxRounds int
 	// Progress, when non-nil, receives coarse progress lines (per phase and
 	// per fixpoint round).
 	Progress func(string)
@@ -198,9 +196,6 @@ func Run(ctx context.Context, files []firmware.File, opts Options) (*Report, err
 	if opts.TopK <= 0 {
 		opts.TopK = DefaultTopK
 	}
-	if opts.MaxRounds <= 0 {
-		opts.MaxRounds = DefaultMaxRounds
-	}
 	if opts.Scheduler == nil {
 		opts.Scheduler = pool.NewScheduler(0)
 	}
@@ -294,7 +289,7 @@ func Run(ctx context.Context, files []firmware.File, opts Options) (*Report, err
 	tainted := map[know.ChanKind]map[string]bool{}
 	origins := map[string]origin{} // "<chan>:<key>" -> first tainting write
 	rounds := 0
-	for rounds < opts.MaxRounds {
+	for rounds < DefaultMaxRounds {
 		rounds++
 		progress(fmt.Sprintf("round %d: scanning %d binaries", rounds, len(states)))
 		err := opts.Scheduler.ForEach(ctx, len(states), func(i int) error {

@@ -2,7 +2,9 @@
 // Algorithm 2: extract behavioral representations for the target's custom
 // functions and the dependency libraries' anchor functions, select
 // candidates by behavior clustering with the complexity filter, and rank
-// candidates by similarity to the anchor matrix.
+// candidates by similarity to the anchor matrix. Anchor vectors are memoized
+// per dependency library, under that library's hash alone; a target's own
+// terms are added to them afterwards.
 //
 // Every stage is switchable to the paper's baselines (RQ3 representations,
 // RQ4 strategies and metrics, feature ablations), so the evaluation harness
@@ -21,6 +23,7 @@ import (
 	"fits/internal/cluster"
 	"fits/internal/dataflow"
 	"fits/internal/intern"
+	"fits/internal/know"
 	"fits/internal/loader"
 	"fits/internal/modelcache"
 	"fits/internal/pool"
@@ -276,112 +279,102 @@ func TargetVectors(ctx context.Context, t *loader.Target, cfgn Config) ([]*cfg.F
 	return customs, vecs, nil
 }
 
-// anchorVectors extracts representation vectors for every anchor
-// implementation in the target's dependency libraries. For BFV the anchor's
-// caller count also includes call sites in the target binary reaching the
-// anchor's PLT stub, since the library alone understates how busy an anchor
-// is. Extraction fans out on the config's Scheduler; the returned order is
-// the serial one (libraries by name, exports in table order) at any
-// parallelism. The slice is memoized on the target's and its libraries'
-// content hashes plus the representation.
+// anchorVectors returns the anchor matrix of eq. 2: the representation
+// vector of every anchor export in the target's dependency libraries, in
+// serial order (libraries by name, exports in table order). A library's
+// vectors depend on its bytes alone, so they are memoized under its content
+// hash and shared by every target and image linking it. For BFV the
+// target's own terms are then added on every call, since the library alone
+// understates how busy an anchor is.
 func anchorVectors(ctx context.Context, t *loader.Target, cfgn Config) ([]bfv.Vector, error) {
-	key := modelcache.Key("anchors", vectorSig(t, cfgn), contentHashes(t)...)
-	return cachedVectors(cfgn.Cache, key, func() ([]bfv.Vector, error) {
-		if prev, ok := prevAnchorsReusable(t, cfgn); ok {
-			return anchorVectors(ctx, prev, cfgn)
-		}
-		return extractAnchorVectors(ctx, t, cfgn)
-	})
-}
-
-// prevAnchorsReusable reports whether the previous version's anchor vectors
-// are provably identical to what extraction would produce for t: same
-// libraries byte-for-byte, same model configuration, and — for BFV, whose
-// anchor features fold in target-side call sites — an unchanged import-site
-// profile as established by the reuse plan.
-func prevAnchorsReusable(t *loader.Target, cfgn Config) (*loader.Target, bool) {
-	if t.Prev == nil {
-		return nil, false
-	}
-	prev := t.Prev.Target
-	if t.ModelConfig != prev.ModelConfig || len(t.LibHashes) != len(prev.LibHashes) {
-		return nil, false
-	}
-	//fitslint:ignore maporder order-independent: returns false iff any entry mismatches, same verdict in every order
-	for name, h := range t.LibHashes {
-		if prev.LibHashes[name] != h {
-			return nil, false
-		}
-	}
-	if cfgn.Representation == RepBFV && (t.Prev.Plan == nil || !t.Prev.Plan.AnchorsSafe) {
-		return nil, false
-	}
-	return prev, true
-}
-
-func extractAnchorVectors(ctx context.Context, t *loader.Target, cfgn Config) ([]bfv.Vector, error) {
-	// Count target-side callers per import name.
-	stubCallers := map[string]int{}
-	for _, f := range t.Model.FuncsInOrder() {
-		for _, cs := range f.Calls {
-			if cs.ImportName != "" {
-				stubCallers[cs.ImportName]++
-			}
-		}
-	}
 	libs := make([]string, 0, len(t.Libs))
 	for name := range t.Libs {
 		libs = append(libs, name)
 	}
 	sort.Strings(libs)
-	// Enumerate extraction jobs serially (cheap), then extract in parallel.
-	type anchorJob struct {
-		ex    *bfv.Extractor
-		bin   *binimg.Binary
-		m     *cfg.Model
-		f     *cfg.Function
-		name  string
-		arity int
+	var stubCallers map[string]int
+	if cfgn.Representation == RepBFV {
+		stubCallers = importCallers(t.Model)
 	}
-	var jobs []anchorJob
+	var out []bfv.Vector
 	for _, lib := range libs {
-		bin := t.Libs[lib]
-		m := t.LibModels[lib]
-		ex := newExtractor(bin, m, cfgn)
-		ex.ExtraCallers = map[uint32]int{}
-		for _, e := range bin.Exports {
-			if _, ok := t.Anchors[e.Name]; ok {
-				ex.ExtraCallers[e.Addr] = stubCallers[e.Name]
-			}
+		bin, m := t.Libs[lib], t.LibModels[lib]
+		rows := anchorRows(bin, m)
+		key := modelcache.Key("anchors", vectorSig(t, cfgn), t.LibHashes[lib])
+		vecs, err := cachedVectors(cfgn.Cache, key, func() ([]bfv.Vector, error) {
+			ex := newExtractor(bin, m, cfgn)
+			vecs := make([]bfv.Vector, len(rows))
+			err := cfgn.Sched.ForEach(ctx, len(rows), func(i int) error {
+				vecs[i] = vectorFor(cfgn.Representation, ex, bin, m, rows[i].f)
+				return nil
+			})
+			return vecs, err
+		})
+		if err != nil {
+			return nil, err
 		}
-		for _, e := range bin.Exports {
-			arity, ok := t.Anchors[e.Name]
-			if !ok {
-				continue
-			}
-			f, ok := m.FuncAt(e.Addr)
-			if !ok {
-				continue
-			}
-			jobs = append(jobs, anchorJob{ex: ex, bin: bin, m: m, f: f, name: e.Name, arity: arity})
-		}
-	}
-	out := make([]bfv.Vector, len(jobs))
-	err := cfgn.Sched.ForEach(ctx, len(jobs), func(i int) error {
-		j := jobs[i]
-		vec := vectorFor(cfgn.Representation, j.ex, j.bin, j.m, j.f)
 		if cfgn.Representation == RepBFV {
-			merged := stagetime.Open(cfgn.Probe, stagetime.Infer)
-			mergeTargetStrings(t, j.name, j.arity, cfgn.Intern, &vec)
-			merged()
+			if err := addTargetTerms(ctx, t, cfgn, rows, vecs, stubCallers); err != nil {
+				return nil, err
+			}
 		}
-		out[i] = vec
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		out = append(out, vecs...)
 	}
 	return out, nil
+}
+
+// anchorRow is one row of a library's anchor matrix.
+type anchorRow struct {
+	name  string
+	arity int
+	f     *cfg.Function
+}
+
+// anchorRows lists the anchor exports of one library that its model
+// recovered, in export-table order.
+func anchorRows(bin *binimg.Binary, m *cfg.Model) []anchorRow {
+	var rows []anchorRow
+	for _, e := range bin.Exports {
+		arity, ok := know.Anchors[e.Name]
+		if !ok {
+			continue
+		}
+		if f, ok := m.FuncAt(e.Addr); ok {
+			rows = append(rows, anchorRow{name: e.Name, arity: arity, f: f})
+		}
+	}
+	return rows
+}
+
+// importCallers counts the target's call sites per import name.
+func importCallers(m *cfg.Model) map[string]int {
+	n := map[string]int{}
+	for _, f := range m.FuncsInOrder() {
+		for _, cs := range f.Calls {
+			if cs.ImportName != "" {
+				n[cs.ImportName]++
+			}
+		}
+	}
+	return n
+}
+
+// addTargetTerms adds the target's side to one library's anchor BFVs: the
+// target's call sites of an anchor's PLT stub count as its callers (keyed by
+// export address, the last anchor name at an address winning), and their
+// string arguments merge into its string features.
+func addTargetTerms(ctx context.Context, t *loader.Target, cfgn Config, rows []anchorRow, vecs []bfv.Vector, stubCallers map[string]int) error {
+	callers := make(map[uint32]int, len(rows))
+	for _, r := range rows {
+		callers[r.f.Entry] = stubCallers[r.name]
+	}
+	return cfgn.Sched.ForEach(ctx, len(rows), func(i int) error {
+		merged := stagetime.Open(cfgn.Probe, stagetime.Infer)
+		vecs[i][bfv.FCallers] += float64(callers[rows[i].f.Entry])
+		mergeTargetStrings(t, rows[i].name, rows[i].arity, cfgn.Intern, &vecs[i])
+		merged()
+		return nil
+	})
 }
 
 // mergeTargetStrings folds the target binary's call sites of an anchor's PLT

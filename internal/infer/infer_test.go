@@ -1,6 +1,7 @@
 package infer
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -259,6 +260,111 @@ func TestRankingKeyCoversEveryConfigField(t *testing.T) {
 	} {
 		if rankingKey(other, Config{}) == base {
 			t.Errorf("model configuration, target hash and library hashes must each change the key")
+		}
+	}
+}
+
+// TestAnchorsSharedAcrossTargets: a library's anchor vectors are memoized
+// under that library's hash alone. NETGEAR images carry two network binaries
+// linking the same libraries; inferring the second reuses the first's
+// anchor entries instead of adding its own, and the cached entries hold the
+// library-only vectors, without either target's terms.
+func TestAnchorsSharedAcrossTargets(t *testing.T) {
+	s, err := synth.Generate(synth.Dataset()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := modelcache.New(0, 0)
+	res, err := loader.Load(s.Packed, loader.Options{Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Targets) != 2 {
+		t.Fatalf("targets = %d, want 2", len(res.Targets))
+	}
+	first, second := res.Targets[0], res.Targets[1]
+	cfgn := DefaultConfig()
+	cfgn.Cache = cache
+
+	before := cache.Len()
+	InferTarget(first, cfgn)
+	grewFirst := cache.Len() - before
+	for lib, h := range first.LibHashes {
+		v, ok := cache.Get(modelcache.Key("anchors", vectorSig(first, cfgn), h))
+		if !ok {
+			t.Fatalf("%s: no library-keyed anchors entry after inferring %s", lib, first.Path)
+		}
+		bin, m := first.Libs[lib], first.LibModels[lib]
+		ex := bfv.New(bin, m)
+		for i, r := range anchorRows(bin, m) {
+			if got, want := v.([]bfv.Vector)[i], ex.FuncVector(r.f); got != want {
+				t.Errorf("%s %s: cached %v, want library-only %v", lib, r.name, got, want)
+			}
+		}
+	}
+
+	shared := 0
+	for lib, h := range second.LibHashes {
+		if first.LibHashes[lib] == h {
+			shared++
+		}
+	}
+	if shared == 0 {
+		t.Fatal("targets share no library")
+	}
+	before = cache.Len()
+	InferTarget(second, cfgn)
+	if grewSecond := cache.Len() - before; grewSecond != grewFirst-shared {
+		t.Errorf("second target added %d entries, want %d: its %d shared libraries' anchors must be reused",
+			grewSecond, grewFirst-shared, shared)
+	}
+}
+
+// TestAnchorTargetTerms: under BFV an anchor's caller count is the library's
+// callers plus the target's call sites of that import, while the baseline
+// representations take the library vectors unchanged.
+func TestAnchorTargetTerms(t *testing.T) {
+	_, target := loadSample(t, 0)
+	importSites := map[string]int{}
+	for _, f := range target.Model.FuncsInOrder() {
+		for _, cs := range f.Calls {
+			if cs.ImportName != "" {
+				importSites[cs.ImportName]++
+			}
+		}
+	}
+	libc, m := target.Libs["libc.so"], target.LibModels["libc.so"]
+	rows := anchorRows(libc, m)
+	if len(target.Libs) != 1 || len(rows) == 0 {
+		t.Fatalf("want a target linking libc.so alone, with anchors: libs=%d rows=%d", len(target.Libs), len(rows))
+	}
+
+	bfvs := AnchorVectorsForTest(target)
+	boosted := 0
+	for i, r := range rows {
+		want := float64(len(m.Callers[r.f.Entry]) + importSites[r.name])
+		if got := bfvs[i][bfv.FCallers]; got != want {
+			t.Errorf("%s: callers = %g, want %g", r.name, got, want)
+		}
+		if importSites[r.name] > 0 {
+			boosted++
+		}
+	}
+	if boosted == 0 {
+		t.Error("the target calls none of its anchors; the test checks nothing")
+	}
+
+	for _, rep := range []Representation{RepAugmentedCFG, RepAttributedCFG} {
+		cfgn := scheduled(DefaultConfig())
+		cfgn.Representation = rep
+		got, err := anchorVectors(context.Background(), target, cfgn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range rows {
+			if want := vectorFor(rep, nil, libc, m, r.f); got[i] != want {
+				t.Errorf("%v %s: %v, want the library vector %v", rep, r.name, got[i], want)
+			}
 		}
 	}
 }

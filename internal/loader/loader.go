@@ -1,9 +1,9 @@
 // Package loader implements the pre-processing stage: it unpacks a firmware
 // image, selects the binaries that export network services (by their
 // interface-function imports, the PIE-style heuristic), resolves their
-// dependency libraries, identifies anchor functions among the libraries'
-// dynamic symbols, and builds whole-binary models with UCSE-backed indirect
-// call resolution.
+// dependency libraries, and builds whole-binary models with UCSE-backed
+// indirect call resolution. Anchor functions are picked from the libraries'
+// exports later, by inference.
 //
 // Model building fans out across a bounded goroutine pool (Options.
 // Parallelism) and deduplicates work: each dependency library's model is
@@ -48,9 +48,6 @@ type Target struct {
 	// read-only.
 	Libs      map[string]*binimg.Binary
 	LibModels map[string]*cfg.Model
-	// Anchors maps anchor function names exported by the dependency
-	// libraries to their arity.
-	Anchors map[string]int
 	// Hash is the content hash of the target binary's bytes and LibHashes
 	// the hashes of its resolved libraries, keyed by library name. Every
 	// load sets both; downstream stages use them to address derived
@@ -82,20 +79,6 @@ type PrevTarget struct {
 	CachedModel bool
 }
 
-// AnchorEntries returns (library name, export address) pairs for every
-// anchor implementation available to this target.
-func (t *Target) AnchorEntries() map[string][]uint32 {
-	out := map[string][]uint32{}
-	for lib, bin := range t.Libs {
-		for _, e := range bin.Exports {
-			if know.IsAnchor(e.Name) {
-				out[lib] = append(out[lib], e.Addr)
-			}
-		}
-	}
-	return out
-}
-
 // Result is the outcome of pre-processing one firmware image.
 type Result struct {
 	Image   *firmware.Image
@@ -118,8 +101,6 @@ type Options struct {
 	// cross-binary analysis needs this: back-end readers (nvram consumers,
 	// spawned helpers) typically have no network imports at all.
 	AllExecutables bool
-	// KeepUnstripped retains debug symbols if present (test corpora).
-	KeepUnstripped bool
 	// Parallelism sizes the private Scheduler building binary models when
 	// Sched is nil; 0 means runtime.GOMAXPROCS(0).
 	Parallelism int
@@ -381,7 +362,6 @@ func (res *Result) load(ctx context.Context, opts Options) error {
 			Model:       models[i],
 			Libs:        map[string]*binimg.Binary{},
 			LibModels:   map[string]*cfg.Model{},
-			Anchors:     map[string]int{},
 			Hash:        hashes[p],
 			LibHashes:   map[string]modelcache.Hash{},
 			ModelConfig: modelCfg,
@@ -402,11 +382,6 @@ func (res *Result) load(ctx context.Context, opts Options) error {
 			t.Libs[need] = lib
 			t.LibModels[need] = libModels[need]
 			t.LibHashes[need] = libHashByName[need]
-			for _, e := range lib.Exports {
-				if arity, ok := know.Anchors[e.Name]; ok {
-					t.Anchors[e.Name] = arity
-				}
-			}
 		}
 		res.Targets = append(res.Targets, t)
 	}

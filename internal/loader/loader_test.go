@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"fits/internal/firmware"
-	"fits/internal/know"
 	"fits/internal/modelcache"
 	"fits/internal/synth"
 )
@@ -42,31 +41,6 @@ func TestLoadSelectsNetworkBinary(t *testing.T) {
 	}
 	if _, ok := tg.LibModels["libc.so"]; !ok {
 		t.Error("libc model not built")
-	}
-}
-
-func TestAnchorsIdentified(t *testing.T) {
-	s := generate(t, 0)
-	res, err := Load(s.Packed, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tg := res.Targets[0]
-	if len(tg.Anchors) < 8 {
-		t.Errorf("anchors = %d, want >= 8", len(tg.Anchors))
-	}
-	for name, arity := range tg.Anchors {
-		want, ok := know.Anchors[name]
-		if !ok {
-			t.Errorf("non-anchor %q identified", name)
-		}
-		if arity != want {
-			t.Errorf("%s arity = %d, want %d", name, arity, want)
-		}
-	}
-	entries := tg.AnchorEntries()
-	if len(entries["libc.so"]) != len(tg.Anchors) {
-		t.Errorf("anchor entries = %d, want %d", len(entries["libc.so"]), len(tg.Anchors))
 	}
 }
 
