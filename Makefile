@@ -2,7 +2,7 @@
 # fitslint invariant suite, build, plain tests, race-enabled tests, a short
 # fuzz smoke on each fuzz target (go's -fuzz flag accepts a single package,
 # hence one invocation per target), and a 20-iteration benchmark smoke that
-# gates ns/op and allocs/op against the committed BENCH_pipeline.json
+# gates ns/op, B/op and allocs/op against the committed BENCH_pipeline.json
 # before replacing it. bench-check vets and tests the bench/ module, which
 # is its own Go module and so outside `./...`.
 
@@ -36,7 +36,7 @@ bench:
 
 # Twenty iterations of the end-to-end pipeline benchmarks (cold, cache-warm
 # and diff), converted to JSON and gated against the committed baseline:
-# benchjson -compare exits nonzero when ns/op or allocs/op grew beyond the
+# benchjson -compare exits nonzero when ns/op, B/op or allocs/op grew beyond the
 # tolerance (warn-only across different CPUs), and only then does the fresh
 # report replace BENCH_pipeline.json. benchjson itself refuses
 # single-iteration samples, so the archive can't silently degrade to

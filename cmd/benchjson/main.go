@@ -13,8 +13,8 @@
 // comparison inherits the noise. Re-run with -benchtime=20x (or more).
 //
 // Compare mode checks every benchmark present in both reports and exits
-// nonzero if new ns/op or allocs/op exceeds old by more than the tolerance
-// percentage. When the two reports' cpu fields differ the numbers are not
+// nonzero if new ns/op, B/op or allocs/op exceeds old by more than the
+// tolerance percentage. When the two reports' cpu fields differ the numbers are not
 // comparable as a gate — regressions are still printed, but as warnings.
 package main
 
@@ -116,8 +116,8 @@ func compareArgs(args []string, tol float64) (oldPath, newPath string, tolerance
 }
 
 // gatedUnits are the metrics compare mode treats as regressions when they
-// grow; other units (B/op, cache-hit-%, stage breakdowns) are informational.
-var gatedUnits = []string{"ns/op", "allocs/op"}
+// grow; other units (cache-hit-%, stage breakdowns) are informational.
+var gatedUnits = []string{"ns/op", "B/op", "allocs/op"}
 
 // compareFiles loads two reports and gates new against old. A non-nil error
 // means the gate failed (regression beyond tolerance on comparable hosts).

@@ -101,8 +101,8 @@ func TestSingleIterationRejected(t *testing.T) {
 func TestRegressionsGateNsAndAllocs(t *testing.T) {
 	old := report("cpu0", bench("BenchmarkA", 1000, 100), bench("BenchmarkB", 1000, 100))
 	cur := report("cpu0",
-		bench("BenchmarkA", 1300, 100), // +30% ns/op: regression at 25
-		bench("BenchmarkB", 1200, 135), // +20% ns ok, +35% allocs: regression
+		bench("BenchmarkA", 1300, 100),  // +30% ns/op: regression at 25
+		bench("BenchmarkB", 1200, 135),  // +20% ns ok, +35% allocs: regression
 		bench("BenchmarkNew", 9e9, 9e9)) // absent from old: ignored
 	regs := regressions(old, cur, 25)
 	if len(regs) != 2 {
@@ -128,5 +128,19 @@ func TestCompareArgsTrailingTolerance(t *testing.T) {
 	oldPath, newPath, tol = compareArgs([]string{"a", "b"}, 25)
 	if oldPath != "a" || newPath != "b" || tol != 25 {
 		t.Errorf("got (%q, %q, %v)", oldPath, newPath, tol)
+	}
+}
+
+func TestRegressionsGateBytes(t *testing.T) {
+	withBytes := func(name string, bytes float64) Benchmark {
+		b := bench(name, 1000, 100)
+		b.Metrics["B/op"] = bytes
+		return b
+	}
+	old := report("cpu0", withBytes("BenchmarkA", 1000), withBytes("BenchmarkB", 1000))
+	cur := report("cpu0", withBytes("BenchmarkA", 1300), withBytes("BenchmarkB", 1200))
+	regs := regressions(old, cur, 25)
+	if len(regs) != 1 || !strings.Contains(regs[0], "BenchmarkA B/op") {
+		t.Errorf("regressions = %v, want BenchmarkA B/op only", regs)
 	}
 }

@@ -54,6 +54,7 @@ func Build(bin *binimg.Binary, opts Options) (*Model, error) {
 		opts.MaxFuncs = defaultMaxFuncs
 	}
 	m := &Model{Bin: bin, Funcs: map[uint32]*Function{}, Callers: map[uint32][]CallSite{}}
+	x := newTextIndex(bin)
 
 	// Resolved jump-table targets per function entry, applied on (re)build.
 	jumpTables := map[uint32]map[uint32][]uint32{}
@@ -80,7 +81,7 @@ func Build(bin *binimg.Binary, opts Options) (*Model, error) {
 				}
 			}
 			lifted := stagetime.Open(opts.Probe, stagetime.Lift)
-			f, err := buildFunction(bin, entry, jumpTables[entry])
+			f, err := buildFunction(bin, x, entry, jumpTables[entry])
 			lifted()
 			if err != nil {
 				// Unparseable seed (e.g. a data word that happened to look
@@ -113,7 +114,7 @@ func Build(bin *binimg.Binary, opts Options) (*Model, error) {
 					continue
 				}
 				targets := opts.JumpResolver(bin, f, addr)
-				targets = clipJumpTargets(m, f, targets)
+				targets = clipJumpTargets(m, x, f, targets)
 				if len(targets) == 0 {
 					continue
 				}
@@ -178,32 +179,31 @@ func Build(bin *binimg.Binary, opts Options) (*Model, error) {
 	// prologueScan seeds functions for unclaimed code that starts with the
 	// standard prologue, reporting whether any seed was added.
 	prologueScan := func() bool {
-		covered := map[uint32]bool{}
+		if x.covered == nil {
+			x.covered = newBitset(len(x.ins))
+		} else {
+			clear(x.covered)
+		}
 		for _, f := range m.Funcs {
 			for _, b := range f.Blocks {
 				for a := b.Start; a < b.End(); a += isa.Width {
-					covered[a] = true
+					if i, ok := x.word(a); ok {
+						x.covered.set(i)
+					}
 				}
 			}
 		}
 		added := false
-		text := bin.Text
-		for off := 0; off+isa.Width <= len(text.Data); off += isa.Width {
-			addr := text.Addr + uint32(off)
-			if covered[addr] {
+		for i, in := range x.ins {
+			if in.Op != isa.OpPush || in.Rs1 != isa.LR || !x.ok.has(i) || x.covered.has(i) {
 				continue
 			}
+			addr := x.text.Addr + uint32(i*isa.Width)
 			if _, claimed := m.Funcs[addr]; claimed {
 				continue
 			}
-			in, err := bin.Arch.Decode(text.Data[off:])
-			if err != nil {
-				continue
-			}
-			if in.Op == isa.OpPush && in.Rs1 == isa.LR {
-				worklist = append(worklist, addr)
-				added = true
-			}
+			worklist = append(worklist, addr)
+			added = true
 		}
 		return added
 	}
@@ -246,11 +246,12 @@ func Build(bin *binimg.Binary, opts Options) (*Model, error) {
 }
 
 // clipJumpTargets keeps only targets inside the jumping function's extent:
-// past its entry and before the next known function. A scanned table can
-// over-read into a neighboring function's table; layout bounds discard the
-// overshoot.
-func clipJumpTargets(m *Model, f *Function, targets []uint32) []uint32 {
-	bound := f.Entry + uint32(len(m.Bin.Text.Data)) // text end fallback
+// past its entry and before the next known function or the end of text. A
+// scanned table can over-read into a neighboring function's table; layout
+// bounds discard the overshoot. A target that is misaligned or does not
+// decode is dropped too: the rebuild would fail on it and lose the function.
+func clipJumpTargets(m *Model, x *textIndex, f *Function, targets []uint32) []uint32 {
+	bound := m.Bin.Text.End()
 	for entry := range m.Funcs {
 		if entry > f.Entry && entry < bound {
 			bound = entry
@@ -258,7 +259,7 @@ func clipJumpTargets(m *Model, f *Function, targets []uint32) []uint32 {
 	}
 	var out []uint32
 	for _, t := range targets {
-		if t > f.Entry && t < bound {
+		if t > f.Entry && t < bound && x.at(x.ok, t) {
 			out = append(out, t)
 		}
 	}
@@ -295,26 +296,29 @@ func stubName(bin *binimg.Binary, addr uint32) (string, bool) {
 	return im.Name, true
 }
 
-// buildFunction recovers one function by recursive descent from entry.
-// extraJumps supplies resolved targets for computed jumps, letting
-// switch-case blocks join the CFG on rebuild.
-func buildFunction(bin *binimg.Binary, entry uint32, extraJumps map[uint32][]uint32) (*Function, error) {
-	if !bin.Text.Contains(entry) || (entry-bin.Text.Addr)%isa.Width != 0 {
+// buildFunction recovers one function by recursive descent from entry,
+// reading instructions from the binary's text index x. extraJumps supplies
+// resolved targets for computed jumps, letting switch-case blocks join the
+// CFG on rebuild.
+func buildFunction(bin *binimg.Binary, x *textIndex, entry uint32, extraJumps map[uint32][]uint32) (*Function, error) {
+	ei, ok := x.word(entry)
+	if !ok {
 		return nil, fmt.Errorf("cfg: bad entry 0x%x", entry)
 	}
 
 	// Import stubs are single-trampoline functions.
 	if im, ok := bin.ImportAtStub(entry); ok {
-		in, err := bin.InstrAt(entry)
-		if err != nil {
-			return nil, err
+		if !x.ok.has(ei) {
+			return nil, fmt.Errorf("cfg: undecodable import stub at 0x%x", entry)
 		}
+		ins := []isa.Instr{x.ins[ei]}
 		lifter := ir.NewLifter()
-		irb, err := lifter.Lift(entry, in)
+		lifter.Reserve(ins)
+		irb, err := lifter.Lift(entry, ins[0])
 		if err != nil {
 			return nil, err
 		}
-		blk := &BasicBlock{Start: entry, Instrs: []isa.Instr{in}, IR: []*ir.Block{irb}}
+		blk := &BasicBlock{Start: entry, Instrs: ins, IR: []*ir.Block{irb}}
 		return &Function{
 			Entry:      entry,
 			Name:       im.Name + "@plt",
@@ -325,28 +329,30 @@ func buildFunction(bin *binimg.Binary, entry uint32, extraJumps map[uint32][]uin
 		}, nil
 	}
 
-	// Pass 1: reachable instructions and leaders.
-	reach := make(map[uint32]isa.Instr, 64)
-	leaders := make(map[uint32]bool, 8)
-	leaders[entry] = true
-	work := []uint32{entry}
+	// Pass 1: reachable instructions and leaders, marked in the text
+	// index's scratch bitsets, which reset clears on every return.
+	defer x.reset()
+	x.markLeader(entry)
+	work := append(x.work, entry)
 	for len(work) > 0 {
 		addr := work[len(work)-1]
 		work = work[:len(work)-1]
 		for {
-			if _, seen := reach[addr]; seen {
+			i, ok := x.word(addr)
+			if ok && x.reach.has(i) {
 				break
 			}
-			in, err := bin.InstrAt(addr)
-			if err != nil {
-				return nil, fmt.Errorf("cfg: at 0x%x: %w", addr, err)
+			if !ok || !x.ok.has(i) {
+				return nil, fmt.Errorf("cfg: no instruction at 0x%x", addr)
 			}
-			reach[addr] = in
+			in := x.ins[i]
+			x.reach.set(i)
+			x.addrs = append(x.addrs, addr)
 			next := addr + isa.Width
 			if in.IsBranch() {
 				t := uint32(in.Imm)
-				leaders[t] = true
-				leaders[next] = true
+				x.markLeader(t)
+				x.markLeader(next)
 				work = append(work, t)
 				addr = next
 				continue
@@ -354,11 +360,11 @@ func buildFunction(bin *binimg.Binary, entry uint32, extraJumps map[uint32][]uin
 			switch in.Op {
 			case isa.OpJmp:
 				t := uint32(in.Imm)
-				leaders[t] = true
+				x.markLeader(t)
 				work = append(work, t)
 			case isa.OpJr:
 				for _, t := range extraJumps[addr] {
-					leaders[t] = true
+					x.markLeader(t)
 					work = append(work, t)
 				}
 			case isa.OpRet, isa.OpTramp:
@@ -370,22 +376,19 @@ func buildFunction(bin *binimg.Binary, entry uint32, extraJumps map[uint32][]uin
 			break
 		}
 	}
+	x.work = work
 
 	// Pass 2: form blocks from leaders.
-	addrs := make([]uint32, 0, len(reach))
-	for a := range reach {
-		addrs = append(addrs, a)
-	}
+	addrs := x.addrs
 	slices.Sort(addrs)
-
-	f := &Function{
-		Entry:  entry,
-		Blocks: make(map[uint32]*BasicBlock, len(leaders)),
-	}
-	if name, ok := bin.FuncName(entry); ok {
-		f.Name = name
-	} else {
-		f.Name = "sub_" + strconv.FormatUint(uint64(entry), 16)
+	instrArr := make([]isa.Instr, len(addrs))
+	ncalls := 0
+	for k, a := range addrs {
+		i, _ := x.word(a)
+		instrArr[k] = x.ins[i]
+		if instrArr[k].IsCall() {
+			ncalls++
+		}
 	}
 
 	// Count block boundaries up front so the block array and the shared
@@ -395,43 +398,52 @@ func buildFunction(bin *binimg.Binary, entry uint32, extraJumps map[uint32][]uin
 	// pointers stay stable.
 	nblocks := 0
 	for i, a := range addrs {
-		if i == 0 || leaders[a] || addrs[i-1]+isa.Width != a {
-			nblocks++
-			continue
-		}
-		if prev := reach[addrs[i-1]]; prev.EndsBlock() {
+		if i == 0 || x.at(x.leader, a) || addrs[i-1]+isa.Width != a || instrArr[i-1].EndsBlock() {
 			nblocks++
 		}
 	}
+
+	f := &Function{
+		Entry:  entry,
+		Blocks: make(map[uint32]*BasicBlock, nblocks),
+		Order:  make([]uint32, 0, nblocks),
+	}
+	if name, ok := bin.FuncName(entry); ok {
+		f.Name = name
+	} else {
+		f.Name = "sub_" + strconv.FormatUint(uint64(entry), 16)
+	}
+	if ncalls > 0 {
+		f.Calls = make([]CallSite, 0, ncalls)
+	}
 	blockArr := make([]BasicBlock, 0, nblocks)
-	instrArr := make([]isa.Instr, 0, len(addrs))
 	irArr := make([]*ir.Block, 0, len(addrs))
 
 	lifter := ir.NewLifter()
-	lifter.Reserve(len(addrs))
+	lifter.Reserve(instrArr)
 	var cur *BasicBlock
 	curStart := 0 // index into instrArr/irArr where cur's run begins
 	flush := func() {
 		if cur != nil {
-			cur.Instrs = instrArr[curStart:len(instrArr):len(instrArr)]
+			cur.Instrs = instrArr[curStart:len(irArr):len(irArr)]
 			cur.IR = irArr[curStart:len(irArr):len(irArr)]
 			f.Blocks[cur.Start] = cur
+			f.Order = append(f.Order, cur.Start)
 			cur = nil
 		}
 	}
 	for i, a := range addrs {
-		in := reach[a]
-		if leaders[a] || cur == nil || (i > 0 && addrs[i-1]+isa.Width != a) {
+		in := instrArr[i]
+		if x.at(x.leader, a) || cur == nil || (i > 0 && addrs[i-1]+isa.Width != a) {
 			flush()
 			blockArr = append(blockArr, BasicBlock{Start: a})
 			cur = &blockArr[len(blockArr)-1]
-			curStart = len(instrArr)
+			curStart = len(irArr)
 		}
 		irb, err := lifter.Lift(a, in)
 		if err != nil {
 			return nil, err
 		}
-		instrArr = append(instrArr, in)
 		irArr = append(irArr, irb)
 		if in.IsCall() {
 			cs := CallSite{Caller: entry, Addr: a, Block: cur.Start}
@@ -446,14 +458,14 @@ func buildFunction(bin *binimg.Binary, entry uint32, extraJumps map[uint32][]uin
 			f.Calls = append(f.Calls, cs)
 		}
 		terminal := in.EndsBlock()
-		nextIsLeader := i+1 < len(addrs) && (leaders[addrs[i+1]] || addrs[i+1] != a+isa.Width)
+		nextIsLeader := i+1 < len(addrs) && (x.at(x.leader, addrs[i+1]) || addrs[i+1] != a+isa.Width)
 		if terminal || nextIsLeader {
 			// Successors.
 			next := a + isa.Width
 			switch {
 			case in.IsBranch():
 				cur.Succs = append(cur.Succs, uint32(in.Imm))
-				if _, ok := reach[next]; ok {
+				if x.at(x.reach, next) {
 					cur.Succs = append(cur.Succs, next)
 				}
 			case in.Op == isa.OpJmp:
@@ -463,7 +475,7 @@ func buildFunction(bin *binimg.Binary, entry uint32, extraJumps map[uint32][]uin
 			case in.Op == isa.OpRet, in.Op == isa.OpTramp:
 				// no static successors
 			default:
-				if _, ok := reach[next]; ok {
+				if x.at(x.reach, next) {
 					cur.Succs = append(cur.Succs, next)
 				}
 			}
@@ -471,12 +483,6 @@ func buildFunction(bin *binimg.Binary, entry uint32, extraJumps map[uint32][]uin
 		}
 	}
 	flush()
-
-	f.Order = make([]uint32, 0, len(f.Blocks))
-	for a := range f.Blocks {
-		f.Order = append(f.Order, a)
-	}
-	slices.Sort(f.Order)
 
 	// Record computed jumps and any resolutions applied. JumpTables stays
 	// nil (all reads are nil-safe) unless a resolution actually landed:

@@ -412,8 +412,10 @@ func TestResolverIntegration(t *testing.T) {
 	}
 }
 
-func TestSwitchJumpTableRecovery(t *testing.T) {
-	p := &minic.Program{
+// switchProg is one function whose switch compiles to a computed jump
+// through a rodata table of case addresses.
+func switchProg() *minic.Program {
+	return &minic.Program{
 		Name:    "t",
 		Globals: []*minic.Global{{Name: "out", Size: 16}},
 		Funcs: []*minic.Func{{
@@ -432,7 +434,24 @@ func TestSwitchJumpTableRecovery(t *testing.T) {
 			},
 		}},
 	}
-	bin := link(t, p, isa.ArchARM)
+}
+
+// tableResolver mimics table reading: it returns every rodata word that is
+// an instruction-aligned text address (the linker placed the case addresses
+// there).
+func tableResolver(b *binimg.Binary, f *Function, addr uint32) []uint32 {
+	var out []uint32
+	base := b.Rodata.Addr
+	for off := uint32(0); off+4 <= uint32(len(b.Rodata.Data)); off += 4 {
+		if w, ok := b.WordAt(base + off); ok && b.Text.Contains(w) && (w-b.Text.Addr)%isa.Width == 0 {
+			out = append(out, w)
+		}
+	}
+	return out
+}
+
+func TestSwitchJumpTableRecovery(t *testing.T) {
+	bin := link(t, switchProg(), isa.ArchARM)
 
 	// Without a jump resolver, the case blocks stay unrecovered.
 	plain, err := Build(bin, Options{})
@@ -448,19 +467,7 @@ func TestSwitchJumpTableRecovery(t *testing.T) {
 	}
 
 	// With a resolver that mimics table reading, the cases join the CFG.
-	resolver := func(b *binimg.Binary, f *Function, addr uint32) []uint32 {
-		// Read four consecutive rodata words starting at the table; the
-		// linker placed the case addresses there.
-		var out []uint32
-		base := b.Rodata.Addr
-		for off := uint32(0); off+4 <= uint32(len(b.Rodata.Data)); off += 4 {
-			if w, ok := b.WordAt(base + off); ok && b.Text.Contains(w) && (w-b.Text.Addr)%isa.Width == 0 {
-				out = append(out, w)
-			}
-		}
-		return out
-	}
-	resolved, err := Build(bin, Options{JumpResolver: resolver})
+	resolved, err := Build(bin, Options{JumpResolver: tableResolver})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,5 +493,27 @@ func TestSwitchJumpTableRecovery(t *testing.T) {
 	}
 	if jrSuccs != 3 {
 		t.Errorf("jr successors = %d, want 3", jrSuccs)
+	}
+}
+
+// A resolver target the rebuild could not decode (here a misaligned one)
+// must be dropped, not take the whole function out of the model with it.
+func TestJumpTableBadTargetKeepsFunction(t *testing.T) {
+	bin := link(t, switchProg(), isa.ArchARM)
+	resolver := func(b *binimg.Binary, f *Function, addr uint32) []uint32 {
+		return append(tableResolver(b, f, addr), f.Entry+2)
+	}
+	m, err := Build(bin, Options{JumpResolver: resolver})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rf := funcByName(t, m, "router")
+	if len(rf.JumpTables) != 1 {
+		t.Fatalf("jump tables = %d, want 1", len(rf.JumpTables))
+	}
+	for _, ts := range rf.JumpTables {
+		if len(ts) != 3 {
+			t.Errorf("targets = %v, want the 3 case addresses", ts)
+		}
 	}
 }

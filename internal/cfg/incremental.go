@@ -283,29 +283,30 @@ func (p *ReusePlan) alignOne(newEntry, oldEntry uint32) bool {
 // number identically and the result is deep-equal to a cold build.
 func (p *ReusePlan) relift(oldF *Function, newEntry uint32, delta int64, newInstrs []isa.Instr) *Function {
 	nb := p.newBin
-	f := &Function{Entry: newEntry, Blocks: map[uint32]*BasicBlock{}}
+	f := &Function{Entry: newEntry, Blocks: make(map[uint32]*BasicBlock, len(oldF.Order)), Order: make([]uint32, 0, len(oldF.Order))}
 	if name, ok := nb.FuncName(newEntry); ok {
 		f.Name = name
 	} else {
 		f.Name = "sub_" + strconv.FormatUint(uint64(newEntry), 16)
 	}
+	// newInstrs is already in flat block order, so each block's Instrs and
+	// IR are subslices of it and of one IR array, as in buildFunction.
+	irArr := make([]*ir.Block, 0, len(newInstrs))
 	lifter := ir.NewLifter()
-	lifter.Reserve(len(newInstrs))
-	k := 0
+	lifter.Reserve(newInstrs)
 	for _, ba := range oldF.Order {
 		ob := oldF.Blocks[ba]
 		newStart := uint32(int64(ob.Start) + delta)
 		blk := &BasicBlock{Start: newStart}
+		start := len(irArr)
 		for i := range ob.Instrs {
-			nin := newInstrs[k]
-			k++
+			nin := newInstrs[len(irArr)]
 			a := newStart + uint32(i*isa.Width)
 			irb, err := lifter.Lift(a, nin)
 			if err != nil {
 				return nil
 			}
-			blk.Instrs = append(blk.Instrs, nin)
-			blk.IR = append(blk.IR, irb)
+			irArr = append(irArr, irb)
 			if nin.IsCall() {
 				cs := CallSite{Caller: newEntry, Addr: a, Block: newStart}
 				if nin.Op == isa.OpCall {
@@ -319,6 +320,9 @@ func (p *ReusePlan) relift(oldF *Function, newEntry uint32, delta int64, newInst
 				f.Calls = append(f.Calls, cs)
 			}
 		}
+		end := len(irArr)
+		blk.Instrs = newInstrs[start:end:end]
+		blk.IR = irArr[start:end:end]
 		for _, s := range ob.Succs {
 			blk.Succs = append(blk.Succs, uint32(int64(s)+delta))
 		}

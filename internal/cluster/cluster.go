@@ -59,13 +59,41 @@ func maxNormalize(points []Point) [][bfv.Dim]float64 {
 	return out
 }
 
-func dist(a, b [bfv.Dim]float64) float64 {
+// maxSquare returns the largest float64 s with math.Sqrt(s) <= eps, so
+// that for every sum of squares s, s <= maxSquare(eps) exactly when
+// math.Sqrt(s) <= eps: the correctly rounded square root is monotonic, so
+// the sums within eps form the interval [0, maxSquare(eps)]. A negative eps
+// admits no sum and a NaN eps none either (every comparison is false).
+func maxSquare(eps float64) float64 {
+	if !(eps >= 0) {
+		return eps
+	}
+	t := eps * eps
+	for math.Sqrt(t) > eps {
+		t = math.Nextafter(t, math.Inf(-1))
+	}
+	for {
+		u := math.Nextafter(t, math.Inf(1))
+		if u == t || math.Sqrt(u) > eps {
+			return t
+		}
+		t = u
+	}
+}
+
+// within reports whether the Euclidean distance between a and b is at most
+// the eps whose maxSquare is maxSq. The partial sums of squares never
+// decrease, so the sum stops as soon as it passes maxSq.
+func within(a, b *[bfv.Dim]float64, maxSq float64) bool {
 	s := 0.0
 	for d := 0; d < bfv.Dim; d++ {
 		diff := a[d] - b[d]
 		s += diff * diff
+		if s > maxSq {
+			return false
+		}
 	}
-	return math.Sqrt(s)
+	return s <= maxSq
 }
 
 // DBSCAN clusters points with the classic density-based algorithm. Noise
@@ -78,14 +106,15 @@ func DBSCAN(points []Point, params Params) []Class {
 	n := len(points)
 	norm := maxNormalize(points)
 
-	// neighbors reuses one scratch buffer across queries: both call sites
-	// copy the result into the expansion queue before the next query, and a
-	// point has at most n neighbors, so the append below never reallocates.
+	// neighbors reuses one scratch buffer across queries: each result is
+	// consumed before the next query, and a point has at most n neighbors,
+	// so the append below never reallocates.
 	scratch := make([]int, 0, n)
+	maxSq := maxSquare(params.Eps)
 	neighbors := func(i int) []int {
 		out := scratch[:0]
 		for j := 0; j < n; j++ {
-			if dist(norm[i], norm[j]) <= params.Eps {
+			if within(&norm[i], &norm[j], maxSq) {
 				out = append(out, j)
 			}
 		}
@@ -97,6 +126,22 @@ func DBSCAN(points []Point, params Params) []Class {
 		noise     = -1
 	)
 	labels := make([]int, n) // 0 unvisited, -1 noise, >0 cluster id
+	// Each point is enqueued at most once over the whole run: it is marked
+	// on enqueue, and an expansion skips points already labelled (noise
+	// excepted, which becomes a border point). Labels change only at
+	// dequeue, so only a point's first dequeue could ever act, and the
+	// labels equal those of the classic queue that appends every core
+	// neighbour's whole neighbour list, in O(n) queue memory.
+	queued := make([]bool, n)
+	queue := make([]int, 0, n)
+	enqueue := func(nb []int) {
+		for _, j := range nb {
+			if !queued[j] && labels[j] <= unvisited {
+				queued[j] = true
+				queue = append(queue, j)
+			}
+		}
+	}
 	next := 1
 	for i := 0; i < n; i++ {
 		if labels[i] != unvisited {
@@ -110,44 +155,51 @@ func DBSCAN(points []Point, params Params) []Class {
 		id := next
 		next++
 		labels[i] = id
-		queue := append([]int(nil), nb...)
-		for len(queue) > 0 {
-			j := queue[0]
-			queue = queue[1:]
+		queue = queue[:0]
+		enqueue(nb)
+		for head := 0; head < len(queue); head++ {
+			j := queue[head]
 			if labels[j] == noise {
 				labels[j] = id // border point
 				continue
 			}
-			if labels[j] != unvisited {
-				continue
-			}
 			labels[j] = id
-			jn := neighbors(j)
-			if len(jn) >= params.MinPts {
-				queue = append(queue, jn...)
+			if jn := neighbors(j); len(jn) >= params.MinPts {
+				enqueue(jn)
 			}
 		}
 	}
 
-	byID := map[int][]Point{}
-	var noiseClasses []Class
+	// Members per cluster id, in point order, carved from one backing array.
+	sizes := make([]int, next)
+	nnoise := 0
+	for _, l := range labels {
+		if l == noise {
+			nnoise++
+		} else {
+			sizes[l]++
+		}
+	}
+	backing := make([]Point, n-nnoise)
+	members := make([][]Point, next)
+	off := 0
+	for id := 1; id < next; id++ {
+		members[id] = backing[off : off : off+sizes[id]]
+		off += sizes[id]
+	}
+	noiseClasses := make([]Class, 0, nnoise)
 	for i, p := range points {
 		if labels[i] == noise {
 			noiseClasses = append(noiseClasses, Class{Members: []Point{p}, Noise: true})
 			continue
 		}
-		byID[labels[i]] = append(byID[labels[i]], p)
+		members[labels[i]] = append(members[labels[i]], p)
 	}
-	ids := make([]int, 0, len(byID))
-	for id := range byID {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	out := make([]Class, 0, len(ids)+len(noiseClasses))
-	for _, id := range ids {
-		members := byID[id]
-		sort.Slice(members, func(a, b int) bool { return members[a].Entry < members[b].Entry })
-		out = append(out, Class{Members: members})
+	out := make([]Class, 0, next-1+nnoise)
+	for id := 1; id < next; id++ {
+		ms := members[id]
+		sort.Slice(ms, func(a, b int) bool { return ms[a].Entry < ms[b].Entry })
+		out = append(out, Class{Members: ms})
 	}
 	sort.Slice(noiseClasses, func(a, b int) bool {
 		return noiseClasses[a].Members[0].Entry < noiseClasses[b].Members[0].Entry

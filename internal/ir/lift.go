@@ -10,13 +10,14 @@ import (
 // numbered per lifter so that a whole function lifted by one Lifter has a
 // single temporary namespace, which the dataflow analyses rely on.
 //
-// Blocks, statements, and IR nodes are carved out of chunked arenas owned by
-// the lifter, so lifting a function costs a handful of chunk allocations
-// instead of one heap object per node. Chunks are append-only and never
-// reallocated (a fresh chunk starts before one could grow), so returned
-// pointers and subslices stay valid for the lifter's lifetime. Register
-// reads, Ret, and small constants resolve to shared immutable package-level
-// nodes and allocate nothing at all.
+// Blocks, statements, and IR nodes are carved out of arenas owned by the
+// lifter. Reserve sizes every arena exactly for the instructions about to be
+// lifted, so lifting a function costs one allocation per arena it uses and
+// leaves no slack. Chunks are append-only and never reallocated (a fresh
+// chunk starts before one could grow), so returned pointers and subslices
+// stay valid for the lifter's lifetime. Register reads, Ret, and small
+// constants resolve to shared immutable package-level nodes and allocate
+// nothing at all.
 type Lifter struct {
 	next   Temp
 	blocks []Block
@@ -36,49 +37,109 @@ type Lifter struct {
 	gets   arena[Get]
 }
 
-const (
-	blockChunk = 32
-	stmtChunk  = 128
-	// nodeChunk sizes the typed node arenas' chunks.
-	nodeChunk = 128
-	// maxLiftStmts is the most statements one instruction can lift to
-	// (push/pop emit five); a new stmt chunk starts when fewer remain.
-	maxLiftStmts = 8
-)
+// plainChunk sizes the chunk a lifter starts when an arena has no reserved
+// room left: only an un-reserved lifter, or one whose reservation was
+// mis-counted, ever gets here.
+const plainChunk = 128
 
-// arena hands out stable pointers to values of one node type. A fresh chunk
-// starts whenever the current one is full; existing elements are never moved,
-// so previously returned pointers stay valid. Chunks grow geometrically from
-// a small first chunk, keeping the per-function waste bounded for the many
-// tiny functions a binary contains while large functions amortize to one
-// allocation per nodeChunk nodes.
-type arena[T any] struct {
-	chunk []T
-	size  int
-}
+// arena hands out stable pointers to values of one node type. Existing
+// elements are never moved, so previously returned pointers stay valid.
+type arena[T any] struct{ chunk []T }
 
-// reserve sizes the arena's next chunk for about n nodes, so a caller that
-// can estimate a function's node count up front pays one chunk allocation
-// instead of walking the geometric growth ladder. Allocation stays lazy: an
-// arena that ends up unused costs nothing.
+// reserve makes room for exactly n more nodes in one chunk. An arena that
+// will not be used (n == 0) allocates nothing.
 func (a *arena[T]) reserve(n int) {
-	if n > a.size {
-		a.size = n
+	if cap(a.chunk)-len(a.chunk) < n {
+		a.chunk = make([]T, 0, n)
 	}
 }
 
 func (a *arena[T]) new(v T) *T {
 	if len(a.chunk) == cap(a.chunk) {
-		switch {
-		case a.size == 0:
-			a.size = 8
-		case a.size < nodeChunk:
-			a.size *= 4
-		}
-		a.chunk = make([]T, 0, a.size)
+		a.chunk = make([]T, 0, plainChunk)
 	}
 	a.chunk = append(a.chunk, v)
 	return &a.chunk[len(a.chunk)-1]
+}
+
+// liftCount is what Lift emits for one instruction, arena by arena.
+type liftCount struct {
+	stmts, wrtmps, rdtmps, puts, binops, loads, stores, exits, jumps, calls, syss int
+}
+
+func (c *liftCount) add(d liftCount) {
+	c.stmts += d.stmts
+	c.wrtmps += d.wrtmps
+	c.rdtmps += d.rdtmps
+	c.puts += d.puts
+	c.binops += d.binops
+	c.loads += d.loads
+	c.stores += d.stores
+	c.exits += d.exits
+	c.jumps += d.jumps
+	c.calls += d.calls
+	c.syss += d.syss
+}
+
+// Lift's templates, counted. A register read is a WrTmp of a shared Get plus
+// an RdTmp; a Binop is a WrTmp plus an RdTmp around the Binop node. The
+// table must agree with Lift exactly, which TestReserveIsExact checks for
+// every opcode: a short count falls back to a plain chunk, a long one leaves
+// slack in a cached model.
+var (
+	aluCount    = liftCount{stmts: 4, wrtmps: 3, rdtmps: 3, binops: 1, puts: 1}
+	loadCount   = liftCount{stmts: 4, wrtmps: 3, rdtmps: 3, binops: 1, loads: 1, puts: 1}
+	storeCount  = liftCount{stmts: 4, wrtmps: 3, rdtmps: 3, binops: 1, stores: 1}
+	branchCount = liftCount{stmts: 4, wrtmps: 3, rdtmps: 3, binops: 1, exits: 1}
+
+	liftCounts = [...]liftCount{
+		isa.OpNop:   {},
+		isa.OpMovi:  {stmts: 1, puts: 1},
+		isa.OpMov:   {stmts: 2, wrtmps: 1, rdtmps: 1, puts: 1},
+		isa.OpAdd:   aluCount,
+		isa.OpSub:   aluCount,
+		isa.OpMul:   aluCount,
+		isa.OpDiv:   aluCount,
+		isa.OpAnd:   aluCount,
+		isa.OpOr:    aluCount,
+		isa.OpXor:   aluCount,
+		isa.OpShl:   aluCount,
+		isa.OpShr:   aluCount,
+		isa.OpAddi:  {stmts: 3, wrtmps: 2, rdtmps: 2, binops: 1, puts: 1},
+		isa.OpLdb:   loadCount,
+		isa.OpLdw:   loadCount,
+		isa.OpStb:   storeCount,
+		isa.OpStw:   storeCount,
+		isa.OpBeq:   branchCount,
+		isa.OpBne:   branchCount,
+		isa.OpBlt:   branchCount,
+		isa.OpBge:   branchCount,
+		isa.OpJmp:   {stmts: 1, jumps: 1},
+		isa.OpJr:    {stmts: 2, wrtmps: 1, rdtmps: 1, jumps: 1},
+		isa.OpCall:  {stmts: 2, puts: 1, calls: 1},
+		isa.OpCallr: {stmts: 3, wrtmps: 1, rdtmps: 1, puts: 1, calls: 1},
+		isa.OpRet:   {stmts: 1},
+		isa.OpPush:  {stmts: 5, wrtmps: 3, rdtmps: 3, binops: 1, puts: 1, stores: 1},
+		isa.OpPop:   {stmts: 5, wrtmps: 3, rdtmps: 3, binops: 1, loads: 1, puts: 2},
+		isa.OpSys:   {stmts: 1, syss: 1},
+		isa.OpTramp: {stmts: 2, calls: 1},
+	}
+)
+
+// constNodes is how many Const nodes lifting in allocates: an immediate
+// operand outside the shared small range, or a call's return address. Return
+// addresses are counted as allocated, which holds for every text section
+// (each lies above the small range).
+func constNodes(in isa.Instr) int {
+	switch in.Op {
+	case isa.OpMovi, isa.OpAddi, isa.OpLdb, isa.OpLdw, isa.OpStb, isa.OpStw:
+		if !isSmallConst(int64(in.Imm)) {
+			return 1
+		}
+	case isa.OpCall, isa.OpCallr:
+		return 1
+	}
+	return 0
 }
 
 // Shared immutable nodes: one Get per guest register, one Ret, and the small
@@ -108,40 +169,48 @@ func (l *Lifter) GetExpr(r isa.Reg) *Get {
 	return l.gets.new(Get{R: r})
 }
 
+func isSmallConst(v int64) bool { return v >= 0 && v < int64(len(smallConsts)) }
+
 func (l *Lifter) cnst(v int64) *Const {
-	if v >= 0 && v < int64(len(smallConsts)) {
+	if isSmallConst(v) {
 		return &smallConsts[v]
 	}
 	return l.consts.new(Const{V: v})
 }
 
-// Reserve sizes the block and statement arenas for about n instructions, so
-// a caller that knows the function's extent up front (the CFG builder) pays
-// one allocation per arena instead of one per chunk. Instructions average
-// about three statements; the arenas fall back to chunking if the estimate
-// runs short.
-func (l *Lifter) Reserve(n int) {
-	if n <= 0 {
-		return
+// Reserve sizes the block and statement arrays and every node arena for
+// exactly the instructions in ins, so a caller that knows a function's
+// instructions before lifting them (the CFG builder) pays one allocation per
+// arena and keeps no slack. Lifting anything beyond ins falls back to plain
+// chunks.
+func (l *Lifter) Reserve(ins []isa.Instr) {
+	var c liftCount
+	consts, blocks := 0, 0
+	for _, in := range ins {
+		if int(in.Op) >= len(liftCounts) {
+			continue // Lift rejects it without emitting anything
+		}
+		c.add(liftCounts[in.Op])
+		consts += constNodes(in)
+		blocks++
 	}
-	if cap(l.blocks)-len(l.blocks) < n {
-		l.blocks = make([]Block, 0, n)
+	if cap(l.blocks)-len(l.blocks) < blocks {
+		l.blocks = make([]Block, 0, blocks)
 	}
-	if want := 3*n + maxLiftStmts; cap(l.stmts)-len(l.stmts) < want {
-		l.stmts = make([]Stmt, 0, want)
+	if cap(l.stmts)-len(l.stmts) < c.stmts {
+		l.stmts = make([]Stmt, 0, c.stmts)
 	}
-	// Pre-size the hot node arenas from the instruction count. The ratios
-	// come from the lift templates: most instructions read one or two
-	// registers (a WrTmp/RdTmp pair each) and write one (a Put), and ALU and
-	// memory ops add a Binop. Overshoot is bounded by one chunk per arena
-	// and undershoot falls back to geometric chunking.
-	l.wrtmps.reserve(n + n/2)
-	l.rdtmps.reserve(n + n/2)
-	l.puts.reserve(n)
-	l.binops.reserve(n)
-	l.consts.reserve(n / 2)
-	l.loads.reserve(n / 4)
-	l.stores.reserve(n / 4)
+	l.wrtmps.reserve(c.wrtmps)
+	l.rdtmps.reserve(c.rdtmps)
+	l.puts.reserve(c.puts)
+	l.binops.reserve(c.binops)
+	l.loads.reserve(c.loads)
+	l.stores.reserve(c.stores)
+	l.exits.reserve(c.exits)
+	l.jumps.reserve(c.jumps)
+	l.calls.reserve(c.calls)
+	l.syss.reserve(c.syss)
+	l.consts.reserve(consts)
 }
 
 // NewLifter returns a lifter with a fresh temporary namespace.
@@ -187,11 +256,16 @@ func (l *Lifter) bin(op BinOp, x, y Expr) Expr {
 // Lift translates one instruction at the given address. The address is
 // needed to resolve fall-through targets of conditional branches.
 func (l *Lifter) Lift(addr uint32, in isa.Instr) (*Block, error) {
-	if len(l.blocks) == cap(l.blocks) {
-		l.blocks = make([]Block, 0, blockChunk)
+	if int(in.Op) >= len(liftCounts) {
+		return nil, fmt.Errorf("ir: cannot lift %v at 0x%x", in.Op, addr)
 	}
-	if cap(l.stmts)-len(l.stmts) < maxLiftStmts {
-		l.stmts = make([]Stmt, 0, stmtChunk)
+	// A block's statements are one subslice, so they must fit the current
+	// statement chunk.
+	if len(l.blocks) == cap(l.blocks) {
+		l.blocks = make([]Block, 0, plainChunk)
+	}
+	if cap(l.stmts)-len(l.stmts) < liftCounts[in.Op].stmts {
+		l.stmts = make([]Stmt, 0, plainChunk)
 	}
 	l.blocks = append(l.blocks, Block{Addr: addr, Raw: in})
 	b := &l.blocks[len(l.blocks)-1]
@@ -275,9 +349,6 @@ func (l *Lifter) Lift(addr uint32, in isa.Instr) (*Block, error) {
 		l.emit(l.calls.new(Call{Kind: CallTramp, GOT: uint32(in.Imm)}))
 		l.emit(&retNode)
 
-	default:
-		l.blocks = l.blocks[:len(l.blocks)-1]
-		return nil, fmt.Errorf("ir: cannot lift %v at 0x%x", in.Op, addr)
 	}
 	if end := len(l.stmts); end > start {
 		b.Stmts = l.stmts[start:end:end]
@@ -285,8 +356,10 @@ func (l *Lifter) Lift(addr uint32, in isa.Instr) (*Block, error) {
 	return b, nil
 }
 
-// LiftAll lifts a contiguous run of instructions starting at base.
+// LiftAll lifts a contiguous run of instructions starting at base, reserving
+// for exactly them first.
 func (l *Lifter) LiftAll(base uint32, ins []isa.Instr) ([]*Block, error) {
+	l.Reserve(ins)
 	out := make([]*Block, 0, len(ins))
 	for i, in := range ins {
 		b, err := l.Lift(base+uint32(i*isa.Width), in)
