@@ -3,6 +3,7 @@ package fits
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash"
@@ -70,6 +71,80 @@ func TestRankingsGolden(t *testing.T) {
 	}
 	if got := fmt.Sprintf("%x", h.Sum(nil)); got != rankingsGolden {
 		t.Errorf("rankings digest = %s, want %s", got, rankingsGolden)
+	}
+}
+
+// alertsGolden is the SHA-256 TestAlertsGolden pins. Update it only for a
+// change that is meant to move alerts, and say so in the change.
+const alertsGolden = "9431b9beb77019d5ccb5599a42da6fc310d8475a3f7813858599b2df72fa3de9"
+
+// TestAlertsGolden is TestRankingsGolden for the taint engines' output:
+// one digest over every dataset target's static-engine alerts under three
+// scan configurations (classical sources only; top-3 inferred sources with
+// the string filter; the same with both precision passes off), plus the
+// serialized XScan report of several cross-channel corpora in each mode.
+// Every alert field is hashed, Degraded included.
+func TestAlertsGolden(t *testing.T) {
+	h := sha256.New()
+	cache := NewCache(0, 0)
+	for i, spec := range synth.Dataset() {
+		s, err := synth.Generate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Analyze(s.Packed, Options{Metric: score.Cosine, Cache: cache})
+		if errors.Is(err, loader.ErrNoTargets) {
+			fmt.Fprintf(h, "image %d: no targets\n", i)
+			continue
+		}
+		if err != nil {
+			t.Fatalf("image %d: %v", i, err)
+		}
+		for _, tgt := range res.Targets {
+			var its []uint32
+			for _, c := range tgt.TopCandidates(3) {
+				its = append(its, c.Entry)
+			}
+			for j, opts := range []ScanOptions{
+				{Engine: EngineStatic},
+				{Engine: EngineStatic, ITS: its, StringFilter: true},
+				{Engine: EngineStatic, ITS: its, StringFilter: true, NoAlias: true, NoPathcheck: true},
+			} {
+				alerts, err := tgt.Scan(opts)
+				if err != nil {
+					t.Fatalf("image %d %s: %v", i, tgt.Path, err)
+				}
+				fmt.Fprintf(h, "image %d %s config %d: %d alerts\n", i, tgt.Path, j, len(alerts))
+				for _, a := range alerts {
+					fmt.Fprintf(h, "%s %#x %#x %s %s %s %v\n", a.Binary, a.Site, a.Func, a.Sink, a.Kind, a.Source, a.Degraded)
+				}
+			}
+		}
+	}
+	for seed := int64(1); seed <= 6; seed++ {
+		x, err := synth.GenerateXCorpus(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := make([]CorpusFile, len(x.Files))
+		for i, f := range x.Files {
+			files[i] = CorpusFile{Path: f.Path, Data: f.Data}
+		}
+		for _, mode := range []string{"cts", "its", "cross"} {
+			rep, err := XScan(files, XScanOptions{Mode: mode, StringFilter: true})
+			if err != nil {
+				t.Fatalf("xcorpus %d %s: %v", seed, mode, err)
+			}
+			out, err := json.Marshal(rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(h, "xcorpus %d %s\n", seed, mode)
+			h.Write(out)
+		}
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != alertsGolden {
+		t.Errorf("alerts digest = %s, want %s", got, alertsGolden)
 	}
 }
 
