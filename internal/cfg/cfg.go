@@ -11,6 +11,7 @@ package cfg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"fits/internal/binimg"
@@ -91,6 +92,27 @@ func (f *Function) BlocksInOrder() []*BasicBlock {
 		out = append(out, f.Blocks[a])
 	}
 	return out
+}
+
+// OrderIndex returns the position in f.Order of the block starting at
+// start, and whether there is one.
+func (f *Function) OrderIndex(start uint32) (int, bool) {
+	return slices.BinarySearch(f.Order, start)
+}
+
+// BlockAt returns the block whose instruction range covers addr, or nil.
+func (f *Function) BlockAt(addr uint32) *BasicBlock {
+	i, ok := f.OrderIndex(addr)
+	if !ok {
+		i-- // the last block starting below addr is the only candidate
+	}
+	if i < 0 {
+		return nil
+	}
+	if b := f.Blocks[f.Order[i]]; addr < b.End() {
+		return b
+	}
+	return nil
 }
 
 // Model is the whole-binary analysis result.

@@ -304,7 +304,7 @@ func TestDominatorProperties(t *testing.T) {
 		if _, ok := idom[a]; !ok {
 			continue // unreachable
 		}
-		if !dominates(idom, f.Entry, a) {
+		if !Dominates(idom, f.Entry, a) {
 			t.Errorf("entry does not dominate %#x", a)
 		}
 	}

@@ -4,9 +4,8 @@ import "slices"
 
 // findLoops computes natural loops from back edges using dominators.
 func findLoops(f *Function) []Loop {
-	idom := Dominators(f)
-	preds := predecessors(f)
-	_ = preds
+	preds := f.Predecessors()
+	idom := dominators(f, preds)
 	var loops []Loop
 	for _, ba := range f.Order {
 		b := f.Blocks[ba]
@@ -14,7 +13,7 @@ func findLoops(f *Function) []Loop {
 			if _, ok := f.Blocks[succ]; !ok {
 				continue
 			}
-			if dominates(idom, succ, ba) {
+			if Dominates(idom, succ, ba) {
 				loops = append(loops, naturalLoop(f, preds, succ, ba))
 			}
 		}
@@ -27,12 +26,15 @@ func findLoops(f *Function) []Loop {
 // the iterative dataflow algorithm (Cooper/Harvey/Kennedy). The entry block
 // maps to itself.
 func Dominators(f *Function) map[uint32]uint32 {
-	order := reversePostorder(f)
+	return dominators(f, f.Predecessors())
+}
+
+func dominators(f *Function, preds map[uint32][]uint32) map[uint32]uint32 {
+	order := f.ReversePostorder()
 	index := map[uint32]int{}
 	for i, a := range order {
 		index[a] = i
 	}
-	preds := predecessors(f)
 	idom := map[uint32]uint32{f.Entry: f.Entry}
 
 	intersect := func(a, b uint32) uint32 {
@@ -78,8 +80,9 @@ func Dominators(f *Function) map[uint32]uint32 {
 	return idom
 }
 
-// dominates reports whether a dominates b under the idom map.
-func dominates(idom map[uint32]uint32, a, b uint32) bool {
+// Dominates reports whether a dominates b under the idom map Dominators
+// returns.
+func Dominates(idom map[uint32]uint32, a, b uint32) bool {
 	for {
 		if a == b {
 			return true
@@ -109,8 +112,9 @@ func naturalLoop(f *Function, preds map[uint32][]uint32, head, tail uint32) Loop
 	return Loop{Head: head, Body: body}
 }
 
-// predecessors builds the reverse edge map, restricted to in-function blocks.
-func predecessors(f *Function) map[uint32][]uint32 {
+// Predecessors builds the reverse edge map, restricted to in-function
+// blocks; each list is in ascending block order.
+func (f *Function) Predecessors() map[uint32][]uint32 {
 	preds := map[uint32][]uint32{}
 	for _, ba := range f.Order {
 		for _, s := range f.Blocks[ba].Succs {
@@ -122,29 +126,42 @@ func predecessors(f *Function) map[uint32][]uint32 {
 	return preds
 }
 
-// reversePostorder returns block addresses in reverse postorder of a DFS
-// from the entry.
-func reversePostorder(f *Function) []uint32 {
-	var post []uint32
-	visited := map[uint32]bool{}
-	var dfs func(uint32)
-	dfs = func(a uint32) {
-		if visited[a] {
-			return
-		}
-		visited[a] = true
-		b, ok := f.Blocks[a]
-		if !ok {
-			return
-		}
-		for _, s := range b.Succs {
-			dfs(s)
-		}
-		post = append(post, a)
+// ReversePostorder returns the blocks reachable from the entry in reverse
+// postorder of a depth-first walk, restricted to the function's own blocks.
+// Successors are visited in their stored order, so the result is
+// deterministic for a given CFG.
+func (f *Function) ReversePostorder() []uint32 {
+	if _, ok := f.Blocks[f.Entry]; !ok {
+		return nil
 	}
-	dfs(f.Entry)
-	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
-		post[i], post[j] = post[j], post[i]
+	seen := make(map[uint32]bool, len(f.Blocks))
+	post := make([]uint32, 0, len(f.Blocks))
+	// Iterative DFS; the frame remembers how many successors were expanded.
+	type frame struct {
+		addr uint32
+		next int
 	}
+	stack := []frame{{addr: f.Entry}}
+	seen[f.Entry] = true
+	for len(stack) > 0 {
+		fr := &stack[len(stack)-1]
+		succs := f.Blocks[fr.addr].Succs
+		advanced := false
+		for fr.next < len(succs) {
+			s := succs[fr.next]
+			fr.next++
+			if _, ok := f.Blocks[s]; ok && !seen[s] {
+				seen[s] = true
+				stack = append(stack, frame{addr: s})
+				advanced = true
+				break
+			}
+		}
+		if !advanced {
+			post = append(post, fr.addr)
+			stack = stack[:len(stack)-1]
+		}
+	}
+	slices.Reverse(post)
 	return post
 }

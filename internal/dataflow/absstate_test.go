@@ -125,7 +125,7 @@ func TestAbsStateJoinMatchesMap(t *testing.T) {
 	for trial := 0; trial < 500; trial++ {
 		s, ms := randPair(rng, rng.Intn(20))
 		o, mo := randPair(rng, rng.Intn(20))
-		gotChanged := s.join(&o)
+		gotChanged := s.Join(&o)
 		wantChanged := ms.join(mo)
 		if gotChanged != wantChanged {
 			t.Fatalf("trial %d: join changed=%v, reference=%v", trial, gotChanged, wantChanged)
@@ -140,12 +140,12 @@ func TestAbsStateJoinIdempotentAndMonotone(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		s, _ := randPair(rng, rng.Intn(20))
 		o, _ := randPair(rng, rng.Intn(20))
-		s.join(&o)
-		if s.join(&o) {
+		s.Join(&o)
+		if s.Join(&o) {
 			t.Fatal("second join with the same state must report no change")
 		}
-		snapshot := s.clone()
-		if s.join(&snapshot) {
+		snapshot := s.Clone()
+		if s.Join(&snapshot) {
 			t.Fatal("self-join must report no change")
 		}
 	}
@@ -157,7 +157,7 @@ func TestAbsStateCloneIsolation(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 300; trial++ {
 		s, ms := randPair(rng, rng.Intn(20))
-		c := s.clone()
+		c := s.Clone()
 		mc := ms.clone()
 		for op := 0; op < 20; op++ {
 			l, v := randLoc(rng), randAVal(rng)
@@ -216,7 +216,7 @@ func TestAbsStateFixpointMatchesMapReference(t *testing.T) {
 				if !sHave[from] {
 					continue
 				}
-				out := sIn[from].clone()
+				out := sIn[from].Clone()
 				for _, w := range effects[from] {
 					out.set(w.l, w.v)
 				}
@@ -226,11 +226,11 @@ func TestAbsStateFixpointMatchesMapReference(t *testing.T) {
 				}
 				var sc, mc bool
 				if !sHave[to] {
-					sIn[to] = out.clone()
+					sIn[to] = out.Clone()
 					sHave[to] = true
 					sc = true
 				} else {
-					sc = sIn[to].join(&out)
+					sc = sIn[to].Join(&out)
 				}
 				if mIn[to] == nil {
 					mIn[to] = mout.clone()

@@ -11,6 +11,10 @@
 //     classifying arguments at every call site of a function as string
 //     constants by chasing registers back to constants and resolving them
 //     against the rodata/data sections (including GOT-style indirection).
+//
+// Forward, the reverse-postorder fixpoint solver under the first analysis,
+// is also the taint engine's: every intraprocedural fixpoint in the system
+// runs on it.
 package dataflow
 
 import "fits/internal/isa"
@@ -83,9 +87,9 @@ type absState struct {
 	shared  bool // entries are aliased by another state; copy before writing
 }
 
-// clone returns a state observationally equal to s. Both states keep sharing
+// Clone returns a state observationally equal to s. Both states keep sharing
 // the entry slice until one of them writes.
-func (s *absState) clone() absState {
+func (s *absState) Clone() absState {
 	s.shared = true
 	return absState{entries: s.entries, shared: true}
 }
@@ -138,10 +142,10 @@ func (s *absState) set(l loc, v AVal) {
 	s.entries[i] = stateEntry{loc: l, val: v}
 }
 
-// join merges another state into s, reporting whether s changed: bindings
+// Join merges another state into s, reporting whether s changed: bindings
 // present in both merge pointwise, bindings only in o are inserted, bindings
 // only in s are kept. This is observationally the map-based union join.
-func (s *absState) join(o *absState) bool {
+func (s *absState) Join(o *absState) bool {
 	if len(o.entries) == 0 {
 		return false
 	}

@@ -110,16 +110,11 @@ func BacktrackRegister(caller *cfg.Function, callAddr uint32, reg isa.Reg) (uint
 // (or its spill slot), the value is the caller's own parameter, enabling
 // interprocedural argument binding.
 func BacktrackArg(caller *cfg.Function, callAddr uint32, reg isa.Reg) ArgOrigin {
-	blk := blockContaining(caller, callAddr)
+	blk := caller.BlockAt(callAddr)
 	if blk == nil {
 		return ArgOrigin{}
 	}
-	preds := map[uint32][]uint32{}
-	for _, ba := range caller.Order {
-		for _, s := range caller.Blocks[ba].Succs {
-			preds[s] = append(preds[s], ba)
-		}
-	}
+	var preds map[uint32][]uint32 // built on the first block boundary crossed
 
 	// Tracking target: a register or a stack slot (entry-SP relative; the
 	// compiled frame keeps SP constant through the body).
@@ -173,6 +168,9 @@ func BacktrackArg(caller *cfg.Function, callAddr uint32, reg isa.Reg) ArgOrigin 
 				return ArgOrigin{Kind: OriginParam, Param: int(target)}
 			}
 			return ArgOrigin{}
+		}
+		if preds == nil {
+			preds = caller.Predecessors()
 		}
 		ps := preds[blk.Start]
 		if len(ps) != 1 {
@@ -407,16 +405,6 @@ func printable(s []byte) bool {
 		}
 	}
 	return true
-}
-
-func blockContaining(f *cfg.Function, addr uint32) *cfg.BasicBlock {
-	for _, ba := range f.Order {
-		b := f.Blocks[ba]
-		if addr >= b.Start && addr < b.End() {
-			return b
-		}
-	}
-	return nil
 }
 
 func indexOf(b *cfg.BasicBlock, addr uint32) int {

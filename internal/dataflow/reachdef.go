@@ -15,8 +15,9 @@ type FlowFacts struct {
 	ParamControlsBranch bool
 	ParamToAnchor       bool
 	TaintedReturn       bool
-	// Truncated reports that the fixpoint budget ran out before the dataflow
-	// converged; the other facts are then a sound-but-incomplete snapshot.
+	// Truncated reports that the fixpoint pass budget ran out before the
+	// dataflow converged; the other facts are then a sound-but-incomplete
+	// snapshot.
 	Truncated bool
 }
 
@@ -29,16 +30,6 @@ type AnchorInfo struct {
 // AnchorFunc classifies a call site; the loader provides an implementation
 // that matches import names against the anchor set.
 type AnchorFunc func(cs cfg.CallSite) AnchorInfo
-
-// maxPasses bounds the fixpoint as full sweeps over the blocks in reverse
-// postorder, not worklist pops: one pass visits every pending block once, so
-// the budget a function gets scales with its size instead of silently
-// starving large functions. The lattice is shallow (taint bits only grow,
-// shapes only collapse to Top), so convergence needs about one pass per
-// level of loop nesting; 64 is far beyond any real CFG and exists only as a
-// runaway guard. Exhaustion is surfaced via FlowFacts.Truncated. A variable
-// only so tests can drive the truncation path.
-var maxPasses = 64
 
 // Analyze runs the reaching-definition taint dataflow over fn and extracts
 // its flow facts. anchors may be nil when anchor classification is not
@@ -88,52 +79,6 @@ func (a *analyzer) getTmp(t ir.Temp) (AVal, bool) {
 	return AVal{}, false
 }
 
-// rpo returns the blocks reachable from the entry in reverse postorder,
-// restricted to blocks that exist in fn.Blocks. Successors are traversed in
-// their stored order; the result is deterministic for a given CFG.
-func rpo(fn *cfg.Function) []uint32 {
-	if _, ok := fn.Blocks[fn.Entry]; !ok {
-		return nil
-	}
-	seen := make(map[uint32]bool, len(fn.Blocks))
-	post := make([]uint32, 0, len(fn.Blocks))
-	// Iterative DFS; the frame remembers how many successors were expanded.
-	type frame struct {
-		addr uint32
-		next int
-	}
-	stack := []frame{{addr: fn.Entry}}
-	seen[fn.Entry] = true
-	for len(stack) > 0 {
-		fr := &stack[len(stack)-1]
-		succs := fn.Blocks[fr.addr].Succs
-		advanced := false
-		for fr.next < len(succs) {
-			s := succs[fr.next]
-			fr.next++
-			if seen[s] {
-				continue
-			}
-			if _, ok := fn.Blocks[s]; !ok {
-				continue
-			}
-			seen[s] = true
-			stack = append(stack, frame{addr: s})
-			advanced = true
-			break
-		}
-		if !advanced {
-			post = append(post, fr.addr)
-			stack = stack[:len(stack)-1]
-		}
-	}
-	// Reverse the postorder in place.
-	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
-		post[i], post[j] = post[j], post[i]
-	}
-	return post
-}
-
 func (a *analyzer) run() FlowFacts {
 	// Lazily built lookup tables: most functions have no loops and many have
 	// no calls, so empty maps would just be allocation noise on a path that
@@ -152,75 +97,16 @@ func (a *analyzer) run() FlowFacts {
 	}
 	entry.set(regLoc(isa.SP), AVal{Kind: KSPRel, C: 0})
 
-	// Fixpoint over the blocks in reverse postorder: forward analyses
-	// converge in a handful of RPO sweeps because every block sees its
-	// forward predecessors' fresh output within the same pass, and the visit
-	// order — hence the join order, hence the intermediate states — no
-	// longer depends on how a worklist happened to be popped.
-	order := rpo(a.fn)
-	idx := make(map[uint32]int, len(order))
-	for i, b := range order {
-		idx[b] = i
-	}
-	// One node record per RPO position: input state plus the worklist bits,
-	// fused into a single allocation.
-	type node struct {
-		in    absState
-		dirty bool
-		have  bool
-	}
-	nodes := make([]node, len(order))
-	if len(order) > 0 {
-		nodes[0] = node{in: entry, have: true, dirty: true}
-	}
-	converged := len(order) == 0
-	for pass := 0; pass < maxPasses; pass++ {
-		pending := false
-		for i, b := range order {
-			if !nodes[i].dirty {
-				continue
-			}
-			nodes[i].dirty = false
-			blk := a.fn.Blocks[b]
-			out := nodes[i].in.clone()
-			a.transfer(blk, &out)
-			for _, succ := range blk.Succs {
-				si, ok := idx[succ]
-				if !ok {
-					continue
-				}
-				if !nodes[si].have {
-					nodes[si].in = out.clone()
-					nodes[si].have = true
-				} else if !nodes[si].in.join(&out) {
-					continue
-				}
-				if !nodes[si].dirty {
-					nodes[si].dirty = true
-					if si <= i {
-						pending = true // back edge: needs another pass
-					}
-				}
-			}
-		}
-		if !pending {
-			converged = true
-			break
-		}
-	}
-	if !converged {
-		a.facts.Truncated = true
-	}
+	sol := Forward(a.fn, entry, a.transfer)
+	a.facts.Truncated = !sol.Converged
 
 	// Final recording pass over the fixed point.
 	a.record = true
 	for _, ba := range a.fn.Order {
-		i, ok := idx[ba]
-		if !ok || !nodes[i].have {
-			continue
+		if in := sol.In(ba); in != nil {
+			st := in.Clone()
+			a.transfer(a.fn.Blocks[ba], &st)
 		}
-		st := nodes[i].in.clone()
-		a.transfer(a.fn.Blocks[ba], &st)
 	}
 	return a.facts
 }
@@ -245,7 +131,7 @@ func (a *analyzer) eval(e ir.Expr, st *absState) AVal {
 		t := l.Taint | r.Taint
 		switch {
 		case l.Kind == KConst && r.Kind == KConst:
-			return AVal{Kind: KConst, C: foldConst(e.Op, l.C, r.C), Taint: t}
+			return AVal{Kind: KConst, C: int32(e.Op.Fold(uint32(l.C), uint32(r.C))), Taint: t}
 		case e.Op == ir.Add && l.Kind == KSPRel && r.Kind == KConst:
 			return AVal{Kind: KSPRel, C: l.C + r.C, Taint: t}
 		case e.Op == ir.Add && l.Kind == KConst && r.Kind == KSPRel:
@@ -343,47 +229,4 @@ func (a *analyzer) transfer(blk *cfg.BasicBlock, st *absState) {
 			}
 		}
 	}
-}
-
-func foldConst(op ir.BinOp, a, b int32) int32 {
-	switch op {
-	case ir.Add:
-		return a + b
-	case ir.Sub:
-		return a - b
-	case ir.Mul:
-		return a * b
-	case ir.Div:
-		if b == 0 {
-			return 0
-		}
-		return a / b
-	case ir.And:
-		return a & b
-	case ir.Or:
-		return a | b
-	case ir.Xor:
-		return a ^ b
-	case ir.Shl:
-		return int32(uint32(a) << (uint32(b) & 31))
-	case ir.Shr:
-		return int32(uint32(a) >> (uint32(b) & 31))
-	case ir.CmpEQ:
-		if a == b {
-			return 1
-		}
-	case ir.CmpNE:
-		if a != b {
-			return 1
-		}
-	case ir.CmpLT:
-		if a < b {
-			return 1
-		}
-	case ir.CmpGE:
-		if a >= b {
-			return 1
-		}
-	}
-	return 0
 }

@@ -78,6 +78,53 @@ func (o BinOp) String() string {
 	return fmt.Sprintf("BinOp(%d)", uint8(o))
 }
 
+// Fold evaluates the operator on two 32-bit words, the one definition of
+// the IR's arithmetic every analysis folds constants with. Div and the
+// ordering comparisons are signed; division by zero yields 0 (and
+// MinInt32 / -1 wraps to MinInt32); shift counts are taken mod 32 and Shr
+// is logical; comparisons yield 1 or 0. Unknown operators yield 0.
+func (o BinOp) Fold(a, b uint32) uint32 {
+	switch o {
+	case Add:
+		return a + b
+	case Sub:
+		return a - b
+	case Mul:
+		return a * b
+	case Div:
+		if b == 0 {
+			return 0
+		}
+		return uint32(int32(a) / int32(b))
+	case And:
+		return a & b
+	case Or:
+		return a | b
+	case Xor:
+		return a ^ b
+	case Shl:
+		return a << (b & 31)
+	case Shr:
+		return a >> (b & 31)
+	case CmpEQ:
+		return b2u(a == b)
+	case CmpNE:
+		return b2u(a != b)
+	case CmpLT:
+		return b2u(int32(a) < int32(b))
+	case CmpGE:
+		return b2u(int32(a) >= int32(b))
+	}
+	return 0
+}
+
+func b2u(b bool) uint32 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // Binop combines two expressions.
 type Binop struct {
 	Op   BinOp

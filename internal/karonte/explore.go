@@ -210,8 +210,7 @@ func (e *Engine) eval(p *pstate, x ir.Expr) kval {
 		r := e.eval(p, x.R)
 		label := mergeLabel(p, l.label, r.label)
 		if l.concrete && r.concrete {
-			v := foldConc(x.Op, l.c, r.c)
-			return kval{concrete: true, c: v, label: label}
+			return kval{concrete: true, c: x.Op.Fold(l.c, r.c), label: label}
 		}
 		// Additive pointer arithmetic keeps the symbolic base.
 		if x.Op == ir.Add || x.Op == ir.Sub {
@@ -516,47 +515,4 @@ func (e *Engine) applyImport(p *pstate, site uint32, name string) {
 		label = mergeLabel(p, label, p.regs[r].label)
 	}
 	p.regs[isa.R0] = symval(e.freshSym(), label)
-}
-
-func foldConc(op ir.BinOp, a, b uint32) uint32 {
-	switch op {
-	case ir.Add:
-		return a + b
-	case ir.Sub:
-		return a - b
-	case ir.Mul:
-		return a * b
-	case ir.Div:
-		if b == 0 {
-			return 0
-		}
-		return uint32(int32(a) / int32(b))
-	case ir.And:
-		return a & b
-	case ir.Or:
-		return a | b
-	case ir.Xor:
-		return a ^ b
-	case ir.Shl:
-		return a << (b & 31)
-	case ir.Shr:
-		return a >> (b & 31)
-	case ir.CmpEQ:
-		if a == b {
-			return 1
-		}
-	case ir.CmpNE:
-		if a != b {
-			return 1
-		}
-	case ir.CmpLT:
-		if int32(a) < int32(b) {
-			return 1
-		}
-	case ir.CmpGE:
-		if int32(a) >= int32(b) {
-			return 1
-		}
-	}
-	return 0
 }

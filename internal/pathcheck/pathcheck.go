@@ -47,16 +47,17 @@ func Check(bin *binimg.Binary, fn *cfg.Function, site uint32) Result {
 	if fn == nil || fn.ImportStub {
 		return Result{}
 	}
-	sink := blockContaining(fn, site)
-	if sink == 0 && fn.Entry != 0 {
+	b := fn.BlockAt(site)
+	if b == nil {
 		return Result{}
 	}
+	sink := b.Start
 	idom := cfg.Dominators(fn)
 	chain := dominatorChain(fn, idom, sink)
 	if chain == nil || len(chain) > maxChain {
 		return Result{}
 	}
-	preds := predecessors(fn)
+	preds := fn.Predecessors()
 	reach := reachesSet(fn, preds, sink)
 
 	st := ucse.NewSymState(bin)
@@ -113,18 +114,6 @@ func Check(bin *binimg.Binary, fn *cfg.Function, site uint32) Result {
 	return Result{}
 }
 
-// blockContaining returns the start of the block whose instruction range
-// covers addr, or 0.
-func blockContaining(fn *cfg.Function, addr uint32) uint32 {
-	for _, ba := range fn.Order {
-		blk := fn.Blocks[ba]
-		if blk != nil && addr >= blk.Start && addr < blk.End() {
-			return ba
-		}
-	}
-	return 0
-}
-
 // dominatorChain returns entry..sink along immediate dominators, or nil
 // when the sink block is not connected to the entry in the dominator tree.
 func dominatorChain(fn *cfg.Function, idom map[uint32]uint32, sink uint32) []uint32 {
@@ -145,19 +134,6 @@ func dominatorChain(fn *cfg.Function, idom map[uint32]uint32, sink uint32) []uin
 		chain[len(rev)-1-i] = b
 	}
 	return chain
-}
-
-// predecessors maps each block to its in-function predecessors.
-func predecessors(fn *cfg.Function) map[uint32][]uint32 {
-	preds := map[uint32][]uint32{}
-	for _, ba := range fn.Order {
-		for _, s := range fn.Blocks[ba].Succs {
-			if _, ok := fn.Blocks[s]; ok {
-				preds[s] = append(preds[s], ba)
-			}
-		}
-	}
-	return preds
 }
 
 // reachesSet returns the set of blocks from which the sink block is

@@ -207,7 +207,7 @@ type CandidateReport struct {
 }
 
 // AlertReport is one taint alert. Degraded marks alerts from functions
-// where an analysis budget tripped (reaching-definition fixpoint or alias
+// where an analysis budget tripped (taint fixpoint pass budget or alias
 // fact budget), so consumers can see where precision silently fell back.
 type AlertReport struct {
 	Site     uint32 `json:"site"`

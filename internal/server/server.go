@@ -217,7 +217,7 @@ func New(cfg Config) (*Server, error) {
 	s.hCorpusRounds = s.reg.Histogram("fitsd_corpus_rounds", "Fixpoint rounds per completed corpus job.",
 		1, 2, 3, 4, 5, 6, 7, 8)
 	s.mTruncated = s.reg.Counter("fitsd_analysis_truncated_total",
-		"Alerts reported from functions where an analysis budget tripped (reaching-definition fixpoint or alias fact budget).")
+		"Alerts reported from functions where an analysis budget tripped (taint fixpoint pass budget or alias fact budget).")
 	// One analysis scheduler for the whole process, sized to GOMAXPROCS: the
 	// per-job worker count then bounds job concurrency while this bounds the
 	// total analysis goroutines those jobs fan out between them.

@@ -13,22 +13,19 @@ import (
 
 	"fits/internal/alias"
 	"fits/internal/cfg"
-	"fits/internal/dataflow"
 	"fits/internal/pathcheck"
 	"fits/internal/stagetime"
 )
 
 // PrecisionCache memoizes the pure per-function inputs of the precision
-// post-passes across engines over one binary: reaching-definition
-// truncation, points-to facts, and per-site path-feasibility verdicts
-// depend only on the binary's bytes, so callers that scan the same target
-// repeatedly (corpus fixpoint rounds, warm-cache rescans) share one cache
-// via Options.Precision instead of recomputing per engine. The zero value
-// is ready to use and safe for concurrent engines; a nil *PrecisionCache
-// keeps nothing.
+// post-passes across engines over one binary: points-to facts and per-site
+// path-feasibility verdicts depend only on the binary's bytes, so callers
+// that scan the same target repeatedly (corpus fixpoint rounds, warm-cache
+// rescans) share one cache via Options.Precision instead of recomputing per
+// engine. The zero value is ready to use and safe for concurrent engines; a
+// nil *PrecisionCache keeps nothing.
 type PrecisionCache struct {
 	mu    sync.Mutex
-	flow  map[uint32]bool         // function entry -> FlowFacts.Truncated
 	facts map[uint32]*alias.Facts // function entry -> points-to facts
 	path  map[pathKey]pathcheck.Result
 }
@@ -83,14 +80,6 @@ func (e *Engine) pathCheckAt(fn *cfg.Function, site uint32) pathcheck.Result {
 		})
 }
 
-// flowTruncated reports whether fn's reaching-definition fixpoint runs out
-// of budget.
-func (e *Engine) flowTruncated(fn *cfg.Function) bool {
-	return memo(e.opts.Precision,
-		func(c *PrecisionCache) *map[uint32]bool { return &c.flow },
-		fn.Entry, func() bool { return dataflow.Analyze(fn, nil).Truncated })
-}
-
 // aliasStoreTainted records that the store at instr in fn put a tainted
 // value through an unresolved pointer: every abstract location the store
 // may write becomes tainted.
@@ -129,9 +118,9 @@ func (e *Engine) aliasLoadTainted(fn *cfg.Function, instr uint32) bool {
 
 // finishAlerts applies the post-passes to every collected alert: path
 // feasibility (refute alerts whose branch constraints are contradictory)
-// and degradation tagging (mark alerts in functions where the
-// reaching-definition fixpoint or the alias fact budget tripped, so API
-// consumers can see where precision silently fell back).
+// and degradation tagging (mark alerts in functions where a taint fixpoint
+// ran out of passes or the alias fact budget tripped, so API consumers can
+// see where precision fell back).
 func (e *Engine) finishAlerts() {
 	if len(e.alerts) == 0 {
 		return
@@ -169,7 +158,7 @@ func (e *Engine) finishAlerts() {
 		}
 		d, seen := degraded[a.Func]
 		if !seen {
-			d = e.flowTruncated(fn)
+			d = e.unconverged[a.Func]
 			if !d {
 				if f := e.aliasFactsFor(fn); f != nil && f.Truncated {
 					d = true

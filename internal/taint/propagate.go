@@ -38,7 +38,8 @@ const (
 
 type tstate map[tloc]tval
 
-func (s tstate) clone() tstate {
+// Clone and Join make *tstate a dataflow.Lattice.
+func (s tstate) Clone() tstate {
 	ns := make(tstate, len(s))
 	for k, v := range s {
 		ns[k] = v
@@ -46,9 +47,9 @@ func (s tstate) clone() tstate {
 	return ns
 }
 
-func (s tstate) join(o tstate) bool {
+func (s tstate) Join(o *tstate) bool {
 	changed := false
-	for k, v := range o {
+	for k, v := range *o {
 		cur, ok := s[k]
 		if !ok {
 			s[k] = v
@@ -155,85 +156,39 @@ func (in *intra) run() {
 		}
 	}
 
-	states := map[uint32]tstate{fn.Entry: entry}
-	work := []uint32{fn.Entry}
-	inWork := map[uint32]bool{fn.Entry: true}
-	for iters := 0; len(work) > 0 && iters < 4096; iters++ {
-		b := work[0]
-		work = work[1:]
-		inWork[b] = false
-		blk := fn.Blocks[b]
-		if blk == nil {
-			continue
-		}
-		st, ok := states[b]
-		if !ok {
-			continue
-		}
-		out := in.transfer(blk, st.clone(), nil)
-		for _, succ := range blk.Succs {
-			if _, ok := fn.Blocks[succ]; !ok {
-				continue
-			}
-			cur, ok := states[succ]
-			if !ok {
-				states[succ] = out.clone()
-			} else if !cur.join(out) {
-				continue
-			}
-			if !inWork[succ] {
-				work = append(work, succ)
-				inWork[succ] = true
-			}
-		}
+	sol := dataflow.Forward(fn, entry, in.flow)
+	if !sol.Converged {
+		in.e.unconverged[fn.Entry] = true
 	}
 
 	// Pass 2a: find sanitizing blocks (dominating range checks on taint).
 	in.idom = cfg.Dominators(fn)
 	in.sanitizing = map[uint32]bool{}
 	for _, ba := range fn.Order {
-		st, ok := states[ba]
-		if !ok {
-			continue
-		}
-		obs := &observer{}
-		in.transfer(fn.Blocks[ba], st.clone(), obs)
-		if obs.rangeCheck {
-			in.sanitizing[ba] = true
+		if st := sol.In(ba); st != nil {
+			obs := &observer{}
+			in.transfer(fn.Blocks[ba], st.Clone(), obs)
+			if obs.rangeCheck {
+				in.sanitizing[ba] = true
+			}
 		}
 	}
 	// Pass 2b: alerts and interprocedural continuation.
 	for _, ba := range fn.Order {
-		st, ok := states[ba]
-		if !ok {
-			continue
+		if st := sol.In(ba); st != nil {
+			in.transfer(fn.Blocks[ba], st.Clone(), &observer{act: in})
 		}
-		obs := &observer{act: in}
-		in.transfer(fn.Blocks[ba], st.clone(), obs)
 	}
 }
 
 // sanitizedAt reports whether any sanitizing block strictly dominates blk.
 func (in *intra) sanitizedAt(blk uint32) bool {
 	for s := range in.sanitizing {
-		if s != blk && dominatesTaint(in.idom, s, blk) {
+		if s != blk && cfg.Dominates(in.idom, s, blk) {
 			return true
 		}
 	}
 	return false
-}
-
-func dominatesTaint(idom map[uint32]uint32, a, b uint32) bool {
-	for {
-		if a == b {
-			return true
-		}
-		next, ok := idom[b]
-		if !ok || next == b {
-			return false
-		}
-		b = next
-	}
 }
 
 // observer collects facts during a recording transfer.
@@ -242,9 +197,14 @@ type observer struct {
 	act        *intra // non-nil: raise alerts and recurse
 }
 
-// transfer interprets one block. obs selects recording behaviour; nil means
-// plain dataflow.
-func (in *intra) transfer(blk *cfg.BasicBlock, st tstate, obs *observer) tstate {
+// flow is the fixpoint's transfer: transfer without an observer.
+func (in *intra) flow(blk *cfg.BasicBlock, st *tstate) {
+	in.transfer(blk, *st, nil)
+}
+
+// transfer interprets one block, updating st in place. obs selects
+// recording behaviour; nil means plain dataflow.
+func (in *intra) transfer(blk *cfg.BasicBlock, st tstate, obs *observer) {
 	temps := map[ir.Temp]tval{}
 	texpr := map[ir.Temp]ir.Expr{}
 	var curInstr uint32 // instruction whose statements are being evaluated
@@ -268,7 +228,7 @@ func (in *intra) transfer(blk *cfg.BasicBlock, st tstate, obs *observer) tstate 
 			t := l.taint || r.taint
 			switch {
 			case l.kind == kConst && r.kind == kConst:
-				return tval{kind: kConst, c: foldTaint(e.Op, l.c, r.c), taint: t}
+				return tval{kind: kConst, c: int32(e.Op.Fold(uint32(l.c), uint32(r.c))), taint: t}
 			case e.Op == ir.Add && l.kind == kSPRel && r.kind == kConst:
 				return tval{kind: kSPRel, c: l.c + r.c, taint: t}
 			case e.Op == ir.Add && l.kind == kConst && r.kind == kSPRel:
@@ -357,7 +317,6 @@ func (in *intra) transfer(blk *cfg.BasicBlock, st tstate, obs *observer) tstate 
 			}
 		}
 	}
-	return st
 }
 
 // isRangeCheck recognizes a branch comparing a tainted value against a
@@ -450,31 +409,4 @@ func (in *intra) atCall(addr, blockStart uint32, st tstate, get func(tloc) tval)
 		}
 		in.e.propagateParams(callee, mask, in.from, in.key, in.via, in.depth+1)
 	}
-}
-
-func foldTaint(op ir.BinOp, a, b int32) int32 {
-	switch op {
-	case ir.Add:
-		return a + b
-	case ir.Sub:
-		return a - b
-	case ir.Mul:
-		return a * b
-	case ir.Div:
-		if b == 0 {
-			return 0
-		}
-		return a / b
-	case ir.And:
-		return a & b
-	case ir.Or:
-		return a | b
-	case ir.Xor:
-		return a ^ b
-	case ir.Shl:
-		return int32(uint32(a) << (uint32(b) & 31))
-	case ir.Shr:
-		return int32(uint32(a) >> (uint32(b) & 31))
-	}
-	return 0
 }

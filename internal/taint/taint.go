@@ -86,9 +86,9 @@ type Alert struct {
 	// like filtered ones and retained in AllAlerts for diagnostics.
 	Refuted string
 	// Degraded marks alerts from functions where an analysis budget
-	// tripped (reaching-definition fixpoint or alias fact budget): the
-	// engine fell back to coarser tracking around them, so their precision
-	// is that of the pre-budget passes.
+	// tripped (the taint fixpoint's pass budget or the alias fact budget):
+	// the engine fell back to coarser tracking around them, so their
+	// precision is that of the pre-budget passes.
 	Degraded bool
 }
 
@@ -174,6 +174,9 @@ type Engine struct {
 	// collects the abstract locations tainted stores were resolved to.
 	aliasFacts   map[uint32]*alias.Facts
 	aliasTainted map[alias.Loc]bool
+	// unconverged holds the entries of functions where a taint fixpoint ran
+	// out of its pass budget; their alerts are marked Degraded.
+	unconverged map[uint32]bool
 }
 
 // New prepares an engine.
@@ -190,6 +193,7 @@ func New(bin *binimg.Binary, model *cfg.Model, opts Options) *Engine {
 		taintedObjects: map[uint32]string{},
 		aliasFacts:     map[uint32]*alias.Facts{},
 		aliasTainted:   map[alias.Loc]bool{},
+		unconverged:    map[uint32]bool{},
 	}
 }
 

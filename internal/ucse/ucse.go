@@ -97,48 +97,7 @@ func simplify(op ir.BinOp, l, r SVal) SVal {
 	lc, lok := l.(SConst)
 	rc, rok := r.(SConst)
 	if lok && rok {
-		var v uint32
-		switch op {
-		case ir.Add:
-			v = lc.V + rc.V
-		case ir.Sub:
-			v = lc.V - rc.V
-		case ir.Mul:
-			v = lc.V * rc.V
-		case ir.Div:
-			if rc.V == 0 {
-				v = 0
-			} else {
-				v = uint32(int32(lc.V) / int32(rc.V))
-			}
-		case ir.And:
-			v = lc.V & rc.V
-		case ir.Or:
-			v = lc.V | rc.V
-		case ir.Xor:
-			v = lc.V ^ rc.V
-		case ir.Shl:
-			v = lc.V << (rc.V & 31)
-		case ir.Shr:
-			v = lc.V >> (rc.V & 31)
-		case ir.CmpEQ:
-			if lc.V == rc.V {
-				v = 1
-			}
-		case ir.CmpNE:
-			if lc.V != rc.V {
-				v = 1
-			}
-		case ir.CmpLT:
-			if int32(lc.V) < int32(rc.V) {
-				v = 1
-			}
-		case ir.CmpGE:
-			if int32(lc.V) >= int32(rc.V) {
-				v = 1
-			}
-		}
-		return SConst{V: v}
+		return SConst{V: op.Fold(lc.V, rc.V)}
 	}
 	// x + 0, x - 0 identities keep address expressions canonical.
 	if (op == ir.Add || op == ir.Sub) && rok && rc.V == 0 {

@@ -217,15 +217,6 @@ func TestSimplifyIdentities(t *testing.T) {
 	if v := simplify(ir.Add, SConst{V: 0}, u); v != SVal(u) {
 		t.Errorf("0+x = %v", v)
 	}
-	if v := simplify(ir.Add, SConst{V: 2}, SConst{V: 3}); v != (SConst{V: 5}) {
-		t.Errorf("2+3 = %v", v)
-	}
-	if v := simplify(ir.CmpLT, SConst{V: 0xffffffff}, SConst{V: 1}); v != (SConst{V: 1}) {
-		t.Errorf("signed -1<1 = %v", v)
-	}
-	if v := simplify(ir.Div, SConst{V: 5}, SConst{V: 0}); v != (SConst{V: 0}) {
-		t.Errorf("div0 = %v", v)
-	}
 	if _, ok := simplify(ir.Mul, u, SConst{V: 4}).(SBin); !ok {
 		t.Error("symbolic mul should stay symbolic")
 	}
