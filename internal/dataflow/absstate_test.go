@@ -1,9 +1,10 @@
 package dataflow
 
-// Property tests for the sorted-slice copy-on-write abstract state: every
-// observable behaviour (get after arbitrary set sequences, join results and
-// change reporting, clone isolation) must match the map-based representation
-// it replaced, on randomized states and operation sequences.
+// Property tests for the abstract state (inline registers plus a sorted-slice
+// copy-on-write memory): every observable behaviour (get after arbitrary set
+// sequences, join results and change reporting, clone isolation) must match
+// the map-based representation it replaced, on randomized states and
+// operation sequences.
 
 import (
 	"math/rand"
@@ -14,7 +15,7 @@ import (
 
 // mapState is the reference implementation: the pre-overhaul map-based
 // absState with its exact clone/join semantics.
-type mapState map[loc]AVal
+type mapState map[Loc]AVal
 
 func (s mapState) clone() mapState {
 	ns := make(mapState, len(s))
@@ -43,14 +44,14 @@ func (s mapState) join(o mapState) bool {
 
 // randLoc draws from a deliberately small location universe so collisions
 // (the interesting case for join/set) are frequent.
-func randLoc(rng *rand.Rand) loc {
+func randLoc(rng *rand.Rand) Loc {
 	switch rng.Intn(3) {
 	case 0:
-		return regLoc(isa.Reg(rng.Intn(8)))
+		return RegLoc(isa.Reg(rng.Intn(isa.NumRegs)))
 	case 1:
-		return slotLoc(int32(rng.Intn(8)*4 - 16)) // mix of negative and positive offsets
+		return SlotLoc(int32(rng.Intn(8)*4 - 16)) // mix of negative and positive offsets
 	default:
-		return globLoc(uint32(0x1000 + rng.Intn(4)*4))
+		return GlobLoc(uint32(0x1000 + rng.Intn(4)*4))
 	}
 }
 
@@ -62,27 +63,28 @@ func randAVal(rng *rand.Rand) AVal {
 	}
 }
 
-// locUniverse enumerates every location the random generators can produce.
-func locUniverse() []loc {
-	var out []loc
-	for r := 0; r < 8; r++ {
-		out = append(out, regLoc(isa.Reg(r)))
+// locUniverse enumerates every location the random generators can produce,
+// every register (SP and LR included) among them.
+func locUniverse() []Loc {
+	var out []Loc
+	for r := 0; r < isa.NumRegs; r++ {
+		out = append(out, RegLoc(isa.Reg(r)))
 	}
 	for o := 0; o < 8; o++ {
-		out = append(out, slotLoc(int32(o*4-16)))
+		out = append(out, SlotLoc(int32(o*4-16)))
 	}
 	for g := 0; g < 4; g++ {
-		out = append(out, globLoc(uint32(0x1000+g*4)))
+		out = append(out, GlobLoc(uint32(0x1000+g*4)))
 	}
 	return out
 }
 
-func randPair(rng *rand.Rand, n int) (absState, mapState) {
-	var s absState
+func randPair(rng *rand.Rand, n int) (State, mapState) {
+	var s State
 	m := mapState{}
 	for k := 0; k < n; k++ {
 		l, v := randLoc(rng), randAVal(rng)
-		s.set(l, v)
+		s.Set(l, v)
 		m[l] = v
 	}
 	return s, m
@@ -90,14 +92,14 @@ func randPair(rng *rand.Rand, n int) (absState, mapState) {
 
 // assertEqual checks s and m agree on every location in the universe,
 // including ones neither has bound (both must read untainted Top).
-func assertEqual(t *testing.T, ctx string, s *absState, m mapState) {
+func assertEqual(t *testing.T, ctx string, s *State, m mapState) {
 	t.Helper()
 	for _, l := range locUniverse() {
 		want, ok := m[l]
 		if !ok {
 			want = AVal{Kind: KTop}
 		}
-		if got := s.get(l); got != want {
+		if got := s.Get(l); got != want {
 			t.Fatalf("%s: loc %#x: slice=%+v map=%+v", ctx, uint64(l), got, want)
 		}
 	}
@@ -107,9 +109,20 @@ func assertEqual(t *testing.T, ctx string, s *absState, m mapState) {
 			bound++
 		}
 	}
-	if len(s.entries) != bound {
-		t.Fatalf("%s: %d entries, reference binds %d locations", ctx, len(s.entries), bound)
+	if n := bindings(s); n != bound {
+		t.Fatalf("%s: %d bindings, reference binds %d locations", ctx, n, bound)
 	}
+}
+
+// bindings counts the locations s binds: bound registers plus memory entries.
+func bindings(s *State) int {
+	n := len(s.mem)
+	for r := range s.regs {
+		if s.bound&(1<<r) != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 func TestAbsStateSetGetMatchesMap(t *testing.T) {
@@ -162,10 +175,10 @@ func TestAbsStateCloneIsolation(t *testing.T) {
 		for op := 0; op < 20; op++ {
 			l, v := randLoc(rng), randAVal(rng)
 			if rng.Intn(2) == 0 {
-				s.set(l, v)
+				s.Set(l, v)
 				ms[l] = v
 			} else {
-				c.set(l, v)
+				c.Set(l, v)
 				mc[l] = v
 			}
 		}
@@ -190,7 +203,7 @@ func TestAbsStateFixpointMatchesMapReference(t *testing.T) {
 		}
 		// Random per-block write effects.
 		type write struct {
-			l loc
+			l Loc
 			v AVal
 		}
 		effects := make([][]write, blocks)
@@ -201,7 +214,7 @@ func TestAbsStateFixpointMatchesMapReference(t *testing.T) {
 		}
 
 		entryS, entryM := randPair(rng, 4)
-		sIn := make([]absState, blocks)
+		sIn := make([]State, blocks)
 		mIn := make([]mapState, blocks)
 		sHave := make([]bool, blocks)
 		sIn[0] = entryS
@@ -218,7 +231,7 @@ func TestAbsStateFixpointMatchesMapReference(t *testing.T) {
 				}
 				out := sIn[from].Clone()
 				for _, w := range effects[from] {
-					out.set(w.l, w.v)
+					out.Set(w.l, w.v)
 				}
 				mout := mIn[from].clone()
 				for _, w := range effects[from] {
@@ -257,4 +270,50 @@ func TestAbsStateFixpointMatchesMapReference(t *testing.T) {
 			assertEqual(t, "fixpoint block", &sIn[b], mIn[b])
 		}
 	}
+}
+
+// FuzzAbsState replays a byte-coded sequence of set, clone and join steps on
+// two states and their map references, comparing every location after each
+// step: the fuzzer explores the copy-on-write and bound-register corners
+// (a clone written on one side only, a join into a state sharing its memory)
+// that the seeded random tests reach only by luck.
+func FuzzAbsState(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte{0x10, 0x20, 0x31, 0x42, 0x53, 0x64, 0x75, 0x86, 0x97, 0xa8, 0xb9, 0xca})
+	f.Add([]byte{0xff, 0x00, 0xfe, 0x01, 0xfd, 0x02, 0xfc, 0x03})
+	universe := locUniverse()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		var st [2]State
+		ms := [2]mapState{{}, {}}
+		for len(data) > 0 {
+			op := next()
+			i := int(op>>7) & 1 // which state the step acts on
+			switch op & 3 {
+			case 0, 1:
+				l := universe[int(next())%len(universe)]
+				b := next()
+				v := AVal{Kind: ValKind(b % 3), C: int32(b>>2&3) - 1, Taint: ParamMask(b >> 4)}
+				st[i].Set(l, v)
+				ms[i][l] = v
+			case 2:
+				st[1-i] = st[i].Clone()
+				ms[1-i] = ms[i].clone()
+			case 3:
+				got, want := st[i].Join(&st[1-i]), ms[i].join(ms[1-i])
+				if got != want {
+					t.Fatalf("join changed=%v, reference=%v", got, want)
+				}
+			}
+			assertEqual(t, "state 0", &st[0], ms[0])
+			assertEqual(t, "state 1", &st[1], ms[1])
+		}
+	})
 }

@@ -44,58 +44,15 @@ type analyzer struct {
 	anchors AnchorFunc
 	facts   FlowFacts
 	record  bool
-	inLoop  map[uint32]bool
-	// temps is the per-block temporary environment, indexed by temp number
-	// (temps are numbered per function by the lifter, so the slice is dense).
-	// An entry is live only when its epoch matches the current one; bumping
-	// the epoch at each block start clears the environment without touching
-	// memory, and the slices grow geometrically instead of re-growing a map
-	// per Analyze call.
-	temps  []AVal
-	tepoch []uint32
-	epoch  uint32
-}
-
-func (a *analyzer) setTmp(t ir.Temp, v AVal) {
-	if int(t) >= len(a.temps) {
-		n := 2 * (int(t) + 1)
-		if n < 64 {
-			n = 64
-		}
-		temps := make([]AVal, n)
-		copy(temps, a.temps)
-		tepoch := make([]uint32, n)
-		copy(tepoch, a.tepoch)
-		a.temps, a.tepoch = temps, tepoch
-	}
-	a.temps[t] = v
-	a.tepoch[t] = a.epoch
-}
-
-func (a *analyzer) getTmp(t ir.Temp) (AVal, bool) {
-	if int(t) < len(a.temps) && a.tepoch[t] == a.epoch {
-		return a.temps[t], true
-	}
-	return AVal{}, false
+	temps   Temps
 }
 
 func (a *analyzer) run() FlowFacts {
-	// Lazily built lookup tables: most functions have no loops and many have
-	// no calls, so empty maps would just be allocation noise on a path that
-	// runs once per function per vector extraction.
-	if len(a.fn.Loops) > 0 {
-		a.inLoop = make(map[uint32]bool, 8)
-		for _, lp := range a.fn.Loops {
-			for b := range lp.Body {
-				a.inLoop[b] = true
-			}
-		}
-	}
-	var entry absState
+	var entry State
 	for i := 0; i < a.fn.Params && i < 4; i++ {
-		entry.set(regLoc(isa.Reg(i)), AVal{Kind: KTop, Taint: ParamMask(1 << i)})
+		entry.Set(RegLoc(isa.Reg(i)), AVal{Kind: KTop, Taint: ParamMask(1 << i)})
 	}
-	entry.set(regLoc(isa.SP), AVal{Kind: KSPRel, C: 0})
+	entry.Set(RegLoc(isa.SP), AVal{Kind: KSPRel, C: 0})
 
 	sol := Forward(a.fn, entry, a.transfer)
 	a.facts.Truncated = !sol.Converged
@@ -111,44 +68,42 @@ func (a *analyzer) run() FlowFacts {
 	return a.facts
 }
 
+// inLoop reports whether block b lies in a natural loop. Only the recording
+// pass asks, once per parameter-controlled branch, so a scan of the loops
+// is cheaper than a lookup table built on every Analyze call.
+func (a *analyzer) inLoop(b uint32) bool {
+	for _, lp := range a.fn.Loops {
+		if lp.Body[b] {
+			return true
+		}
+	}
+	return false
+}
+
 // eval computes one IR expression over the abstract state. A method rather
 // than a closure inside transfer: transfer runs once per block visit on the
 // pipeline's hottest path, and the closure pair (function object plus the
 // captured recursion cell) was one heap allocation per visit each.
-func (a *analyzer) eval(e ir.Expr, st *absState) AVal {
+func (a *analyzer) eval(e ir.Expr, st *State) AVal {
 	switch e := e.(type) {
 	case *ir.Const:
 		return AVal{Kind: KConst, C: int32(e.V)}
 	case *ir.RdTmp:
-		if v, ok := a.getTmp(e.T); ok {
-			return v
-		}
-		return AVal{Kind: KTop}
+		v, _ := a.temps.Get(e.T)
+		return v
 	case *ir.Get:
-		return st.get(regLoc(e.R))
+		return st.Get(RegLoc(e.R))
 	case *ir.Binop:
-		l, r := a.eval(e.L, st), a.eval(e.R, st)
-		t := l.Taint | r.Taint
-		switch {
-		case l.Kind == KConst && r.Kind == KConst:
-			return AVal{Kind: KConst, C: int32(e.Op.Fold(uint32(l.C), uint32(r.C))), Taint: t}
-		case e.Op == ir.Add && l.Kind == KSPRel && r.Kind == KConst:
-			return AVal{Kind: KSPRel, C: l.C + r.C, Taint: t}
-		case e.Op == ir.Add && l.Kind == KConst && r.Kind == KSPRel:
-			return AVal{Kind: KSPRel, C: r.C + l.C, Taint: t}
-		case e.Op == ir.Sub && l.Kind == KSPRel && r.Kind == KConst:
-			return AVal{Kind: KSPRel, C: l.C - r.C, Taint: t}
-		}
-		return top(t)
+		return Binop(e.Op, a.eval(e.L, st), a.eval(e.R, st))
 	case *ir.Load:
 		addr := a.eval(e.Addr, st)
 		switch addr.Kind {
 		case KSPRel:
-			v := st.get(slotLoc(addr.C))
+			v := st.Get(SlotLoc(addr.C))
 			v.Taint |= addr.Taint
 			return v
 		case KConst:
-			v := st.get(globLoc(uint32(addr.C)))
+			v := st.Get(GlobLoc(uint32(addr.C)))
 			v.Taint |= addr.Taint
 			return AVal{Kind: KTop, Taint: v.Taint}
 		}
@@ -160,30 +115,30 @@ func (a *analyzer) eval(e ir.Expr, st *absState) AVal {
 }
 
 // transfer interprets one basic block over an abstract state, mutating st.
-func (a *analyzer) transfer(blk *cfg.BasicBlock, st *absState) {
-	a.epoch++
+func (a *analyzer) transfer(blk *cfg.BasicBlock, st *State) {
 	for _, irb := range blk.IR {
+		a.temps.Reset()
 		for _, s := range irb.Stmts {
 			switch s := s.(type) {
 			case *ir.WrTmp:
-				a.setTmp(s.T, a.eval(s.E, st))
+				a.temps.Set(s.T, s.E, a.eval(s.E, st))
 			case *ir.Put:
-				st.set(regLoc(s.R), a.eval(s.E, st))
+				st.Set(RegLoc(s.R), a.eval(s.E, st))
 			case *ir.Store:
 				addr := a.eval(s.Addr, st)
 				val := a.eval(s.Val, st)
 				switch addr.Kind {
 				case KSPRel:
-					st.set(slotLoc(addr.C), val)
+					st.Set(SlotLoc(addr.C), val)
 				case KConst:
-					st.set(globLoc(uint32(addr.C)), val)
+					st.Set(GlobLoc(uint32(addr.C)), val)
 				}
 			case *ir.Exit:
 				if a.record {
 					cond := a.eval(s.Cond, st)
 					if cond.Taint.Has() {
 						a.facts.ParamControlsBranch = true
-						if a.inLoop[blk.Start] {
+						if !a.facts.ParamControlsLoop && a.inLoop(blk.Start) {
 							a.facts.ParamControlsLoop = true
 						}
 					}
@@ -202,30 +157,19 @@ func (a *analyzer) transfer(blk *cfg.BasicBlock, st *absState) {
 							continue
 						}
 						for i := 0; i < info.Arity && i < 4; i++ {
-							if st.get(regLoc(isa.Reg(i))).Taint.Has() {
+							if st.Get(RegLoc(isa.Reg(i))).Taint.Has() {
 								a.facts.ParamToAnchor = true
 							}
 						}
 					}
 				}
-				// Calls clobber the argument registers; the return value
-				// inherits the arguments' taint (data returned by callees
-				// such as anchors derives from what was passed in).
-				var t ParamMask
-				for i := isa.Reg(0); i < 4; i++ {
-					t |= st.get(regLoc(i)).Taint
-				}
-				for i := isa.Reg(0); i < 4; i++ {
-					st.set(regLoc(i), AVal{Kind: KTop})
-				}
-				st.set(regLoc(isa.R0), top(t))
-				st.set(regLoc(isa.LR), AVal{Kind: KTop})
+				st.Call()
 			case *ir.Ret:
-				if a.record && st.get(regLoc(isa.R0)).Taint.Has() {
+				if a.record && st.Get(RegLoc(isa.R0)).Taint.Has() {
 					a.facts.TaintedReturn = true
 				}
 			case *ir.Sys:
-				st.set(regLoc(isa.R0), AVal{Kind: KTop})
+				st.Set(RegLoc(isa.R0), AVal{Kind: KTop})
 			}
 		}
 	}

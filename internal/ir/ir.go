@@ -243,7 +243,8 @@ func (*Ret) String() string   { return "ret" }
 func (s *Sys) String() string { return fmt.Sprintf("sys %d", s.Num) }
 
 // Block is the lifted form of a single machine instruction: a short list of
-// statements sharing one temporary namespace with the rest of the function.
+// statements. Its temporaries are its own: it writes at most MaxBlockTemps
+// consecutively numbered ones and reads no other.
 type Block struct {
 	Addr  uint32
 	Raw   isa.Instr

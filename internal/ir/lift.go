@@ -7,8 +7,10 @@ import (
 )
 
 // Lifter translates machine instructions into IR blocks. Temporaries are
-// numbered per lifter so that a whole function lifted by one Lifter has a
-// single temporary namespace, which the dataflow analyses rely on.
+// numbered per lifter, so a whole function lifted by one Lifter never reuses
+// a number; each Block writes at most MaxBlockTemps of them, consecutively,
+// and reads only the ones it wrote itself, which lets the dataflow analyses
+// keep a fixed per-instruction temporary environment.
 //
 // Blocks, statements, and IR nodes are carved out of arenas owned by the
 // lifter. Reserve sizes every arena exactly for the instructions about to be
@@ -125,6 +127,11 @@ var (
 		isa.OpTramp: {stmts: 2, calls: 1},
 	}
 )
+
+// MaxBlockTemps is the most temporaries one lifted Block writes: the largest
+// wrtmps count in liftCounts (the three-temp ALU, memory, branch and stack
+// templates). TestTempsAreBlockLocal keeps the two equal.
+const MaxBlockTemps = 3
 
 // constNodes is how many Const nodes lifting in allocates: an immediate
 // operand outside the shared small range, or a call's return address. Return

@@ -8,66 +8,9 @@ import (
 	"fits/internal/know"
 )
 
-// tloc is a storage location: register, stack slot (entry-SP relative) or
-// global word.
-type tloc struct {
-	isReg  bool
-	reg    isa.Reg
-	isGlob bool
-	addr   int32 // slot offset or global address
-}
-
-func treg(r isa.Reg) tloc  { return tloc{isReg: true, reg: r} }
-func tslot(off int32) tloc { return tloc{addr: off} }
-func tglob(a uint32) tloc  { return tloc{isGlob: true, addr: int32(a)} }
-
-// tval is the abstract value: optional shape plus a taint bit.
-type tval struct {
-	kind  dfKind
-	c     int32
-	taint bool
-}
-
-type dfKind uint8
-
-const (
-	kTop dfKind = iota
-	kConst
-	kSPRel
-)
-
-type tstate map[tloc]tval
-
-// Clone and Join make *tstate a dataflow.Lattice.
-func (s tstate) Clone() tstate {
-	ns := make(tstate, len(s))
-	for k, v := range s {
-		ns[k] = v
-	}
-	return ns
-}
-
-func (s tstate) Join(o *tstate) bool {
-	changed := false
-	for k, v := range *o {
-		cur, ok := s[k]
-		if !ok {
-			s[k] = v
-			changed = true
-			continue
-		}
-		nv := cur
-		if cur.kind != v.kind || cur.c != v.c {
-			nv.kind, nv.c = kTop, 0
-		}
-		nv.taint = cur.taint || v.taint
-		if nv != cur {
-			s[k] = nv
-			changed = true
-		}
-	}
-	return changed
-}
+// tainted is the taint bit of a dataflow.AVal in this engine: any nonzero
+// Taint mask is tainted, and every seed sets this one bit.
+const tainted dataflow.ParamMask = 1
 
 // seed describes how taint enters a function activation.
 type seed struct {
@@ -98,9 +41,16 @@ type intra struct {
 	via   string // cross-binary channel endpoint ("" intra-binary)
 	depth int
 
+	// sanitizing lists the blocks holding range checks on tainted data;
+	// idom, the dominator tree they are tested against, is built only
+	// when there is one.
+	sanitizing []uint32
 	idom       map[uint32]uint32
-	sanitizing map[uint32]bool // blocks with dominating range checks
-	callsAt    map[uint32][]cfg.CallSite
+
+	// temps and at are the instruction transfer is evaluating: its
+	// temporaries and its address (the alias pass keys loads on it).
+	temps dataflow.Temps
+	at    uint32
 }
 
 // propagateValue seeds taint at the return of the call at seedAddr in fn.
@@ -139,20 +89,16 @@ func (e *Engine) propagate(fn *cfg.Function, sd seed, from SourceKind, key, via 
 	e.memo[mk] = true
 
 	in := &intra{e: e, fn: fn, sd: sd, from: from, key: key, via: via, depth: depth}
-	in.callsAt = map[uint32][]cfg.CallSite{}
-	for _, cs := range fn.Calls {
-		in.callsAt[cs.Addr] = append(in.callsAt[cs.Addr], cs)
-	}
 	in.run()
 }
 
 func (in *intra) run() {
 	fn := in.fn
-	entry := tstate{}
-	entry[treg(isa.SP)] = tval{kind: kSPRel}
+	var entry dataflow.State
+	entry.Set(dataflow.RegLoc(isa.SP), dataflow.AVal{Kind: dataflow.KSPRel})
 	for i := 0; i < 4; i++ {
 		if in.sd.paramMask&(1<<i) != 0 {
-			entry[treg(isa.Reg(i))] = tval{kind: kTop, taint: true}
+			entry.Set(dataflow.RegLoc(isa.Reg(i)), dataflow.AVal{Taint: tainted})
 		}
 	}
 
@@ -162,28 +108,31 @@ func (in *intra) run() {
 	}
 
 	// Pass 2a: find sanitizing blocks (dominating range checks on taint).
-	in.idom = cfg.Dominators(fn)
-	in.sanitizing = map[uint32]bool{}
 	for _, ba := range fn.Order {
-		if st := sol.In(ba); st != nil {
-			obs := &observer{}
-			in.transfer(fn.Blocks[ba], st.Clone(), obs)
+		if fixed := sol.In(ba); fixed != nil {
+			obs := observer{}
+			st := fixed.Clone()
+			in.transfer(fn.Blocks[ba], &st, &obs)
 			if obs.rangeCheck {
-				in.sanitizing[ba] = true
+				in.sanitizing = append(in.sanitizing, ba)
 			}
 		}
 	}
+	if len(in.sanitizing) > 0 {
+		in.idom = cfg.Dominators(fn)
+	}
 	// Pass 2b: alerts and interprocedural continuation.
 	for _, ba := range fn.Order {
-		if st := sol.In(ba); st != nil {
-			in.transfer(fn.Blocks[ba], st.Clone(), &observer{act: in})
+		if fixed := sol.In(ba); fixed != nil {
+			st := fixed.Clone()
+			in.transfer(fn.Blocks[ba], &st, &observer{act: in})
 		}
 	}
 }
 
 // sanitizedAt reports whether any sanitizing block strictly dominates blk.
 func (in *intra) sanitizedAt(blk uint32) bool {
-	for s := range in.sanitizing {
+	for _, s := range in.sanitizing {
 		if s != blk && cfg.Dominates(in.idom, s, blk) {
 			return true
 		}
@@ -198,122 +147,96 @@ type observer struct {
 }
 
 // flow is the fixpoint's transfer: transfer without an observer.
-func (in *intra) flow(blk *cfg.BasicBlock, st *tstate) {
-	in.transfer(blk, *st, nil)
+func (in *intra) flow(blk *cfg.BasicBlock, st *dataflow.State) {
+	in.transfer(blk, st, nil)
+}
+
+// eval computes one IR expression over st and the current instruction's
+// temporaries. Loads are where taint enters beyond the seeds: a constant
+// address reads a global some store marked tainted, and an unresolved one
+// may read a location the points-to pass saw a tainted store reach.
+func (in *intra) eval(e ir.Expr, st *dataflow.State) dataflow.AVal {
+	switch e := e.(type) {
+	case *ir.Const:
+		return dataflow.AVal{Kind: dataflow.KConst, C: int32(e.V)}
+	case *ir.RdTmp:
+		v, _ := in.temps.Get(e.T)
+		return v
+	case *ir.Get:
+		return st.Get(dataflow.RegLoc(e.R))
+	case *ir.Binop:
+		return dataflow.Binop(e.Op, in.eval(e.L, st), in.eval(e.R, st))
+	case *ir.Load:
+		a := in.eval(e.Addr, st)
+		switch a.Kind {
+		case dataflow.KSPRel:
+			v := st.Get(dataflow.SlotLoc(a.C))
+			v.Taint |= a.Taint
+			return v
+		case dataflow.KConst:
+			t := st.Get(dataflow.GlobLoc(uint32(a.C))).Taint | a.Taint
+			if in.e.taintedGlobals[uint32(a.C)] {
+				t = tainted
+			}
+			return dataflow.AVal{Taint: t}
+		}
+		// Unresolved address: the points-to pass may know which
+		// abstract location this load reads.
+		t := a.Taint
+		if t == 0 && in.e.aliasLoadTainted(in.fn, in.at) {
+			t = tainted
+		}
+		return dataflow.AVal{Taint: t}
+	}
+	return dataflow.AVal{}
 }
 
 // transfer interprets one block, updating st in place. obs selects
 // recording behaviour; nil means plain dataflow.
-func (in *intra) transfer(blk *cfg.BasicBlock, st tstate, obs *observer) {
-	temps := map[ir.Temp]tval{}
-	texpr := map[ir.Temp]ir.Expr{}
-	var curInstr uint32 // instruction whose statements are being evaluated
-	get := func(l tloc) tval {
-		if v, ok := st[l]; ok {
-			return v
-		}
-		return tval{}
-	}
-	var eval func(e ir.Expr) tval
-	eval = func(e ir.Expr) tval {
-		switch e := e.(type) {
-		case *ir.Const:
-			return tval{kind: kConst, c: int32(e.V)}
-		case *ir.RdTmp:
-			return temps[e.T]
-		case *ir.Get:
-			return get(treg(e.R))
-		case *ir.Binop:
-			l, r := eval(e.L), eval(e.R)
-			t := l.taint || r.taint
-			switch {
-			case l.kind == kConst && r.kind == kConst:
-				return tval{kind: kConst, c: int32(e.Op.Fold(uint32(l.c), uint32(r.c))), taint: t}
-			case e.Op == ir.Add && l.kind == kSPRel && r.kind == kConst:
-				return tval{kind: kSPRel, c: l.c + r.c, taint: t}
-			case e.Op == ir.Add && l.kind == kConst && r.kind == kSPRel:
-				return tval{kind: kSPRel, c: r.c + l.c, taint: t}
-			case e.Op == ir.Sub && l.kind == kSPRel && r.kind == kConst:
-				return tval{kind: kSPRel, c: l.c - r.c, taint: t}
-			}
-			return tval{kind: kTop, taint: t}
-		case *ir.Load:
-			a := eval(e.Addr)
-			switch a.kind {
-			case kSPRel:
-				v := get(tslot(a.c))
-				v.taint = v.taint || a.taint
-				return v
-			case kConst:
-				v := get(tglob(uint32(a.c)))
-				taint := v.taint || a.taint || in.e.taintedGlobals[uint32(a.c)]
-				return tval{kind: kTop, taint: taint}
-			}
-			// Unresolved address: the points-to pass may know which
-			// abstract location this load reads.
-			t := a.taint
-			if !t && in.e.aliasLoadTainted(in.fn, curInstr) {
-				t = true
-			}
-			return tval{kind: kTop, taint: t}
-		}
-		return tval{}
-	}
-
+func (in *intra) transfer(blk *cfg.BasicBlock, st *dataflow.State, obs *observer) {
 	for _, irb := range blk.IR {
-		curInstr = irb.Addr
+		in.at = irb.Addr
+		in.temps.Reset()
 		for _, s := range irb.Stmts {
 			switch s := s.(type) {
 			case *ir.WrTmp:
-				temps[s.T] = eval(s.E)
-				texpr[s.T] = s.E
+				in.temps.Set(s.T, s.E, in.eval(s.E, st))
 			case *ir.Put:
-				st[treg(s.R)] = eval(s.E)
+				st.Set(dataflow.RegLoc(s.R), in.eval(s.E, st))
 			case *ir.Store:
-				a := eval(s.Addr)
-				v := eval(s.Val)
-				switch a.kind {
-				case kSPRel:
-					st[tslot(a.c)] = v
-				case kConst:
-					st[tglob(uint32(a.c))] = v
-					if v.taint {
-						in.e.taintedGlobals[uint32(a.c)] = true
+				a := in.eval(s.Addr, st)
+				v := in.eval(s.Val, st)
+				switch a.Kind {
+				case dataflow.KSPRel:
+					st.Set(dataflow.SlotLoc(a.C), v)
+				case dataflow.KConst:
+					st.Set(dataflow.GlobLoc(uint32(a.C)), v)
+					if v.Taint.Has() {
+						in.e.taintedGlobals[uint32(a.C)] = true
 					}
 				default:
 					// A tainted value stored through an unresolved pointer
 					// is exactly what value tracking used to drop; hand it
 					// to the points-to pass.
-					if v.taint {
+					if v.Taint.Has() {
 						in.e.aliasStoreTainted(in.fn, irb.Addr)
 					}
 				}
 			case *ir.Exit:
-				if obs != nil && in.isRangeCheck(s.Cond, temps, texpr) {
+				if obs != nil && in.isRangeCheck(s.Cond) {
 					obs.rangeCheck = true
 				}
 			case *ir.Call:
 				if obs != nil && obs.act != nil {
-					in.atCall(irb.Addr, blk.Start, st, get)
+					in.atCall(irb.Addr, blk.Start, st)
 				}
-				// Transfer: argument taint flows into the return value.
-				var argTaint bool
-				for r := isa.Reg(0); r < 4; r++ {
-					if get(treg(r)).taint {
-						argTaint = true
-					}
-				}
-				for r := isa.Reg(0); r < 4; r++ {
-					st[treg(r)] = tval{}
-				}
-				st[treg(isa.R0)] = tval{kind: kTop, taint: argTaint}
+				st.Call()
 				// The seed call's return is tainted by definition.
 				if in.sd.retSiteAddr == irb.Addr {
-					st[treg(isa.R0)] = tval{kind: kTop, taint: true}
+					st.Set(dataflow.RegLoc(isa.R0), dataflow.AVal{Taint: tainted})
 				}
-				st[treg(isa.LR)] = tval{}
 			case *ir.Sys:
-				st[treg(isa.R0)] = tval{}
+				st.Set(dataflow.RegLoc(isa.R0), dataflow.AVal{})
 			}
 		}
 	}
@@ -321,39 +244,51 @@ func (in *intra) transfer(blk *cfg.BasicBlock, st tstate, obs *observer) {
 
 // isRangeCheck recognizes a branch comparing a tainted value against a
 // nonzero constant bound with an ordering comparison.
-func (in *intra) isRangeCheck(cond ir.Expr, temps map[ir.Temp]tval, texpr map[ir.Temp]ir.Expr) bool {
+func (in *intra) isRangeCheck(cond ir.Expr) bool {
 	rt, ok := cond.(*ir.RdTmp)
 	if !ok {
 		return false
 	}
-	bin, ok := texpr[rt.T].(*ir.Binop)
+	_, def := in.temps.Get(rt.T)
+	bin, ok := def.(*ir.Binop)
 	if !ok {
 		return false
 	}
 	if bin.Op != ir.CmpLT && bin.Op != ir.CmpGE {
 		return false
 	}
-	evalSide := func(e ir.Expr) tval {
-		if t, ok := e.(*ir.RdTmp); ok {
-			return temps[t.T]
-		}
-		if c, ok := e.(*ir.Const); ok {
-			return tval{kind: kConst, c: int32(c.V)}
-		}
-		return tval{}
+	l, r := in.operand(bin.L), in.operand(bin.R)
+	lc := l.Kind == dataflow.KConst && l.C != 0
+	rc := r.Kind == dataflow.KConst && r.C != 0
+	return (l.Taint.Has() && rc) || (r.Taint.Has() && lc)
+}
+
+// operand is the value of a comparison operand: a temporary or a constant.
+func (in *intra) operand(e ir.Expr) dataflow.AVal {
+	switch e := e.(type) {
+	case *ir.RdTmp:
+		v, _ := in.temps.Get(e.T)
+		return v
+	case *ir.Const:
+		return dataflow.AVal{Kind: dataflow.KConst, C: int32(e.V)}
 	}
-	l, r := evalSide(bin.L), evalSide(bin.R)
-	lc := l.kind == kConst && l.c != 0
-	rc := r.kind == kConst && r.c != 0
-	return (l.taint && rc) || (r.taint && lc)
+	return dataflow.AVal{}
+}
+
+// argTainted reports whether argument register r holds tainted data.
+func argTainted(st *dataflow.State, r int) bool {
+	return st.Get(dataflow.RegLoc(isa.Reg(r))).Taint.Has()
 }
 
 // atCall raises alerts at sink calls and recurses into custom callees.
-func (in *intra) atCall(addr, blockStart uint32, st tstate, get func(tloc) tval) {
-	for _, cs := range in.callsAt[addr] {
+func (in *intra) atCall(addr, blockStart uint32, st *dataflow.State) {
+	for _, cs := range in.fn.Calls {
+		if cs.Addr != addr {
+			continue
+		}
 		if spec, ok := know.Sinks[cs.ImportName]; ok {
 			for _, pi := range spec.DangerousParams {
-				if pi < 4 && get(treg(isa.Reg(pi))).taint {
+				if pi < 4 && argTainted(st, pi) {
 					if in.sanitizedAt(blockStart) {
 						break
 					}
@@ -377,7 +312,7 @@ func (in *intra) atCall(addr, blockStart uint32, st tstate, get func(tloc) tval)
 			// statically resolvable keys can be joined to a getter, so
 			// unresolvable ones are dropped here.
 			if spec.ValParam >= 0 && spec.ValParam < 4 &&
-				get(treg(isa.Reg(spec.ValParam))).taint && !in.sanitizedAt(blockStart) {
+				argTainted(st, spec.ValParam) && !in.sanitizedAt(blockStart) {
 				if c, ok := dataflow.BacktrackRegister(in.fn, cs.Addr, isa.Reg(spec.KeyParam)); ok {
 					if wkey, ok := dataflow.ClassifyStringConstant(in.e.bin, c); ok && wkey != "" {
 						in.e.report(Alert{
@@ -399,8 +334,8 @@ func (in *intra) atCall(addr, blockStart uint32, st tstate, get func(tloc) tval)
 			continue
 		}
 		var mask uint8
-		for r := isa.Reg(0); r < 4; r++ {
-			if get(treg(r)).taint {
+		for r := 0; r < 4; r++ {
+			if argTainted(st, r) {
 				mask |= 1 << r
 			}
 		}
