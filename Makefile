@@ -1,9 +1,9 @@
 # Development and CI entry points. `make ci` is the full gate: vet, the
 # fitslint invariant suite, build, plain tests, race-enabled tests, a short
 # fuzz smoke on each fuzz target (go's -fuzz flag accepts a single package,
-# hence one invocation per target), and a 20-iteration benchmark smoke that
-# gates ns/op, B/op and allocs/op against the committed BENCH_pipeline.json
-# before replacing it. bench-check vets and tests the bench/ module, which
+# hence one invocation per target), and a benchmark smoke that gates the
+# median ns/op, B/op and allocs/op of five 20-iteration runs against the
+# committed BENCH_pipeline.json before replacing it. bench-check vets and tests the bench/ module, which
 # is its own Go module and so outside `./...`.
 
 GO      ?= go
@@ -34,15 +34,16 @@ race:
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem .
 
-# Twenty iterations of the end-to-end pipeline benchmarks (cold, cache-warm
-# and diff), converted to JSON and gated against the committed baseline:
-# benchjson -compare exits nonzero when ns/op, B/op or allocs/op grew beyond the
-# tolerance (warn-only across different CPUs), and only then does the fresh
-# report replace BENCH_pipeline.json. benchjson itself refuses
-# single-iteration samples, so the archive can't silently degrade to
+# Five runs of twenty iterations of the end-to-end pipeline benchmarks (cold,
+# cache-warm and diff), converted to JSON and gated against the committed
+# baseline: benchjson folds each benchmark's five lines into per-metric
+# medians, and -compare exits nonzero when the median ns/op, B/op or
+# allocs/op grew beyond the tolerance (warn-only across different CPUs); only
+# then does the fresh report replace BENCH_pipeline.json. benchjson itself
+# refuses single-iteration samples, so the archive can't silently degrade to
 # -benchtime=1x noise.
 bench-smoke:
-	$(GO) test -run='^$$' -bench='^BenchmarkPipeline_' -benchtime=20x -benchmem . \
+	$(GO) test -run='^$$' -bench='^BenchmarkPipeline_' -benchtime=20x -count=5 -benchmem . \
 		| $(GO) run ./cmd/benchjson > BENCH_new.json
 	$(GO) run ./cmd/benchjson -compare BENCH_pipeline.json BENCH_new.json -tolerance 25
 	mv BENCH_new.json BENCH_pipeline.json

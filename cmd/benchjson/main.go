@@ -5,8 +5,13 @@
 //
 // Usage:
 //
-//	go test -run='^$' -bench=Pipeline -benchtime=20x -benchmem . | benchjson > BENCH_pipeline.json
+//	go test -run='^$' -bench=Pipeline -benchtime=20x -count=5 -benchmem . | benchjson > BENCH_pipeline.json
 //	benchjson -compare BENCH_pipeline.json BENCH_new.json -tolerance 25
+//
+// A benchmark reported on several lines (go test -count=N) is folded into
+// one entry holding each metric's median, before the report is written or
+// compared: one noisy run then moves the archive and the gate no more than
+// any other.
 //
 // Conversion refuses single-iteration samples: with -benchtime=1x one GC
 // pause or cache-cold run lands verbatim in the archive and every later
@@ -185,6 +190,7 @@ func loadReport(path string) (*Report, error) {
 	if err := json.Unmarshal(raw, &rep); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
+	rep.Benchmarks = medians(rep.Benchmarks)
 	return &rep, nil
 }
 
@@ -208,7 +214,50 @@ func parse(sc *bufio.Scanner) (*Report, error) {
 			}
 		}
 	}
+	rep.Benchmarks = medians(rep.Benchmarks)
 	return rep, sc.Err()
+}
+
+// medians folds repeated entries of one benchmark into a single entry, in
+// first-seen order, whose iterations and every metric are the median over
+// the entries reporting it (the mean of the middle two for an even count).
+func medians(benches []Benchmark) []Benchmark {
+	runs := map[string][]Benchmark{}
+	var order []string
+	for _, b := range benches {
+		if _, seen := runs[b.Name]; !seen {
+			order = append(order, b.Name)
+		}
+		runs[b.Name] = append(runs[b.Name], b)
+	}
+	out := make([]Benchmark, 0, len(order))
+	for _, name := range order {
+		rs := runs[name]
+		iters := make([]float64, len(rs))
+		samples := map[string][]float64{}
+		for i, r := range rs {
+			iters[i] = float64(r.Iterations)
+			for unit, v := range r.Metrics {
+				samples[unit] = append(samples[unit], v)
+			}
+		}
+		b := Benchmark{Name: name, Iterations: int64(median(iters)), Metrics: make(map[string]float64, len(samples))}
+		for unit, vs := range samples {
+			b.Metrics[unit] = median(vs)
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// median returns the median of a non-empty sample, sorting it in place.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
 // parseLine parses a result line of the form

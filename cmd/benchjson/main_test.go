@@ -66,6 +66,44 @@ func TestParseToleratesMissingOptionalMetrics(t *testing.T) {
 	}
 }
 
+// TestParseFoldsRepeatedLinesIntoMedians: with -count=N each benchmark
+// prints N lines; the report keeps one entry per benchmark, in first-seen
+// order, holding each metric's median.
+func TestParseFoldsRepeatedLinesIntoMedians(t *testing.T) {
+	in := "BenchmarkA-8 \t 20 \t 300 ns/op \t 50 B/op\n" +
+		"BenchmarkB-8 \t 20 \t 7 ns/op\n" +
+		"BenchmarkA-8 \t 20 \t 100 ns/op \t 40 B/op \t 1.5 cache-hit-%\n" +
+		"BenchmarkA-8 \t 20 \t 900 ns/op \t 60 B/op\n" +
+		"BenchmarkA-8 \t 20 \t 200 ns/op \t 45 B/op \t 2.5 cache-hit-%\n" +
+		"BenchmarkA-8 \t 20 \t 250 ns/op \t 55 B/op\n"
+	rep, err := parse(bufio.NewScanner(strings.NewReader(in)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Benchmarks) != 2 || rep.Benchmarks[0].Name != "BenchmarkA" || rep.Benchmarks[1].Name != "BenchmarkB" {
+		t.Fatalf("benchmarks = %+v, want BenchmarkA then BenchmarkB", rep.Benchmarks)
+	}
+	a := rep.Benchmarks[0]
+	want := map[string]float64{"ns/op": 250, "B/op": 50, "cache-hit-%": 2}
+	if a.Iterations != 20 || len(a.Metrics) != len(want) {
+		t.Fatalf("BenchmarkA = %+v, want 20 iterations and %v", a, want)
+	}
+	for unit, v := range want {
+		if a.Metrics[unit] != v {
+			t.Errorf("BenchmarkA %s = %v, want median %v", unit, a.Metrics[unit], v)
+		}
+	}
+	if b := rep.Benchmarks[1]; b.Metrics["ns/op"] != 7 {
+		t.Errorf("single-line BenchmarkB = %+v", b)
+	}
+	// The gate compares medians: one slow run among five does not trip it.
+	old := report("cpu0", bench("BenchmarkA", 240, 10))
+	cur := report("cpu0", Benchmark{Name: "BenchmarkA", Iterations: 20, Metrics: map[string]float64{"ns/op": a.Metrics["ns/op"], "allocs/op": 10}})
+	if regs := regressions(old, cur, 25); len(regs) != 0 {
+		t.Errorf("median within tolerance flagged: %v", regs)
+	}
+}
+
 func TestParseSkipsNonResultLines(t *testing.T) {
 	in := "BenchmarkGroup\nBenchmarkGroup/sub-4 	 2 	 100 ns/op\n"
 	rep, err := parse(bufio.NewScanner(strings.NewReader(in)))

@@ -194,7 +194,7 @@ func loadsIn(x ir.Expr) []*ir.Load {
 // addresses are already handled precisely by the taint engine — and only
 // when the concrete component lands in a known region.
 func classify(bin *binimg.Binary, v ucse.SVal) (Loc, bool) {
-	base, site, hasAlloc, hasSym := split(v)
+	base, site, hasAlloc, hasSym := ucse.SplitAddr(v)
 	if !hasSym && !hasAlloc {
 		return Loc{}, false
 	}
@@ -209,29 +209,4 @@ func classify(bin *binimg.Binary, v ucse.SVal) (Loc, bool) {
 		return Loc{Kind: Global, Base: base}, true
 	}
 	return Loc{}, false
-}
-
-// split walks an additive address expression, summing concrete terms,
-// detecting an allocation root, and reporting whether any symbolic term
-// remains.
-func split(v ucse.SVal) (base uint32, site uint32, hasAlloc, hasSym bool) {
-	switch v := v.(type) {
-	case ucse.SConst:
-		return v.V, 0, false, false
-	case ucse.SAlloc:
-		return 0, v.Site, true, false
-	case ucse.SBin:
-		if v.Op == ir.Add {
-			lb, ls, la, lsym := split(v.L)
-			rb, rs, ra, rsym := split(v.R)
-			site = ls
-			if ra {
-				site = rs
-			}
-			return lb + rb, site, la || ra, lsym || rsym
-		}
-		return 0, 0, false, true
-	default:
-		return 0, 0, false, true
-	}
 }

@@ -143,7 +143,7 @@ func (e *Extractor) FuncVector(f *cfg.Function) Vector {
 	}
 
 	// Interprocedural flow features from call-site analysis.
-	sf := dataflow.CallSiteStringsInterned(e.Bin, e.Model, f.Entry, f.Params, e.Intern)
+	sf := dataflow.CallSiteStrings(e.Bin, e.Model, f.Entry, f.Params, e.Intern)
 	if sf.ArgsContainString {
 		v[FArgStrings] = 1
 	}

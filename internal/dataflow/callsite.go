@@ -18,27 +18,18 @@ type StringFacts struct {
 	Strings           []string // sorted, de-duplicated
 }
 
-// CallSiteStrings analyzes every call site of fn recorded in the model,
-// backtracking argument registers per the paper's Table 2 and classifying
-// the resulting constants against the binary's sections.
-func CallSiteStrings(bin *binimg.Binary, m *cfg.Model, fn *cfg.Function) StringFacts {
-	return CallSiteStringsN(bin, m, fn.Entry, fn.Params)
-}
-
-// CallSiteStringsN is CallSiteStrings with an explicit arity, used when the
-// callee's parameter count is known externally (e.g. anchor import stubs,
-// whose trampolines read no registers of their own).
-func CallSiteStringsN(bin *binimg.Binary, m *cfg.Model, entry uint32, nargs int) StringFacts {
-	return CallSiteStringsInterned(bin, m, entry, nargs, nil)
-}
-
-// CallSiteStringsInterned is CallSiteStringsN with a string intern table:
-// classified constants are canonicalized through tab, so a string passed at
-// many call sites across many functions (format strings, configuration keys)
-// costs one allocation per analysis instead of one per sighting. A nil tab
-// still materializes each distinct string only once per call — classification
-// works on section views and the map lookup below is conversion-free.
-func CallSiteStringsInterned(bin *binimg.Binary, m *cfg.Model, entry uint32, nargs int, tab *intern.Table) StringFacts {
+// CallSiteStrings analyzes every call site of the function at entry
+// recorded in the model, backtracking the first nargs argument registers per
+// the paper's Table 2 and classifying the resulting constants against the
+// binary's sections. nargs is the callee's parameter count, or the known
+// arity of an anchor import stub, whose trampoline reads no registers of its
+// own. Classified constants are canonicalized through tab, so a string
+// passed at many call sites across many functions (format strings,
+// configuration keys) costs one allocation per analysis instead of one per
+// sighting. A nil tab still materializes each distinct string only once per
+// call — classification works on section views and the map lookup below is
+// conversion-free.
+func CallSiteStrings(bin *binimg.Binary, m *cfg.Model, entry uint32, nargs int, tab *intern.Table) StringFacts {
 	if nargs > 4 {
 		nargs = 4
 	}
@@ -147,7 +138,7 @@ func BacktrackArg(caller *cfg.Function, callAddr uint32, reg isa.Reg) ArgOrigin 
 				}
 				src = e
 			}
-			o := traceExpr(irb, src)
+			o := traceExpr(irb, src, 0)
 			switch o.kind {
 			case traceConst:
 				return ArgOrigin{Kind: OriginConst, Const: o.c + offset + o.off}
@@ -204,47 +195,52 @@ func putsTo(irb *ir.Block, reg isa.Reg) (e ir.Expr, found, stop bool) {
 	return nil, false, false
 }
 
-// storesToSlot returns the value expression stored to [sp+slot] by the
-// lifted instruction, if any.
-func storesToSlot(irb *ir.Block, slot int32) (ir.Expr, bool) {
-	temps := map[ir.Temp]ir.Expr{}
-	for _, s := range irb.Stmts {
-		if w, ok := s.(*ir.WrTmp); ok {
-			temps[w.T] = w.E
+// tempDef returns the expression the lifted instruction last writes to t.
+func tempDef(irb *ir.Block, t ir.Temp) (ir.Expr, bool) {
+	for i := len(irb.Stmts) - 1; i >= 0; i-- {
+		if w, ok := irb.Stmts[i].(*ir.WrTmp); ok && w.T == t {
+			return w.E, true
 		}
 	}
-	// Resolve an address expression to an SP-relative offset.
-	var spOff func(e ir.Expr, depth int) (int32, bool)
-	spOff = func(e ir.Expr, depth int) (int32, bool) {
-		if depth > 8 {
-			return 0, false
+	return nil, false
+}
+
+// spOffset resolves an address expression within one lifted instruction to
+// an SP-relative offset.
+func spOffset(irb *ir.Block, e ir.Expr, depth int) (int32, bool) {
+	if depth > 8 {
+		return 0, false
+	}
+	switch e := e.(type) {
+	case *ir.Get:
+		if e.R == isa.SP {
+			return 0, true
 		}
-		switch e := e.(type) {
-		case *ir.Get:
-			if e.R == isa.SP {
-				return 0, true
-			}
-		case *ir.RdTmp:
-			if inner, ok := temps[e.T]; ok {
-				return spOff(inner, depth+1)
-			}
-		case *ir.Binop:
-			if e.Op == ir.Add {
-				if c, ok := e.R.(*ir.Const); ok {
-					if base, ok2 := spOff(e.L, depth+1); ok2 {
-						return base + int32(c.V), true
-					}
+	case *ir.RdTmp:
+		if inner, ok := tempDef(irb, e.T); ok {
+			return spOffset(irb, inner, depth+1)
+		}
+	case *ir.Binop:
+		if e.Op == ir.Add {
+			if c, ok := e.R.(*ir.Const); ok {
+				if base, ok := spOffset(irb, e.L, depth+1); ok {
+					return base + int32(c.V), true
 				}
 			}
 		}
-		return 0, false
 	}
+	return 0, false
+}
+
+// storesToSlot returns the value expression stored to [sp+slot] by the
+// lifted instruction, if any.
+func storesToSlot(irb *ir.Block, slot int32) (ir.Expr, bool) {
 	for i := len(irb.Stmts) - 1; i >= 0; i-- {
 		st, ok := irb.Stmts[i].(*ir.Store)
 		if !ok {
 			continue
 		}
-		if off, ok := spOff(st.Addr, 0); ok && off == slot {
+		if off, ok := spOffset(irb, st.Addr, 0); ok && off == slot {
 			return st.Val, true
 		}
 	}
@@ -272,87 +268,49 @@ type traceResult struct {
 // traceExpr resolves an expression within one lifted instruction to a
 // constant, a register to keep tracking, or a stack slot, accumulating
 // additive constant offsets.
-func traceExpr(irb *ir.Block, e ir.Expr) traceResult {
-	temps := map[ir.Temp]ir.Expr{}
-	for _, s := range irb.Stmts {
-		if w, ok := s.(*ir.WrTmp); ok {
-			temps[w.T] = w.E
+func traceExpr(irb *ir.Block, e ir.Expr, depth int) traceResult {
+	if depth > 16 {
+		return traceResult{}
+	}
+	switch e := e.(type) {
+	case *ir.Const:
+		return traceResult{kind: traceConst, c: uint32(e.V)}
+	case *ir.Get:
+		return traceResult{kind: traceReg, reg: e.R}
+	case *ir.RdTmp:
+		inner, ok := tempDef(irb, e.T)
+		if !ok {
+			return traceResult{}
+		}
+		return traceExpr(irb, inner, depth+1)
+	case *ir.Binop:
+		// Only additive offsets with a constant operand are folded,
+		// per Table 2's Binop(t, constant) rule.
+		if e.Op != ir.Add {
+			return traceResult{}
+		}
+		if rc, okc := e.R.(*ir.Const); okc {
+			r := traceExpr(irb, e.L, depth+1)
+			r.off += uint32(rc.V)
+			return r
+		}
+		if lc, okc := e.L.(*ir.Const); okc {
+			r := traceExpr(irb, e.R, depth+1)
+			r.off += uint32(lc.V)
+			return r
+		}
+		return traceResult{}
+	case *ir.Load:
+		// A word reloaded from a stack slot continues through the
+		// slot's last store.
+		if e.Size != isa.WordSize {
+			return traceResult{}
+		}
+		if off, ok := spOffset(irb, e.Addr, 0); ok {
+			return traceResult{kind: traceSlot, slot: off}
 		}
 	}
-	var walk func(e ir.Expr, depth int) traceResult
-	walk = func(e ir.Expr, depth int) traceResult {
-		if depth > 16 {
-			return traceResult{}
-		}
-		switch e := e.(type) {
-		case *ir.Const:
-			return traceResult{kind: traceConst, c: uint32(e.V)}
-		case *ir.Get:
-			return traceResult{kind: traceReg, reg: e.R}
-		case *ir.RdTmp:
-			inner, ok := temps[e.T]
-			if !ok {
-				return traceResult{}
-			}
-			return walk(inner, depth+1)
-		case *ir.Binop:
-			// Only additive offsets with a constant operand are folded,
-			// per Table 2's Binop(t, constant) rule.
-			if e.Op != ir.Add {
-				return traceResult{}
-			}
-			if rc, okc := e.R.(*ir.Const); okc {
-				r := walk(e.L, depth+1)
-				r.off += uint32(rc.V)
-				return r
-			}
-			if lc, okc := e.L.(*ir.Const); okc {
-				r := walk(e.R, depth+1)
-				r.off += uint32(lc.V)
-				return r
-			}
-			return traceResult{}
-		case *ir.Load:
-			// A word reloaded from a stack slot continues through the
-			// slot's last store.
-			if e.Size != isa.WordSize {
-				return traceResult{}
-			}
-			temps2 := temps
-			var spOff func(a ir.Expr, depth int) (int32, bool)
-			spOff = func(a ir.Expr, depth int) (int32, bool) {
-				if depth > 8 {
-					return 0, false
-				}
-				switch a := a.(type) {
-				case *ir.Get:
-					if a.R == isa.SP {
-						return 0, true
-					}
-				case *ir.RdTmp:
-					if inner, ok := temps2[a.T]; ok {
-						return spOff(inner, depth+1)
-					}
-				case *ir.Binop:
-					if a.Op == ir.Add {
-						if c, ok := a.R.(*ir.Const); ok {
-							if base, ok2 := spOff(a.L, depth+1); ok2 {
-								return base + int32(c.V), true
-							}
-						}
-					}
-				}
-				return 0, false
-			}
-			if off, ok := spOff(e.Addr, 0); ok {
-				return traceResult{kind: traceSlot, slot: off}
-			}
-			return traceResult{}
-		default:
-			return traceResult{}
-		}
-	}
-	return walk(e, 0)
+	return traceResult{}
 }
 
 // ClassifyStringConstant decides whether a constant is a string address

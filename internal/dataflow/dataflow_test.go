@@ -207,7 +207,7 @@ func callSiteProgram() *minic.Program {
 func TestCallSiteStrings(t *testing.T) {
 	bin, m := buildModel(t, callSiteProgram())
 	fn := fnNamed(t, bin, m, "getvar")
-	facts := CallSiteStrings(bin, m, fn)
+	facts := CallSiteStrings(bin, m, fn.Entry, fn.Params, nil)
 	if !facts.ArgsContainString {
 		t.Fatal("string arguments not detected")
 	}
@@ -225,7 +225,8 @@ func TestNoStringArgs(t *testing.T) {
 		}},
 	}}
 	bin, m := buildModel(t, p)
-	facts := CallSiteStrings(bin, m, fnNamed(t, bin, m, "callee"))
+	callee := fnNamed(t, bin, m, "callee")
+	facts := CallSiteStrings(bin, m, callee.Entry, callee.Params, nil)
 	if facts.ArgsContainString || len(facts.Strings) != 0 {
 		t.Errorf("facts = %+v", facts)
 	}

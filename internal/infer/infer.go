@@ -385,7 +385,7 @@ func mergeTargetStrings(t *loader.Target, name string, arity int, tab *intern.Ta
 	if !ok {
 		return
 	}
-	sf := dataflow.CallSiteStringsInterned(t.Bin, t.Model, stub, arity, tab)
+	sf := dataflow.CallSiteStrings(t.Bin, t.Model, stub, arity, tab)
 	if sf.ArgsContainString {
 		(*vec)[bfv.FArgStrings] = 1
 	}

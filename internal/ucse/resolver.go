@@ -7,61 +7,55 @@ import (
 	"fits/internal/cfg"
 )
 
-// Resolver caches are shared by every cfg.Build call made with the same
-// resolver instance; the parallel loader builds several binary models at
-// once, so the caches are mutex-guarded. Exploration itself runs outside the
-// lock — two goroutines may race to explore the same function, but Explore
-// is deterministic, so whichever result lands in the cache is identical.
+// memo explores each function once and keeps what get extracts from the
+// engine, keyed by the function itself: a *cfg.Function belongs to one model
+// of one binary, so binaries never share entries, and a function cfg.Build
+// rebuilds (with its switch cases) is a new key and is explored again. The
+// parallel loader shares one resolver across its concurrent builds, so the
+// map is mutex-guarded. Exploration runs outside the lock; each function is
+// built by one goroutine, so none is explored twice.
+type memo[T any] struct {
+	get  func(*Engine) T
+	mu   sync.Mutex
+	done map[*cfg.Function]T
+}
+
+func (m *memo[T]) of(bin *binimg.Binary, f *cfg.Function) T {
+	m.mu.Lock()
+	v, ok := m.done[f]
+	m.mu.Unlock()
+	if !ok {
+		v = m.get(New(bin, f))
+		m.mu.Lock()
+		if m.done == nil {
+			m.done = map[*cfg.Function]T{}
+		}
+		m.done[f] = v
+		m.mu.Unlock()
+	}
+	return v
+}
 
 // JumpResolver adapts the engine to the cfg package's jump-table resolution
 // hook. The returned targets over-approximate (a table scan cannot know the
 // bounds check's limit); cfg.Build clips them to the function's extent.
 func JumpResolver() cfg.JumpTableResolver {
-	type key struct {
-		bin   string
-		entry uint32
-	}
-	var mu sync.Mutex
-	cache := map[key]map[uint32][]uint32{}
+	jumps := &memo[map[uint32][]uint32]{get: func(e *Engine) map[uint32][]uint32 {
+		e.Explore()
+		return e.JumpTargets()
+	}}
 	return func(bin *binimg.Binary, f *cfg.Function, addr uint32) []uint32 {
-		k := key{bin: bin.Name, entry: f.Entry}
-		mu.Lock()
-		jumps, ok := cache[k]
-		mu.Unlock()
-		if !ok {
-			e := New(bin, f)
-			e.Explore()
-			jumps = e.JumpTargets()
-			mu.Lock()
-			cache[k] = jumps
-			mu.Unlock()
-		}
-		return jumps[addr]
+		return jumps.of(bin, f)[addr]
 	}
 }
 
 // Resolver adapts the engine to the cfg package's indirect-call resolution
-// hook. Results are cached per function entry since cfg.Build asks about
-// every site of a function separately.
+// hook. cfg.Build asks about every site of a function separately; one
+// exploration answers them all.
 func Resolver() cfg.IndirectResolver {
-	type key struct {
-		bin   string
-		entry uint32
-	}
-	var mu sync.Mutex
-	cache := map[key][]Resolution{}
+	explored := &memo[[]Resolution]{get: (*Engine).Explore}
 	return func(bin *binimg.Binary, f *cfg.Function, site cfg.CallSite) []uint32 {
-		k := key{bin: bin.Name, entry: f.Entry}
-		mu.Lock()
-		rs, ok := cache[k]
-		mu.Unlock()
-		if !ok {
-			rs = New(bin, f).Explore()
-			mu.Lock()
-			cache[k] = rs
-			mu.Unlock()
-		}
-		for _, r := range rs {
+		for _, r := range explored.of(bin, f) {
 			if r.Site.Addr == site.Addr {
 				return r.Targets
 			}

@@ -113,12 +113,43 @@ func TestHasLoad(t *testing.T) {
 	}
 }
 
-func TestSimplifyExported(t *testing.T) {
-	if got := Simplify(ir.Add, SConst{V: 2}, SConst{V: 3}); got != (SConst{V: 5}) {
-		t.Errorf("2+3 = %v, want SConst{5}", got)
+func TestSymStateCloneIsolation(t *testing.T) {
+	st := symBin(t)
+	addr := &ir.Const{V: int64(FakeSP - 8)}
+	st.Step(&ir.Store{Addr: addr, Val: &ir.Const{V: 1}, Size: 4})
+	fork := st.clone()
+	fork.Step(&ir.Store{Addr: addr, Val: &ir.Const{V: 2}, Size: 4})
+	fork.Regs[isa.R0] = SConst{V: 9}
+	if got := st.Eval(&ir.Load{Addr: addr, Size: 4}); got != (SConst{V: 1}) {
+		t.Errorf("parent load after fork's store = %v, want SConst{1}", got)
 	}
-	u := SUnknown{ID: 7}
-	if got := Simplify(ir.Add, u, SConst{V: 0}); got != SVal(u) {
-		t.Errorf("u+0 = %v, want u unchanged", got)
+	if got := fork.Eval(&ir.Load{Addr: addr, Size: 4}); got != (SConst{V: 2}) {
+		t.Errorf("fork load = %v, want SConst{2}", got)
+	}
+	if st.Regs[isa.R0] == fork.Regs[isa.R0] {
+		t.Error("fork's register write reached the parent")
+	}
+}
+
+// TestSymStateLoadTrust: the precision passes read only read-only image
+// bytes; the explorer's state also trusts initialized writable data.
+func TestSymStateLoadTrust(t *testing.T) {
+	bin, err := minic.Link(&minic.Program{
+		Name:    "t",
+		Globals: []*minic.Global{{Name: "g", Size: 4, Init: []byte{7, 0, 0, 0}}},
+		Funcs:   []*minic.Func{{Name: "main", Body: []minic.Stmt{minic.Return{E: minic.Int(0)}}}},
+	}, isa.ArchARM, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := &ir.Load{Addr: &ir.Const{V: int64(bin.Data.Addr)}, Size: 4}
+	st := NewSymState(bin)
+	if got, ok := st.Eval(load).(SUnknown); !ok {
+		t.Errorf("precision-pass load of .data = %v, want an unknown", got)
+	}
+	st = NewSymState(bin)
+	st.trustWritable = true
+	if got := st.Eval(load); got != (SConst{V: 7}) {
+		t.Errorf("explorer load of .data = %v, want SConst{7}", got)
 	}
 }

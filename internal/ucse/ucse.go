@@ -10,6 +10,8 @@
 package ucse
 
 import (
+	"maps"
+
 	"fits/internal/binimg"
 	"fits/internal/cfg"
 	"fits/internal/ir"
@@ -45,17 +47,14 @@ const (
 	maxSteps        = 4096
 	maxPaths        = 64
 	maxTableEntries = 256
-	fakeStackBase   = 0xfe000000
-	fakeStackSize   = 1 << 16
 )
 
 // Engine executes one function under-constrained.
 type Engine struct {
-	bin    *binimg.Binary
-	fn     *cfg.Function
-	nextID int
-	found  map[uint32]*Resolution // call instruction addr -> resolution
-	jumps  map[uint32][]uint32    // computed-jump addr -> scanned targets
+	bin   *binimg.Binary
+	fn    *cfg.Function
+	found map[uint32]*Resolution // call instruction addr -> resolution
+	jumps map[uint32][]uint32    // computed-jump addr -> scanned targets
 }
 
 // New prepares an engine for one function of a binary.
@@ -63,88 +62,16 @@ func New(bin *binimg.Binary, fn *cfg.Function) *Engine {
 	return &Engine{bin: bin, fn: fn}
 }
 
-func (e *Engine) fresh() SVal {
-	e.nextID++
-	return SUnknown{ID: e.nextID}
-}
-
-// state is one execution path's machine state.
-type state struct {
-	regs   [isa.NumRegs]SVal
-	temps  map[ir.Temp]SVal
-	mem    map[uint32]SVal // concrete-address writes on this path
+// path is one execution path: its machine state plus the exploration
+// bounds it has used up.
+type path struct {
+	st     *SymState
 	visits map[uint32]int
 	steps  int
 }
 
-func (s *state) clone() *state {
-	ns := &state{regs: s.regs, temps: map[ir.Temp]SVal{}, mem: map[uint32]SVal{}, visits: map[uint32]int{}, steps: s.steps}
-	for k, v := range s.mem {
-		ns.mem[k] = v
-	}
-	for k, v := range s.visits {
-		ns.visits[k] = v
-	}
-	// temps are block-scoped in practice; copying keeps paths independent.
-	for k, v := range s.temps {
-		ns.temps[k] = v
-	}
-	return ns
-}
-
-// simplify folds constant binops.
-func simplify(op ir.BinOp, l, r SVal) SVal {
-	lc, lok := l.(SConst)
-	rc, rok := r.(SConst)
-	if lok && rok {
-		return SConst{V: op.Fold(lc.V, rc.V)}
-	}
-	// x + 0, x - 0 identities keep address expressions canonical.
-	if (op == ir.Add || op == ir.Sub) && rok && rc.V == 0 {
-		return l
-	}
-	if op == ir.Add && lok && lc.V == 0 {
-		return r
-	}
-	return SBin{Op: op, L: l, R: r}
-}
-
-// eval computes an IR expression in a state.
-func (e *Engine) eval(s *state, x ir.Expr) SVal {
-	switch x := x.(type) {
-	case *ir.Const:
-		return SConst{V: uint32(x.V)}
-	case *ir.RdTmp:
-		if v, ok := s.temps[x.T]; ok {
-			return v
-		}
-		return e.fresh()
-	case *ir.Get:
-		if v := s.regs[x.R]; v != nil {
-			return v
-		}
-		return e.fresh()
-	case *ir.Binop:
-		return simplify(x.Op, e.eval(s, x.L), e.eval(s, x.R))
-	case *ir.Load:
-		addr := e.eval(s, x.Addr)
-		if c, ok := addr.(SConst); ok {
-			if v, ok := s.mem[c.V]; ok {
-				return v
-			}
-			if x.Size == 1 {
-				if b, ok := e.bin.ByteAt(c.V); ok {
-					return SConst{V: uint32(b)}
-				}
-			} else if w, ok := e.bin.WordAt(c.V); ok {
-				return SConst{V: w}
-			}
-			// Uninitialized stack or bss reads are unknown.
-			return e.fresh()
-		}
-		return SLoad{Addr: addr}
-	}
-	return e.fresh()
+func (p *path) fork() *path {
+	return &path{st: p.st.clone(), visits: maps.Clone(p.visits), steps: p.steps}
 }
 
 // Resolution is the outcome of indirect-target analysis for one call site.
@@ -158,51 +85,41 @@ type Resolution struct {
 // Explore runs bounded under-constrained execution over the function and
 // returns a resolution for every indirect call site it reaches.
 func (e *Engine) Explore() []Resolution {
-	init := &state{temps: map[ir.Temp]SVal{}, mem: map[uint32]SVal{}, visits: map[uint32]int{}}
-	for r := 0; r < isa.NumRegs; r++ {
-		init.regs[r] = e.fresh()
-	}
-	init.regs[isa.SP] = SConst{V: fakeStackBase + fakeStackSize/2}
+	init := &path{st: NewSymState(e.bin), visits: map[uint32]int{}}
+	// Dispatch tables live in .data: the explorer reads the whole
+	// initialized image, not just the read-only sections.
+	init.st.trustWritable = true
 
 	e.found = map[uint32]*Resolution{}
 	e.jumps = map[uint32][]uint32{}
 	paths := 0
-	var walk func(s *state, blockAddr uint32)
-	walk = func(s *state, blockAddr uint32) {
+	var walk func(p *path, blockAddr uint32)
+	walk = func(p *path, blockAddr uint32) {
 		if paths >= maxPaths {
 			return
 		}
+		s := p.st
 		for {
 			blk, ok := e.fn.Blocks[blockAddr]
 			if !ok {
 				return
 			}
-			s.visits[blockAddr]++
-			if s.visits[blockAddr] > maxBlockVisits {
+			p.visits[blockAddr]++
+			if p.visits[blockAddr] > maxBlockVisits {
 				return
 			}
 			var branchTargets []uint32
 			fellThrough := true
 			for _, irb := range blk.IR {
-				if s.steps++; s.steps > maxSteps {
+				if p.steps++; p.steps > maxSteps {
 					return
 				}
 				for _, st := range irb.Stmts {
 					switch st := st.(type) {
-					case *ir.WrTmp:
-						s.temps[st.T] = e.eval(s, st.E)
-					case *ir.Put:
-						s.regs[st.R] = e.eval(s, st.E)
-					case *ir.Store:
-						addr := e.eval(s, st.Addr)
-						val := e.eval(s, st.Val)
-						if c, ok := addr.(SConst); ok {
-							s.mem[c.V] = val
-						}
 					case *ir.Exit:
 						// Under-constrained: both outcomes are feasible
 						// unless the condition folded to a constant.
-						switch c := e.eval(s, st.Cond).(type) {
+						switch c := s.Eval(st.Cond).(type) {
 						case SConst:
 							if c.V != 0 {
 								branchTargets = append(branchTargets, st.Target)
@@ -218,17 +135,13 @@ func (e *Engine) Explore() []Resolution {
 							e.observeJump(s, irb.Addr, st)
 						}
 						fellThrough = false
-					case *ir.Call:
-						e.observeCall(s, irb.Addr, st)
-						// Havoc caller-saved registers after the call.
-						for r := isa.Reg(0); r < 4; r++ {
-							s.regs[r] = e.fresh()
-						}
-						s.regs[isa.LR] = e.fresh()
 					case *ir.Ret:
 						fellThrough = false
-					case *ir.Sys:
-						s.regs[isa.R0] = e.fresh()
+					case *ir.Call:
+						e.observeCall(s, irb.Addr, st)
+						s.Step(st)
+					default:
+						s.Step(st)
 					}
 				}
 				if !fellThrough && len(branchTargets) == 0 {
@@ -241,7 +154,7 @@ func (e *Engine) Explore() []Resolution {
 				// on the fall-through edge.
 				for _, t := range branchTargets {
 					paths++
-					walk(s.clone(), t)
+					walk(p.fork(), t)
 				}
 				next := blk.End()
 				if _, ok := e.fn.Blocks[next]; ok {
@@ -259,7 +172,7 @@ func (e *Engine) Explore() []Resolution {
 			default:
 				for _, t := range branchTargets {
 					paths++
-					walk(s.clone(), t)
+					walk(p.fork(), t)
 				}
 				return
 			}
@@ -297,81 +210,82 @@ func (e *Engine) JumpTargets() map[uint32][]uint32 {
 	return e.jumps
 }
 
-// observeJump resolves a computed jump's table, the switch-dispatch pattern
-// Load(table + index*4).
-func (e *Engine) observeJump(s *state, addr uint32, j *ir.Jump) {
-	target := e.eval(s, j.Dyn)
-	var ts []uint32
-	switch t := target.(type) {
+// targets resolves a dynamic control-transfer target: a constant code
+// pointer, or a load from a table whose concrete base the address pins down.
+// With a symbolic residue (the table-index pattern) the table is scanned;
+// without one the single word at base is the target.
+func (e *Engine) targets(s *SymState, dyn ir.Expr) (ts []uint32, tableBase uint32) {
+	switch t := s.Eval(dyn).(type) {
 	case SConst:
 		if e.isCodePtr(t.V) {
-			ts = []uint32{t.V}
+			return []uint32{t.V}, 0
 		}
 	case SLoad:
-		base, hasSym := splitAddr(t.Addr)
-		if base != 0 {
-			if hasSym {
-				ts = e.scanTable(base)
-			} else if w, ok := e.bin.WordAt(base); ok && e.isCodePtr(w) {
-				ts = []uint32{w}
-			}
+		base, _, _, hasSym := SplitAddr(t.Addr)
+		if base == 0 {
+			return nil, 0
 		}
+		if hasSym {
+			return e.scanTable(base), base
+		}
+		if w, ok := e.bin.WordAt(base); ok && e.isCodePtr(w) {
+			return []uint32{w}, base
+		}
+		return nil, base
 	}
-	if len(ts) > 0 {
+	return nil, 0
+}
+
+// observeJump resolves a computed jump's table, the switch-dispatch pattern
+// Load(table + index*4).
+func (e *Engine) observeJump(s *SymState, addr uint32, j *ir.Jump) {
+	if ts, _ := e.targets(s, j.Dyn); len(ts) > 0 {
 		e.jumps[addr] = mergeTargets(e.jumps[addr], ts)
 	}
 }
 
 // observeCall inspects indirect call targets at a call statement.
-func (e *Engine) observeCall(s *state, addr uint32, c *ir.Call) {
+func (e *Engine) observeCall(s *SymState, addr uint32, c *ir.Call) {
 	if c.Kind != ir.CallIndirect {
 		return
 	}
-	target := e.eval(s, c.Dyn)
-	res := &Resolution{}
-	switch t := target.(type) {
-	case SConst:
-		if e.isCodePtr(t.V) {
-			res.Targets = []uint32{t.V}
-		}
-	case SLoad:
-		base, hasSym := splitAddr(t.Addr)
-		if base != 0 {
-			res.TableBase = base
-			if hasSym {
-				res.Targets = e.scanTable(base)
-			} else if w, ok := e.bin.WordAt(base); ok && e.isCodePtr(w) {
-				res.Targets = []uint32{w}
-			}
-		}
+	ts, base := e.targets(s, c.Dyn)
+	if len(ts) == 0 {
+		return
 	}
-	if len(res.Targets) > 0 {
-		if prev, ok := e.found[addr]; ok {
-			prev.Targets = mergeTargets(prev.Targets, res.Targets)
-			if prev.TableBase == 0 {
-				prev.TableBase = res.TableBase
-			}
-		} else {
-			e.found[addr] = res
+	if prev, ok := e.found[addr]; ok {
+		prev.Targets = mergeTargets(prev.Targets, ts)
+		if prev.TableBase == 0 {
+			prev.TableBase = base
 		}
+	} else {
+		e.found[addr] = &Resolution{Targets: ts, TableBase: base}
 	}
 }
 
-// splitAddr decomposes an address expression into its concrete component and
-// reports whether a symbolic residue remains (the table-index pattern).
-func splitAddr(v SVal) (base uint32, hasSym bool) {
+// SplitAddr walks an additive address expression: it sums the concrete
+// terms into base, reports an allocation root (hasAlloc, with its call
+// site), and reports whether any other symbolic term remains (hasSym, the
+// table-index pattern).
+func SplitAddr(v SVal) (base, site uint32, hasAlloc, hasSym bool) {
 	switch v := v.(type) {
 	case SConst:
-		return v.V, false
+		return v.V, 0, false, false
+	case SAlloc:
+		return 0, v.Site, true, false
 	case SBin:
 		if v.Op == ir.Add {
-			lb, ls := splitAddr(v.L)
-			rb, rs := splitAddr(v.R)
-			return lb + rb, ls || rs
+			lb, ls, la, lsym := SplitAddr(v.L)
+			rb, rs, ra, rsym := SplitAddr(v.R)
+			site = ls
+			if ra {
+				site = rs
+			}
+			return lb + rb, site, la || ra, lsym || rsym
 		}
-		return 0, true
+		return 0, 0, false, true
 	default:
-		return 0, true
+		return 0, 0, false, true
 	}
 }
 

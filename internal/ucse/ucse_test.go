@@ -210,6 +210,9 @@ func TestLoopsTerminate(t *testing.T) {
 }
 
 func TestSimplifyIdentities(t *testing.T) {
+	if got := simplify(ir.Add, SConst{V: 2}, SConst{V: 3}); got != (SConst{V: 5}) {
+		t.Errorf("2+3 = %v, want SConst{5}", got)
+	}
 	u := SUnknown{ID: 1}
 	if v := simplify(ir.Add, u, SConst{V: 0}); v != SVal(u) {
 		t.Errorf("x+0 = %v", v)
@@ -224,17 +227,21 @@ func TestSimplifyIdentities(t *testing.T) {
 
 func TestSplitAddr(t *testing.T) {
 	u := SUnknown{ID: 9}
-	base, sym := splitAddr(SConst{V: 0x3000})
+	base, _, _, sym := SplitAddr(SConst{V: 0x3000})
 	if base != 0x3000 || sym {
 		t.Errorf("const split = %#x, %v", base, sym)
 	}
-	base, sym = splitAddr(SBin{Op: ir.Add, L: SConst{V: 0x3000}, R: SBin{Op: ir.Shl, L: u, R: SConst{V: 2}}})
+	base, _, _, sym = SplitAddr(SBin{Op: ir.Add, L: SConst{V: 0x3000}, R: SBin{Op: ir.Shl, L: u, R: SConst{V: 2}}})
 	if base != 0x3000 || !sym {
 		t.Errorf("table split = %#x, %v", base, sym)
 	}
-	_, sym = splitAddr(u)
-	if !sym {
+	if _, _, _, sym = SplitAddr(u); !sym {
 		t.Error("unknown must be symbolic")
+	}
+	// An allocation root is reported with its site, not as a symbolic term.
+	base, site, alloc, sym := SplitAddr(SBin{Op: ir.Add, L: SConst{V: 8}, R: SAlloc{Site: 0x1040}})
+	if base != 8 || site != 0x1040 || !alloc || sym {
+		t.Errorf("alloc split = %#x, %#x, %v, %v", base, site, alloc, sym)
 	}
 }
 
