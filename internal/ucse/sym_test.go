@@ -113,6 +113,18 @@ func TestHasLoad(t *testing.T) {
 	}
 }
 
+// TestSimplifyExported pins the folding rules every SymState step applies
+// to binary operations: constants fold, and adding zero leaves a term as is.
+func TestSimplifyExported(t *testing.T) {
+	if got := simplify(ir.Add, SConst{V: 2}, SConst{V: 3}); got != (SConst{V: 5}) {
+		t.Errorf("2+3 = %v, want SConst{5}", got)
+	}
+	u := SUnknown{ID: 7}
+	if got := simplify(ir.Add, u, SConst{V: 0}); got != SVal(u) {
+		t.Errorf("u+0 = %v, want u unchanged", got)
+	}
+}
+
 func TestSymStateCloneIsolation(t *testing.T) {
 	st := symBin(t)
 	addr := &ir.Const{V: int64(FakeSP - 8)}
