@@ -83,6 +83,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzLoad -fuzztime=$(FUZZTIME) ./internal/loader
 	$(GO) test -run='^$$' -fuzz=FuzzForward -fuzztime=$(FUZZTIME) ./internal/dataflow
 	$(GO) test -run='^$$' -fuzz=FuzzAbsState -fuzztime=$(FUZZTIME) ./internal/dataflow
+	$(GO) test -run='^$$' -fuzz=FuzzDBSCAN -fuzztime=$(FUZZTIME) ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzDiff -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz=FuzzDiskStore -fuzztime=$(FUZZTIME) ./internal/diskstore
 	$(GO) test -run='^$$' -fuzz=FuzzFrontend -fuzztime=$(FUZZTIME) ./internal/frontend

@@ -7,6 +7,7 @@
 //	fits -top 5 firmware.fw
 //	fits -j 8 -timeout 30s firmware.fw  # 8 workers, abort after 30s
 //	fits -unpack firmware.fw            # list the filesystem only
+//	fits -cpuprofile cpu.out firmware.fw  # same output, plus a CPU profile
 //	fits diff old.fw new.fw             # alert/ITS churn between versions
 //	fits xscan tree/                    # cross-binary corpus taint (JSON)
 //	fits -xmode its xscan tree/         # single-binary baseline mode
@@ -38,7 +39,18 @@ func main() {
 	cacheCfg.BindFlags(flag.CommandLine)
 	unpackOnly := flag.Bool("unpack", false, "only unpack and list the filesystem")
 	flag.StringVar(&spec.XMode, "xmode", "cross", "corpus seeding mode for xscan: cts, its or cross")
+	var prof optbuild.Profile
+	prof.BindFlags(flag.CommandLine)
 	flag.Parse()
+	stopProfile, err := prof.Start()
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer func() {
+		if err := stopProfile(); err != nil {
+			log.Fatal(err)
+		}
+	}()
 	if flag.NArg() == 3 && flag.Arg(0) == "diff" {
 		runDiff(spec, cacheCfg, flag.Arg(1), flag.Arg(2))
 		return
@@ -48,7 +60,7 @@ func main() {
 		return
 	}
 	if flag.NArg() != 1 {
-		log.Fatal("usage: fits [-top N] [-j N] [-timeout D] [-cache-size N] [-no-cache] [-unpack] firmware.fw\n" +
+		log.Fatal("usage: fits [-top N] [-j N] [-timeout D] [-cache-size N] [-no-cache] [-cpuprofile file] [-unpack] firmware.fw\n" +
 			"       fits diff old.fw new.fw\n" +
 			"       fits [-xmode cts|its|cross] xscan corpus-dir/")
 	}

@@ -8,6 +8,7 @@
 //	fwscan -engine symbolic -its firmware.fw
 //	fwscan -j 8 -timeout 1m firmware.fw    # 8 workers, abort after a minute
 //	fwscan -j 8 v1.fw v2.fw v3.fw          # batch: one shared worker budget
+//	fwscan -cpuprofile cpu.out -its firmware.fw  # same output, plus a CPU profile
 //
 // With several images the batch is analyzed under one corpus scheduler, so
 // model building and inference across images share a single worker budget
@@ -39,9 +40,20 @@ func main() {
 	var cacheCfg optbuild.CacheConfig
 	cacheCfg.BindFlags(flag.CommandLine)
 	verbose := flag.Bool("v", false, "print model-cache diagnostics")
+	var prof optbuild.Profile
+	prof.BindFlags(flag.CommandLine)
 	flag.Parse()
+	stopProfile, err := prof.Start()
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer func() {
+		if err := stopProfile(); err != nil {
+			log.Fatal(err)
+		}
+	}()
 	if flag.NArg() < 1 {
-		log.Fatal("usage: fwscan [-its] [-engine static|symbolic] [-top N] [-j N] [-timeout D] [-cache-size N] [-no-cache] [-v] firmware.fw [more.fw ...]")
+		log.Fatal("usage: fwscan [-its] [-engine static|symbolic] [-top N] [-j N] [-timeout D] [-cache-size N] [-no-cache] [-cpuprofile file] [-v] firmware.fw [more.fw ...]")
 	}
 	images := make([][]byte, flag.NArg())
 	for i, name := range flag.Args() {

@@ -10,6 +10,7 @@
 package cfg
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -136,7 +137,7 @@ func (m *Model) FuncsInOrder() []*Function {
 	for _, f := range m.Funcs {
 		out = append(out, f)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Entry < out[j].Entry })
+	slices.SortFunc(out, func(a, b *Function) int { return cmp.Compare(a.Entry, b.Entry) })
 	return out
 }
 

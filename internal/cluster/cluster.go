@@ -8,6 +8,7 @@ package cluster
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"fits/internal/bfv"
@@ -37,22 +38,97 @@ type Class struct {
 	Noise bool
 }
 
-// maxNormalize scales every dimension by its maximum over the set, so that
-// distance comparisons are not dominated by large-magnitude features.
-func maxNormalize(points []Point) [][bfv.Dim]float64 {
+// distinct groups the points whose vectors compare ==. It returns, for each
+// group in order of first occurrence, the index of that occurrence and the
+// group's size, and for each point the number of its group.
+//
+// The point indices are sorted by a 32-bit hash of the vector, ties by
+// index: one slices.Sort of packed uint64 keys, where sorting by the vectors
+// themselves cost several times the clustering it saves. A point joins the
+// first earlier point of its hash run whose vector is ==, so a hash
+// collision costs one extra comparison and never merges unequal vectors. A
+// vector holding a NaN equals nothing, not even itself, and forms a group
+// of its own.
+func distinct(points []Point) (firsts, counts, group []int32) {
+	n := len(points)
+	keys := make([]uint64, n)
+	for i := range points {
+		keys[i] = uint64(hashVec(&points[i].Vec))<<32 | uint64(i)
+	}
+	slices.Sort(keys)
+	// group first holds each point's leader, the first point of its group,
+	// then, in one ascending pass, each group's number in first-occurrence
+	// order: a leader precedes the rest of its group, so its number is
+	// known when they are reached.
+	group = make([]int32, n)
+	m := 0
+	for start := 0; start < n; {
+		end := start + 1
+		for end < n && keys[end]>>32 == keys[start]>>32 {
+			end++
+		}
+		for k := start; k < end; k++ {
+			i := int32(uint32(keys[k]))
+			group[i] = i
+			for _, key := range keys[start:k] {
+				if j := int32(uint32(key)); group[j] == j && points[j].Vec == points[i].Vec {
+					group[i] = j
+					break
+				}
+			}
+			if group[i] == i {
+				m++
+			}
+		}
+		start = end
+	}
+	firsts = make([]int32, 0, m)
+	counts = make([]int32, m)
+	for i := range group {
+		if int(group[i]) == i {
+			group[i] = int32(len(firsts))
+			firsts = append(firsts, int32(i))
+		} else {
+			group[i] = group[group[i]]
+		}
+		counts[group[i]]++
+	}
+	return firsts, counts, group
+}
+
+// hashVec mixes the bits of a vector's features into 32 bits. Zero is
+// hashed as +0, so the vectors that compare == hash alike.
+func hashVec(v *bfv.Vector) uint32 {
+	const k = 0x9e3779b97f4a7c15
+	h := uint64(0)
+	for _, x := range v {
+		if x == 0 {
+			x = 0
+		}
+		h = (h ^ math.Float64bits(x)) * k
+		h ^= h >> 32
+	}
+	return uint32(h * k >> 32)
+}
+
+// maxNormalize scales every dimension of the vectors points[idx[k]] by its
+// maximum over them, so that distance comparisons are not dominated by
+// large-magnitude features. The maxima of a multiset are those of its set,
+// so one index per distinct vector normalizes exactly as every point would.
+func maxNormalize(points []Point, idx []int32) [][bfv.Dim]float64 {
 	var maxes [bfv.Dim]float64
-	for _, p := range points {
+	for _, i := range idx {
 		for d := 0; d < bfv.Dim; d++ {
-			if v := math.Abs(p.Vec[d]); v > maxes[d] {
+			if v := math.Abs(points[i].Vec[d]); v > maxes[d] {
 				maxes[d] = v
 			}
 		}
 	}
-	out := make([][bfv.Dim]float64, len(points))
-	for i, p := range points {
+	out := make([][bfv.Dim]float64, len(idx))
+	for k, i := range idx {
 		for d := 0; d < bfv.Dim; d++ {
 			if maxes[d] > 0 {
-				out[i][d] = p.Vec[d] / maxes[d]
+				out[k][d] = points[i].Vec[d] / maxes[d]
 			}
 		}
 	}
@@ -99,73 +175,84 @@ func within(a, b *[bfv.Dim]float64, maxSq float64) bool {
 // DBSCAN clusters points with the classic density-based algorithm. Noise
 // points become singleton classes marked Noise so that the complexity filter
 // still considers them.
+//
+// It clusters each distinct vector once, weighted by its multiplicity, and
+// every point takes its vector's label. That is exact: equal vectors have
+// equal normalized rows and so one neighbour set. A core copy's expansion
+// enqueues every copy at once; non-core copies are either all noise or all
+// claimed by the first cluster reaching them; and cluster ids follow first
+// occurrences, which is the order groups are visited in.
 func DBSCAN(points []Point, params Params) []Class {
 	if params.MinPts <= 0 {
 		params = DefaultParams
 	}
 	n := len(points)
-	norm := maxNormalize(points)
+	firsts, counts, group := distinct(points)
+	m := len(firsts)
+	norm := maxNormalize(points, firsts)
 
-	// neighbors reuses one scratch buffer across queries: each result is
-	// consumed before the next query, and a point has at most n neighbors,
-	// so the append below never reallocates.
-	scratch := make([]int, 0, n)
+	// neighbors returns the groups within eps of group g and the number of
+	// points they hold. It reuses one scratch buffer across queries: each
+	// result is consumed before the next query, and a group has at most m
+	// neighbours, so the append below never reallocates.
+	scratch := make([]int32, 0, m)
 	maxSq := maxSquare(params.Eps)
-	neighbors := func(i int) []int {
-		out := scratch[:0]
-		for j := 0; j < n; j++ {
-			if within(&norm[i], &norm[j], maxSq) {
-				out = append(out, j)
+	neighbors := func(g int32) ([]int32, int) {
+		out, weight := scratch[:0], 0
+		for h := range norm {
+			if within(&norm[g], &norm[h], maxSq) {
+				out = append(out, int32(h))
+				weight += int(counts[h])
 			}
 		}
-		return out
+		return out, weight
 	}
 
 	const (
 		unvisited = 0
 		noise     = -1
 	)
-	labels := make([]int, n) // 0 unvisited, -1 noise, >0 cluster id
-	// Each point is enqueued at most once over the whole run: it is marked
-	// on enqueue, and an expansion skips points already labelled (noise
-	// excepted, which becomes a border point). Labels change only at
-	// dequeue, so only a point's first dequeue could ever act, and the
+	labels := make([]int, m) // per group: 0 unvisited, -1 noise, >0 cluster id
+	// Each group is enqueued at most once over the whole run: it is marked
+	// on enqueue, and an expansion skips groups already labelled (noise
+	// excepted, which becomes a border group). Labels change only at
+	// dequeue, so only a group's first dequeue could ever act, and the
 	// labels equal those of the classic queue that appends every core
-	// neighbour's whole neighbour list, in O(n) queue memory.
-	queued := make([]bool, n)
-	queue := make([]int, 0, n)
-	enqueue := func(nb []int) {
-		for _, j := range nb {
-			if !queued[j] && labels[j] <= unvisited {
-				queued[j] = true
-				queue = append(queue, j)
+	// neighbour's whole neighbour list, in O(m) queue memory.
+	queued := make([]bool, m)
+	queue := make([]int32, 0, m)
+	enqueue := func(nb []int32) {
+		for _, h := range nb {
+			if !queued[h] && labels[h] <= unvisited {
+				queued[h] = true
+				queue = append(queue, h)
 			}
 		}
 	}
 	next := 1
-	for i := 0; i < n; i++ {
-		if labels[i] != unvisited {
+	for g := int32(0); int(g) < m; g++ {
+		if labels[g] != unvisited {
 			continue
 		}
-		nb := neighbors(i)
-		if len(nb) < params.MinPts {
-			labels[i] = noise
+		nb, weight := neighbors(g)
+		if weight < params.MinPts {
+			labels[g] = noise
 			continue
 		}
 		id := next
 		next++
-		labels[i] = id
+		labels[g] = id
 		queue = queue[:0]
 		enqueue(nb)
 		for head := 0; head < len(queue); head++ {
-			j := queue[head]
-			if labels[j] == noise {
-				labels[j] = id // border point
+			h := queue[head]
+			if labels[h] == noise {
+				labels[h] = id // border group
 				continue
 			}
-			labels[j] = id
-			if jn := neighbors(j); len(jn) >= params.MinPts {
-				enqueue(jn)
+			labels[h] = id
+			if hn, hw := neighbors(h); hw >= params.MinPts {
+				enqueue(hn)
 			}
 		}
 	}
@@ -173,8 +260,8 @@ func DBSCAN(points []Point, params Params) []Class {
 	// Members per cluster id, in point order, carved from one backing array.
 	sizes := make([]int, next)
 	nnoise := 0
-	for _, l := range labels {
-		if l == noise {
+	for _, g := range group {
+		if l := labels[g]; l == noise {
 			nnoise++
 		} else {
 			sizes[l]++
@@ -189,11 +276,12 @@ func DBSCAN(points []Point, params Params) []Class {
 	}
 	noiseClasses := make([]Class, 0, nnoise)
 	for i, p := range points {
-		if labels[i] == noise {
+		l := labels[group[i]]
+		if l == noise {
 			noiseClasses = append(noiseClasses, Class{Members: []Point{p}, Noise: true})
 			continue
 		}
-		members[labels[i]] = append(members[labels[i]], p)
+		members[l] = append(members[l], p)
 	}
 	out := make([]Class, 0, next-1+nnoise)
 	for id := 1; id < next; id++ {

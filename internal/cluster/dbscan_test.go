@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -19,16 +20,38 @@ func referenceDist(a, b [bfv.Dim]float64) float64 {
 	return math.Sqrt(s)
 }
 
-// referenceDBSCAN is the classic queue formulation over square-rooted
-// distances: every core neighbour's whole neighbour list is appended to the
-// expansion queue and points are skipped at dequeue. DBSCAN must produce
-// exactly its classes.
+// referenceNormalize max-normalizes every point's vector, copies included.
+func referenceNormalize(points []Point) [][bfv.Dim]float64 {
+	var maxes [bfv.Dim]float64
+	for _, p := range points {
+		for d := 0; d < bfv.Dim; d++ {
+			if v := math.Abs(p.Vec[d]); v > maxes[d] {
+				maxes[d] = v
+			}
+		}
+	}
+	out := make([][bfv.Dim]float64, len(points))
+	for i, p := range points {
+		for d := 0; d < bfv.Dim; d++ {
+			if maxes[d] > 0 {
+				out[i][d] = p.Vec[d] / maxes[d]
+			}
+		}
+	}
+	return out
+}
+
+// referenceDBSCAN is the classic queue formulation over every point and
+// square-rooted distances: every core neighbour's whole neighbour list is
+// appended to the expansion queue and points are skipped at dequeue.
+// DBSCAN, which clusters each distinct vector once, must produce exactly
+// its classes.
 func referenceDBSCAN(points []Point, params Params) []Class {
 	if params.MinPts <= 0 {
 		params = DefaultParams
 	}
 	n := len(points)
-	norm := maxNormalize(points)
+	norm := referenceNormalize(points)
 	neighbors := func(i int) []int {
 		var out []int
 		for j := 0; j < n; j++ {
@@ -116,6 +139,34 @@ func randomPoints(r *rand.Rand, n, k, spread int) []Point {
 	return pts
 }
 
+// withCopies overwrites about half of the vectors with an earlier point's, so
+// that most vectors occur several times and their copies lie apart in point
+// order.
+func withCopies(r *rand.Rand, pts []Point) []Point {
+	for i := 1; i < len(pts); i++ {
+		if r.Intn(2) == 0 {
+			pts[i].Vec = pts[r.Intn(i)].Vec
+		}
+	}
+	return pts
+}
+
+// isolatedCopies places copies of one vector, far from every other, between
+// the points of a tight group, so that the copies lie apart in point order.
+func isolatedCopies(copies int) []Point {
+	pts := randomPoints(rand.New(rand.NewSource(3)), 12, 1, 2)
+	var far bfv.Vector
+	for d := range far {
+		far[d] = 1000
+	}
+	for c := 0; c < copies; c++ {
+		at := (c*len(pts))/copies + 1
+		p := Point{Entry: uint32(0x9000 + 0x10*c), Vec: far}
+		pts = append(pts[:at], append([]Point{p}, pts[at:]...)...)
+	}
+	return pts
+}
+
 // densePoints are n points within eps of each other: every point is a core
 // point whose neighbourhood is the whole set.
 func densePoints(n int) []Point {
@@ -138,6 +189,50 @@ func TestDBSCANMatchesReference(t *testing.T) {
 		p := params[trial%len(params)]
 		if got, want := DBSCAN(pts, p), referenceDBSCAN(pts, p); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d (n=%d, %+v): classes differ\n got %v\nwant %v", trial, n, p, got, want)
+		}
+	}
+	for trial := 0; trial < 200; trial++ {
+		n := r.Intn(120)
+		pts := withCopies(r, randomPoints(r, n, 1+r.Intn(6), 1+r.Intn(4)))
+		if trial%4 == 0 {
+			// A dropped feature: one dimension is zero in every vector.
+			d := r.Intn(bfv.Dim)
+			for i := range pts {
+				pts[i].Vec = pts[i].Vec.Drop(d)
+			}
+		}
+		p := params[trial%len(params)]
+		if got, want := DBSCAN(pts, p), referenceDBSCAN(pts, p); !reflect.DeepEqual(got, want) {
+			t.Fatalf("duplicate trial %d (n=%d, %+v): classes differ\n got %v\nwant %v", trial, n, p, got, want)
+		}
+	}
+	// A vector with no neighbour but its own copies is core exactly when it
+	// occurs MinPts times: below that every copy is its own noise class.
+	for _, copies := range []int{DefaultParams.MinPts - 1, DefaultParams.MinPts} {
+		pts := isolatedCopies(copies)
+		got, want := DBSCAN(pts, DefaultParams), referenceDBSCAN(pts, DefaultParams)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d isolated copies: classes differ\n got %v\nwant %v", copies, got, want)
+		}
+		var noise, clustered int
+		for _, c := range got {
+			if c.Members[0].Vec[0] != 1000 {
+				continue
+			}
+			if c.Noise {
+				noise += len(c.Members)
+			} else {
+				clustered++
+				if len(c.Members) != copies {
+					t.Errorf("%d isolated copies: their class holds %d points", copies, len(c.Members))
+				}
+			}
+		}
+		if copies < DefaultParams.MinPts && noise != copies {
+			t.Errorf("%d isolated copies: %d noise classes, want one per copy", copies, noise)
+		}
+		if copies == DefaultParams.MinPts && (clustered != 1 || noise != 0) {
+			t.Errorf("%d isolated copies: %d classes and %d noise points, want one class", copies, clustered, noise)
 		}
 	}
 	dense := densePoints(200)
@@ -208,6 +303,38 @@ func TestWithinMatchesSqrt(t *testing.T) {
 		want := referenceDist(a, b) <= eps
 		if got := within(&a, &b, maxSquare(eps)); got != want {
 			t.Fatalf("eps %v, a %v, b %v: within = %v, sqrt says %v", eps, a, b, got, want)
+		}
+	}
+}
+
+// distinct numbers groups by first occurrence, puts -0 with +0 since they
+// compare ==, and leaves every vector holding a NaN in a group of its own.
+func TestDistinctGroups(t *testing.T) {
+	var a, b, negZero, nan bfv.Vector
+	a[0], b[0] = 1, 2
+	negZero[4] = math.Copysign(0, -1)
+	nan[0] = math.NaN()
+	pts := []Point{{Vec: b}, {Vec: a}, {Vec: nan}, {}, {Vec: b}, {Vec: negZero}, {Vec: nan}, {Vec: a}}
+	firsts, counts, group := distinct(pts)
+	if want := []int32{0, 1, 2, 3, 0, 3, 4, 1}; !reflect.DeepEqual(group, want) {
+		t.Errorf("group = %v, want %v", group, want)
+	}
+	if want := []int32{0, 1, 2, 3, 6}; !reflect.DeepEqual(firsts, want) {
+		t.Errorf("firsts = %v, want %v", firsts, want)
+	}
+	if want := []int32{2, 2, 1, 2, 1}; !reflect.DeepEqual(counts, want) {
+		t.Errorf("counts = %v, want %v", counts, want)
+	}
+	if hashVec(&negZero) != hashVec(&bfv.Vector{}) {
+		t.Error("-0 and +0 hash apart")
+	}
+	for i := range pts {
+		pts[i].Entry = uint32(0x1000 + 0x10*i)
+	}
+	// NaN != NaN, so the classes are compared in print.
+	for _, p := range []Params{{Eps: 0, MinPts: 2}, {Eps: 2, MinPts: 4}} {
+		if got, want := fmt.Sprint(DBSCAN(pts, p)), fmt.Sprint(referenceDBSCAN(pts, p)); got != want {
+			t.Errorf("%+v: classes differ\n got %v\nwant %v", p, got, want)
 		}
 	}
 }

@@ -525,10 +525,11 @@ func inferTarget(ctx context.Context, t *loader.Target, cfgn Config) (*Ranking, 
 	switch cfgn.Strategy {
 	case StrategyCluster:
 		for _, e := range cluster.Candidates(points, cfgn.DBSCAN) {
-			for _, p := range points {
-				if p.Entry == e {
-					cands[e] = p.Vec
-				}
+			cands[e] = bfv.Vector{}
+		}
+		for _, p := range points {
+			if _, ok := cands[p.Entry]; ok {
+				cands[p.Entry] = p.Vec
 			}
 		}
 	case StrategyPCA, StrategyStandardize, StrategyNormalize:

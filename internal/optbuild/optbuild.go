@@ -15,6 +15,8 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"os"
+	"runtime/pprof"
 	"time"
 
 	"fits"
@@ -310,4 +312,36 @@ func (c CacheConfig) New() *fits.Cache {
 		return nil
 	}
 	return fits.NewCache(c.MaxEntries, c.MaxBytes)
+}
+
+// Profile is the -cpuprofile flag shared by cmd/fits and cmd/fwscan. Off by
+// default, it never changes what a command prints.
+type Profile struct {
+	CPU string
+}
+
+// BindFlags registers -cpuprofile.
+func (p *Profile) BindFlags(fs *flag.FlagSet) {
+	fs.StringVar(&p.CPU, "cpuprofile", "", "write a CPU profile of the run to `file` (go tool pprof reads it)")
+}
+
+// Start begins CPU profiling into the flag's file, if one was given, and
+// returns the function that ends the profile and closes the file. A run
+// that exits early through log.Fatal leaves the profile incomplete.
+func (p *Profile) Start() (stop func() error, err error) {
+	if p.CPU == "" {
+		return func() error { return nil }, nil
+	}
+	f, err := os.Create(p.CPU)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
 }

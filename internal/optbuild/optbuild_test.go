@@ -3,6 +3,8 @@ package optbuild
 import (
 	"encoding/json"
 	"flag"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -151,5 +153,38 @@ func TestCacheConfig(t *testing.T) {
 	}
 	if (CacheConfig{}).New() == nil {
 		t.Error("default cache config built no cache")
+	}
+}
+
+func TestProfile(t *testing.T) {
+	var off Profile
+	stop, err := off.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+
+	var p Profile
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	p.BindFlags(fs)
+	path := filepath.Join(t.TempDir(), "cpu.out")
+	if err := fs.Parse([]string{"-cpuprofile", path}); err != nil {
+		t.Fatal(err)
+	}
+	stop, err = p.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+		t.Fatalf("profile file: %v, %v", fi, err)
+	}
+	p.CPU = filepath.Join(path, "missing", "cpu.out")
+	if _, err := p.Start(); err == nil {
+		t.Error("an uncreatable profile file started a profile")
 	}
 }
