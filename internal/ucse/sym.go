@@ -1,16 +1,18 @@
 package ucse
 
-// sym.go is the one symbolic machine of the package. The path-exploring
-// Engine runs a SymState per path; the precision passes (internal/alias,
-// internal/pathcheck) run one over a single walk. They differ in one rule,
-// which bytes a concrete load trusts. The precision passes trust only the
-// read-only sections (text, rodata), because writable initial bytes need
-// not still hold when the analyzed path runs; loads from writable memory
-// instead return a per-address memoized unknown, so two reads of the same
-// concrete location share one identity until something may have clobbered
-// memory — exactly the property an interval solver over branch conditions
-// needs to stay sound. The Engine trusts the whole initialized image,
-// because dispatch tables live in .data.
+// sym.go is the one symbolic machine of the repository. Four analyses run
+// it: the resolver's path-exploring Engine and the Karonte-style engine
+// (internal/karonte) run one SymState per path, and the precision passes
+// (internal/alias, internal/pathcheck) run one over a single walk. They
+// differ in one rule, which bytes a concrete load trusts. The precision
+// passes trust only the read-only sections (text, rodata), because
+// writable initial bytes need not still hold when the analyzed path runs;
+// loads from writable memory instead return a per-address memoized
+// unknown, so two reads of the same concrete location share one identity
+// until something may have clobbered memory — exactly the property an
+// interval solver over branch conditions needs to stay sound. The path
+// explorers start from NewPathState, which trusts the whole initialized
+// image, because dispatch tables and initialized globals live in .data.
 
 import (
 	"fmt"
@@ -69,10 +71,18 @@ func NewSymState(bin *binimg.Binary) *SymState {
 	return s
 }
 
-// clone forks the state for another path. The fork continues its own copy
+// NewPathState is NewSymState for a path explorer: its concrete loads read
+// the whole initialized image, writable sections included.
+func NewPathState(bin *binimg.Binary) *SymState {
+	s := NewSymState(bin)
+	s.trustWritable = true
+	return s
+}
+
+// Clone forks the state for another path. The fork continues its own copy
 // of the identity counter, so two forks may mint equal unknowns; nothing
 // compares identities across paths.
-func (s *SymState) clone() *SymState {
+func (s *SymState) Clone() *SymState {
 	ns := *s
 	ns.mem = maps.Clone(s.mem)
 	ns.memUnknown = maps.Clone(s.memUnknown)
@@ -192,6 +202,12 @@ func (s *SymState) Step(st ir.Stmt) (clobbered bool) {
 		return true
 	}
 	return false
+}
+
+// SetTemp overrides temporary t, for a caller that models a statement's
+// value itself.
+func (s *SymState) SetTemp(t ir.Temp, v SVal) {
+	s.temps[uint(t)%ir.MaxBlockTemps] = v
 }
 
 // HavocMemory forgets every tracked and memoized memory value; subsequent

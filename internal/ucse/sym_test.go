@@ -129,7 +129,7 @@ func TestSymStateCloneIsolation(t *testing.T) {
 	st := symBin(t)
 	addr := &ir.Const{V: int64(FakeSP - 8)}
 	st.Step(&ir.Store{Addr: addr, Val: &ir.Const{V: 1}, Size: 4})
-	fork := st.clone()
+	fork := st.Clone()
 	fork.Step(&ir.Store{Addr: addr, Val: &ir.Const{V: 2}, Size: 4})
 	fork.Regs[isa.R0] = SConst{V: 9}
 	if got := st.Eval(&ir.Load{Addr: addr, Size: 4}); got != (SConst{V: 1}) {
@@ -159,8 +159,7 @@ func TestSymStateLoadTrust(t *testing.T) {
 	if got, ok := st.Eval(load).(SUnknown); !ok {
 		t.Errorf("precision-pass load of .data = %v, want an unknown", got)
 	}
-	st = NewSymState(bin)
-	st.trustWritable = true
+	st = NewPathState(bin)
 	if got := st.Eval(load); got != (SConst{V: 7}) {
 		t.Errorf("explorer load of .data = %v, want SConst{7}", got)
 	}

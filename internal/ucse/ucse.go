@@ -71,7 +71,7 @@ type path struct {
 }
 
 func (p *path) fork() *path {
-	return &path{st: p.st.clone(), visits: maps.Clone(p.visits), steps: p.steps}
+	return &path{st: p.st.Clone(), visits: maps.Clone(p.visits), steps: p.steps}
 }
 
 // Resolution is the outcome of indirect-target analysis for one call site.
@@ -85,10 +85,7 @@ type Resolution struct {
 // Explore runs bounded under-constrained execution over the function and
 // returns a resolution for every indirect call site it reaches.
 func (e *Engine) Explore() []Resolution {
-	init := &path{st: NewSymState(e.bin), visits: map[uint32]int{}}
-	// Dispatch tables live in .data: the explorer reads the whole
-	// initialized image, not just the read-only sections.
-	init.st.trustWritable = true
+	init := &path{st: NewPathState(e.bin), visits: map[uint32]int{}}
 
 	e.found = map[uint32]*Resolution{}
 	e.jumps = map[uint32][]uint32{}
