@@ -88,7 +88,9 @@ type Alert struct {
 	// Degraded marks alerts from functions where an analysis budget
 	// tripped (the taint fixpoint's pass budget or the alias fact budget):
 	// the engine fell back to coarser tracking around them, so their
-	// precision is that of the pre-budget passes.
+	// precision is that of the pre-budget passes. The symbolic engine
+	// (package karonte) marks alerts from functions still on a path its
+	// step budget cut short, whose flows it may have missed.
 	Degraded bool
 }
 
