@@ -1,6 +1,6 @@
-# Development and CI entry points. `make ci` is the full gate: vet, the
-# fitslint invariant suite, build, plain tests, race-enabled tests, a short
-# fuzz smoke on each fuzz target (go's -fuzz flag accepts a single package,
+# Development and CI entry points. `make ci` is the full gate: vet, a gofmt
+# check, the fitslint invariant suite, build, plain tests, race-enabled
+# tests, a short fuzz smoke on each fuzz target (go's -fuzz flag accepts a single package,
 # hence one invocation per target), and a benchmark smoke that gates the
 # median ns/op, B/op and allocs/op of five 20-iteration runs against the
 # committed BENCH_pipeline.json before replacing it. bench-check vets and tests the bench/ module, which
@@ -9,7 +9,7 @@
 GO      ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet lint test race bench bench-smoke bench-check fuzz-smoke serve-smoke precision-smoke netlines ci
+.PHONY: all build vet fmt-check lint test race bench bench-smoke bench-check fuzz-smoke serve-smoke precision-smoke netlines ci
 
 all: build
 
@@ -18,6 +18,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Fails when any Go file is not gofmt-formatted; `gofmt -l .` lists them.
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 # fitslint machine-checks the repo's determinism, concurrency, and context
 # invariants (see DESIGN.md "Static analysis & invariants"). Kept separate
@@ -77,6 +81,9 @@ netlines:
 	@test -n "$(BASE)" || { echo "usage: make netlines BASE=<rev>" >&2; exit 2; }
 	@sh ./scripts/netlines.sh $(BASE)
 
+# A FuzzKaronte input is a whole binary that takes milliseconds to build
+# and explore, so minimizing a new one under go's default 60s budget would
+# eat the whole smoke; its minimization is capped at ten runs.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/binimg
 	$(GO) test -run='^$$' -fuzz=FuzzEncodeDecodeRoundTrip -fuzztime=$(FUZZTIME) ./internal/binimg
@@ -87,5 +94,6 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDiff -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz=FuzzDiskStore -fuzztime=$(FUZZTIME) ./internal/diskstore
 	$(GO) test -run='^$$' -fuzz=FuzzFrontend -fuzztime=$(FUZZTIME) ./internal/frontend
+	$(GO) test -run='^$$' -fuzz=FuzzKaronte -fuzztime=$(FUZZTIME) -fuzzminimizetime=10x ./internal/karonte
 
-ci: vet lint build test race fuzz-smoke precision-smoke bench-smoke bench-check serve-smoke
+ci: vet fmt-check lint build test race fuzz-smoke precision-smoke bench-smoke bench-check serve-smoke
