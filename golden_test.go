@@ -10,6 +10,7 @@ import (
 	"math"
 	"testing"
 
+	"fits/internal/evolve"
 	"fits/internal/infer"
 	"fits/internal/loader"
 	"fits/internal/score"
@@ -153,4 +154,42 @@ func hashCandidate(h hash.Hash, entry uint32, s float64) {
 	binary.LittleEndian.PutUint32(buf[:4], entry)
 	binary.LittleEndian.PutUint64(buf[4:], math.Float64bits(s))
 	h.Write(buf[:])
+}
+
+// diffReportGolden is the SHA-256 TestDiffReportGolden pins. Update it only
+// for a change that is meant to move diff reports or their alerts, and say
+// so in the change.
+const diffReportGolden = "190458d638dd591700811a2dafd507286ba547b7d8573511cecaa890e3a8e345"
+
+// TestDiffReportGolden is TestRankingsGolden for version diffs: one digest
+// over the JSON of every synth.ChainDataset() step's DiffReport, OldAlerts
+// and NewAlerts. Each chain shares one cache across its steps, so every
+// step's old version is served from the cache and its new version is built,
+// as in a long diff session.
+func TestDiffReportGolden(t *testing.T) {
+	h := sha256.New()
+	for _, spec := range synth.ChainDataset() {
+		c := chainFor(t, spec)
+		opts := DefaultDiffOptions()
+		opts.Cache = NewCache(0, 0)
+		for i := 0; i+1 < len(c.Versions); i++ {
+			d, err := Diff(c.Versions[i].Packed, c.Versions[i+1].Packed, opts)
+			if err != nil {
+				t.Fatalf("chain %d step %d: %v", spec.Seed, i, err)
+			}
+			out, err := json.Marshal(struct {
+				Report    *evolve.DiffReport
+				OldAlerts [][]Alert
+				NewAlerts [][]Alert
+			}{d.Report, d.OldAlerts, d.NewAlerts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(h, "chain %d step %d\n", spec.Seed, i)
+			h.Write(out)
+		}
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != diffReportGolden {
+		t.Errorf("diff report digest = %s, want %s", got, diffReportGolden)
+	}
 }
