@@ -112,7 +112,8 @@ type Options struct {
 	// between images collapse too. Interning never changes output bytes.
 	intern *intern.Table
 	// prev threads the previous firmware version's targets into the loader
-	// so unchanged functions are replayed instead of rebuilt; set by Diff.
+	// so unchanged functions are paired with their old versions; set by
+	// Diff.
 	prev []*loader.Target
 }
 

@@ -31,12 +31,6 @@ type Options struct {
 	SkipPrologueScan bool
 	// MaxFuncs bounds discovery as a runaway guard.
 	MaxFuncs int
-	// FuncSource, when set, is consulted before recovering a function from
-	// scratch; a hit installs the supplied function verbatim. A ReusePlan
-	// provides the production implementation for incremental rebuilds. The
-	// source is bypassed for functions with resolved jump tables, whose
-	// recovery depends on resolver state the source cannot reproduce.
-	FuncSource func(entry uint32) (*Function, bool)
 	// Probe, when set, opens a CFG span around each Build and a nested Lift
 	// span around each function's recovery and lifting. Models are
 	// unaffected.
@@ -68,17 +62,6 @@ func Build(bin *binimg.Binary, opts Options) (*Model, error) {
 			}
 			if len(m.Funcs) >= opts.MaxFuncs {
 				return fmt.Errorf("cfg: %s: function limit %d exceeded", bin.Name, opts.MaxFuncs)
-			}
-			if opts.FuncSource != nil && jumpTables[entry] == nil {
-				if f, ok := opts.FuncSource(entry); ok {
-					m.Funcs[entry] = f
-					for _, cs := range f.Calls {
-						if cs.Target != 0 {
-							worklist = append(worklist, cs.Target)
-						}
-					}
-					continue
-				}
 			}
 			lifted := stagetime.Open(opts.Probe, stagetime.Lift)
 			f, err := buildFunction(bin, x, entry, jumpTables[entry])

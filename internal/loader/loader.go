@@ -64,19 +64,16 @@ type Target struct {
 }
 
 // PrevTarget is the previous-version context of a target: the old target
-// (matched by path) plus what the incremental build learned about the pair.
+// (matched by path) plus how the two versions' functions pair up.
 type PrevTarget struct {
 	// Target is the old-version target at the same filesystem path.
 	Target *Target
-	// Plan is the reuse plan that guided the incremental model build; nil
-	// when the binaries are identical or the new model came from the cache.
+	// Plan pairs the new model's functions with the unchanged functions of
+	// the old model; nil when the binaries are identical.
 	Plan *cfg.ReusePlan
 	// Identical reports the two binaries are byte-identical (equal content
 	// hashes), the strongest reuse tier.
 	Identical bool
-	// CachedModel reports the new model was served whole from the cache, so
-	// no incremental build ran.
-	CachedModel bool
 }
 
 // Result is the outcome of pre-processing one firmware image.
@@ -109,12 +106,12 @@ type Options struct {
 	// configuration. Cached values are shared read-only; concurrent loads of
 	// the same content deduplicate the build. A nil Cache keeps nothing.
 	Cache *modelcache.Cache
-	// Prev supplies the targets of a previous firmware version. A target at
-	// the same path guides the new model build: unchanged or uniformly
-	// shifted functions are replayed from the old model instead of being
-	// recovered from scratch, and the resulting Target.Prev records what was
-	// reused so later stages can skip redundant work. Honoured with or
-	// without a Cache. The output remains byte-identical to a cold load.
+	// Prev supplies the targets of a previous firmware version. The new
+	// model is built cold; when the old target at the same path differs, a
+	// reuse plan then pairs the new model's unchanged or uniformly shifted
+	// functions with the old model's, and Target.Prev records the pairing so
+	// later stages can skip redundant work. Honoured with or without a
+	// Cache. The models are byte-identical to a cold load.
 	Prev []*Target
 	// Sched, when non-nil, draws the model-building fan-out from a shared
 	// worker budget: an analysis hands its own Scheduler down, and batched
@@ -292,29 +289,12 @@ func (res *Result) load(ctx context.Context, opts Options) error {
 	}
 	models := make([]*cfg.Model, len(jobs))
 	plans := make([]*cfg.ReusePlan, len(jobs))
-	cachedModel := make([]bool, len(jobs))
 	var reused atomic.Int64
 	buildJob := func(i int) error {
 		v, hit, err := opts.Cache.GetOrCompute(
 			modelcache.Key("model", modelCfg, jobs[i].hash),
 			func() (any, int64, error) {
-				buildOpts := cfgOpts
-				// A changed previous version guides the build; an identical
-				// one builds from scratch, and with a cache never reaches
-				// this closure (same hash, same key, so the old model is
-				// already cached under it).
-				if prev := jobs[i].prev; prev != nil && prev.Hash != jobs[i].hash {
-					plan := cfg.NewReusePlan(prev.Bin, prev.Model, jobs[i].bin)
-					buildOpts.FuncSource = plan.Source
-					m, err := cfg.Build(jobs[i].bin, buildOpts)
-					if err != nil {
-						return nil, 0, err
-					}
-					plan.Finalize(m)
-					plans[i] = plan
-					return m, modelCost(jobs[i].bin), nil
-				}
-				m, err := cfg.Build(jobs[i].bin, buildOpts)
+				m, err := cfg.Build(jobs[i].bin, cfgOpts)
 				if err != nil {
 					return nil, 0, err
 				}
@@ -325,19 +305,14 @@ func (res *Result) load(ctx context.Context, opts Options) error {
 		}
 		if hit {
 			reused.Add(1)
-			cachedModel[i] = true
-			// The model came from the cache, so no plan guided its build;
-			// align one against it anyway (validation only, no relift) so
-			// function pairing and reuse accounting match what a cache-miss
-			// load would have recorded.
-			if prev := jobs[i].prev; prev != nil && prev.Hash != jobs[i].hash && plans[i] == nil {
-				plan := cfg.NewReusePlan(prev.Bin, prev.Model, jobs[i].bin)
-				plan.Align(v.(*cfg.Model))
-				plan.Finalize(v.(*cfg.Model))
-				plans[i] = plan
-			}
 		}
 		models[i] = v.(*cfg.Model)
+		// A changed previous version is aligned against the finished model,
+		// so function pairing and reuse accounting are the same whether the
+		// model was built here or served from the cache.
+		if prev := jobs[i].prev; prev != nil && prev.Hash != jobs[i].hash {
+			plans[i] = cfg.AlignReuse(prev.Bin, prev.Model, jobs[i].bin, models[i])
+		}
 		return nil
 	}
 	sched := opts.Sched
@@ -368,10 +343,9 @@ func (res *Result) load(ctx context.Context, opts Options) error {
 		}
 		if pt := jobs[i].prev; pt != nil {
 			t.Prev = &PrevTarget{
-				Target:      pt,
-				Plan:        plans[i],
-				Identical:   pt.Hash == t.Hash,
-				CachedModel: cachedModel[i],
+				Target:    pt,
+				Plan:      plans[i],
+				Identical: pt.Hash == t.Hash,
 			}
 		}
 		for _, need := range b.Needed {
