@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -230,10 +231,7 @@ func (s *Server) replayJournal(recs []diskstore.Record) (requeue []*Job, compact
 // recoverJob rebuilds one job from its aggregated journal records.
 func (s *Server) recoverJob(st *replayState) *Job {
 	acc := st.acc
-	var spec optbuild.Spec
-	if len(acc.Spec) > 0 {
-		json.Unmarshal(acc.Spec, &spec)
-	}
+	spec, specErr := recordSpec(acc.Spec)
 	j := &Job{
 		id:        acc.ID,
 		seq:       acc.Seq,
@@ -267,6 +265,13 @@ func (s *Server) recoverJob(st *replayState) *Job {
 		j.err = "interrupted: daemon restarted while the job was running; resubmit to retry"
 		j.finished = j.submitted
 		s.mInterrupted.Inc()
+	case specErr != nil:
+		// Accepted, never started, but its options do not decode under
+		// this build's schema: running it would store a result computed
+		// under other options at the disk key of the journaled ones.
+		j.state = StateFailed
+		j.err = fmt.Sprintf("options unreadable after restart: %v", specErr)
+		j.finished = j.submitted
 	default:
 		// Accepted, never started: bring the inputs back from the blob
 		// store and requeue. The blobs were fsynced before the accepted
@@ -282,6 +287,22 @@ func (s *Server) recoverJob(st *replayState) *Job {
 		j.in = in
 	}
 	return j
+}
+
+// recordSpec decodes and normalizes the options of an accepted record.
+// Unknown fields are an error, so a record written by a build with another
+// optbuild.Spec schema is refused rather than read in part.
+func recordSpec(raw json.RawMessage) (optbuild.Spec, error) {
+	var spec optbuild.Spec
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return optbuild.Spec{}, err
+	}
+	if err := spec.Normalize(); err != nil {
+		return optbuild.Spec{}, err
+	}
+	return spec, nil
 }
 
 // recordShas lists the blob hashes of an accepted record's inputs.

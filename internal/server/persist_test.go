@@ -7,6 +7,7 @@ package server_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -15,10 +16,12 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"fits/client"
+	"fits/internal/diskstore"
 	"fits/internal/optbuild"
 	"fits/internal/server"
 )
@@ -253,6 +256,83 @@ func TestReplayRequeuesAndInterrupts(t *testing.T) {
 	}
 	if !strings.Contains(m, "fitsd_jobs_interrupted_total 1") {
 		t.Error("metrics missing fitsd_jobs_interrupted_total 1")
+	}
+}
+
+// TestReplayFailsUnreadableOptions: a queued job whose journaled options
+// do not decode (a record from a build with another optbuild.Spec schema)
+// is failed at recovery. Requeueing it under zero or partial options would
+// store a result at the disk key of options it never ran with.
+func TestReplayFailsUnreadableOptions(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+
+	r := newHoldRunner()
+	srv1, ts1, c1 := startService(t, server.Config{Workers: 1, DataDir: dir, Runner: r.run})
+	if _, err := c1.Submit(ctx, []byte("hold"), optbuild.Spec{}); err != nil {
+		t.Fatal(err)
+	}
+	r.waitStarted(t)
+	subQ, err := c1.Submit(ctx, []byte("queued-behind"), optbuild.Spec{TopK: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1.Close()
+	srv1.Close()
+
+	walPath := filepath.Join(dir, "journal.wal")
+	wal, recs, err := diskstore.OpenJournal(walPath, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rewritten := false
+	for i := range recs {
+		if recs[i].Op == diskstore.OpAccepted && recs[i].ID == subQ.ID {
+			recs[i].Spec = json.RawMessage(`{"top_k":"three"}`)
+			rewritten = true
+		}
+	}
+	if !rewritten {
+		t.Fatalf("no accepted record for %s in the journal", subQ.ID)
+	}
+	if err := wal.Rewrite(recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var ran atomic.Bool
+	srv2, ts2, c2 := startService(t, server.Config{
+		Workers: 1, DataDir: dir,
+		Runner: func(ctx context.Context, kind string, in [][]byte, spec optbuild.Spec, env server.RunEnv) (*server.RunOutput, error) {
+			ran.Store(true)
+			return echoRunner(ctx, kind, in, spec, env)
+		},
+	})
+	defer func() {
+		sctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+		defer cancel()
+		srv2.Shutdown(sctx)
+		ts2.Close()
+	}()
+
+	st, err := c2.Job(ctx, subQ.ID)
+	if err != nil {
+		t.Fatalf("queued job lost by replay: %v", err)
+	}
+	if st.State != server.StateFailed || !strings.Contains(st.Error, "options unreadable") {
+		t.Fatalf("job with unreadable options: state %s (%s), want failed with options unreadable", st.State, st.Error)
+	}
+	if ran.Load() {
+		t.Error("runner fired for a job whose options could not be read")
+	}
+	results, err := os.ReadDir(filepath.Join(dir, "results"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 0 {
+		t.Errorf("disk store holds %d results, want none", len(results))
 	}
 }
 
