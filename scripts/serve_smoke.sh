@@ -4,6 +4,8 @@
 # fitsctl/the client package, and asserts:
 #   - both jobs return HTTP 200 results and the result JSON is byte-identical
 #   - the second run hit the shared model cache (visible in /metrics)
+#   - a diff of two different images completes, reuses some but not all
+#     functions, and repeats byte-identically
 #   - a diff round-trip (image against itself) completes, reports full
 #     function reuse, repeats byte-identically, and shows up in /metrics
 #   - a corpus round-trip (fwgen -multibin tree through fitsctl corpus)
@@ -49,8 +51,9 @@ echo "serve-smoke: building fitsd, fitsctl, fwgen"
 $GO build -o "$tmp/bin/" ./cmd/fitsd ./cmd/fitsctl ./cmd/fwgen
 
 "$tmp/bin/fwgen" -out "$tmp/corpus" -vendor NETGEAR >/dev/null
-fw=$(ls "$tmp"/corpus/*.fw | head -n 1)
-[ -n "$fw" ] || fail "fwgen produced no firmware"
+fw=$(ls "$tmp"/corpus/*.fw | sed -n 1p)
+fw2=$(ls "$tmp"/corpus/*.fw | sed -n 2p)
+[ -n "$fw" ] && [ -n "$fw2" ] || fail "fwgen produced fewer than two firmware images"
 
 "$tmp/bin/fitsd" -listen 127.0.0.1:0 -addr-file "$tmp/addr" -workers 2 -v &
 pid=$!
@@ -72,6 +75,15 @@ ctl submit -wait -its -scan -out "$tmp/r2.json" "$fw" || fail "second submission
 [ -s "$tmp/r1.json" ] || fail "first result is empty"
 cmp -s "$tmp/r1.json" "$tmp/r2.json" || fail "resubmitted image produced different result JSON"
 
+echo "serve-smoke: diffing $(basename "$fw") against $(basename "$fw2") twice"
+ctl diff -wait -out "$tmp/p1.json" "$fw" "$fw2" || fail "first version-pair diff submission"
+ctl diff -wait -out "$tmp/p2.json" "$fw" "$fw2" || fail "second version-pair diff submission"
+[ -s "$tmp/p1.json" ] || fail "first version-pair diff result is empty"
+cmp -s "$tmp/p1.json" "$tmp/p2.json" || fail "resubmitted version-pair diff produced different result JSON"
+ratio=$(grep -o '"reuse_ratio":[^,}]*' "$tmp/p1.json" | cut -d: -f2)
+awk -v r="$ratio" 'BEGIN { exit !(r > 0 && r < 1) }' \
+    || fail "version-pair diff reuse ratio ${ratio:-missing} is not strictly between 0 and 1"
+
 echo "serve-smoke: diffing $(basename "$fw") against itself twice"
 ctl diff -wait -out "$tmp/d1.json" "$fw" "$fw" || fail "first diff submission"
 ctl diff -wait -out "$tmp/d2.json" "$fw" "$fw" || fail "second diff submission"
@@ -90,8 +102,8 @@ grep -q '"cross_alerts":' "$tmp/x1.json" || fail "corpus result has no cross_ale
 
 metrics=$(ctl metrics)
 [ -n "$metrics" ] || fail "/metrics is empty"
-echo "$metrics" | grep -q '^fitsd_jobs_completed_total 6$' \
-    || fail "expected fitsd_jobs_completed_total 6, got: $(echo "$metrics" | grep jobs_completed)"
+echo "$metrics" | grep -q '^fitsd_jobs_completed_total 8$' \
+    || fail "expected fitsd_jobs_completed_total 8, got: $(echo "$metrics" | grep jobs_completed)"
 echo "$metrics" | grep -q '^fitsd_corpus_jobs_total 2$' \
     || fail "expected fitsd_corpus_jobs_total 2, got: $(echo "$metrics" | grep corpus_jobs)"
 echo "$metrics" | grep -q '^fitsd_corpus_binaries_total [1-9]' \
@@ -100,7 +112,7 @@ echo "$metrics" | grep -q '^fitsd_model_cache_hits_total [1-9]' \
     || fail "second submission recorded no model-cache hits"
 echo "$metrics" | grep -q '^fits_diff_reuse_ratio 1$' \
     || fail "diff reuse-ratio gauge missing or not 1: $(echo "$metrics" | grep diff_reuse)"
-echo "$metrics" | grep -q '^fitsd_diff_analyze_new_seconds_count 2$' \
+echo "$metrics" | grep -q '^fitsd_diff_analyze_new_seconds_count 4$' \
     || fail "diff stage histograms missing: $(echo "$metrics" | grep diff_analyze)"
 
 echo "serve-smoke: sending SIGTERM, expecting a clean drain"
