@@ -423,9 +423,10 @@ func benchChain(b *testing.B) *synth.Chain {
 }
 
 // BenchmarkPipeline_DiffCold measures an evolution diff with a cold cache
-// on every iteration: both versions pay full analysis, alignment runs over
-// freshly built models. This is the floor the warm path is measured
-// against.
+// on every iteration: the old version pays full analysis, the new one
+// reuses only what the two share through that cache, and evolve pairs
+// functions over freshly built models. This is the floor the warm path is
+// measured against.
 func BenchmarkPipeline_DiffCold(b *testing.B) {
 	c := benchChain(b)
 	oldRaw, newRaw := c.Versions[0].Packed, c.Versions[1].Packed
@@ -445,9 +446,10 @@ func BenchmarkPipeline_DiffCold(b *testing.B) {
 
 // BenchmarkPipeline_DiffWarm is the same diff behind a warm cache: the
 // first diff (outside the timed loop) populates models, vectors, rankings
-// and alerts for both versions; the timed iterations replay it with nearly
-// everything reused. The reuse-ratio metric lands in BENCH_pipeline.json
-// next to the cold number so CI tracks the incremental win.
+// and alerts for both versions; the timed iterations hit the cache for both
+// analyses and scans and pay mainly for evolve's pairing (cfg.AlignReuse
+// and the alignment tiers). The reuse-ratio metric lands in
+// BENCH_pipeline.json next to the cold number so CI tracks the pairing.
 func BenchmarkPipeline_DiffWarm(b *testing.B) {
 	c := benchChain(b)
 	oldRaw, newRaw := c.Versions[0].Packed, c.Versions[1].Packed

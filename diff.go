@@ -58,17 +58,16 @@ func Diff(oldRaw, newRaw []byte, opts DiffOptions) (*DiffResult, error) {
 	return DiffContext(context.Background(), oldRaw, newRaw, opts)
 }
 
-// DiffContext is Diff with cancellation. The old version is analyzed and
-// scanned first; the new version's analysis then runs with the old targets
-// threaded through the loader, so unchanged functions are paired with
-// their old versions, their feature vectors are reused, and unchanged
-// binaries skip inference and scanning entirely. The new-version results
-// are byte-identical to a cold Analyze of the same image: reuse only ever
-// skips work whose output is proven unchanged. Without a cache in opts a
-// private one is created for the call: the new side reuses the old side's
-// feature vectors, rankings and alerts through memo hits, which a nil cache
-// would recompute. Without a Scheduler, both analyses and the alignment
-// share one private Scheduler sized from opts.Parallelism.
+// DiffContext is Diff with cancellation. Each version is analyzed and
+// scanned as an ordinary Analyze, old first; evolve.BuildReport then pairs
+// the two, and is the only stage that knows they are versions of one image.
+// Reuse between the sides comes from the content-addressed cache: binaries
+// the versions share hit the models, feature vectors, rankings and alerts
+// the old side memoized, so the new-version results are byte-identical to a
+// cold Analyze of the same image. Without a cache in opts a private one is
+// created for the call, since a nil cache would recompute every shared
+// binary. Without a Scheduler, both analyses and the alignment share one
+// private Scheduler sized from opts.Parallelism.
 func DiffContext(ctx context.Context, oldRaw, newRaw []byte, opts DiffOptions) (*DiffResult, error) {
 	start := time.Now()
 	if opts.Cache == nil {
@@ -98,11 +97,7 @@ func DiffContext(ctx context.Context, oldRaw, newRaw []byte, opts DiffOptions) (
 	out.Timings.ScanOld = time.Since(stage)
 
 	stage = time.Now()
-	newOpts := opts.Options
-	for _, tr := range oldRes.Targets {
-		newOpts.prev = append(newOpts.prev, tr.target)
-	}
-	newRes, err := AnalyzeContext(ctx, newRaw, newOpts)
+	newRes, err := AnalyzeContext(ctx, newRaw, opts.Options)
 	if err != nil {
 		return nil, err
 	}

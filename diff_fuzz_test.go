@@ -3,10 +3,11 @@ package fits
 // Fuzz coverage for the evolution diff: DiffContext over a fixed old
 // version and an arbitrary (usually mangled) new image must never panic.
 // When the mangled image fails to load, Diff reports the error; when it
-// still parses, the differential oracle applies in full — the incremental
-// new-side analysis and alerts must equal a cold run over the same bytes,
-// and the reuse accounting must stay coherent. Seeds are real chain
-// versions plus truncations of them.
+// still parses, the differential oracle applies in full — the new side,
+// analyzed behind a cache the old side warmed, must equal an uncached cold
+// run over the same bytes, and the reuse accounting evolve derives from its
+// pairing must stay coherent. Seeds are real chain versions plus
+// truncations of them.
 
 import (
 	"context"

@@ -1,10 +1,12 @@
 package fits
 
-// Tests for the evolution diff pipeline. The differential harness asserts
-// the correctness contract — a Diff's new-side results are byte-identical to
-// a cold analysis of the new image at every parallelism, cache state and
-// chain — and the churn tests score DiffReport against the chains'
-// ground-truth evolution manifests.
+// Tests for the evolution diff pipeline. Both sides of a Diff are ordinary
+// analyses that share a cache, so the differential harness asserts the
+// correctness contract — a Diff's new-side results are byte-identical to an
+// uncached cold analysis of the new image at every parallelism, cache state
+// and chain — and the churn tests score DiffReport, which evolve builds by
+// pairing the two sides, against the chains' ground-truth evolution
+// manifests.
 
 import (
 	"context"

@@ -111,10 +111,6 @@ type Options struct {
 	// per call; AnalyzeCorpus shares one across the batch so names repeated
 	// between images collapse too. Interning never changes output bytes.
 	intern *intern.Table
-	// prev threads the previous firmware version's targets into the loader
-	// so unchanged functions are paired with their old versions; set by
-	// Diff.
-	prev []*loader.Target
 }
 
 // DefaultOptions returns the paper's configuration.
@@ -157,12 +153,10 @@ type TargetResult struct {
 	prec *taint.PrecisionCache
 }
 
-// TopCandidates returns the k best-ranked candidates.
+// TopCandidates returns the k best-ranked candidates; a negative k returns
+// none.
 func (t *TargetResult) TopCandidates(k int) []Candidate {
-	if k > len(t.Candidates) {
-		k = len(t.Candidates)
-	}
-	return t.Candidates[:k]
+	return t.Candidates[:min(max(k, 0), len(t.Candidates))]
 }
 
 // CacheInfo summarizes model reuse during one analysis. Lifted counts
@@ -212,7 +206,6 @@ func AnalyzeContext(ctx context.Context, raw []byte, opts Options) (*Result, err
 	res, err := loader.LoadContext(ctx, raw, loader.Options{
 		SkipResolver: opts.SkipIndirectResolution,
 		Cache:        opts.Cache,
-		Prev:         opts.prev,
 		Sched:        opts.Scheduler,
 		Intern:       opts.intern,
 		Stages:       opts.Stages,

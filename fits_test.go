@@ -45,6 +45,9 @@ func TestAnalyzeEndToEnd(t *testing.T) {
 	if !found {
 		t.Error("planted ITS not in top-3")
 	}
+	if got := len(tgt.TopCandidates(-1)); got != 0 {
+		t.Errorf("TopCandidates(-1) = %d candidates, want 0", got)
+	}
 }
 
 func TestAnalyzeRejectsGarbage(t *testing.T) {

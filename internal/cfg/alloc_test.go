@@ -29,15 +29,14 @@ func TestAlignReuseAllocBudget(t *testing.T) {
 	funcs := len(cur.Model.CustomFuncs())
 	var reused int
 	allocs := testing.AllocsPerRun(10, func() {
-		reused = len(cfg.AlignReuse(old.Bin, old.Model, cur.Bin, cur.Model).FuncMap)
+		reused = len(cfg.AlignReuse(old.Bin, old.Model, cur.Bin, cur.Model))
 	})
 	if reused == 0 {
 		t.Fatalf("no function of %d paired across a one-constant change", funcs)
 	}
-	// Observed 447 allocations for 124 functions: the plan's maps, the
-	// ordered function list, and vectorSafe's caller-site slices. A fresh
-	// instruction buffer per validated function adds about one allocation
-	// per function (552 here), which this budget rejects.
+	// Observed 41 allocations for 124 functions: the aligner's maps and the
+	// ordered function list. A fresh instruction buffer per validated
+	// function would add about one allocation per function.
 	budget := funcs * 4
 	if allocs > float64(budget) {
 		t.Errorf("AlignReuse allocated %.0f objects for %d functions, budget %d", allocs, funcs, budget)

@@ -1,9 +1,11 @@
 package cfg
 
-// Reuse alignment for firmware evolution chains: a ReusePlan pairs the
+// Reuse alignment for firmware evolution chains: AlignReuse pairs the
 // functions of a new version of a binary with the functions of its previous
 // version whose code is unchanged, possibly relocated by a constant shift.
-// Both models are built cold; the plan only compares them.
+// Both models are built cold; the aligner only compares them. Version diffs
+// (package evolve) are its one caller: the pairing feeds their alignment and
+// reuse accounting, never the analysis of either version.
 //
 // The pairing contract is exact equality, not approximation: a candidate old
 // function is accepted only if every one of its instructions re-validates
@@ -13,17 +15,14 @@ package cfg
 // paired: their recovery depends on jump-table resolver state.
 
 import (
-	"bytes"
 	"slices"
-	"sort"
 
 	"fits/internal/binimg"
 	"fits/internal/isa"
 )
 
-// ReusePlan is the function pairing between two versions of one binary,
-// built by AlignReuse. It is read-only once returned.
-type ReusePlan struct {
+// reusePlan is AlignReuse's state while it pairs two versions of one binary.
+type reusePlan struct {
 	oldBin   *binimg.Binary
 	oldModel *Model
 	newBin   *binimg.Binary
@@ -38,43 +37,30 @@ type ReusePlan struct {
 	// instrs is pair's scratch buffer, reused across functions.
 	instrs []isa.Instr
 
-	// FuncMap maps each paired new-function entry to the old entry it was
+	// funcMap maps each paired new-function entry to the old entry it was
 	// validated against.
-	FuncMap map[uint32]uint32
-	// rawEq marks paired functions that are fully identical to the old
-	// version at an unchanged address: zero shift and equal raw instructions,
-	// immediates included.
-	rawEq map[uint32]bool
-
-	// BFVSafe marks paired functions whose behavioral feature vector is
-	// provably equal to the old version's: the function and all its callers
-	// are raw-identical in place, its callee-name profile is unchanged, and
-	// the data sections the string features read are unchanged.
-	BFVSafe map[uint32]bool
+	funcMap map[uint32]uint32
 }
 
 // AlignReuse pairs the custom functions of newModel, the finished model of
 // newBin, with the unchanged functions of oldModel, the model of the
-// previous version oldBin, and computes which paired functions keep their
-// feature vectors.
-func AlignReuse(oldBin *binimg.Binary, oldModel *Model, newBin *binimg.Binary, newModel *Model) *ReusePlan {
+// previous version oldBin. It returns the function map: each paired
+// new-function entry mapped to the old entry it was validated against.
+func AlignReuse(oldBin *binimg.Binary, oldModel *Model, newBin *binimg.Binary, newModel *Model) map[uint32]uint32 {
 	p := newReusePlan(oldBin, oldModel, newBin)
 	p.align(newModel)
-	p.finalize(newModel)
-	return p
+	return p.funcMap
 }
 
 // newReusePlan prepares a plan pairing newBin against the recovered model of
 // oldBin.
-func newReusePlan(oldBin *binimg.Binary, oldModel *Model, newBin *binimg.Binary) *ReusePlan {
-	p := &ReusePlan{
+func newReusePlan(oldBin *binimg.Binary, oldModel *Model, newBin *binimg.Binary) *reusePlan {
+	p := &reusePlan{
 		oldBin:   oldBin,
 		oldModel: oldModel,
 		newBin:   newBin,
 		hints:    map[uint32]uint32{},
-		FuncMap:  map[uint32]uint32{},
-		rawEq:    map[uint32]bool{},
-		BFVSafe:  map[uint32]bool{},
+		funcMap:  map[uint32]uint32{},
 	}
 	if oldBin.Text.Contains(oldBin.Entry) && newBin.Text.Contains(newBin.Entry) {
 		p.hints[newBin.Entry] = oldBin.Entry
@@ -114,7 +100,7 @@ func newReusePlan(oldBin *binimg.Binary, oldModel *Model, newBin *binimg.Binary)
 // align pairs every custom function of newModel with the first old-version
 // candidate that re-validates: its pairing hint first, then every candidate
 // shift. Functions whose recovery involved computed jumps are skipped.
-func (p *ReusePlan) align(newModel *Model) {
+func (p *reusePlan) align(newModel *Model) {
 	tried := map[uint32]bool{}
 	for _, f := range newModel.FuncsInOrder() {
 		if f.ImportStub || len(f.JumpTables) > 0 || len(f.DynJumps) > 0 {
@@ -143,11 +129,10 @@ func (p *ReusePlan) align(newModel *Model) {
 
 // pair checks that every instruction of the old function at oldEntry
 // re-validates against the new binary at the address shifted to newEntry.
-// On success it records the pairing: the function map, raw identity (zero
-// shift, equal raw instructions), and hint propagation — the callee of each
-// old direct call is the natural candidate for the callee of the matching
-// new call.
-func (p *ReusePlan) pair(newEntry, oldEntry uint32) bool {
+// On success it records the pairing in the function map and propagates
+// hints: the callee of each old direct call is the natural candidate for the
+// callee of the matching new call.
+func (p *reusePlan) pair(newEntry, oldEntry uint32) bool {
 	oldF, found := p.oldModel.Funcs[oldEntry]
 	if !found || oldF.ImportStub || len(oldF.DynJumps) > 0 {
 		return false
@@ -163,7 +148,6 @@ func (p *ReusePlan) pair(newEntry, oldEntry uint32) bool {
 
 	// The new instructions, in the old flat block order.
 	p.instrs = p.instrs[:0]
-	raw := delta == 0
 	for _, ba := range oldF.Order {
 		ob := oldF.Blocks[ba]
 		for i, oin := range ob.Instrs {
@@ -186,17 +170,11 @@ func (p *ReusePlan) pair(newEntry, oldEntry uint32) bool {
 					return false
 				}
 			}
-			if nin != oin {
-				raw = false
-			}
 			p.instrs = append(p.instrs, nin)
 		}
 	}
 
-	p.FuncMap[newEntry] = oldEntry
-	if raw {
-		p.rawEq[newEntry] = true
-	}
+	p.funcMap[newEntry] = oldEntry
 	k := 0
 	for _, ba := range oldF.Order {
 		for _, oin := range oldF.Blocks[ba].Instrs {
@@ -212,97 +190,4 @@ func (p *ReusePlan) pair(newEntry, oldEntry uint32) bool {
 		}
 	}
 	return true
-}
-
-// finalize computes BFVSafe over the paired functions of the finished new
-// model. Nothing is vector-safe unless the data sections are unchanged,
-// because string features read rodata through call-site constants.
-func (p *ReusePlan) finalize(newModel *Model) {
-	dataOK := sectionEqual(p.oldBin.Rodata, p.newBin.Rodata) &&
-		sectionEqual(p.oldBin.Data, p.newBin.Data) &&
-		p.oldBin.BssAddr == p.newBin.BssAddr &&
-		p.oldBin.BssSize == p.newBin.BssSize
-	if !dataOK {
-		return
-	}
-	for entry := range p.rawEq {
-		if p.vectorSafe(entry, newModel) {
-			p.BFVSafe[entry] = true
-		}
-	}
-}
-
-type reuseSite struct {
-	caller, addr uint32
-}
-
-// vectorSafe decides whether the feature vector of a raw-identical paired
-// function is guaranteed equal to its old version's: the post-resolution
-// callee-name profile must match site for site, and every caller must itself
-// be raw-identical with the same caller-site multiset (caller bodies feed the
-// call-site string features).
-func (p *ReusePlan) vectorSafe(entry uint32, newModel *Model) bool {
-	newF, ok := newModel.Funcs[entry]
-	if !ok {
-		return false
-	}
-	oldF, ok := p.oldModel.Funcs[entry]
-	if !ok {
-		return false
-	}
-	if len(newF.Calls) != len(oldF.Calls) {
-		return false
-	}
-	for i := range newF.Calls {
-		ncs, ocs := &newF.Calls[i], &oldF.Calls[i]
-		if ncs.Addr != ocs.Addr || ncs.Indirect != ocs.Indirect {
-			return false
-		}
-		if reuseCalleeName(p.newBin, ncs) != reuseCalleeName(p.oldBin, ocs) {
-			return false
-		}
-	}
-	nc, oc := newModel.Callers[entry], p.oldModel.Callers[entry]
-	if len(nc) != len(oc) {
-		return false
-	}
-	ns := make([]reuseSite, len(nc))
-	for i, cs := range nc {
-		if !p.rawEq[cs.Caller] {
-			return false
-		}
-		ns[i] = reuseSite{cs.Caller, cs.Addr}
-	}
-	os := make([]reuseSite, len(oc))
-	for i, cs := range oc {
-		os[i] = reuseSite{cs.Caller, cs.Addr}
-	}
-	sortReuseSites(ns)
-	sortReuseSites(os)
-	return slices.Equal(ns, os)
-}
-
-func sortReuseSites(s []reuseSite) {
-	sort.Slice(s, func(i, j int) bool {
-		if s[i].caller != s[j].caller {
-			return s[i].caller < s[j].caller
-		}
-		return s[i].addr < s[j].addr
-	})
-}
-
-func reuseCalleeName(bin *binimg.Binary, cs *CallSite) string {
-	if cs.ImportName != "" {
-		return cs.ImportName
-	}
-	if cs.Target != 0 {
-		if name, ok := bin.ExportAt(cs.Target); ok {
-			return name
-		}
-	}
-	return ""
-}
-
-func sectionEqual(a, b binimg.Section) bool {
-	return a.Addr == b.Addr && bytes.Equal(a.Data, b.Data)
 }

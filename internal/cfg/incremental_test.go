@@ -1,10 +1,9 @@
 package cfg
 
-// Tests for the ReusePlan contract: AlignReuse pairs the functions of a cold
-// model of a new version with the unchanged functions of the old version,
-// whether the new version is identical, tweaked in place, or shifted by an
-// inserted function, and marks only raw-identical, unperturbed functions
-// BFV-safe.
+// Tests for the AlignReuse contract: it pairs the functions of a cold model
+// of a new version with the unchanged functions of the old version, whether
+// the new version is identical, tweaked in place, or shifted by an inserted
+// function.
 
 import (
 	"testing"
@@ -60,7 +59,7 @@ func evoProg(bound int32, extra bool) *minic.Program {
 }
 
 // alignNew builds newBin cold and aligns it against the old version.
-func alignNew(t *testing.T, oldBin *binimg.Binary, oldModel *Model, newBin *binimg.Binary, opts Options) (*Model, *ReusePlan) {
+func alignNew(t *testing.T, oldBin *binimg.Binary, oldModel *Model, newBin *binimg.Binary, opts Options) (*Model, map[uint32]uint32) {
 	t.Helper()
 	m, err := Build(newBin, opts)
 	if err != nil {
@@ -85,21 +84,15 @@ func TestReuseIdenticalBinary(t *testing.T) {
 		cold := build(t, bin)
 		inc, plan := alignNew(t, bin, cold, bin, Options{})
 		customs := countCustoms(cold)
-		if len(plan.FuncMap) != customs {
-			t.Errorf("arch %v: reused %d of %d custom funcs", arch, len(plan.FuncMap), customs)
+		if len(plan) != customs {
+			t.Errorf("arch %v: reused %d of %d custom funcs", arch, len(plan), customs)
 		}
 		for entry, f := range inc.Funcs {
 			if f.ImportStub {
 				continue
 			}
-			if plan.FuncMap[entry] != entry {
-				t.Errorf("arch %v: %s paired with %#x, want itself", arch, f.Name, plan.FuncMap[entry])
-			}
-			if !plan.rawEq[entry] {
-				t.Errorf("arch %v: %s not raw-identical on identical binary", arch, f.Name)
-			}
-			if !plan.BFVSafe[entry] {
-				t.Errorf("arch %v: %s not BFV-safe on identical binary", arch, f.Name)
+			if plan[entry] != entry {
+				t.Errorf("arch %v: %s paired with %#x, want itself", arch, f.Name, plan[entry])
 			}
 		}
 	}
@@ -107,25 +100,18 @@ func TestReuseIdenticalBinary(t *testing.T) {
 
 func TestReuseTweakedConstant(t *testing.T) {
 	// Changing only a loop bound rewrites one Movi immediate in place: every
-	// function still validates (non-control immediates are free), and only
-	// the tweaked function loses its raw-identical status.
+	// function still validates (non-control immediates are free) and pairs
+	// with itself.
 	oldBin := link(t, evoProg(5, false), isa.ArchARM)
 	newBin := link(t, evoProg(9, false), isa.ArchARM)
 	oldModel := build(t, oldBin)
 	inc, plan := alignNew(t, oldBin, oldModel, newBin, Options{})
-	if len(plan.FuncMap) != countCustoms(inc) {
-		t.Errorf("reused %d of %d after in-place tweak", len(plan.FuncMap), countCustoms(inc))
+	if len(plan) != countCustoms(inc) {
+		t.Errorf("reused %d of %d after in-place tweak", len(plan), countCustoms(inc))
 	}
 	worker := funcByName(t, inc, "worker")
-	if plan.rawEq[worker.Entry] {
-		t.Error("tweaked function reported raw-identical")
-	}
-	if plan.BFVSafe[worker.Entry] {
-		t.Error("tweaked function reported BFV-safe")
-	}
-	leaf := funcByName(t, inc, "leaf")
-	if !plan.rawEq[leaf.Entry] {
-		t.Error("untouched leaf not raw-identical")
+	if plan[worker.Entry] != worker.Entry {
+		t.Errorf("tweaked worker paired with %#x, want itself", plan[worker.Entry])
 	}
 }
 
@@ -138,20 +124,13 @@ func TestReuseShiftedByInsertedFunction(t *testing.T) {
 	oldModel := build(t, oldBin)
 	inc, plan := alignNew(t, oldBin, oldModel, newBin, Options{})
 	// leaf, worker and main exist unchanged, just relocated.
-	if len(plan.FuncMap) < 3 {
-		t.Errorf("reused %d funcs, want >= 3", len(plan.FuncMap))
+	if len(plan) < 3 {
+		t.Errorf("reused %d funcs, want >= 3", len(plan))
 	}
-	// Relocated code can never be raw-identical, so no BFV reuse.
 	leaf := funcByName(t, inc, "leaf")
 	oldLeaf := funcByName(t, oldModel, "leaf")
-	if plan.FuncMap[leaf.Entry] != oldLeaf.Entry {
-		t.Errorf("shifted leaf paired with %#x, want %#x", plan.FuncMap[leaf.Entry], oldLeaf.Entry)
-	}
-	if plan.rawEq[leaf.Entry] {
-		t.Error("shifted function reported raw-identical")
-	}
-	if len(plan.BFVSafe) != 0 {
-		t.Errorf("BFVSafe = %d entries on shifted binary, want 0", len(plan.BFVSafe))
+	if plan[leaf.Entry] != oldLeaf.Entry {
+		t.Errorf("shifted leaf paired with %#x, want %#x", plan[leaf.Entry], oldLeaf.Entry)
 	}
 }
 
@@ -187,8 +166,8 @@ func TestReuseWithIndirectResolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, plan := alignNew(t, bin, cold, bin, Options{Resolver: resolver})
-	if len(plan.FuncMap) != countCustoms(cold) {
-		t.Errorf("reused %d of %d with resolver", len(plan.FuncMap), countCustoms(cold))
+	if len(plan) != countCustoms(cold) {
+		t.Errorf("reused %d of %d with resolver", len(plan), countCustoms(cold))
 	}
 }
 
@@ -233,11 +212,11 @@ func TestReuseSkipsJumpTableFunctions(t *testing.T) {
 	}
 	inc, plan := alignNew(t, bin, cold, bin, Options{JumpResolver: resolver})
 	router := funcByName(t, inc, "router")
-	if _, reused := plan.FuncMap[router.Entry]; reused {
+	if _, reused := plan[router.Entry]; reused {
 		t.Error("jump-table function was reused")
 	}
 	plain := funcByName(t, inc, "plain")
-	if _, reused := plan.FuncMap[plain.Entry]; !reused {
+	if _, reused := plan[plain.Entry]; !reused {
 		t.Error("plain function was not reused")
 	}
 }

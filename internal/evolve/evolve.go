@@ -1,11 +1,12 @@
 // Package evolve compares the analysis results of two versions of one
 // firmware image: it aligns custom functions across the versions, carries
 // alerts and inferred intermediate taint sources through the alignment, and
-// classifies each as appeared, fixed, or persisted.
+// classifies each as appeared, fixed, or persisted. Both versions arrive as
+// independent cold analyses; this package is the one place that pairs them.
 //
 // Alignment runs in four tiers, strongest first. Byte-identical binaries map
-// every function to itself; changed binaries inherit the function map of
-// the loader's reuse plan (which survives uniform address shifts);
+// every function to itself; a changed binary at the same path takes the
+// function map of cfg.AlignReuse (which survives uniform address shifts);
 // remaining functions match by shared dynamic-export name; and what is left
 // falls back to behavioral similarity — cosine distance over the paper's
 // BFV vectors — which is what catches renamed functions whose behavior is
@@ -18,6 +19,7 @@ import (
 	"sort"
 
 	"fits/internal/bfv"
+	"fits/internal/cfg"
 	"fits/internal/infer"
 	"fits/internal/loader"
 )
@@ -128,9 +130,10 @@ type DiffReport struct {
 
 // BuildReport aligns and diffs two analyzed firmware versions. Targets pair
 // by filesystem path; a target present in only one version contributes all
-// of its alerts as appeared (new side) or fixed (old side). The report is
-// deterministic: targets sort by path and every list carries explicit sort
-// keys.
+// of its alerts as appeared (new side) or fixed (old side). A changed binary
+// at the same path is paired with its old version by cfg.AlignReuse, once.
+// The report is deterministic: targets sort by path and every list carries
+// explicit sort keys.
 func BuildReport(ctx context.Context, oldSide, newSide []TargetAnalysis, cfgn infer.Config) (*DiffReport, error) {
 	oldByPath := map[string]*TargetAnalysis{}
 	for i := range oldSide {
@@ -138,13 +141,19 @@ func BuildReport(ctx context.Context, oldSide, newSide []TargetAnalysis, cfgn in
 	}
 	report := &DiffReport{}
 	matched := map[string]bool{}
+	funcMaps := map[string]map[uint32]uint32{}
 	for i := range newSide {
 		na := &newSide[i]
 		oa := oldByPath[na.Target.Path]
+		var funcMap map[uint32]uint32
 		if oa != nil {
 			matched[na.Target.Path] = true
+			if ot, nt := oa.Target, na.Target; ot.Hash != nt.Hash {
+				funcMap = cfg.AlignReuse(ot.Bin, ot.Model, nt.Bin, nt.Model)
+				funcMaps[nt.Path] = funcMap
+			}
 		}
-		td, err := diffTarget(ctx, oa, na, cfgn)
+		td, err := diffTarget(ctx, oa, na, funcMap, cfgn)
 		if err != nil {
 			return nil, err
 		}
@@ -174,7 +183,7 @@ func BuildReport(ctx context.Context, oldSide, newSide []TargetAnalysis, cfgn in
 		report.ITSFixed += len(td.ITSFixed)
 		report.ITSPersisted += len(td.ITSPersisted)
 	}
-	report.ReusedFuncs, report.TotalFuncs = reuseStats(newSide)
+	report.ReusedFuncs, report.TotalFuncs = reuseStats(oldByPath, newSide, funcMaps)
 	if report.TotalFuncs > 0 {
 		report.ReuseRatio = float64(report.ReusedFuncs) / float64(report.TotalFuncs)
 	}
@@ -195,7 +204,7 @@ func (al *alignment) add(newEntry, oldEntry uint32, k MatchKind) {
 	al.kind[newEntry] = k
 }
 
-func diffTarget(ctx context.Context, oa, na *TargetAnalysis, cfgn infer.Config) (*TargetDiff, error) {
+func diffTarget(ctx context.Context, oa, na *TargetAnalysis, funcMap map[uint32]uint32, cfgn infer.Config) (*TargetDiff, error) {
 	td := &TargetDiff{Path: na.Target.Path}
 	if oa == nil {
 		td.UnmatchedNew = len(na.Target.Model.CustomFuncs())
@@ -203,7 +212,7 @@ func diffTarget(ctx context.Context, oa, na *TargetAnalysis, cfgn infer.Config) 
 		td.ITSAppeared = append([]ITS(nil), na.ITS...)
 		return td, nil
 	}
-	al, err := align(ctx, oa.Target, na.Target, cfgn)
+	al, err := align(ctx, oa.Target, na.Target, funcMap, cfgn)
 	if err != nil {
 		return nil, err
 	}
@@ -259,8 +268,9 @@ func funcLabel(t *loader.Target, entry uint32) (string, bool) {
 }
 
 // align pairs the custom functions of two versions of one binary through
-// the four tiers.
-func align(ctx context.Context, oldT, newT *loader.Target, cfgn infer.Config) (*alignment, error) {
+// the four tiers; funcMap is cfg.AlignReuse's pairing of the two, nil when
+// the binaries are identical.
+func align(ctx context.Context, oldT, newT *loader.Target, funcMap map[uint32]uint32, cfgn infer.Config) (*alignment, error) {
 	al := &alignment{
 		newToOld: map[uint32]uint32{},
 		oldToNew: map[uint32]uint32{},
@@ -283,13 +293,11 @@ func align(ctx context.Context, oldT, newT *loader.Target, cfgn infer.Config) (*
 		return al, nil
 	}
 
-	// Tier 2: the reuse plan's function map, aligned during the model load,
-	// pairs validated unchanged code (including uniformly shifted code).
-	if newT.Prev != nil && newT.Prev.Target.Path == oldT.Path && newT.Prev.Plan != nil {
-		for newEntry, oldEntry := range newT.Prev.Plan.FuncMap {
-			if oldEntries[oldEntry] {
-				al.add(newEntry, oldEntry, MatchReuse)
-			}
+	// Tier 2: the function map pairs validated unchanged code (including
+	// uniformly shifted code).
+	for newEntry, oldEntry := range funcMap {
+		if oldEntries[oldEntry] {
+			al.add(newEntry, oldEntry, MatchReuse)
 		}
 	}
 
@@ -473,19 +481,22 @@ func churnITS(al *alignment, oldITS, newITS []ITS) (appeared, fixed, persisted [
 
 // reuseStats totals custom functions across the new version's targets and
 // their (deduplicated) libraries, counting how many were reused from the
-// previous version: paired by a reuse plan, or byte-identical.
-func reuseStats(newSide []TargetAnalysis) (reused, total int) {
+// old version: byte-identical, or paired in the target's function map
+// (funcMaps, keyed by path). Only a target with an old counterpart at the
+// same path reuses anything, its libraries included.
+func reuseStats(oldByPath map[string]*TargetAnalysis, newSide []TargetAnalysis, funcMaps map[string]map[uint32]uint32) (reused, total int) {
 	libSeen := map[string]bool{}
 	for i := range newSide {
 		t := newSide[i].Target
 		n := len(t.Model.CustomFuncs())
 		total += n
-		if p := t.Prev; p != nil {
-			switch {
-			case p.Identical:
+		var old *loader.Target
+		if oa := oldByPath[t.Path]; oa != nil {
+			old = oa.Target
+			if old.Hash == t.Hash {
 				reused += n
-			case p.Plan != nil:
-				reused += len(p.Plan.FuncMap)
+			} else {
+				reused += len(funcMaps[t.Path])
 			}
 		}
 		for name, m := range t.LibModels {
@@ -495,7 +506,7 @@ func reuseStats(newSide []TargetAnalysis) (reused, total int) {
 			libSeen[name] = true
 			ln := len(m.CustomFuncs())
 			total += ln
-			if p := t.Prev; p != nil && p.Target.LibHashes[name] == t.LibHashes[name] {
+			if old != nil && old.LibHashes[name] == t.LibHashes[name] {
 				reused += ln
 			}
 		}

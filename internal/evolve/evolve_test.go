@@ -2,7 +2,7 @@ package evolve
 
 // In-package tests of the reuse accounting behind DiffReport.ReusedFuncs and
 // of the tier-2 alignment, which pairs functions through the function map of
-// the loader's reuse plan.
+// cfg.AlignReuse.
 
 import (
 	"context"
@@ -31,49 +31,61 @@ func hashOf(s string) modelcache.Hash { return modelcache.HashBytes([]byte(s)) }
 
 func TestReuseStats(t *testing.T) {
 	libc := stubModel(3)
-	withLib := func(path string, customs int, libHash string) *loader.Target {
+	withLib := func(path string, customs int, hash, libHash string) *loader.Target {
 		return &loader.Target{
 			Path:      path,
 			Model:     stubModel(customs),
-			Hash:      hashOf(path),
+			Hash:      hashOf(hash),
 			LibModels: map[string]*cfg.Model{"libc.so": libc},
 			LibHashes: map[string]modelcache.Hash{"libc.so": hashOf(libHash)},
 		}
 	}
-	oldLib := "libc v1"
+	// The old side: /bin/a (4 customs) and /bin/b (5 customs), both linking
+	// libc v1 (3 customs).
+	oldByPath := map[string]*TargetAnalysis{
+		"/bin/a": {Target: withLib("/bin/a", 4, "a v1", "libc v1")},
+		"/bin/b": {Target: withLib("/bin/b", 5, "b v1", "libc v1")},
+	}
+	// The changed /bin/b pairs two of its five functions.
+	funcMaps := map[string]map[uint32]uint32{"/bin/b": {0x1000: 0x1000, 0x1010: 0x1010}}
+	identical := withLib("/bin/a", 4, "a v1", "libc v1")
+	changed := withLib("/bin/b", 5, "b v2", "libc v1")
 	for _, tc := range []struct {
 		name                string
-		newLib              string
+		newSide             []*loader.Target
 		wantReused, wantAll int
 	}{
-		// 4 identical + 2 paired of 5 + the shared library once (3).
-		{"unchanged library", oldLib, 4 + 2 + 3, 4 + 5 + 3},
-		{"changed library", "libc v2", 4 + 2, 4 + 5 + 3},
+		// Every function of a byte-identical target, plus its library.
+		{"identical target", []*loader.Target{identical}, 4 + 3, 4 + 3},
+		// A changed target reuses what its function map pairs.
+		{"changed target", []*loader.Target{changed}, 2 + 3, 5 + 3},
+		// A target new in this version reuses nothing, not even a library
+		// the old side had.
+		{"no old counterpart", []*loader.Target{withLib("/bin/c", 2, "c v1", "libc v1")}, 0, 2 + 3},
+		// The library shared by two targets counts once.
+		{"unchanged library", []*loader.Target{identical, changed}, 4 + 2 + 3, 4 + 5 + 3},
+		{"changed library", []*loader.Target{
+			withLib("/bin/a", 4, "a v1", "libc v2"),
+			withLib("/bin/b", 5, "b v2", "libc v2"),
+		}, 4 + 2, 4 + 5 + 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			oldA := withLib("/bin/a", 4, oldLib)
-			oldB := withLib("/bin/b", 5, oldLib)
-			newA := withLib("/bin/a", 4, tc.newLib)
-			newA.Prev = &loader.PrevTarget{Target: oldA, Identical: true}
-			newB := withLib("/bin/b", 5, tc.newLib)
-			newB.Prev = &loader.PrevTarget{Target: oldB, Plan: &cfg.ReusePlan{FuncMap: map[uint32]uint32{0x1000: 0x1000, 0x1010: 0x1010}}}
-			reused, total := reuseStats([]TargetAnalysis{{Target: newA}, {Target: newB}})
+			var newSide []TargetAnalysis
+			for _, nt := range tc.newSide {
+				newSide = append(newSide, TargetAnalysis{Target: nt})
+			}
+			reused, total := reuseStats(oldByPath, newSide, funcMaps)
 			if reused != tc.wantReused || total != tc.wantAll {
 				t.Errorf("reuseStats = %d/%d, want %d/%d", reused, total, tc.wantReused, tc.wantAll)
 			}
 		})
 	}
-
-	// A target without a previous version reuses nothing.
-	fresh := withLib("/bin/c", 2, oldLib)
-	if reused, total := reuseStats([]TargetAnalysis{{Target: fresh}}); reused != 0 || total != 2+3 {
-		t.Errorf("reuseStats without a previous version = %d/%d, want 0/5", reused, total)
-	}
 }
 
 // shiftProg has an exported leaf, a worker calling it, and a main calling
-// the worker; wedge inserts a function ahead of them, shifting every entry.
-func shiftProg(wedge bool) *minic.Program {
+// the worker; wedge inserts a function ahead of them, shifting every entry,
+// and patchLeaf gives the leaf a different body.
+func shiftProg(wedge, patchLeaf bool) *minic.Program {
 	var funcs []*minic.Func
 	if wedge {
 		funcs = append(funcs, &minic.Func{
@@ -85,10 +97,14 @@ func shiftProg(wedge bool) *minic.Program {
 			},
 		})
 	}
+	leaf := minic.Add(minic.Var("p0"), minic.Int(1))
+	if patchLeaf {
+		leaf = minic.Add(leaf, minic.Var("p0"))
+	}
 	funcs = append(funcs,
 		&minic.Func{
 			Name: "leaf", Exported: true, NParams: 1,
-			Body: []minic.Stmt{minic.Return{E: minic.Add(minic.Var("p0"), minic.Int(1))}},
+			Body: []minic.Stmt{minic.Return{E: leaf}},
 		},
 		&minic.Func{
 			Name: "worker", NParams: 1,
@@ -108,9 +124,9 @@ func shiftProg(wedge bool) *minic.Program {
 	return &minic.Program{Name: "shift", Funcs: funcs}
 }
 
-func shiftTarget(t *testing.T, wedge bool) *loader.Target {
+func shiftTarget(t *testing.T, wedge, patchLeaf bool) *loader.Target {
 	t.Helper()
-	bin, err := minic.Link(shiftProg(wedge), isa.ArchARM, nil)
+	bin, err := minic.Link(shiftProg(wedge, patchLeaf), isa.ArchARM, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,10 +149,9 @@ func entryOf(t *testing.T, m *cfg.Model, name string) uint32 {
 }
 
 func TestAlignPairsShiftedFunctionsThroughPlan(t *testing.T) {
-	oldT, newT := shiftTarget(t, false), shiftTarget(t, true)
-	plan := cfg.AlignReuse(oldT.Bin, oldT.Model, newT.Bin, newT.Model)
-	newT.Prev = &loader.PrevTarget{Target: oldT, Plan: plan}
-	al, err := align(context.Background(), oldT, newT, infer.DefaultConfig())
+	oldT, newT := shiftTarget(t, false, false), shiftTarget(t, true, false)
+	funcMap := cfg.AlignReuse(oldT.Bin, oldT.Model, newT.Bin, newT.Model)
+	al, err := align(context.Background(), oldT, newT, funcMap, infer.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,13 +171,22 @@ func TestAlignPairsShiftedFunctionsThroughPlan(t *testing.T) {
 		t.Error("wedge, new in this version, was paired")
 	}
 
-	// Without the plan the exported leaf still pairs, but by name.
-	newT.Prev = nil
-	al, err = align(context.Background(), oldT, newT, infer.DefaultConfig())
+	// A patched body fails validation, so the function map leaves the
+	// exported leaf out and it pairs by name instead.
+	patched := shiftTarget(t, true, true)
+	funcMap = cfg.AlignReuse(oldT.Bin, oldT.Model, patched.Bin, patched.Model)
+	leafE := entryOf(t, patched.Model, "leaf")
+	if _, ok := funcMap[leafE]; ok {
+		t.Fatal("the function map paired the patched leaf")
+	}
+	al, err = align(context.Background(), oldT, patched, funcMap, infer.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k := al.kind[entryOf(t, newT.Model, "leaf")]; k != MatchName {
-		t.Errorf("leaf without a plan matched by %s, want name", k)
+	if got := al.newToOld[leafE]; got != entryOf(t, oldT.Model, "leaf") {
+		t.Errorf("patched leaf paired with %#x, want the old leaf", got)
+	}
+	if k := al.kind[leafE]; k != MatchName {
+		t.Errorf("patched leaf matched by %s, want name", k)
 	}
 }

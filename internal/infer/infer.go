@@ -139,12 +139,9 @@ type Ranking struct {
 	NumAnchors    int
 }
 
-// Top returns the first k ranked entries.
+// Top returns the first k ranked entries; a negative k returns none.
 func (r *Ranking) Top(k int) []score.Ranked {
-	if k > len(r.Ranked) {
-		k = len(r.Ranked)
-	}
-	return r.Ranked[:k]
+	return r.Ranked[:min(max(k, 0), len(r.Ranked))]
 }
 
 // scheduled returns cfgn with a Scheduler for its fan-outs: a private one
@@ -203,17 +200,9 @@ func cachedVectors(c *modelcache.Cache, key string, compute func() ([]bfv.Vector
 // only the first pass pays for extraction.
 func customVectors(ctx context.Context, t *loader.Target, cfgn Config, customs []*cfg.Function) ([]bfv.Vector, error) {
 	compute := func() ([]bfv.Vector, error) {
-		prevVecs, prevIdx, err := prevCustomVectors(ctx, t, cfgn)
-		if err != nil {
-			return nil, err
-		}
 		ex := newExtractor(t.Bin, t.Model, cfgn)
 		out := make([]bfv.Vector, len(customs))
-		err = cfgn.Sched.ForEach(ctx, len(customs), func(i int) error {
-			if j, ok := prevIdx[customs[i].Entry]; ok {
-				out[i] = prevVecs[j]
-				return nil
-			}
+		err := cfgn.Sched.ForEach(ctx, len(customs), func(i int) error {
 			out[i] = vectorFor(cfgn.Representation, ex, t.Bin, t.Model, customs[i])
 			return nil
 		})
@@ -231,39 +220,6 @@ func customVectors(ctx context.Context, t *loader.Target, cfgn Config, customs [
 // different call graphs and therefore different vectors.
 func vectorSig(t *loader.Target, cfgn Config) string {
 	return "rep=" + cfgn.Representation.String() + "|model=" + t.ModelConfig
-}
-
-// prevCustomVectors maps custom-function entries of t to vectors already
-// extracted for its previous firmware version. Only functions the reuse plan
-// proved BFV-safe — byte-identical body, data sections, call sites and
-// callers — are mapped, and only for the paper's representation, which is
-// what the safety check covers. Both versions must have been modeled under
-// the same configuration. Returns nil maps when no reuse applies.
-func prevCustomVectors(ctx context.Context, t *loader.Target, cfgn Config) ([]bfv.Vector, map[uint32]int, error) {
-	if cfgn.Representation != RepBFV || t.Prev == nil {
-		return nil, nil, nil
-	}
-	plan := t.Prev.Plan
-	prev := t.Prev.Target
-	if plan == nil || len(plan.BFVSafe) == 0 || t.ModelConfig != prev.ModelConfig {
-		return nil, nil, nil
-	}
-	prevCustoms := prev.Model.CustomFuncs()
-	vecs, err := customVectors(ctx, prev, cfgn, prevCustoms)
-	if err != nil {
-		return nil, nil, err
-	}
-	oldIdx := make(map[uint32]int, len(prevCustoms))
-	for i, f := range prevCustoms {
-		oldIdx[f.Entry] = i
-	}
-	idx := make(map[uint32]int, len(plan.BFVSafe))
-	for entry := range plan.BFVSafe {
-		if j, ok := oldIdx[plan.FuncMap[entry]]; ok {
-			idx[entry] = j
-		}
-	}
-	return vecs, idx, nil
 }
 
 // TargetVectors returns a target's custom functions in model order together

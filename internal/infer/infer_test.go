@@ -152,6 +152,9 @@ func TestTopClamps(t *testing.T) {
 	if got := len(r.Top(10_000)); got != len(r.Ranked) {
 		t.Errorf("Top(huge) = %d, want %d", got, len(r.Ranked))
 	}
+	if got := len(r.Top(-1)); got != 0 {
+		t.Errorf("Top(-1) = %d entries, want 0", got)
+	}
 }
 
 func TestStringers(t *testing.T) {

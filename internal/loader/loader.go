@@ -10,6 +10,10 @@
 // built once and shared read-only by every target that needs it. Output is
 // deterministic regardless of worker count — targets are assembled in
 // ascending path order.
+//
+// A load sees one image and knows nothing of other firmware versions: both
+// sides of a version diff are ordinary loads, and package evolve pairs their
+// functions afterwards.
 package loader
 
 import (
@@ -58,22 +62,6 @@ type Target struct {
 	// ("ucse=1"/"ucse=0"); derived-artifact cache keys include it so that
 	// models built with different resolver settings never share vectors.
 	ModelConfig string
-	// Prev links this target to its previous-version counterpart when the
-	// load ran with Options.Prev; nil otherwise.
-	Prev *PrevTarget
-}
-
-// PrevTarget is the previous-version context of a target: the old target
-// (matched by path) plus how the two versions' functions pair up.
-type PrevTarget struct {
-	// Target is the old-version target at the same filesystem path.
-	Target *Target
-	// Plan pairs the new model's functions with the unchanged functions of
-	// the old model; nil when the binaries are identical.
-	Plan *cfg.ReusePlan
-	// Identical reports the two binaries are byte-identical (equal content
-	// hashes), the strongest reuse tier.
-	Identical bool
 }
 
 // Result is the outcome of pre-processing one firmware image.
@@ -106,13 +94,6 @@ type Options struct {
 	// configuration. Cached values are shared read-only; concurrent loads of
 	// the same content deduplicate the build. A nil Cache keeps nothing.
 	Cache *modelcache.Cache
-	// Prev supplies the targets of a previous firmware version. The new
-	// model is built cold; when the old target at the same path differs, a
-	// reuse plan then pairs the new model's unchanged or uniformly shifted
-	// functions with the old model's, and Target.Prev records the pairing so
-	// later stages can skip redundant work. Honoured with or without a
-	// Cache. The models are byte-identical to a cold load.
-	Prev []*Target
 	// Sched, when non-nil, draws the model-building fan-out from a shared
 	// worker budget: an analysis hands its own Scheduler down, and batched
 	// corpus runs hand one to every load.
@@ -268,17 +249,10 @@ func (res *Result) load(ctx context.Context, opts Options) error {
 		name string // diagnostic label: path for targets, file name for libs
 		bin  *binimg.Binary
 		hash modelcache.Hash
-		prev *Target // previous-version counterpart, targets only
-	}
-	prevByPath := map[string]*Target{}
-	for _, pt := range opts.Prev {
-		if pt != nil && pt.Bin != nil && pt.Model != nil {
-			prevByPath[pt.Path] = pt
-		}
 	}
 	jobs := make([]job, 0, len(targetPaths)+len(libNames))
 	for _, p := range targetPaths {
-		jobs = append(jobs, job{name: p, bin: bins[p], hash: hashes[p], prev: prevByPath[p]})
+		jobs = append(jobs, job{name: p, bin: bins[p], hash: hashes[p]})
 	}
 	for _, name := range libNames {
 		jobs = append(jobs, job{name: name, bin: libByName[name], hash: libHashByName[name]})
@@ -288,7 +262,6 @@ func (res *Result) load(ctx context.Context, opts Options) error {
 		modelCfg = "ucse=0"
 	}
 	models := make([]*cfg.Model, len(jobs))
-	plans := make([]*cfg.ReusePlan, len(jobs))
 	var reused atomic.Int64
 	buildJob := func(i int) error {
 		v, hit, err := opts.Cache.GetOrCompute(
@@ -307,12 +280,6 @@ func (res *Result) load(ctx context.Context, opts Options) error {
 			reused.Add(1)
 		}
 		models[i] = v.(*cfg.Model)
-		// A changed previous version is aligned against the finished model,
-		// so function pairing and reuse accounting are the same whether the
-		// model was built here or served from the cache.
-		if prev := jobs[i].prev; prev != nil && prev.Hash != jobs[i].hash {
-			plans[i] = cfg.AlignReuse(prev.Bin, prev.Model, jobs[i].bin, models[i])
-		}
 		return nil
 	}
 	sched := opts.Sched
@@ -340,13 +307,6 @@ func (res *Result) load(ctx context.Context, opts Options) error {
 			Hash:        hashes[p],
 			LibHashes:   map[string]modelcache.Hash{},
 			ModelConfig: modelCfg,
-		}
-		if pt := jobs[i].prev; pt != nil {
-			t.Prev = &PrevTarget{
-				Target:    pt,
-				Plan:      plans[i],
-				Identical: pt.Hash == t.Hash,
-			}
 		}
 		for _, need := range b.Needed {
 			lib, ok := libByName[need]

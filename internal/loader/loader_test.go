@@ -187,45 +187,3 @@ func TestLoadWithoutCacheHashesContent(t *testing.T) {
 		}
 	}
 }
-
-// TestPrevWithoutCache: Options.Prev is honoured without a cache. Reloading
-// the same bytes links each target to its identical predecessor; a changed
-// binary gets a reuse plan.
-func TestPrevWithoutCache(t *testing.T) {
-	ch, err := synth.GenerateChain(synth.ChainDataset()[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	old, err := Load(ch.Versions[0].Packed, Options{SkipResolver: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	same, err := Load(ch.Versions[0].Packed, Options{SkipResolver: true, Prev: old.Targets})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, tg := range same.Targets {
-		if tg.Prev == nil || tg.Prev.Target != old.Targets[i] || !tg.Prev.Identical {
-			t.Errorf("%s: Prev = %+v, want the identical old target", tg.Path, tg.Prev)
-		}
-	}
-	changed, err := Load(ch.Versions[1].Packed, Options{SkipResolver: true, Prev: old.Targets})
-	if err != nil {
-		t.Fatal(err)
-	}
-	planned := 0
-	for _, tg := range changed.Targets {
-		if tg.Prev == nil {
-			t.Fatalf("%s: Prev not set", tg.Path)
-		}
-		if !tg.Prev.Identical {
-			if tg.Prev.Plan == nil {
-				t.Errorf("%s: changed binary has no reuse plan", tg.Path)
-			}
-			planned++
-		}
-	}
-	if planned == 0 {
-		t.Error("no target changed between versions")
-	}
-}
