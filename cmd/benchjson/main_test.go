@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -101,6 +102,39 @@ func TestParseFoldsRepeatedLinesIntoMedians(t *testing.T) {
 	cur := report("cpu0", Benchmark{Name: "BenchmarkA", Iterations: 20, Metrics: map[string]float64{"ns/op": a.Metrics["ns/op"], "allocs/op": 10}})
 	if regs := regressions(old, cur, 25); len(regs) != 0 {
 		t.Errorf("median within tolerance flagged: %v", regs)
+	}
+}
+
+// TestParseConcatenatedRuns: make bench-smoke pipes two go test runs at
+// different -benchtime into one report. Each run repeats the environment
+// header and ends in its own PASS/ok trailer; the report keeps one header
+// and every benchmark of both runs with its own iteration count.
+func TestParseConcatenatedRuns(t *testing.T) {
+	run := func(name string, iters int) string {
+		return "goos: linux\ngoarch: amd64\npkg: fits\ncpu: Intel(R) Xeon(R) Processor @ 2.10GHz\n" +
+			name + "-8 \t " + strconv.Itoa(iters) + " \t 500 ns/op \t 64 B/op \t 3 allocs/op\n" +
+			name + "-8 \t " + strconv.Itoa(iters) + " \t 700 ns/op \t 64 B/op \t 3 allocs/op\n" +
+			"PASS\nok  \tfits\t1.234s\n"
+	}
+	in := run("BenchmarkPipeline_DiffCold", 20) + run("BenchmarkPipeline_DiffWarm", 200)
+	rep, err := parse(bufio.NewScanner(strings.NewReader(in)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Goos != "linux" || rep.Pkg != "fits" || rep.CPU != "Intel(R) Xeon(R) Processor @ 2.10GHz" {
+		t.Errorf("header = %+v", rep)
+	}
+	if len(rep.Benchmarks) != 2 {
+		t.Fatalf("got %d benchmarks, want 2: %+v", len(rep.Benchmarks), rep.Benchmarks)
+	}
+	for i, want := range []struct {
+		name  string
+		iters int64
+	}{{"BenchmarkPipeline_DiffCold", 20}, {"BenchmarkPipeline_DiffWarm", 200}} {
+		b := rep.Benchmarks[i]
+		if b.Name != want.name || b.Iterations != want.iters || b.Metrics["ns/op"] != 600 {
+			t.Errorf("benchmark %d = %+v, want %s at %d iterations and median 600 ns/op", i, b, want.name, want.iters)
+		}
 	}
 }
 
