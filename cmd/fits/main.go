@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 
 	"fits"
 	"fits/internal/firmware"
@@ -104,7 +103,7 @@ func main() {
 // report as JSON. The output is byte-identical across worker counts and
 // cache temperature.
 func runXScan(spec optbuild.Spec, cacheCfg optbuild.CacheConfig, dir string) {
-	files, err := readCorpusDir(dir)
+	files, err := fits.ReadCorpusDir(dir)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -124,31 +123,6 @@ func runXScan(spec optbuild.Spec, cacheCfg optbuild.CacheConfig, dir string) {
 		log.Fatal(err)
 	}
 	fmt.Println(string(out))
-}
-
-// readCorpusDir collects every regular file under dir with slash-separated
-// relative paths, in deterministic walk order.
-func readCorpusDir(dir string) ([]fits.CorpusFile, error) {
-	var files []fits.CorpusFile
-	err := filepath.WalkDir(dir, func(p string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return err
-		}
-		data, err := os.ReadFile(p)
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(dir, p)
-		if err != nil {
-			return err
-		}
-		files = append(files, fits.CorpusFile{Path: filepath.ToSlash(rel), Data: data})
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return files, nil
 }
 
 // runDiff analyzes two versions of an image incrementally and prints the

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 	"time"
 
 	"fits"
@@ -42,12 +41,7 @@ func main() {
 		os.Exit(2)
 	}
 	c := client.New(*addr, nil)
-	if *retries > 1 || *callTimeout > 0 {
-		p := client.DefaultRetryPolicy()
-		if *retries > 0 {
-			p.MaxAttempts = *retries
-		}
-		p.CallTimeout = *callTimeout
+	if p, ok := retryPolicy(*retries, *callTimeout); ok {
 		c = c.WithRetry(p)
 	}
 	ctx := context.Background()
@@ -80,6 +74,19 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+}
+
+// retryPolicy maps -retries and -call-timeout onto a client policy; ok is
+// false when neither flag asks for one. -retries counts attempts, so any
+// value below 1 means a single attempt.
+func retryPolicy(retries int, callTimeout time.Duration) (p client.RetryPolicy, ok bool) {
+	if retries <= 1 && callTimeout <= 0 {
+		return p, false
+	}
+	p = client.DefaultRetryPolicy()
+	p.MaxAttempts = max(retries, 1)
+	p.CallTimeout = callTimeout
+	return p, true
 }
 
 func usage() {
@@ -222,22 +229,7 @@ func packCorpusArg(path string) ([]byte, error) {
 	if !info.IsDir() {
 		return os.ReadFile(path)
 	}
-	var files []fits.CorpusFile
-	err = filepath.WalkDir(path, func(p string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return err
-		}
-		data, err := os.ReadFile(p)
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(path, p)
-		if err != nil {
-			return err
-		}
-		files = append(files, fits.CorpusFile{Path: filepath.ToSlash(rel), Data: data})
-		return nil
-	})
+	files, err := fits.ReadCorpusDir(path)
 	if err != nil {
 		return nil, err
 	}

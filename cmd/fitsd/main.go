@@ -45,13 +45,12 @@ func main() {
 	maxUpload := flag.Int64("max-upload", server.DefaultMaxUploadBytes, "largest accepted firmware body in bytes")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long in-flight jobs may finish on shutdown")
 	dataDir := flag.String("data-dir", "", "directory for the crash-safe job journal and result store (empty = memory only)")
-	noPersist := flag.Bool("no-persist", false, "ignore -data-dir and run memory-only")
 	verbose := flag.Bool("v", false, "log each job transition")
 	var cacheCfg optbuild.CacheConfig
 	cacheCfg.BindFlags(flag.CommandLine)
 	flag.Parse()
 	if flag.NArg() != 0 {
-		log.Fatal("usage: fitsd [-listen ADDR] [-workers N] [-queue N] [-job-timeout D] [-store-size N] [-store-ttl D] [-data-dir DIR] [-no-persist] [-cache-size N] [-no-cache] [-drain-timeout D] [-v]")
+		log.Fatal("usage: fitsd [-listen ADDR] [-workers N] [-queue N] [-job-timeout D] [-store-size N] [-store-ttl D] [-data-dir DIR] [-cache-size N] [-no-cache] [-drain-timeout D] [-v]")
 	}
 
 	cfg := server.Config{
@@ -63,9 +62,6 @@ func main() {
 		MaxUploadBytes: *maxUpload,
 		Cache:          cacheCfg.New(),
 		DataDir:        *dataDir,
-	}
-	if *noPersist {
-		cfg.DataDir = ""
 	}
 	if *verbose {
 		cfg.Logf = log.Printf

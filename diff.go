@@ -129,11 +129,10 @@ func scanSide(ctx context.Context, res *Result, opts DiffOptions) ([][]Alert, []
 	alerts := make([][]Alert, len(res.Targets))
 	side := make([]evolve.TargetAnalysis, len(res.Targets))
 	for i, tr := range res.Targets {
-		var its []uint32
-		ta := evolve.TargetAnalysis{Target: tr.target}
-		for _, c := range tr.TopCandidates(opts.TopK) {
-			its = append(its, c.Entry)
-			ta.ITS = append(ta.ITS, evolve.ITS{Entry: c.Entry, Score: c.Score})
+		ta := evolve.TargetAnalysis{Target: tr.target, ITS: tr.TopCandidates(opts.TopK)}
+		its := make([]uint32, len(ta.ITS))
+		for k, c := range ta.ITS {
+			its[k] = c.Entry
 		}
 		got, err := tr.ScanContext(ctx, ScanOptions{
 			Engine: opts.Engine, ITS: its, StringFilter: opts.StringFilter,

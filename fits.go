@@ -83,8 +83,6 @@ func NewCache(maxEntries int, maxBytes int64) *Cache {
 type Options struct {
 	// Metric selects the similarity metric (default cosine).
 	Metric score.Metric
-	// SkipIndirectResolution disables UCSE-based indirect call resolution.
-	SkipIndirectResolution bool
 	// Parallelism sizes the analysis's private Scheduler when none is
 	// given: one budget bounds every fan-out layer of the pipeline
 	// (per-binary model building, per-target inference, per-function
@@ -129,10 +127,7 @@ func inferConfig(opts Options) infer.Config {
 }
 
 // Candidate is one ranked intermediate-taint-source candidate.
-type Candidate struct {
-	Entry uint32
-	Score float64
-}
+type Candidate = score.Ranked
 
 // TargetResult is the inference outcome for one network binary.
 type TargetResult struct {
@@ -204,41 +199,30 @@ func AnalyzeContext(ctx context.Context, raw []byte, opts Options) (*Result, err
 		opts.intern = intern.NewTable()
 	}
 	res, err := loader.LoadContext(ctx, raw, loader.Options{
-		SkipResolver: opts.SkipIndirectResolution,
-		Cache:        opts.Cache,
-		Sched:        opts.Scheduler,
-		Intern:       opts.intern,
-		Stages:       opts.Stages,
+		Cache:  opts.Cache,
+		Sched:  opts.Scheduler,
+		Intern: opts.intern,
+		Stages: opts.Stages,
 	})
 	if err != nil {
 		return nil, err
 	}
-	cfgn := inferConfig(opts)
+	rankings, err := infer.InferAllContext(ctx, res, inferConfig(opts))
+	if err != nil {
+		return nil, err
+	}
 	out := &Result{
 		Vendor:  res.Image.Vendor,
 		Product: res.Image.Product,
 		Version: res.Image.Version,
 		Targets: make([]*TargetResult, len(res.Targets)),
 	}
-	inferJob := func(i int) error {
-		t := res.Targets[i]
-		r, err := infer.InferTargetContext(ctx, t, cfgn)
-		if err != nil {
-			return err
-		}
-		tr := &TargetResult{
-			Path: t.Path, Binary: r.Binary, NumFuncs: r.NumFuncs,
-			target: t, cache: opts.Cache, stages: opts.Stages,
+	for i, r := range rankings {
+		out.Targets[i] = &TargetResult{
+			Path: r.Path, Binary: r.Binary, NumFuncs: r.NumFuncs, Candidates: r.Ranked,
+			target: res.Targets[i], cache: opts.Cache, stages: opts.Stages,
 			prec: new(taint.PrecisionCache),
 		}
-		for _, e := range r.Ranked {
-			tr.Candidates = append(tr.Candidates, Candidate{Entry: e.Entry, Score: e.Score})
-		}
-		out.Targets[i] = tr
-		return nil
-	}
-	if err := opts.Scheduler.ForEach(ctx, len(res.Targets), inferJob); err != nil {
-		return nil, err
 	}
 	out.Elapsed = time.Since(start)
 	out.Cache = CacheInfo{Lifted: res.Lifted, Reused: res.Reused, Stats: opts.Cache.Stats()}
@@ -277,13 +261,13 @@ func AnalyzeCorpus(ctx context.Context, images [][]byte, opts Options) ([]*Resul
 }
 
 // Engine selects a taint analysis engine for Scan.
-type Engine uint8
+type Engine = scan.Engine
 
 // Engines: the static reachability engine (STA) and the budgeted
 // symbolic-execution engine (Karonte-style).
 const (
-	EngineStatic   = Engine(scan.Static)
-	EngineSymbolic = Engine(scan.Symbolic)
+	EngineStatic   = scan.Static
+	EngineSymbolic = scan.Symbolic
 )
 
 // Alert is one reported potentially-vulnerable flow.
@@ -336,7 +320,7 @@ func (t *TargetResult) ScanContext(ctx context.Context, opts ScanOptions) ([]Ale
 	if t.target == nil {
 		return nil, fmt.Errorf("fits: target was not produced by Analyze")
 	}
-	raw, err := scan.Run(ctx, t.target, scan.Engine(opts.Engine), taint.Options{
+	raw, err := scan.Run(ctx, t.target, opts.Engine, taint.Options{
 		UseCTS: true, ITS: opts.ITS, ITSOut: opts.ITSOut,
 		StringFilter: opts.StringFilter,
 		NoAlias:      opts.NoAlias, NoPathcheck: opts.NoPathcheck,

@@ -132,7 +132,7 @@ func TestBootStompFindsNothingOnCorpusSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := loader.Load(s.Packed, loader.Options{SkipResolver: true})
+	res, err := loader.Load(s.Packed, loader.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

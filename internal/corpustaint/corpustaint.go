@@ -38,8 +38,9 @@ import (
 	"fits/internal/xchan"
 )
 
-// Mode selects how per-binary taint analysis is seeded.
-type Mode string
+// Mode selects how per-binary taint analysis is seeded. It is a plain
+// string so option literals and request specs assign to it directly.
+type Mode = string
 
 // Seeding modes.
 const (
@@ -53,17 +54,6 @@ const (
 	ModeCross Mode = "cross"
 )
 
-// ParseMode validates a mode string ("" means ModeCross).
-func ParseMode(s string) (Mode, error) {
-	switch Mode(s) {
-	case "":
-		return ModeCross, nil
-	case ModeCTS, ModeITS, ModeCross:
-		return Mode(s), nil
-	}
-	return "", fmt.Errorf("corpustaint: unknown mode %q (want cts, its or cross)", s)
-}
-
 // DefaultMaxRounds bounds the channel fixpoint. The tainted-endpoint set is
 // finite and grows monotonically, so the fixpoint terminates on its own
 // after at most (distinct endpoints + 1) rounds; the cap only guards
@@ -75,17 +65,21 @@ const DefaultTopK = 3
 
 // Options configures a corpus analysis.
 type Options struct {
+	// Mode is ModeCTS, ModeITS or ModeCross; empty means ModeCross.
 	Mode Mode
 	// TopK bounds the inferred intermediate sources seeded per binary in
 	// ModeITS (0 selects DefaultTopK).
 	TopK int
 	// StringFilter drops alerts keyed on system-data fields.
 	StringFilter bool
-	// Cache memoizes models, rankings and per-round scan results.
+	// Cache memoizes models, rankings and per-round scan results; reports
+	// are byte-identical with and without one.
 	Cache *modelcache.Cache
-	// Scheduler draws every fan-out of the run; nil means a private one of
-	// runtime.GOMAXPROCS(0) workers. Reports are byte-identical at every
-	// worker count.
+	// Parallelism sizes the run's private Scheduler when none is given
+	// (0 = runtime.GOMAXPROCS(0)).
+	Parallelism int
+	// Scheduler, when non-nil, draws every fan-out of the run from a shared
+	// budget. Reports are byte-identical at every worker count.
 	Scheduler *pool.Scheduler
 	// Stages accumulates per-stage costs; nil disables.
 	Stages *stagetime.Timer
@@ -94,7 +88,7 @@ type Options struct {
 	NoAlias     bool
 	NoPathcheck bool
 	// Progress, when non-nil, receives coarse progress lines (per phase and
-	// per fixpoint round).
+	// per fixpoint round); long-running services surface them per job.
 	Progress func(string)
 }
 
@@ -190,14 +184,18 @@ type binState struct {
 // tree). The report is byte-identical across worker counts and cache
 // temperature.
 func Run(ctx context.Context, files []firmware.File, opts Options) (*Report, error) {
-	if opts.Mode == "" {
+	switch opts.Mode {
+	case "":
 		opts.Mode = ModeCross
+	case ModeCTS, ModeITS, ModeCross:
+	default:
+		return nil, fmt.Errorf("corpustaint: unknown mode %q (want cts, its or cross)", opts.Mode)
 	}
 	if opts.TopK <= 0 {
 		opts.TopK = DefaultTopK
 	}
 	if opts.Scheduler == nil {
-		opts.Scheduler = pool.NewScheduler(0)
+		opts.Scheduler = pool.NewScheduler(opts.Parallelism)
 	}
 	progress := opts.Progress
 	if progress == nil {
@@ -304,7 +302,7 @@ func Run(ctx context.Context, files []firmware.File, opts Options) (*Report, err
 				Precision:    st.prec,
 			}
 			if opts.Mode == ModeCross {
-				topts.ChannelSetters = know.ChannelSetters
+				topts.ChannelWrites = true
 				topts.ChannelSeeds = tainted
 			}
 			alerts, err := scan.Run(ctx, st.target, scan.Static, topts, opts.Cache, opts.Stages)

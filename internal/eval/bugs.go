@@ -98,7 +98,7 @@ func RunBugEngine(s *synth.Sample, kind EngineKind) BugResult {
 			alerts = e.Run()
 			filtered = len(e.AllAlerts()) - len(alerts)
 		default:
-			e := karonte.New(t.Bin, t.Model, karonte.Options{UseCTS: true, ITS: its})
+			e := karonte.New(t.Bin, t.Model, karonte.Options{ITS: its})
 			alerts = e.Run()
 		}
 		out.Filtered += filtered

@@ -22,6 +22,7 @@ import (
 	"fits/internal/cfg"
 	"fits/internal/infer"
 	"fits/internal/loader"
+	"fits/internal/score"
 )
 
 // Alert mirrors the pipeline's alert shape without importing it: one
@@ -36,10 +37,7 @@ type Alert struct {
 }
 
 // ITS is one inferred intermediate taint source: a ranked function entry.
-type ITS struct {
-	Entry uint32
-	Score float64
-}
+type ITS = score.Ranked
 
 // TargetAnalysis bundles one target's analysis outcome for diffing.
 type TargetAnalysis struct {

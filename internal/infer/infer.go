@@ -90,8 +90,6 @@ type Config struct {
 	// DropFeature removes one BFV dimension (ablation); -1 keeps all.
 	DropFeature int
 	DBSCAN      cluster.Params
-	// PCAComponents for StrategyPCA.
-	PCAComponents int
 	// Parallelism sizes the private Scheduler extracting per-function
 	// vectors when Sched is nil; 0 means runtime.GOMAXPROCS(0). Output is
 	// deterministic at any value.
@@ -124,9 +122,11 @@ func DefaultConfig() Config {
 		Metric:         score.Cosine,
 		DropFeature:    -1,
 		DBSCAN:         cluster.DefaultParams,
-		PCAComponents:  4,
 	}
 }
+
+// pcaComponents is the projection width of the StrategyPCA baseline.
+const pcaComponents = 4
 
 // Ranking is the inference result for one target binary.
 type Ranking struct {
@@ -211,15 +211,13 @@ func customVectors(ctx context.Context, t *loader.Target, cfgn Config, customs [
 		}
 		return out, nil
 	}
-	return cachedVectors(cfgn.Cache, modelcache.Key("bfv", vectorSig(t, cfgn), t.Hash), compute)
+	return cachedVectors(cfgn.Cache, modelcache.Key("bfv", vectorSig(cfgn), t.Hash), compute)
 }
 
-// vectorSig is the configuration component of vector cache keys:
-// representation plus the model configuration the vectors derive from. Two
-// models of the same bytes built under different resolver settings have
-// different call graphs and therefore different vectors.
-func vectorSig(t *loader.Target, cfgn Config) string {
-	return "rep=" + cfgn.Representation.String() + "|model=" + t.ModelConfig
+// vectorSig is the configuration component of vector cache keys: the
+// representation.
+func vectorSig(cfgn Config) string {
+	return "rep=" + cfgn.Representation.String()
 }
 
 // TargetVectors returns a target's custom functions in model order together
@@ -256,7 +254,7 @@ func anchorVectors(ctx context.Context, t *loader.Target, cfgn Config) ([]bfv.Ve
 	for _, lib := range libs {
 		bin, m := t.Libs[lib], t.LibModels[lib]
 		rows := anchorRows(bin, m)
-		key := modelcache.Key("anchors", vectorSig(t, cfgn), t.LibHashes[lib])
+		key := modelcache.Key("anchors", vectorSig(cfgn), t.LibHashes[lib])
 		vecs, err := cachedVectors(cfgn.Cache, key, func() ([]bfv.Vector, error) {
 			ex := newExtractor(bin, m, cfgn)
 			vecs := make([]bfv.Vector, len(rows))
@@ -411,9 +409,9 @@ func InferTargetContext(ctx context.Context, t *loader.Target, cfgn Config) (*Ra
 // ranking. Parallelism, Sched, Intern, Probe and Cache never change output
 // and are left out.
 func rankingKey(t *loader.Target, cfgn Config) string {
-	sig := fmt.Sprintf("%s|strategy=%s|metric=%s|drop=%d|eps=%g|minpts=%d|pca=%d",
-		vectorSig(t, cfgn), cfgn.Strategy, cfgn.Metric, cfgn.DropFeature,
-		cfgn.DBSCAN.Eps, cfgn.DBSCAN.MinPts, cfgn.PCAComponents)
+	sig := fmt.Sprintf("%s|strategy=%s|metric=%s|drop=%d|eps=%g|minpts=%d",
+		vectorSig(cfgn), cfgn.Strategy, cfgn.Metric, cfgn.DropFeature,
+		cfgn.DBSCAN.Eps, cfgn.DBSCAN.MinPts)
 	return modelcache.Key("ranking", sig, contentHashes(t)...)
 }
 
@@ -499,7 +497,7 @@ func inferTarget(ctx context.Context, t *loader.Target, cfgn Config) (*Ranking, 
 		var tr []bfv.Vector
 		switch cfgn.Strategy {
 		case StrategyPCA:
-			tr = cluster.PCA(all, cfgn.PCAComponents)
+			tr = cluster.PCA(all, pcaComponents)
 		case StrategyStandardize:
 			tr = cluster.Standardize(all)
 		default:

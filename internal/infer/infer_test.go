@@ -225,9 +225,8 @@ func nonZero(t reflect.Type) reflect.Value {
 // so a field added later can never silently alias cached rankings.
 func TestRankingKeyCoversEveryConfigField(t *testing.T) {
 	target := &loader.Target{
-		ModelConfig: "ucse=1",
-		Hash:        modelcache.HashBytes([]byte("bin")),
-		LibHashes:   map[string]modelcache.Hash{"libc.so": modelcache.HashBytes([]byte("libc"))},
+		Hash:      modelcache.HashBytes([]byte("bin")),
+		LibHashes: map[string]modelcache.Hash{"libc.so": modelcache.HashBytes([]byte("libc"))},
 	}
 	base := rankingKey(target, Config{})
 	typ := reflect.TypeOf(Config{})
@@ -257,12 +256,11 @@ func TestRankingKeyCoversEveryConfigField(t *testing.T) {
 		}
 	}
 	for _, other := range []*loader.Target{
-		{ModelConfig: "ucse=0", Hash: target.Hash, LibHashes: target.LibHashes},
-		{ModelConfig: target.ModelConfig, Hash: modelcache.HashBytes([]byte("other")), LibHashes: target.LibHashes},
-		{ModelConfig: target.ModelConfig, Hash: target.Hash, LibHashes: map[string]modelcache.Hash{"libc.so": target.Hash}},
+		{Hash: modelcache.HashBytes([]byte("other")), LibHashes: target.LibHashes},
+		{Hash: target.Hash, LibHashes: map[string]modelcache.Hash{"libc.so": target.Hash}},
 	} {
 		if rankingKey(other, Config{}) == base {
-			t.Errorf("model configuration, target hash and library hashes must each change the key")
+			t.Errorf("target hash and library hashes must each change the key")
 		}
 	}
 }
@@ -293,7 +291,7 @@ func TestAnchorsSharedAcrossTargets(t *testing.T) {
 	InferTarget(first, cfgn)
 	grewFirst := cache.Len() - before
 	for lib, h := range first.LibHashes {
-		v, ok := cache.Get(modelcache.Key("anchors", vectorSig(first, cfgn), h))
+		v, ok := cache.Get(modelcache.Key("anchors", vectorSig(cfgn), h))
 		if !ok {
 			t.Fatalf("%s: no library-keyed anchors entry after inferring %s", lib, first.Path)
 		}

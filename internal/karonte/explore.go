@@ -463,7 +463,7 @@ func (e *Engine) enterCall(p *path, irb *ir.Block, target uint32) bool {
 // applyImport models a library call: source seeding, sink checking, and
 // generic taint-through behaviour.
 func (e *Engine) applyImport(p *path, site uint32, name string) {
-	if spec, ok := know.Sources[name]; ok && e.opts.UseCTS {
+	if spec, ok := know.Sources[name]; ok {
 		label := e.freshLabel()
 		for _, pi := range spec.TaintedParams {
 			p.taintPointee(p.st.Regs[pi], sourceBufSpan, label)

@@ -39,7 +39,7 @@ func FuzzKaronte(f *testing.F) {
 			return
 		}
 		run := func() (*Engine, []taint.Alert) {
-			e := New(bin, m, Options{UseCTS: true})
+			e := New(bin, m, Options{})
 			e.lim.totalSteps = steps
 			return e, e.Run()
 		}

@@ -50,11 +50,11 @@ func TestKaronteAlertsGolden(t *testing.T) {
 				opts  Options
 				steps int
 			}{
-				{Options{UseCTS: true}, 0},
-				{Options{UseCTS: true, ITS: its}, 0},
-				{Options{UseCTS: true, ITS: its[:min(2, len(its))], ITSOut: out}, 0},
-				{Options{UseCTS: true}, 3000},
-				{Options{UseCTS: true}, 10000},
+				{Options{}, 0},
+				{Options{ITS: its}, 0},
+				{Options{ITS: its[:min(2, len(its))], ITSOut: out}, 0},
+				{Options{}, 3000},
+				{Options{}, 10000},
 			} {
 				e := New(tgt.Bin, tgt.Model, cfg.opts)
 				if cfg.steps > 0 {

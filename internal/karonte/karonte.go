@@ -20,11 +20,9 @@ import (
 
 // Options configures an analysis.
 type Options struct {
-	// UseCTS seeds exploration at the program entry and taints interface
-	// function outputs; ITS additionally taints the listed functions'
-	// return values at their call sites.
-	UseCTS bool
-	ITS    []uint32
+	// ITS taints the listed functions' return values at their call sites,
+	// on top of the interface function outputs every run taints.
+	ITS []uint32
 	// ITSOut lists pointer-output sources: entry -> output parameter
 	// indexes whose pointees carry fetched user data.
 	ITSOut map[uint32][]int

@@ -49,7 +49,7 @@ func TestDirectRegionFlow(t *testing.T) {
 		}}},
 	}
 	bin, m := buildBin(t, p)
-	alerts := New(bin, m, Options{UseCTS: true}).Run()
+	alerts := New(bin, m, Options{}).Run()
 	if len(alerts) != 1 || alerts[0].Sink != "strcpy" {
 		t.Fatalf("alerts = %+v", alerts)
 	}
@@ -73,7 +73,7 @@ func TestSymbolicHeapFlow(t *testing.T) {
 		}}},
 	}
 	bin, m := buildBin(t, p)
-	alerts := New(bin, m, Options{UseCTS: true}).Run()
+	alerts := New(bin, m, Options{}).Run()
 	if len(alerts) != 1 {
 		t.Fatalf("alerts = %+v", alerts)
 	}
@@ -106,7 +106,7 @@ func TestCallDepthLimitLosesDeepFlows(t *testing.T) {
 	}
 	bin, m := buildBin(t, deep(6))
 	shallow := func(bin *binimg.Binary, m *cfg.Model) *Engine {
-		e := New(bin, m, Options{UseCTS: true})
+		e := New(bin, m, Options{})
 		e.lim.callDepth = 3
 		return e
 	}
@@ -135,11 +135,11 @@ func TestITSSeedsTaintReturnValue(t *testing.T) {
 	}
 	bin, m := buildBin(t, p)
 	// Without ITS: no source, no alert.
-	if alerts := New(bin, m, Options{UseCTS: true}).Run(); len(alerts) != 0 {
+	if alerts := New(bin, m, Options{}).Run(); len(alerts) != 0 {
 		t.Errorf("unexpected alerts without ITS: %+v", alerts)
 	}
 	fetch := entryOf(t, bin, "fetch")
-	alerts := New(bin, m, Options{UseCTS: true, ITS: []uint32{fetch}}).Run()
+	alerts := New(bin, m, Options{ITS: []uint32{fetch}}).Run()
 	if len(alerts) != 1 || alerts[0].Sink != "system" {
 		t.Fatalf("alerts = %+v", alerts)
 	}
@@ -163,7 +163,7 @@ func TestITSSeedBudget(t *testing.T) {
 	}
 	bin, m := buildBin(t, p)
 	fetch := entryOf(t, bin, "fetch")
-	e := New(bin, m, Options{UseCTS: true, ITS: []uint32{fetch}})
+	e := New(bin, m, Options{ITS: []uint32{fetch}})
 	e.lim.itsSeeds = 0
 	if alerts := e.Run(); len(alerts) != 0 {
 		t.Errorf("alerts despite zero seeding budget: %+v", alerts)
@@ -180,7 +180,7 @@ func TestStepBudgetBoundsWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := res.Targets[0]
-	e := New(target.Bin, target.Model, Options{UseCTS: true})
+	e := New(target.Bin, target.Model, Options{})
 	e.lim.totalSteps = 500
 	e.Run()
 	if e.Steps > 600 {
@@ -209,7 +209,7 @@ func TestStepBudgetMarksDegraded(t *testing.T) {
 		},
 	}
 	bin, m := buildBin(t, p)
-	full := New(bin, m, Options{UseCTS: true})
+	full := New(bin, m, Options{})
 	alerts := full.Run()
 	if len(alerts) != 2 {
 		t.Fatalf("alerts = %+v, want one in h and one in main", alerts)
@@ -220,7 +220,7 @@ func TestStepBudgetMarksDegraded(t *testing.T) {
 		}
 	}
 	// One step short: main's last instruction never runs.
-	e := New(bin, m, Options{UseCTS: true})
+	e := New(bin, m, Options{})
 	e.lim.totalSteps = full.Steps - 1
 	alerts = e.Run()
 	if len(alerts) != 2 {
@@ -242,7 +242,7 @@ func TestLoopBoundTerminates(t *testing.T) {
 		minic.Return{E: minic.Int(0)},
 	}}}}
 	bin, m := buildBin(t, p)
-	e := New(bin, m, Options{UseCTS: true})
+	e := New(bin, m, Options{})
 	e.Run()
 	if e.Steps >= e.lim.totalSteps {
 		t.Errorf("infinite concrete loop burned the whole budget (%d steps)", e.Steps)
@@ -275,7 +275,7 @@ func TestIndirectDispatchExplored(t *testing.T) {
 		},
 	}
 	bin, m := buildBin(t, p)
-	alerts := New(bin, m, Options{UseCTS: true}).Run()
+	alerts := New(bin, m, Options{}).Run()
 	if len(alerts) != 1 {
 		t.Fatalf("dispatch target's flow missed: %+v", alerts)
 	}
@@ -295,8 +295,8 @@ func TestAlertsDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := res.Targets[0]
-	a := New(target.Bin, target.Model, Options{UseCTS: true}).Run()
-	b := New(target.Bin, target.Model, Options{UseCTS: true}).Run()
+	a := New(target.Bin, target.Model, Options{}).Run()
+	b := New(target.Bin, target.Model, Options{}).Run()
 	if len(a) != len(b) {
 		t.Fatalf("nondeterministic alert count: %d vs %d", len(a), len(b))
 	}
@@ -333,7 +333,7 @@ func TestOutParamITSSymbolic(t *testing.T) {
 	}
 	bin, m := buildBin(t, p)
 	fetch := entryOf(t, bin, "fetch_into")
-	alerts := New(bin, m, Options{UseCTS: true, ITSOut: map[uint32][]int{fetch: {2}}}).Run()
+	alerts := New(bin, m, Options{ITSOut: map[uint32][]int{fetch: {2}}}).Run()
 	var found bool
 	for _, a := range alerts {
 		if a.Sink == "strcpy" {

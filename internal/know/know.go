@@ -170,14 +170,6 @@ var ChannelGetters = map[string]ChannelSpec{
 	"fw_getarg": {Chan: ChanSpawn, Arity: 1, KeyParam: -1, TaintsReturn: true},
 }
 
-// IsChannelAccessor reports whether name reads or writes a cross-binary
-// channel.
-func IsChannelAccessor(name string) bool {
-	_, s := ChannelSetters[name]
-	_, g := ChannelGetters[name]
-	return s || g
-}
-
 // NetworkImports are the interface functions whose presence marks a binary
 // as exporting network services (the PIE-style selection heuristic of the
 // pre-processing stage).

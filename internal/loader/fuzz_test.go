@@ -3,8 +3,9 @@ package loader
 // Fuzz coverage for the firmware entry point: Load must turn arbitrary
 // bytes into an error, never a panic, no matter how mangled the container,
 // filesystem, or embedded binaries are, and a cache hit must return what the
-// miss did. Seeds come from real packed images produced by the synthetic
-// firmware generator.
+// miss did. Every load runs the UCSE indirect-call and jump-table resolvers,
+// as an analysis does, so mangled code reaches them too. Seeds come from
+// real packed images produced by the synthetic firmware generator.
 
 import (
 	"testing"
@@ -34,9 +35,7 @@ func FuzzLoad(f *testing.F) {
 	// one: every input is loaded twice, so the second load runs the hit path.
 	cache := modelcache.New(64, 32<<20)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// SkipResolver keeps per-input cost down; the parsing and CFG
-		// recovery paths being hardened here run either way.
-		opts := Options{SkipResolver: true, Cache: cache}
+		opts := Options{Cache: cache}
 		res, err := Load(data, opts)
 		if err == nil && res == nil {
 			t.Error("Load returned nil result and nil error")

@@ -58,10 +58,6 @@ type Target struct {
 	// artifacts (feature vectors, rankings, alerts) by content.
 	Hash      modelcache.Hash
 	LibHashes map[string]modelcache.Hash
-	// ModelConfig is the configuration label under which the model was built
-	// ("ucse=1"/"ucse=0"); derived-artifact cache keys include it so that
-	// models built with different resolver settings never share vectors.
-	ModelConfig string
 }
 
 // Result is the outcome of pre-processing one firmware image.
@@ -78,9 +74,6 @@ type Result struct {
 
 // Options configures loading.
 type Options struct {
-	// SkipResolver disables UCSE indirect-call resolution (faster, less
-	// complete call graphs).
-	SkipResolver bool
 	// AllExecutables selects every executable-location binary as a target
 	// instead of only those importing network interfaces. Corpus-wide
 	// cross-binary analysis needs this: back-end readers (nvram consumers,
@@ -90,9 +83,9 @@ type Options struct {
 	// Sched is nil; 0 means runtime.GOMAXPROCS(0).
 	Parallelism int
 	// Cache memoizes decoded binaries and whole-binary models across loads,
-	// addressed by the SHA-256 of the binary's bytes plus the resolver
-	// configuration. Cached values are shared read-only; concurrent loads of
-	// the same content deduplicate the build. A nil Cache keeps nothing.
+	// addressed by the SHA-256 of the binary's bytes. Cached values are
+	// shared read-only; concurrent loads of the same content deduplicate the
+	// build. A nil Cache keeps nothing.
 	Cache *modelcache.Cache
 	// Sched, when non-nil, draws the model-building fan-out from a shared
 	// worker budget: an analysis hands its own Scheduler down, and batched
@@ -202,13 +195,7 @@ func (res *Result) load(ctx context.Context, opts Options) error {
 		}
 	}
 
-	resolver := cfg.IndirectResolver(nil)
-	jumpResolver := cfg.JumpTableResolver(nil)
-	if !opts.SkipResolver {
-		resolver = ucse.Resolver()
-		jumpResolver = ucse.JumpResolver()
-	}
-	cfgOpts := cfg.Options{Resolver: resolver, JumpResolver: jumpResolver, Probe: opts.Stages}
+	cfgOpts := cfg.Options{Resolver: ucse.Resolver(), JumpResolver: ucse.JumpResolver(), Probe: opts.Stages}
 
 	// Select the network targets, in deterministic path order.
 	var targetPaths []string
@@ -242,9 +229,8 @@ func (res *Result) load(ctx context.Context, opts Options) error {
 
 	// Build every model in one fan-out: targets first, then libraries. Each
 	// job writes only its own slot, so assembly below is order-independent.
-	// Each build is memoized on the binary's content hash plus the resolver
-	// configuration; the singleflight layer ensures one build per distinct
-	// binary even when loads race.
+	// Each build is memoized on the binary's content hash; the singleflight
+	// layer ensures one build per distinct binary even when loads race.
 	type job struct {
 		name string // diagnostic label: path for targets, file name for libs
 		bin  *binimg.Binary
@@ -257,15 +243,11 @@ func (res *Result) load(ctx context.Context, opts Options) error {
 	for _, name := range libNames {
 		jobs = append(jobs, job{name: name, bin: libByName[name], hash: libHashByName[name]})
 	}
-	modelCfg := "ucse=1"
-	if opts.SkipResolver {
-		modelCfg = "ucse=0"
-	}
 	models := make([]*cfg.Model, len(jobs))
 	var reused atomic.Int64
 	buildJob := func(i int) error {
 		v, hit, err := opts.Cache.GetOrCompute(
-			modelcache.Key("model", modelCfg, jobs[i].hash),
+			modelcache.Key("model", "", jobs[i].hash),
 			func() (any, int64, error) {
 				m, err := cfg.Build(jobs[i].bin, cfgOpts)
 				if err != nil {
@@ -299,14 +281,13 @@ func (res *Result) load(ctx context.Context, opts Options) error {
 	for i, p := range targetPaths {
 		b := bins[p]
 		t := &Target{
-			Path:        p,
-			Bin:         b,
-			Model:       models[i],
-			Libs:        map[string]*binimg.Binary{},
-			LibModels:   map[string]*cfg.Model{},
-			Hash:        hashes[p],
-			LibHashes:   map[string]modelcache.Hash{},
-			ModelConfig: modelCfg,
+			Path:      p,
+			Bin:       b,
+			Model:     models[i],
+			Libs:      map[string]*binimg.Binary{},
+			LibModels: map[string]*cfg.Model{},
+			Hash:      hashes[p],
+			LibHashes: map[string]modelcache.Hash{},
 		}
 		for _, need := range b.Needed {
 			lib, ok := libByName[need]

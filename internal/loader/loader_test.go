@@ -70,7 +70,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 
 func TestLoadImageDirect(t *testing.T) {
 	s := generate(t, 20) // D-Link (XOR-encoded when packed)
-	res, err := LoadImage(s.Image, Options{SkipResolver: true})
+	res, err := LoadImage(s.Image, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestLoadImageDirect(t *testing.T) {
 
 func TestSchemeDetectionOnPacked(t *testing.T) {
 	s := generate(t, 20) // D-Link uses XOR wrapping
-	res, err := Load(s.Packed, Options{SkipResolver: true})
+	res, err := Load(s.Packed, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,10 +96,6 @@ func TestSchemeDetectionOnPacked(t *testing.T) {
 func TestResolverCompletesDispatch(t *testing.T) {
 	s := generate(t, 0)
 	with, err := Load(s.Packed, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	without, err := Load(s.Packed, Options{SkipResolver: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,9 +112,6 @@ func TestResolverCompletesDispatch(t *testing.T) {
 	}
 	if count(with) == 0 {
 		t.Error("resolver resolved no indirect calls")
-	}
-	if count(without) != 0 {
-		t.Error("indirect calls resolved without resolver")
 	}
 }
 
@@ -142,11 +135,11 @@ func TestExecutablePathClassification(t *testing.T) {
 
 func TestTargetsDeterministicOrder(t *testing.T) {
 	s := generate(t, 0)
-	a, err := Load(s.Packed, Options{SkipResolver: true})
+	a, err := Load(s.Packed, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Load(s.Packed, Options{SkipResolver: true})
+	b, err := Load(s.Packed, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +157,7 @@ func TestTargetsDeterministicOrder(t *testing.T) {
 // identities, cache or not, so downstream memo keys never see a zero hash.
 func TestLoadWithoutCacheHashesContent(t *testing.T) {
 	s := generate(t, 0)
-	res, err := Load(s.Packed, Options{SkipResolver: true})
+	res, err := Load(s.Packed, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,8 @@ const (
 )
 
 // Run runs eng over t under opts and returns the engine's alerts in its
-// deterministic order. The symbolic engine reads only UseCTS, ITS and ITSOut.
+// deterministic order. The symbolic engine always seeds classical sources
+// and reads only ITS and ITSOut.
 //
 // The alert list is memoised in cache under key (a nil cache keeps
 // nothing), so re-scanning an unchanged binary — a diff's unchanged targets,
@@ -49,9 +50,7 @@ func Run(ctx context.Context, t *loader.Target, eng Engine, opts taint.Options, 
 		defer st.Span(stagetime.Taint)()
 		var a []taint.Alert
 		if eng == Symbolic {
-			a = karonte.New(t.Bin, t.Model, karonte.Options{
-				UseCTS: opts.UseCTS, ITS: opts.ITS, ITSOut: opts.ITSOut,
-			}).Run()
+			a = karonte.New(t.Bin, t.Model, karonte.Options{ITS: opts.ITS, ITSOut: opts.ITSOut}).Run()
 		} else {
 			a = taint.New(t.Bin, t.Model, opts).Run()
 		}
@@ -63,22 +62,19 @@ func Run(ctx context.Context, t *loader.Target, eng Engine, opts taint.Options, 
 	return v.([]taint.Alert), nil
 }
 
-// key is the memo key of one scan: the engine, the target's model
-// configuration and content hash, and every taint.Options field that can
-// change the alert list. Precision and Probe never change output and are
-// left out.
+// key is the memo key of one scan: the engine, the target's content hash,
+// and every taint.Options field that can change the alert list. Precision
+// and Probe never change output and are left out.
 // The engines treat ITS as a set, so its entries are sorted; map-valued
 // fields are written in sorted key order, and free-form strings quoted so
 // no two option sets share a key. Built with strconv rather than fmt: a
 // corpus fixpoint builds one key per binary per round.
 func key(t *loader.Target, eng Engine, o taint.Options) string {
 	b := make([]byte, 0, 256)
-	b = append(b, "model="...)
-	b = append(b, t.ModelConfig...)
-	b = strconv.AppendUint(append(b, "|engine="...), uint64(eng), 10)
+	b = strconv.AppendUint(append(b, "engine="...), uint64(eng), 10)
 	b = strconv.AppendBool(append(b, "|cts="...), o.UseCTS)
 	b = strconv.AppendBool(append(b, "|sf="...), o.StringFilter)
-	b = strconv.AppendInt(append(b, "|depth="...), int64(o.MaxDepth), 10)
+	b = strconv.AppendBool(append(b, "|chanwrites="...), o.ChannelWrites)
 	b = strconv.AppendBool(append(b, "|noalias="...), o.NoAlias)
 	b = strconv.AppendBool(append(b, "|nopathcheck="...), o.NoPathcheck)
 	b = strconv.AppendQuote(append(b, "|self="...), o.SelfPath)
@@ -95,16 +91,6 @@ func key(t *loader.Target, eng Engine, o taint.Options) string {
 			b = append(strconv.AppendInt(b, int64(p), 10), ' ')
 		}
 		b = append(b, ',')
-	}
-	b = append(b, "|setters="...)
-	for _, name := range sortedKeys(o.ChannelSetters) {
-		sp := o.ChannelSetters[name]
-		b = append(strconv.AppendQuote(b, name), ':')
-		b = append(strconv.AppendUint(b, uint64(sp.Chan), 10), '/')
-		b = append(strconv.AppendInt(b, int64(sp.Arity), 10), '/')
-		b = append(strconv.AppendInt(b, int64(sp.KeyParam), 10), '/')
-		b = append(strconv.AppendInt(b, int64(sp.ValParam), 10), '/')
-		b = append(strconv.AppendBool(b, sp.TaintsReturn), ',')
 	}
 	b = append(b, "|seeds="...)
 	for _, ch := range sortedKeys(o.ChannelSeeds) {

@@ -7,7 +7,6 @@ import (
 
 	"fits/internal/cfg"
 	"fits/internal/isa"
-	"fits/internal/know"
 	"fits/internal/loader"
 	"fits/internal/minic"
 	"fits/internal/modelcache"
@@ -71,7 +70,7 @@ func nonZero(t reflect.Type) reflect.Value {
 // output-neutral ones changes the scan key, so a field added later can never
 // silently alias cache entries computed without it.
 func TestKeyCoversEveryOutputField(t *testing.T) {
-	target := &loader.Target{ModelConfig: "ucse=1", Hash: modelcache.HashBytes([]byte("bin"))}
+	target := &loader.Target{Hash: modelcache.HashBytes([]byte("bin"))}
 	base := key(target, Static, taint.Options{})
 	typ := reflect.TypeOf(taint.Options{})
 	for name := range outputNeutral {
@@ -93,22 +92,10 @@ func TestKeyCoversEveryOutputField(t *testing.T) {
 	}
 	for _, other := range []string{
 		key(target, Symbolic, taint.Options{}),
-		key(&loader.Target{ModelConfig: "ucse=0", Hash: target.Hash}, Static, taint.Options{}),
-		key(&loader.Target{ModelConfig: target.ModelConfig, Hash: modelcache.HashBytes([]byte("other"))}, Static, taint.Options{}),
+		key(&loader.Target{Hash: modelcache.HashBytes([]byte("other"))}, Static, taint.Options{}),
 	} {
 		if other == base {
-			t.Errorf("engine, model configuration and content hash must each change the key")
-		}
-	}
-	// Channel setter specs are written field by field: each field must
-	// reach the key as well.
-	specType := reflect.TypeOf(know.ChannelSpec{})
-	zeroSpec := key(target, Static, taint.Options{ChannelSetters: map[string]know.ChannelSpec{"x": {}}})
-	for j := 0; j < specType.NumField(); j++ {
-		var sp know.ChannelSpec
-		reflect.ValueOf(&sp).Elem().Field(j).Set(nonZero(specType.Field(j).Type))
-		if key(target, Static, taint.Options{ChannelSetters: map[string]know.ChannelSpec{"x": sp}}) == zeroSpec {
-			t.Errorf("ChannelSpec.%s does not change the key", specType.Field(j).Name)
+			t.Errorf("engine and content hash must each change the key")
 		}
 	}
 	// ITS is a set to both engines: seed order must not split entries.
@@ -142,7 +129,7 @@ func regionTarget(t *testing.T) *loader.Target {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &loader.Target{Path: "bin/t", Bin: bin, Model: m, ModelConfig: "ucse=1", Hash: modelcache.HashBytes([]byte("t"))}
+	return &loader.Target{Path: "bin/t", Bin: bin, Model: m, Hash: modelcache.HashBytes([]byte("t"))}
 }
 
 // TestRunMemoisesAndTimesMissesOnly: the first scan computes and lands in

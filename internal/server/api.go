@@ -470,11 +470,7 @@ func runCorpus(ctx context.Context, in [][]byte, spec optbuild.Spec, env RunEnv)
 	if err != nil {
 		return nil, err
 	}
-	files := make([]fits.CorpusFile, len(img.Files))
-	for i, f := range img.Files {
-		files[i] = fits.CorpusFile{Path: f.Path, Data: f.Data}
-	}
-	rep, err := fits.XScanContext(ctx, files, xopts)
+	rep, err := fits.XScanContext(ctx, img.Files, xopts)
 	if err != nil {
 		return nil, err
 	}

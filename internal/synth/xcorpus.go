@@ -65,16 +65,6 @@ func (m *XManifest) CrossFlows() []XFlowTruth {
 	return out
 }
 
-// FlowBySink resolves the flow whose sink call lives at (binary, entry, sink).
-func (m *XManifest) FlowBySink(binary string, entry uint32, sink string) (XFlowTruth, bool) {
-	for _, f := range m.Flows {
-		if f.SinkBinary == binary && f.SinkEntry == entry && f.Sink == sink {
-			return f, true
-		}
-	}
-	return XFlowTruth{}, false
-}
-
 // XCorpus is one generated multi-binary firmware tree with its ground truth.
 type XCorpus struct {
 	Files    []firmware.File

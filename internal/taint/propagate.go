@@ -76,7 +76,7 @@ func (e *Engine) propagateGlobals(fn *cfg.Function) {
 }
 
 func (e *Engine) propagate(fn *cfg.Function, sd seed, from SourceKind, key, via string, depth int) {
-	if depth > e.opts.MaxDepth {
+	if depth > e.maxDepth {
 		return
 	}
 	if e.memo == nil {
@@ -306,7 +306,7 @@ func (in *intra) atCall(addr, blockStart uint32, st *dataflow.State) {
 			}
 			continue
 		}
-		if spec, ok := in.e.opts.ChannelSetters[cs.ImportName]; ok {
+		if spec, ok := know.ChannelSetters[cs.ImportName]; ok && in.e.opts.ChannelWrites {
 			// A tainted value published onto a cross-binary channel: record
 			// the written endpoint as a channel-write pseudo-alert. Only
 			// statically resolvable keys can be joined to a getter, so

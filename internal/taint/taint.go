@@ -96,7 +96,7 @@ type Alert struct {
 
 // Options configures an analysis run.
 type Options struct {
-	// UseCTS enables classical sources; UseITS enables intermediate ones.
+	// UseCTS enables classical sources.
 	UseCTS bool
 	// ITS lists intermediate taint source function entries whose return
 	// value carries the fetched data.
@@ -108,13 +108,11 @@ type Options struct {
 	ITSOut map[uint32][]int
 	// StringFilter drops ITS alerts whose key names system data.
 	StringFilter bool
-	// MaxDepth bounds interprocedural value-taint propagation.
-	MaxDepth int
 
-	// ChannelSetters, when non-nil, reports tainted values reaching these
-	// channel setter imports as SinkChannelWrite alerts (the raw material
-	// of the corpus fixpoint). Single-binary scans leave it nil.
-	ChannelSetters map[string]know.ChannelSpec
+	// ChannelWrites reports tainted values reaching the channel setter
+	// imports of know.ChannelSetters as SinkChannelWrite alerts (the raw
+	// material of the corpus fixpoint). Single-binary scans leave it off.
+	ChannelWrites bool
 	// ChannelSeeds seeds value taint at channel getter call sites: for
 	// each channel kind, the set of keys other binaries were seen writing
 	// tainted data to. Keyless getters (spawned-helper argv) match the
@@ -145,10 +143,6 @@ type Options struct {
 	Probe stagetime.Probe
 }
 
-// DefaultMaxDepth bounds value propagation; deep wrapper chains stay in
-// reach while runaway recursion does not.
-const DefaultMaxDepth = 8
-
 // SystemDataKeys are the field names treated as system-populated; the
 // string filter removes ITS alerts keyed on them (paper §4.3: subnet mask,
 // MAC address, IP address fetches are not attacker-controlled).
@@ -162,6 +156,9 @@ type Engine struct {
 	bin   *binimg.Binary
 	model *cfg.Model
 	opts  Options
+	// maxDepth bounds interprocedural value-taint propagation: deep wrapper
+	// chains stay in reach while runaway recursion does not.
+	maxDepth int
 
 	alerts map[uint32]*Alert // by sink site; first source kind wins
 	// taintedGlobals collects global word addresses holding ITS-derived
@@ -183,13 +180,11 @@ type Engine struct {
 
 // New prepares an engine.
 func New(bin *binimg.Binary, model *cfg.Model, opts Options) *Engine {
-	if opts.MaxDepth == 0 {
-		opts.MaxDepth = DefaultMaxDepth
-	}
 	return &Engine{
 		bin:            bin,
 		model:          model,
 		opts:           opts,
+		maxDepth:       8,
 		alerts:         map[uint32]*Alert{},
 		taintedGlobals: map[uint32]bool{},
 		taintedObjects: map[uint32]string{},

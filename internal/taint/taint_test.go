@@ -201,8 +201,8 @@ func TestStringFilterDropsSystemKeys(t *testing.T) {
 func TestDepthLimitStopsPropagation(t *testing.T) {
 	bin, m := buildBin(t, itsProgram())
 	fetch := entryOf(t, bin, "fetch")
-	e := New(bin, m, Options{ITS: []uint32{fetch}, MaxDepth: -1})
-	e.opts.MaxDepth = 0 // value flows may not cross any call
+	e := New(bin, m, Options{ITS: []uint32{fetch}})
+	e.maxDepth = 0 // value flows may not cross any call
 	alerts := e.Run()
 	for _, a := range alerts {
 		if a.Sink == "sprintf" {

@@ -2,6 +2,8 @@ package fits
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 
 	"fits/internal/corpustaint"
 	"fits/internal/firmware"
@@ -11,10 +13,7 @@ import (
 // binaries, front-end artifacts and configuration alike, with
 // slash-separated paths relative to the filesystem root ("bin/httpd",
 // "www/index.html").
-type CorpusFile struct {
-	Path string
-	Data []byte
-}
+type CorpusFile = firmware.File
 
 // CorpusReport is the deterministic outcome of a corpus scan: per-binary
 // summaries, the front-end keyword set, the tainted channel endpoints the
@@ -24,35 +23,11 @@ type CorpusReport = corpustaint.Report
 // CorpusAlert is one corpus finding; see CorpusReport.Alerts.
 type CorpusAlert = corpustaint.Alert
 
-// XScanOptions configures a corpus scan.
-type XScanOptions struct {
-	// Mode seeds the per-binary analyses: "cts" (classical sources only),
-	// "its" (plus each binary's top-ranked inferred intermediate sources) or
-	// "cross" (plus front-end keyword seeding and the cross-binary channel
-	// fixpoint). Empty means "cross".
-	Mode string
-	// TopK bounds inferred sources per binary in "its" mode (0 = 3).
-	TopK int
-	// StringFilter drops alerts keyed on system-data fields.
-	StringFilter bool
-	// NoAlias disables the bounded points-to pass; NoPathcheck disables the
-	// path-feasibility pass. Both precision passes are on by default.
-	NoAlias     bool
-	NoPathcheck bool
-	// Parallelism sizes the scan's private Scheduler when none is given
-	// (0 = all CPUs); the report is byte-identical at every setting.
-	Parallelism int
-	// Cache memoizes models, rankings and per-round scan results across
-	// calls; reports are byte-identical with and without one.
-	Cache *Cache
-	// Scheduler, when non-nil, draws every fan-out from a shared budget.
-	Scheduler *Scheduler
-	// Stages accumulates per-stage costs; nil disables.
-	Stages *StageTimer
-	// Progress, when non-nil, receives coarse progress lines (load, fixpoint
-	// rounds, completion); long-running services surface them per job.
-	Progress func(string)
-}
+// XScanOptions configures a corpus scan. Mode is "cts" (classical sources
+// only), "its" (plus each binary's top-ranked inferred intermediate
+// sources) or "cross" (plus front-end keyword seeding and the cross-binary
+// channel fixpoint); empty means "cross".
+type XScanOptions = corpustaint.Options
 
 // XScan analyzes an unpacked firmware corpus as one system: front-end
 // artifacts name the request parameters, border binaries fetching those
@@ -66,28 +41,32 @@ func XScan(files []CorpusFile, opts XScanOptions) (*CorpusReport, error) {
 // binary inside every fixpoint round, so scanning a large corpus can be
 // aborted mid-flight.
 func XScanContext(ctx context.Context, files []CorpusFile, opts XScanOptions) (*CorpusReport, error) {
-	mode, err := corpustaint.ParseMode(opts.Mode)
+	return corpustaint.Run(ctx, files, opts)
+}
+
+// ReadCorpusDir collects every regular file under dir as a corpus file set,
+// with slash-separated paths relative to dir, in deterministic walk order.
+func ReadCorpusDir(dir string) ([]CorpusFile, error) {
+	var files []CorpusFile
+	err := filepath.WalkDir(dir, func(p string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(p)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(dir, p)
+		if err != nil {
+			return err
+		}
+		files = append(files, CorpusFile{Path: filepath.ToSlash(rel), Data: data})
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	fw := make([]firmware.File, len(files))
-	for i, f := range files {
-		fw[i] = firmware.File{Path: f.Path, Data: f.Data}
-	}
-	if opts.Scheduler == nil {
-		opts.Scheduler = NewScheduler(opts.Parallelism)
-	}
-	return corpustaint.Run(ctx, fw, corpustaint.Options{
-		Mode:         mode,
-		TopK:         opts.TopK,
-		StringFilter: opts.StringFilter,
-		NoAlias:      opts.NoAlias,
-		NoPathcheck:  opts.NoPathcheck,
-		Cache:        opts.Cache,
-		Scheduler:    opts.Scheduler,
-		Stages:       opts.Stages,
-		Progress:     opts.Progress,
-	})
+	return files, nil
 }
 
 // PackCorpus wraps a corpus file set in the firmware container format for
@@ -95,9 +74,6 @@ func XScanContext(ctx context.Context, files []CorpusFile, opts XScanOptions) (*
 // packing is unencrypted and deterministic; Unpack on the service side
 // recovers the identical file set.
 func PackCorpus(files []CorpusFile) []byte {
-	img := &firmware.Image{Vendor: "corpus", Product: "tree", Files: make([]firmware.File, len(files))}
-	for i, f := range files {
-		img.Files[i] = firmware.File{Path: f.Path, Data: f.Data}
-	}
+	img := &firmware.Image{Vendor: "corpus", Product: "tree", Files: files}
 	return img.Pack(firmware.PackOptions{Scheme: firmware.SchemeNone})
 }
