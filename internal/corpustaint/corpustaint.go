@@ -176,7 +176,7 @@ type binState struct {
 	// alerts from the most recent scan round.
 	alerts []taint.Alert
 	// prec memoizes the precision passes' pure per-function results across
-	// fixpoint rounds, which re-scan the same binary under growing seeds.
+	// the fixpoint rounds that rescan this binary.
 	prec *taint.PrecisionCache
 }
 
@@ -225,7 +225,8 @@ func Run(ctx context.Context, files []firmware.File, opts Options) (*Report, err
 	progress(fmt.Sprintf("front-end: %d keywords from %d artifacts", len(kwSet), len(frontFiles)))
 
 	// Load every executable — not only network binaries: back-end readers
-	// import no interface functions at all.
+	// import no interface functions at all. Library models feed only the
+	// ITS ranking, so the other modes never build them.
 	img := &firmware.Image{Files: files}
 	res, err := loader.LoadImageContext(ctx, img, loader.Options{
 		AllExecutables: true,
@@ -233,6 +234,7 @@ func Run(ctx context.Context, files []firmware.File, opts Options) (*Report, err
 		Sched:          opts.Scheduler,
 		Intern:         intern.NewTable(),
 		Stages:         opts.Stages,
+		TargetsOnly:    opts.Mode != ModeITS,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("corpustaint: %w", err)
@@ -280,18 +282,20 @@ func Run(ctx context.Context, files []firmware.File, opts Options) (*Report, err
 	}
 
 	// Fixpoint over tainted channel endpoints. The set only grows and is
-	// bounded by the corpus's endpoint vocabulary, so this terminates; each
-	// round re-scans every binary under the cumulative seed set (scans are
-	// memoized on the full seed signature, so unchanged binaries are
-	// lookups on warm caches).
+	// bounded by the corpus's endpoint vocabulary, so this terminates.
+	// Round 1 scans every binary; later rounds rescan only the binaries
+	// with a getter endpoint the previous round newly tainted. A scan seeds
+	// only getters whose key is tainted, so every other binary's alerts
+	// are what a rescan under the cumulative seed set would return.
 	tainted := map[know.ChanKind]map[string]bool{}
 	origins := map[string]origin{} // "<chan>:<key>" -> first tainting write
 	rounds := 0
+	dirty := states
 	for rounds < DefaultMaxRounds {
 		rounds++
-		progress(fmt.Sprintf("round %d: scanning %d binaries", rounds, len(states)))
-		err := opts.Scheduler.ForEach(ctx, len(states), func(i int) error {
-			st := states[i]
+		progress(fmt.Sprintf("round %d: scanning %d of %d binaries", rounds, len(dirty), len(states)))
+		err := opts.Scheduler.ForEach(ctx, len(dirty), func(i int) error {
+			st := dirty[i]
 			topts := taint.Options{
 				UseCTS:       true,
 				ITS:          st.seeds,
@@ -316,9 +320,10 @@ func Run(ctx context.Context, files []firmware.File, opts Options) (*Report, err
 			break
 		}
 		// Join channel writes against reader keys, in deterministic binary
-		// and alert order; first write wins as the endpoint's origin.
-		grew := false
-		for _, st := range states {
+		// and alert order; first write wins as the endpoint's origin. Only
+		// rescanned binaries can write an endpoint not yet tainted.
+		fresh := map[string]bool{}
+		for _, st := range dirty {
 			for _, a := range st.alerts {
 				if a.Kind != know.SinkChannelWrite {
 					continue
@@ -333,12 +338,24 @@ func Run(ctx context.Context, files []firmware.File, opts Options) (*Report, err
 				if !tainted[ch][key] {
 					tainted[ch][key] = true
 					origins[a.Via] = origin{binary: st.target.Path, alert: a, round: rounds - 1}
-					grew = true
+					fresh[a.Via] = true
 				}
 			}
 		}
-		if !grew {
+		if len(fresh) == 0 {
 			break
+		}
+		readers := map[string]bool{}
+		for _, e := range eps {
+			if !e.Setter && fresh[e.ID()] {
+				readers[e.Binary] = true
+			}
+		}
+		dirty = nil
+		for _, st := range states {
+			if readers[st.target.Path] {
+				dirty = append(dirty, st)
+			}
 		}
 	}
 

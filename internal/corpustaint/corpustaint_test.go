@@ -2,12 +2,19 @@ package corpustaint
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
+	"fits/internal/firmware"
+	"fits/internal/know"
+	"fits/internal/loader"
 	"fits/internal/modelcache"
 	"fits/internal/pool"
+	"fits/internal/scan"
 	"fits/internal/synth"
+	"fits/internal/taint"
+	"fits/internal/xchan"
 )
 
 func xrun(t *testing.T, opts Options) *Report {
@@ -170,5 +177,102 @@ func TestRunDeterministicAcrossWorkersAndCache(t *testing.T) {
 	}
 	if !reflect.DeepEqual(base, cold) {
 		t.Fatal("cached report diverges from uncached")
+	}
+}
+
+// TestScansDependOnlyOnReadEndpoints pins the invariant that lets later
+// fixpoint rounds skip binaries: a binary's alerts under the final tainted
+// set equal its alerts under that set restricted to the keys its own
+// getters read.
+func TestScansDependOnlyOnReadEndpoints(t *testing.T) {
+	ctx := context.Background()
+	for seed := int64(1); seed <= 6; seed++ {
+		x, err := synth.GenerateXCorpus(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Run(ctx, x.Files, Options{Mode: ModeCross, Scheduler: pool.NewScheduler(1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		final := map[know.ChanKind]map[string]bool{}
+		for _, e := range rep.Tainted {
+			ch, key, _ := splitVia(e.Chan + ":" + e.Key)
+			if final[ch] == nil {
+				final[ch] = map[string]bool{}
+			}
+			final[ch][key] = true
+		}
+		kwSet := map[string]bool{}
+		for _, k := range rep.Keywords {
+			kwSet[k] = true
+		}
+		res, err := loader.LoadImage(&firmware.Image{Files: x.Files}, loader.Options{AllExecutables: true, TargetsOnly: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		narrowed, channelAlerts := 0, 0
+		for _, tg := range res.Targets {
+			read, n := map[know.ChanKind]map[string]bool{}, 0
+			for _, e := range xchan.Endpoints(tg.Path, tg.Bin, tg.Model) {
+				if !e.Setter && final[e.Chan][e.Key] && !read[e.Chan][e.Key] {
+					if read[e.Chan] == nil {
+						read[e.Chan] = map[string]bool{}
+					}
+					read[e.Chan][e.Key] = true
+					n++
+				}
+			}
+			if n < len(rep.Tainted) {
+				narrowed++
+			}
+			scanWith := func(seeds map[know.ChanKind]map[string]bool) []taint.Alert {
+				a, err := scan.Run(ctx, tg, scan.Static, taint.Options{
+					UseCTS: true, ITS: keywordSeeds(tg, kwSet), SelfPath: tg.Path,
+					ChannelWrites: true, ChannelSeeds: seeds,
+				}, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return a
+			}
+			all, own := scanWith(final), scanWith(read)
+			if !reflect.DeepEqual(all, own) {
+				t.Errorf("seed %d, %s: alerts under the final tainted set differ from those under its own getter keys:\n%+v\n%+v",
+					seed, tg.Path, all, own)
+			}
+			for _, a := range own {
+				if a.From == taint.FromChannel {
+					channelAlerts++
+				}
+			}
+		}
+		if narrowed == 0 || channelAlerts == 0 {
+			t.Errorf("seed %d: %d binaries read a strict subset of the tainted set, %d channel alerts; want both > 0",
+				seed, narrowed, channelAlerts)
+		}
+	}
+}
+
+// TestLaterRoundsRescanOnlyReaders: round 1 scans every binary; a later
+// round scans only those reading an endpoint tainted the round before.
+func TestLaterRoundsRescanOnlyReaders(t *testing.T) {
+	var lines []string
+	rep := xrun(t, Options{Mode: ModeCross, Scheduler: pool.NewScheduler(1), Progress: func(s string) { lines = append(lines, s) }})
+	partial := false
+	for _, l := range lines {
+		var r, k, n int
+		if _, err := fmt.Sscanf(l, "round %d: scanning %d of %d binaries", &r, &k, &n); err != nil {
+			continue
+		}
+		if r == 1 && (k != n || n != len(rep.Binaries)) {
+			t.Errorf("round 1 scanned %d of %d binaries, want all %d", k, n, len(rep.Binaries))
+		}
+		if r >= 2 && k < n {
+			partial = true
+		}
+	}
+	if rep.Rounds < 2 || !partial {
+		t.Errorf("%d rounds, progress %q: want a round >= 2 that scans fewer than all binaries", rep.Rounds, lines)
 	}
 }

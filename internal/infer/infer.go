@@ -253,6 +253,9 @@ func anchorVectors(ctx context.Context, t *loader.Target, cfgn Config) ([]bfv.Ve
 	var out []bfv.Vector
 	for _, lib := range libs {
 		bin, m := t.Libs[lib], t.LibModels[lib]
+		if m == nil {
+			return nil, fmt.Errorf("infer: %s: library %s has no model", t.Path, lib)
+		}
 		rows := anchorRows(bin, m)
 		key := modelcache.Key("anchors", vectorSig(cfgn), t.LibHashes[lib])
 		vecs, err := cachedVectors(cfgn.Cache, key, func() ([]bfv.Vector, error) {

@@ -3,6 +3,7 @@ package infer
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"fits/internal/bfv"
@@ -367,5 +368,23 @@ func TestAnchorTargetTerms(t *testing.T) {
 				t.Errorf("%v %s: %v, want the library vector %v", rep, r.name, got[i], want)
 			}
 		}
+	}
+}
+
+// TestRankingWithoutLibraryModelsFails: a target loaded with TargetsOnly
+// has no library models to build anchors from; ranking it is an error
+// naming the library, not a nil dereference.
+func TestRankingWithoutLibraryModelsFails(t *testing.T) {
+	s, err := synth.Generate(synth.Dataset()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := loader.Load(s.Packed, loader.Options{TargetsOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = InferTargetContext(context.Background(), res.Targets[0], DefaultConfig())
+	if err == nil || !strings.Contains(err.Error(), "libc.so") {
+		t.Fatalf("err = %v, want one naming libc.so", err)
 	}
 }

@@ -47,9 +47,9 @@ type Target struct {
 	Bin   *binimg.Binary
 	Model *cfg.Model
 	// Libs maps needed library file names to their decoded binaries;
-	// LibModels holds their whole-binary models. Library models are shared
-	// between targets needing the same library and must be treated as
-	// read-only.
+	// LibModels holds their whole-binary models (empty after a TargetsOnly
+	// load). Library models are shared between targets needing the same
+	// library and must be treated as read-only.
 	Libs      map[string]*binimg.Binary
 	LibModels map[string]*cfg.Model
 	// Hash is the content hash of the target binary's bytes and LibHashes
@@ -101,6 +101,11 @@ type Options struct {
 	// (unpack + container decode), and the Lift and CFG spans cfg.Build
 	// opens on it as its probe.
 	Stages *stagetime.Timer
+	// TargetsOnly builds models for targets only. Libraries are still
+	// decoded, resolved and hashed (Target.Libs, Target.LibHashes), but
+	// Target.LibModels stays empty. Only inference reads library models,
+	// so scans that never rank skip lifting them.
+	TargetsOnly bool
 }
 
 // executableDirs are filesystem locations treated as holding executables.
@@ -184,38 +189,45 @@ func (res *Result) load(ctx context.Context, opts Options) error {
 	}
 	decodeDone()
 
-	// Index libraries by base name for dependency resolution.
+	paths := make([]string, 0, len(bins))
+	for p := range bins {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+
+	// Index libraries by base name for dependency resolution. When several
+	// libraries share a base name, the first in path order wins.
 	libByName := map[string]*binimg.Binary{}
 	libHashByName := map[string]modelcache.Hash{}
-	for p, b := range bins {
+	for _, p := range paths {
 		base := path.Base(p)
-		if strings.HasSuffix(base, ".so") {
-			libByName[base] = b
+		if _, dup := libByName[base]; !dup && strings.HasSuffix(base, ".so") {
+			libByName[base] = bins[p]
 			libHashByName[base] = hashes[p]
 		}
 	}
 
 	cfgOpts := cfg.Options{Resolver: ucse.Resolver(), JumpResolver: ucse.JumpResolver(), Probe: opts.Stages}
 
-	// Select the network targets, in deterministic path order.
+	// Select the network targets, in path order.
 	var targetPaths []string
-	for p, b := range bins {
-		if isExecutablePath(p) && (opts.AllExecutables || importsNetwork(b)) {
+	for _, p := range paths {
+		if isExecutablePath(p) && (opts.AllExecutables || importsNetwork(bins[p])) {
 			targetPaths = append(targetPaths, p)
 		}
 	}
 	if len(targetPaths) == 0 {
 		return ErrNoTargets
 	}
-	sort.Strings(targetPaths)
 
-	// Collect the libraries any target needs; each is modeled exactly once
-	// and shared read-only across targets.
+	// Collect the libraries any target needs, unless only targets are
+	// modeled; each is modeled exactly once and shared read-only across
+	// targets.
 	var libNames []string
 	libSeen := map[string]bool{}
 	for _, p := range targetPaths {
 		for _, need := range bins[p].Needed {
-			if libSeen[need] {
+			if opts.TargetsOnly || libSeen[need] {
 				continue
 			}
 			if _, ok := libByName[need]; !ok {
@@ -295,8 +307,10 @@ func (res *Result) load(ctx context.Context, opts Options) error {
 				continue
 			}
 			t.Libs[need] = lib
-			t.LibModels[need] = libModels[need]
 			t.LibHashes[need] = libHashByName[need]
+			if m, ok := libModels[need]; ok {
+				t.LibModels[need] = m
+			}
 		}
 		res.Targets = append(res.Targets, t)
 	}

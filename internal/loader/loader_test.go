@@ -3,6 +3,7 @@ package loader
 import (
 	"errors"
 	"path"
+	"reflect"
 	"testing"
 
 	"fits/internal/firmware"
@@ -177,6 +178,45 @@ func TestLoadWithoutCacheHashesContent(t *testing.T) {
 			if h != modelcache.HashBytes(data[name]) {
 				t.Errorf("%s: LibHashes[%s] is not the content hash of its bytes", tg.Path, name)
 			}
+		}
+	}
+}
+
+// TestTargetsOnlySkipsLibraryModels: a TargetsOnly load builds the same
+// target models as a full load and resolves the same libraries, but lifts
+// no library.
+func TestTargetsOnlySkipsLibraryModels(t *testing.T) {
+	s := generate(t, 0)
+	full, err := LoadImage(s.Image, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lean, err := LoadImage(s.Image, Options{TargetsOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lean.Lifted != len(lean.Targets) || lean.Reused != 0 {
+		t.Errorf("lifted %d / reused %d, want %d / 0", lean.Lifted, lean.Reused, len(lean.Targets))
+	}
+	if full.Lifted <= lean.Lifted {
+		t.Errorf("full load lifted %d models, want more than %d", full.Lifted, lean.Lifted)
+	}
+	if len(lean.Targets) != len(full.Targets) {
+		t.Fatalf("targets = %d, want %d", len(lean.Targets), len(full.Targets))
+	}
+	for i, tg := range lean.Targets {
+		want := full.Targets[i]
+		if tg.Path != want.Path || tg.Hash != want.Hash {
+			t.Errorf("target %d = %s, want %s", i, tg.Path, want.Path)
+		}
+		if !reflect.DeepEqual(tg.Model, want.Model) {
+			t.Errorf("%s: model differs from a full load's", tg.Path)
+		}
+		if !reflect.DeepEqual(tg.Libs, want.Libs) || !reflect.DeepEqual(tg.LibHashes, want.LibHashes) {
+			t.Errorf("%s: libraries differ from a full load's", tg.Path)
+		}
+		if len(tg.LibModels) != 0 {
+			t.Errorf("%s: %d library models, want none", tg.Path, len(tg.LibModels))
 		}
 	}
 }

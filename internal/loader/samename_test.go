@@ -90,3 +90,29 @@ func TestSameNameBinariesDoNotShareResolutions(t *testing.T) {
 		}
 	}
 }
+
+// TestSameNameLibrariesResolveToFirstPath: when two libraries share a file
+// name, every load resolves the dependency to the one first in path order,
+// whatever order the image lists them in.
+func TestSameNameLibrariesResolveToFirstPath(t *testing.T) {
+	s := generate(t, 0)
+	libc, ok := s.Image.Lookup("lib/libc.so")
+	if !ok {
+		t.Fatal("sample has no lib/libc.so")
+	}
+	other := firmware.File{Path: "usr/lib/libc.so", Data: sameNameDispatcher(t, minic.Int(0))}
+	img := &firmware.Image{Files: append([]firmware.File{other}, s.Image.Files...)}
+	want := modelcache.HashBytes(libc.Data)
+	cache := modelcache.New(0, 0)
+	for i := 0; i < 20; i++ {
+		res, err := LoadImage(img, Options{Cache: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tg := range res.Targets {
+			if tg.LibHashes["libc.so"] != want {
+				t.Fatalf("load %d: %s resolved libc.so to usr/lib/libc.so, want lib/libc.so", i, tg.Path)
+			}
+		}
+	}
+}

@@ -35,7 +35,7 @@ const (
 //
 // The alert list is memoised in cache under key (a nil cache keeps
 // nothing), so re-scanning an unchanged binary — a diff's unchanged targets,
-// a fixpoint round whose seeds did not grow — is a lookup; the returned
+// a repeated corpus run on one cache — is a lookup; the returned
 // slice may be shared with the cache and must not be modified. The context
 // is checked before and after the engine but never inside the memoised
 // computation, so a scan that finished is always cached. Stage costs land in
