@@ -158,13 +158,22 @@ func runDiff(spec optbuild.Spec, cacheCfg optbuild.CacheConfig, oldPath, newPath
 		}
 		fmt.Printf("\n%s\n", td.Path)
 		for _, a := range td.Appeared {
-			fmt.Printf("  + %s %s at %#x (func %#x), source %s\n", a.Kind, a.Sink, a.Site, a.Func, a.Source)
+			fmt.Printf("  + %s %s at %#x (func %#x), source %s%s\n", a.Kind, a.Sink, a.Site, a.Func, a.Source, degradedMark(a))
 		}
 		for _, a := range td.Fixed {
-			fmt.Printf("  - %s %s at %#x (func %#x), source %s\n", a.Kind, a.Sink, a.Site, a.Func, a.Source)
+			fmt.Printf("  - %s %s at %#x (func %#x), source %s%s\n", a.Kind, a.Sink, a.Site, a.Func, a.Source, degradedMark(a))
 		}
 		for _, rn := range td.Renames {
 			fmt.Printf("  ~ %s renamed to %s (similarity %.3f)\n", rn.OldName, rn.NewName, rn.Similarity)
 		}
 	}
+}
+
+// degradedMark flags an alert from a function where an analysis budget
+// tripped, so its precision is that of the coarser passes.
+func degradedMark(a fits.Alert) string {
+	if a.Degraded {
+		return " [degraded]"
+	}
+	return ""
 }

@@ -107,8 +107,8 @@ func main() {
 			}
 			fmt.Printf("\n%s: %d alerts\n", t.Path, len(alerts))
 			for _, a := range alerts {
-				fmt.Printf("  [%s] %s at %#x (in func %#x, via %s)\n",
-					a.Kind, a.Sink, a.Site, a.Func, a.Source)
+				fmt.Printf("  [%s] %s at %#x (in func %#x, via %s)%s\n",
+					a.Kind, a.Sink, a.Site, a.Func, a.Source, degradedMark(a))
 			}
 			total += len(alerts)
 		}
@@ -117,4 +117,13 @@ func main() {
 		}
 	}
 	fmt.Printf("\n%d alerts total\n", total)
+}
+
+// degradedMark flags an alert from a function where an analysis budget
+// tripped, so its precision is that of the coarser passes.
+func degradedMark(a fits.Alert) string {
+	if a.Degraded {
+		return " [degraded]"
+	}
+	return ""
 }

@@ -142,12 +142,7 @@ func scanSide(ctx context.Context, res *Result, opts DiffOptions) ([][]Alert, []
 			return nil, nil, err
 		}
 		alerts[i] = got
-		for _, a := range got {
-			ta.Alerts = append(ta.Alerts, evolve.Alert{
-				Binary: a.Binary, Site: a.Site, Func: a.Func,
-				Sink: a.Sink, Kind: a.Kind, Source: a.Source,
-			})
-		}
+		ta.Alerts = got
 		side[i] = ta
 	}
 	return alerts, side, nil

@@ -270,19 +270,13 @@ const (
 	EngineSymbolic = scan.Symbolic
 )
 
-// Alert is one reported potentially-vulnerable flow.
-type Alert struct {
-	Binary string
-	Site   uint32 // sink call instruction address
-	Func   uint32 // entry of the function containing the sink
-	Sink   string
-	Kind   string // "buffer-overflow" or "command-hijack"
-	Source string // "cts-region", "cts-value" or "its"
-	// Degraded marks alerts from functions where an analysis budget
-	// tripped (dataflow fixpoint or alias facts): precision around them
-	// fell back to the coarser passes.
-	Degraded bool
-}
+// Alert is one reported potentially-vulnerable flow: Site is the sink call
+// instruction address, Func the entry of the function containing it, Kind
+// "buffer-overflow" or "command-hijack", Source "cts-region", "cts-value"
+// or "its". Degraded marks alerts from functions where an analysis budget
+// tripped (dataflow fixpoint or alias facts): precision around them fell
+// back to the coarser passes.
+type Alert = taint.Finding
 
 // ScanOptions configures a taint scan.
 type ScanOptions struct {
@@ -331,11 +325,7 @@ func (t *TargetResult) ScanContext(ctx context.Context, opts ScanOptions) ([]Ale
 	}
 	out := make([]Alert, 0, len(raw))
 	for _, a := range raw {
-		out = append(out, Alert{
-			Binary: a.Binary, Site: a.Site, Func: a.Func,
-			Sink: a.Sink, Kind: a.Kind.String(), Source: a.From.String(),
-			Degraded: a.Degraded,
-		})
+		out = append(out, a.Finding())
 	}
 	return out, nil
 }

@@ -159,7 +159,7 @@ func hashCandidate(h hash.Hash, entry uint32, s float64) {
 // diffReportGolden is the SHA-256 TestDiffReportGolden pins. Update it only
 // for a change that is meant to move diff reports or their alerts, and say
 // so in the change.
-const diffReportGolden = "190458d638dd591700811a2dafd507286ba547b7d8573511cecaa890e3a8e345"
+const diffReportGolden = "10dd59ae8af1995f1e71689ff53a4b2c67f4db20f91762d7a2477abccbcae33c"
 
 // TestDiffReportGolden is TestRankingsGolden for version diffs: one digest
 // over the JSON of every synth.ChainDataset() step's DiffReport, OldAlerts

@@ -111,17 +111,12 @@ type Provenance struct {
 	Hops      []Hop  `json:"hops,omitempty"`
 }
 
-// Alert is one corpus finding.
+// Alert is one corpus finding. Its Binary is the image path of the binary
+// containing the sink, where taint.Alert.Binary is the binary's name.
 type Alert struct {
-	// Binary is the image path of the binary containing the sink.
-	Binary string `json:"binary"`
-	Site   uint32 `json:"site"`
-	Func   uint32 `json:"func"`
-	Sink   string `json:"sink"`
-	Kind   string `json:"kind"`
-	Source string `json:"source"`
-	Key    string `json:"key,omitempty"`
-	Via    string `json:"via,omitempty"`
+	taint.Finding
+	Key string `json:"key,omitempty"`
+	Via string `json:"via,omitempty"`
 	// Provenance is present on flows traceable to a front-end parameter or
 	// crossing at least one channel.
 	Provenance *Provenance `json:"provenance,omitempty"`
@@ -377,12 +372,9 @@ func Run(ctx context.Context, files []firmware.File, opts Options) (*Report, err
 			if a.Kind == know.SinkChannelWrite {
 				continue // intermediate evidence, reported as Tainted endpoints
 			}
-			out := Alert{
-				Binary: st.target.Path, Site: a.Site, Func: a.Func,
-				Sink: a.Sink, Kind: a.Kind.String(), Source: a.From.String(),
-				Key: a.Key, Via: a.Via,
-			}
-			out.Provenance = provenance(a, kwSet, kwLoc, origins)
+			out := Alert{Finding: a.Finding(), Key: a.Key, Via: a.Via,
+				Provenance: provenance(a, kwSet, kwLoc, origins)}
+			out.Binary = st.target.Path
 			if a.From == taint.FromChannel {
 				rep.CrossHit++
 			}

@@ -23,18 +23,11 @@ import (
 	"fits/internal/infer"
 	"fits/internal/loader"
 	"fits/internal/score"
+	"fits/internal/taint"
 )
 
-// Alert mirrors the pipeline's alert shape without importing it: one
-// potentially-vulnerable flow in one binary.
-type Alert struct {
-	Binary string
-	Site   uint32
-	Func   uint32
-	Sink   string
-	Kind   string
-	Source string
-}
+// Alert is one potentially-vulnerable flow in one binary, as reported.
+type Alert = taint.Finding
 
 // ITS is one inferred intermediate taint source: a ranked function entry.
 type ITS = score.Ranked
@@ -79,11 +72,11 @@ const SimilarityThreshold = 0.98
 
 // Rename is a similarity-tier match between two differently named exports.
 type Rename struct {
-	OldName    string
-	NewName    string
-	OldEntry   uint32
-	NewEntry   uint32
-	Similarity float64
+	OldName    string  `json:"old_name"`
+	NewName    string  `json:"new_name"`
+	OldEntry   uint32  `json:"old_entry"`
+	NewEntry   uint32  `json:"new_entry"`
+	Similarity float64 `json:"similarity"`
 }
 
 // TargetDiff is the version-to-version comparison of one target binary.

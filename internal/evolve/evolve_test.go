@@ -190,3 +190,31 @@ func TestAlignPairsShiftedFunctionsThroughPlan(t *testing.T) {
 		t.Errorf("patched leaf matched by %s, want name", k)
 	}
 }
+
+// TestChurnKeepsDegraded checks that churn classification reports each
+// alert as it was scanned: a degraded alert stays degraded whether it
+// appeared, was fixed or persisted (reported from the new version).
+func TestChurnKeepsDegraded(t *testing.T) {
+	al := &alignment{newToOld: map[uint32]uint32{0x2000: 0x1000}}
+	oldAlerts := []Alert{
+		{Binary: "httpd", Site: 0x1010, Func: 0x1000, Sink: "system", Kind: "command-hijack", Source: "its"},
+		{Binary: "httpd", Site: 0x1020, Func: 0x1000, Sink: "strcpy", Kind: "buffer-overflow", Source: "its", Degraded: true},
+	}
+	newAlerts := []Alert{
+		{Binary: "httpd", Site: 0x2010, Func: 0x2000, Sink: "system", Kind: "command-hijack", Source: "its", Degraded: true},
+		{Binary: "httpd", Site: 0x3010, Func: 0x3000, Sink: "sprintf", Kind: "buffer-overflow", Source: "cts-value", Degraded: true},
+	}
+	appeared, fixed, persisted := churnAlerts(al, oldAlerts, newAlerts)
+	for _, tc := range []struct {
+		name      string
+		got, want []Alert
+	}{
+		{"appeared", appeared, newAlerts[1:]},
+		{"fixed", fixed, oldAlerts[1:]},
+		{"persisted", persisted, newAlerts[:1]},
+	} {
+		if len(tc.got) != len(tc.want) || tc.got[0] != tc.want[0] || !tc.got[0].Degraded {
+			t.Errorf("%s = %+v, want %+v", tc.name, tc.got, tc.want)
+		}
+	}
+}

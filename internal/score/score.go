@@ -113,8 +113,8 @@ func Score(m Metric, v bfv.Vector, anchors []bfv.Vector) float64 {
 
 // Ranked is one candidate with its behavioral similarity score.
 type Ranked struct {
-	Entry uint32
-	Score float64
+	Entry uint32  `json:"entry"`
+	Score float64 `json:"score"`
 }
 
 // Rank scores every candidate against the anchors and returns them ordered

@@ -192,30 +192,12 @@ type JobResult struct {
 
 // TargetReport is the per-network-binary slice of a JobResult.
 type TargetReport struct {
-	Path       string            `json:"path"`
-	Binary     string            `json:"binary"`
-	NumFuncs   int               `json:"num_funcs"`
-	Candidates []CandidateReport `json:"candidates"`
+	Path       string           `json:"path"`
+	Binary     string           `json:"binary"`
+	NumFuncs   int              `json:"num_funcs"`
+	Candidates []fits.Candidate `json:"candidates"`
 	// Alerts is present only when the job requested a taint scan.
-	Alerts []AlertReport `json:"alerts,omitempty"`
-}
-
-// CandidateReport is one ranked ITS candidate.
-type CandidateReport struct {
-	Entry uint32  `json:"entry"`
-	Score float64 `json:"score"`
-}
-
-// AlertReport is one taint alert. Degraded marks alerts from functions
-// where an analysis budget tripped (taint fixpoint pass budget or alias
-// fact budget), so consumers can see where precision silently fell back.
-type AlertReport struct {
-	Site     uint32 `json:"site"`
-	Func     uint32 `json:"func"`
-	Sink     string `json:"sink"`
-	Kind     string `json:"kind"`
-	Source   string `json:"source"`
-	Degraded bool   `json:"degraded,omitempty"`
+	Alerts []fits.Alert `json:"alerts,omitempty"`
 }
 
 // DiffJobResult is the stable result of one evolution diff. Like JobResult
@@ -240,39 +222,22 @@ type DiffJobResult struct {
 	Targets         []DiffTargetReport `json:"targets"`
 }
 
-// DiffTargetReport is the per-binary slice of a DiffJobResult.
+// DiffTargetReport is the per-binary slice of a DiffJobResult. Churned and
+// persisted alerts are in the coordinates of the version they exist in (new
+// for appeared/persisted, old for fixed); the three lists marshal as [] when
+// empty.
 type DiffTargetReport struct {
-	Path              string            `json:"path"`
-	MatchedIdentical  int               `json:"matched_identical"`
-	MatchedReuse      int               `json:"matched_reuse"`
-	MatchedName       int               `json:"matched_name"`
-	MatchedSimilarity int               `json:"matched_similarity"`
-	UnmatchedNew      int               `json:"unmatched_new"`
-	UnmatchedOld      int               `json:"unmatched_old"`
-	Renames           []RenameReport    `json:"renames,omitempty"`
-	Appeared          []DiffAlertReport `json:"appeared"`
-	Fixed             []DiffAlertReport `json:"fixed"`
-	Persisted         []DiffAlertReport `json:"persisted"`
-}
-
-// RenameReport is one function rename recovered by the similarity fallback.
-type RenameReport struct {
-	OldName    string  `json:"old_name"`
-	NewName    string  `json:"new_name"`
-	OldEntry   uint32  `json:"old_entry"`
-	NewEntry   uint32  `json:"new_entry"`
-	Similarity float64 `json:"similarity"`
-}
-
-// DiffAlertReport is one churned or persisted alert, in the coordinates of
-// the version it exists in (new for appeared/persisted, old for fixed).
-type DiffAlertReport struct {
-	Binary string `json:"binary"`
-	Site   uint32 `json:"site"`
-	Func   uint32 `json:"func"`
-	Sink   string `json:"sink"`
-	Kind   string `json:"kind"`
-	Source string `json:"source"`
+	Path              string          `json:"path"`
+	MatchedIdentical  int             `json:"matched_identical"`
+	MatchedReuse      int             `json:"matched_reuse"`
+	MatchedName       int             `json:"matched_name"`
+	MatchedSimilarity int             `json:"matched_similarity"`
+	UnmatchedNew      int             `json:"unmatched_new"`
+	UnmatchedOld      int             `json:"unmatched_old"`
+	Renames           []evolve.Rename `json:"renames,omitempty"`
+	Appeared          []fits.Alert    `json:"appeared"`
+	Fixed             []fits.Alert    `json:"fixed"`
+	Persisted         []fits.Alert    `json:"persisted"`
 }
 
 // RunOutput is what a Runner hands back for a completed job.
@@ -314,10 +279,23 @@ type RunEnv struct {
 	// Progress receives coarse progress lines from long-running jobs; the
 	// server surfaces the latest one in the job's status. May be nil.
 	Progress func(string)
-	// Truncated is called once per degraded alert (an analysis budget
-	// tripped in the alert's function), feeding
+	// Truncated is called once per degraded alert a job's result carries
+	// (an analysis budget tripped in the alert's function), feeding
 	// fitsd_analysis_truncated_total. May be nil.
 	Truncated func()
+}
+
+// countDegraded calls env.Truncated once per degraded alert in alerts. Every
+// runner passes each alert of its result through it.
+func (env RunEnv) countDegraded(alerts ...fits.Alert) {
+	if env.Truncated == nil {
+		return
+	}
+	for _, a := range alerts {
+		if a.Degraded {
+			env.Truncated()
+		}
+	}
 }
 
 // Runner executes one job of the given kind ("", KindDiff or KindCorpus)
@@ -347,32 +325,17 @@ func runAnalysis(ctx context.Context, in [][]byte, spec optbuild.Spec, env RunEn
 		Targets: make([]TargetReport, 0, len(res.Targets)),
 	}
 	for _, t := range res.Targets {
-		tr := TargetReport{Path: t.Path, Binary: t.Binary, NumFuncs: t.NumFuncs}
-		for _, c := range t.TopCandidates(spec.TopK) {
-			tr.Candidates = append(tr.Candidates, CandidateReport{Entry: c.Entry, Score: c.Score})
-		}
-		if tr.Candidates == nil {
-			tr.Candidates = []CandidateReport{}
-		}
+		tr := TargetReport{Path: t.Path, Binary: t.Binary, NumFuncs: t.NumFuncs,
+			Candidates: append([]fits.Candidate{}, t.TopCandidates(spec.TopK)...)}
 		if spec.Scan {
 			sopts, err := spec.ScanOptions(t)
 			if err != nil {
 				return nil, err
 			}
-			alerts, err := t.ScanContext(ctx, sopts)
-			if err != nil {
+			if tr.Alerts, err = t.ScanContext(ctx, sopts); err != nil {
 				return nil, err
 			}
-			tr.Alerts = make([]AlertReport, 0, len(alerts))
-			for _, a := range alerts {
-				tr.Alerts = append(tr.Alerts, AlertReport{
-					Site: a.Site, Func: a.Func, Sink: a.Sink,
-					Kind: a.Kind, Source: a.Source, Degraded: a.Degraded,
-				})
-				if a.Degraded && env.Truncated != nil {
-					env.Truncated()
-				}
-			}
+			env.countDegraded(tr.Alerts...)
 		}
 		jr.Targets = append(jr.Targets, tr)
 	}
@@ -426,17 +389,14 @@ func runDiff(ctx context.Context, in [][]byte, spec optbuild.Spec, env RunEnv) (
 			MatchedSimilarity: td.MatchedSimilarity,
 			UnmatchedNew:      td.UnmatchedNew,
 			UnmatchedOld:      td.UnmatchedOld,
-			Appeared:          diffAlertReports(td.Appeared),
-			Fixed:             diffAlertReports(td.Fixed),
-			Persisted:         diffAlertReports(td.Persisted),
+			Renames:           td.Renames,
+			Appeared:          append([]fits.Alert{}, td.Appeared...),
+			Fixed:             append([]fits.Alert{}, td.Fixed...),
+			Persisted:         append([]fits.Alert{}, td.Persisted...),
 		}
-		for _, rn := range td.Renames {
-			tr.Renames = append(tr.Renames, RenameReport{
-				OldName: rn.OldName, NewName: rn.NewName,
-				OldEntry: rn.OldEntry, NewEntry: rn.NewEntry,
-				Similarity: rn.Similarity,
-			})
-		}
+		env.countDegraded(tr.Appeared...)
+		env.countDegraded(tr.Fixed...)
+		env.countDegraded(tr.Persisted...)
 		jr.Targets = append(jr.Targets, tr)
 	}
 	b, err := json.Marshal(jr)
@@ -474,6 +434,9 @@ func runCorpus(ctx context.Context, in [][]byte, spec optbuild.Spec, env RunEnv)
 	if err != nil {
 		return nil, err
 	}
+	for _, a := range rep.Alerts {
+		env.countDegraded(a.Finding)
+	}
 	b, err := json.Marshal(rep)
 	if err != nil {
 		return nil, err
@@ -486,15 +449,4 @@ func runCorpus(ctx context.Context, in [][]byte, spec optbuild.Spec, env RunEnv)
 			CrossAlerts: rep.CrossHit,
 		},
 	}, nil
-}
-
-func diffAlertReports(alerts []evolve.Alert) []DiffAlertReport {
-	out := make([]DiffAlertReport, 0, len(alerts))
-	for _, a := range alerts {
-		out = append(out, DiffAlertReport{
-			Binary: a.Binary, Site: a.Site, Func: a.Func,
-			Sink: a.Sink, Kind: a.Kind, Source: a.Source,
-		})
-	}
-	return out
 }

@@ -14,7 +14,7 @@ import (
 // resultJSONGolden is the SHA-256 TestResultJSONGolden pins. Update it only
 // for a change that is meant to move fitsd result bytes, and say so in the
 // change: stored results are served verbatim, so a move is a wire change.
-const resultJSONGolden = "d25e66d2542d3f0cd4281aa906bda4fe6e5ae0828521fb1e40e4d0fcc9fee3b6"
+const resultJSONGolden = "0ae2706d4bbb4f45ffba63a2a9be63167bbbc2c493b0fa47f637ad482e6dc744"
 
 // TestResultJSONGolden pins the ResultJSON of each job kind's pipeline: a
 // spread of dataset images analyzed without a scan, with a scan and with a

@@ -94,6 +94,27 @@ type Alert struct {
 	Degraded bool
 }
 
+// Finding is an alert as reported: the API, fitsd's results and version
+// diffs all carry this type, and corpus reports embed it. Its kinds are
+// rendered as strings; Key, Via, Filtered and Refuted stay engine-side.
+type Finding struct {
+	Binary   string `json:"binary"`
+	Site     uint32 `json:"site"`
+	Func     uint32 `json:"func"`
+	Sink     string `json:"sink"`
+	Kind     string `json:"kind"`   // know.SinkKind.String()
+	Source   string `json:"source"` // SourceKind.String()
+	Degraded bool   `json:"degraded,omitempty"`
+}
+
+// Finding returns the alert as reported.
+func (a Alert) Finding() Finding {
+	return Finding{
+		Binary: a.Binary, Site: a.Site, Func: a.Func, Sink: a.Sink,
+		Kind: a.Kind.String(), Source: a.From.String(), Degraded: a.Degraded,
+	}
+}
+
 // Options configures an analysis run.
 type Options struct {
 	// UseCTS enables classical sources.

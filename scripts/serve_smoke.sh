@@ -3,11 +3,13 @@
 # ephemeral port, submits a generated example firmware image twice through
 # fitsctl/the client package, and asserts:
 #   - both jobs return HTTP 200 results and the result JSON is byte-identical
+#   - every analysis alert names its binary
 #   - the second run hit the shared model cache (visible in /metrics)
 #   - a diff of two different images completes, reuses some but not all
 #     functions, and repeats byte-identically
 #   - a diff round-trip (image against itself) completes, reports full
-#     function reuse, repeats byte-identically, and shows up in /metrics
+#     function reuse and no appeared alert (an empty [] list, not null),
+#     repeats byte-identically, and shows up in /metrics
 #   - a corpus round-trip (fwgen -multibin tree through fitsctl corpus)
 #     completes, repeats byte-identically, and counts in fitsd_corpus_*
 #   - /metrics is non-empty and counts the completions
@@ -74,6 +76,9 @@ ctl submit -wait -its -scan -out "$tmp/r1.json" "$fw" || fail "first submission"
 ctl submit -wait -its -scan -out "$tmp/r2.json" "$fw" || fail "second submission"
 [ -s "$tmp/r1.json" ] || fail "first result is empty"
 cmp -s "$tmp/r1.json" "$tmp/r2.json" || fail "resubmitted image produced different result JSON"
+alerts=$(grep -o '"site":' "$tmp/r1.json" | wc -l)
+named=$(grep -o '{"binary":"[^"]*","site":' "$tmp/r1.json" | wc -l)
+[ "$alerts" -eq "$named" ] || fail "only $named of $alerts analysis alerts carry \"binary\""
 
 echo "serve-smoke: diffing $(basename "$fw") against $(basename "$fw2") twice"
 ctl diff -wait -out "$tmp/p1.json" "$fw" "$fw2" || fail "first version-pair diff submission"
@@ -91,6 +96,8 @@ ctl diff -wait -out "$tmp/d2.json" "$fw" "$fw" || fail "second diff submission"
 cmp -s "$tmp/d1.json" "$tmp/d2.json" || fail "resubmitted diff produced different result JSON"
 grep -q '"reuse_ratio":1' "$tmp/d1.json" \
     || fail "self-diff did not reuse every function: $(cat "$tmp/d1.json")"
+grep -q '"appeared":\[\]' "$tmp/d1.json" \
+    || fail "self-diff has no empty appeared list: $(cat "$tmp/d1.json")"
 
 echo "serve-smoke: corpus round trip over a generated multi-binary tree"
 "$tmp/bin/fwgen" -multibin "$tmp/xtree" >/dev/null
