@@ -17,7 +17,6 @@ func TestCountDegraded(t *testing.T) {
 	env := RunEnv{Truncated: func() { n++ }}
 	degraded := fits.Alert{Sink: "system", Degraded: true}
 	env.countDegraded(fits.Alert{Sink: "strcpy"}, degraded, degraded)
-	env.countDegraded()
 	corpus := corpustaint.Alert{Finding: degraded, Via: "nvram:wl_key"}
 	env.countDegraded(corpus.Finding)
 	if n != 3 {

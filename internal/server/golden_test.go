@@ -20,8 +20,8 @@ const resultJSONGolden = "0ae2706d4bbb4f45ffba63a2a9be63167bbbc2c493b0fa47f637ad
 // spread of dataset images analyzed without a scan, with a scan and with a
 // scan seeded by the inferred sources; every ChainDataset step diffed, plus
 // one self-diff per chain (whose churn lists are all empty); and three
-// cross-channel corpora in each seeding mode. One cache serves every job, as in a long-running
-// daemon.
+// cross-channel corpora in each seeding mode. One cache serves every job,
+// as in a long-running daemon.
 func TestResultJSONGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline; skipped in -short")
