@@ -230,9 +230,11 @@ func (c *Client) call(ctx context.Context, method, path string, body []byte, con
 }
 
 // Submit posts firmware bytes with the given options and returns the
-// accepted job. A full queue surfaces as ErrQueueFull.
+// accepted job. A full queue surfaces as ErrQueueFull. The bytes travel
+// raw in a multipart/form-data body, as do those of SubmitDiff and
+// SubmitCorpus.
 func (c *Client) Submit(ctx context.Context, firmware []byte, opts optbuild.Spec) (*server.SubmitResponse, error) {
-	return c.submit(ctx, "/v1/jobs", "", server.SubmitRequest{Firmware: firmware, Options: opts}, opts, firmware)
+	return c.submit(ctx, "/v1/jobs", "", &server.SubmitRequest{Firmware: firmware, Options: opts}, opts, firmware)
 }
 
 // SubmitPath asks the server to read the firmware from a path on *its*
@@ -240,48 +242,49 @@ func (c *Client) Submit(ctx context.Context, firmware []byte, opts optbuild.Spec
 // sees the bytes, so no content hash is available for idempotent
 // recovery of an interrupted submission.
 func (c *Client) SubmitPath(ctx context.Context, path string, opts optbuild.Spec) (*server.SubmitResponse, error) {
-	return c.submit(ctx, "/v1/jobs", "", server.SubmitRequest{Path: path, Options: opts}, opts)
+	return c.submit(ctx, "/v1/jobs", "", &server.SubmitRequest{Path: path, Options: opts}, opts)
 }
 
 // SubmitCorpus posts a packed firmware corpus (fits.PackCorpus bytes) for
 // a cross-binary taint scan and returns the accepted job; its result is the
 // CorpusReport JSON of fits.XScan.
 func (c *Client) SubmitCorpus(ctx context.Context, packed []byte, opts optbuild.Spec) (*server.SubmitResponse, error) {
-	return c.submit(ctx, "/v1/corpora", server.KindCorpus, server.CorpusSubmitRequest{Corpus: packed, Options: opts}, opts, packed)
+	return c.submit(ctx, "/v1/corpora", server.KindCorpus, &server.CorpusSubmitRequest{Corpus: packed, Options: opts}, opts, packed)
 }
 
 // SubmitCorpusPath asks the server to read a packed corpus from a path on
 // its own filesystem.
 func (c *Client) SubmitCorpusPath(ctx context.Context, path string, opts optbuild.Spec) (*server.SubmitResponse, error) {
-	return c.submit(ctx, "/v1/corpora", server.KindCorpus, server.CorpusSubmitRequest{Path: path, Options: opts}, opts)
+	return c.submit(ctx, "/v1/corpora", server.KindCorpus, &server.CorpusSubmitRequest{Path: path, Options: opts}, opts)
 }
 
 // SubmitDiff posts two firmware versions for an evolution diff and returns
 // the accepted job; its result is the server's DiffJobResult JSON.
 func (c *Client) SubmitDiff(ctx context.Context, oldFw, newFw []byte, opts optbuild.Spec) (*server.SubmitResponse, error) {
 	return c.submit(ctx, "/v1/diffs", server.KindDiff,
-		server.DiffSubmitRequest{OldFirmware: oldFw, NewFirmware: newFw, Options: opts}, opts, oldFw, newFw)
+		&server.DiffSubmitRequest{OldFirmware: oldFw, NewFirmware: newFw, Options: opts}, opts, oldFw, newFw)
 }
 
 // SubmitDiffPaths asks the server to read both versions from paths on its
 // own filesystem.
 func (c *Client) SubmitDiffPaths(ctx context.Context, oldPath, newPath string, opts optbuild.Spec) (*server.SubmitResponse, error) {
 	return c.submit(ctx, "/v1/diffs", server.KindDiff,
-		server.DiffSubmitRequest{OldPath: oldPath, NewPath: newPath, Options: opts}, opts)
+		&server.DiffSubmitRequest{OldPath: oldPath, NewPath: newPath, Options: opts}, opts)
 }
 
-// submit posts a request envelope to a job kind's route. A POST whose
-// response is lost may still have been accepted by the server, so a plain
-// retry could run the same submission twice; instead, when a transport
-// error interrupts a submission whose inputs the client holds, it looks
-// the job up by server.SubmissionSHA and adopts the server's copy if kind
-// and options match.
-func (c *Client) submit(ctx context.Context, route, kind string, req any, opts optbuild.Spec, inputs ...[]byte) (*server.SubmitResponse, error) {
-	body, err := json.Marshal(req)
+// submit posts a request envelope to a job kind's route, encoded by
+// server.EncodeSubmission: multipart when its inputs are inline, JSON when
+// they are paths. A POST whose response is lost may still have been
+// accepted by the server, so a plain retry could run the same submission
+// twice; instead, when a transport error interrupts a submission whose
+// inputs the client holds, it looks the job up by server.SubmissionSHA and
+// adopts the server's copy if kind and options match.
+func (c *Client) submit(ctx context.Context, route, kind string, req server.Request, opts optbuild.Spec, inputs ...[]byte) (*server.SubmitResponse, error) {
+	body, contentType, err := server.EncodeSubmission(req)
 	if err != nil {
 		return nil, err
 	}
-	status, respBody, err := c.call(ctx, http.MethodPost, route, body, "application/json")
+	status, respBody, err := c.call(ctx, http.MethodPost, route, body, contentType)
 	if err != nil {
 		if len(inputs) > 0 && ctx.Err() == nil && c.retry.MaxAttempts > 1 {
 			sha := server.SubmissionSHA(inputs...)

@@ -42,7 +42,7 @@ func main() {
 	jobTimeout := flag.Duration("job-timeout", 0, "per-job wall-clock limit (0 = none)")
 	storeCap := flag.Int("store-size", server.DefaultStoreCap, "finished jobs retained (LRU)")
 	storeTTL := flag.Duration("store-ttl", server.DefaultStoreTTL, "finished job lifetime (0 = keep until evicted)")
-	maxUpload := flag.Int64("max-upload", server.DefaultMaxUploadBytes, "largest accepted firmware body in bytes")
+	maxUpload := flag.Int64("max-upload", server.DefaultMaxUploadBytes, "largest accepted input in bytes: each part of a multipart submission, or a whole JSON or raw body")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long in-flight jobs may finish on shutdown")
 	dataDir := flag.String("data-dir", "", "directory for the crash-safe job journal and result store (empty = memory only)")
 	verbose := flag.Bool("v", false, "log each job transition")

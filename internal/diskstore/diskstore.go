@@ -270,19 +270,15 @@ func (s *Store) Get(key string) ([]byte, error) {
 	return payload, nil
 }
 
-// PutBlob durably stores raw firmware bytes content-addressed by their
-// SHA-256, returning the hex digest. Existing blobs are not rewritten.
-func (s *Store) PutBlob(raw []byte) (string, error) {
-	sum := sha256.Sum256(raw)
-	sha := hex.EncodeToString(sum[:])
+// PutBlob durably stores raw firmware bytes under sha, the hex SHA-256 the
+// caller already holds for them; it is not recomputed. Existing blobs are
+// not rewritten. A wrong sha stores a blob that GetBlob refuses.
+func (s *Store) PutBlob(sha string, raw []byte) error {
 	dst := filepath.Join(s.dir, "blobs", sha+".blob")
 	if _, err := os.Stat(dst); err == nil {
-		return sha, nil
+		return nil
 	}
-	if err := s.writeAtomic(dst, raw, PointBlobWrite, PointFsync, PointRename); err != nil {
-		return "", err
-	}
-	return sha, nil
+	return s.writeAtomic(dst, raw, PointBlobWrite, PointFsync, PointRename)
 }
 
 // GetBlob returns the firmware bytes for a hex SHA-256, or (nil, nil) when

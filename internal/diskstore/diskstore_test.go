@@ -2,6 +2,8 @@ package diskstore
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
@@ -253,14 +255,14 @@ func TestBlobRoundTripAndCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := []byte("firmware-image-bytes")
-	sha, err := s.PutBlob(raw)
-	if err != nil {
+	sum := sha256.Sum256(raw)
+	sha := hex.EncodeToString(sum[:])
+	if err := s.PutBlob(sha, raw); err != nil {
 		t.Fatal(err)
 	}
 	// Idempotent re-put.
-	sha2, err := s.PutBlob(raw)
-	if err != nil || sha2 != sha {
-		t.Fatalf("re-put: (%s, %v), want %s", sha2, err, sha)
+	if err := s.PutBlob(sha, raw); err != nil {
+		t.Fatalf("re-put: %v", err)
 	}
 	got, err := s.GetBlob(sha)
 	if err != nil || !bytes.Equal(got, raw) {
@@ -280,6 +282,14 @@ func TestBlobRoundTripAndCorruption(t *testing.T) {
 	}
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+	// A digest the caller got wrong is caught on read, like corruption.
+	wrong := "1111111111111111111111111111111111111111111111111111111111111111"
+	if err := s.PutBlob(wrong, raw); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.GetBlob(wrong); got != nil || !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("blob under a wrong digest = (%q, %v), want ErrCorrupt", got, err)
 	}
 }
 

@@ -21,11 +21,13 @@ import (
 // are re-enqueued, started-but-never-finished jobs are marked
 // interrupted (retryable), finished jobs reappear terminal.
 //
-// Framing is length + CRC32 + JSON per record. A crash can tear only the
-// final record (appends are sequential and fsynced); replay verifies each
+// Framing is length + CRC32 + JSON per record; one Append may write
+// several records in one write and one fsync. A crash can tear only the
+// final append (appends are sequential and fsynced); replay verifies each
 // frame and truncates the file at the first bad one, so a torn tail —
 // which by construction was never acknowledged — is dropped cleanly
-// rather than poisoning the log.
+// rather than poisoning the log, and the complete frames before it in the
+// same append survive as if appended alone.
 
 // Journal operation kinds.
 const (
@@ -97,12 +99,18 @@ func OpenJournal(path string, fp *faultinj.Set) (*Journal, []Record, error) {
 	return &Journal{f: f, path: path, fp: fp}, recs, nil
 }
 
-// Append frames, writes, and fsyncs one record. When Append returns nil
-// the record is durable; callers acknowledge the transition only after.
-func (j *Journal) Append(rec Record) error {
-	frame, err := EncodeRecord(rec)
-	if err != nil {
-		return err
+// Append frames the records and writes and fsyncs them as one batch. When
+// Append returns nil every record is durable; callers acknowledge the
+// transition only after. A crash mid-batch keeps a prefix of its records,
+// exactly as if they had been appended one by one.
+func (j *Journal) Append(recs ...Record) error {
+	var batch []byte
+	for _, rec := range recs {
+		frame, err := EncodeRecord(rec)
+		if err != nil {
+			return err
+		}
+		batch = append(batch, frame...)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -112,7 +120,7 @@ func (j *Journal) Append(rec Record) error {
 	if err := j.fp.Hit(PointJournalAppend); err != nil {
 		return err
 	}
-	if _, err := j.f.Write(frame); err != nil {
+	if _, err := j.f.Write(batch); err != nil {
 		return fmt.Errorf("diskstore: journal: %w", err)
 	}
 	if err := j.fp.Hit(PointJournalFsync); err != nil {

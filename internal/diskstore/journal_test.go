@@ -89,6 +89,50 @@ func TestJournalTornTailTruncated(t *testing.T) {
 	}
 }
 
+// TestJournalBatchAppend: the records of one Append cost one write and one
+// fsync and replay in order; a crash that tears the batch keeps its whole
+// frames, as a crash between separate appends would.
+func TestJournalBatchAppend(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.wal")
+	fp := faultinj.NewSet()
+	j, _ := openJournal(t, path, fp)
+	batch := []Record{{Op: OpAccepted, ID: "j1", Seq: 1, SHA: "aa"}, {Op: OpFinished, ID: "j1", State: "done"}}
+	if err := j.Append(batch...); err != nil {
+		t.Fatal(err)
+	}
+	if n := fp.Hits(PointJournalFsync); n != 1 {
+		t.Fatalf("a two-record append crossed the fsync point %d times, want 1", n)
+	}
+	j.Close()
+	_, recs := openJournal(t, path, nil)
+	if len(recs) != 2 || recs[0].Op != OpAccepted || recs[1].Op != OpFinished {
+		t.Fatalf("replay = %+v, want the batch", recs)
+	}
+
+	full, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := EncodeRecord(batch[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := 0; cut < len(full); cut++ {
+		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		torn, recs := openJournal(t, path, nil)
+		torn.Close()
+		want := 0
+		if cut >= len(first) {
+			want = 1
+		}
+		if len(recs) != want || (want == 1 && recs[0].Op != OpAccepted) {
+			t.Fatalf("batch torn at byte %d replayed %+v, want the first %d record(s)", cut, recs, want)
+		}
+	}
+}
+
 func TestJournalRewriteCompacts(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.wal")
 	j, _ := openJournal(t, path, nil)

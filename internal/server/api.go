@@ -63,8 +63,11 @@ const (
 
 // SubmitRequest is the JSON body of POST /v1/jobs. Exactly one of Firmware
 // (base64 image bytes) and Path (a file readable by the server process)
-// must be set. A raw application/octet-stream body is the shorthand for
-// {"firmware": <body>} with default options.
+// must be set. The same request also travels as multipart/form-data: an
+// optional "options" part (the Options JSON) and a "firmware" part of raw
+// image bytes, with no base64 step (see EncodeSubmission). A raw
+// application/octet-stream body is the shorthand for {"firmware": <body>}
+// with default options.
 type SubmitRequest struct {
 	Firmware []byte        `json:"firmware,omitempty"`
 	Path     string        `json:"path,omitempty"`
@@ -73,7 +76,9 @@ type SubmitRequest struct {
 
 // DiffSubmitRequest is the JSON body of POST /v1/diffs. Each side names its
 // firmware exactly one way: inline base64 bytes or a path readable by the
-// server process. The two sides may mix transports.
+// server process. The two sides may mix transports. As multipart/form-data
+// the request is an optional "options" part plus "old_firmware" and
+// "new_firmware" parts of raw bytes.
 type DiffSubmitRequest struct {
 	OldFirmware []byte        `json:"old_firmware,omitempty"`
 	NewFirmware []byte        `json:"new_firmware,omitempty"`
@@ -84,23 +89,28 @@ type DiffSubmitRequest struct {
 
 // CorpusSubmitRequest is the JSON body of POST /v1/corpora. Exactly one of
 // Corpus (the base64 bytes of a fits.PackCorpus container) and Path (a
-// packed corpus file readable by the server process) must be set. A raw
-// application/octet-stream body is the shorthand for {"corpus": <body>}
-// with default options. The result is the CorpusReport JSON of fits.XScan.
+// packed corpus file readable by the server process) must be set. As
+// multipart/form-data the request is an optional "options" part plus a
+// "corpus" part of raw container bytes. A raw application/octet-stream body
+// is the shorthand for {"corpus": <body>} with default options. The result
+// is the CorpusReport JSON of fits.XScan.
 type CorpusSubmitRequest struct {
 	Corpus  []byte        `json:"corpus,omitempty"`
 	Path    string        `json:"path,omitempty"`
 	Options optbuild.Spec `json:"options"`
 }
 
-// request is a decoded submit envelope: its options and its named inputs,
-// in the order the kind's runner receives them.
-type request interface {
+// Request is a submit envelope: *SubmitRequest, *DiffSubmitRequest or
+// *CorpusSubmitRequest. Its method lists the options and the named inputs,
+// in the order the kind's runner receives them; it is unexported, so no
+// other type is a Request.
+type Request interface {
 	envelope() (optbuild.Spec, []input)
 }
 
 // input is one input of an envelope, given inline or as a server-side path,
-// with the JSON names of the two fields.
+// with the JSON names of the two fields. inlineField also names the input's
+// part in a multipart submission.
 type input struct {
 	inline                 []byte
 	path                   string

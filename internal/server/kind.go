@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -8,8 +9,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"mime"
+	"mime/multipart"
 	"net/http"
 	"os"
+	"slices"
 	"strings"
 
 	"fits/internal/modelcache"
@@ -33,21 +38,23 @@ type jobKind struct {
 	// noun names what the request carries in upload-limit errors.
 	noun string
 	// request returns an empty request envelope of the kind. Its named
-	// inputs are given inline (base64 bytes) or as a path on the server's
-	// filesystem; a kind with one input also accepts the raw bytes as an
-	// application/octet-stream body.
-	request func() request
+	// inputs are given inline — base64 bytes in a JSON body, raw bytes in a
+	// multipart/form-data body, one part per input named by its JSON field
+	// — or as a path on the server's filesystem (JSON only); a kind with
+	// one input also accepts the raw bytes as an application/octet-stream
+	// body.
+	request func() Request
 	// run is the kind's default pipeline (see DefaultRunner).
 	run func(ctx context.Context, in [][]byte, spec optbuild.Spec, env RunEnv) (*RunOutput, error)
 }
 
 var jobKinds = []*jobKind{
 	{name: "", route: "/v1/jobs", noun: "firmware",
-		request: func() request { return new(SubmitRequest) }, run: runAnalysis},
+		request: func() Request { return new(SubmitRequest) }, run: runAnalysis},
 	{name: KindDiff, route: "/v1/diffs", noun: "firmware",
-		request: func() request { return new(DiffSubmitRequest) }, run: runDiff},
+		request: func() Request { return new(DiffSubmitRequest) }, run: runDiff},
 	{name: KindCorpus, route: "/v1/corpora", noun: "corpus",
-		request: func() request { return new(CorpusSubmitRequest) }, run: runCorpus},
+		request: func() Request { return new(CorpusSubmitRequest) }, run: runCorpus},
 }
 
 // label names the kind in request-decoding errors ("invalid diff request").
@@ -97,14 +104,78 @@ func identity(sums []modelcache.Hash) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// multipartAllowance is what a multipart submission may spend beyond its
+// inputs' bytes: the options part and the framing of every part. It bounds
+// the options part too.
+const multipartAllowance = 64 << 10
+
+// EncodeSubmission renders a submit envelope for the wire and returns the
+// body with its Content-Type. An envelope whose inputs are all inline
+// becomes multipart/form-data — an "options" part holding the options JSON,
+// then one part of raw bytes per input, named by the input's JSON field —
+// so the bytes travel without base64; any other envelope (a path, an empty
+// input) is sent as JSON for the server to read or refuse.
+func EncodeSubmission(req Request) ([]byte, string, error) {
+	spec, inputs := req.envelope()
+	size := 1 << 10 // options and framing
+	for _, x := range inputs {
+		if x.path != "" || len(x.inline) == 0 {
+			b, err := json.Marshal(req)
+			return b, "application/json", err
+		}
+		size += len(x.inline)
+	}
+	var buf bytes.Buffer
+	buf.Grow(size)
+	mw := multipart.NewWriter(&buf)
+	w, err := mw.CreateFormField("options")
+	if err != nil {
+		return nil, "", err
+	}
+	if err := json.NewEncoder(w).Encode(spec); err != nil {
+		return nil, "", err
+	}
+	for _, x := range inputs {
+		w, err := mw.CreateFormFile(x.inlineField, x.inlineField)
+		if err != nil {
+			return nil, "", err
+		}
+		if _, err := w.Write(x.inline); err != nil {
+			return nil, "", err
+		}
+	}
+	if err := mw.Close(); err != nil {
+		return nil, "", err
+	}
+	return buf.Bytes(), mw.FormDataContentType(), nil
+}
+
 // readSubmission decodes a request for kind k into its inputs, in
-// envelope order, and its options.
+// envelope order, and its options. A multipart body may carry each input
+// up to MaxUploadBytes; a JSON or octet-stream body is bounded as a whole.
 func (s *Server) readSubmission(r *http.Request, k *jobKind) ([][]byte, optbuild.Spec, error) {
-	body := http.MaxBytesReader(nil, r.Body, s.cfg.MaxUploadBytes)
-	defer body.Close()
 	req := k.request()
 	spec, inputs := req.envelope()
-	if len(inputs) == 1 && !strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
+	limit := s.cfg.MaxUploadBytes
+	ct := r.Header.Get("Content-Type")
+	// A malformed parameter still yields the media type, with no boundary,
+	// which readMultipart refuses.
+	if mt, params, _ := mime.ParseMediaType(ct); mt == "multipart/form-data" {
+		bodyLimit := int64(math.MaxInt64)
+		if n := int64(len(inputs)); limit <= (bodyLimit-multipartAllowance)/n {
+			bodyLimit = n*limit + multipartAllowance
+		}
+		body := http.MaxBytesReader(nil, r.Body, bodyLimit)
+		defer body.Close()
+		in, spec, err := readMultipart(body, params["boundary"], inputs, limit, r.ContentLength)
+		if err != nil {
+			return nil, spec, fmt.Errorf("invalid %s request: %w", k.label(), err)
+		}
+		return in, spec, nil
+	}
+	body := http.MaxBytesReader(nil, r.Body, limit)
+	defer body.Close()
+	if len(inputs) == 1 && !strings.HasPrefix(ct, "application/json") {
 		raw, err := io.ReadAll(body)
 		if err != nil {
 			return nil, spec, err
@@ -139,6 +210,92 @@ func (s *Server) readSubmission(r *http.Request, k *jobKind) ([][]byte, optbuild
 		}
 	}
 	return in, spec, nil
+}
+
+// readMultipart decodes the parts of a multipart submission whose envelope
+// has the given inputs: at most one "options" part, decoded like the JSON
+// envelope's options and at most multipartAllowance bytes, and exactly one
+// non-empty part per input, named by its JSON field and at most limit
+// bytes. Parts may come in any order; any other part is refused.
+func readMultipart(body io.Reader, boundary string, inputs []input, limit, sizeHint int64) ([][]byte, optbuild.Spec, error) {
+	var spec optbuild.Spec
+	if boundary == "" {
+		return nil, spec, errors.New("multipart body without a boundary")
+	}
+	in := make([][]byte, len(inputs))
+	sawOptions := false
+	mr := multipart.NewReader(body, boundary)
+	for {
+		p, err := mr.NextPart()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, spec, err
+		}
+		name := p.FormName()
+		if name == "options" {
+			if sawOptions {
+				return nil, spec, errors.New(`duplicate part "options"`)
+			}
+			sawOptions = true
+			dec := json.NewDecoder(io.LimitReader(p, multipartAllowance))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&spec); err != nil {
+				return nil, spec, fmt.Errorf("options: %w", err)
+			}
+			continue
+		}
+		i := slices.IndexFunc(inputs, func(x input) bool { return x.inlineField == name })
+		switch {
+		case i < 0:
+			return nil, spec, fmt.Errorf("unknown part %q", name)
+		case in[i] != nil:
+			return nil, spec, fmt.Errorf("duplicate part %q", name)
+		}
+		if in[i], err = readPart(p, limit, sizeHint); err != nil {
+			return nil, spec, err
+		}
+		if len(in[i]) == 0 {
+			return nil, spec, fmt.Errorf("empty part %q", name)
+		}
+	}
+	for i, x := range inputs {
+		if in[i] == nil {
+			return nil, spec, fmt.Errorf("missing part %q", x.inlineField)
+		}
+	}
+	return in, spec, nil
+}
+
+// readPart reads one input part, refusing more than limit bytes with the
+// *http.MaxBytesError the submit handler answers with 413. The buffer
+// doubles from 64 KiB but never past sizeHint, the request's declared
+// length (an upper bound of any part), so an image costs under twice its
+// size in allocations, and a false Content-Length earns no more memory than
+// the bytes actually sent.
+func readPart(p io.Reader, limit, sizeHint int64) ([]byte, error) {
+	buf := make([]byte, 0, min(64<<10, limit+1))
+	for {
+		if len(buf) == cap(buf) {
+			next := min(2*int64(cap(buf)), limit+1)
+			if sizeHint > int64(cap(buf)) {
+				next = min(next, sizeHint)
+			}
+			buf = append(make([]byte, 0, next), buf...)
+		}
+		n, err := p.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if int64(len(buf)) > limit {
+			return nil, &http.MaxBytesError{Limit: limit}
+		}
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
 }
 
 // readPath reads an input named by a server-side path, never more than
@@ -208,5 +365,5 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, k *jobKind
 			return
 		}
 	}
-	s.accept(w, j, in)
+	s.accept(w, j, in, sums)
 }

@@ -51,18 +51,18 @@ func jobKey(kind string, spec optbuild.Spec, sums ...modelcache.Hash) string {
 	return modelcache.Key(k, string(specJSON), sums...)
 }
 
-// journalAccept appends the job's accepted record (and its input blobs)
-// to the durability layer. It must succeed before the 202 is written: an
-// acknowledged job that is not journaled would be lost by a crash, which
-// is the one outcome this subsystem exists to prevent.
-func (s *Server) journalAccept(j *Job, in [][]byte) error {
+// journalAccept appends the job's accepted record (and its input blobs,
+// named by their digests sums) to the durability layer. It must succeed
+// before the 202 is written: an acknowledged job that is not journaled
+// would be lost by a crash, which is the one outcome this subsystem exists
+// to prevent.
+func (s *Server) journalAccept(j *Job, in [][]byte, sums []modelcache.Hash) error {
 	if s.journal == nil {
 		return nil
 	}
-	shas := make([]string, len(in))
+	shas := hexSums(sums)
 	for i, b := range in {
-		var err error
-		if shas[i], err = s.persist.PutBlob(b); err != nil {
+		if err := s.persist.PutBlob(shas[i], b); err != nil {
 			return fmt.Errorf("persisting firmware blob: %w", err)
 		}
 	}
@@ -107,30 +107,34 @@ func (s *Server) journalFinished(j *Job, state, errStr string) {
 
 // journalDone records a disk-hit job — born terminal, never run — so its
 // ID survives a restart: an accepted record (without blobs, since replay
-// never re-runs a finished job) followed by the done record. Best-effort.
+// never re-runs a finished job) and the done record, in one append and
+// one fsync. A crash that tears the pair keeps at most the accepted
+// record, which replays as a job accepted and never finished. Best-effort.
 func (s *Server) journalDone(j *Job, sums []modelcache.Hash) {
-	shas := make([]string, len(sums))
-	for i, sum := range sums {
-		shas[i] = hex.EncodeToString(sum[:])
-	}
-	if acc, err := acceptedRecord(j, shas); err == nil {
+	if acc, err := acceptedRecord(j, hexSums(sums)); err == nil {
 		s.journalBestEffort(j, acc, diskstore.Record{Op: diskstore.OpFinished, ID: j.id, State: StateDone})
 	}
 }
 
-// journalBestEffort appends records the job does not depend on: a failure
-// is counted and logged, and the remaining records are skipped.
+// journalBestEffort appends records the job does not depend on, in one
+// batch: a failure is counted and logged.
 func (s *Server) journalBestEffort(j *Job, recs ...diskstore.Record) {
 	if s.journal == nil {
 		return
 	}
-	for _, rec := range recs {
-		if err := s.journal.Append(rec); err != nil {
-			s.mPersistErrors.Inc()
-			s.cfg.Logf("job %s: journal %s append failed: %v", j.id, rec.Op, err)
-			return
-		}
+	if err := s.journal.Append(recs...); err != nil {
+		s.mPersistErrors.Inc()
+		s.cfg.Logf("job %s: journal %s append failed: %v", j.id, recs[len(recs)-1].Op, err)
 	}
+}
+
+// hexSums spells input digests the way blob names and journal records do.
+func hexSums(sums []modelcache.Hash) []string {
+	shas := make([]string, len(sums))
+	for i, sum := range sums {
+		shas[i] = hex.EncodeToString(sum[:])
+	}
+	return shas
 }
 
 // persistResult writes a completed job's result JSON into the disk store

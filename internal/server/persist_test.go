@@ -22,6 +22,7 @@ import (
 
 	"fits/client"
 	"fits/internal/diskstore"
+	"fits/internal/faultinj"
 	"fits/internal/optbuild"
 	"fits/internal/server"
 )
@@ -192,6 +193,59 @@ func TestPersistResubmitServedFromDisk(t *testing.T) {
 	}
 	if ran {
 		t.Error("runner fired for bytes whose result was already on disk")
+	}
+}
+
+// TestDiskHitTornJournalBatch: a disk hit journals its accepted and
+// finished records in one append. A power cut during that append's fsync
+// that tears the batch leaves the accepted record alone, so replay sees a
+// job accepted and never finished — what a crash between two separate
+// appends left — and re-runs it from its blobs to the same result.
+func TestDiskHitTornJournalBatch(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	fp := faultinj.NewSet()
+	srv1, ts1, c1 := startService(t, server.Config{Workers: 1, DataDir: dir, Runner: echoRunner, Failpoints: fp})
+	if st := submitAndWait(t, c1, "torn"); st.State != server.StateDone {
+		t.Fatalf("first run: %s (%s)", st.State, st.Error)
+	}
+	journal := filepath.Join(dir, "journal.wal")
+	fp.FailOnce(diskstore.PointJournalFsync, faultinj.Crash(diskstore.PointJournalFsync))
+	hit, err := c1.Submit(ctx, []byte("torn"), optbuild.Spec{})
+	if err != nil || hit.State != server.StateDone {
+		t.Fatalf("resubmit = %+v, %v; want a disk hit despite the journal fault", hit, err)
+	}
+	ts1.Close()
+	srv1.Close()
+
+	b, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(journal, b[:len(b)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recs, _ := diskstore.DecodeRecords(b[:len(b)-1])
+	last := recs[len(recs)-1]
+	if last.ID != hit.ID || last.Op != diskstore.OpAccepted {
+		t.Fatalf("torn journal ends in %+v, want %s's accepted record", last, hit.ID)
+	}
+
+	srv2, ts2, c2 := startService(t, server.Config{Workers: 1, DataDir: dir, Runner: echoRunner})
+	defer func() {
+		sctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+		defer cancel()
+		srv2.Shutdown(sctx)
+		ts2.Close()
+	}()
+	wctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	st, err := c2.Wait(wctx, hit.ID, 5*time.Millisecond)
+	if err != nil || st.State != server.StateDone || st.StartedAt == nil {
+		t.Fatalf("replayed disk hit = %+v, %v; want re-run to done", st, err)
+	}
+	if res, err := c2.Result(ctx, hit.ID); err != nil || string(res) != echoResult("", "torn") {
+		t.Fatalf("replayed disk hit result = %s, %v", res, err)
 	}
 }
 

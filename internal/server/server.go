@@ -69,7 +69,8 @@ type Config struct {
 	// StoreTTL expires them by age (default 1h, 0 = never).
 	StoreCap int
 	StoreTTL time.Duration
-	// MaxUploadBytes bounds a request body (default 256 MiB).
+	// MaxUploadBytes bounds each input of a multipart submission, and a
+	// JSON or octet-stream request body as a whole (default 256 MiB).
 	MaxUploadBytes int64
 	// Cache is the process-wide model cache shared by all workers; nil
 	// disables model reuse across jobs.
@@ -556,8 +557,9 @@ func (s *Server) Close() error {
 // (or the backpressure refusal) to w. The backpressure path touches no
 // disk — a loaded server refuses cheaply — and the 202 is written only
 // after the accepted record is durable, so a crash at any point either
-// loses a job the client was never promised or keeps one it was.
-func (s *Server) accept(w http.ResponseWriter, j *Job, in [][]byte) {
+// loses a job the client was never promised or keeps one it was. sums
+// are the digests of the job's inputs in.
+func (s *Server) accept(w http.ResponseWriter, j *Job, in [][]byte, sums []modelcache.Hash) {
 	s.store.add(j)
 	if err := s.enqueue(j); err != nil {
 		s.store.remove(j.id)
@@ -571,7 +573,7 @@ func (s *Server) accept(w http.ResponseWriter, j *Job, in [][]byte) {
 			fmt.Sprintf("job queue is full (depth %d); retry later", s.cfg.QueueDepth))
 		return
 	}
-	if err := s.journalAccept(j, in); err != nil {
+	if err := s.journalAccept(j, in, sums); err != nil {
 		// The job may already be in a worker; cancel it instead of
 		// acknowledging a submission the journal cannot protect. Replay
 		// drops the orphaned started/finished records it may still write.
