@@ -1,15 +1,16 @@
 # Development and CI entry points. `make ci` is the full gate: vet, a gofmt
 # check, the fitslint invariant suite, build, plain tests, race-enabled
-# tests, a short fuzz smoke on each fuzz target (go's -fuzz flag accepts a single package,
-# hence one invocation per target), and a benchmark smoke that gates the
+# tests, a short fuzz smoke on each fuzz target (go's -fuzz flag accepts a
+# single package, hence one invocation per target), the precision gate, a
+# run of every examples/ program, and a benchmark smoke that gates the
 # median ns/op, B/op and allocs/op of five 20-iteration runs against the
-# committed BENCH_pipeline.json before replacing it. bench-check vets and tests the bench/ module, which
-# is its own Go module and so outside `./...`.
+# committed BENCH_pipeline.json before replacing it. bench-check vets and
+# tests the bench/ module, which is its own Go module and so outside `./...`.
 
 GO      ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet fmt-check lint test race bench bench-smoke bench-check fuzz-smoke serve-smoke precision-smoke netlines ci
+.PHONY: all build vet fmt-check lint test race bench bench-smoke bench-check fuzz-smoke serve-smoke precision-smoke examples-smoke netlines ci
 
 all: build
 
@@ -72,6 +73,11 @@ bench-check:
 precision-smoke:
 	$(GO) run ./cmd/precision
 
+# Runs every examples/ program to completion; the first non-zero exit fails
+# the target. Their output goes to /dev/null: they print tables, not checks.
+examples-smoke:
+	@for d in examples/*/; do echo "$$d"; $(GO) run ./$$d > /dev/null || exit 1; done
+
 # End-to-end smoke of the fitsd service: boot the daemon, submit a
 # generated firmware image twice via fitsctl, assert identical results, a
 # model-cache hit in /metrics, and a clean SIGTERM drain.
@@ -101,4 +107,4 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFrontend -fuzztime=$(FUZZTIME) ./internal/frontend
 	$(GO) test -run='^$$' -fuzz=FuzzKaronte -fuzztime=$(FUZZTIME) -fuzzminimizetime=10x ./internal/karonte
 
-ci: vet fmt-check lint build test race fuzz-smoke precision-smoke bench-smoke bench-check serve-smoke
+ci: vet fmt-check lint build test race fuzz-smoke precision-smoke examples-smoke bench-smoke bench-check serve-smoke

@@ -9,7 +9,9 @@ package fits
 // reproduces the complete evaluation. Absolute values differ from the paper
 // (the substrate is a synthetic corpus, not the authors' firmware archive);
 // the shapes — who wins, by what factor, where the failures sit — are the
-// reproduction targets, recorded in EXPERIMENTS.md.
+// reproduction targets, recorded in EXPERIMENTS.md. Every op of an eval
+// benchmark gets a fresh model cache, so each op runs every stage and engine:
+// a cache shared across ops would turn the second op on into memo lookups.
 
 import (
 	"context"
@@ -21,6 +23,7 @@ import (
 	"fits/internal/eval"
 	"fits/internal/infer"
 	"fits/internal/loader"
+	"fits/internal/modelcache"
 	"fits/internal/stagetime"
 	"fits/internal/synth"
 	"fits/internal/verify"
@@ -64,7 +67,9 @@ func BenchmarkTable3_ITSInference(b *testing.B) {
 	samples := benchCorpus(b)
 	var t1, t2, t3 float64
 	for i := 0; i < b.N; i++ {
-		results := eval.RunInferenceCorpus(samples, infer.DefaultConfig())
+		cfg := infer.DefaultConfig()
+		cfg.Cache = modelcache.New(0, 0)
+		results := eval.RunInferenceCorpus(context.Background(), samples, cfg)
 		t1, t2, t3 = eval.OverallPrecision(results)
 		printTable("Table 3: ITS inference precision", eval.FormatTable3(eval.Table3(results)))
 	}
@@ -79,7 +84,7 @@ func BenchmarkTable3_BootStompBaseline(b *testing.B) {
 	samples := benchCorpus(b)
 	var proposed, correct int
 	for i := 0; i < b.N; i++ {
-		proposed, correct = eval.BootStompBaseline(samples)
+		proposed, correct = eval.BootStompBaseline(context.Background(), modelcache.New(0, 0), samples)
 	}
 	printTable("RQ1: BootStomp baseline",
 		fmt.Sprintf("proposals in %d/%d firmware; correct taint sources: %d\n", proposed, len(samples), correct))
@@ -92,7 +97,7 @@ func BenchmarkTable4_PartialResults(b *testing.B) {
 	samples := benchCorpus(b)
 	var rows []eval.DetailRow
 	for i := 0; i < b.N; i++ {
-		rows = eval.Table4(samples, 3)
+		rows = eval.Table4(context.Background(), modelcache.New(0, 0), samples, 3)
 	}
 	printTable("Table 4: partial ITS inference results", eval.FormatTable4(rows))
 	b.ReportMetric(float64(len(rows)), "rows")
@@ -104,7 +109,7 @@ func BenchmarkTable5_BugFinding(b *testing.B) {
 	samples := benchCorpus(b)
 	var totalBugs [4]int
 	for i := 0; i < b.N; i++ {
-		rows, ta, tb := eval.Table5(samples)
+		rows, ta, tb := eval.Table5(context.Background(), modelcache.New(0, 0), samples)
 		totalBugs = tb
 		printTable("Table 5: bug finding results", eval.FormatTable5(rows, ta, tb))
 	}
@@ -120,7 +125,7 @@ func BenchmarkTable6_FalsePositives(b *testing.B) {
 	samples := benchCorpus(b)
 	var fp [4]float64
 	for i := 0; i < b.N; i++ {
-		_, ta, tb := eval.Table5(samples)
+		_, ta, tb := eval.Table5(context.Background(), modelcache.New(0, 0), samples)
 		fp = eval.FalsePositiveRates(ta, tb)
 	}
 	printTable("Table 6: false positive rates", fmt.Sprintf(
@@ -136,7 +141,7 @@ func BenchmarkFigure4_TimeOverhead(b *testing.B) {
 	samples := benchCorpus(b)
 	var byFuncs, bySize float64
 	for i := 0; i < b.N; i++ {
-		points := eval.Figure4(samples)
+		points := eval.Figure4(context.Background(), samples)
 		byFuncs = eval.Correlation(points, func(p eval.TimePoint) float64 { return float64(p.Funcs) })
 		bySize = eval.Correlation(points, func(p eval.TimePoint) float64 { return p.SizeKB })
 		if i == 0 {
@@ -159,7 +164,7 @@ func BenchmarkFigure5_Ablation(b *testing.B) {
 	samples := benchCorpus(b)
 	var rows []eval.AblationRow
 	for i := 0; i < b.N; i++ {
-		rows = eval.Figure5(samples)
+		rows = eval.Figure5(context.Background(), modelcache.New(0, 0), samples)
 	}
 	printTable("Figure 5: BFV ablation (CF-i = drop feature i)", eval.FormatAblation(rows))
 	b.ReportMetric(100*rows[0].Top3, "bfv-top3-%")
@@ -171,7 +176,7 @@ func BenchmarkTable7_Representations(b *testing.B) {
 	samples := benchCorpus(b)
 	var rows []eval.AblationRow
 	for i := 0; i < b.N; i++ {
-		rows = eval.Table7(samples)
+		rows = eval.Table7(context.Background(), modelcache.New(0, 0), samples)
 	}
 	printTable("Table 7: representation comparison", eval.FormatAblation(rows))
 	b.ReportMetric(100*rows[len(rows)-1].Top3, "bfv-top3-%")
@@ -183,7 +188,7 @@ func BenchmarkTable8_Distances(b *testing.B) {
 	samples := benchCorpus(b)
 	var rows []eval.AblationRow
 	for i := 0; i < b.N; i++ {
-		rows = eval.Table8(samples)
+		rows = eval.Table8(context.Background(), modelcache.New(0, 0), samples)
 	}
 	printTable("Table 8: scoring metric comparison", eval.FormatAblation(rows))
 	b.ReportMetric(100*rows[len(rows)-1].Top3, "cosine-top3-%")
@@ -195,7 +200,7 @@ func BenchmarkRQ4_StrategyBaselines(b *testing.B) {
 	samples := benchCorpus(b)
 	var rows []eval.AblationRow
 	for i := 0; i < b.N; i++ {
-		rows = eval.RQ4Strategies(samples)
+		rows = eval.RQ4Strategies(context.Background(), modelcache.New(0, 0), samples)
 	}
 	printTable("RQ4: candidate selection strategies", eval.FormatAblation(rows))
 	b.ReportMetric(100*rows[len(rows)-1].Top3, "cluster-top3-%")
@@ -209,7 +214,7 @@ func BenchmarkCaseStudy_DeepFlow(b *testing.B) {
 	deepest := eval.DeepestSamples(samples)[0]
 	var cs eval.CaseStudy
 	for i := 0; i < b.N; i++ {
-		cs = eval.RunCaseStudy(deepest)
+		cs = eval.RunCaseStudy(context.Background(), modelcache.New(0, 0), deepest)
 	}
 	printTable("Case study: deepest flow", fmt.Sprintf(
 		"firmware %s: source-to-sink depth %d calls, ITS-to-sink %d calls\n"+
@@ -349,7 +354,7 @@ func BenchmarkCrossCorpus_ModeComparison(b *testing.B) {
 	}
 	var rows []eval.XScoreRow
 	for i := 0; i < b.N; i++ {
-		if rows, err = eval.RunXScore(context.Background(), x); err != nil {
+		if rows, err = eval.RunXScore(context.Background(), modelcache.New(0, 0), x); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -545,7 +550,7 @@ func BenchmarkAppendixA_Verification(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		checked, confirmed, plantedConfirmed, planted = 0, 0, 0, 0
 		for _, s := range samples {
-			res, err := loader.Load(s.Packed, loader.Options{})
+			res, err := loader.LoadContext(context.Background(), s.Packed, loader.Options{})
 			if err != nil {
 				continue
 			}
@@ -555,7 +560,10 @@ func BenchmarkAppendixA_Verification(b *testing.B) {
 			}
 			planted += len(s.Manifest.ITS)
 			for _, t := range res.Targets {
-				ranking := infer.InferTarget(t, infer.DefaultConfig())
+				ranking, err := infer.InferTargetContext(context.Background(), t, infer.DefaultConfig())
+				if err != nil {
+					b.Fatal(err)
+				}
 				for _, c := range ranking.Top(3) {
 					checked++
 					o := verify.Candidate(t.Bin, t.Model, c.Entry)

@@ -8,12 +8,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 
 	"fits/internal/eval"
+	"fits/internal/modelcache"
 )
 
 func main() {
@@ -22,7 +24,7 @@ func main() {
 	check := flag.Bool("check", true, "enforce the precision gate (exit nonzero on regression)")
 	flag.Parse()
 
-	rows, err := eval.RunPrecision()
+	rows, err := eval.RunPrecision(context.Background(), modelcache.New(0, 0))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,11 +4,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"fits/internal/eval"
 	"fits/internal/infer"
+	"fits/internal/modelcache"
 	"fits/internal/synth"
 )
 
@@ -26,11 +28,16 @@ func main() {
 	}
 	fmt.Printf("%d samples, %d planted bugs\n\n", len(samples), bugs)
 
-	results := eval.RunInferenceCorpus(samples, infer.DefaultConfig())
+	// One cache serves both passes: the baseline reuses the models that
+	// inference built.
+	ctx, cache := context.Background(), modelcache.New(0, 0)
+	cfg := infer.DefaultConfig()
+	cfg.Cache = cache
+	results := eval.RunInferenceCorpus(ctx, samples, cfg)
 	fmt.Println("Table 3 — ITS inference precision:")
 	fmt.Println(eval.FormatTable3(eval.Table3(results)))
 
-	proposed, correct := eval.BootStompBaseline(samples)
+	proposed, correct := eval.BootStompBaseline(ctx, cache, samples)
 	fmt.Printf("BootStomp keyword baseline: proposals in %d/%d firmware, correct sources: %d\n",
 		proposed, len(samples), correct)
 

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -25,7 +26,8 @@ func main() {
 	}
 	fmt.Printf("firmware: %s %s %s\n", spec.Vendor, spec.Product, spec.Version)
 
-	res, err := loader.Load(sample.Packed, loader.Options{})
+	ctx := context.Background()
+	res, err := loader.LoadContext(ctx, sample.Packed, loader.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,7 +38,10 @@ func main() {
 	}
 
 	for _, target := range res.Targets {
-		ranking := infer.InferTarget(target, infer.DefaultConfig())
+		ranking, err := infer.InferTargetContext(ctx, target, infer.DefaultConfig())
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("\n%s: verifying the top-5 candidates under emulation\n", target.Path)
 		for i, c := range ranking.Top(5) {
 			o := verify.Candidate(target.Bin, target.Model, c.Entry)

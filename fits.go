@@ -325,7 +325,9 @@ func (t *TargetResult) ScanContext(ctx context.Context, opts ScanOptions) ([]Ale
 	}
 	out := make([]Alert, 0, len(raw))
 	for _, a := range raw {
-		out = append(out, a.Finding())
+		if a.Reported() {
+			out = append(out, a.Finding())
+		}
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package fits
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
@@ -55,14 +56,18 @@ func TestRankingsGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := loader.Load(s.Packed, loader.Options{})
+		res, err := loader.LoadContext(context.Background(), s.Packed, loader.Options{})
 		if err != nil {
 			t.Fatalf("image %d: %v", i, err)
 		}
 		for _, rep := range []infer.Representation{infer.RepAugmentedCFG, infer.RepAttributedCFG} {
 			cfgn := infer.DefaultConfig()
 			cfgn.Representation = rep
-			for _, r := range infer.InferAll(res, cfgn) {
+			rankings, err := infer.InferAllContext(context.Background(), res, cfgn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range rankings {
 				fmt.Fprintf(h, "image %d %s %s %d/%d/%d\n", i, rep, r.Path, r.NumFuncs, r.NumCandidates, r.NumAnchors)
 				for _, e := range r.Ranked {
 					hashCandidate(h, e.Entry, e.Score)

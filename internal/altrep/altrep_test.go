@@ -1,6 +1,7 @@
 package altrep
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -132,7 +133,7 @@ func TestBootStompFindsNothingOnCorpusSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := loader.Load(s.Packed, loader.Options{})
+	res, err := loader.LoadContext(context.Background(), s.Packed, loader.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

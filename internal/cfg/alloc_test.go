@@ -5,6 +5,7 @@ package cfg_test
 // must stay with the plan's maps rather than grow a buffer per function.
 
 import (
+	"context"
 	"testing"
 
 	"fits/internal/cfg"
@@ -19,7 +20,7 @@ func TestAlignReuseAllocBudget(t *testing.T) {
 	}
 	var targets [2]*loader.Target
 	for i := range targets {
-		res, err := loader.Load(c.Versions[i].Packed, loader.Options{})
+		res, err := loader.LoadContext(context.Background(), c.Versions[i].Packed, loader.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,7 +24,7 @@ func datasetPoints(b *testing.B) [][]cluster.Point {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := loader.Load(s.Packed, loader.Options{})
+		res, err := loader.LoadContext(context.Background(), s.Packed, loader.Options{})
 		if errors.Is(err, loader.ErrNoTargets) {
 			continue
 		}

@@ -168,7 +168,7 @@ type binState struct {
 	// seeds are the keyword-matched (ModeCross) or inferred (ModeITS)
 	// intermediate source entries, sorted.
 	seeds []uint32
-	// alerts from the most recent scan round.
+	// alerts from the most recent scan round, suppressed ones included.
 	alerts []taint.Alert
 	// prec memoizes the precision passes' pure per-function results across
 	// the fixpoint rounds that rescan this binary.
@@ -320,7 +320,7 @@ func Run(ctx context.Context, files []firmware.File, opts Options) (*Report, err
 		fresh := map[string]bool{}
 		for _, st := range dirty {
 			for _, a := range st.alerts {
-				if a.Kind != know.SinkChannelWrite {
+				if a.Kind != know.SinkChannelWrite || !a.Reported() {
 					continue
 				}
 				ch, key, ok := splitVia(a.Via)
@@ -369,8 +369,8 @@ func Run(ctx context.Context, files []firmware.File, opts Options) (*Report, err
 	for _, st := range states {
 		info := BinaryInfo{Path: st.target.Path, Funcs: len(st.target.Model.FuncsInOrder())}
 		for _, a := range st.alerts {
-			if a.Kind == know.SinkChannelWrite {
-				continue // intermediate evidence, reported as Tainted endpoints
+			if !a.Reported() || a.Kind == know.SinkChannelWrite {
+				continue // suppressed, or intermediate evidence reported as Tainted endpoints
 			}
 			out := Alert{Finding: a.Finding(), Key: a.Key, Via: a.Via,
 				Provenance: provenance(a, kwSet, kwLoc, origins)}

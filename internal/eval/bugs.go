@@ -1,13 +1,15 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
 
 	"fits/internal/infer"
-	"fits/internal/karonte"
 	"fits/internal/loader"
+	"fits/internal/modelcache"
+	"fits/internal/scan"
 	"fits/internal/synth"
 	"fits/internal/taint"
 )
@@ -46,7 +48,6 @@ type BugResult struct {
 	Engine   EngineKind
 	Alerts   int
 	Bugs     int // true positives (distinct vulnerable flows alerted)
-	Filtered int
 	Elapsed  time.Duration
 	// FoundFlows lists the sink-function entries of true-positive alerts,
 	// for cross-engine subset checks.
@@ -57,8 +58,11 @@ type BugResult struct {
 // entries usable as taint sources — the paper's workflow: infer, manually
 // verify top candidates, then feed confirmed ITSs to the engines. The
 // manifest stands in for manual verification.
-func inferredITS(s *synth.Sample, t *loader.Target) []uint32 {
-	ranking := infer.InferTarget(t, cached(infer.DefaultConfig()))
+func inferredITS(ctx context.Context, cache *modelcache.Cache, s *synth.Sample, t *loader.Target) ([]uint32, error) {
+	ranking, err := infer.InferTargetContext(ctx, t, cachedConfig(cache))
+	if err != nil {
+		return nil, err
+	}
 	truth := map[uint32]bool{}
 	for _, its := range s.Manifest.ITS {
 		if its.Binary == t.Bin.Name {
@@ -71,39 +75,41 @@ func inferredITS(s *synth.Sample, t *loader.Target) []uint32 {
 			out = append(out, r.Entry)
 		}
 	}
-	return out
+	return out, nil
 }
 
-// RunBugEngine applies one engine configuration to one sample.
-func RunBugEngine(s *synth.Sample, kind EngineKind) BugResult {
+// RunBugEngine applies one engine configuration to one sample through
+// scan.Run, the scan fits and fitsd run. Models, rankings and alert lists
+// are memoised in cache (nil computes everything). A sample that fails to
+// load, or a cancelled ctx, leaves the remaining counts at zero.
+func RunBugEngine(ctx context.Context, cache *modelcache.Cache, s *synth.Sample, kind EngineKind) (out BugResult) {
 	start := time.Now()
-	out := BugResult{Manifest: s.Manifest, Engine: kind, FoundFlows: map[uint32]bool{}}
-	res, err := loadCached(s.Packed, nil)
+	out = BugResult{Manifest: s.Manifest, Engine: kind, FoundFlows: map[uint32]bool{}}
+	defer func() { out.Elapsed = time.Since(start) }()
+	res, err := loader.LoadContext(ctx, s.Packed, loader.Options{Cache: cache})
 	if err != nil {
-		out.Elapsed = time.Since(start)
 		return out
 	}
+	eng := scan.Static
+	if kind == EngineKaronte || kind == EngineKaronteITS {
+		eng = scan.Symbolic
+	}
 	for _, t := range res.Targets {
-		var its []uint32
+		opts := taint.Options{UseCTS: true, StringFilter: true}
 		if kind.WithITS() {
-			its = inferredITS(s, t)
+			if opts.ITS, err = inferredITS(ctx, cache, s, t); err != nil {
+				return out
+			}
 		}
-		var alerts []taint.Alert
-		filtered := 0
-		switch kind {
-		case EngineSTA, EngineSTAITS:
-			e := taint.New(t.Bin, t.Model, taint.Options{
-				UseCTS: true, ITS: its, StringFilter: true,
-			})
-			alerts = e.Run()
-			filtered = len(e.AllAlerts()) - len(alerts)
-		default:
-			e := karonte.New(t.Bin, t.Model, karonte.Options{ITS: its})
-			alerts = e.Run()
+		alerts, err := scan.Run(ctx, t, eng, opts, cache, nil)
+		if err != nil {
+			return out
 		}
-		out.Filtered += filtered
-		out.Alerts += len(alerts)
 		for _, a := range alerts {
+			if !a.Reported() {
+				continue
+			}
+			out.Alerts++
 			if h, ok := s.Manifest.HandlerBySink(t.Bin.Name, a.Func); ok && h.Category.Vulnerable() {
 				if !out.FoundFlows[h.SinkEntry] {
 					out.FoundFlows[h.SinkEntry] = true
@@ -112,7 +118,6 @@ func RunBugEngine(s *synth.Sample, kind EngineKind) BugResult {
 			}
 		}
 	}
-	out.Elapsed = time.Since(start)
 	return out
 }
 
@@ -129,7 +134,7 @@ type BugRow struct {
 
 // Table5 runs all four engines over the corpus and aggregates per
 // dataset/vendor rows plus totals.
-func Table5(samples []*synth.Sample) ([]BugRow, [4]int, [4]int) {
+func Table5(ctx context.Context, cache *modelcache.Cache, samples []*synth.Sample) ([]BugRow, [4]int, [4]int) {
 	type key struct {
 		dataset string
 		vendor  string
@@ -151,7 +156,7 @@ func Table5(samples []*synth.Sample) ([]BugRow, [4]int, [4]int) {
 		}
 		row.N++
 		for kind := EngineKaronte; kind <= EngineSTAITS; kind++ {
-			r := RunBugEngine(s, kind)
+			r := RunBugEngine(ctx, cache, s, kind)
 			row.Alerts[kind] += r.Alerts
 			row.Bugs[kind] += r.Bugs
 			row.AvgTime[kind] += r.Elapsed

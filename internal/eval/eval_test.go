@@ -1,11 +1,14 @@
 package eval
 
 import (
+	"context"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
-	"fits/internal/infer"
+	"fits/internal/modelcache"
 	"fits/internal/synth"
 )
 
@@ -13,6 +16,9 @@ var (
 	corpusOnce sync.Once
 	corpus     []*synth.Sample
 	corpusErr  error
+	// testCache is shared by every test that loads the corpus, so each
+	// sample is lifted once per test binary; results do not depend on it.
+	testCache = modelcache.New(0, 0)
 )
 
 func testCorpus(t *testing.T) []*synth.Sample {
@@ -25,7 +31,7 @@ func testCorpus(t *testing.T) []*synth.Sample {
 }
 
 func TestTable3ShapeMatchesPaper(t *testing.T) {
-	results := RunInferenceCorpus(testCorpus(t), infer.DefaultConfig())
+	results := RunInferenceCorpus(context.Background(), testCorpus(t), cachedConfig(testCache))
 	t1, t2, t3 := OverallPrecision(results)
 	// Paper: 47% / 63% / 89%. Require the shape within tolerance.
 	if t3 < 0.80 || t3 > 0.97 {
@@ -69,7 +75,7 @@ func TestEngineeredFailuresAlwaysMiss(t *testing.T) {
 		if s.Manifest.FailureMode == "" {
 			continue
 		}
-		r := RunInference(s, infer.DefaultConfig())
+		r := RunInference(context.Background(), s, cachedConfig(testCache))
 		if r.TopN(3) {
 			t.Errorf("%s sample %s unexpectedly succeeded", s.Manifest.FailureMode, s.Manifest.Product)
 		}
@@ -80,7 +86,7 @@ func TestEngineeredFailuresAlwaysMiss(t *testing.T) {
 }
 
 func TestTable4Detail(t *testing.T) {
-	rows := Table4(testCorpus(t)[:25], 2)
+	rows := Table4(context.Background(), testCache, testCorpus(t)[:25], 2)
 	if len(rows) < 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -101,7 +107,7 @@ func TestTable5And6Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-corpus bug finding is slow")
 	}
-	rows, ta, tb := Table5(testCorpus(t))
+	rows, ta, tb := Table5(context.Background(), testCache, testCorpus(t))
 	if len(rows) == 0 {
 		t.Fatal("no rows")
 	}
@@ -146,7 +152,7 @@ func TestFigure4TrendPositive(t *testing.T) {
 	// before declaring the trend gone.
 	var byFuncs, bySize float64
 	for attempt := 0; attempt < 3; attempt++ {
-		points := Figure4(testCorpus(t)[:20])
+		points := Figure4(context.Background(), testCorpus(t)[:20])
 		if len(points) < 10 {
 			t.Fatalf("points = %d", len(points))
 		}
@@ -169,7 +175,7 @@ func TestTable7RepresentationGap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	rows := Table7(testCorpus(t))
+	rows := Table7(context.Background(), testCache, testCorpus(t))
 	byName := map[string]AblationRow{}
 	for _, r := range rows {
 		byName[r.Name] = r
@@ -189,7 +195,7 @@ func TestTable8CosineWins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	rows := Table8(testCorpus(t))
+	rows := Table8(context.Background(), testCache, testCorpus(t))
 	var cosine AblationRow
 	for _, r := range rows {
 		if r.Name == "cosine" {
@@ -207,7 +213,7 @@ func TestTable8CosineWins(t *testing.T) {
 }
 
 func TestBootStompFindsNoSources(t *testing.T) {
-	_, correct := BootStompBaseline(testCorpus(t)[:15])
+	_, correct := BootStompBaseline(context.Background(), testCache, testCorpus(t)[:15])
 	if correct != 0 {
 		t.Errorf("keyword baseline found %d sources, want 0", correct)
 	}
@@ -215,7 +221,7 @@ func TestBootStompFindsNoSources(t *testing.T) {
 
 func TestCaseStudyDeepFlow(t *testing.T) {
 	deepest := DeepestSamples(testCorpus(t))[0]
-	cs := RunCaseStudy(deepest)
+	cs := RunCaseStudy(context.Background(), testCache, deepest)
 	if cs.CTSDepth < 10 {
 		t.Errorf("deepest flow CTS depth = %d, want >= 10", cs.CTSDepth)
 	}
@@ -227,5 +233,41 @@ func TestCaseStudyDeepFlow(t *testing.T) {
 	}
 	if cs.KaronteCTS {
 		t.Error("budgeted symbolic engine should not reach the deepest flow from classical sources")
+	}
+}
+
+// TestTablesRepeatOnOneCache: Table5 and RunPrecision rerun on the cache of
+// their first pass give the same rows, times aside, without a single cache
+// miss: every model, ranking and alert list of the second pass is a memo hit.
+func TestTablesRepeatOnOneCache(t *testing.T) {
+	ctx, cache := context.Background(), modelcache.New(0, 0)
+	samples := testCorpus(t)[:6]
+	table5 := func() ([]BugRow, [4]int, [4]int) {
+		rows, ta, tb := Table5(ctx, cache, samples)
+		for i := range rows {
+			rows[i].AvgTime = [4]time.Duration{}
+		}
+		return rows, ta, tb
+	}
+	rows1, ta1, tb1 := table5()
+	prec1, err := RunPrecision(ctx, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	misses := cache.Stats().Misses
+
+	rows2, ta2, tb2 := table5()
+	prec2, err := RunPrecision(ctx, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rows1, rows2) || ta1 != ta2 || tb1 != tb2 {
+		t.Errorf("Table5 differs on a warm cache:\n%+v %v %v\n%+v %v %v", rows1, ta1, tb1, rows2, ta2, tb2)
+	}
+	if !reflect.DeepEqual(prec1, prec2) {
+		t.Errorf("RunPrecision differs on a warm cache:\n%s\n%s", FormatPrecision(prec1), FormatPrecision(prec2))
+	}
+	if got := cache.Stats().Misses; got != misses {
+		t.Errorf("second pass missed the cache %d times, want 0", got-misses)
 	}
 }

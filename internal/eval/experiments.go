@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"fits/internal/bfv"
 	"fits/internal/infer"
 	"fits/internal/loader"
+	"fits/internal/modelcache"
 	"fits/internal/score"
 	"fits/internal/synth"
 )
@@ -29,7 +31,7 @@ type DetailRow struct {
 // Table4 reports per-firmware detail for a selection of samples: the
 // analyzed binary, its recovered function count, the verified ITS address
 // and its rank.
-func Table4(samples []*synth.Sample, maxPerVendor int) []DetailRow {
+func Table4(ctx context.Context, cache *modelcache.Cache, samples []*synth.Sample, maxPerVendor int) []DetailRow {
 	perVendor := map[string]int{}
 	var rows []DetailRow
 	for _, s := range samples {
@@ -39,7 +41,7 @@ func Table4(samples []*synth.Sample, maxPerVendor int) []DetailRow {
 		if perVendor[s.Manifest.Vendor] >= maxPerVendor {
 			continue
 		}
-		r := RunInference(s, infer.DefaultConfig())
+		r := RunInference(ctx, s, cachedConfig(cache))
 		if len(r.Rankings) == 0 {
 			continue
 		}
@@ -90,6 +92,13 @@ func FormatTable4(rows []DetailRow) string {
 	return b.String()
 }
 
+// cachedConfig is the default inference configuration memoising into cache.
+func cachedConfig(cache *modelcache.Cache) infer.Config {
+	cfg := infer.DefaultConfig()
+	cfg.Cache = cache
+	return cfg
+}
+
 // ---- Figure 4: analysis time vs. binary properties ----
 
 // TimePoint is one firmware's analysis cost datum.
@@ -100,14 +109,14 @@ type TimePoint struct {
 }
 
 // Figure4 measures inference time against function count and binary size.
-// It deliberately runs without the shared cache — a hit would decouple the
+// It deliberately runs without a cache — a hit would decouple the
 // measured time from the work the figure correlates it with — and repeats
 // each sample until the measurements amount to a few milliseconds of work,
 // keeping the fastest run. Descheduling noise is one-sided and per-sample
 // analysis is now fast enough (sub-millisecond on small samples) that a
 // single stall can exceed the measured work itself; min-of-N with N scaled
 // to the sample's speed keeps the trend visible even on loaded machines.
-func Figure4(samples []*synth.Sample) []TimePoint {
+func Figure4(ctx context.Context, samples []*synth.Sample) []TimePoint {
 	const (
 		minReps  = 5
 		maxReps  = 16
@@ -123,12 +132,15 @@ func Figure4(samples []*synth.Sample) []TimePoint {
 		var elapsed, total time.Duration
 		for rep := 0; rep < maxReps && (rep < minReps || total < timeGoal); rep++ {
 			start := time.Now()
-			r, err := loader.Load(s.Packed, loader.Options{})
+			r, err := loader.LoadContext(ctx, s.Packed, loader.Options{})
+			var rk []*infer.Ranking
+			if err == nil {
+				rk, err = infer.InferAllContext(ctx, r, infer.DefaultConfig())
+			}
 			if err != nil {
 				res = nil
 				break
 			}
-			rk := infer.InferAll(r, infer.DefaultConfig())
 			d := time.Since(start)
 			total += d
 			if rep == 0 || d < elapsed {
@@ -198,15 +210,15 @@ type AblationRow struct {
 }
 
 // Figure5 reruns inference with each single feature removed.
-func Figure5(samples []*synth.Sample) []AblationRow {
+func Figure5(ctx context.Context, cache *modelcache.Cache, samples []*synth.Sample) []AblationRow {
 	var rows []AblationRow
-	full := RunInferenceCorpus(samples, infer.DefaultConfig())
+	full := RunInferenceCorpus(ctx, samples, cachedConfig(cache))
 	t1, t2, t3 := OverallPrecision(full)
 	rows = append(rows, AblationRow{Name: "BFV", Top1: t1, Top2: t2, Top3: t3})
 	for f := 0; f < bfv.Dim; f++ {
-		cfgn := infer.DefaultConfig()
+		cfgn := cachedConfig(cache)
 		cfgn.DropFeature = f
-		res := RunInferenceCorpus(samples, cfgn)
+		res := RunInferenceCorpus(ctx, samples, cfgn)
 		t1, t2, t3 := OverallPrecision(res)
 		rows = append(rows, AblationRow{
 			Name: fmt.Sprintf("CF-%d (%s)", f+1, bfv.FeatureNames[f]),
@@ -220,14 +232,14 @@ func Figure5(samples []*synth.Sample) []AblationRow {
 
 // Table7 compares BFV against the Augmented-CFG and Attributed-CFG
 // baselines.
-func Table7(samples []*synth.Sample) []AblationRow {
+func Table7(ctx context.Context, cache *modelcache.Cache, samples []*synth.Sample) []AblationRow {
 	var rows []AblationRow
 	for _, rep := range []infer.Representation{
 		infer.RepAugmentedCFG, infer.RepAttributedCFG, infer.RepBFV,
 	} {
-		cfgn := infer.DefaultConfig()
+		cfgn := cachedConfig(cache)
 		cfgn.Representation = rep
-		res := RunInferenceCorpus(samples, cfgn)
+		res := RunInferenceCorpus(ctx, samples, cfgn)
 		t1, t2, t3 := OverallPrecision(res)
 		rows = append(rows, AblationRow{Name: rep.String(), Top1: t1, Top2: t2, Top3: t3})
 	}
@@ -237,12 +249,12 @@ func Table7(samples []*synth.Sample) []AblationRow {
 // ---- Table 8: distance metric comparison ----
 
 // Table8 compares the similarity metrics for the scoring stage.
-func Table8(samples []*synth.Sample) []AblationRow {
+func Table8(ctx context.Context, cache *modelcache.Cache, samples []*synth.Sample) []AblationRow {
 	var rows []AblationRow
 	for _, m := range []score.Metric{score.Euclidean, score.Manhattan, score.Pearson, score.Cosine} {
-		cfgn := infer.DefaultConfig()
+		cfgn := cachedConfig(cache)
 		cfgn.Metric = m
-		res := RunInferenceCorpus(samples, cfgn)
+		res := RunInferenceCorpus(ctx, samples, cfgn)
 		t1, t2, t3 := OverallPrecision(res)
 		rows = append(rows, AblationRow{Name: m.String(), Top1: t1, Top2: t2, Top3: t3})
 	}
@@ -253,15 +265,15 @@ func Table8(samples []*synth.Sample) []AblationRow {
 
 // RQ4Strategies compares clustering against no-clustering and the
 // preprocessing replacements.
-func RQ4Strategies(samples []*synth.Sample) []AblationRow {
+func RQ4Strategies(ctx context.Context, cache *modelcache.Cache, samples []*synth.Sample) []AblationRow {
 	var rows []AblationRow
 	for _, st := range []infer.Strategy{
 		infer.StrategyNone, infer.StrategyPCA, infer.StrategyStandardize,
 		infer.StrategyNormalize, infer.StrategyCluster,
 	} {
-		cfgn := infer.DefaultConfig()
+		cfgn := cachedConfig(cache)
 		cfgn.Strategy = st
-		res := RunInferenceCorpus(samples, cfgn)
+		res := RunInferenceCorpus(ctx, samples, cfgn)
 		t1, t2, t3 := OverallPrecision(res)
 		rows = append(rows, AblationRow{Name: st.String(), Top1: t1, Top2: t2, Top3: t3})
 	}
@@ -282,9 +294,9 @@ func FormatAblation(rows []AblationRow) string {
 
 // BootStompBaseline counts, across the corpus, firmware where the keyword
 // heuristic proposes any taint source and where a proposal is a true ITS.
-func BootStompBaseline(samples []*synth.Sample) (proposed, correct int) {
+func BootStompBaseline(ctx context.Context, cache *modelcache.Cache, samples []*synth.Sample) (proposed, correct int) {
 	for _, s := range samples {
-		res, err := loadCached(s.Packed, nil)
+		res, err := loader.LoadContext(ctx, s.Packed, loader.Options{Cache: cache})
 		if err != nil {
 			continue
 		}
@@ -328,7 +340,7 @@ type CaseStudy struct {
 
 // RunCaseStudy finds the deepest planted flow in the given sample and checks
 // which engine configurations report it.
-func RunCaseStudy(s *synth.Sample) CaseStudy {
+func RunCaseStudy(ctx context.Context, cache *modelcache.Cache, s *synth.Sample) CaseStudy {
 	cs := CaseStudy{Product: s.Manifest.Product}
 	var deepest *synth.HandlerTruth
 	for i := range s.Manifest.Handlers {
@@ -346,7 +358,7 @@ func RunCaseStudy(s *synth.Sample) CaseStudy {
 	cs.CTSDepth = deepest.CTSDepth
 	cs.ITSDepth = deepest.ITSDepth
 	check := func(kind EngineKind) bool {
-		r := RunBugEngine(s, kind)
+		r := RunBugEngine(ctx, cache, s, kind)
 		return r.FoundFlows[deepest.SinkEntry]
 	}
 	cs.KaronteCTS = check(EngineKaronte)

@@ -1,7 +1,13 @@
 // Package eval is the experiment harness: it reruns every table and figure
 // of the paper's evaluation section against the synthetic corpus, scoring
 // inference rankings and taint alerts against the generators' ground-truth
-// manifests.
+// manifests. Taint scans go through scan.Run, the path fits and fitsd use.
+//
+// eval owns no cache: each entry point that loads firmware takes the
+// caller's *modelcache.Cache (in infer.Config for the inference sweeps),
+// and a nil cache computes everything. Results are identical under any
+// cache. A cancelled ctx stops the run early; the tables then count only
+// the work finished before it.
 package eval
 
 import (
@@ -12,6 +18,7 @@ import (
 	"time"
 
 	"fits/internal/infer"
+	"fits/internal/loader"
 	"fits/internal/pool"
 	"fits/internal/synth"
 )
@@ -23,7 +30,8 @@ type InferenceResult struct {
 	// ITSRank is the 1-based rank of the first true ITS across the
 	// sample's targets; 0 when no true ITS was ranked (or none exists).
 	ITSRank int
-	// LoadErr records pre-processing failure.
+	// LoadErr records pre-processing failure, or the context's error when
+	// the run was cancelled.
 	LoadErr error
 	Elapsed time.Duration
 }
@@ -61,17 +69,16 @@ func itsRank(man *synth.Manifest, rankings []*infer.Ranking) int {
 	return best
 }
 
-// RunInference loads and infers one sample under a configuration.
-func RunInference(s *synth.Sample, cfg infer.Config) InferenceResult {
+// RunInference loads and infers one sample under a configuration; the load
+// shares cfg's Cache and Scheduler with the inference.
+func RunInference(ctx context.Context, s *synth.Sample, cfg infer.Config) InferenceResult {
 	start := time.Now()
 	out := InferenceResult{Manifest: s.Manifest}
-	res, err := loadCached(s.Packed, cfg.Sched)
-	if err != nil {
-		out.LoadErr = err
-		out.Elapsed = time.Since(start)
-		return out
+	res, err := loader.LoadContext(ctx, s.Packed, loader.Options{Cache: cfg.Cache, Sched: cfg.Sched})
+	if err == nil {
+		out.Rankings, err = infer.InferAllContext(ctx, res, cfg)
 	}
-	out.Rankings = infer.InferAll(res, cached(cfg))
+	out.LoadErr = err
 	out.ITSRank = itsRank(&s.Manifest, out.Rankings)
 	out.Elapsed = time.Since(start)
 	return out
@@ -84,15 +91,13 @@ func RunInference(s *synth.Sample, cfg infer.Config) InferenceResult {
 // machine by multiplying the two. Results are positionally identical to the
 // sequential loop at every worker count; only the per-sample Elapsed — wall
 // time under concurrency — differs.
-func RunInferenceCorpus(samples []*synth.Sample, cfg infer.Config) []InferenceResult {
+func RunInferenceCorpus(ctx context.Context, samples []*synth.Sample, cfg infer.Config) []InferenceResult {
 	if cfg.Sched == nil {
 		cfg.Sched = pool.NewScheduler(cfg.Parallelism)
 	}
 	out := make([]InferenceResult, len(samples))
-	//fitslint:ignore ctxflow experiment harness entry point; sweeps run to completion
-	ctx := context.Background()
 	_ = cfg.Sched.ForEach(ctx, len(samples), func(i int) error {
-		out[i] = RunInference(samples[i], cfg)
+		out[i] = RunInference(ctx, samples[i], cfg)
 		return nil
 	})
 	return out

@@ -1,9 +1,13 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
+	"fits/internal/loader"
+	"fits/internal/modelcache"
+	"fits/internal/scan"
 	"fits/internal/synth"
 	"fits/internal/taint"
 )
@@ -107,11 +111,12 @@ func precisionSamples() (map[string][]*synth.Sample, []string, error) {
 	return families, order, nil
 }
 
-// scorePrecision scans every sample of one family in one engine mode and
-// accumulates the row. The ITS set is seeded from the manifest (the paper's
+// scorePrecision scans every sample of one family in one engine mode through
+// scan.Run and accumulates the row; Refuted is read from the memoised full
+// alert list. The ITS set is seeded from the manifest (the paper's
 // verified-candidate workflow, as in RunBugEngine), so the comparison
 // isolates the precision passes from inference quality.
-func scorePrecision(family, mode string, samples []*synth.Sample, disablePasses bool) (ScanPrecisionRow, error) {
+func scorePrecision(ctx context.Context, cache *modelcache.Cache, family, mode string, samples []*synth.Sample, disablePasses bool) (ScanPrecisionRow, error) {
 	row := ScanPrecisionRow{Family: family, Mode: mode}
 	type coord struct {
 		version string
@@ -121,7 +126,7 @@ func scorePrecision(family, mode string, samples []*synth.Sample, disablePasses 
 	found := map[coord]bool{}
 	vulnTotal := 0
 	for _, s := range samples {
-		res, err := loadCached(s.Packed, nil)
+		res, err := loader.LoadContext(ctx, s.Packed, loader.Options{Cache: cache})
 		if err != nil {
 			return row, fmt.Errorf("precision: load %s %s: %w", s.Manifest.Product, s.Manifest.Version, err)
 		}
@@ -135,18 +140,21 @@ func scorePrecision(family, mode string, samples []*synth.Sample, disablePasses 
 			for _, it := range s.Manifest.ITSIn(t.Bin.Name) {
 				its = append(its, it.Entry)
 			}
-			e := taint.New(t.Bin, t.Model, taint.Options{
+			alerts, err := scan.Run(ctx, t, scan.Static, taint.Options{
 				UseCTS: true, ITS: its, StringFilter: true,
 				NoAlias: disablePasses, NoPathcheck: disablePasses,
-			})
-			alerts := e.Run()
-			for _, a := range e.AllAlerts() {
+			}, cache, nil)
+			if err != nil {
+				return row, err
+			}
+			for _, a := range alerts {
 				if a.Refuted != "" {
 					row.Refuted++
 				}
-			}
-			row.Alerts += len(alerts)
-			for _, a := range alerts {
+				if !a.Reported() {
+					continue
+				}
+				row.Alerts++
 				h, ok := s.Manifest.HandlerBySink(t.Bin.Name, a.Func)
 				if ok && h.Category.Vulnerable() {
 					found[coord{s.Manifest.Version, t.Bin.Name, h.SinkEntry}] = true
@@ -172,19 +180,20 @@ func scorePrecision(family, mode string, samples []*synth.Sample, disablePasses 
 
 // RunPrecision produces the before/after precision table: per family, one
 // baseline row (both passes disabled — the pre-overhaul engine) and one
-// full row (alias + pathcheck on, the default configuration).
-func RunPrecision() ([]ScanPrecisionRow, error) {
+// full row (alias + pathcheck on, the default configuration). Models and
+// alert lists are memoised in cache; nil computes everything.
+func RunPrecision(ctx context.Context, cache *modelcache.Cache) ([]ScanPrecisionRow, error) {
 	families, order, err := precisionSamples()
 	if err != nil {
 		return nil, err
 	}
 	var rows []ScanPrecisionRow
 	for _, fam := range order {
-		base, err := scorePrecision(fam, PrecisionModeBaseline, families[fam], true)
+		base, err := scorePrecision(ctx, cache, fam, PrecisionModeBaseline, families[fam], true)
 		if err != nil {
 			return nil, err
 		}
-		full, err := scorePrecision(fam, PrecisionModeFull, families[fam], false)
+		full, err := scorePrecision(ctx, cache, fam, PrecisionModeFull, families[fam], false)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -16,7 +17,7 @@ func TestScorePrecisionZeroAlertCorpus(t *testing.T) {
 	// of any alerting kind the row can be fully empty. Use a spec whose
 	// profile floor guarantees vulnerable handlers but strip the manifest
 	// to simulate an empty ground truth instead: score over no samples.
-	row, err := scorePrecision("empty", PrecisionModeFull, nil, false)
+	row, err := scorePrecision(context.Background(), nil, "empty", PrecisionModeFull, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +62,11 @@ func TestScorePrecisionOnlyInfeasible(t *testing.T) {
 		}
 	}
 
-	base, err := scorePrecision("only-infeasible", PrecisionModeBaseline, []*synth.Sample{s}, true)
+	base, err := scorePrecision(context.Background(), testCache, "only-infeasible", PrecisionModeBaseline, []*synth.Sample{s}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := scorePrecision("only-infeasible", PrecisionModeFull, []*synth.Sample{s}, false)
+	full, err := scorePrecision(context.Background(), testCache, "only-infeasible", PrecisionModeFull, []*synth.Sample{s}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestRunPrecisionTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates and scans three sample families")
 	}
-	rows, err := RunPrecision()
+	rows, err := RunPrecision(context.Background(), testCache)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"fits/internal/corpustaint"
+	"fits/internal/modelcache"
 	"fits/internal/synth"
 )
 
@@ -32,11 +33,11 @@ type XScoreRow struct {
 }
 
 // RunXScore scans the corpus once per mode and scores each report against
-// the manifest.
-func RunXScore(ctx context.Context, x *synth.XCorpus) ([]XScoreRow, error) {
+// the manifest. The modes share cache's models and scans; nil computes.
+func RunXScore(ctx context.Context, cache *modelcache.Cache, x *synth.XCorpus) ([]XScoreRow, error) {
 	rows := make([]XScoreRow, 0, 3)
 	for _, mode := range []corpustaint.Mode{corpustaint.ModeCTS, corpustaint.ModeITS, corpustaint.ModeCross} {
-		rep, err := corpustaint.Run(ctx, x.Files, corpustaint.Options{Mode: mode})
+		rep, err := corpustaint.Run(ctx, x.Files, corpustaint.Options{Mode: mode, Cache: cache})
 		if err != nil {
 			return nil, err
 		}

@@ -16,7 +16,7 @@ func TestRunXScore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := RunXScore(context.Background(), x)
+	rows, err := RunXScore(context.Background(), testCache, x)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -358,19 +358,12 @@ func findStub(bin *binimg.Binary, name string) (uint32, bool) {
 	return 0, false
 }
 
-// InferTarget runs the full inference pipeline on one target.
-func InferTarget(t *loader.Target, cfgn Config) *Ranking {
-	//fitslint:ignore ctxflow context-free compatibility wrapper; cancellation-aware callers use InferTargetContext
-	r, _ := InferTargetContext(context.Background(), t, cfgn)
-	return r
-}
-
-// InferTargetContext is InferTarget with cancellation and bounded
-// parallelism: per-function representation extraction — the pipeline's hot
-// loop — fans out on cfgn's Scheduler, the context is checked before each
-// function, and results assemble in function order, so the ranking is
-// byte-identical at every worker count. The only error returned
-// is the context's. The whole ranking is memoized on the target's and its
+// InferTargetContext runs the full inference pipeline on one target, with
+// cancellation and bounded parallelism: per-function representation
+// extraction — the pipeline's hot loop — fans out on cfgn's Scheduler, the
+// context is checked before each function, and results assemble in function
+// order, so the ranking is byte-identical at every worker count. The only
+// error returned is the context's. The whole ranking is memoized on the target's and its
 // libraries' content hashes plus every variant knob, so re-analyzing
 // unchanged binaries — the common case in evolution diffs — skips
 // clustering and scoring entirely.
@@ -518,13 +511,6 @@ func inferTarget(ctx context.Context, t *loader.Target, cfgn Config) (*Ranking, 
 	rank.NumCandidates = len(cands)
 	rank.Ranked = score.Rank(cfgn.Metric, cands, anchors)
 	return rank, nil
-}
-
-// InferAll runs inference on every target of a loaded firmware.
-func InferAll(res *loader.Result, cfgn Config) []*Ranking {
-	//fitslint:ignore ctxflow context-free compatibility wrapper; cancellation-aware callers use InferAllContext
-	out, _ := InferAllContext(context.Background(), res, cfgn)
-	return out
 }
 
 // InferAllContext runs inference on every target, fanning targets out on

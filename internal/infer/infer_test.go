@@ -21,11 +21,20 @@ func loadSample(t *testing.T, idx int) (*synth.Sample, *loader.Target) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := loader.Load(s.Packed, loader.Options{})
+	res, err := loader.LoadContext(context.Background(), s.Packed, loader.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s, res.Targets[0]
+}
+
+func mustInfer(t *testing.T, target *loader.Target, cfgn Config) *Ranking {
+	t.Helper()
+	r, err := InferTargetContext(context.Background(), target, cfgn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 func itsRankIn(s *synth.Sample, r *Ranking) int {
@@ -43,7 +52,7 @@ func itsRankIn(s *synth.Sample, r *Ranking) int {
 
 func TestDefaultPipelineRanksITS(t *testing.T) {
 	s, target := loadSample(t, 0)
-	r := InferTarget(target, DefaultConfig())
+	r := mustInfer(t, target, DefaultConfig())
 	if r.NumFuncs < 100 || r.NumAnchors < 8 {
 		t.Fatalf("funcs=%d anchors=%d", r.NumFuncs, r.NumAnchors)
 	}
@@ -64,8 +73,8 @@ func TestDefaultPipelineRanksITS(t *testing.T) {
 
 func TestDeterministicInference(t *testing.T) {
 	_, target := loadSample(t, 5)
-	a := InferTarget(target, DefaultConfig())
-	b := InferTarget(target, DefaultConfig())
+	a := mustInfer(t, target, DefaultConfig())
+	b := mustInfer(t, target, DefaultConfig())
 	if len(a.Ranked) != len(b.Ranked) {
 		t.Fatal("ranking lengths differ")
 	}
@@ -80,7 +89,7 @@ func TestStrategyNoneScoresAllFunctions(t *testing.T) {
 	_, target := loadSample(t, 0)
 	cfg := DefaultConfig()
 	cfg.Strategy = StrategyNone
-	r := InferTarget(target, cfg)
+	r := mustInfer(t, target, cfg)
 	if r.NumCandidates != r.NumFuncs {
 		t.Errorf("none strategy: candidates = %d, funcs = %d", r.NumCandidates, r.NumFuncs)
 	}
@@ -91,7 +100,7 @@ func TestPreprocessingStrategiesRun(t *testing.T) {
 	for _, st := range []Strategy{StrategyPCA, StrategyStandardize, StrategyNormalize} {
 		cfg := DefaultConfig()
 		cfg.Strategy = st
-		r := InferTarget(target, cfg)
+		r := mustInfer(t, target, cfg)
 		if len(r.Ranked) == 0 {
 			t.Errorf("%v: empty ranking", st)
 		}
@@ -101,10 +110,10 @@ func TestPreprocessingStrategiesRun(t *testing.T) {
 
 func TestDropFeatureChangesRanking(t *testing.T) {
 	_, target := loadSample(t, 0)
-	base := InferTarget(target, DefaultConfig())
+	base := mustInfer(t, target, DefaultConfig())
 	cfg := DefaultConfig()
 	cfg.DropFeature = bfv.FCallers
-	dropped := InferTarget(target, cfg)
+	dropped := mustInfer(t, target, cfg)
 	same := len(base.Ranked) == len(dropped.Ranked)
 	if same {
 		for i := range base.Ranked {
@@ -125,7 +134,7 @@ func TestAlternativeRepresentationsRun(t *testing.T) {
 	for _, rep := range []Representation{RepAugmentedCFG, RepAttributedCFG} {
 		cfg := DefaultConfig()
 		cfg.Representation = rep
-		r := InferTarget(target, cfg)
+		r := mustInfer(t, target, cfg)
 		if r.NumAnchors == 0 {
 			t.Errorf("%v: no anchor vectors", rep)
 		}
@@ -134,10 +143,10 @@ func TestAlternativeRepresentationsRun(t *testing.T) {
 
 func TestMetricsProduceDifferentScores(t *testing.T) {
 	_, target := loadSample(t, 0)
-	cos := InferTarget(target, DefaultConfig())
+	cos := mustInfer(t, target, DefaultConfig())
 	cfg := DefaultConfig()
 	cfg.Metric = score.Euclidean
-	euc := InferTarget(target, cfg)
+	euc := mustInfer(t, target, cfg)
 	if len(cos.Ranked) > 0 && len(euc.Ranked) > 0 &&
 		cos.Ranked[0].Score == euc.Ranked[0].Score {
 		t.Error("cosine and euclidean top scores identical")
@@ -146,7 +155,7 @@ func TestMetricsProduceDifferentScores(t *testing.T) {
 
 func TestTopClamps(t *testing.T) {
 	_, target := loadSample(t, 0)
-	r := InferTarget(target, DefaultConfig())
+	r := mustInfer(t, target, DefaultConfig())
 	if got := len(r.Top(3)); got > 3 {
 		t.Errorf("Top(3) = %d entries", got)
 	}
@@ -176,11 +185,14 @@ func TestInferAllCoversTargets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := loader.Load(s.Packed, loader.Options{})
+	res, err := loader.LoadContext(context.Background(), s.Packed, loader.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rankings := InferAll(res, DefaultConfig())
+	rankings, err := InferAllContext(context.Background(), res, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rankings) != len(res.Targets) {
 		t.Errorf("rankings = %d, targets = %d", len(rankings), len(res.Targets))
 	}
@@ -277,7 +289,7 @@ func TestAnchorsSharedAcrossTargets(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache := modelcache.New(0, 0)
-	res, err := loader.Load(s.Packed, loader.Options{Cache: cache})
+	res, err := loader.LoadContext(context.Background(), s.Packed, loader.Options{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +301,7 @@ func TestAnchorsSharedAcrossTargets(t *testing.T) {
 	cfgn.Cache = cache
 
 	before := cache.Len()
-	InferTarget(first, cfgn)
+	mustInfer(t, first, cfgn)
 	grewFirst := cache.Len() - before
 	for lib, h := range first.LibHashes {
 		v, ok := cache.Get(modelcache.Key("anchors", vectorSig(cfgn), h))
@@ -315,7 +327,7 @@ func TestAnchorsSharedAcrossTargets(t *testing.T) {
 		t.Fatal("targets share no library")
 	}
 	before = cache.Len()
-	InferTarget(second, cfgn)
+	mustInfer(t, second, cfgn)
 	if grewSecond := cache.Len() - before; grewSecond != grewFirst-shared {
 		t.Errorf("second target added %d entries, want %d: its %d shared libraries' anchors must be reused",
 			grewSecond, grewFirst-shared, shared)
@@ -379,7 +391,7 @@ func TestRankingWithoutLibraryModelsFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := loader.Load(s.Packed, loader.Options{TargetsOnly: true})
+	res, err := loader.LoadContext(context.Background(), s.Packed, loader.Options{TargetsOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}

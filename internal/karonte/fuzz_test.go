@@ -1,6 +1,7 @@
 package karonte
 
 import (
+	"context"
 	"slices"
 	"testing"
 
@@ -21,7 +22,7 @@ func FuzzKaronte(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	res, err := loader.Load(s.Packed, loader.Options{})
+	res, err := loader.LoadContext(context.Background(), s.Packed, loader.Options{})
 	if err != nil {
 		f.Fatal(err)
 	}

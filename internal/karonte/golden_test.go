@@ -1,6 +1,7 @@
 package karonte
 
 import (
+	"context"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -29,7 +30,7 @@ func TestKaronteAlertsGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := loader.Load(s.Packed, loader.Options{})
+		res, err := loader.LoadContext(context.Background(), s.Packed, loader.Options{})
 		if errors.Is(err, loader.ErrNoTargets) {
 			fmt.Fprintf(h, "image %d: no targets\n", i)
 			continue
@@ -39,7 +40,11 @@ func TestKaronteAlertsGolden(t *testing.T) {
 		}
 		for _, tgt := range res.Targets {
 			var its []uint32
-			for _, c := range infer.InferTarget(tgt, infer.DefaultConfig()).Top(3) {
+			ranking, err := infer.InferTargetContext(context.Background(), tgt, infer.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range ranking.Top(3) {
 				its = append(its, c.Entry)
 			}
 			var out map[uint32][]int

@@ -1,6 +1,7 @@
 package karonte
 
 import (
+	"context"
 	"testing"
 
 	"fits/internal/binimg"
@@ -175,7 +176,7 @@ func TestStepBudgetBoundsWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := loader.Load(s.Packed, loader.Options{})
+	res, err := loader.LoadContext(context.Background(), s.Packed, loader.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +291,7 @@ func TestAlertsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := loader.Load(s.Packed, loader.Options{})
+	res, err := loader.LoadContext(context.Background(), s.Packed, loader.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

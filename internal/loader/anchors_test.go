@@ -1,6 +1,7 @@
 package loader_test
 
 import (
+	"context"
 	"testing"
 
 	"fits/internal/infer"
@@ -16,7 +17,7 @@ func TestAnchorsIdentified(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := loader.Load(s.Packed, loader.Options{})
+	res, err := loader.LoadContext(context.Background(), s.Packed, loader.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ package loader
 // real packed images produced by the synthetic firmware generator.
 
 import (
+	"context"
 	"testing"
 
 	"fits/internal/modelcache"
@@ -36,11 +37,11 @@ func FuzzLoad(f *testing.F) {
 	cache := modelcache.New(64, 32<<20)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		opts := Options{Cache: cache}
-		res, err := Load(data, opts)
+		res, err := LoadContext(context.Background(), data, opts)
 		if err == nil && res == nil {
 			t.Error("Load returned nil result and nil error")
 		}
-		again, err2 := Load(data, opts)
+		again, err2 := LoadContext(context.Background(), data, opts)
 		if (err == nil) != (err2 == nil) {
 			t.Fatalf("first load err = %v, second = %v", err, err2)
 		}

@@ -120,14 +120,9 @@ func isExecutablePath(p string) bool {
 	return executableDirs[dir] && !strings.HasSuffix(p, ".so")
 }
 
-// Load unpacks raw firmware bytes and prepares every network target.
-func Load(raw []byte, opts Options) (*Result, error) {
-	//fitslint:ignore ctxflow context-free compatibility wrapper; cancellation-aware callers use LoadContext
-	return LoadContext(context.Background(), raw, opts)
-}
-
-// LoadContext is Load with cancellation: the context is checked between (and
-// inside) per-binary model builds, so loading a large image can be aborted.
+// LoadContext unpacks raw firmware bytes and prepares every network target.
+// The context is checked between (and inside) per-binary model builds, so
+// loading a large image can be aborted.
 func LoadContext(ctx context.Context, raw []byte, opts Options) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -145,13 +140,8 @@ func LoadContext(ctx context.Context, raw []byte, opts Options) (*Result, error)
 	return res, nil
 }
 
-// LoadImage prepares targets from an already unpacked image.
-func LoadImage(img *firmware.Image, opts Options) (*Result, error) {
-	//fitslint:ignore ctxflow context-free compatibility wrapper; cancellation-aware callers use LoadImageContext
-	return LoadImageContext(context.Background(), img, opts)
-}
-
-// LoadImageContext is LoadImage with cancellation.
+// LoadImageContext prepares targets from an already unpacked image, with
+// LoadContext's cancellation.
 func LoadImageContext(ctx context.Context, img *firmware.Image, opts Options) (*Result, error) {
 	res := &Result{Image: img, Scheme: firmware.SchemeNone}
 	if err := res.load(ctx, opts); err != nil {

@@ -1,6 +1,7 @@
 package loader
 
 import (
+	"context"
 	"errors"
 	"path"
 	"reflect"
@@ -22,7 +23,7 @@ func generate(t *testing.T, idx int) *synth.Sample {
 
 func TestLoadSelectsNetworkBinary(t *testing.T) {
 	s := generate(t, 0) // NETGEAR
-	res, err := Load(s.Packed, Options{})
+	res, err := LoadContext(context.Background(), s.Packed, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,21 +58,21 @@ func TestPreprocessMissReturnsErrNoTargets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Load(sample.Packed, Options{})
+	_, err = LoadContext(context.Background(), sample.Packed, Options{})
 	if !errors.Is(err, ErrNoTargets) {
 		t.Errorf("err = %v, want ErrNoTargets", err)
 	}
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load([]byte("not a firmware image"), Options{}); err == nil {
+	if _, err := LoadContext(context.Background(), []byte("not a firmware image"), Options{}); err == nil {
 		t.Error("expected unpack error")
 	}
 }
 
 func TestLoadImageDirect(t *testing.T) {
 	s := generate(t, 20) // D-Link (XOR-encoded when packed)
-	res, err := LoadImage(s.Image, Options{})
+	res, err := LoadImageContext(context.Background(), s.Image, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestLoadImageDirect(t *testing.T) {
 
 func TestSchemeDetectionOnPacked(t *testing.T) {
 	s := generate(t, 20) // D-Link uses XOR wrapping
-	res, err := Load(s.Packed, Options{})
+	res, err := LoadContext(context.Background(), s.Packed, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestSchemeDetectionOnPacked(t *testing.T) {
 
 func TestResolverCompletesDispatch(t *testing.T) {
 	s := generate(t, 0)
-	with, err := Load(s.Packed, Options{})
+	with, err := LoadContext(context.Background(), s.Packed, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +137,11 @@ func TestExecutablePathClassification(t *testing.T) {
 
 func TestTargetsDeterministicOrder(t *testing.T) {
 	s := generate(t, 0)
-	a, err := Load(s.Packed, Options{})
+	a, err := LoadContext(context.Background(), s.Packed, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Load(s.Packed, Options{})
+	b, err := LoadContext(context.Background(), s.Packed, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestTargetsDeterministicOrder(t *testing.T) {
 // identities, cache or not, so downstream memo keys never see a zero hash.
 func TestLoadWithoutCacheHashesContent(t *testing.T) {
 	s := generate(t, 0)
-	res, err := Load(s.Packed, Options{})
+	res, err := LoadContext(context.Background(), s.Packed, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,11 +188,11 @@ func TestLoadWithoutCacheHashesContent(t *testing.T) {
 // no library.
 func TestTargetsOnlySkipsLibraryModels(t *testing.T) {
 	s := generate(t, 0)
-	full, err := LoadImage(s.Image, Options{})
+	full, err := LoadImageContext(context.Background(), s.Image, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lean, err := LoadImage(s.Image, Options{TargetsOnly: true})
+	lean, err := LoadImageContext(context.Background(), s.Image, Options{TargetsOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}

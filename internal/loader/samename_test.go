@@ -1,6 +1,7 @@
 package loader
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"testing"
@@ -44,7 +45,7 @@ func sameNameDispatcher(t *testing.T, index minic.Expr) []byte {
 func dispatchCallees(t *testing.T, img *firmware.Image, path string, opts Options) []uint32 {
 	t.Helper()
 	opts.AllExecutables = true
-	res, err := LoadImage(img, opts)
+	res, err := LoadImageContext(context.Background(), img, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestSameNameLibrariesResolveToFirstPath(t *testing.T) {
 	want := modelcache.HashBytes(libc.Data)
 	cache := modelcache.New(0, 0)
 	for i := 0; i < 20; i++ {
-		res, err := LoadImage(img, Options{Cache: cache})
+		res, err := LoadImageContext(context.Background(), img, Options{Cache: cache})
 		if err != nil {
 			t.Fatal(err)
 		}

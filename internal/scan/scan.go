@@ -1,8 +1,9 @@
-// Package scan is the one memoised entry point to the taint engines. Both
-// the single-image scan (fits.TargetResult.ScanContext) and every round of
-// the corpus channel fixpoint (corpustaint) run a binary's taint analysis
-// through Run, which owns the alert cache key, the one alert cache kind and
-// the Taint span around the engines.
+// Package scan is the one memoised entry point to the taint engines. The
+// single-image scan (fits.TargetResult.ScanContext), every round of the
+// corpus channel fixpoint (corpustaint) and the evaluation harness's bug and
+// precision tables (eval) run a binary's taint analysis through Run, which
+// owns the alert cache key, the one alert cache kind and the Taint span
+// around the engines.
 package scan
 
 import (
@@ -29,9 +30,12 @@ const (
 	Symbolic
 )
 
-// Run runs eng over t under opts and returns the engine's alerts in its
-// deterministic order. The symbolic engine always seeds classical sources
-// and reads only ITS and ITSOut.
+// Run runs eng over t under opts and returns every alert the engine raised,
+// suppressed ones included, in its deterministic order: the static engine's
+// AllAlerts. Callers keep the alerts whose Reported is true, which is exactly
+// the engine's Run list; the rest carry why they were suppressed (Filtered,
+// Refuted). The symbolic engine suppresses nothing, always seeds classical
+// sources and reads only ITS and ITSOut.
 //
 // The alert list is memoised in cache under key (a nil cache keeps
 // nothing), so re-scanning an unchanged binary — a diff's unchanged targets,
@@ -52,7 +56,9 @@ func Run(ctx context.Context, t *loader.Target, eng Engine, opts taint.Options, 
 		if eng == Symbolic {
 			a = karonte.New(t.Bin, t.Model, karonte.Options{ITS: opts.ITS, ITSOut: opts.ITSOut}).Run()
 		} else {
-			a = taint.New(t.Bin, t.Model, opts).Run()
+			e := taint.New(t.Bin, t.Model, opts)
+			e.Run()
+			a = e.AllAlerts()
 		}
 		return a, int64(len(a))*112 + 64, nil
 	})

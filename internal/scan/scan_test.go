@@ -6,11 +6,13 @@ import (
 	"testing"
 
 	"fits/internal/cfg"
+	"fits/internal/infer"
 	"fits/internal/isa"
 	"fits/internal/loader"
 	"fits/internal/minic"
 	"fits/internal/modelcache"
 	"fits/internal/stagetime"
+	"fits/internal/synth"
 	"fits/internal/taint"
 	"fits/internal/ucse"
 )
@@ -138,7 +140,9 @@ func regionTarget(t *testing.T) *loader.Target {
 func TestRunMemoisesAndTimesMissesOnly(t *testing.T) {
 	target := regionTarget(t)
 	opts := taint.Options{UseCTS: true}
-	want := taint.New(target.Bin, target.Model, opts).Run()
+	e := taint.New(target.Bin, target.Model, opts)
+	e.Run()
+	want := e.AllAlerts()
 	if len(want) == 0 {
 		t.Fatal("fixture produces no alert")
 	}
@@ -181,5 +185,75 @@ func TestRunMemoisesAndTimesMissesOnly(t *testing.T) {
 	got, err := Run(context.Background(), target, Static, opts, nil, nil)
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Errorf("uncached scan: %+v, %v", got, err)
+	}
+}
+
+// TestRunMemoisesSuppressedAlerts: on a dataset target whose scan both
+// string-filters and refutes alerts, Run returns the engine's full list,
+// suppressed alerts included, a cache hit returns the same list, and its
+// Reported subset is exactly the engine's Run.
+func TestRunMemoisesSuppressedAlerts(t *testing.T) {
+	spec := synth.Dataset()[0]
+	spec.ExtraHandlers = map[synth.HandlerCategory]int{synth.SafeInfeasible: 2}
+	s, err := synth.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	res, err := loader.LoadContext(ctx, s.Packed, loader.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := res.Targets[0]
+	// The inferred top 3 include a system-data fetcher (filtered alerts);
+	// the planted infeasible guards give refuted ones.
+	ranking, err := infer.InferTargetContext(ctx, target, infer.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := taint.Options{UseCTS: true, StringFilter: true}
+	for _, c := range ranking.Top(3) {
+		opts.ITS = append(opts.ITS, c.Entry)
+	}
+	for _, its := range s.Manifest.ITSIn(target.Bin.Name) {
+		opts.ITS = append(opts.ITS, its.Entry)
+	}
+	e := taint.New(target.Bin, target.Model, opts)
+	reported := e.Run()
+	all := e.AllAlerts()
+
+	cache := modelcache.New(0, 0)
+	miss, err := Run(ctx, target, Static, opts, cache, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit, err := Run(ctx, target, Static, opts, cache, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("cache stats = %+v, want 1 miss then 1 hit", st)
+	}
+	if !reflect.DeepEqual(miss, all) || !reflect.DeepEqual(hit, all) {
+		t.Fatalf("Run does not return the engine's full alert list:\nmiss %+v\nhit  %+v\nwant %+v", miss, hit, all)
+	}
+	var filtered, refuted int
+	var kept []taint.Alert
+	for _, a := range hit {
+		if a.Filtered {
+			filtered++
+		}
+		if a.Refuted != "" {
+			refuted++
+		}
+		if a.Reported() {
+			kept = append(kept, a)
+		}
+	}
+	if filtered == 0 || refuted == 0 {
+		t.Fatalf("fixture has %d filtered and %d refuted alerts; want both > 0", filtered, refuted)
+	}
+	if !reflect.DeepEqual(kept, reported) {
+		t.Errorf("Reported subset of the memoised list differs from the engine's Run:\n%+v\n%+v", kept, reported)
 	}
 }

@@ -1,6 +1,7 @@
 package taint
 
 import (
+	"context"
 	"testing"
 
 	"fits/internal/loader"
@@ -19,7 +20,7 @@ func TestRunAllocsBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := loader.Load(s.Packed, loader.Options{})
+	res, err := loader.LoadContext(context.Background(), s.Packed, loader.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package taint
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -15,7 +16,7 @@ func TestDebugSTA(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := loader.Load(s.Packed, loader.Options{})
+		res, err := loader.LoadContext(context.Background(), s.Packed, loader.Options{})
 		if err != nil {
 			t.Fatalf("%v: %v", spec.Product, err)
 		}

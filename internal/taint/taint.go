@@ -94,6 +94,10 @@ type Alert struct {
 	Degraded bool
 }
 
+// Reported reports whether the alert survives the string filter and the
+// feasibility pass: the one rule that selects Run from AllAlerts.
+func (a Alert) Reported() bool { return !a.Filtered && a.Refuted == "" }
+
 // Finding is an alert as reported: the API, fitsd's results and version
 // diffs all carry this type, and corpus reports embed it. Its kinds are
 // rendered as strings; Key, Via, Filtered and Refuted stay engine-side.
@@ -230,7 +234,7 @@ func (e *Engine) Run() []Alert {
 	e.finishAlerts()
 	var out []Alert
 	for _, a := range e.alerts {
-		if !a.Filtered && a.Refuted == "" {
+		if a.Reported() {
 			out = append(out, *a)
 		}
 	}

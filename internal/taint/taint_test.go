@@ -1,6 +1,7 @@
 package taint
 
 import (
+	"context"
 	"testing"
 
 	"fits/internal/binimg"
@@ -257,7 +258,7 @@ func TestCorpusSampleSuperset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := loader.Load(s.Packed, loader.Options{})
+		res, err := loader.LoadContext(context.Background(), s.Packed, loader.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"context"
 	"testing"
 
 	"fits/internal/infer"
@@ -15,7 +16,7 @@ func TestPlantedITSVerifies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := loader.Load(s.Packed, loader.Options{})
+		res, err := loader.LoadContext(context.Background(), s.Packed, loader.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +47,7 @@ func TestNonFetchersRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := loader.Load(s.Packed, loader.Options{})
+	res, err := loader.LoadContext(context.Background(), s.Packed, loader.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,12 +78,15 @@ func TestVerificationFiltersRankedCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := loader.Load(s.Packed, loader.Options{})
+	res, err := loader.LoadContext(context.Background(), s.Packed, loader.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	target := res.Targets[0]
-	r := infer.InferTarget(target, infer.DefaultConfig())
+	r, err := infer.InferTargetContext(context.Background(), target, infer.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	confirmed := 0
 	for _, c := range r.Top(3) {
 		if Candidate(target.Bin, target.Model, c.Entry).Verified {
@@ -99,7 +103,7 @@ func TestRejectsStubsAndBadEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := loader.Load(s.Packed, loader.Options{})
+	res, err := loader.LoadContext(context.Background(), s.Packed, loader.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
