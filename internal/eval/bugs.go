@@ -49,9 +49,17 @@ type BugResult struct {
 	Alerts   int
 	Bugs     int // true positives (distinct vulnerable flows alerted)
 	Elapsed  time.Duration
-	// FoundFlows lists the sink-function entries of true-positive alerts,
-	// for cross-engine subset checks.
-	FoundFlows map[uint32]bool
+	// FoundFlows lists the flows of true-positive alerts, for cross-engine
+	// subset checks.
+	FoundFlows map[Flow]bool
+}
+
+// Flow locates a planted flow by its binary and the entry of the function
+// holding its sink call. Multi-binary firmware can plant flows at the same
+// sink entry in two binaries; they are two bugs.
+type Flow struct {
+	Binary    string
+	SinkEntry uint32
 }
 
 // inferredITS runs the inference pipeline and returns the verified top-3
@@ -84,7 +92,7 @@ func inferredITS(ctx context.Context, cache *modelcache.Cache, s *synth.Sample, 
 // load, or a cancelled ctx, leaves the remaining counts at zero.
 func RunBugEngine(ctx context.Context, cache *modelcache.Cache, s *synth.Sample, kind EngineKind) (out BugResult) {
 	start := time.Now()
-	out = BugResult{Manifest: s.Manifest, Engine: kind, FoundFlows: map[uint32]bool{}}
+	out = BugResult{Manifest: s.Manifest, Engine: kind, FoundFlows: map[Flow]bool{}}
 	defer func() { out.Elapsed = time.Since(start) }()
 	res, err := loader.LoadContext(ctx, s.Packed, loader.Options{Cache: cache})
 	if err != nil {
@@ -111,8 +119,9 @@ func RunBugEngine(ctx context.Context, cache *modelcache.Cache, s *synth.Sample,
 			}
 			out.Alerts++
 			if h, ok := s.Manifest.HandlerBySink(t.Bin.Name, a.Func); ok && h.Category.Vulnerable() {
-				if !out.FoundFlows[h.SinkEntry] {
-					out.FoundFlows[h.SinkEntry] = true
+				f := Flow{Binary: h.Binary, SinkEntry: h.SinkEntry}
+				if !out.FoundFlows[f] {
+					out.FoundFlows[f] = true
 					out.Bugs++
 				}
 			}

@@ -271,3 +271,40 @@ func TestTablesRepeatOnOneCache(t *testing.T) {
 		t.Errorf("second pass missed the cache %d times, want 0", got-misses)
 	}
 }
+
+// TestBugsCountedPerBinary: WNR1518 V1.2.4.24 plants a vulnerable flow at
+// the same sink-function entry in both httpd and netcgi. STA-ITS alerts on
+// both, and Table 5 counts them as two bugs, not one.
+func TestBugsCountedPerBinary(t *testing.T) {
+	var s *synth.Sample
+	for _, c := range testCorpus(t) {
+		if c.Manifest.Product == "WNR1518" && c.Manifest.Version == "V1.2.4.24" {
+			s = c
+		}
+	}
+	if s == nil {
+		t.Fatal("corpus has no WNR1518 V1.2.4.24")
+	}
+	binaries := map[uint32]map[string]bool{}
+	for _, h := range s.Manifest.Handlers {
+		if h.Category.Vulnerable() {
+			if binaries[h.SinkEntry] == nil {
+				binaries[h.SinkEntry] = map[string]bool{}
+			}
+			binaries[h.SinkEntry][h.Binary] = true
+		}
+	}
+	const shared = 0x11840
+	if !binaries[shared]["httpd"] || !binaries[shared]["netcgi"] {
+		t.Fatalf("fixture: sink entry %#x not planted vulnerable in both httpd and netcgi: %v", shared, binaries[shared])
+	}
+	r := RunBugEngine(context.Background(), testCache, s, EngineSTAITS)
+	for _, bin := range []string{"httpd", "netcgi"} {
+		if !r.FoundFlows[Flow{Binary: bin, SinkEntry: shared}] {
+			t.Errorf("STA-ITS missed the %s flow at %#x", bin, shared)
+		}
+	}
+	if r.Bugs != len(r.FoundFlows) {
+		t.Errorf("bugs = %d, want one per found flow (%d)", r.Bugs, len(r.FoundFlows))
+	}
+}

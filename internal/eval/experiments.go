@@ -359,7 +359,7 @@ func RunCaseStudy(ctx context.Context, cache *modelcache.Cache, s *synth.Sample)
 	cs.ITSDepth = deepest.ITSDepth
 	check := func(kind EngineKind) bool {
 		r := RunBugEngine(ctx, cache, s, kind)
-		return r.FoundFlows[deepest.SinkEntry]
+		return r.FoundFlows[Flow{Binary: deepest.Binary, SinkEntry: deepest.SinkEntry}]
 	}
 	cs.KaronteCTS = check(EngineKaronte)
 	cs.KaronteITS = check(EngineKaronteITS)
