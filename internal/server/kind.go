@@ -176,7 +176,7 @@ func (s *Server) readSubmission(r *http.Request, k *jobKind) ([][]byte, optbuild
 	body := http.MaxBytesReader(nil, r.Body, limit)
 	defer body.Close()
 	if len(inputs) == 1 && !strings.HasPrefix(ct, "application/json") {
-		raw, err := io.ReadAll(body)
+		raw, err := readPart(body, limit, r.ContentLength)
 		if err != nil {
 			return nil, spec, err
 		}
@@ -268,19 +268,21 @@ func readMultipart(body io.Reader, boundary string, inputs []input, limit, sizeH
 	return in, spec, nil
 }
 
-// readPart reads one input part, refusing more than limit bytes with the
-// *http.MaxBytesError the submit handler answers with 413. The buffer
-// doubles from 64 KiB but never past sizeHint, the request's declared
-// length (an upper bound of any part), so an image costs under twice its
-// size in allocations, and a false Content-Length earns no more memory than
-// the bytes actually sent.
+// readPart reads one input — a multipart part, a raw body or a file —
+// refusing more than limit bytes with the *http.MaxBytesError the submit
+// handler answers with 413. sizeHint bounds what p holds: the request's
+// declared length, or a file's size (negative when unknown). The buffer
+// doubles from 64 KiB but never past sizeHint+1, the extra byte taking the
+// read that sees EOF, so an input costs under twice its size in
+// allocations, and a false hint earns no more memory than the bytes
+// actually sent.
 func readPart(p io.Reader, limit, sizeHint int64) ([]byte, error) {
 	buf := make([]byte, 0, min(64<<10, limit+1))
 	for {
 		if len(buf) == cap(buf) {
 			next := min(2*int64(cap(buf)), limit+1)
-			if sizeHint > int64(cap(buf)) {
-				next = min(next, sizeHint)
+			if sizeHint >= int64(cap(buf)) && sizeHint < next {
+				next = sizeHint + 1
 			}
 			buf = append(make([]byte, 0, next), buf...)
 		}
@@ -308,12 +310,17 @@ func (s *Server) readPath(path, what string) ([]byte, error) {
 		return nil, fmt.Errorf("reading %s path: %v", what, err)
 	}
 	defer f.Close()
-	raw, err := io.ReadAll(io.LimitReader(f, s.cfg.MaxUploadBytes+1))
-	if err != nil {
-		return nil, fmt.Errorf("reading %s path: %v", what, err)
+	size := int64(-1)
+	if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
+		size = fi.Size()
 	}
-	if int64(len(raw)) > s.cfg.MaxUploadBytes {
+	raw, err := readPart(f, s.cfg.MaxUploadBytes, size)
+	var mbe *http.MaxBytesError
+	switch {
+	case errors.As(err, &mbe):
 		return nil, fmt.Errorf("%s at %s exceeds the %d byte limit", what, path, s.cfg.MaxUploadBytes)
+	case err != nil:
+		return nil, fmt.Errorf("reading %s path: %v", what, err)
 	}
 	return raw, nil
 }

@@ -157,35 +157,41 @@ func BenchmarkReadSubmission(b *testing.B) {
 	}
 }
 
-// TestMultipartDecodeAllocs bounds what decoding a multipart submission of
-// an N-byte image allocates at 2N plus a fixed allowance for the request,
-// the reader's buffers and the options. Base64 inside JSON costs several
-// times N, and so does reading the part by repeated growth, so a decoder
-// that silently falls back to either fails here.
+// TestMultipartDecodeAllocs bounds what decoding a multipart submission,
+// or a raw octet-stream body, of an N-byte image allocates at 2N plus a
+// fixed allowance for the request, the reader's buffers and the options.
+// Base64 inside JSON costs several times N, and so does reading the input
+// by repeated growth, so a decoder that silently falls back to either fails
+// here.
 func TestMultipartDecodeAllocs(t *testing.T) {
 	raw := benchImage()
-	body, ct, err := EncodeSubmission(&SubmitRequest{Firmware: raw, Options: optbuild.Spec{Scan: true}})
+	mp, mpType, err := EncodeSubmission(&SubmitRequest{Firmware: raw, Options: optbuild.Spec{Scan: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := &Server{cfg: Config{MaxUploadBytes: DefaultMaxUploadBytes}}
-	decode := func() {
-		in, _, err := s.decode(jobKinds[0], ct, body)
-		if err != nil || !bytes.Equal(in[0], raw) {
-			t.Fatalf("decode: %v", err)
+	for _, enc := range []struct {
+		name, ct string
+		body     []byte
+	}{{"multipart", mpType, mp}, {"octet-stream", "application/octet-stream", raw}} {
+		decode := func() {
+			in, _, err := s.decode(jobKinds[0], enc.ct, enc.body)
+			if err != nil || !bytes.Equal(in[0], raw) {
+				t.Fatalf("%s decode: %v", enc.name, err)
+			}
 		}
-	}
-	decode()
-	const runs = 20
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
 		decode()
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			decode()
+		}
+		runtime.ReadMemStats(&after)
+		perOp := (after.TotalAlloc - before.TotalAlloc) / runs
+		if bound := uint64(2*len(raw) + 32<<10); perOp > bound {
+			t.Errorf("%s: decoding a %d-byte image allocated %d bytes, bound %d", enc.name, len(raw), perOp, bound)
+		}
+		t.Logf("%s: %d-byte image: %d bytes allocated per decode", enc.name, len(raw), perOp)
 	}
-	runtime.ReadMemStats(&after)
-	perOp := (after.TotalAlloc - before.TotalAlloc) / runs
-	if bound := uint64(2*len(raw) + 32<<10); perOp > bound {
-		t.Errorf("decoding a %d-byte image allocated %d bytes, bound %d", len(raw), perOp, bound)
-	}
-	t.Logf("%d-byte image: %d bytes allocated per decode", len(raw), perOp)
 }
