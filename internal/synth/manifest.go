@@ -168,16 +168,6 @@ func (m *Manifest) ITSIn(binary string) []ITSTruth {
 	return out
 }
 
-// HandlerAt returns the handler truth containing the function entry.
-func (m *Manifest) HandlerAt(binary string, entry uint32) (HandlerTruth, bool) {
-	for _, h := range m.Handlers {
-		if h.Binary == binary && h.Entry == entry {
-			return h, true
-		}
-	}
-	return HandlerTruth{}, false
-}
-
 // HandlerBySink resolves the handler whose sink call lives in the function
 // at entry (the flow's innermost wrapper for deep bugs).
 func (m *Manifest) HandlerBySink(binary string, entry uint32) (HandlerTruth, bool) {

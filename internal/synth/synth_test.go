@@ -244,12 +244,6 @@ func TestManifestQueries(t *testing.T) {
 	if len(m.ITSIn("httpd")) != 1 || len(m.ITSIn("other")) != 0 {
 		t.Error("ITSIn wrong")
 	}
-	if h, ok := m.HandlerAt("httpd", 2); !ok || h.FuncName != "h1" {
-		t.Error("HandlerAt wrong")
-	}
-	if _, ok := m.HandlerAt("httpd", 99); ok {
-		t.Error("HandlerAt false positive")
-	}
 	if m.TrueBugs() != 1 {
 		t.Errorf("TrueBugs = %d", m.TrueBugs())
 	}
