@@ -232,7 +232,7 @@ func (e *Engine) Run() []Alert {
 		e.runChannels()
 	}
 	e.finishAlerts()
-	var out []Alert
+	out := make([]Alert, 0, len(e.alerts))
 	for _, a := range e.alerts {
 		if a.Reported() {
 			out = append(out, *a)
@@ -244,7 +244,7 @@ func (e *Engine) Run() []Alert {
 
 // AllAlerts returns every alert including filtered ones.
 func (e *Engine) AllAlerts() []Alert {
-	var out []Alert
+	out := make([]Alert, 0, len(e.alerts))
 	for _, a := range e.alerts {
 		out = append(out, *a)
 	}
