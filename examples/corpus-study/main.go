@@ -28,8 +28,6 @@ func main() {
 	}
 	fmt.Printf("%d samples, %d planted bugs\n\n", len(samples), bugs)
 
-	// One cache serves both passes: the baseline reuses the models that
-	// inference built.
 	ctx, cache := context.Background(), modelcache.New(0, 0)
 	cfg := infer.DefaultConfig()
 	cfg.Cache = cache

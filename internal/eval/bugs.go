@@ -65,11 +65,12 @@ type Flow struct {
 // inferredITS runs the inference pipeline and returns the verified top-3
 // entries usable as taint sources — the paper's workflow: infer, manually
 // verify top candidates, then feed confirmed ITSs to the engines. The
-// manifest stands in for manual verification.
-func inferredITS(ctx context.Context, cache *modelcache.Cache, s *synth.Sample, t *loader.Target) ([]uint32, error) {
+// manifest stands in for manual verification. It returns nil once ctx is
+// cancelled, the only way inference fails; the scan after it reports that.
+func inferredITS(ctx context.Context, cache *modelcache.Cache, s *synth.Sample, t *loader.Target) []uint32 {
 	ranking, err := infer.InferTargetContext(ctx, t, cachedConfig(cache))
 	if err != nil {
-		return nil, err
+		return nil
 	}
 	truth := map[uint32]bool{}
 	for _, its := range s.Manifest.ITS {
@@ -83,7 +84,7 @@ func inferredITS(ctx context.Context, cache *modelcache.Cache, s *synth.Sample, 
 			out = append(out, r.Entry)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // RunBugEngine applies one engine configuration to one sample through
@@ -105,9 +106,7 @@ func RunBugEngine(ctx context.Context, cache *modelcache.Cache, s *synth.Sample,
 	for _, t := range res.Targets {
 		opts := taint.Options{UseCTS: true, StringFilter: true}
 		if kind.WithITS() {
-			if opts.ITS, err = inferredITS(ctx, cache, s, t); err != nil {
-				return out
-			}
+			opts.ITS = inferredITS(ctx, cache, s, t)
 		}
 		alerts, err := scan.Run(ctx, t, eng, opts, cache, nil)
 		if err != nil {

@@ -209,21 +209,19 @@ type AblationRow struct {
 	Top3 float64
 }
 
+// ablation scores one inference variant over the corpus.
+func ablation(ctx context.Context, samples []*synth.Sample, name string, cfg infer.Config) AblationRow {
+	t1, t2, t3 := OverallPrecision(RunInferenceCorpus(ctx, samples, cfg))
+	return AblationRow{Name: name, Top1: t1, Top2: t2, Top3: t3}
+}
+
 // Figure5 reruns inference with each single feature removed.
 func Figure5(ctx context.Context, cache *modelcache.Cache, samples []*synth.Sample) []AblationRow {
-	var rows []AblationRow
-	full := RunInferenceCorpus(ctx, samples, cachedConfig(cache))
-	t1, t2, t3 := OverallPrecision(full)
-	rows = append(rows, AblationRow{Name: "BFV", Top1: t1, Top2: t2, Top3: t3})
+	rows := []AblationRow{ablation(ctx, samples, "BFV", cachedConfig(cache))}
 	for f := 0; f < bfv.Dim; f++ {
 		cfgn := cachedConfig(cache)
 		cfgn.DropFeature = f
-		res := RunInferenceCorpus(ctx, samples, cfgn)
-		t1, t2, t3 := OverallPrecision(res)
-		rows = append(rows, AblationRow{
-			Name: fmt.Sprintf("CF-%d (%s)", f+1, bfv.FeatureNames[f]),
-			Top1: t1, Top2: t2, Top3: t3,
-		})
+		rows = append(rows, ablation(ctx, samples, fmt.Sprintf("CF-%d (%s)", f+1, bfv.FeatureNames[f]), cfgn))
 	}
 	return rows
 }
@@ -239,9 +237,7 @@ func Table7(ctx context.Context, cache *modelcache.Cache, samples []*synth.Sampl
 	} {
 		cfgn := cachedConfig(cache)
 		cfgn.Representation = rep
-		res := RunInferenceCorpus(ctx, samples, cfgn)
-		t1, t2, t3 := OverallPrecision(res)
-		rows = append(rows, AblationRow{Name: rep.String(), Top1: t1, Top2: t2, Top3: t3})
+		rows = append(rows, ablation(ctx, samples, rep.String(), cfgn))
 	}
 	return rows
 }
@@ -254,9 +250,7 @@ func Table8(ctx context.Context, cache *modelcache.Cache, samples []*synth.Sampl
 	for _, m := range []score.Metric{score.Euclidean, score.Manhattan, score.Pearson, score.Cosine} {
 		cfgn := cachedConfig(cache)
 		cfgn.Metric = m
-		res := RunInferenceCorpus(ctx, samples, cfgn)
-		t1, t2, t3 := OverallPrecision(res)
-		rows = append(rows, AblationRow{Name: m.String(), Top1: t1, Top2: t2, Top3: t3})
+		rows = append(rows, ablation(ctx, samples, m.String(), cfgn))
 	}
 	return rows
 }
@@ -273,9 +267,7 @@ func RQ4Strategies(ctx context.Context, cache *modelcache.Cache, samples []*synt
 	} {
 		cfgn := cachedConfig(cache)
 		cfgn.Strategy = st
-		res := RunInferenceCorpus(ctx, samples, cfgn)
-		t1, t2, t3 := OverallPrecision(res)
-		rows = append(rows, AblationRow{Name: st.String(), Top1: t1, Top2: t2, Top3: t3})
+		rows = append(rows, ablation(ctx, samples, st.String(), cfgn))
 	}
 	return rows
 }
