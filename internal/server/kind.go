@@ -270,10 +270,10 @@ func readMultipart(body io.Reader, boundary string, inputs []input, limit, sizeH
 
 // readPart reads one input — a multipart part, a raw body or a file —
 // refusing more than limit bytes with the *http.MaxBytesError the submit
-// handler answers with 413. sizeHint bounds what p holds: the request's
-// declared length, or a file's size (negative when unknown). The buffer
-// doubles from 64 KiB but never past sizeHint+1, the extra byte taking the
-// read that sees EOF, so an input costs under twice its size in
+// handler answers with 413. sizeHint is the most p is expected to hold: the
+// request's declared length or the file's size, negative when unknown. The
+// buffer doubles from 64 KiB but never past sizeHint+1, the extra byte
+// taking the read that sees EOF, so an input costs under twice its size in
 // allocations, and a false hint earns no more memory than the bytes
 // actually sent.
 func readPart(p io.Reader, limit, sizeHint int64) ([]byte, error) {
@@ -311,7 +311,7 @@ func (s *Server) readPath(path, what string) ([]byte, error) {
 	}
 	defer f.Close()
 	size := int64(-1)
-	if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
+	if fi, err := f.Stat(); err == nil {
 		size = fi.Size()
 	}
 	raw, err := readPart(f, s.cfg.MaxUploadBytes, size)
