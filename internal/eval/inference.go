@@ -2,12 +2,10 @@
 // of the paper's evaluation section against the synthetic corpus, scoring
 // inference rankings and taint alerts against the generators' ground-truth
 // manifests. Taint scans go through scan.Run, the path fits and fitsd use.
-//
 // eval owns no cache: each entry point that loads firmware takes the
-// caller's *modelcache.Cache (in infer.Config for the inference sweeps),
-// and a nil cache computes everything. Results are identical under any
-// cache. A cancelled ctx stops the run early; the tables then count only
-// the work finished before it.
+// caller's *modelcache.Cache (in infer.Config for the inference sweeps);
+// nil computes everything. A cancelled ctx stops the run early, and the
+// tables then count only the work finished before it.
 package eval
 
 import (

@@ -30,12 +30,10 @@ const (
 	Symbolic
 )
 
-// Run runs eng over t under opts and returns every alert the engine raised,
-// suppressed ones included, in its deterministic order: the static engine's
-// AllAlerts. Callers keep the alerts whose Reported is true, which is exactly
-// the engine's Run list; the rest carry why they were suppressed (Filtered,
-// Refuted). The symbolic engine suppresses nothing, always seeds classical
-// sources and reads only ITS and ITSOut.
+// Run runs eng over t under opts and returns every alert it raised, in its
+// deterministic order (the static engine's RunAll); callers report those
+// whose Reported is true. The symbolic engine suppresses nothing, always
+// seeds classical sources and reads only ITS and ITSOut.
 //
 // The alert list is memoised in cache under key (a nil cache keeps
 // nothing), so re-scanning an unchanged binary — a diff's unchanged targets,
@@ -56,9 +54,7 @@ func Run(ctx context.Context, t *loader.Target, eng Engine, opts taint.Options, 
 		if eng == Symbolic {
 			a = karonte.New(t.Bin, t.Model, karonte.Options{ITS: opts.ITS, ITSOut: opts.ITSOut}).Run()
 		} else {
-			e := taint.New(t.Bin, t.Model, opts)
-			e.Run()
-			a = e.AllAlerts()
+			a = taint.New(t.Bin, t.Model, opts).RunAll()
 		}
 		return a, int64(len(a))*112 + 64, nil
 	})

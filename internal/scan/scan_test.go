@@ -140,9 +140,7 @@ func regionTarget(t *testing.T) *loader.Target {
 func TestRunMemoisesAndTimesMissesOnly(t *testing.T) {
 	target := regionTarget(t)
 	opts := taint.Options{UseCTS: true}
-	e := taint.New(target.Bin, target.Model, opts)
-	e.Run()
-	want := e.AllAlerts()
+	want := taint.New(target.Bin, target.Model, opts).RunAll()
 	if len(want) == 0 {
 		t.Fatal("fixture produces no alert")
 	}

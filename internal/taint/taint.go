@@ -95,7 +95,7 @@ type Alert struct {
 }
 
 // Reported reports whether the alert survives the string filter and the
-// feasibility pass: the one rule that selects Run from AllAlerts.
+// feasibility pass: the one rule that selects Run from RunAll.
 func (a Alert) Reported() bool { return !a.Filtered && a.Refuted == "" }
 
 // Finding is an alert as reported: the API, fitsd's results and version
@@ -219,9 +219,23 @@ func New(bin *binimg.Binary, model *cfg.Model, opts Options) *Engine {
 	}
 }
 
-// Run performs the analysis and returns unfiltered alerts sorted by site.
-// Filtered alerts are retained (marked) for diagnostics via AllAlerts.
+// Run performs the analysis and returns the reported alerts sorted by site:
+// RunAll's alerts whose Reported is true. Suppressed alerts are retained
+// (marked) for diagnostics via AllAlerts.
 func (e *Engine) Run() []Alert {
+	all := e.RunAll()
+	out := all[:0]
+	for _, a := range all {
+		if a.Reported() {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+// RunAll performs the analysis and returns every alert, suppressed ones
+// included, in AllAlerts order.
+func (e *Engine) RunAll() []Alert {
 	if e.opts.UseCTS {
 		e.runCTS()
 	}
@@ -232,14 +246,7 @@ func (e *Engine) Run() []Alert {
 		e.runChannels()
 	}
 	e.finishAlerts()
-	out := make([]Alert, 0, len(e.alerts))
-	for _, a := range e.alerts {
-		if a.Reported() {
-			out = append(out, *a)
-		}
-	}
-	SortAlerts(out)
-	return out
+	return e.AllAlerts()
 }
 
 // AllAlerts returns every alert including filtered ones.
