@@ -150,13 +150,3 @@ func (e *Extractor) FuncVector(f *cfg.Function) Vector {
 	v[FNumStrings] = float64(len(sf.Strings))
 	return v
 }
-
-// All computes vectors for every custom (non-stub) function, keyed by entry
-// address — the behavioral representation BR of Algorithm 1.
-func (e *Extractor) All() map[uint32]Vector {
-	out := make(map[uint32]Vector, len(e.Model.Funcs))
-	for _, f := range e.Model.CustomFuncs() {
-		out[f.Entry] = e.FuncVector(f)
-	}
-	return out
-}

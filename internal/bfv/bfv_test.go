@@ -149,15 +149,15 @@ func TestConfounderVector(t *testing.T) {
 func TestAllSkipsStubs(t *testing.T) {
 	bin, m := buildModel(t, itsProgram())
 	ex := New(bin, m)
-	vecs := ex.All()
-	for entry := range vecs {
-		f, _ := m.FuncAt(entry)
+	funcs := m.CustomFuncs()
+	for _, f := range funcs {
 		if f.ImportStub {
 			t.Errorf("stub %s included", f.Name)
 		}
+		ex.FuncVector(f)
 	}
-	if len(vecs) != 4 {
-		t.Errorf("custom functions = %d, want 4", len(vecs))
+	if len(funcs) != 4 {
+		t.Errorf("custom functions = %d, want 4", len(funcs))
 	}
 }
 

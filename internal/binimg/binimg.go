@@ -12,7 +12,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"fits/internal/isa"
 )
@@ -172,16 +171,6 @@ func (b *Binary) ExportAt(addr uint32) (string, bool) {
 	return "", false
 }
 
-// ExportAddr returns the address of a named export.
-func (b *Binary) ExportAddr(name string) (uint32, bool) {
-	for _, e := range b.Exports {
-		if e.Name == name {
-			return e.Addr, true
-		}
-	}
-	return 0, false
-}
-
 // FuncName returns the debug name of the function at addr (unstripped
 // binaries only).
 func (b *Binary) FuncName(addr uint32) (string, bool) {
@@ -193,21 +182,9 @@ func (b *Binary) FuncName(addr uint32) (string, bool) {
 	return "", false
 }
 
-// SortedFuncs returns the debug function symbols in address order.
-func (b *Binary) SortedFuncs() []Sym {
-	out := append([]Sym(nil), b.Funcs...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
-	return out
-}
-
 // Size returns the total mapped size in bytes.
 func (b *Binary) Size() int {
 	return len(b.Text.Data) + len(b.Rodata.Data) + len(b.Data.Data) + int(b.BssSize)
-}
-
-// Instructions decodes the whole text section.
-func (b *Binary) Instructions() ([]isa.Instr, error) {
-	return b.Arch.DecodeAll(b.Text.Data)
 }
 
 // InstrAt decodes the single instruction at addr in the text section.

@@ -62,7 +62,7 @@ func TestStrip(t *testing.T) {
 		t.Error("stripped flag not preserved")
 	}
 	// Dynamic information must survive stripping.
-	if _, ok := got.ExportAddr("main"); !ok {
+	if _, ok := got.ExportAt(0x10000); !ok {
 		t.Error("exports lost on strip")
 	}
 	if _, ok := got.ImportAtStub(0x10010); !ok {
@@ -164,10 +164,7 @@ func TestSymbolQueries(t *testing.T) {
 	if name, ok := b.ExportAt(0x10000); !ok || name != "main" {
 		t.Errorf("ExportAt = %q, %v", name, ok)
 	}
-	if addr, ok := b.ExportAddr("main"); !ok || addr != 0x10000 {
-		t.Errorf("ExportAddr = %#x, %v", addr, ok)
-	}
-	if _, ok := b.ExportAddr("nope"); ok {
+	if _, ok := b.ExportAt(0x10004); ok {
 		t.Error("unexpected export")
 	}
 	if name, ok := b.FuncName(0x10008); !ok || name != "fn1" {
@@ -177,15 +174,6 @@ func TestSymbolQueries(t *testing.T) {
 
 func TestSortedFuncsAndSize(t *testing.T) {
 	b := sample()
-	b.Funcs = []Sym{{Name: "z", Addr: 0x30}, {Name: "a", Addr: 0x10}}
-	fs := b.SortedFuncs()
-	if fs[0].Addr != 0x10 || fs[1].Addr != 0x30 {
-		t.Errorf("not sorted: %v", fs)
-	}
-	// SortedFuncs must not mutate the original.
-	if b.Funcs[0].Addr != 0x30 {
-		t.Error("SortedFuncs mutated receiver")
-	}
 	want := len(b.Text.Data) + len(b.Rodata.Data) + len(b.Data.Data) + int(b.BssSize)
 	if b.Size() != want {
 		t.Errorf("Size = %d, want %d", b.Size(), want)
@@ -194,14 +182,14 @@ func TestSortedFuncsAndSize(t *testing.T) {
 
 func TestInstructions(t *testing.T) {
 	b := sample()
-	ins, err := b.Instructions()
-	if err != nil {
-		t.Fatal(err)
+	if n := len(b.Text.Data) / isa.Width; n != 3 {
+		t.Errorf("text holds %d instructions, want 3", n)
 	}
-	if len(ins) != 3 || ins[0].Op != isa.OpMovi {
-		t.Errorf("instructions = %v", ins)
+	in, err := b.InstrAt(b.Text.Addr)
+	if err != nil || in.Op != isa.OpMovi {
+		t.Errorf("InstrAt(text start) = %v, %v", in, err)
 	}
-	in, err := b.InstrAt(0x10008)
+	in, err = b.InstrAt(0x10008)
 	if err != nil || in.Op != isa.OpRet {
 		t.Errorf("InstrAt = %v, %v", in, err)
 	}

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"fits/internal/isa"
 )
 
 // Property: Decode never panics, whatever the bytes — it either errors or
@@ -71,7 +73,8 @@ func TestQuickDecodeBitflips(t *testing.T) {
 		b.SectionOf(b.Entry)
 		b.WordAt(b.Data.Addr)
 		b.CString(b.Rodata.Addr)
-		b.SortedFuncs()
-		_, _ = b.Instructions()
+		for off := 0; off+isa.Width <= len(b.Text.Data); off += isa.Width {
+			_, _ = b.InstrAt(b.Text.Addr + uint32(off))
+		}
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"fits/internal/binimg"
 	"fits/internal/ir"
@@ -76,15 +75,6 @@ func (f *Function) NumBlocks() int { return len(f.Blocks) }
 
 // HasLoop reports whether the function contains any natural loop.
 func (f *Function) HasLoop() bool { return len(f.Loops) > 0 }
-
-// Size returns the function's footprint in bytes (sum of block sizes).
-func (f *Function) Size() int {
-	n := 0
-	for _, b := range f.Blocks {
-		n += len(b.Instrs) * isa.Width
-	}
-	return n
-}
 
 // BlocksInOrder returns blocks by ascending start address.
 func (f *Function) BlocksInOrder() []*BasicBlock {
@@ -150,20 +140,6 @@ func (m *Model) CustomFuncs() []*Function {
 			out = append(out, f)
 		}
 	}
-	return out
-}
-
-// Callees returns resolved callee entries of f in deterministic order.
-func (m *Model) Callees(f *Function) []uint32 {
-	seen := map[uint32]bool{}
-	var out []uint32
-	for _, cs := range f.Calls {
-		if cs.Target != 0 && !seen[cs.Target] {
-			seen[cs.Target] = true
-			out = append(out, cs.Target)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

@@ -167,7 +167,12 @@ func TestCallGraph(t *testing.T) {
 		t.Errorf("mid callers = %d, want 1", got)
 	}
 	main := funcByName(t, m, "main")
-	callees := m.Callees(main)
+	callees := map[uint32]bool{}
+	for _, cs := range main.Calls {
+		if cs.Target != 0 {
+			callees[cs.Target] = true
+		}
+	}
 	if len(callees) != 2 {
 		t.Errorf("main callees = %v", callees)
 	}
@@ -333,8 +338,9 @@ func TestBlockEndAndSize(t *testing.T) {
 		}
 		total += len(b.Instrs) * isa.Width
 	}
-	if f.Size() != total {
-		t.Errorf("Size = %d, want %d", f.Size(), total)
+	// main is straight-line code, so its blocks tile [Entry, last End).
+	if span := f.Blocks[f.Order[len(f.Order)-1]].End() - f.Entry; total != int(span) {
+		t.Errorf("blocks cover %d bytes, want %d", total, span)
 	}
 }
 

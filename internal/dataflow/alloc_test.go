@@ -22,9 +22,15 @@ func loopFunc(t testing.TB, init isa.Instr, n int) *cfg.Function {
 	ins = append(ins,
 		isa.Instr{Op: isa.OpBlt, Rs1: isa.R1, Rs2: isa.R0, Imm: int32(addr(1))},
 		isa.Instr{Op: isa.OpRet})
-	lifted, err := ir.NewLifter().LiftAll(addr(0), ins)
-	if err != nil {
-		t.Fatal(err)
+	l := ir.NewLifter()
+	l.Reserve(ins)
+	lifted := make([]*ir.Block, len(ins))
+	for i, in := range ins {
+		b, err := l.Lift(addr(i), in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lifted[i] = b
 	}
 	fn := &cfg.Function{Entry: addr(0), Blocks: map[uint32]*cfg.BasicBlock{}, Params: 1}
 	body := map[uint32]bool{}

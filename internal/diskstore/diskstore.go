@@ -147,9 +147,6 @@ func (s *Store) Close() error {
 	return err
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Stats snapshots the counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()

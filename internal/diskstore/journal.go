@@ -181,18 +181,6 @@ func (j *Journal) Rewrite(recs []Record) error {
 	return nil
 }
 
-// Size reports the current journal length in bytes; tests use it to mark
-// durable prefixes.
-func (j *Journal) Size() (int64, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	st, err := os.Stat(j.path)
-	if err != nil {
-		return 0, err
-	}
-	return st.Size(), nil
-}
-
 // Close releases the append handle. Further Appends fail.
 func (j *Journal) Close() error {
 	j.mu.Lock()

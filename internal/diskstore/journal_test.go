@@ -204,11 +204,11 @@ func TestJournalRandomKillPoints(t *testing.T) {
 			if err := j.Append(rec); err != nil {
 				t.Fatal(err)
 			}
-			n, err := j.Size()
+			st, err := os.Stat(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ackLens = append(ackLens, n)
+			ackLens = append(ackLens, st.Size())
 			acked = append(acked, rec)
 		}
 		j.Close()

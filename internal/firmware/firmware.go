@@ -85,16 +85,6 @@ func (im *Image) Lookup(path string) (File, bool) {
 	return File{}, false
 }
 
-// Paths returns all file paths in sorted order.
-func (im *Image) Paths() []string {
-	out := make([]string, len(im.Files))
-	for i, f := range im.Files {
-		out[i] = f.Path
-	}
-	sort.Strings(out)
-	return out
-}
-
 // PackOptions controls image serialization.
 type PackOptions struct {
 	Scheme  Scheme

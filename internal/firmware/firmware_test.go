@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -134,7 +135,11 @@ func TestLookupAndPaths(t *testing.T) {
 	if _, ok := im.Lookup("bin/nope"); ok {
 		t.Error("unexpected file")
 	}
-	paths := im.Paths()
+	var paths []string
+	for _, f := range im.Files {
+		paths = append(paths, f.Path)
+	}
+	sort.Strings(paths)
 	if len(paths) != 3 || paths[0] != "bin/httpd" {
 		t.Errorf("paths = %v", paths)
 	}

@@ -48,30 +48,6 @@ func Extract(path string, data []byte) []Keyword {
 	return dedupe(kws)
 }
 
-// IsArtifact reports whether the path names a recognized front-end
-// artifact type.
-func IsArtifact(path string) bool {
-	switch ext(path) {
-	case "html", "htm", "js", "conf", "cfg":
-		return true
-	}
-	return false
-}
-
-// Names returns the distinct keyword names of a set, sorted.
-func Names(kws []Keyword) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, k := range kws {
-		if !seen[k.Name] {
-			seen[k.Name] = true
-			out = append(out, k.Name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 func ext(path string) string {
 	dot := -1
 	for i := len(path) - 1; i >= 0; i-- {

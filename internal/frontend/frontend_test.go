@@ -2,6 +2,7 @@ package frontend
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -79,8 +80,8 @@ func TestExtractUnknownExtension(t *testing.T) {
 	if got := Extract("bin/httpd", []byte("name=\"x\"")); got != nil {
 		t.Fatalf("non-artifact extracted %v", got)
 	}
-	if !IsArtifact("www/a.HTML") || IsArtifact("bin/httpd") {
-		t.Fatal("IsArtifact misclassified")
+	if Extract("www/a.HTML", nil) == nil {
+		t.Fatal("upper-case .HTML not recognized as an artifact")
 	}
 }
 
@@ -101,9 +102,12 @@ func TestExtractDeterministicAndDeduped(t *testing.T) {
 }
 
 func TestNames(t *testing.T) {
-	kws := []Keyword{{Name: "b"}, {Name: "a"}, {Name: "b"}}
-	if got := Names(kws); !reflect.DeepEqual(got, []string{"a", "b"}) {
-		t.Fatalf("Names = %v", got)
+	var names []string
+	for _, k := range Extract("f.html", []byte(`<input name="b"><input name="a"><input name="b">`)) {
+		names = append(names, k.Name)
+	}
+	if got := slices.Compact(names); !reflect.DeepEqual(got, []string{"a", "b"}) {
+		t.Fatalf("names = %v", got)
 	}
 }
 

@@ -2,6 +2,7 @@ package infer
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -300,11 +301,12 @@ func TestAnchorsSharedAcrossTargets(t *testing.T) {
 	cfgn := DefaultConfig()
 	cfgn.Cache = cache
 
-	before := cache.Len()
+	before := cache.Stats().Entries
 	mustInfer(t, first, cfgn)
-	grewFirst := cache.Len() - before
+	grewFirst := cache.Stats().Entries - before
 	for lib, h := range first.LibHashes {
-		v, ok := cache.Get(modelcache.Key("anchors", vectorSig(cfgn), h))
+		miss := func() (any, int64, error) { return nil, 0, errors.New("not resident") }
+		v, ok, _ := cache.GetOrCompute(modelcache.Key("anchors", vectorSig(cfgn), h), miss)
 		if !ok {
 			t.Fatalf("%s: no library-keyed anchors entry after inferring %s", lib, first.Path)
 		}
@@ -326,9 +328,9 @@ func TestAnchorsSharedAcrossTargets(t *testing.T) {
 	if shared == 0 {
 		t.Fatal("targets share no library")
 	}
-	before = cache.Len()
+	before = cache.Stats().Entries
 	mustInfer(t, second, cfgn)
-	if grewSecond := cache.Len() - before; grewSecond != grewFirst-shared {
+	if grewSecond := cache.Stats().Entries - before; grewSecond != grewFirst-shared {
 		t.Errorf("second target added %d entries, want %d: its %d shared libraries' anchors must be reused",
 			grewSecond, grewFirst-shared, shared)
 	}

@@ -41,21 +41,6 @@ func (t *Table) Bytes(b []byte) string {
 	return t.insert(string(b))
 }
 
-// String returns the canonical instance of s, interning it on first sight.
-// A nil table returns s unchanged.
-func (t *Table) String(s string) string {
-	if t == nil {
-		return s
-	}
-	t.mu.RLock()
-	c, ok := t.m[s]
-	t.mu.RUnlock()
-	if ok {
-		return c
-	}
-	return t.insert(s)
-}
-
 func (t *Table) insert(s string) string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -64,14 +49,4 @@ func (t *Table) insert(s string) string {
 	}
 	t.m[s] = s
 	return s
-}
-
-// Len reports the number of distinct strings interned so far.
-func (t *Table) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.m)
 }

@@ -187,7 +187,7 @@ func TestLiftAllTempsUnique(t *testing.T) {
 		{Op: isa.OpRet},
 	}
 	l := NewLifter()
-	blocks, err := l.LiftAll(0x100, ins)
+	blocks, err := liftAll(l, 0x100, ins)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,8 +205,8 @@ func TestLiftAllTempsUnique(t *testing.T) {
 			}
 		}
 	}
-	if l.NumTemps() != len(seen) {
-		t.Errorf("NumTemps = %d, seen %d", l.NumTemps(), len(seen))
+	if int(l.next) != len(seen) {
+		t.Errorf("temps allocated = %d, seen %d", l.next, len(seen))
 	}
 	if blocks[1].Addr != 0x100+isa.Width {
 		t.Errorf("block addr = %#x", blocks[1].Addr)

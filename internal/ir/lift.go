@@ -229,9 +229,6 @@ func (l *Lifter) tmp() Temp {
 	return t
 }
 
-// NumTemps returns the number of temporaries allocated so far.
-func (l *Lifter) NumTemps() int { return int(l.next) }
-
 // Instruction-to-IR operator tables, hoisted to package level so Lift does
 // not materialize a fresh map per lifted instruction (these two literals
 // dominated the lift path's allocation profile).
@@ -361,19 +358,4 @@ func (l *Lifter) Lift(addr uint32, in isa.Instr) (*Block, error) {
 		b.Stmts = l.stmts[start:end:end]
 	}
 	return b, nil
-}
-
-// LiftAll lifts a contiguous run of instructions starting at base, reserving
-// for exactly them first.
-func (l *Lifter) LiftAll(base uint32, ins []isa.Instr) ([]*Block, error) {
-	l.Reserve(ins)
-	out := make([]*Block, 0, len(ins))
-	for i, in := range ins {
-		b, err := l.Lift(base+uint32(i*isa.Width), in)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, b)
-	}
-	return out, nil
 }

@@ -78,10 +78,6 @@ func TestReserveIsExact(t *testing.T) {
 	// and decoder, lifted at that architecture's text base.
 	fn := everyOpcode()
 	for _, arch := range []isa.Arch{isa.ArchARM, isa.ArchAARCH, isa.ArchMIPS} {
-		ins, err := arch.DecodeAll(arch.EncodeAll(fn))
-		if err != nil {
-			t.Fatalf("%s: %v", arch, err)
-		}
-		liftReserved(t, arch.String(), arch.Base(), ins)
+		liftReserved(t, arch.String(), arch.Base(), roundTrip(t, arch, fn))
 	}
 }

@@ -6,6 +6,36 @@ import (
 	"fits/internal/isa"
 )
 
+// liftAll lifts a contiguous run of instructions starting at base, one
+// block per instruction, reserving for exactly them first.
+func liftAll(l *Lifter, base uint32, ins []isa.Instr) ([]*Block, error) {
+	l.Reserve(ins)
+	out := make([]*Block, 0, len(ins))
+	for i, in := range ins {
+		b, err := l.Lift(base+uint32(i*isa.Width), in)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, b)
+	}
+	return out, nil
+}
+
+// roundTrip encodes ins in arch's encoding and decodes it back.
+func roundTrip(t *testing.T, arch isa.Arch, ins []isa.Instr) []isa.Instr {
+	t.Helper()
+	raw := arch.EncodeAll(ins)
+	out := make([]isa.Instr, len(ins))
+	for i := range out {
+		in, err := arch.Decode(raw[i*isa.Width:])
+		if err != nil {
+			t.Fatalf("%s: %v", arch, err)
+		}
+		out[i] = in
+	}
+	return out
+}
+
 // checkBlockTemps fails unless b's temporaries are its own: its WrTmps use
 // consecutive temps, at most MaxBlockTemps of them, and every RdTmp reads a
 // temp written earlier in b.
@@ -78,7 +108,7 @@ func TestTempsAreBlockLocal(t *testing.T) {
 		t.Fatalf("liftCounts writes at most %d temps per block, MaxBlockTemps is %d", most, MaxBlockTemps)
 	}
 	lift := func(what string, base uint32, ins []isa.Instr) {
-		blocks, err := NewLifter().LiftAll(base, ins)
+		blocks, err := liftAll(NewLifter(), base, ins)
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
@@ -89,10 +119,6 @@ func TestTempsAreBlockLocal(t *testing.T) {
 	fn := everyOpcode()
 	lift("single lifter", 0x10000, fn)
 	for _, arch := range []isa.Arch{isa.ArchARM, isa.ArchAARCH, isa.ArchMIPS} {
-		ins, err := arch.DecodeAll(arch.EncodeAll(fn))
-		if err != nil {
-			t.Fatalf("%s: %v", arch, err)
-		}
-		lift(arch.String(), arch.Base(), ins)
+		lift(arch.String(), arch.Base(), roundTrip(t, arch, fn))
 	}
 }

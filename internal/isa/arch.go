@@ -143,18 +143,3 @@ func (a Arch) EncodeAll(ins []Instr) []byte {
 	}
 	return out
 }
-
-// DecodeAll decodes len(src)/Width instructions. Decoding stops at the first
-// undecodable instruction and returns what was decoded with the error.
-func (a Arch) DecodeAll(src []byte) ([]Instr, error) {
-	n := len(src) / Width
-	out := make([]Instr, 0, n)
-	for i := 0; i < n; i++ {
-		in, err := a.Decode(src[i*Width:])
-		if err != nil {
-			return out, err
-		}
-		out = append(out, in)
-	}
-	return out, nil
-}

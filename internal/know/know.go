@@ -25,12 +25,6 @@ var Anchors = map[string]int{
 	"memchr":  3,
 }
 
-// IsAnchor reports whether name denotes an anchor function.
-func IsAnchor(name string) bool {
-	_, ok := Anchors[name]
-	return ok
-}
-
 // SourceSpec describes how a classical taint source produces user input.
 type SourceSpec struct {
 	Arity         int
@@ -49,12 +43,6 @@ var Sources = map[string]SourceSpec{
 	"gets":     {Arity: 1, TaintedParams: []int{0}},
 	"getenv":   {Arity: 1, TaintsReturn: true},
 	"BIO_read": {Arity: 3, TaintedParams: []int{1}},
-}
-
-// IsSource reports whether name is a classical taint source.
-func IsSource(name string) bool {
-	_, ok := Sources[name]
-	return ok
 }
 
 // SinkKind distinguishes the vulnerability classes detected, plus the

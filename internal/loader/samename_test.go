@@ -59,7 +59,14 @@ func dispatchCallees(t *testing.T, img *firmware.Image, path string, opts Option
 				if !ok {
 					t.Fatalf("%s: dispatch not recovered", path)
 				}
-				return tg.Model.Callees(f)
+				var callees []uint32
+				for _, cs := range f.Calls {
+					if cs.Target != 0 && !slices.Contains(callees, cs.Target) {
+						callees = append(callees, cs.Target)
+					}
+				}
+				slices.Sort(callees)
+				return callees
 			}
 		}
 	}

@@ -111,23 +111,6 @@ func New(maxEntries int, maxBytes int64) *Cache {
 	}
 }
 
-// Get returns the cached value for key, if resident, and marks it recently
-// used. It does not join in-flight computations.
-func (c *Cache) Get(key string) (any, bool) {
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		return el.Value.(*entry).val, true
-	}
-	c.misses++
-	return nil, false
-}
-
 // GetOrCompute returns the value for key, computing it at most once across
 // concurrent callers. compute returns the value, its estimated cost in bytes,
 // and an error; errors are propagated to every waiter and never cached, so a
@@ -230,14 +213,4 @@ func (c *Cache) Stats() Stats {
 		Entries:   c.ll.Len(),
 		Bytes:     c.bytes,
 	}
-}
-
-// Len returns the number of resident entries; zero for a nil *Cache.
-func (c *Cache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
 }

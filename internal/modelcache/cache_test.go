@@ -11,6 +11,23 @@ import (
 	"time"
 )
 
+// get returns the cached value for key, if resident, and marks it recently
+// used, as a hit would. It does not join in-flight computations.
+func get(c *Cache, key string) (any, bool) {
+	if c == nil {
+		return nil, false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
+		c.ll.MoveToFront(el)
+		c.hits++
+		return el.Value.(*entry).val, true
+	}
+	c.misses++
+	return nil, false
+}
+
 func computeConst(v int, cost int64) func() (any, int64, error) {
 	return func() (any, int64, error) { return v, cost, nil }
 }
@@ -40,15 +57,15 @@ func TestLRUEvictionByEntryCount(t *testing.T) {
 		c.GetOrCompute(fmt.Sprintf("k%d", i), computeConst(i, 1))
 	}
 	// Touch k0 so k1 is the least recently used.
-	if _, ok := c.Get("k0"); !ok {
+	if _, ok := get(c, "k0"); !ok {
 		t.Fatal("k0 missing before eviction")
 	}
 	c.GetOrCompute("k3", computeConst(3, 1))
-	if _, ok := c.Get("k1"); ok {
+	if _, ok := get(c, "k1"); ok {
 		t.Error("k1 should have been evicted as LRU")
 	}
 	for _, k := range []string{"k0", "k2", "k3"} {
-		if _, ok := c.Get(k); !ok {
+		if _, ok := get(c, k); !ok {
 			t.Errorf("%s should be resident", k)
 		}
 	}
@@ -61,10 +78,10 @@ func TestLRUEvictionByBytes(t *testing.T) {
 	c := New(100, 100)
 	c.GetOrCompute("a", computeConst(1, 60))
 	c.GetOrCompute("b", computeConst(2, 60)) // 120 bytes > 100: evicts a
-	if _, ok := c.Get("a"); ok {
+	if _, ok := get(c, "a"); ok {
 		t.Error("a should have been evicted to meet the byte budget")
 	}
-	if _, ok := c.Get("b"); !ok {
+	if _, ok := get(c, "b"); !ok {
 		t.Error("b should be resident")
 	}
 	if s := c.Stats(); s.Bytes != 60 {
@@ -72,7 +89,7 @@ func TestLRUEvictionByBytes(t *testing.T) {
 	}
 	// An oversized entry is retained alone rather than thrashing.
 	c.GetOrCompute("huge", computeConst(3, 500))
-	if _, ok := c.Get("huge"); !ok {
+	if _, ok := get(c, "huge"); !ok {
 		t.Error("oversized entry should be resident until displaced")
 	}
 }
@@ -128,7 +145,7 @@ func TestErrorsPropagateAndAreNotCached(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want propagated compute error", err)
 	}
-	if c.Len() != 0 {
+	if c.Stats().Entries != 0 {
 		t.Error("failed computation must not be cached")
 	}
 	v, hit, err := c.GetOrCompute("bad", computeConst(7, 1))
@@ -176,7 +193,7 @@ func TestCancelledFlightDoesNotFailWaiters(t *testing.T) {
 		} else if secondVal != 7 {
 			t.Errorf("%v: waiter got %v, want its own computed 7", cause, secondVal)
 		}
-		if v, ok := c.Get("ranking"); !ok || v != 7 {
+		if v, ok := get(c, "ranking"); !ok || v != 7 {
 			t.Errorf("%v: retried value not cached: %v %v", cause, v, ok)
 		}
 	}
@@ -196,7 +213,7 @@ func TestKeyConfigVersionInvalidation(t *testing.T) {
 	if _, hit, _ := c.GetOrCompute(cur, computeConst(2, 1)); hit {
 		t.Error("current-epoch key must miss entries written under another epoch")
 	}
-	v, _ := c.Get(cur)
+	v, _ := get(c, cur)
 	if v.(int) != 2 {
 		t.Errorf("current epoch value = %v, want 2", v)
 	}
@@ -246,8 +263,8 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if c.Len() > 16 {
-		t.Errorf("entries = %d, want <= 16", c.Len())
+	if c.Stats().Entries > 16 {
+		t.Errorf("entries = %d, want <= 16", c.Stats().Entries)
 	}
 }
 
@@ -269,11 +286,11 @@ func TestNilCacheComputesEveryCall(t *testing.T) {
 	if _, hit, err := c.GetOrCompute("k", func() (any, int64, error) { return nil, 0, boom }); hit || !errors.Is(err, boom) {
 		t.Errorf("hit=%v err=%v, want the compute error", hit, err)
 	}
-	if _, ok := c.Get("k"); ok {
+	if _, ok := get(c, "k"); ok {
 		t.Error("nil cache reported a resident value")
 	}
-	if s := c.Stats(); s != (Stats{}) || c.Len() != 0 {
-		t.Errorf("stats = %+v, len = %d, want zero", s, c.Len())
+	if s := c.Stats(); s != (Stats{}) || c.Stats().Entries != 0 {
+		t.Errorf("stats = %+v, len = %d, want zero", s, c.Stats().Entries)
 	}
 }
 

@@ -151,7 +151,7 @@ func TestRunMemoisesAndTimesMissesOnly(t *testing.T) {
 	if _, err := Run(ctx, target, Static, opts, cache, nil); err != context.Canceled {
 		t.Fatalf("cancelled scan: err = %v", err)
 	}
-	if cache.Len() != 0 {
+	if cache.Stats().Entries != 0 {
 		t.Fatal("a scan that never ran was cached")
 	}
 

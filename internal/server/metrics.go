@@ -36,9 +36,6 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
 // Add moves the value by delta (negative to decrease).
 func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 
@@ -67,13 +64,6 @@ func (h *Histogram) Observe(v float64) {
 	h.buckets[i]++
 	h.sum += v
 	h.count++
-}
-
-// Count reads the number of observations.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
 }
 
 // metric is one registered family.

@@ -12,7 +12,7 @@ func TestRegistryRendering(t *testing.T) {
 	g := r.Gauge("a_gauge", "A gauge.")
 	r.GaugeFunc("c_dynamic", "A callback gauge.", func() float64 { return 2.5 })
 	c.Add(3)
-	g.Set(-7)
+	g.Add(-7)
 	var sb strings.Builder
 	r.WriteText(&sb)
 	out := sb.String()
@@ -52,8 +52,8 @@ func TestHistogramBuckets(t *testing.T) {
 			t.Errorf("missing %q in:\n%s", want, out)
 		}
 	}
-	if h.Count() != 5 {
-		t.Errorf("Count = %d", h.Count())
+	if h.count != 5 {
+		t.Errorf("count = %d", h.count)
 	}
 }
 
@@ -84,8 +84,8 @@ func TestCountersConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if c.Value() != 8000 || g.Value() != 0 || h.Count() != 8000 {
-		t.Errorf("c=%d g=%d h=%d", c.Value(), g.Value(), h.Count())
+	if c.Value() != 8000 || g.Value() != 0 || h.count != 8000 {
+		t.Errorf("c=%d g=%d h=%d", c.Value(), g.Value(), h.count)
 	}
 }
 

@@ -319,10 +319,6 @@ func (s *Server) routes() {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Registry exposes the metrics registry (for embedding fitsd metrics into
-// a larger process).
-func (s *Server) Registry() *Registry { return s.reg }
-
 // errQueueFull and errDraining classify enqueue refusals.
 var (
 	errQueueFull = errors.New("queue full")

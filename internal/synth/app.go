@@ -842,7 +842,3 @@ func (b *appBuilder) mainFunc() {
 	)
 	b.fn("main", 0, body)
 }
-
-// KeyedFetchBodyForTest exposes the fetch-body variants to verification
-// tests in other packages.
-func KeyedFetchBodyForTest(variant int) []minic.Stmt { return keyedFetchBody(variant) }

@@ -34,7 +34,7 @@ func TestChainDatasetGenerates(t *testing.T) {
 					t.Errorf("seed %d v%d: handler %s entries unresolved", spec.Seed, vi, h.FuncName)
 				}
 			}
-			bin, err := s.AppBinary()
+			bin, err := appBinary(s)
 			if err != nil {
 				t.Fatalf("seed %d v%d: %v", spec.Seed, vi, err)
 			}
@@ -143,7 +143,7 @@ func TestChainStepTruthTransitions(t *testing.T) {
 		t.Error("new name missing from manifest after rename")
 	}
 	// The renamed function is still a dynamic export under its new name.
-	bin, err := c.Versions[4].AppBinary()
+	bin, err := appBinary(c.Versions[4])
 	if err != nil {
 		t.Fatal(err)
 	}

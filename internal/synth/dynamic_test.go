@@ -132,7 +132,7 @@ func TestPlantedBugsTriggerDynamically(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bin, err := sample.AppBinary()
+	bin, err := appBinary(sample)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestSanitizedHandlerBlocksLongPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bin, err := sample.AppBinary()
+	bin, err := appBinary(sample)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestEmulatedITSExtraction(t *testing.T) {
 		if len(sample.Manifest.ITS) == 0 {
 			continue
 		}
-		bin, err := sample.AppBinary()
+		bin, err := appBinary(sample)
 		if err != nil {
 			t.Fatal(err)
 		}

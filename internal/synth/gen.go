@@ -234,23 +234,3 @@ func GenerateCorpus() ([]*Sample, error) {
 	}
 	return out, nil
 }
-
-// Sample accessors used by tests and examples.
-
-// AppBinary decodes the network binary of a sample.
-func (s *Sample) AppBinary() (*binimg.Binary, error) {
-	f, ok := s.Image.Lookup(s.Manifest.NetBinaries[0])
-	if !ok {
-		return nil, fmt.Errorf("synth: network binary missing")
-	}
-	return binimg.Decode(f.Data)
-}
-
-// LibcBinary decodes the sample's libc.
-func (s *Sample) LibcBinary() (*binimg.Binary, error) {
-	f, ok := s.Image.Lookup("lib/libc.so")
-	if !ok {
-		return nil, fmt.Errorf("synth: libc missing")
-	}
-	return binimg.Decode(f.Data)
-}

@@ -1,15 +1,35 @@
 package synth
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"fits/internal/binimg"
 	"fits/internal/cfg"
 	"fits/internal/firmware"
 	"fits/internal/isa"
 	"fits/internal/know"
 	"fits/internal/minic"
 )
+
+// appBinary decodes the network binary of a sample.
+func appBinary(s *Sample) (*binimg.Binary, error) {
+	f, ok := s.Image.Lookup(s.Manifest.NetBinaries[0])
+	if !ok {
+		return nil, fmt.Errorf("synth: network binary missing")
+	}
+	return binimg.Decode(f.Data)
+}
+
+// libcBinary decodes the sample's libc.
+func libcBinary(s *Sample) (*binimg.Binary, error) {
+	f, ok := s.Image.Lookup("lib/libc.so")
+	if !ok {
+		return nil, fmt.Errorf("synth: libc missing")
+	}
+	return binimg.Decode(f.Data)
+}
 
 func TestLibcProgramLinksOnAllArches(t *testing.T) {
 	p := LibcProgram(rand.New(rand.NewSource(1)))
@@ -18,14 +38,18 @@ func TestLibcProgramLinksOnAllArches(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", arch, err)
 		}
+		exported := map[string]bool{}
+		for _, e := range bin.Exports {
+			exported[e.Name] = true
+		}
 		// All anchors must be exported.
 		for name := range know.Anchors {
-			if _, ok := bin.ExportAddr(name); !ok {
+			if !exported[name] {
 				t.Errorf("%v: anchor %s not exported", arch, name)
 			}
 		}
 		for name := range know.Sources {
-			if _, ok := bin.ExportAddr(name); !ok {
+			if !exported[name] {
 				t.Errorf("%v: source %s not exported", arch, name)
 			}
 		}
@@ -109,14 +133,14 @@ func TestGeneratedSampleStructure(t *testing.T) {
 		t.Errorf("vendor = %q", img.Vendor)
 	}
 
-	app, err := s.AppBinary()
+	app, err := appBinary(s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !app.Stripped || len(app.Funcs) != 0 {
 		t.Error("network binary must be stripped")
 	}
-	libc, err := s.LibcBinary()
+	libc, err := libcBinary(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +216,7 @@ func TestFailureModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	app, err := s.AppBinary()
+	app, err := appBinary(s)
 	if err != nil {
 		t.Fatal(err)
 	}

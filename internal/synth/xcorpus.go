@@ -53,27 +53,10 @@ type XManifest struct {
 	Flows    []XFlowTruth
 }
 
-// CrossFlows returns the planted flows whose sink binary differs from the
-// border binary.
-func (m *XManifest) CrossFlows() []XFlowTruth {
-	var out []XFlowTruth
-	for _, f := range m.Flows {
-		if f.CrossBinary {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 // XCorpus is one generated multi-binary firmware tree with its ground truth.
 type XCorpus struct {
 	Files    []firmware.File
 	Manifest XManifest
-}
-
-// Image wraps the corpus files as a packable firmware image.
-func (x *XCorpus) Image() *firmware.Image {
-	return &firmware.Image{Vendor: "synth", Product: "xcorpus", Files: x.Files}
 }
 
 // Front-end artifacts. The parameter vocabulary deliberately overlaps the
@@ -99,12 +82,6 @@ const xAppJS = `function apply(v, h) {
 const xWebParamsConf = `# defaults rendered into the settings page
 timezone=UTC
 `
-
-// xhandler couples a generated border-binary handler with its flow truth.
-type xhandler struct {
-	fn   string
-	body func(b *xbuilder) []minic.Stmt
-}
 
 // xbuilder accumulates one corpus program.
 type xbuilder struct {

@@ -3,6 +3,7 @@ package synth
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"fits/internal/binimg"
@@ -73,7 +74,12 @@ func TestXCorpusShape(t *testing.T) {
 	for _, f := range x.Files {
 		kws = append(kws, frontend.Extract(f.Path, f.Data)...)
 	}
-	if got := frontend.Names(kws); !reflect.DeepEqual(got, m.Keywords) {
+	var names []string
+	for _, k := range kws {
+		names = append(names, k.Name)
+	}
+	slices.Sort(names)
+	if got := slices.Compact(names); !reflect.DeepEqual(got, m.Keywords) {
 		t.Errorf("front-end keywords = %v, want %v", got, m.Keywords)
 	}
 

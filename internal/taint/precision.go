@@ -169,15 +169,3 @@ func (e *Engine) finishAlerts() {
 		a.Degraded = d
 	}
 }
-
-// DegradedCount reports how many collected alerts carry the Degraded mark,
-// for budget-exhaustion metrics.
-func (e *Engine) DegradedCount() int {
-	n := 0
-	for _, a := range e.alerts {
-		if a.Degraded {
-			n++
-		}
-	}
-	return n
-}

@@ -1,42 +1,59 @@
 package verify
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
-	"fits/internal/binimg"
-	"fits/internal/cfg"
-	"fits/internal/isa"
-	"fits/internal/minic"
+	"fits/internal/loader"
 	"fits/internal/synth"
 )
 
 // TestAllFetchVariantsVerify checks the verification oracle against every
-// code-structural variant of the keyed fetch body the corpus can emit.
+// code-structural variant of the keyed fetch body the corpus can emit. It
+// walks the dataset until it has verified a planted ITS of each of the four
+// variants, told apart by the opcode sequence of the function.
 func TestAllFetchVariantsVerify(t *testing.T) {
-	for variant := 0; variant < 4; variant++ {
-		p := &minic.Program{Name: "t", Funcs: []*minic.Func{
-			{Name: "fetch", NParams: 3, Body: synth.KeyedFetchBodyForTest(variant)},
-		}}
-		bin, err := minic.Link(p, isa.ArchARM, []string{"libc.so"})
+	const variants = 4
+	shapes := map[string]bool{}
+	for _, spec := range synth.Dataset() {
+		if spec.FailureMode != "" {
+			continue
+		}
+		s, err := synth.Generate(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := cfg.Build(bin, cfg.Options{})
+		res, err := loader.LoadContext(context.Background(), s.Packed, loader.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var entry uint32
-		for _, f := range bin.Funcs {
-			if f.Name == "fetch" {
-				entry = f.Addr
+		for _, tg := range res.Targets {
+			for _, its := range s.Manifest.ITSIn(tg.Bin.Name) {
+				f, ok := tg.Model.FuncAt(its.Entry)
+				if !ok {
+					t.Fatalf("%s: ITS %s not recovered", spec.Product, its.FuncName)
+				}
+				var shape string
+				for _, b := range f.BlocksInOrder() {
+					for _, in := range b.Instrs {
+						shape += fmt.Sprint(in.Op, " ")
+					}
+				}
+				if shapes[shape] {
+					continue
+				}
+				if o := Candidate(tg.Bin, tg.Model, its.Entry); !o.Verified {
+					t.Errorf("%s: ITS %s not verified: %v (returned %q)", spec.Product, its.FuncName, o.Err, o.Returned)
+				}
+				shapes[shape] = true
 			}
 		}
-		o := Candidate(bin, m, entry)
-		if !o.Verified {
-			t.Errorf("variant %d not verified: %v (returned %q)", variant, o.Err, o.Returned)
+		if len(shapes) >= variants {
+			break
 		}
 	}
-	_ = binimg.Magic
-	_ = fmt.Sprintf
+	if len(shapes) != variants {
+		t.Errorf("dataset emitted %d fetch-body shapes, want %d", len(shapes), variants)
+	}
 }

@@ -44,13 +44,6 @@ type Endpoint struct {
 // fixpoint: "<chan>:<key>".
 func (e Endpoint) ID() string { return e.Chan.String() + ":" + e.Key }
 
-// Pair is one matched writer→reader edge: data stored by Setter is
-// observable at Getter.
-type Pair struct {
-	Setter Endpoint
-	Getter Endpoint
-}
-
 // Endpoints enumerates the channel accessor call sites of one binary, in
 // deterministic (function, site) order.
 func Endpoints(path string, bin *binimg.Binary, model *cfg.Model) []Endpoint {
@@ -89,31 +82,6 @@ func Endpoints(path string, bin *binimg.Binary, model *cfg.Model) []Endpoint {
 		}
 	}
 	sortEndpoints(out)
-	return out
-}
-
-// PairEndpoints joins setters to getters on (channel, key) across the
-// whole corpus. The result is sorted by setter then getter order, giving
-// the report a stable channel graph.
-func PairEndpoints(eps []Endpoint) []Pair {
-	byID := map[string][]Endpoint{}
-	var setters []Endpoint
-	for _, e := range eps {
-		if e.Setter {
-			setters = append(setters, e)
-		} else {
-			byID[e.ID()] = append(byID[e.ID()], e)
-		}
-	}
-	sortEndpoints(setters)
-	var out []Pair
-	for _, s := range setters {
-		getters := byID[s.ID()]
-		sortEndpoints(getters)
-		for _, g := range getters {
-			out = append(out, Pair{Setter: s, Getter: g})
-		}
-	}
 	return out
 }
 

