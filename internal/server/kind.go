@@ -272,12 +272,16 @@ func readMultipart(body io.Reader, boundary string, inputs []input, limit, sizeH
 // refusing more than limit bytes with the *http.MaxBytesError the submit
 // handler answers with 413. sizeHint is the most p is expected to hold: the
 // request's declared length or the file's size, negative when unknown. The
-// buffer doubles from 64 KiB but never past sizeHint+1, the extra byte
-// taking the read that sees EOF, so an input costs under twice its size in
-// allocations, and a false hint earns no more memory than the bytes
-// actually sent.
+// buffer starts at 64 KiB, or at sizeHint+1 when that is smaller, and
+// doubles but never past sizeHint+1, the extra byte taking the read that
+// sees EOF, so an input costs under twice its size in allocations, and a
+// false hint earns no more memory than the bytes actually sent.
 func readPart(p io.Reader, limit, sizeHint int64) ([]byte, error) {
-	buf := make([]byte, 0, min(64<<10, limit+1))
+	initial := min(64<<10, limit+1)
+	if sizeHint >= 0 {
+		initial = min(initial, sizeHint+1)
+	}
+	buf := make([]byte, 0, initial)
 	for {
 		if len(buf) == cap(buf) {
 			next := min(2*int64(cap(buf)), limit+1)

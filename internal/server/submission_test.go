@@ -162,9 +162,15 @@ func BenchmarkReadSubmission(b *testing.B) {
 // fixed allowance for the request, the reader's buffers and the options.
 // Base64 inside JSON costs several times N, and so does reading the input
 // by repeated growth, so a decoder that silently falls back to either fails
-// here.
+// here. A 200-byte input checks that a small body is not read into a
+// buffer sized for a large one.
 func TestMultipartDecodeAllocs(t *testing.T) {
-	raw := benchImage()
+	for _, raw := range [][]byte{benchImage(), bytes.Repeat([]byte{0xa5}, 200)} {
+		decodeAllocs(t, raw)
+	}
+}
+
+func decodeAllocs(t *testing.T, raw []byte) {
 	mp, mpType, err := EncodeSubmission(&SubmitRequest{Firmware: raw, Options: optbuild.Spec{Scan: true}})
 	if err != nil {
 		t.Fatal(err)
