@@ -36,8 +36,10 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The pipeline benchmarks (root package) and the paper's tables and
+# figures (internal/eval), which print the tables EXPERIMENTS.md records.
 bench:
-	$(GO) test -run='^$$' -bench=. -benchmem .
+	$(GO) test -run='^$$' -bench=. -benchmem . ./internal/eval
 
 # Five runs of the end-to-end pipeline benchmarks (cold, cache-warm and
 # diff), converted to JSON and gated against the committed baseline:

@@ -1,17 +1,10 @@
 package fits
 
-// The benchmark harness regenerates every table and figure of the paper's
-// evaluation section against the synthetic corpus. Each benchmark prints its
-// paper-style table once and reports the headline numbers as metrics, so
-//
-//	go test -bench=. -benchmem
-//
-// reproduces the complete evaluation. Absolute values differ from the paper
-// (the substrate is a synthetic corpus, not the authors' firmware archive);
-// the shapes — who wins, by what factor, where the failures sit — are the
-// reproduction targets, recorded in EXPERIMENTS.md. Every op of an eval
-// benchmark gets a fresh model cache, so each op runs every stage and engine:
-// a cache shared across ops would turn the second op on into memo lookups.
+// The pipeline benchmarks measure the public API end to end: one image
+// cold and cache-warm, the cross-binary corpus scan, evolution diffs, and
+// the parallelism sweep. make bench-smoke gates them against
+// BENCH_pipeline.json. The paper's tables and figures are benchmarks of
+// internal/eval (see EXPERIMENTS.md).
 
 import (
 	"context"
@@ -20,13 +13,8 @@ import (
 	"sync"
 	"testing"
 
-	"fits/internal/eval"
-	"fits/internal/infer"
-	"fits/internal/loader"
-	"fits/internal/modelcache"
 	"fits/internal/stagetime"
 	"fits/internal/synth"
-	"fits/internal/verify"
 )
 
 var (
@@ -45,184 +33,6 @@ func benchCorpus(b *testing.B) []*synth.Sample {
 		}
 	})
 	return corpus
-}
-
-var printOnce = map[string]*sync.Once{}
-var printMu sync.Mutex
-
-func printTable(name, content string) {
-	printMu.Lock()
-	once, ok := printOnce[name]
-	if !ok {
-		once = &sync.Once{}
-		printOnce[name] = once
-	}
-	printMu.Unlock()
-	once.Do(func() { fmt.Printf("\n== %s ==\n%s\n", name, content) })
-}
-
-// BenchmarkTable3_ITSInference regenerates Table 3: per-vendor top-1/2/3
-// inference precision and analysis times over all 59 samples.
-func BenchmarkTable3_ITSInference(b *testing.B) {
-	samples := benchCorpus(b)
-	var t1, t2, t3 float64
-	for i := 0; i < b.N; i++ {
-		cfg := infer.DefaultConfig()
-		cfg.Cache = modelcache.New(0, 0)
-		results := eval.RunInferenceCorpus(context.Background(), samples, cfg)
-		t1, t2, t3 = eval.OverallPrecision(results)
-		printTable("Table 3: ITS inference precision", eval.FormatTable3(eval.Table3(results)))
-	}
-	b.ReportMetric(100*t1, "top1-%")
-	b.ReportMetric(100*t2, "top2-%")
-	b.ReportMetric(100*t3, "top3-%")
-}
-
-// BenchmarkTable3_BootStompBaseline regenerates the RQ1 comparison: the
-// keyword heuristic proposes sources in many firmware but none are ITSs.
-func BenchmarkTable3_BootStompBaseline(b *testing.B) {
-	samples := benchCorpus(b)
-	var proposed, correct int
-	for i := 0; i < b.N; i++ {
-		proposed, correct = eval.BootStompBaseline(context.Background(), modelcache.New(0, 0), samples)
-	}
-	printTable("RQ1: BootStomp baseline",
-		fmt.Sprintf("proposals in %d/%d firmware; correct taint sources: %d\n", proposed, len(samples), correct))
-	b.ReportMetric(float64(correct), "correct-sources")
-}
-
-// BenchmarkTable4_PartialResults regenerates Table 4: per-firmware detail
-// (binary, function count, ITS address, rank) for a vendor selection.
-func BenchmarkTable4_PartialResults(b *testing.B) {
-	samples := benchCorpus(b)
-	var rows []eval.DetailRow
-	for i := 0; i < b.N; i++ {
-		rows = eval.Table4(context.Background(), modelcache.New(0, 0), samples, 3)
-	}
-	printTable("Table 4: partial ITS inference results", eval.FormatTable4(rows))
-	b.ReportMetric(float64(len(rows)), "rows")
-}
-
-// BenchmarkTable5_BugFinding regenerates Table 5: alerts, bugs and times
-// for Karonte, Karonte-ITS, STA and STA-ITS over the corpus.
-func BenchmarkTable5_BugFinding(b *testing.B) {
-	samples := benchCorpus(b)
-	var totalBugs [4]int
-	for i := 0; i < b.N; i++ {
-		rows, ta, tb := eval.Table5(context.Background(), modelcache.New(0, 0), samples)
-		totalBugs = tb
-		printTable("Table 5: bug finding results", eval.FormatTable5(rows, ta, tb))
-	}
-	b.ReportMetric(float64(totalBugs[eval.EngineKaronte]), "karonte-bugs")
-	b.ReportMetric(float64(totalBugs[eval.EngineKaronteITS]), "karonte-its-bugs")
-	b.ReportMetric(float64(totalBugs[eval.EngineSTA]), "sta-bugs")
-	b.ReportMetric(float64(totalBugs[eval.EngineSTAITS]), "sta-its-bugs")
-}
-
-// BenchmarkTable6_FalsePositives regenerates Table 6: per-engine false
-// positive rates.
-func BenchmarkTable6_FalsePositives(b *testing.B) {
-	samples := benchCorpus(b)
-	var fp [4]float64
-	for i := 0; i < b.N; i++ {
-		_, ta, tb := eval.Table5(context.Background(), modelcache.New(0, 0), samples)
-		fp = eval.FalsePositiveRates(ta, tb)
-	}
-	printTable("Table 6: false positive rates", fmt.Sprintf(
-		"Karonte %.1f%%   Karonte-ITS %.1f%%   STA %.1f%%   STA-ITS %.1f%%\n",
-		100*fp[0], 100*fp[1], 100*fp[2], 100*fp[3]))
-	b.ReportMetric(100*fp[eval.EngineSTA], "sta-fp-%")
-	b.ReportMetric(100*fp[eval.EngineSTAITS], "sta-its-fp-%")
-}
-
-// BenchmarkFigure4_TimeOverhead regenerates Figure 4: analysis time against
-// function count and binary size, reported as correlations.
-func BenchmarkFigure4_TimeOverhead(b *testing.B) {
-	samples := benchCorpus(b)
-	var byFuncs, bySize float64
-	for i := 0; i < b.N; i++ {
-		points := eval.Figure4(context.Background(), samples)
-		byFuncs = eval.Correlation(points, func(p eval.TimePoint) float64 { return float64(p.Funcs) })
-		bySize = eval.Correlation(points, func(p eval.TimePoint) float64 { return p.SizeKB })
-		if i == 0 {
-			var s string
-			for _, p := range points[:minInt(8, len(points))] {
-				s += fmt.Sprintf("  funcs=%4d size=%6.1fKB time=%s\n", p.Funcs, p.SizeKB, p.Elapsed.Round(1e6))
-			}
-			s += fmt.Sprintf("  ... (%d samples)\n  corr(time, funcs)=%.2f  corr(time, size)=%.2f\n",
-				len(points), byFuncs, bySize)
-			printTable("Figure 4: time overhead", s)
-		}
-	}
-	b.ReportMetric(byFuncs, "corr-funcs")
-	b.ReportMetric(bySize, "corr-size")
-}
-
-// BenchmarkFigure5_Ablation regenerates Figure 5: the CF-1..CF-11 feature
-// ablation against the full BFV.
-func BenchmarkFigure5_Ablation(b *testing.B) {
-	samples := benchCorpus(b)
-	var rows []eval.AblationRow
-	for i := 0; i < b.N; i++ {
-		rows = eval.Figure5(context.Background(), modelcache.New(0, 0), samples)
-	}
-	printTable("Figure 5: BFV ablation (CF-i = drop feature i)", eval.FormatAblation(rows))
-	b.ReportMetric(100*rows[0].Top3, "bfv-top3-%")
-}
-
-// BenchmarkTable7_Representations regenerates Table 7: BFV against the
-// Augmented-CFG and Attributed-CFG baselines.
-func BenchmarkTable7_Representations(b *testing.B) {
-	samples := benchCorpus(b)
-	var rows []eval.AblationRow
-	for i := 0; i < b.N; i++ {
-		rows = eval.Table7(context.Background(), modelcache.New(0, 0), samples)
-	}
-	printTable("Table 7: representation comparison", eval.FormatAblation(rows))
-	b.ReportMetric(100*rows[len(rows)-1].Top3, "bfv-top3-%")
-}
-
-// BenchmarkTable8_Distances regenerates Table 8: the similarity metric
-// comparison for the scoring stage.
-func BenchmarkTable8_Distances(b *testing.B) {
-	samples := benchCorpus(b)
-	var rows []eval.AblationRow
-	for i := 0; i < b.N; i++ {
-		rows = eval.Table8(context.Background(), modelcache.New(0, 0), samples)
-	}
-	printTable("Table 8: scoring metric comparison", eval.FormatAblation(rows))
-	b.ReportMetric(100*rows[len(rows)-1].Top3, "cosine-top3-%")
-}
-
-// BenchmarkRQ4_StrategyBaselines regenerates the RQ4 strategy comparison:
-// clustering against no-clustering, PCA, standardization and normalization.
-func BenchmarkRQ4_StrategyBaselines(b *testing.B) {
-	samples := benchCorpus(b)
-	var rows []eval.AblationRow
-	for i := 0; i < b.N; i++ {
-		rows = eval.RQ4Strategies(context.Background(), modelcache.New(0, 0), samples)
-	}
-	printTable("RQ4: candidate selection strategies", eval.FormatAblation(rows))
-	b.ReportMetric(100*rows[len(rows)-1].Top3, "cluster-top3-%")
-}
-
-// BenchmarkCaseStudy_DeepFlow regenerates the §4.3 case study: the deepest
-// planted flow is reachable from the intermediate source but not from the
-// classical source under engine budgets.
-func BenchmarkCaseStudy_DeepFlow(b *testing.B) {
-	samples := benchCorpus(b)
-	deepest := eval.DeepestSamples(samples)[0]
-	var cs eval.CaseStudy
-	for i := 0; i < b.N; i++ {
-		cs = eval.RunCaseStudy(context.Background(), modelcache.New(0, 0), deepest)
-	}
-	printTable("Case study: deepest flow", fmt.Sprintf(
-		"firmware %s: source-to-sink depth %d calls, ITS-to-sink %d calls\n"+
-			"  Karonte(CTS)=%v Karonte-ITS=%v STA(CTS)=%v STA-ITS=%v\n",
-		cs.Product, cs.CTSDepth, cs.ITSDepth,
-		cs.KaronteCTS, cs.KaronteITS, cs.STACTS, cs.STAITS))
-	b.ReportMetric(float64(cs.CTSDepth), "cts-depth")
-	b.ReportMetric(float64(cs.ITSDepth), "its-depth")
 }
 
 // BenchmarkPipeline_SingleFirmware measures the end-to-end cost of the
@@ -341,28 +151,6 @@ func benchXCorpus(b *testing.B) []CorpusFile {
 		b.Fatalf("xcorpus: %v", benchXCorpusErr)
 	}
 	return benchXCorpusVal
-}
-
-// BenchmarkCrossCorpus_ModeComparison regenerates the cross-binary
-// evaluation table: CTS, CTS+ITS and the keyword-seeded cross-binary
-// fixpoint scored against the planted corpus flows. The cross-flow recall
-// gap is the subsystem's reproduction target.
-func BenchmarkCrossCorpus_ModeComparison(b *testing.B) {
-	x, err := synth.GenerateXCorpus(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var rows []eval.XScoreRow
-	for i := 0; i < b.N; i++ {
-		if rows, err = eval.RunXScore(context.Background(), modelcache.New(0, 0), x); err != nil {
-			b.Fatal(err)
-		}
-	}
-	printTable("Cross-binary corpus: mode comparison", eval.FormatXScore(rows))
-	last := rows[len(rows)-1]
-	b.ReportMetric(100*last.Recall, "cross-recall-%")
-	b.ReportMetric(float64(last.CrossTP), "cross-flows-found")
-	b.ReportMetric(float64(rows[0].CrossTP+rows[1].CrossTP), "cross-flows-found-baselines")
 }
 
 // BenchmarkPipeline_CorpusXScan measures the full cross-binary corpus scan —
@@ -486,7 +274,7 @@ func BenchmarkPipeline_DiffWarm(b *testing.B) {
 // pipeline is CPU-bound).
 func BenchmarkAnalyzeParallel(b *testing.B) {
 	samples := benchCorpus(b)
-	subset := samples[:minInt(8, len(samples))]
+	subset := samples[:min(8, len(samples))]
 	// The j1 state is shared across the b.Run sub-benchmarks. The framework
 	// may invoke a sub-benchmark's closure several times while ramping b.N
 	// toward -benchtime, and a filter like -bench 'Parallel/j4' can skip j1
@@ -531,56 +319,4 @@ func BenchmarkAnalyzeParallel(b *testing.B) {
 			}
 		})
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// BenchmarkAppendixA_Verification regenerates the Appendix A workflow: every
-// inferred top-3 candidate is executed under the emulator against a planted
-// request store; confirmed extract-and-return behaviour makes it a usable
-// taint source with the return register as taint origin.
-func BenchmarkAppendixA_Verification(b *testing.B) {
-	samples := benchCorpus(b)
-	var checked, confirmed, plantedConfirmed, planted int
-	for i := 0; i < b.N; i++ {
-		checked, confirmed, plantedConfirmed, planted = 0, 0, 0, 0
-		for _, s := range samples {
-			res, err := loader.LoadContext(context.Background(), s.Packed, loader.Options{})
-			if err != nil {
-				continue
-			}
-			truth := map[uint32]bool{}
-			for _, its := range s.Manifest.ITS {
-				truth[its.Entry] = true
-			}
-			planted += len(s.Manifest.ITS)
-			for _, t := range res.Targets {
-				ranking, err := infer.InferTargetContext(context.Background(), t, infer.DefaultConfig())
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, c := range ranking.Top(3) {
-					checked++
-					o := verify.Candidate(t.Bin, t.Model, c.Entry)
-					if o.Verified {
-						confirmed++
-						if truth[c.Entry] {
-							plantedConfirmed++
-						}
-					}
-				}
-			}
-		}
-	}
-	printTable("Appendix A: dynamic ITS verification", fmt.Sprintf(
-		"top-3 candidates checked: %d; dynamically confirmed: %d\n"+
-			"planted ITSs: %d; planted ITSs confirmed among top-3: %d\n",
-		checked, confirmed, planted, plantedConfirmed))
-	b.ReportMetric(float64(confirmed), "confirmed")
-	b.ReportMetric(float64(plantedConfirmed), "planted-confirmed")
 }

@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -44,11 +45,9 @@ func (k EngineKind) WithITS() bool { return k == EngineKaronteITS || k == Engine
 
 // BugResult is one engine's outcome on one firmware sample.
 type BugResult struct {
-	Manifest synth.Manifest
-	Engine   EngineKind
-	Alerts   int
-	Bugs     int // true positives (distinct vulnerable flows alerted)
-	Elapsed  time.Duration
+	Alerts  int
+	Bugs    int // true positives (distinct vulnerable flows alerted)
+	Elapsed time.Duration
 	// FoundFlows lists the flows of true-positive alerts, for cross-engine
 	// subset checks.
 	FoundFlows map[Flow]bool
@@ -72,59 +71,71 @@ func inferredITS(ctx context.Context, cache *modelcache.Cache, s *synth.Sample, 
 	if err != nil {
 		return nil
 	}
-	truth := map[uint32]bool{}
-	for _, its := range s.Manifest.ITS {
-		if its.Binary == t.Bin.Name {
-			truth[its.Entry] = true
-		}
-	}
+	planted := s.Manifest.ITSIn(t.Bin.Name)
 	var out []uint32
 	for _, r := range ranking.Top(3) {
-		if truth[r.Entry] {
+		if isITS(planted, r.Entry) {
 			out = append(out, r.Entry)
 		}
 	}
 	return out
 }
 
-// RunBugEngine applies one engine configuration to one sample through
-// scan.Run, the scan fits and fitsd run. Models, rankings and alert lists
-// are memoised in cache (nil computes everything). A sample that fails to
-// load, or a cancelled ctx, leaves the remaining counts at zero.
-func RunBugEngine(ctx context.Context, cache *modelcache.Cache, s *synth.Sample, kind EngineKind) (out BugResult) {
+// isITS reports whether entry is one of the planted ITSs of one binary.
+func isITS(planted []synth.ITSTruth, entry uint32) bool {
+	return slices.ContainsFunc(planted, func(its synth.ITSTruth) bool { return its.Entry == entry })
+}
+
+// runBugEngines applies the four engine configurations of Table 5 to one
+// sample through scan.Run, the scan fits and fitsd run, indexed by
+// EngineKind. The sample is loaded and each target ranked once for all
+// four. Models, rankings and alert lists are memoised in cache (nil
+// computes everything); Elapsed is the shared load and ranking plus the
+// engine's own scans. A sample that fails to load, or a cancelled ctx,
+// leaves the remaining counts at zero.
+func runBugEngines(ctx context.Context, cache *modelcache.Cache, s *synth.Sample) (out [4]BugResult) {
 	start := time.Now()
-	out = BugResult{Manifest: s.Manifest, Engine: kind, FoundFlows: map[Flow]bool{}}
-	defer func() { out.Elapsed = time.Since(start) }()
-	res, err := loader.LoadContext(ctx, s.Packed, loader.Options{Cache: cache})
-	if err != nil {
-		return out
-	}
-	eng := scan.Static
-	if kind == EngineKaronte || kind == EngineKaronteITS {
-		eng = scan.Symbolic
-	}
-	for _, t := range res.Targets {
-		opts := taint.Options{UseCTS: true, StringFilter: true}
-		if kind.WithITS() {
-			opts.ITS = inferredITS(ctx, cache, s, t)
+	var targets []*loader.Target
+	var its [][]uint32
+	if res, err := loader.LoadContext(ctx, s.Packed, loader.Options{Cache: cache}); err == nil {
+		targets = res.Targets
+		for _, t := range targets {
+			its = append(its, inferredITS(ctx, cache, s, t))
 		}
-		alerts, err := scan.Run(ctx, t, eng, opts, cache, nil)
-		if err != nil {
-			return out
+	}
+	prep := time.Since(start)
+	for kind := EngineKaronte; kind <= EngineSTAITS; kind++ {
+		begin := time.Now()
+		r := BugResult{FoundFlows: map[Flow]bool{}}
+		eng := scan.Static
+		if kind == EngineKaronte || kind == EngineKaronteITS {
+			eng = scan.Symbolic
 		}
-		for _, a := range alerts {
-			if !a.Reported() {
-				continue
+		for i, t := range targets {
+			opts := taint.Options{UseCTS: true, StringFilter: true}
+			if kind.WithITS() {
+				opts.ITS = its[i]
 			}
-			out.Alerts++
-			if h, ok := s.Manifest.HandlerBySink(t.Bin.Name, a.Func); ok && h.Category.Vulnerable() {
-				f := Flow{Binary: h.Binary, SinkEntry: h.SinkEntry}
-				if !out.FoundFlows[f] {
-					out.FoundFlows[f] = true
-					out.Bugs++
+			alerts, err := scan.Run(ctx, t, eng, opts, cache, nil)
+			if err != nil {
+				break
+			}
+			for _, a := range alerts {
+				if !a.Reported() {
+					continue
+				}
+				r.Alerts++
+				if h, ok := s.Manifest.HandlerBySink(t.Bin.Name, a.Func); ok && h.Category.Vulnerable() {
+					f := Flow{Binary: h.Binary, SinkEntry: h.SinkEntry}
+					if !r.FoundFlows[f] {
+						r.FoundFlows[f] = true
+						r.Bugs++
+					}
 				}
 			}
 		}
+		r.Elapsed = prep + time.Since(begin)
+		out[kind] = r
 	}
 	return out
 }
@@ -140,9 +151,9 @@ type BugRow struct {
 	AvgTime [4]time.Duration
 }
 
-// Table5 runs all four engines over the corpus and aggregates per
+// table5 runs all four engines over the corpus and aggregates per
 // dataset/vendor rows plus totals.
-func Table5(ctx context.Context, cache *modelcache.Cache, samples []*synth.Sample) ([]BugRow, [4]int, [4]int) {
+func table5(ctx context.Context, cache *modelcache.Cache, samples []*synth.Sample) ([]BugRow, [4]int, [4]int) {
 	type key struct {
 		dataset string
 		vendor  string
@@ -163,8 +174,7 @@ func Table5(ctx context.Context, cache *modelcache.Cache, samples []*synth.Sampl
 			order = append(order, k)
 		}
 		row.N++
-		for kind := EngineKaronte; kind <= EngineSTAITS; kind++ {
-			r := RunBugEngine(ctx, cache, s, kind)
+		for kind, r := range runBugEngines(ctx, cache, s) {
 			row.Alerts[kind] += r.Alerts
 			row.Bugs[kind] += r.Bugs
 			row.AvgTime[kind] += r.Elapsed
@@ -183,8 +193,8 @@ func Table5(ctx context.Context, cache *modelcache.Cache, samples []*synth.Sampl
 	return rows, totalAlerts, totalBugs
 }
 
-// FormatTable5 renders rows in the paper's layout.
-func FormatTable5(rows []BugRow, totalAlerts, totalBugs [4]int) string {
+// formatTable5 renders rows in the paper's layout.
+func formatTable5(rows []BugRow, totalAlerts, totalBugs [4]int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-8s %-8s %4s |", "Dataset", "Vendor", "#FW")
 	for kind := EngineKaronte; kind <= EngineSTAITS; kind++ {
@@ -207,8 +217,8 @@ func FormatTable5(rows []BugRow, totalAlerts, totalBugs [4]int) string {
 	return b.String()
 }
 
-// FalsePositiveRates computes Table 6: per engine, FP / alerts.
-func FalsePositiveRates(totalAlerts, totalBugs [4]int) [4]float64 {
+// falsePositiveRates computes Table 6: per engine, FP / alerts.
+func falsePositiveRates(totalAlerts, totalBugs [4]int) [4]float64 {
 	var out [4]float64
 	for k := 0; k < 4; k++ {
 		if totalAlerts[k] > 0 {

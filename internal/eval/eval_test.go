@@ -21,7 +21,7 @@ var (
 	testCache = modelcache.New(0, 0)
 )
 
-func testCorpus(t *testing.T) []*synth.Sample {
+func testCorpus(t testing.TB) []*synth.Sample {
 	t.Helper()
 	corpusOnce.Do(func() { corpus, corpusErr = synth.GenerateCorpus() })
 	if corpusErr != nil {
@@ -86,7 +86,7 @@ func TestEngineeredFailuresAlwaysMiss(t *testing.T) {
 }
 
 func TestTable4Detail(t *testing.T) {
-	rows := Table4(context.Background(), testCache, testCorpus(t)[:25], 2)
+	rows := table4(context.Background(), testCache, testCorpus(t)[:25], 2)
 	if len(rows) < 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -98,7 +98,7 @@ func TestTable4Detail(t *testing.T) {
 			t.Errorf("%s: ranked but no address", r.Firmware)
 		}
 	}
-	if !strings.Contains(FormatTable4(rows), "Ranking") {
+	if !strings.Contains(formatTable4(rows), "Ranking") {
 		t.Error("format missing header")
 	}
 }
@@ -107,7 +107,7 @@ func TestTable5And6Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-corpus bug finding is slow")
 	}
-	rows, ta, tb := Table5(context.Background(), testCache, testCorpus(t))
+	rows, ta, tb := table5(context.Background(), testCache, testCorpus(t))
 	if len(rows) == 0 {
 		t.Fatal("no rows")
 	}
@@ -118,7 +118,7 @@ func TestTable5And6Shape(t *testing.T) {
 	if tb[EngineSTAITS] <= tb[EngineSTA]*4 {
 		t.Errorf("STA-ITS bugs %d should dwarf STA %d", tb[EngineSTAITS], tb[EngineSTA])
 	}
-	fp := FalsePositiveRates(ta, tb)
+	fp := falsePositiveRates(ta, tb)
 	// STA's classical-source FP rate is far above STA-ITS's (77% vs 28%).
 	if fp[EngineSTA] < fp[EngineSTAITS]+0.2 {
 		t.Errorf("STA FP %.2f should exceed STA-ITS FP %.2f by a wide margin", fp[EngineSTA], fp[EngineSTAITS])
@@ -126,7 +126,7 @@ func TestTable5And6Shape(t *testing.T) {
 	if fp[EngineSTA] < 0.6 || fp[EngineSTA] > 0.95 {
 		t.Errorf("STA FP = %.2f, want ~0.77", fp[EngineSTA])
 	}
-	out := FormatTable5(rows, ta, tb)
+	out := formatTable5(rows, ta, tb)
 	if !strings.Contains(out, "Total") {
 		t.Error("format missing totals")
 	}
@@ -152,12 +152,12 @@ func TestFigure4TrendPositive(t *testing.T) {
 	// before declaring the trend gone.
 	var byFuncs, bySize float64
 	for attempt := 0; attempt < 3; attempt++ {
-		points := Figure4(context.Background(), testCorpus(t)[:20])
+		points := figure4(context.Background(), testCorpus(t)[:20])
 		if len(points) < 10 {
 			t.Fatalf("points = %d", len(points))
 		}
-		byFuncs = Correlation(points, func(p TimePoint) float64 { return float64(p.Funcs) })
-		bySize = Correlation(points, func(p TimePoint) float64 { return p.SizeKB })
+		byFuncs = correlation(points, func(p TimePoint) float64 { return float64(p.Funcs) })
+		bySize = correlation(points, func(p TimePoint) float64 { return p.SizeKB })
 		if byFuncs >= 0.3 && bySize >= 0.3 {
 			return
 		}
@@ -175,7 +175,7 @@ func TestTable7RepresentationGap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	rows := Table7(context.Background(), testCache, testCorpus(t))
+	rows := table7(context.Background(), testCache, testCorpus(t))
 	byName := map[string]AblationRow{}
 	for _, r := range rows {
 		byName[r.Name] = r
@@ -195,7 +195,7 @@ func TestTable8CosineWins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	rows := Table8(context.Background(), testCache, testCorpus(t))
+	rows := table8(context.Background(), testCache, testCorpus(t))
 	var cosine AblationRow
 	for _, r := range rows {
 		if r.Name == "cosine" {
@@ -220,8 +220,8 @@ func TestBootStompFindsNoSources(t *testing.T) {
 }
 
 func TestCaseStudyDeepFlow(t *testing.T) {
-	deepest := DeepestSamples(testCorpus(t))[0]
-	cs := RunCaseStudy(context.Background(), testCache, deepest)
+	deepest := deepestSamples(testCorpus(t))[0]
+	cs := runCaseStudy(context.Background(), testCache, deepest)
 	if cs.CTSDepth < 10 {
 		t.Errorf("deepest flow CTS depth = %d, want >= 10", cs.CTSDepth)
 	}
@@ -236,33 +236,33 @@ func TestCaseStudyDeepFlow(t *testing.T) {
 	}
 }
 
-// TestTablesRepeatOnOneCache: Table5 and RunPrecision rerun on the cache of
+// TestTablesRepeatOnOneCache: table5 and RunPrecision rerun on the cache of
 // their first pass give the same rows, times aside, without a single cache
 // miss: every model, ranking and alert list of the second pass is a memo hit.
 func TestTablesRepeatOnOneCache(t *testing.T) {
 	ctx, cache := context.Background(), modelcache.New(0, 0)
 	samples := testCorpus(t)[:6]
-	table5 := func() ([]BugRow, [4]int, [4]int) {
-		rows, ta, tb := Table5(ctx, cache, samples)
+	pass5 := func() ([]BugRow, [4]int, [4]int) {
+		rows, ta, tb := table5(ctx, cache, samples)
 		for i := range rows {
 			rows[i].AvgTime = [4]time.Duration{}
 		}
 		return rows, ta, tb
 	}
-	rows1, ta1, tb1 := table5()
+	rows1, ta1, tb1 := pass5()
 	prec1, err := RunPrecision(ctx, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
 	misses := cache.Stats().Misses
 
-	rows2, ta2, tb2 := table5()
+	rows2, ta2, tb2 := pass5()
 	prec2, err := RunPrecision(ctx, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(rows1, rows2) || ta1 != ta2 || tb1 != tb2 {
-		t.Errorf("Table5 differs on a warm cache:\n%+v %v %v\n%+v %v %v", rows1, ta1, tb1, rows2, ta2, tb2)
+		t.Errorf("table5 differs on a warm cache:\n%+v %v %v\n%+v %v %v", rows1, ta1, tb1, rows2, ta2, tb2)
 	}
 	if !reflect.DeepEqual(prec1, prec2) {
 		t.Errorf("RunPrecision differs on a warm cache:\n%s\n%s", FormatPrecision(prec1), FormatPrecision(prec2))
@@ -298,7 +298,7 @@ func TestBugsCountedPerBinary(t *testing.T) {
 	if !binaries[shared]["httpd"] || !binaries[shared]["netcgi"] {
 		t.Fatalf("fixture: sink entry %#x not planted vulnerable in both httpd and netcgi: %v", shared, binaries[shared])
 	}
-	r := RunBugEngine(context.Background(), testCache, s, EngineSTAITS)
+	r := runBugEngines(context.Background(), testCache, s)[EngineSTAITS]
 	for _, bin := range []string{"httpd", "netcgi"} {
 		if !r.FoundFlows[Flow{Binary: bin, SinkEntry: shared}] {
 			t.Errorf("STA-ITS missed the %s flow at %#x", bin, shared)

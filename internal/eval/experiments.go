@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -28,10 +29,10 @@ type DetailRow struct {
 	Ranking  int // 1-based; 0 = not ranked
 }
 
-// Table4 reports per-firmware detail for a selection of samples: the
+// table4 reports per-firmware detail for a selection of samples: the
 // analyzed binary, its recovered function count, the verified ITS address
 // and its rank.
-func Table4(ctx context.Context, cache *modelcache.Cache, samples []*synth.Sample, maxPerVendor int) []DetailRow {
+func table4(ctx context.Context, cache *modelcache.Cache, samples []*synth.Sample, maxPerVendor int) []DetailRow {
 	perVendor := map[string]int{}
 	var rows []DetailRow
 	for _, s := range samples {
@@ -53,14 +54,9 @@ func Table4(ctx context.Context, cache *modelcache.Cache, samples []*synth.Sampl
 		bestRank := 0
 		var bestAddr uint32
 		for _, rk := range r.Rankings {
-			truth := map[uint32]bool{}
-			for _, its := range s.Manifest.ITS {
-				if its.Binary == rk.Binary {
-					truth[its.Entry] = true
-				}
-			}
+			planted := s.Manifest.ITSIn(rk.Binary)
 			for i, e := range rk.Ranked {
-				if truth[e.Entry] {
+				if isITS(planted, e.Entry) {
 					if bestRank == 0 || i+1 < bestRank {
 						best, bestRank, bestAddr = rk, i+1, e.Entry
 					}
@@ -80,8 +76,8 @@ func Table4(ctx context.Context, cache *modelcache.Cache, samples []*synth.Sampl
 	return rows
 }
 
-// FormatTable4 renders Table 4 rows.
-func FormatTable4(rows []DetailRow) string {
+// formatTable4 renders Table 4 rows.
+func formatTable4(rows []DetailRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-8s %-22s %-10s %8s %10s %8s\n",
 		"Vendor", "Firmware", "Binary", "#Funcs", "ITS addr", "Ranking")
@@ -108,7 +104,7 @@ type TimePoint struct {
 	Elapsed time.Duration
 }
 
-// Figure4 measures inference time against function count and binary size.
+// figure4 measures inference time against function count and binary size.
 // It deliberately runs without a cache — a hit would decouple the
 // measured time from the work the figure correlates it with — and repeats
 // each sample until the measurements amount to a few milliseconds of work,
@@ -116,7 +112,7 @@ type TimePoint struct {
 // analysis is now fast enough (sub-millisecond on small samples) that a
 // single stall can exceed the measured work itself; min-of-N with N scaled
 // to the sample's speed keeps the trend visible even on loaded machines.
-func Figure4(ctx context.Context, samples []*synth.Sample) []TimePoint {
+func figure4(ctx context.Context, samples []*synth.Sample) []TimePoint {
 	const (
 		minReps  = 5
 		maxReps  = 16
@@ -162,8 +158,8 @@ func Figure4(ctx context.Context, samples []*synth.Sample) []TimePoint {
 	return out
 }
 
-// Correlation computes the Pearson correlation of xs against analysis time.
-func Correlation(points []TimePoint, x func(TimePoint) float64) float64 {
+// correlation computes the Pearson correlation of xs against analysis time.
+func correlation(points []TimePoint, x func(TimePoint) float64) float64 {
 	n := float64(len(points))
 	if n < 2 {
 		return 0
@@ -185,18 +181,7 @@ func Correlation(points []TimePoint, x func(TimePoint) float64) float64 {
 	if vx == 0 || vy == 0 {
 		return 0
 	}
-	return cov / (sqrt(vx) * sqrt(vy))
-}
-
-func sqrt(v float64) float64 {
-	if v <= 0 {
-		return 0
-	}
-	x := v
-	for i := 0; i < 40; i++ {
-		x = (x + v/x) / 2
-	}
-	return x
+	return cov / (math.Sqrt(vx) * math.Sqrt(vy))
 }
 
 // ---- Figure 5: BFV ablation (CF-1 .. CF-11) ----
@@ -215,8 +200,8 @@ func ablation(ctx context.Context, samples []*synth.Sample, name string, cfg inf
 	return AblationRow{Name: name, Top1: t1, Top2: t2, Top3: t3}
 }
 
-// Figure5 reruns inference with each single feature removed.
-func Figure5(ctx context.Context, cache *modelcache.Cache, samples []*synth.Sample) []AblationRow {
+// figure5 reruns inference with each single feature removed.
+func figure5(ctx context.Context, cache *modelcache.Cache, samples []*synth.Sample) []AblationRow {
 	rows := []AblationRow{ablation(ctx, samples, "BFV", cachedConfig(cache))}
 	for f := 0; f < bfv.Dim; f++ {
 		cfgn := cachedConfig(cache)
@@ -228,9 +213,9 @@ func Figure5(ctx context.Context, cache *modelcache.Cache, samples []*synth.Samp
 
 // ---- Table 7: representation comparison ----
 
-// Table7 compares BFV against the Augmented-CFG and Attributed-CFG
+// table7 compares BFV against the Augmented-CFG and Attributed-CFG
 // baselines.
-func Table7(ctx context.Context, cache *modelcache.Cache, samples []*synth.Sample) []AblationRow {
+func table7(ctx context.Context, cache *modelcache.Cache, samples []*synth.Sample) []AblationRow {
 	var rows []AblationRow
 	for _, rep := range []infer.Representation{
 		infer.RepAugmentedCFG, infer.RepAttributedCFG, infer.RepBFV,
@@ -244,8 +229,8 @@ func Table7(ctx context.Context, cache *modelcache.Cache, samples []*synth.Sampl
 
 // ---- Table 8: distance metric comparison ----
 
-// Table8 compares the similarity metrics for the scoring stage.
-func Table8(ctx context.Context, cache *modelcache.Cache, samples []*synth.Sample) []AblationRow {
+// table8 compares the similarity metrics for the scoring stage.
+func table8(ctx context.Context, cache *modelcache.Cache, samples []*synth.Sample) []AblationRow {
 	var rows []AblationRow
 	for _, m := range []score.Metric{score.Euclidean, score.Manhattan, score.Pearson, score.Cosine} {
 		cfgn := cachedConfig(cache)
@@ -257,9 +242,9 @@ func Table8(ctx context.Context, cache *modelcache.Cache, samples []*synth.Sampl
 
 // ---- RQ4: candidate-selection strategy baselines ----
 
-// RQ4Strategies compares clustering against no-clustering and the
+// rq4Strategies compares clustering against no-clustering and the
 // preprocessing replacements.
-func RQ4Strategies(ctx context.Context, cache *modelcache.Cache, samples []*synth.Sample) []AblationRow {
+func rq4Strategies(ctx context.Context, cache *modelcache.Cache, samples []*synth.Sample) []AblationRow {
 	var rows []AblationRow
 	for _, st := range []infer.Strategy{
 		infer.StrategyNone, infer.StrategyPCA, infer.StrategyStandardize,
@@ -272,8 +257,8 @@ func RQ4Strategies(ctx context.Context, cache *modelcache.Cache, samples []*synt
 	return rows
 }
 
-// FormatAblation renders variant precision rows.
-func FormatAblation(rows []AblationRow) string {
+// formatAblation renders variant precision rows.
+func formatAblation(rows []AblationRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-28s %6s %6s %6s\n", "Variant", "Top-1", "Top-2", "Top-3")
 	for _, r := range rows {
@@ -292,15 +277,12 @@ func BootStompBaseline(ctx context.Context, cache *modelcache.Cache, samples []*
 		if err != nil {
 			continue
 		}
-		truth := map[uint32]bool{}
-		for _, its := range s.Manifest.ITS {
-			truth[its.Entry] = true
-		}
 		any, hit := false, false
 		for _, t := range res.Targets {
+			planted := s.Manifest.ITSIn(t.Bin.Name)
 			for _, entry := range altrep.BootStomp(t.Bin, t.Model) {
 				any = true
-				if truth[entry] {
+				if isITS(planted, entry) {
 					hit = true
 				}
 			}
@@ -330,9 +312,9 @@ type CaseStudy struct {
 	STAITS     bool
 }
 
-// RunCaseStudy finds the deepest planted flow in the given sample and checks
+// runCaseStudy finds the deepest planted flow in the given sample and checks
 // which engine configurations report it.
-func RunCaseStudy(ctx context.Context, cache *modelcache.Cache, s *synth.Sample) CaseStudy {
+func runCaseStudy(ctx context.Context, cache *modelcache.Cache, s *synth.Sample) CaseStudy {
 	cs := CaseStudy{Product: s.Manifest.Product}
 	var deepest *synth.HandlerTruth
 	for i := range s.Manifest.Handlers {
@@ -349,19 +331,17 @@ func RunCaseStudy(ctx context.Context, cache *modelcache.Cache, s *synth.Sample)
 	}
 	cs.CTSDepth = deepest.CTSDepth
 	cs.ITSDepth = deepest.ITSDepth
-	check := func(kind EngineKind) bool {
-		r := RunBugEngine(ctx, cache, s, kind)
-		return r.FoundFlows[Flow{Binary: deepest.Binary, SinkEntry: deepest.SinkEntry}]
-	}
-	cs.KaronteCTS = check(EngineKaronte)
-	cs.KaronteITS = check(EngineKaronteITS)
-	cs.STACTS = check(EngineSTA)
-	cs.STAITS = check(EngineSTAITS)
+	rs := runBugEngines(ctx, cache, s)
+	f := Flow{Binary: deepest.Binary, SinkEntry: deepest.SinkEntry}
+	cs.KaronteCTS = rs[EngineKaronte].FoundFlows[f]
+	cs.KaronteITS = rs[EngineKaronteITS].FoundFlows[f]
+	cs.STACTS = rs[EngineSTA].FoundFlows[f]
+	cs.STAITS = rs[EngineSTAITS].FoundFlows[f]
 	return cs
 }
 
-// DeepestSamples returns samples ordered by their deepest vulnerable flow.
-func DeepestSamples(samples []*synth.Sample) []*synth.Sample {
+// deepestSamples returns samples ordered by their deepest vulnerable flow.
+func deepestSamples(samples []*synth.Sample) []*synth.Sample {
 	out := append([]*synth.Sample(nil), samples...)
 	depth := func(s *synth.Sample) int {
 		d := 0

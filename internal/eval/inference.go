@@ -42,21 +42,11 @@ func (r *InferenceResult) TopN(n int) bool {
 
 // itsRank finds the best rank of any manifest ITS across rankings.
 func itsRank(man *synth.Manifest, rankings []*infer.Ranking) int {
-	truth := map[string]map[uint32]bool{}
-	for _, its := range man.ITS {
-		if truth[its.Binary] == nil {
-			truth[its.Binary] = map[uint32]bool{}
-		}
-		truth[its.Binary][its.Entry] = true
-	}
 	best := 0
 	for _, r := range rankings {
-		entries := truth[r.Binary]
-		if entries == nil {
-			continue
-		}
+		planted := man.ITSIn(r.Binary)
 		for i, rr := range r.Ranked {
-			if entries[rr.Entry] {
+			if isITS(planted, rr.Entry) {
 				if best == 0 || i+1 < best {
 					best = i + 1
 				}

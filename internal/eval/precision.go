@@ -25,7 +25,7 @@ import (
 // Scoring conventions (deliberate, relied on by the CI gate):
 //   - Precision is 1.0 when TP+FP == 0: an engine that reports nothing on a
 //     corpus has made no false claims. This differs from the 0-on-empty
-//     guard of RunXScore, where an all-miss mode should not score 100%.
+//     guard of runXScore, where an all-miss mode should not score 100%.
 //   - Recall is 1.0 when the manifest plants no vulnerable flow (nothing to
 //     miss), covering only-infeasible manifests.
 

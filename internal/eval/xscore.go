@@ -32,9 +32,9 @@ type XScoreRow struct {
 	CrossTotal int
 }
 
-// RunXScore scans the corpus once per mode and scores each report against
+// runXScore scans the corpus once per mode and scores each report against
 // the manifest. The modes share cache's models and scans; nil computes.
-func RunXScore(ctx context.Context, cache *modelcache.Cache, x *synth.XCorpus) ([]XScoreRow, error) {
+func runXScore(ctx context.Context, cache *modelcache.Cache, x *synth.XCorpus) ([]XScoreRow, error) {
 	rows := make([]XScoreRow, 0, 3)
 	for _, mode := range []corpustaint.Mode{corpustaint.ModeCTS, corpustaint.ModeITS, corpustaint.ModeCross} {
 		rep, err := corpustaint.Run(ctx, x.Files, corpustaint.Options{Mode: mode, Cache: cache})
@@ -92,8 +92,8 @@ func scoreReport(mode string, rep *corpustaint.Report, m synth.XManifest) XScore
 	return row
 }
 
-// FormatXScore renders the mode comparison as the evaluation table.
-func FormatXScore(rows []XScoreRow) string {
+// formatXScore renders the mode comparison as the evaluation table.
+func formatXScore(rows []XScoreRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-6s %4s %4s %4s %10s %7s %12s\n",
 		"Mode", "TP", "FP", "FN", "Precision", "Recall", "Cross-flows")

@@ -16,11 +16,11 @@ func TestRunXScore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := RunXScore(context.Background(), testCache, x)
+	rows, err := runXScore(context.Background(), testCache, x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("\n%s", FormatXScore(rows))
+	t.Logf("\n%s", formatXScore(rows))
 	if len(rows) != 3 {
 		t.Fatalf("got %d rows, want 3", len(rows))
 	}
@@ -30,8 +30,8 @@ func TestRunXScore(t *testing.T) {
 	}
 
 	var crossTotal int
-	for _, f := range x.Manifest.CrossFlows() {
-		if f.Vulnerable {
+	for _, f := range x.Manifest.Flows {
+		if f.CrossBinary && f.Vulnerable {
 			crossTotal++
 		}
 	}
