@@ -24,8 +24,10 @@ vet:
 fmt-check:
 	test -z "$$(gofmt -l .)"
 
-# fitslint machine-checks the repo's determinism, concurrency, and context
-# invariants (see DESIGN.md "Static analysis & invariants"). Kept separate
+# fitslint machine-checks the repo's determinism, concurrency, context and
+# no-test-only-export invariants (see DESIGN.md "Static analysis &
+# invariants"). It also loads the bench/ module, whose references count for
+# the testonly check, and fails if that module does not load. Kept separate
 # from vet so the two gates stay independently runnable.
 lint:
 	$(GO) run ./cmd/fitslint ./...

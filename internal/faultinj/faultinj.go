@@ -36,7 +36,7 @@ type point struct {
 }
 
 // NewSet returns an empty, disarmed set.
-func NewSet() *Set { return &Set{} }
+func NewSet() *Set { return &Set{} } //fitslint:ignore testonly fault-injection test API; shipped code calls only Hit
 
 func (s *Set) arm(name string, p *point) {
 	s.mu.Lock()
@@ -48,7 +48,7 @@ func (s *Set) arm(name string, p *point) {
 }
 
 // Fail arms name to return err on every hit until disarmed.
-func (s *Set) Fail(name string, err error) {
+func (s *Set) Fail(name string, err error) { //fitslint:ignore testonly fault-injection test API; shipped code calls only Hit
 	if s == nil {
 		return
 	}
@@ -57,7 +57,7 @@ func (s *Set) Fail(name string, err error) {
 
 // FailOnce arms name to return err exactly once, then disarm itself.
 // It models a transient fault or a single crash point.
-func (s *Set) FailOnce(name string, err error) {
+func (s *Set) FailOnce(name string, err error) { //fitslint:ignore testonly fault-injection test API; shipped code calls only Hit
 	if s == nil {
 		return
 	}
@@ -66,7 +66,7 @@ func (s *Set) FailOnce(name string, err error) {
 
 // FailAfter arms name to pass through n hits and then return err on every
 // later hit — "the k-th write is where the machine died".
-func (s *Set) FailAfter(name string, n int, err error) {
+func (s *Set) FailAfter(name string, n int, err error) { //fitslint:ignore testonly fault-injection test API; shipped code calls only Hit
 	if s == nil {
 		return
 	}
@@ -75,7 +75,7 @@ func (s *Set) FailAfter(name string, n int, err error) {
 
 // Delay arms name to sleep d on every hit and then succeed, modeling a
 // slow or contended fsync without failing it.
-func (s *Set) Delay(name string, d time.Duration) {
+func (s *Set) Delay(name string, d time.Duration) { //fitslint:ignore testonly fault-injection test API; shipped code calls only Hit
 	if s == nil {
 		return
 	}
@@ -83,7 +83,7 @@ func (s *Set) Delay(name string, d time.Duration) {
 }
 
 // Disarm removes the failpoint at name; unknown names are ignored.
-func (s *Set) Disarm(name string) {
+func (s *Set) Disarm(name string) { //fitslint:ignore testonly fault-injection test API; shipped code calls only Hit
 	if s == nil {
 		return
 	}
@@ -93,7 +93,7 @@ func (s *Set) Disarm(name string) {
 }
 
 // Reset disarms every point and clears the hit counters.
-func (s *Set) Reset() {
+func (s *Set) Reset() { //fitslint:ignore testonly fault-injection test API; shipped code calls only Hit
 	if s == nil {
 		return
 	}
@@ -145,7 +145,7 @@ func (s *Set) Hit(name string) error {
 
 // Hits reports how many times the named point was visited (armed or not),
 // for test assertions that a code path actually crossed the failpoint.
-func (s *Set) Hits(name string) int {
+func (s *Set) Hits(name string) int { //fitslint:ignore testonly fault-injection test API; shipped code calls only Hit
 	if s == nil {
 		return 0
 	}
@@ -157,6 +157,6 @@ func (s *Set) Hits(name string) int {
 // Crash is a sentinel-style error constructor for crash-simulation points:
 // the returned error marks the operation as abandoned mid-flight, which
 // callers treat exactly like any injected I/O error.
-func Crash(name string) error {
+func Crash(name string) error { //fitslint:ignore testonly fault-injection test API; shipped code calls only Hit
 	return fmt.Errorf("faultinj: simulated crash at %s", name)
 }

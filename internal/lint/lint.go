@@ -14,6 +14,7 @@ package lint
 
 import (
 	"fmt"
+	"go/ast"
 	"go/token"
 	"regexp"
 	"sort"
@@ -26,6 +27,7 @@ import (
 	"fits/internal/lint/maporder"
 	"fits/internal/lint/nondet"
 	"fits/internal/lint/strcopy"
+	"fits/internal/lint/testonly"
 )
 
 // Analyzers returns the registered suite in stable order.
@@ -36,6 +38,7 @@ func Analyzers() []*analysis.Analyzer {
 		maporder.Analyzer,
 		nondet.Analyzer,
 		strcopy.Analyzer,
+		testonly.Analyzer,
 	}
 }
 
@@ -50,41 +53,26 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s (%s)", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Message, d.Analyzer)
 }
 
-// RunPackage applies every analyzer to pkg, filters suppressed findings,
-// and returns the rest sorted by position. Malformed suppression
-// directives are appended as findings of the pseudo-analyzer "fitslint".
-func RunPackage(pkg *loader.Package) ([]Diagnostic, error) {
-	return runAnalyzers(pkg, Analyzers())
-}
-
-// RunAnalyzer applies a single analyzer (plus directive validation) to pkg;
-// the linttest fixture harness uses it to test analyzers in isolation.
-func RunAnalyzer(pkg *loader.Package, a *analysis.Analyzer) ([]Diagnostic, error) {
-	return runAnalyzers(pkg, []*analysis.Analyzer{a})
-}
-
-func runAnalyzers(pkg *loader.Package, analyzers []*analysis.Analyzer) ([]Diagnostic, error) {
-	sup, diags := parseDirectives(pkg, analyzers)
-	for _, a := range analyzers {
-		var raw []analysis.Diagnostic
-		pass := &analysis.Pass{
-			Analyzer:  a,
-			Fset:      pkg.Fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.Info,
-			Report:    func(d analysis.Diagnostic) { raw = append(raw, d) },
+// Run applies analyzers (every registered one when none are given) to each
+// of pkgs and returns the unsuppressed findings sorted by position, with
+// malformed directives as findings of the pseudo-analyzer "fitslint".
+// callers are packages loaded only for their references (Pass.Refs), such
+// as a nested module's.
+func Run(pkgs, callers []*loader.Package, analyzers ...*analysis.Analyzer) ([]Diagnostic, error) {
+	if len(analyzers) == 0 {
+		analyzers = Analyzers()
+	}
+	refs := map[string]bool{}
+	for _, pkg := range append(pkgs[:len(pkgs):len(pkgs)], callers...) {
+		references(pkg, refs)
+	}
+	var diags []Diagnostic
+	for _, pkg := range pkgs {
+		d, err := runAnalyzers(pkg, analyzers, refs)
+		if err != nil {
+			return nil, err
 		}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s on %s: %w", a.Name, pkg.ImportPath, err)
-		}
-		for _, d := range raw {
-			pos := pkg.Fset.Position(d.Pos)
-			if sup.matches(a.Name, pos) {
-				continue
-			}
-			diags = append(diags, Diagnostic{Analyzer: a.Name, Pos: pos, Message: d.Message})
-		}
+		diags = append(diags, d...)
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
@@ -102,15 +90,80 @@ func runAnalyzers(pkg *loader.Package, analyzers []*analysis.Analyzer) ([]Diagno
 	return diags, nil
 }
 
-// suppressions records, per analyzer, the file:line locations covered by a
-// valid //fitslint:ignore directive.
-type suppressions map[string]map[string]map[int]bool // analyzer -> file -> line
+func runAnalyzers(pkg *loader.Package, analyzers []*analysis.Analyzer, refs map[string]bool) ([]Diagnostic, error) {
+	sup, diags := parseDirectives(pkg, analyzers)
+	for _, a := range analyzers {
+		var raw []analysis.Diagnostic
+		pass := &analysis.Pass{
+			Analyzer:  a,
+			Fset:      pkg.Fset,
+			Files:     pkg.Files,
+			Pkg:       pkg.Types,
+			TypesInfo: pkg.Info,
+			Refs:      refs,
+			Report:    func(d analysis.Diagnostic) { raw = append(raw, d) },
+		}
+		if err := a.Run(pass); err != nil {
+			return nil, fmt.Errorf("%s on %s: %w", a.Name, pkg.ImportPath, err)
+		}
+		for _, d := range raw {
+			pos := pkg.Fset.Position(d.Pos)
+			if sup.matches(a.Name, pos) {
+				continue
+			}
+			diags = append(diags, Diagnostic{Analyzer: a.Name, Pos: pos, Message: d.Message})
+		}
+	}
+	return diags, nil
+}
+
+// references adds to refs the analysis.Key of every object pkg's files
+// use, except uses inside the declaration of the object itself: a
+// recursive call or a self-referential type does not make a name used.
+func references(pkg *loader.Package, refs map[string]bool) {
+	uses := func(n ast.Node, self *ast.Ident) {
+		own := analysis.Key(pkg.Info.Defs[self])
+		ast.Inspect(n, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				if k := analysis.Key(pkg.Info.Uses[id]); k != "" && k != own {
+					refs[k] = true
+				}
+			}
+			return true
+		})
+	}
+	for _, file := range pkg.Files {
+		for _, decl := range file.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				uses(d, d.Name)
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					var self *ast.Ident
+					if ts, ok := spec.(*ast.TypeSpec); ok {
+						self = ts.Name
+					}
+					uses(spec, self)
+				}
+			}
+		}
+	}
+}
+
+// suppression is the analyzer, file and line of a valid
+// //fitslint:ignore directive.
+type suppression struct {
+	analyzer, file string
+	line           int
+}
+
+// suppressions is the set of a package's valid directives.
+type suppressions map[suppression]bool
 
 // matches reports whether a diagnostic at pos is covered: the directive
 // sits on the flagged line (trailing comment) or the line directly above.
 func (s suppressions) matches(analyzer string, pos token.Position) bool {
-	lines := s[analyzer][pos.Filename]
-	return lines[pos.Line] || lines[pos.Line-1]
+	return s[suppression{analyzer, pos.Filename, pos.Line}] || s[suppression{analyzer, pos.Filename, pos.Line - 1}]
 }
 
 var directiveRe = regexp.MustCompile(`^//fitslint:ignore(?:\s+(\S+))?(?:\s+(\S.*))?$`)
@@ -144,17 +197,7 @@ func parseDirectives(pkg *loader.Package, analyzers []*analysis.Analyzer) (suppr
 				case m[2] == "":
 					report(pos, "suppression of %s without a reason; state why the invariant holds", m[1])
 				default:
-					byFile := sup[m[1]]
-					if byFile == nil {
-						byFile = map[string]map[int]bool{}
-						sup[m[1]] = byFile
-					}
-					lines := byFile[pos.Filename]
-					if lines == nil {
-						lines = map[int]bool{}
-						byFile[pos.Filename] = lines
-					}
-					lines[pos.Line] = true
+					sup[suppression{m[1], pos.Filename, pos.Line}] = true
 				}
 			}
 		}

@@ -13,6 +13,7 @@ import (
 	"fits/internal/lint/maporder"
 	"fits/internal/lint/nondet"
 	"fits/internal/lint/strcopy"
+	"fits/internal/lint/testonly"
 )
 
 func TestMaporder(t *testing.T) {
@@ -31,12 +32,25 @@ func TestStrcopy(t *testing.T) {
 	linttest.Run(t, strcopy.Analyzer, "testdata/src/strcopy", "fits/internal/dataflow")
 }
 
+// TestStrcopyCoversPrecisionPasses: strcopy applies to every package on
+// nondet's pure list, the precision passes included.
+func TestStrcopyCoversPrecisionPasses(t *testing.T) {
+	linttest.Run(t, strcopy.Analyzer, "testdata/src/strcopy", "fits/internal/pathcheck")
+}
+
 func TestStrcopySilentOutsidePurePackages(t *testing.T) {
 	linttest.Run(t, strcopy.Analyzer, "testdata/src/strcopyimpure", "fits/internal/server")
 }
 
 func TestNondetSilentOutsidePurePackages(t *testing.T) {
 	linttest.Run(t, nondet.Analyzer, "testdata/src/nondetimpure", "fits/internal/server")
+}
+
+// TestTestonly loads a fixture module with a nested second module. Names
+// only lib_test.go references are flagged; names another package, the
+// second module, an interface or an iota sibling keeps alive are not.
+func TestTestonly(t *testing.T) {
+	linttest.RunModule(t, testonly.Analyzer, "testdata/src/testonly")
 }
 
 func TestCtxflow(t *testing.T) {
@@ -56,7 +70,7 @@ func TestDirectiveValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := lint.RunPackage(pkg)
+	diags, err := lint.Run([]*loader.Package{pkg}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +102,7 @@ func TestSuiteRegistration(t *testing.T) {
 			t.Errorf("analyzer %q missing Doc or Run", a.Name)
 		}
 	}
-	want := "ctxflow lockguard maporder nondet strcopy"
+	want := "ctxflow lockguard maporder nondet strcopy testonly"
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("registered analyzers %q, want %q", got, want)
 	}

@@ -36,6 +36,8 @@ type expectation struct {
 // Run checks every .go file in dir as a package named importPath with a
 // single analyzer and asserts the findings equal the fixture's // want
 // annotations.
+//
+//fitslint:ignore testonly the fixture harness of the analyzers' tests
 func Run(t *testing.T, a *analysis.Analyzer, dir, importPath string) {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
@@ -61,12 +63,43 @@ func Run(t *testing.T, a *analysis.Analyzer, dir, importPath string) {
 	if err != nil {
 		t.Fatalf("linttest: %v", err)
 	}
-	diags, err := lint.RunAnalyzer(pkg, a)
+	diags, err := lint.Run([]*loader.Package{pkg}, nil, a)
 	if err != nil {
 		t.Fatalf("linttest: %v", err)
 	}
+	compare(t, diags, parseWants(t, pkg))
+}
 
-	wants := parseWants(t, pkg)
+// RunModule is Run for a fixture that is a Go module: it checks every
+// package of the module rooted at dir, with the modules nested in dir as
+// callers, as fitslint counts bench/.
+//
+//fitslint:ignore testonly the fixture harness of the analyzers' tests
+func RunModule(t *testing.T, a *analysis.Analyzer, dir string) {
+	t.Helper()
+	pkgs, err := loader.Load(dir)
+	if err != nil {
+		t.Fatalf("linttest: %v", err)
+	}
+	callers, err := loader.LoadNested(dir)
+	if err != nil {
+		t.Fatalf("linttest: %v", err)
+	}
+	diags, err := lint.Run(pkgs, callers, a)
+	if err != nil {
+		t.Fatalf("linttest: %v", err)
+	}
+	var wants []*expectation
+	for _, pkg := range pkgs {
+		wants = append(wants, parseWants(t, pkg)...)
+	}
+	compare(t, diags, wants)
+}
+
+// compare fails t for every finding no expectation claims and every
+// expectation no finding met.
+func compare(t *testing.T, diags []lint.Diagnostic, wants []*expectation) {
+	t.Helper()
 	for _, d := range diags {
 		if !claim(wants, d) {
 			t.Errorf("unexpected finding: %s", d)

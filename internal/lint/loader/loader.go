@@ -79,6 +79,22 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return out, nil
 }
 
+// LoadNested loads every package of each module one directory below dir,
+// such as the repo's bench/: a module of its own that may still import
+// dir's internal packages, so its references count for module-level checks.
+func LoadNested(dir string) ([]*Package, error) {
+	mods, err := filepath.Glob(filepath.Join(dir, "*", "go.mod"))
+	var out []*Package
+	for _, mod := range mods {
+		pkgs, err := Load(filepath.Dir(mod))
+		if err != nil {
+			return nil, fmt.Errorf("nested module %s: %w", filepath.Dir(mod), err)
+		}
+		out = append(out, pkgs...)
+	}
+	return out, err
+}
+
 // ExportData returns importpath -> export-data file for every dependency of
 // the given patterns (and the patterns themselves), building the export
 // files through the go tool's cache as a side effect.

@@ -7,7 +7,7 @@
 // cache_equivalence_test.go and parallel_test.go) hold only if the analysis
 // core is a pure function of its input bytes. Service and CLI layers may
 // read clocks and environments; internal/{cfg,dataflow,ir,bfv,infer,
-// cluster,score,taint,karonte,ucse} may not.
+// cluster,score,taint,karonte,ucse,alias,pathcheck} may not.
 package nondet
 
 import (
@@ -44,14 +44,9 @@ var purePackages = map[string]bool{
 	"fits/internal/pathcheck": true,
 }
 
-// PurePackages exposes the contract list for the sync self-test.
-func PurePackages() map[string]bool {
-	out := make(map[string]bool, len(purePackages))
-	for k, v := range purePackages {
-		out[k] = v
-	}
-	return out
-}
+// PurePackages returns the contract list, which strcopy shares. Callers
+// must not modify it.
+func PurePackages() map[string]bool { return purePackages }
 
 // banned maps import path -> function names that taint determinism. An
 // empty set bans every function in the package.

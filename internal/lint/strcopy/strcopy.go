@@ -23,6 +23,7 @@ import (
 	"go/types"
 
 	"fits/internal/lint/analysis"
+	"fits/internal/lint/nondet"
 )
 
 // Analyzer implements the check.
@@ -33,23 +34,9 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-// purePackages mirrors the nondet analyzer's list: the packages whose inner
-// loops are the pipeline's hot paths.
-var purePackages = map[string]bool{
-	"fits/internal/cfg":      true,
-	"fits/internal/dataflow": true,
-	"fits/internal/ir":       true,
-	"fits/internal/bfv":      true,
-	"fits/internal/infer":    true,
-	"fits/internal/cluster":  true,
-	"fits/internal/score":    true,
-	"fits/internal/taint":    true,
-	"fits/internal/karonte":  true,
-	"fits/internal/ucse":     true,
-}
-
 func run(pass *analysis.Pass) error {
-	if !purePackages[pass.Pkg.Path()] {
+	// nondet's pure packages: their inner loops are the pipeline's hot paths.
+	if !nondet.PurePackages()[pass.Pkg.Path()] {
 		return nil
 	}
 	for _, file := range pass.Files {

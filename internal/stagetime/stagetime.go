@@ -118,7 +118,7 @@ func (t *Timer) WallNanos(s Stage) int64 {
 }
 
 // Allocs returns the self heap-object count of stage s.
-func (t *Timer) Allocs(s Stage) int64 {
+func (t *Timer) Allocs(s Stage) int64 { //fitslint:ignore testonly BenchmarkPipeline_SingleFirmware reports it as <stage>-allocs/op
 	if t == nil || s >= NumStages {
 		return 0
 	}
