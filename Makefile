@@ -109,6 +109,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDiskStore -fuzztime=$(FUZZTIME) ./internal/diskstore
 	$(GO) test -run='^$$' -fuzz=FuzzReadSubmission -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzFrontend -fuzztime=$(FUZZTIME) ./internal/frontend
+	$(GO) test -run='^$$' -fuzz=FuzzLibc -fuzztime=$(FUZZTIME) ./internal/emu
 	$(GO) test -run='^$$' -fuzz=FuzzKaronte -fuzztime=$(FUZZTIME) -fuzzminimizetime=10x ./internal/karonte
 
 ci: vet fmt-check lint build test race fuzz-smoke precision-smoke examples-smoke bench-smoke bench-check serve-smoke

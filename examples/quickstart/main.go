@@ -28,11 +28,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	truth := map[uint32]string{}
-	for _, its := range sample.Manifest.ITS {
-		truth[its.Entry] = its.FuncName
-	}
 	for _, t := range res.Targets {
+		truth := map[uint32]string{} // this binary's planted ITSs
+		for _, its := range sample.Manifest.ITSIn(t.Binary) {
+			truth[its.Entry] = its.FuncName
+		}
 		fmt.Printf("\ntarget %s: %d custom functions, analyzed in %s\n",
 			t.Path, t.NumFuncs, res.Elapsed.Round(1e6))
 		for i, c := range t.TopCandidates(5) {

@@ -32,12 +32,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	truth := map[uint32]string{}
-	for _, its := range sample.Manifest.ITS {
-		truth[its.Entry] = its.FuncName
-	}
-
 	for _, target := range res.Targets {
+		truth := map[uint32]string{} // this binary's planted ITSs
+		for _, its := range sample.Manifest.ITSIn(target.Bin.Name) {
+			truth[its.Entry] = its.FuncName
+		}
 		ranking, err := infer.InferTargetContext(ctx, target, infer.DefaultConfig())
 		if err != nil {
 			log.Fatal(err)

@@ -37,15 +37,11 @@ func main() {
 	target := res.Targets[0]
 
 	classify := func(alerts []fits.Alert) (tp, fp int) {
+		var tally synth.Tally
 		for _, a := range alerts {
-			h, ok := man.HandlerBySink(target.Binary, a.Func)
-			if ok && h.Category.Vulnerable() {
-				tp++
-			} else {
-				fp++
-			}
+			tally.Add(man.Match(target.Binary, a.Func, a.Sink))
 		}
-		return
+		return len(tally.Found), tally.FP
 	}
 
 	// Pass 1: classical sources only.
@@ -58,13 +54,9 @@ func main() {
 		len(ctsAlerts), tp, fp)
 
 	// Pass 2: seed the verified top-3 inferred sources.
-	truth := map[uint32]bool{}
-	for _, its := range man.ITS {
-		truth[its.Entry] = true
-	}
 	var its []uint32
 	for _, c := range target.TopCandidates(3) {
-		if truth[c.Entry] { // "manual verification" via the manifest oracle
+		if man.IsITS(target.Binary, c.Entry) { // "manual verification" via the manifest oracle
 			its = append(its, c.Entry)
 		}
 	}
@@ -82,12 +74,11 @@ func main() {
 	fmt.Printf("\nITSs surfaced %d additional bugs on this firmware.\n", tp2-tp)
 
 	for _, a := range itsAlerts {
-		h, ok := man.HandlerBySink(target.Binary, a.Func)
 		status := "FP"
 		detail := ""
-		if ok {
+		if h, ok := man.Handler(target.Binary, a.Func, a.Sink); ok {
 			detail = " " + h.Category.String()
-			if h.Category.Vulnerable() {
+			if v, _ := man.Match(target.Binary, a.Func, a.Sink); v == synth.PlantedVulnerable {
 				status = "BUG"
 				detail += " key=" + h.Key
 			}

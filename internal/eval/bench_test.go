@@ -183,10 +183,10 @@ func BenchmarkRQ4_StrategyBaselines(b *testing.B) {
 // planted flow is reachable from the intermediate source but not from the
 // classical source under engine budgets.
 func BenchmarkCaseStudy_DeepFlow(b *testing.B) {
-	deepest := deepestSamples(testCorpus(b))[0]
+	samples := testCorpus(b)
 	var cs CaseStudy
 	for i := 0; i < b.N; i++ {
-		cs = runCaseStudy(context.Background(), modelcache.New(0, 0), deepest)
+		cs = runCaseStudy(context.Background(), modelcache.New(0, 0), samples)
 	}
 	printTable("Case study: deepest flow", fmt.Sprintf(
 		"firmware %s: source-to-sink depth %d calls, ITS-to-sink %d calls\n"+
@@ -239,12 +239,11 @@ func BenchmarkAppendixA_Verification(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				its := s.Manifest.ITSIn(t.Bin.Name)
 				for _, c := range ranking.Top(3) {
 					checked++
 					if verify.Candidate(t.Bin, t.Model, c.Entry).Verified {
 						confirmed++
-						if isITS(its, c.Entry) {
+						if s.Manifest.IsITS(t.Bin.Name, c.Entry) {
 							plantedConfirmed++
 						}
 					}

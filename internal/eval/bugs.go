@@ -3,7 +3,6 @@ package eval
 import (
 	"context"
 	"fmt"
-	"slices"
 	"strings"
 	"time"
 
@@ -43,22 +42,11 @@ func (k EngineKind) String() string {
 // WithITS reports whether the configuration integrates inferred sources.
 func (k EngineKind) WithITS() bool { return k == EngineKaronteITS || k == EngineSTAITS }
 
-// BugResult is one engine's outcome on one firmware sample.
+// BugResult is one engine's outcome on one firmware sample: its alerts
+// scored against the manifest, where the bugs are the found flows.
 type BugResult struct {
-	Alerts  int
-	Bugs    int // true positives (distinct vulnerable flows alerted)
+	synth.Tally
 	Elapsed time.Duration
-	// FoundFlows lists the flows of true-positive alerts, for cross-engine
-	// subset checks.
-	FoundFlows map[Flow]bool
-}
-
-// Flow locates a planted flow by its binary and the entry of the function
-// holding its sink call. Multi-binary firmware can plant flows at the same
-// sink entry in two binaries; they are two bugs.
-type Flow struct {
-	Binary    string
-	SinkEntry uint32
 }
 
 // inferredITS runs the inference pipeline and returns the verified top-3
@@ -71,19 +59,13 @@ func inferredITS(ctx context.Context, cache *modelcache.Cache, s *synth.Sample, 
 	if err != nil {
 		return nil
 	}
-	planted := s.Manifest.ITSIn(t.Bin.Name)
 	var out []uint32
 	for _, r := range ranking.Top(3) {
-		if isITS(planted, r.Entry) {
+		if s.Manifest.IsITS(t.Bin.Name, r.Entry) {
 			out = append(out, r.Entry)
 		}
 	}
 	return out
-}
-
-// isITS reports whether entry is one of the planted ITSs of one binary.
-func isITS(planted []synth.ITSTruth, entry uint32) bool {
-	return slices.ContainsFunc(planted, func(its synth.ITSTruth) bool { return its.Entry == entry })
 }
 
 // runBugEngines applies the four engine configurations of Table 5 to one
@@ -106,7 +88,7 @@ func runBugEngines(ctx context.Context, cache *modelcache.Cache, s *synth.Sample
 	prep := time.Since(start)
 	for kind := EngineKaronte; kind <= EngineSTAITS; kind++ {
 		begin := time.Now()
-		r := BugResult{FoundFlows: map[Flow]bool{}}
+		var r BugResult
 		eng := scan.Static
 		if kind == EngineKaronte || kind == EngineKaronteITS {
 			eng = scan.Symbolic
@@ -121,16 +103,8 @@ func runBugEngines(ctx context.Context, cache *modelcache.Cache, s *synth.Sample
 				break
 			}
 			for _, a := range alerts {
-				if !a.Reported() {
-					continue
-				}
-				r.Alerts++
-				if h, ok := s.Manifest.HandlerBySink(t.Bin.Name, a.Func); ok && h.Category.Vulnerable() {
-					f := Flow{Binary: h.Binary, SinkEntry: h.SinkEntry}
-					if !r.FoundFlows[f] {
-						r.FoundFlows[f] = true
-						r.Bugs++
-					}
+				if a.Reported() {
+					r.Add(s.Manifest.Match(t.Bin.Name, a.Func, a.Sink))
 				}
 			}
 		}
@@ -176,10 +150,10 @@ func table5(ctx context.Context, cache *modelcache.Cache, samples []*synth.Sampl
 		row.N++
 		for kind, r := range runBugEngines(ctx, cache, s) {
 			row.Alerts[kind] += r.Alerts
-			row.Bugs[kind] += r.Bugs
+			row.Bugs[kind] += len(r.Found)
 			row.AvgTime[kind] += r.Elapsed
 			totalAlerts[kind] += r.Alerts
-			totalBugs[kind] += r.Bugs
+			totalBugs[kind] += len(r.Found)
 		}
 	}
 	var rows []BugRow

@@ -220,8 +220,7 @@ func TestBootStompFindsNoSources(t *testing.T) {
 }
 
 func TestCaseStudyDeepFlow(t *testing.T) {
-	deepest := deepestSamples(testCorpus(t))[0]
-	cs := runCaseStudy(context.Background(), testCache, deepest)
+	cs := runCaseStudy(context.Background(), testCache, testCorpus(t))
 	if cs.CTSDepth < 10 {
 		t.Errorf("deepest flow CTS depth = %d, want >= 10", cs.CTSDepth)
 	}
@@ -300,11 +299,11 @@ func TestBugsCountedPerBinary(t *testing.T) {
 	}
 	r := runBugEngines(context.Background(), testCache, s)[EngineSTAITS]
 	for _, bin := range []string{"httpd", "netcgi"} {
-		if !r.FoundFlows[Flow{Binary: bin, SinkEntry: shared}] {
+		if !r.Found[synth.Flow{Binary: bin, SinkEntry: shared}] {
 			t.Errorf("STA-ITS missed the %s flow at %#x", bin, shared)
 		}
 	}
-	if r.Bugs != len(r.FoundFlows) {
-		t.Errorf("bugs = %d, want one per found flow (%d)", r.Bugs, len(r.FoundFlows))
+	if r.Alerts-r.FP != len(r.Found) {
+		t.Errorf("%d true-positive alerts, want one per found flow (%d)", r.Alerts-r.FP, len(r.Found))
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"time"
 
@@ -50,19 +49,9 @@ func table4(ctx context.Context, cache *modelcache.Cache, samples []*synth.Sampl
 		// Report the target whose ranking carries the best-placed ITS
 		// (for multi-binary firmware this is sometimes the CGI helper,
 		// as in the paper's Table 4).
-		best := r.Rankings[0]
-		bestRank := 0
-		var bestAddr uint32
-		for _, rk := range r.Rankings {
-			planted := s.Manifest.ITSIn(rk.Binary)
-			for i, e := range rk.Ranked {
-				if isITS(planted, e.Entry) {
-					if bestRank == 0 || i+1 < bestRank {
-						best, bestRank, bestAddr = rk, i+1, e.Entry
-					}
-					break
-				}
-			}
+		best, bestRank, bestAddr := bestITS(&s.Manifest, r.Rankings)
+		if best == nil {
+			best = r.Rankings[0]
 		}
 		rows = append(rows, DetailRow{
 			Vendor:   s.Manifest.Vendor,
@@ -279,10 +268,9 @@ func BootStompBaseline(ctx context.Context, cache *modelcache.Cache, samples []*
 		}
 		any, hit := false, false
 		for _, t := range res.Targets {
-			planted := s.Manifest.ITSIn(t.Bin.Name)
 			for _, entry := range altrep.BootStomp(t.Bin, t.Model) {
 				any = true
-				if isITS(planted, entry) {
+				if s.Manifest.IsITS(t.Bin.Name, entry) {
 					hit = true
 				}
 			}
@@ -312,46 +300,26 @@ type CaseStudy struct {
 	STAITS     bool
 }
 
-// runCaseStudy finds the deepest planted flow in the given sample and checks
-// which engine configurations report it.
-func runCaseStudy(ctx context.Context, cache *modelcache.Cache, s *synth.Sample) CaseStudy {
-	cs := CaseStudy{Product: s.Manifest.Product}
-	var deepest *synth.HandlerTruth
-	for i := range s.Manifest.Handlers {
-		h := &s.Manifest.Handlers[i]
-		if !h.Category.Vulnerable() {
-			continue
-		}
-		if deepest == nil || h.CTSDepth > deepest.CTSDepth {
-			deepest = h
+// runCaseStudy picks the sample whose deepest planted bug lies farthest
+// from the classical source (the first of equals) and checks which engine
+// configurations report that bug.
+func runCaseStudy(ctx context.Context, cache *modelcache.Cache, samples []*synth.Sample) CaseStudy {
+	var s *synth.Sample
+	var deepest synth.HandlerTruth
+	for _, c := range samples {
+		if h, ok := c.Manifest.DeepestBug(); ok && (s == nil || h.CTSDepth > deepest.CTSDepth) {
+			s, deepest = c, h
 		}
 	}
-	if deepest == nil {
-		return cs
+	if s == nil {
+		return CaseStudy{}
 	}
-	cs.CTSDepth = deepest.CTSDepth
-	cs.ITSDepth = deepest.ITSDepth
+	cs := CaseStudy{Product: s.Manifest.Product, CTSDepth: deepest.CTSDepth, ITSDepth: deepest.ITSDepth}
 	rs := runBugEngines(ctx, cache, s)
-	f := Flow{Binary: deepest.Binary, SinkEntry: deepest.SinkEntry}
-	cs.KaronteCTS = rs[EngineKaronte].FoundFlows[f]
-	cs.KaronteITS = rs[EngineKaronteITS].FoundFlows[f]
-	cs.STACTS = rs[EngineSTA].FoundFlows[f]
-	cs.STAITS = rs[EngineSTAITS].FoundFlows[f]
+	f := synth.Flow{Binary: deepest.Binary, SinkEntry: deepest.SinkEntry}
+	cs.KaronteCTS = rs[EngineKaronte].Found[f]
+	cs.KaronteITS = rs[EngineKaronteITS].Found[f]
+	cs.STACTS = rs[EngineSTA].Found[f]
+	cs.STAITS = rs[EngineSTAITS].Found[f]
 	return cs
-}
-
-// deepestSamples returns samples ordered by their deepest vulnerable flow.
-func deepestSamples(samples []*synth.Sample) []*synth.Sample {
-	out := append([]*synth.Sample(nil), samples...)
-	depth := func(s *synth.Sample) int {
-		d := 0
-		for _, h := range s.Manifest.Handlers {
-			if h.Category.Vulnerable() && h.CTSDepth > d {
-				d = h.CTSDepth
-			}
-		}
-		return d
-	}
-	sort.Slice(out, func(i, j int) bool { return depth(out[i]) > depth(out[j]) })
-	return out
 }

@@ -40,21 +40,21 @@ func (r *InferenceResult) TopN(n int) bool {
 	return r.ITSRank > 0 && r.ITSRank <= n
 }
 
-// itsRank finds the best rank of any manifest ITS across rankings.
-func itsRank(man *synth.Manifest, rankings []*infer.Ranking) int {
-	best := 0
+// bestITS finds the best-ranked planted ITS across rankings, each ranking
+// checked against its own binary's ITSs: the ranking holding it, its
+// 1-based rank and its entry; rank 0 when no planted ITS is ranked.
+func bestITS(man *synth.Manifest, rankings []*infer.Ranking) (best *infer.Ranking, rank int, entry uint32) {
 	for _, r := range rankings {
-		planted := man.ITSIn(r.Binary)
 		for i, rr := range r.Ranked {
-			if isITS(planted, rr.Entry) {
-				if best == 0 || i+1 < best {
-					best = i + 1
+			if man.IsITS(r.Binary, rr.Entry) {
+				if rank == 0 || i+1 < rank {
+					best, rank, entry = r, i+1, rr.Entry
 				}
 				break
 			}
 		}
 	}
-	return best
+	return best, rank, entry
 }
 
 // RunInference loads and infers one sample under a configuration; the load
@@ -67,7 +67,7 @@ func RunInference(ctx context.Context, s *synth.Sample, cfg infer.Config) Infere
 		out.Rankings, err = infer.InferAllContext(ctx, res, cfg)
 	}
 	out.LoadErr = err
-	out.ITSRank = itsRank(&s.Manifest, out.Rankings)
+	_, out.ITSRank, _ = bestITS(&s.Manifest, out.Rankings)
 	out.Elapsed = time.Since(start)
 	return out
 }
@@ -134,8 +134,6 @@ func Table3(results []InferenceResult) []PrecisionRow {
 	})
 
 	var rows []PrecisionRow
-	var totN int
-	var tot1, tot2, tot3 float64
 	var totTime time.Duration
 	for _, k := range order {
 		rs := groups[k]
@@ -146,52 +144,37 @@ func Table3(results []InferenceResult) []PrecisionRow {
 		}
 		sort.Strings(names)
 		row.Series = strings.Join(names, "/")
-		var t1, t2, t3 int
+		row.Top1, row.Top2, row.Top3 = OverallPrecision(rs)
 		var dur time.Duration
 		for _, r := range rs {
-			if r.TopN(1) {
-				t1++
-			}
-			if r.TopN(2) {
-				t2++
-			}
-			if r.TopN(3) {
-				t3++
-			}
 			dur += r.Elapsed
 		}
-		n := float64(len(rs))
-		row.Top1 = float64(t1) / n
-		row.Top2 = float64(t2) / n
-		row.Top3 = float64(t3) / n
 		row.AvgTime = dur / time.Duration(len(rs))
 		rows = append(rows, row)
-		totN += len(rs)
-		tot1 += float64(t1)
-		tot2 += float64(t2)
-		tot3 += float64(t3)
 		totTime += dur
 	}
-	if totN > 0 {
-		rows = append(rows, PrecisionRow{
-			Dataset: "Average", Vendor: "-", Series: "-", N: totN,
-			Top1:    tot1 / float64(totN),
-			Top2:    tot2 / float64(totN),
-			Top3:    tot3 / float64(totN),
-			AvgTime: totTime / time.Duration(totN),
-		})
+	if len(results) > 0 {
+		avg := PrecisionRow{Dataset: "Average", Vendor: "-", Series: "-", N: len(results),
+			AvgTime: totTime / time.Duration(len(results))}
+		avg.Top1, avg.Top2, avg.Top3 = OverallPrecision(results)
+		rows = append(rows, avg)
 	}
 	return rows
 }
 
-// FormatTable3 renders rows in the paper's layout.
+// FormatTable3 renders rows in the paper's layout; the Series column is as
+// wide as its widest entry, and at least 16.
 func FormatTable3(rows []PrecisionRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-8s %-8s %-16s %4s %6s %6s %6s %10s\n",
-		"Dataset", "Vendor", "Series", "#FW", "Top-1", "Top-2", "Top-3", "AvgTime")
+	w := 16
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-8s %-8s %-16s %4d %5.0f%% %5.0f%% %5.0f%% %10s\n",
-			r.Dataset, r.Vendor, r.Series, r.N,
+		w = max(w, len(r.Series))
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-8s %-8s %-*s %4s %6s %6s %6s %10s\n",
+		"Dataset", "Vendor", w, "Series", "#FW", "Top-1", "Top-2", "Top-3", "AvgTime")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%-8s %-8s %-*s %4d %5.0f%% %5.0f%% %5.0f%% %10s\n",
+			r.Dataset, r.Vendor, w, r.Series, r.N,
 			100*r.Top1, 100*r.Top2, 100*r.Top3, r.AvgTime.Round(time.Millisecond))
 	}
 	return b.String()

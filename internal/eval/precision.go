@@ -44,8 +44,8 @@ type ScanPrecisionRow struct {
 	// pass removed (always 0 in baseline mode).
 	Alerts  int
 	Refuted int
-	// TP / FP / FN match alerts against the manifests' vulnerable handlers
-	// by (binary, sink-function, dedup by flow).
+	// TP / FP / FN score alerts by synth's manifest matcher: TP sums each
+	// sample's found flows.
 	TP, FP, FN int
 	Precision  float64
 	Recall     float64
@@ -114,27 +114,18 @@ func precisionSamples() (map[string][]*synth.Sample, []string, error) {
 // scorePrecision scans every sample of one family in one engine mode through
 // scan.Run and accumulates the row; Refuted is read from the memoised full
 // alert list. The ITS set is seeded from the manifest (the paper's
-// verified-candidate workflow, as in RunBugEngine), so the comparison
+// verified-candidate workflow, as in runBugEngines), so the comparison
 // isolates the precision passes from inference quality.
 func scorePrecision(ctx context.Context, cache *modelcache.Cache, family, mode string, samples []*synth.Sample, disablePasses bool) (ScanPrecisionRow, error) {
 	row := ScanPrecisionRow{Family: family, Mode: mode}
-	type coord struct {
-		version string
-		binary  string
-		entry   uint32
-	}
-	found := map[coord]bool{}
 	vulnTotal := 0
 	for _, s := range samples {
 		res, err := loader.LoadContext(ctx, s.Packed, loader.Options{Cache: cache})
 		if err != nil {
 			return row, fmt.Errorf("precision: load %s %s: %w", s.Manifest.Product, s.Manifest.Version, err)
 		}
-		for _, h := range s.Manifest.Handlers {
-			if h.Category.Vulnerable() {
-				vulnTotal++
-			}
-		}
+		vulnTotal += s.Manifest.TrueBugs()
+		var tally synth.Tally
 		for _, t := range res.Targets {
 			var its []uint32
 			for _, it := range s.Manifest.ITSIn(t.Bin.Name) {
@@ -151,20 +142,15 @@ func scorePrecision(ctx context.Context, cache *modelcache.Cache, family, mode s
 				if a.Refuted != "" {
 					row.Refuted++
 				}
-				if !a.Reported() {
-					continue
-				}
-				row.Alerts++
-				h, ok := s.Manifest.HandlerBySink(t.Bin.Name, a.Func)
-				if ok && h.Category.Vulnerable() {
-					found[coord{s.Manifest.Version, t.Bin.Name, h.SinkEntry}] = true
-				} else {
-					row.FP++
+				if a.Reported() {
+					tally.Add(s.Manifest.Match(t.Bin.Name, a.Func, a.Sink))
 				}
 			}
 		}
+		row.Alerts += tally.Alerts
+		row.FP += tally.FP
+		row.TP += len(tally.Found)
 	}
-	row.TP = len(found)
 	row.FN = vulnTotal - row.TP
 	// 1.0-on-empty conventions: see the package comment above.
 	row.Precision = 1.0

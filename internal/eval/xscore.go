@@ -20,9 +20,9 @@ import (
 // XScoreRow is one corpus mode's detection score.
 type XScoreRow struct {
 	Mode string
-	// TP / FP / FN count alerts against the planted vulnerable flows:
-	// an alert is a true positive when it lands on a vulnerable flow's
-	// (binary, function, sink) coordinate.
+	// TP / FP / FN score alerts by synth's manifest matcher: an alert is
+	// a true positive when it lands on a vulnerable flow's (binary,
+	// function, sink) coordinate.
 	TP, FP, FN int
 	Precision  float64
 	Recall     float64
@@ -49,38 +49,24 @@ func runXScore(ctx context.Context, cache *modelcache.Cache, x *synth.XCorpus) (
 // scoreReport matches one report's alerts against the planted flows.
 func scoreReport(mode string, rep *corpustaint.Report, m synth.XManifest) XScoreRow {
 	row := XScoreRow{Mode: mode}
-	type coord struct {
-		binary string
-		entry  uint32
-		sink   string
+	var tally synth.Tally
+	for _, a := range rep.Alerts {
+		tally.Add(m.Match(a.Binary, a.Func, a.Sink))
 	}
-	truth := map[coord]synth.XFlowTruth{}
+	row.TP, row.FP = len(tally.Found), tally.FP
 	for _, f := range m.Flows {
 		if !f.Vulnerable {
 			continue
 		}
-		truth[coord{f.SinkBinary, f.SinkEntry, f.Sink}] = f
+		hit := tally.Found[synth.Flow{Binary: f.SinkBinary, SinkEntry: f.SinkEntry}]
+		if !hit {
+			row.FN++
+		}
 		if f.CrossBinary {
 			row.CrossTotal++
-		}
-	}
-	hit := map[coord]bool{}
-	for _, a := range rep.Alerts {
-		c := coord{a.Binary, a.Func, a.Sink}
-		if _, ok := truth[c]; ok {
-			hit[c] = true
-		} else {
-			row.FP++
-		}
-	}
-	for c, f := range truth {
-		if hit[c] {
-			row.TP++
-			if f.CrossBinary {
+			if hit {
 				row.CrossTP++
 			}
-		} else {
-			row.FN++
 		}
 	}
 	if row.TP+row.FP > 0 {

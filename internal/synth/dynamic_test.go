@@ -9,115 +9,25 @@ import (
 )
 
 // dynamicHarness wires a generated network binary into the emulator with
-// native libc implementations, so planted flows can be driven for real.
+// its native libc, so planted flows can be driven for real.
 type dynamicHarness struct {
 	m *emu.Machine
 	// sinkArgs records every string that reached a sink's dangerous
 	// parameter, keyed by sink name.
 	sinkArgs map[string][]string
-	heap     uint32
 }
 
+// The harness heap spans [harnessHeap, harnessHeap+0x4000); probes are
+// planted above it.
 const harnessHeap = emu.StackTop - 1<<20 + 0x2000
 
 func newHarness(t *testing.T, bin *binimg.Binary) *dynamicHarness {
 	t.Helper()
-	h := &dynamicHarness{m: emu.New(bin), sinkArgs: map[string][]string{}, heap: harnessHeap}
+	h := &dynamicHarness{m: emu.New(bin), sinkArgs: map[string][]string{}}
 	h.m.MaxSteps = 2_000_000
-	cstr := func(a uint32) string {
-		s, err := h.m.ReadCString(a, 256)
-		if err != nil {
-			return ""
-		}
-		return s
-	}
-	record := func(sink string, arg uint32) {
-		h.sinkArgs[sink] = append(h.sinkArgs[sink], cstr(arg))
-	}
-	handlers := map[string]emu.ImportFunc{
-		"strlen": func(m *emu.Machine) error {
-			m.Regs[0] = uint32(len(cstr(m.Regs[0])))
-			return nil
-		},
-		"strncmp": func(m *emu.Machine) error {
-			n := m.Regs[2]
-			eq := uint32(0)
-			for i := uint32(0); i < n; i++ {
-				a, err := m.LoadByte(m.Regs[0] + i)
-				if err != nil {
-					return err
-				}
-				b, err := m.LoadByte(m.Regs[1] + i)
-				if err != nil {
-					return err
-				}
-				if a != b {
-					eq = 1
-					break
-				}
-				if a == 0 {
-					break
-				}
-			}
-			m.Regs[0] = eq
-			return nil
-		},
-		"memcpy": func(m *emu.Machine) error {
-			for i := uint32(0); i < m.Regs[2]; i++ {
-				b, err := m.LoadByte(m.Regs[1] + i)
-				if err != nil {
-					return err
-				}
-				if err := m.StoreByte(m.Regs[0]+i, b); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		"malloc": func(m *emu.Machine) error {
-			n := (m.Regs[0] + 7) &^ 7
-			m.Regs[0] = h.heap
-			h.heap += n
-			return nil
-		},
-		"strcpy": func(m *emu.Machine) error {
-			record("strcpy", m.Regs[1])
-			s := cstr(m.Regs[1])
-			return m.StoreBytes(m.Regs[0], append([]byte(s), 0))
-		},
-		"strncpy": func(m *emu.Machine) error {
-			record("strncpy", m.Regs[1])
-			return nil
-		},
-		"strcat": func(m *emu.Machine) error {
-			record("strcat", m.Regs[1])
-			return nil
-		},
-		"sprintf": func(m *emu.Machine) error {
-			record("sprintf", m.Regs[2]) // the %s argument
-			return nil
-		},
-		"system": func(m *emu.Machine) error {
-			record("system", m.Regs[0])
-			return nil
-		},
-		"popen": func(m *emu.Machine) error {
-			record("popen", m.Regs[0])
-			return nil
-		},
-		"execve": func(m *emu.Machine) error {
-			record("execve", m.Regs[0])
-			return nil
-		},
-	}
-	fallback := func(m *emu.Machine) error { m.Regs[0] = 0; return nil }
-	for _, im := range bin.Imports {
-		if fn, ok := handlers[im.Name]; ok {
-			h.m.Imports[im.Name] = fn
-		} else {
-			h.m.Imports[im.Name] = fallback
-		}
-	}
+	h.m.InstallLibc(harnessHeap, harnessHeap+0x4000, func(sink, arg string) {
+		h.sinkArgs[sink] = append(h.sinkArgs[sink], arg)
+	})
 	return h
 }
 

@@ -2,13 +2,16 @@ package taint
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"fits/internal/loader"
 	"fits/internal/synth"
 )
 
+// TestDebugSTA scores the first target of four samples with classical
+// sources only and with the target's planted ITSs seeded: every reported
+// alert must land on a planted flow, and seeding the ITSs must find at
+// least the bugs classical sources find.
 func TestDebugSTA(t *testing.T) {
 	for _, idx := range []int{0, 17, 30, 42} {
 		spec := synth.Dataset()[idx]
@@ -22,38 +25,32 @@ func TestDebugSTA(t *testing.T) {
 		}
 		target := res.Targets[0]
 		man := s.Manifest
-		classify := func(alerts []Alert) (tp, fp int) {
+		score := func(mode string, alerts []Alert) synth.Tally {
+			var tally synth.Tally
 			for _, a := range alerts {
-				if h, ok := man.HandlerBySink(target.Bin.Name, a.Func); ok && h.Category.Vulnerable() {
-					tp++
-				} else {
-					fp++
+				v, f := man.Match(target.Bin.Name, a.Func, a.Sink)
+				tally.Add(v, f)
+				if v == synth.Unplanted {
+					t.Errorf("%s %s: %s alert func=%#x sink=%s from=%v key=%q lands on no planted flow",
+						man.Product, target.Bin.Name, mode, a.Func, a.Sink, a.From, a.Key)
 				}
 			}
-			return
+			return tally
 		}
-		// CTS only
-		ectx := New(target.Bin, target.Model, Options{UseCTS: true})
-		ctsAlerts := ectx.Run()
-		tp, fp := classify(ctsAlerts)
-		// ITS mode
+		cts := score("CTS", New(target.Bin, target.Model, Options{UseCTS: true}).Run())
 		var its []uint32
-		for _, it := range man.ITS {
+		for _, it := range man.ITSIn(target.Bin.Name) {
 			its = append(its, it.Entry)
 		}
 		eits := New(target.Bin, target.Model, Options{UseCTS: true, ITS: its, StringFilter: true})
 		itsAlerts := eits.Run()
-		tp2, fp2 := classify(itsAlerts)
-		nfiltered := len(eits.AllAlerts()) - len(itsAlerts)
-		fmt.Printf("%-8s %-10s bugs=%2d | CTS alerts=%2d tp=%2d fp=%2d | +ITS alerts=%2d tp=%2d fp=%2d filtered=%d\n",
-			man.Vendor, man.Product, man.TrueBugs(), len(ctsAlerts), tp, fp, len(itsAlerts), tp2, fp2, nfiltered)
-		for _, a := range itsAlerts {
-			h, ok := man.HandlerBySink(target.Bin.Name, a.Func)
-			if !ok {
-				fmt.Printf("    UNKNOWN alert func=%#x sink=%s from=%v key=%q\n", a.Func, a.Sink, a.From, a.Key)
-			} else if !h.Category.Vulnerable() {
-				fmt.Printf("    FP %-20s sink=%s from=%v key=%q\n", h.Category, a.Sink, a.From, a.Key)
-			}
+		seeded := score("+ITS", itsAlerts)
+		t.Logf("%-8s %-10s bugs=%2d | CTS alerts=%2d tp=%2d fp=%2d | +ITS alerts=%2d tp=%2d fp=%2d filtered=%d",
+			man.Vendor, man.Product, man.TrueBugs(), cts.Alerts, len(cts.Found), cts.FP,
+			seeded.Alerts, len(seeded.Found), seeded.FP, len(eits.AllAlerts())-len(itsAlerts))
+		if len(seeded.Found) < len(cts.Found) {
+			t.Errorf("%s: ITS seeding found %d bugs, fewer than classical sources' %d",
+				man.Product, len(seeded.Found), len(cts.Found))
 		}
 	}
 }

@@ -70,7 +70,7 @@ func Candidate(bin *binimg.Binary, model *cfg.Model, entry uint32) Outcome {
 
 	m := emu.New(bin)
 	m.MaxSteps = 200_000
-	installLibc(m)
+	m.InstallLibc(heapBase, heapLimit, nil)
 	m.Sys = func(m *emu.Machine, num int32) error {
 		// Raw system primitives inside a candidate (I/O, exec) mean it is
 		// not a pure fetcher; stop the run.
@@ -123,130 +123,4 @@ func Candidate(bin *binimg.Binary, model *cfg.Model, entry uint32) Outcome {
 		out.Err = fmt.Errorf("verify: returned %q, not the planted field", out.Returned)
 	}
 	return out
-}
-
-// installLibc provides native implementations for the library imports the
-// corpus binaries use, sufficient to run fetch functions standalone.
-func installLibc(m *emu.Machine) {
-	heap := uint32(heapBase)
-	cstr := func(addr uint32) (string, error) { return m.ReadCString(addr, 256) }
-
-	handlers := map[string]emu.ImportFunc{
-		"strlen": func(m *emu.Machine) error {
-			s, err := cstr(m.Regs[0])
-			if err != nil {
-				return err
-			}
-			m.Regs[0] = uint32(len(s))
-			return nil
-		},
-		"strcmp": func(m *emu.Machine) error {
-			a, err := cstr(m.Regs[0])
-			if err != nil {
-				return err
-			}
-			b, err := cstr(m.Regs[1])
-			if err != nil {
-				return err
-			}
-			m.Regs[0] = uint32(int32(strings.Compare(a, b)))
-			return nil
-		},
-		"strncmp": func(m *emu.Machine) error {
-			n := int(m.Regs[2])
-			a, err := readN(m, m.Regs[0], n)
-			if err != nil {
-				return err
-			}
-			b, err := readN(m, m.Regs[1], n)
-			if err != nil {
-				return err
-			}
-			m.Regs[0] = uint32(int32(strings.Compare(cut(a), cut(b))))
-			return nil
-		},
-		"memcpy": func(m *emu.Machine) error {
-			dst, src, n := m.Regs[0], m.Regs[1], m.Regs[2]
-			for i := uint32(0); i < n; i++ {
-				b, err := m.LoadByte(src + i)
-				if err != nil {
-					return err
-				}
-				if err := m.StoreByte(dst+i, b); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		"malloc": func(m *emu.Machine) error {
-			n := (m.Regs[0] + 7) &^ 7
-			if heap+n >= heapLimit {
-				m.Regs[0] = 0
-				return nil
-			}
-			m.Regs[0] = heap
-			heap += n
-			return nil
-		},
-		"free": func(m *emu.Machine) error { m.Regs[0] = 0; return nil },
-		"strcpy": func(m *emu.Machine) error {
-			s, err := cstr(m.Regs[1])
-			if err != nil {
-				return err
-			}
-			if err := m.StoreBytes(m.Regs[0], append([]byte(s), 0)); err != nil {
-				return err
-			}
-			return nil
-		},
-		"strstr": func(m *emu.Machine) error {
-			h, err := cstr(m.Regs[0])
-			if err != nil {
-				return err
-			}
-			nd, err := cstr(m.Regs[1])
-			if err != nil {
-				return err
-			}
-			if i := strings.Index(h, nd); i >= 0 {
-				m.Regs[0] = m.Regs[0] + uint32(i)
-			} else {
-				m.Regs[0] = 0
-			}
-			return nil
-		},
-	}
-	// Everything else behaves as a harmless no-op returning zero; a
-	// candidate relying on it cannot produce the marker.
-	fallback := func(m *emu.Machine) error { m.Regs[0] = 0; return nil }
-	for _, im := range m.Bin.Imports {
-		if h, ok := handlers[im.Name]; ok {
-			m.Imports[im.Name] = h
-		} else {
-			m.Imports[im.Name] = fallback
-		}
-	}
-}
-
-func readN(m *emu.Machine, addr uint32, n int) (string, error) {
-	if n > 256 {
-		n = 256
-	}
-	buf := make([]byte, n)
-	for i := 0; i < n; i++ {
-		b, err := m.LoadByte(addr + uint32(i))
-		if err != nil {
-			return "", err
-		}
-		buf[i] = b
-	}
-	return string(buf), nil
-}
-
-// cut truncates at the first NUL, mirroring strncmp's early stop.
-func cut(s string) string {
-	if i := strings.IndexByte(s, 0); i >= 0 {
-		return s[:i+1]
-	}
-	return s
 }
