@@ -32,13 +32,9 @@ func TestAnalyzeEndToEnd(t *testing.T) {
 		t.Fatalf("funcs=%d candidates=%d", tgt.NumFuncs, len(tgt.Candidates))
 	}
 	// The planted ITS must sit in the top-3 for this sample.
-	truth := map[uint32]bool{}
-	for _, its := range s.Manifest.ITS {
-		truth[its.Entry] = true
-	}
 	found := false
 	for _, c := range tgt.TopCandidates(3) {
-		if truth[c.Entry] {
+		if s.Manifest.IsITS(tgt.Binary, c.Entry) {
 			found = true
 		}
 	}
@@ -64,12 +60,8 @@ func TestScanBothEngines(t *testing.T) {
 	}
 	tgt := res.Targets[0]
 	var its []uint32
-	truth := map[uint32]bool{}
-	for _, it := range s.Manifest.ITS {
-		truth[it.Entry] = true
-	}
 	for _, c := range tgt.TopCandidates(3) {
-		if truth[c.Entry] {
+		if s.Manifest.IsITS(tgt.Binary, c.Entry) {
 			its = append(its, c.Entry)
 		}
 	}

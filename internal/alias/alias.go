@@ -39,18 +39,6 @@ const (
 	Heap
 )
 
-func (k LocKind) String() string {
-	switch k {
-	case Stack:
-		return "stack"
-	case Global:
-		return "global"
-	case Heap:
-		return "heap"
-	}
-	return "loc"
-}
-
 // Span is the window width in bytes for Stack and Global locations. It
 // matches the taint engine's tainted-object span: a store anywhere in a
 // window taints the whole window.

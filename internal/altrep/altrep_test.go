@@ -137,13 +137,9 @@ func TestBootStompFindsNothingOnCorpusSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth := map[uint32]bool{}
-	for _, its := range s.Manifest.ITS {
-		truth[its.Entry] = true
-	}
 	for _, tg := range res.Targets {
 		for _, e := range BootStomp(tg.Bin, tg.Model) {
-			if truth[e] {
+			if s.Manifest.IsITS(tg.Bin.Name, e) {
 				t.Error("keyword heuristic accidentally found a true ITS")
 			}
 		}

@@ -4,8 +4,6 @@
 package bfv
 
 import (
-	"fmt"
-
 	"fits/internal/binimg"
 	"fits/internal/cfg"
 	"fits/internal/dataflow"
@@ -41,14 +39,6 @@ var FeatureNames = [Dim]string{
 
 // Vector is one function's behavioral feature vector.
 type Vector [Dim]float64
-
-func (v Vector) String() string {
-	return fmt.Sprintf("[%g %v %g %g %g %g %v %v %v %v %g]",
-		v[FBasicBlocks], v[FHasLoop] != 0, v[FCallers], v[FParams],
-		v[FAnchorCalls], v[FLibCalls], v[FParamLoop] != 0,
-		v[FParamBranch] != 0, v[FParamAnchor] != 0, v[FArgStrings] != 0,
-		v[FNumStrings])
-}
 
 // Drop returns a copy of v with feature i zeroed, implementing the CF-i
 // variants of the paper's ablation study (RQ3).

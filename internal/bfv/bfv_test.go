@@ -1,6 +1,7 @@
 package bfv
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -199,6 +200,15 @@ func TestDrop(t *testing.T) {
 			t.Errorf("feature %d changed", i)
 		}
 	}
+}
+
+// String renders a vector in the paper's notation; only tests print one.
+func (v Vector) String() string {
+	return fmt.Sprintf("[%g %v %g %g %g %g %v %v %v %v %g]",
+		v[FBasicBlocks], v[FHasLoop] != 0, v[FCallers], v[FParams],
+		v[FAnchorCalls], v[FLibCalls], v[FParamLoop] != 0,
+		v[FParamBranch] != 0, v[FParamAnchor] != 0, v[FArgStrings] != 0,
+		v[FNumStrings])
 }
 
 func TestVectorString(t *testing.T) {

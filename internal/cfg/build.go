@@ -27,26 +27,20 @@ type Options struct {
 	// JumpResolver handles computed jumps; nil leaves switch-case blocks
 	// unrecovered.
 	JumpResolver JumpTableResolver
-	// SkipPrologueScan disables the linear sweep for unreached functions.
-	SkipPrologueScan bool
-	// MaxFuncs bounds discovery as a runaway guard.
-	MaxFuncs int
 	// Probe, when set, opens a CFG span around each Build and a nested Lift
 	// span around each function's recovery and lifting. Models are
 	// unaffected.
 	Probe stagetime.Probe
 }
 
-const defaultMaxFuncs = 1 << 16
+// maxFuncs bounds discovery as a runaway guard.
+const maxFuncs = 1 << 16
 
 // Build recovers the whole-binary model: functions, CFGs, loops, parameter
 // estimates, and the (reverse) call graph, iterating discovery and indirect
 // resolution to a fixed point.
 func Build(bin *binimg.Binary, opts Options) (*Model, error) {
 	defer stagetime.Open(opts.Probe, stagetime.CFG)()
-	if opts.MaxFuncs == 0 {
-		opts.MaxFuncs = defaultMaxFuncs
-	}
 	m := &Model{Bin: bin, Funcs: map[uint32]*Function{}, Callers: map[uint32][]CallSite{}}
 	x := newTextIndex(bin)
 
@@ -60,8 +54,8 @@ func Build(bin *binimg.Binary, opts Options) (*Model, error) {
 			if _, done := m.Funcs[entry]; done {
 				continue
 			}
-			if len(m.Funcs) >= opts.MaxFuncs {
-				return fmt.Errorf("cfg: %s: function limit %d exceeded", bin.Name, opts.MaxFuncs)
+			if len(m.Funcs) >= maxFuncs {
+				return fmt.Errorf("cfg: %s: function limit %d exceeded", bin.Name, maxFuncs)
 			}
 			lifted := stagetime.Open(opts.Probe, stagetime.Lift)
 			f, err := buildFunction(bin, x, entry, jumpTables[entry])
@@ -205,7 +199,7 @@ func Build(bin *binimg.Binary, opts Options) (*Model, error) {
 		if opts.JumpResolver != nil && resolveJumpTables() {
 			changed = true
 		}
-		if !opts.SkipPrologueScan && prologueScan() {
+		if prologueScan() {
 			changed = true
 		}
 		if !changed || round > 16 {

@@ -235,16 +235,6 @@ func TestPrologueScanFindsDeadCode(t *testing.T) {
 	bin := link(t, p, isa.ArchARM)
 	m := build(t, bin)
 	funcByName(t, m, "orphan")
-
-	m2, err := Build(bin, Options{SkipPrologueScan: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range m2.Funcs {
-		if f.Name == "orphan" {
-			t.Error("orphan found despite disabled prologue scan")
-		}
-	}
 }
 
 func TestStrippedNames(t *testing.T) {

@@ -19,9 +19,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 
-	"fits/internal/cfg"
 	"fits/internal/dataflow"
 	"fits/internal/firmware"
 	"fits/internal/frontend"
@@ -115,6 +113,8 @@ type Provenance struct {
 // containing the sink, where taint.Alert.Binary is the binary's name.
 type Alert struct {
 	taint.Finding
+	// Key is the request field that seeded the flow or, on a cross-binary
+	// alert, the channel key; Via is that alert's seeding endpoint.
 	Key string `json:"key,omitempty"`
 	Via string `json:"via,omitempty"`
 	// Provenance is present on flows traceable to a front-end parameter or
@@ -237,12 +237,12 @@ func Run(ctx context.Context, files []firmware.File, opts Options) (*Report, err
 	progress(fmt.Sprintf("loaded %d binaries", len(res.Targets)))
 
 	// Channel topology: every setter/getter endpoint across the corpus, and
-	// the keys some reader consumes (only those are worth propagating).
+	// the endpoints some reader consumes (only those are worth propagating).
 	var eps []xchan.Endpoint
 	for _, t := range res.Targets {
 		eps = append(eps, xchan.Endpoints(t.Path, t.Bin, t.Model)...)
 	}
-	getterKeys := xchan.GetterKeys(eps)
+	readable := xchan.GetterIDs(eps)
 
 	// Per-binary seeding.
 	states := make([]*binState, len(res.Targets))
@@ -280,10 +280,10 @@ func Run(ctx context.Context, files []firmware.File, opts Options) (*Report, err
 	// bounded by the corpus's endpoint vocabulary, so this terminates.
 	// Round 1 scans every binary; later rounds rescan only the binaries
 	// with a getter endpoint the previous round newly tainted. A scan seeds
-	// only getters whose key is tainted, so every other binary's alerts
-	// are what a rescan under the cumulative seed set would return.
-	tainted := map[know.ChanKind]map[string]bool{}
-	origins := map[string]origin{} // "<chan>:<key>" -> first tainting write
+	// only getters of tainted endpoints, so every other binary's alerts are
+	// what a rescan under the cumulative seed set would return.
+	tainted := map[string]bool{}   // xchan.IDs
+	origins := map[string]origin{} // xchan.ID -> first tainting write
 	rounds := 0
 	dirty := states
 	for rounds < DefaultMaxRounds {
@@ -320,18 +320,8 @@ func Run(ctx context.Context, files []firmware.File, opts Options) (*Report, err
 		fresh := map[string]bool{}
 		for _, st := range dirty {
 			for _, a := range st.alerts {
-				if a.Kind != know.SinkChannelWrite || !a.Reported() {
-					continue
-				}
-				ch, key, ok := splitVia(a.Via)
-				if !ok || !getterKeys[ch][key] {
-					continue
-				}
-				if tainted[ch] == nil {
-					tainted[ch] = map[string]bool{}
-				}
-				if !tainted[ch][key] {
-					tainted[ch][key] = true
+				if a.Kind == know.SinkChannelWrite && a.Reported() && readable[a.Via] && !tainted[a.Via] {
+					tainted[a.Via] = true
 					origins[a.Via] = origin{binary: st.target.Path, alert: a, round: rounds - 1}
 					fresh[a.Via] = true
 				}
@@ -372,10 +362,13 @@ func Run(ctx context.Context, files []firmware.File, opts Options) (*Report, err
 			if !a.Reported() || a.Kind == know.SinkChannelWrite {
 				continue // suppressed, or intermediate evidence reported as Tainted endpoints
 			}
-			out := Alert{Finding: a.Finding(), Key: a.Key, Via: a.Via,
+			out := Alert{Finding: a.Finding(), Key: a.Key,
 				Provenance: provenance(a, kwSet, kwLoc, origins)}
 			out.Binary = st.target.Path
 			if a.From == taint.FromChannel {
+				// Via names the seeding endpoint, Key its bare key.
+				_, out.Key, _ = xchan.ParseID(a.Key)
+				out.Via = a.Key
 				rep.CrossHit++
 			}
 			info.Alerts++
@@ -384,7 +377,7 @@ func Run(ctx context.Context, files []firmware.File, opts Options) (*Report, err
 		rep.Binaries = append(rep.Binaries, info)
 	}
 	for via, o := range origins {
-		ch, key, _ := splitVia(via)
+		ch, key, _ := xchan.ParseID(via)
 		rep.Tainted = append(rep.Tainted, Endpoint{
 			Chan: ch.String(), Key: key, Binary: o.binary, Site: o.alert.Site, Round: o.round,
 		})
@@ -413,11 +406,7 @@ func keywordSeeds(t *loader.Target, kwSet map[string]bool) []uint32 {
 			if cs.Target == 0 || cs.ImportName != "" || seen[cs.Target] {
 				continue
 			}
-			caller, _ := t.Model.FuncAt(cs.Caller)
-			if caller == nil {
-				continue
-			}
-			key, ok := stringArg0(t, caller, cs.Addr)
+			key, ok := dataflow.StringArg(t.Bin, f, cs.Addr, isa.R0)
 			if !ok || !kwSet[key] {
 				continue
 			}
@@ -426,15 +415,6 @@ func keywordSeeds(t *loader.Target, kwSet map[string]bool) []uint32 {
 		}
 	}
 	return out
-}
-
-// stringArg0 recovers the first call argument as a string constant.
-func stringArg0(t *loader.Target, caller *cfg.Function, addr uint32) (string, bool) {
-	c, ok := dataflow.BacktrackRegister(caller, addr, isa.R0)
-	if !ok {
-		return "", false
-	}
-	return dataflow.ClassifyStringConstant(t.Bin, c)
 }
 
 // provenance reconstructs an alert's origin chain. FromITS alerts keyed on a
@@ -451,60 +431,29 @@ func provenance(a taint.Alert, kwSet map[string]bool, kwLoc map[string]frontend.
 		loc := kwLoc[a.Key]
 		return &Provenance{FrontFile: loc.File, FrontLine: loc.Line, FrontKey: a.Key}
 	case taint.FromChannel:
+		// The alert's key is its seeding endpoint. That endpoint's origin is
+		// a channel write, whose key in turn is the previous hop's endpoint
+		// when the write was itself channel-seeded.
 		p := &Provenance{}
-		via := a.Via
-		for depth := 0; via != "" && depth < 16; depth++ {
-			o, ok := origins[via]
+		for ep, depth := a.Key, 0; depth < 16; depth++ {
+			o, ok := origins[ep]
 			if !ok {
 				break
 			}
-			ch, key, _ := splitVia(via)
+			ch, key, _ := xchan.ParseID(ep)
 			p.Hops = append([]Hop{{Binary: o.binary, Chan: ch.String(), Key: key, Site: o.alert.Site}}, p.Hops...)
-			switch o.alert.From {
-			case taint.FromITS:
-				if kwSet[o.alert.Key] {
+			if o.alert.From != taint.FromChannel {
+				if o.alert.From == taint.FromITS && kwSet[o.alert.Key] {
 					loc := kwLoc[o.alert.Key]
 					p.FrontFile, p.FrontLine, p.FrontKey = loc.File, loc.Line, o.alert.Key
 				}
-				via = ""
-			case taint.FromChannel:
-				// The write was itself channel-seeded; its Key names the
-				// seeding endpoint's key. Resolve the channel kind by
-				// deterministic scan over known origins.
-				via = findVia(origins, o.alert.Key)
-			default:
-				via = ""
+				break
 			}
+			ep = o.alert.Key
 		}
 		return p
 	}
 	return nil
-}
-
-// findVia resolves the endpoint id of a seed key, scanning channel kinds in
-// declaration order so multi-channel key collisions resolve the same way
-// every run.
-func findVia(origins map[string]origin, key string) string {
-	for _, ch := range []know.ChanKind{know.ChanNVRAM, know.ChanEnv, know.ChanSpawn} {
-		via := ch.String() + ":" + key
-		if _, ok := origins[via]; ok {
-			return via
-		}
-	}
-	return ""
-}
-
-func splitVia(via string) (know.ChanKind, string, bool) {
-	i := strings.IndexByte(via, ':')
-	if i < 0 {
-		return 0, "", false
-	}
-	for _, ch := range []know.ChanKind{know.ChanNVRAM, know.ChanEnv, know.ChanSpawn} {
-		if via[:i] == ch.String() {
-			return ch, via[i+1:], true
-		}
-	}
-	return 0, "", false
 }
 
 func less(a, b frontend.Keyword) bool {

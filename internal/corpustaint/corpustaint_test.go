@@ -3,12 +3,14 @@ package corpustaint
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"fits/internal/firmware"
-	"fits/internal/know"
+	"fits/internal/isa"
 	"fits/internal/loader"
+	"fits/internal/minic"
 	"fits/internal/modelcache"
 	"fits/internal/pool"
 	"fits/internal/scan"
@@ -207,13 +209,13 @@ func TestScansDependOnlyOnReadEndpoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		final := map[know.ChanKind]map[string]bool{}
+		final := map[string]bool{}
 		for _, e := range rep.Tainted {
-			ch, key, _ := splitVia(e.Chan + ":" + e.Key)
-			if final[ch] == nil {
-				final[ch] = map[string]bool{}
+			ch, key, ok := xchan.ParseID(e.Chan + ":" + e.Key)
+			if !ok {
+				t.Fatalf("seed %d: tainted endpoint %+v has no channel identity", seed, e)
 			}
-			final[ch][key] = true
+			final[xchan.ID(ch, key)] = true
 		}
 		kwSet := map[string]bool{}
 		for _, k := range rep.Keywords {
@@ -225,20 +227,16 @@ func TestScansDependOnlyOnReadEndpoints(t *testing.T) {
 		}
 		narrowed, channelAlerts := 0, 0
 		for _, tg := range res.Targets {
-			read, n := map[know.ChanKind]map[string]bool{}, 0
+			read := map[string]bool{}
 			for _, e := range xchan.Endpoints(tg.Path, tg.Bin, tg.Model) {
-				if !e.Setter && final[e.Chan][e.Key] && !read[e.Chan][e.Key] {
-					if read[e.Chan] == nil {
-						read[e.Chan] = map[string]bool{}
-					}
-					read[e.Chan][e.Key] = true
-					n++
+				if !e.Setter && final[e.ID()] {
+					read[e.ID()] = true
 				}
 			}
-			if n < len(rep.Tainted) {
+			if len(read) < len(rep.Tainted) {
 				narrowed++
 			}
-			scanWith := func(seeds map[know.ChanKind]map[string]bool) []taint.Alert {
+			scanWith := func(seeds map[string]bool) []taint.Alert {
 				a, err := scan.Run(ctx, tg, scan.Static, taint.Options{
 					UseCTS: true, ITS: keywordSeeds(tg, kwSet), SelfPath: tg.Path,
 					ChannelWrites: true, ChannelSeeds: seeds,
@@ -286,5 +284,110 @@ func TestLaterRoundsRescanOnlyReaders(t *testing.T) {
 	}
 	if rep.Rounds < 2 || !partial {
 		t.Errorf("%d rounds, progress %q: want a round >= 2 that scans fewer than all binaries", rep.Rounds, lines)
+	}
+}
+
+// sameKeyCorpus builds a corpus whose border binary writes one request
+// field to the same key on two channels, nvram:wl_key and env:wl_key. The
+// reader republishes only the env value, so the sink one more hop away is
+// reached through env:wl_key alone.
+func sameKeyCorpus(t *testing.T) []firmware.File {
+	t.Helper()
+	v := func(name string) minic.Expr { return minic.Var(name) }
+	str := func(s string) minic.Expr { return minic.Str(s) }
+	call := func(name string, args ...minic.Expr) minic.Stmt {
+		return minic.ExprStmt{E: minic.Call{Name: name, Args: args}}
+	}
+	// handler fetches val with getter(key), bails when it is absent and
+	// runs use on it.
+	handler := func(name string, fetch minic.Expr, use minic.Stmt) *minic.Func {
+		return &minic.Func{Name: name, Body: []minic.Stmt{
+			minic.Let{Name: "val", E: fetch},
+			minic.If{Cond: minic.Cond{Op: minic.Eq, L: v("val"), R: minic.Int(0)},
+				Then: []minic.Stmt{minic.Return{E: minic.Int(0)}}},
+			use,
+			minic.Return{E: minic.Int(0)},
+		}}
+	}
+	get := func(getter, key string) minic.Expr { return minic.Call{Name: getter, Args: []minic.Expr{str(key)}} }
+	main := func(calls ...string) *minic.Func {
+		f := &minic.Func{Name: "main"}
+		for _, c := range calls {
+			f.Body = append(f.Body, call(c))
+		}
+		f.Body = append(f.Body, minic.Return{E: minic.Int(0)})
+		return f
+	}
+	progs := []struct {
+		path string
+		prog *minic.Program
+	}{
+		{"bin/httpd", &minic.Program{Name: "httpd", Funcs: []*minic.Func{
+			{Name: "get_param", NParams: 1, Body: []minic.Stmt{minic.Return{E: v("p0")}}},
+			handler("h_set_nv", minic.Call{Name: "get_param", Args: []minic.Expr{str("wifi_pass")}},
+				call("nvram_set", str("wl_key"), v("val"))),
+			handler("h_set_env", minic.Call{Name: "get_param", Args: []minic.Expr{str("wifi_pass")}},
+				call("env_set", str("wl_key"), v("val"))),
+			main("h_set_nv", "h_set_env"),
+		}}},
+		{"bin/statusd", &minic.Program{Name: "statusd", Globals: []*minic.Global{{Name: "g_out", Size: 64}},
+			Funcs: []*minic.Func{
+				handler("s_show", get("env_get", "WL_STATE"), call("strcpy", minic.GlobalRef("g_out"), v("val"))),
+				main("s_show"),
+			}}},
+		{"bin/wifid", &minic.Program{Name: "wifid", Funcs: []*minic.Func{
+			handler("w_apply", get("nvram_get", "wl_key"), call("system", v("val"))),
+			handler("w_state", get("env_get", "wl_key"), call("env_set", str("WL_STATE"), v("val"))),
+			main("w_apply", "w_state"),
+		}}},
+	}
+	libc, err := minic.Link(synth.LibcProgram(rand.New(rand.NewSource(1))), isa.ArchARM, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := []firmware.File{
+		{Path: "lib/libc.so", Data: libc.Encode()},
+		{Path: "www/index.html", Data: []byte(`<form><input type="password" name="wifi_pass"></form>`)},
+	}
+	for _, p := range progs {
+		bin, err := minic.Link(p.prog, isa.ArchARM, []string{"libc.so"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bin.Strip()
+		files = append(files, firmware.File{Path: p.path, Data: bin.Encode()})
+	}
+	return files
+}
+
+// TestProvenanceFollowsSeedingChannel: a channel-seeded write names the
+// endpoint that seeded it, so provenance takes the hop the flow took even
+// when another channel carries a tainted value under the same key.
+func TestProvenanceFollowsSeedingChannel(t *testing.T) {
+	rep, err := Run(context.Background(), sameKeyCorpus(t), Options{Mode: ModeCross, Scheduler: pool.NewScheduler(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got *Provenance
+	for _, a := range rep.Alerts {
+		if a.Binary == "bin/statusd" && a.Sink == "strcpy" {
+			got = a.Provenance
+		}
+	}
+	if got == nil {
+		t.Fatalf("no alert with provenance at bin/statusd strcpy: %+v", rep.Alerts)
+	}
+	want := []Hop{{Binary: "bin/httpd", Chan: "env", Key: "wl_key"}, {Binary: "bin/wifid", Chan: "env", Key: "WL_STATE"}}
+	if len(got.Hops) != len(want) {
+		t.Fatalf("hops = %+v, want %+v", got.Hops, want)
+	}
+	for i, h := range got.Hops {
+		h.Site = 0
+		if h != want[i] {
+			t.Errorf("hop %d = %+v, want %+v", i, got.Hops[i], want[i])
+		}
+	}
+	if got.FrontKey != "wifi_pass" || got.FrontFile != "www/index.html" {
+		t.Errorf("front = %s@%s, want wifi_pass@www/index.html", got.FrontKey, got.FrontFile)
 	}
 }

@@ -313,6 +313,17 @@ func traceExpr(irb *ir.Block, e ir.Expr, depth int) traceResult {
 	return traceResult{}
 }
 
+// StringArg recovers argument register reg of the call at callAddr inside
+// caller as a string constant: BacktrackRegister, then
+// ClassifyStringConstant.
+func StringArg(bin *binimg.Binary, caller *cfg.Function, callAddr uint32, reg isa.Reg) (string, bool) {
+	c, ok := BacktrackRegister(caller, callAddr, reg)
+	if !ok {
+		return "", false
+	}
+	return ClassifyStringConstant(bin, c)
+}
+
 // ClassifyStringConstant decides whether a constant is a string address
 // following the paper's section rules: rodata pointers are strings; data
 // pointers are dereferenced once (GOT-style indirection) and accepted if the

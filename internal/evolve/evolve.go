@@ -50,20 +50,6 @@ const (
 	MatchSimilarity
 )
 
-func (k MatchKind) String() string {
-	switch k {
-	case MatchIdentical:
-		return "identical"
-	case MatchReuse:
-		return "reuse"
-	case MatchName:
-		return "name"
-	case MatchSimilarity:
-		return "similarity"
-	}
-	return "unknown"
-}
-
 // SimilarityThreshold is the minimum cosine similarity between BFV vectors
 // for the fallback alignment tier. Renames barely perturb a function's
 // behavioral vector, while genuinely different functions in practice score

@@ -17,6 +17,21 @@ import (
 )
 
 // stubModel is a model with customs non-stub functions and one import stub.
+// String names an alignment tier; only tests print one.
+func (k MatchKind) String() string {
+	switch k {
+	case MatchIdentical:
+		return "identical"
+	case MatchReuse:
+		return "reuse"
+	case MatchName:
+		return "name"
+	case MatchSimilarity:
+		return "similarity"
+	}
+	return "unknown"
+}
+
 func stubModel(customs int) *cfg.Model {
 	m := &cfg.Model{Funcs: map[uint32]*cfg.Function{}}
 	for i := 0; i < customs; i++ {

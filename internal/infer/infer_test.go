@@ -39,12 +39,8 @@ func mustInfer(t *testing.T, target *loader.Target, cfgn Config) *Ranking {
 }
 
 func itsRankIn(s *synth.Sample, r *Ranking) int {
-	truth := map[uint32]bool{}
-	for _, its := range s.Manifest.ITS {
-		truth[its.Entry] = true
-	}
 	for i, e := range r.Ranked {
-		if truth[e.Entry] {
+		if s.Manifest.IsITS(r.Binary, e.Entry) {
 			return i + 1
 		}
 	}

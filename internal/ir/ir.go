@@ -9,7 +9,6 @@ package ir
 
 import (
 	"fmt"
-	"strings"
 
 	"fits/internal/isa"
 )
@@ -249,13 +248,4 @@ type Block struct {
 	Addr  uint32
 	Raw   isa.Instr
 	Stmts []Stmt
-}
-
-func (b *Block) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "0x%x: %s\n", b.Addr, b.Raw)
-	for _, s := range b.Stmts {
-		fmt.Fprintf(&sb, "    %s\n", s)
-	}
-	return sb.String()
 }

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -275,6 +276,17 @@ func TestQuickLiftWellFormed(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
 	}
+}
+
+// String renders a lifted instruction, one statement a line; only tests
+// print one.
+func (b *Block) String() string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "0x%x: %s\n", b.Addr, b.Raw)
+	for _, s := range b.Stmts {
+		fmt.Fprintf(&sb, "    %s\n", s)
+	}
+	return sb.String()
 }
 
 func TestStringers(t *testing.T) {

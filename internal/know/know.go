@@ -92,12 +92,6 @@ var Sinks = map[string]SinkSpec{
 	"popen":   {Kind: SinkCommand, DangerousParams: []int{0}},
 }
 
-// IsSink reports whether name is a sink.
-func IsSink(name string) bool {
-	_, ok := Sinks[name]
-	return ok
-}
-
 // ChanKind classifies the cross-binary communication channels firmware
 // binaries share state through: the nvram-like configuration store, the
 // process environment, and spawned-helper argument vectors (the three

@@ -2,6 +2,12 @@ package know
 
 import "testing"
 
+// IsSink reports whether name is a sink.
+func IsSink(name string) bool {
+	_, ok := Sinks[name]
+	return ok
+}
+
 func TestAnchorsWellFormed(t *testing.T) {
 	if len(Anchors) < 10 {
 		t.Errorf("anchors = %d, want a substantial set", len(Anchors))

@@ -38,7 +38,8 @@ type Pass struct {
 	TypesInfo *types.Info
 
 	// Refs holds the Key of every object a non-test file of any loaded
-	// package references outside the object's own declaration.
+	// package references outside the object's own declaration, counting
+	// the methods a conversion to an interface can reach.
 	Refs map[string]bool
 
 	// Report delivers one diagnostic. The driver owns suppression

@@ -16,7 +16,9 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 
@@ -119,7 +121,8 @@ func runAnalyzers(pkg *loader.Package, analyzers []*analysis.Analyzer, refs map[
 
 // references adds to refs the analysis.Key of every object pkg's files
 // use, except uses inside the declaration of the object itself: a
-// recursive call or a self-referential type does not make a name used.
+// recursive call or a self-referential type does not make a name used. A
+// conversion to an interface uses methods too (see convertedMethods).
 func references(pkg *loader.Package, refs map[string]bool) {
 	uses := func(n ast.Node, self *ast.Ident) {
 		own := analysis.Key(pkg.Info.Defs[self])
@@ -147,7 +150,140 @@ func references(pkg *loader.Package, refs map[string]bool) {
 				}
 			}
 		}
+		conversions(pkg.Info, file, func(from, to types.Type) { convertedMethods(from, to, refs) })
 	}
+	// Instantiating a generic converts each type argument to its
+	// constraint.
+	for id, inst := range pkg.Info.Instances {
+		var params *types.TypeParamList
+		switch t := pkg.Info.ObjectOf(id).Type().(type) {
+		case *types.Signature:
+			params = t.TypeParams()
+		case *types.Named:
+			params = t.TypeParams()
+		}
+		for i := 0; i < params.Len() && i < inst.TypeArgs.Len(); i++ {
+			convertedMethods(inst.TypeArgs.At(i), params.At(i).Constraint(), refs)
+		}
+	}
+}
+
+// dynamicMethods are the methods fmt and encoding look up on any value.
+var dynamicMethods = []string{"String", "Error", "Format", "MarshalJSON", "UnmarshalJSON", "MarshalText", "UnmarshalText"}
+
+// convertedMethods adds to refs the methods of concrete type from that a
+// conversion to interface type to can reach: those to declares, and
+// dynamicMethods.
+func convertedMethods(from, to types.Type, refs map[string]bool) {
+	it, ok := to.Underlying().(*types.Interface)
+	if !ok || from == nil || types.IsInterface(from) {
+		return
+	}
+	names := slices.Clone(dynamicMethods)
+	for i := 0; i < it.NumMethods(); i++ {
+		names = append(names, it.Method(i).Name())
+	}
+	for _, name := range names {
+		obj, _, _ := types.LookupFieldOrMethod(from, false, nil, name)
+		if fn, ok := obj.(*types.Func); ok {
+			refs[analysis.Key(fn)] = true
+		}
+	}
+}
+
+// conversions calls conv for every value root passes, assigns, returns,
+// sends, puts in a composite literal or explicitly converts to a type:
+// every place Go may convert a concrete value to an interface.
+func conversions(info *types.Info, root ast.Node, conv func(from, to types.Type)) {
+	to := func(e ast.Expr, t types.Type) {
+		if e != nil && t != nil {
+			conv(info.TypeOf(e), t)
+		}
+	}
+	ast.Inspect(root, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			returns(n.Body, info.Defs[n.Name].Type(), to)
+		case *ast.FuncLit:
+			returns(n.Body, info.TypeOf(n), to)
+		case *ast.CallExpr:
+			tv := info.Types[n.Fun]
+			sig, ok := tv.Type.(*types.Signature)
+			switch {
+			case tv.IsType() && len(n.Args) == 1:
+				to(n.Args[0], tv.Type)
+			case ok && !tv.IsType():
+				ps := sig.Params()
+				for i, a := range n.Args {
+					switch {
+					case sig.Variadic() && i >= ps.Len()-1 && !n.Ellipsis.IsValid():
+						if last, ok := ps.At(ps.Len() - 1).Type().(*types.Slice); ok {
+							to(a, last.Elem())
+						}
+					case i < ps.Len():
+						to(a, ps.At(i).Type())
+					}
+				}
+			}
+		case *ast.AssignStmt:
+			for i := 0; n.Tok == token.ASSIGN && len(n.Lhs) == len(n.Rhs) && i < len(n.Lhs); i++ {
+				to(n.Rhs[i], info.TypeOf(n.Lhs[i]))
+			}
+		case *ast.ValueSpec:
+			for _, v := range n.Values {
+				to(v, info.TypeOf(n.Type))
+			}
+		case *ast.SendStmt:
+			if ch, ok := info.TypeOf(n.Chan).Underlying().(*types.Chan); ok {
+				to(n.Value, ch.Elem())
+			}
+		case *ast.CompositeLit:
+			t := info.TypeOf(n).Underlying()
+			if p, ok := t.(*types.Pointer); ok { // an elided &T{}
+				t = p.Elem().Underlying()
+			}
+			for i, e := range n.Elts {
+				var k ast.Expr
+				if kv, ok := e.(*ast.KeyValueExpr); ok {
+					k, e = kv.Key, kv.Value
+				}
+				switch t := t.(type) {
+				case *types.Struct:
+					if id, ok := k.(*ast.Ident); ok {
+						to(e, info.ObjectOf(id).Type())
+					} else {
+						to(e, t.Field(i).Type())
+					}
+				case *types.Slice:
+					to(e, t.Elem())
+				case *types.Array:
+					to(e, t.Elem())
+				case *types.Map:
+					to(k, t.Key())
+					to(e, t.Elem())
+				}
+			}
+		}
+		return true
+	})
+}
+
+// returns calls to for every result body returns from a function of type
+// sig, leaving out the returns of nested function literals.
+func returns(body *ast.BlockStmt, sig types.Type, to func(ast.Expr, types.Type)) {
+	res := sig.(*types.Signature).Results()
+	if body == nil {
+		return
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		if r, ok := n.(*ast.ReturnStmt); ok && len(r.Results) == res.Len() {
+			for i, e := range r.Results {
+				to(e, res.At(i).Type())
+			}
+		}
+		_, lit := n.(*ast.FuncLit)
+		return !lit
+	})
 }
 
 // suppression is the analyzer, file and line of a valid

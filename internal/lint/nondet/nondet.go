@@ -42,6 +42,7 @@ var purePackages = map[string]bool{
 	"fits/internal/ucse":      true,
 	"fits/internal/alias":     true,
 	"fits/internal/pathcheck": true,
+	"fits/internal/xchan":     true,
 }
 
 // PurePackages returns the contract list, which strcopy shares. Callers

@@ -41,6 +41,27 @@ type State struct{}
 
 func (s *State) Join(o *State) bool { return false } // called through Lattice[State]
 
+// Closer satisfies io.Closer, but cmd/user only converts it to any.
+type Closer struct{}
+
+func (Closer) Close() error { return nil } // want `exported method Close is referenced only by tests`
+
+type Job interface{ Run() }
+
+func Schedule(j Job) { j.Run() }
+
+// Runner reaches Schedule as a Job, which declares Run but not Stop.
+type Runner struct{}
+
+func (Runner) Run() {}
+
+func (Runner) Stop() {} // want `exported method Stop is referenced only by tests`
+
+// Doc is only handed to encoding/json, which looks MarshalJSON up itself.
+type Doc struct{}
+
+func (Doc) MarshalJSON() ([]byte, error) { return []byte("{}"), nil }
+
 type Kind int
 
 const (

@@ -7,6 +7,8 @@ func TestEverything(t *testing.T) {
 	_ = TestOnlyType{}
 	_ = TestOnlyVar + Recursive(2)
 	T{}.TestOnlyMethod()
+	_ = Closer{}.Close()
+	Runner{}.Stop()
 	_, _ = ModeA, ModeB
 	Suppressed()
 	helper()

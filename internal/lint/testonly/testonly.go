@@ -1,10 +1,12 @@
 // Package testonly flags exported API of internal/ packages that only tests
 // use: a func, method, type, var or const that no non-test file references
 // outside its own declaration (Pass.Refs, which counts the nested bench/
-// module too). Two kinds of unreferenced names are exempt, being used in
-// ways a reference count cannot see: a method that satisfies an interface
-// (Server.ServeHTTP via http.Handler), and a constant of an iota block one
-// of whose constants is referenced (OriginUnknown, a Kind's zero value).
+// module too). Pass.Refs counts a method as referenced when non-test code
+// converts its receiver to an interface declaring it (Server.ServeHTTP via
+// http.Handler), or to any interface for the methods fmt and encoding look
+// up dynamically (String, Error, Format, the JSON and text marshalers). A
+// constant of an iota block one of whose constants is referenced
+// (OriginUnknown, a Kind's zero value) is exempt too.
 package testonly
 
 import (
@@ -41,7 +43,7 @@ func run(pass *analysis.Pass) error {
 				case !d.Name.IsExported() || used(d.Name):
 				case d.Recv == nil:
 					report(d.Name, "func")
-				case !satisfiesInterface(pass.Pkg, pass.TypesInfo.Defs[d.Name].(*types.Func)):
+				default:
 					report(d.Name, "method")
 				}
 			case *ast.GenDecl:
@@ -86,45 +88,4 @@ func iotaBlockUsed(info *types.Info, d *ast.GenDecl, used func(*ast.Ident) bool)
 		}
 	}
 	return usesIota && anyUsed
-}
-
-// satisfiesInterface reports whether fn's receiver type, or a pointer to
-// it, implements an interface with a method of fn's name: error, or a named
-// interface of pkg or its transitive imports. A generic interface is
-// instantiated with the receiver type, which covers F-bounded constraints
-// like dataflow.Lattice[S].
-func satisfiesInterface(pkg *types.Package, fn *types.Func) bool {
-	named := analysis.Receiver(fn)
-	if named == nil || named.TypeParams().Len() > 0 {
-		return false
-	}
-	candidates := []types.Type{types.Universe.Lookup("error").Type()}
-	seen := map[*types.Package]bool{}
-	for todo := []*types.Package{pkg}; len(todo) > 0; todo = todo[1:] {
-		if p := todo[0]; !seen[p] {
-			seen[p] = true
-			todo = append(todo, p.Imports()...)
-			for _, name := range p.Scope().Names() {
-				if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
-					candidates = append(candidates, tn.Type())
-				}
-			}
-		}
-	}
-	for _, t := range candidates {
-		if g, ok := t.(*types.Named); ok && g.TypeParams().Len() > 0 {
-			if t, _ = types.Instantiate(nil, g, []types.Type{named}, true); t == nil {
-				continue
-			}
-		}
-		it, ok := t.Underlying().(*types.Interface)
-		if !ok {
-			continue
-		}
-		if m, _, _ := types.LookupFieldOrMethod(it, false, fn.Pkg(), fn.Name()); m != nil &&
-			(types.Satisfies(named, it) || types.Satisfies(types.NewPointer(named), it)) {
-			return true
-		}
-	}
-	return false
 }

@@ -95,12 +95,9 @@ func key(t *loader.Target, eng Engine, o taint.Options) string {
 		b = append(b, ',')
 	}
 	b = append(b, "|seeds="...)
-	for _, ch := range sortedKeys(o.ChannelSeeds) {
-		for _, key := range sortedKeys(o.ChannelSeeds[ch]) {
-			b = append(strconv.AppendUint(b, uint64(ch), 10), ':')
-			b = append(strconv.AppendQuote(b, key), '=')
-			b = append(strconv.AppendBool(b, o.ChannelSeeds[ch][key]), ',')
-		}
+	for _, id := range sortedKeys(o.ChannelSeeds) {
+		b = append(strconv.AppendQuote(b, id), '=')
+		b = append(strconv.AppendBool(b, o.ChannelSeeds[id]), ',')
 	}
 	return modelcache.Key("alerts", string(b), t.Hash)
 }

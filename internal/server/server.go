@@ -537,6 +537,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // new Server can immediately open the same data dir. Appends after Close
 // fail cleanly (best-effort journal writes log and count the error).
 // Idempotent; safe alongside a later Shutdown, whose own closes no-op.
+//
+//fitslint:ignore testonly the crash-recovery tests' kill -9; fitsd itself always drains through Shutdown
 func (s *Server) Close() error {
 	if s.journal != nil {
 		s.journal.Close()

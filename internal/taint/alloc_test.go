@@ -26,7 +26,7 @@ func TestRunAllocsBounded(t *testing.T) {
 	}
 	target := res.Targets[0]
 	var its []uint32
-	for _, it := range s.Manifest.ITS {
+	for _, it := range s.Manifest.ITSIn(target.Bin.Name) {
 		its = append(its, it.Entry)
 	}
 	opts := Options{UseCTS: true, ITS: its, StringFilter: true}

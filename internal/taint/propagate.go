@@ -6,6 +6,7 @@ import (
 	"fits/internal/ir"
 	"fits/internal/isa"
 	"fits/internal/know"
+	"fits/internal/xchan"
 )
 
 // tainted is the taint bit of a dataflow.AVal in this engine: any nonzero
@@ -21,14 +22,14 @@ type seed struct {
 	paramMask uint8
 }
 
-// memoKey deduplicates recursive propagation. The channel endpoint (via)
-// participates so flows seeded by different cross-binary channels through
-// the same callee stay distinguishable.
+// memoKey deduplicates recursive propagation. A channel-seeded flow's key,
+// its seeding endpoint, participates so flows seeded by different
+// cross-binary channels through the same callee stay distinguishable.
 type memoKey struct {
 	entry uint32
 	s     seed
 	from  SourceKind
-	via   string
+	ep    string
 }
 
 // intra runs the taint dataflow over one function and acts on the findings.
@@ -38,7 +39,6 @@ type intra struct {
 	sd    seed
 	from  SourceKind
 	key   string
-	via   string // cross-binary channel endpoint ("" intra-binary)
 	depth int
 
 	// sanitizing lists the blocks holding range checks on tainted data;
@@ -55,40 +55,37 @@ type intra struct {
 
 // propagateValue seeds taint at the return of the call at seedAddr in fn.
 func (e *Engine) propagateValue(fn *cfg.Function, seedAddr uint32, from SourceKind, key string, depth int) {
-	e.propagate(fn, seed{retSiteAddr: seedAddr}, from, key, "", depth)
-}
-
-// propagateChannel seeds taint at the return of the channel getter call at
-// seedAddr; via records the cross-binary endpoint for provenance.
-func (e *Engine) propagateChannel(fn *cfg.Function, seedAddr uint32, key, via string) {
-	e.propagate(fn, seed{retSiteAddr: seedAddr}, FromChannel, key, via, 0)
+	e.propagate(fn, seed{retSiteAddr: seedAddr}, from, key, depth)
 }
 
 // propagateParams seeds taint on fn's parameters.
-func (e *Engine) propagateParams(fn *cfg.Function, mask uint8, from SourceKind, key, via string, depth int) {
-	e.propagate(fn, seed{paramMask: mask}, from, key, via, depth)
+func (e *Engine) propagateParams(fn *cfg.Function, mask uint8, from SourceKind, key string, depth int) {
+	e.propagate(fn, seed{paramMask: mask}, from, key, depth)
 }
 
 // propagateGlobals analyzes fn with no local seed; taint enters only through
 // loads of tainted global words.
 func (e *Engine) propagateGlobals(fn *cfg.Function) {
-	e.propagate(fn, seed{}, FromITS, "", "", 0)
+	e.propagate(fn, seed{}, FromITS, "", 0)
 }
 
-func (e *Engine) propagate(fn *cfg.Function, sd seed, from SourceKind, key, via string, depth int) {
+func (e *Engine) propagate(fn *cfg.Function, sd seed, from SourceKind, key string, depth int) {
 	if depth > e.maxDepth {
 		return
 	}
 	if e.memo == nil {
 		e.memo = map[memoKey]bool{}
 	}
-	mk := memoKey{entry: fn.Entry, s: sd, from: from, via: via}
+	mk := memoKey{entry: fn.Entry, s: sd, from: from}
+	if from == FromChannel {
+		mk.ep = key
+	}
 	if e.memo[mk] {
 		return
 	}
 	e.memo[mk] = true
 
-	in := &intra{e: e, fn: fn, sd: sd, from: from, key: key, via: via, depth: depth}
+	in := &intra{e: e, fn: fn, sd: sd, from: from, key: key, depth: depth}
 	in.run()
 }
 
@@ -295,7 +292,6 @@ func (in *intra) atCall(addr, blockStart uint32, st *dataflow.State) {
 					a := Alert{
 						Binary: in.e.bin.Name, Site: addr, Func: in.fn.Entry,
 						Sink: cs.ImportName, Kind: spec.Kind, From: in.from, Key: in.key,
-						Via: in.via,
 					}
 					if in.e.opts.StringFilter && in.from == FromITS && SystemDataKeys[in.key] {
 						a.Filtered = true
@@ -309,19 +305,17 @@ func (in *intra) atCall(addr, blockStart uint32, st *dataflow.State) {
 		if spec, ok := know.ChannelSetters[cs.ImportName]; ok && in.e.opts.ChannelWrites {
 			// A tainted value published onto a cross-binary channel: record
 			// the written endpoint as a channel-write pseudo-alert. Only
-			// statically resolvable keys can be joined to a getter, so
-			// unresolvable ones are dropped here.
+			// recoverable keys can be joined to a getter, so sites without
+			// one are dropped here.
 			if spec.ValParam >= 0 && spec.ValParam < 4 &&
 				argTainted(st, spec.ValParam) && !in.sanitizedAt(blockStart) {
-				if c, ok := dataflow.BacktrackRegister(in.fn, cs.Addr, isa.Reg(spec.KeyParam)); ok {
-					if wkey, ok := dataflow.ClassifyStringConstant(in.e.bin, c); ok && wkey != "" {
-						in.e.report(Alert{
-							Binary: in.e.bin.Name, Site: addr, Func: in.fn.Entry,
-							Sink: cs.ImportName, Kind: know.SinkChannelWrite,
-							From: in.from, Key: in.key,
-							Via: spec.Chan.String() + ":" + wkey,
-						})
-					}
+				if wkey, ok := xchan.Key(spec, in.e.opts.SelfPath, in.e.bin, in.fn, cs.Addr); ok {
+					in.e.report(Alert{
+						Binary: in.e.bin.Name, Site: addr, Func: in.fn.Entry,
+						Sink: cs.ImportName, Kind: know.SinkChannelWrite,
+						From: in.from, Key: in.key,
+						Via: xchan.ID(spec.Chan, wkey),
+					})
 				}
 			}
 			continue
@@ -342,6 +336,6 @@ func (in *intra) atCall(addr, blockStart uint32, st *dataflow.State) {
 		if mask == 0 || in.sanitizedAt(blockStart) {
 			continue
 		}
-		in.e.propagateParams(callee, mask, in.from, in.key, in.via, in.depth+1)
+		in.e.propagateParams(callee, mask, in.from, in.key, in.depth+1)
 	}
 }

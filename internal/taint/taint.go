@@ -28,6 +28,7 @@ import (
 	"fits/internal/isa"
 	"fits/internal/know"
 	"fits/internal/stagetime"
+	"fits/internal/xchan"
 )
 
 // SourceKind says what seeded an alert.
@@ -67,15 +68,14 @@ type Alert struct {
 	Sink string
 	Kind know.SinkKind
 	From SourceKind
-	// Key is the field-index string of the originating ITS call site, when
-	// recoverable; the string filter keys on it. For FromChannel alerts it
-	// is the channel key whose getter seeded the flow.
+	// Key names where the flow entered the binary. It is the field-index
+	// string of the originating ITS call site, when recoverable; the string
+	// filter keys on it. For FromChannel alerts it is the endpoint whose
+	// getter seeded the flow, as an xchan.ID (e.g. "nvram:wl_key").
 	Key string
-	// Via is the cross-binary channel endpoint the flow passes through,
-	// rendered "<chan>:<key>" (e.g. "nvram:wl_key"). On a channel-write
-	// alert (Kind SinkChannelWrite) it names the endpoint being written;
-	// on a FromChannel sink alert it names the endpoint that seeded the
-	// flow. Empty for purely intra-binary flows.
+	// Via is the endpoint a channel-write alert (Kind SinkChannelWrite)
+	// writes, as an xchan.ID; empty on every other alert. A channel-seeded
+	// write thus names both endpoints of its hop.
 	Via string
 	// Filtered alerts matched the system-data string filter and are not
 	// reported.
@@ -138,14 +138,12 @@ type Options struct {
 	// imports of know.ChannelSetters as SinkChannelWrite alerts (the raw
 	// material of the corpus fixpoint). Single-binary scans leave it off.
 	ChannelWrites bool
-	// ChannelSeeds seeds value taint at channel getter call sites: for
-	// each channel kind, the set of keys other binaries were seen writing
-	// tainted data to. Keyless getters (spawned-helper argv) match the
-	// SelfPath key.
-	ChannelSeeds map[know.ChanKind]map[string]bool
-	// SelfPath is the image path of the binary under analysis; it is the
-	// implicit key of keyless channel getters (a helper binary's argv is
-	// keyed by the helper's own path).
+	// ChannelSeeds seeds value taint at the channel getter call sites of
+	// these endpoints (xchan.IDs): those other binaries were seen writing
+	// tainted data to.
+	ChannelSeeds map[string]bool
+	// SelfPath is the image path of the binary under analysis, the key of
+	// its keyless channel getters (see xchan.Key).
 	SelfPath string
 
 	// NoAlias disables the bounded points-to pass that connects tainted
@@ -260,7 +258,7 @@ func (e *Engine) AllAlerts() []Alert {
 }
 
 // SortAlerts orders alerts fully deterministically: by sink site, then
-// containing function, sink name, kind, source kind, key, cross-binary hop
+// containing function, sink name, kind, source kind, key, written channel
 // endpoint (Via), refuting constraint, degraded mark (non-degraded first),
 // and binary. Both engines report in this order, so alert
 // lists — and the service responses built from them — are byte-stable
@@ -313,17 +311,20 @@ func (e *Engine) report(a Alert) {
 	e.alerts[a.Site] = &cp
 }
 
-// sinkSites enumerates sink call sites across the binary.
-func (e *Engine) sinkSites() []cfg.CallSite {
-	var out []cfg.CallSite
+// sinkArgs calls hit with the constant each dangerous argument of each
+// sink call resolves to, in site and parameter order; a site is done once
+// hit returns true.
+func (e *Engine) sinkArgs(hit func(cs cfg.CallSite, spec know.SinkSpec, c uint32) bool) {
 	for _, f := range e.model.FuncsInOrder() {
 		for _, cs := range f.Calls {
-			if know.IsSink(cs.ImportName) {
-				out = append(out, cs)
+			spec := know.Sinks[cs.ImportName] // no DangerousParams unless a sink
+			for _, pi := range spec.DangerousParams {
+				if c, ok := dataflow.BacktrackRegister(f, cs.Addr, isa.Reg(pi)); ok && hit(cs, spec, c) {
+					break
+				}
 			}
 		}
 	}
-	return out
 }
 
 // writableConstant reports whether a constant denotes a pointer into
@@ -364,12 +365,8 @@ func (e *Engine) runCTS() {
 			if !ok {
 				continue
 			}
-			caller, _ := e.model.FuncAt(cs.Caller)
-			if caller == nil {
-				continue
-			}
 			for _, pi := range spec.TaintedParams {
-				if e.bindsWritable(caller, cs.Addr, isa.Reg(pi), 0) {
+				if e.bindsWritable(f, cs.Addr, isa.Reg(pi), 0) {
 					// The interface function writes user data into
 					// statically-known writable memory: the region model
 					// considers all of it attacker-influenced.
@@ -377,31 +374,23 @@ func (e *Engine) runCTS() {
 				}
 			}
 			if spec.TaintsReturn {
-				e.propagateValue(caller, cs.Addr, FromCTSValue, "", 0)
+				e.propagateValue(f, cs.Addr, FromCTSValue, "", 0)
 			}
 		}
 	}
 	if !regionTainted {
 		return
 	}
-	for _, cs := range e.sinkSites() {
-		spec := know.Sinks[cs.ImportName]
-		caller, _ := e.model.FuncAt(cs.Caller)
-		if caller == nil {
-			continue
+	e.sinkArgs(func(cs cfg.CallSite, spec know.SinkSpec, c uint32) bool {
+		if !e.writableConstant(c) {
+			return false
 		}
-		for _, pi := range spec.DangerousParams {
-			c, ok := dataflow.BacktrackRegister(caller, cs.Addr, isa.Reg(pi))
-			if !ok || !e.writableConstant(c) {
-				continue
-			}
-			e.report(Alert{
-				Binary: e.bin.Name, Site: cs.Addr, Func: cs.Caller,
-				Sink: cs.ImportName, Kind: spec.Kind, From: FromCTSRegion,
-			})
-			break
-		}
-	}
+		e.report(Alert{
+			Binary: e.bin.Name, Site: cs.Addr, Func: cs.Caller,
+			Sink: cs.ImportName, Kind: spec.Kind, From: FromCTSRegion,
+		})
+		return true
+	})
 }
 
 // runITS performs value-level analysis from every ITS call site.
@@ -420,23 +409,14 @@ func (e *Engine) runITS() {
 			if !retITS && !outITS {
 				continue
 			}
-			caller, _ := e.model.FuncAt(cs.Caller)
-			if caller == nil {
-				continue
-			}
-			key := ""
-			if c, ok := dataflow.BacktrackRegister(caller, cs.Addr, isa.R0); ok {
-				if s, ok := dataflow.ClassifyStringConstant(e.bin, c); ok {
-					key = s
-				}
-			}
+			key, _ := dataflow.StringArg(e.bin, f, cs.Addr, isa.R0)
 			if retITS {
-				e.propagateValue(caller, cs.Addr, FromITS, key, 0)
+				e.propagateValue(f, cs.Addr, FromITS, key, 0)
 			}
 			for _, pi := range outParams {
 				// The source writes user data through this pointer: a
 				// statically known buffer becomes a tainted object.
-				if c, ok := dataflow.BacktrackRegister(caller, cs.Addr, isa.Reg(pi)); ok && e.writableConstant(c) {
+				if c, ok := dataflow.BacktrackRegister(f, cs.Addr, isa.Reg(pi)); ok && e.writableConstant(c) {
 					e.taintObject(c, key)
 				}
 			}
@@ -460,8 +440,8 @@ func (e *Engine) runITS() {
 // whose key the corpus fixpoint marked tainted. A getter behaves like an
 // intermediate source whose data arrives from another binary: its return
 // value is tracked with full value-level precision, and the seeding
-// endpoint is recorded in Alert.Via so provenance chains can be stitched
-// together across binaries.
+// endpoint is recorded as the alert key so provenance chains can be
+// stitched together across binaries.
 func (e *Engine) runChannels() {
 	for _, f := range e.model.FuncsInOrder() {
 		for _, cs := range f.Calls {
@@ -469,31 +449,10 @@ func (e *Engine) runChannels() {
 			if !ok || !spec.TaintsReturn {
 				continue
 			}
-			keys := e.opts.ChannelSeeds[spec.Chan]
-			if len(keys) == 0 {
-				continue
+			key, ok := xchan.Key(spec, e.opts.SelfPath, e.bin, f, cs.Addr)
+			if id := xchan.ID(spec.Chan, key); ok && e.opts.ChannelSeeds[id] {
+				e.propagateValue(f, cs.Addr, FromChannel, id, 0)
 			}
-			caller, _ := e.model.FuncAt(cs.Caller)
-			if caller == nil {
-				continue
-			}
-			key := e.opts.SelfPath
-			if spec.KeyParam >= 0 {
-				c, ok := dataflow.BacktrackRegister(caller, cs.Addr, isa.Reg(spec.KeyParam))
-				if !ok {
-					continue
-				}
-				s, ok := dataflow.ClassifyStringConstant(e.bin, c)
-				if !ok {
-					continue
-				}
-				key = s
-			}
-			if !keys[key] {
-				continue
-			}
-			via := spec.Chan.String() + ":" + key
-			e.propagateChannel(caller, cs.Addr, key, via)
 		}
 	}
 }
@@ -524,30 +483,15 @@ func (e *Engine) scanObjectSinks() {
 		}
 		return bestKey, found
 	}
-	for _, cs := range e.sinkSites() {
-		spec := know.Sinks[cs.ImportName]
-		caller, _ := e.model.FuncAt(cs.Caller)
-		if caller == nil {
-			continue
-		}
-		for _, pi := range spec.DangerousParams {
-			c, ok := dataflow.BacktrackRegister(caller, cs.Addr, isa.Reg(pi))
-			if !ok {
-				continue
-			}
-			key, hit := inObject(c)
-			if !hit {
-				continue
-			}
-			a := Alert{
+	e.sinkArgs(func(cs cfg.CallSite, spec know.SinkSpec, c uint32) bool {
+		key, hit := inObject(c)
+		if hit {
+			e.report(Alert{
 				Binary: e.bin.Name, Site: cs.Addr, Func: cs.Caller,
 				Sink: cs.ImportName, Kind: spec.Kind, From: FromITS, Key: key,
-			}
-			if e.opts.StringFilter && SystemDataKeys[key] {
-				a.Filtered = true
-			}
-			e.report(a)
-			break
+				Filtered: e.opts.StringFilter && SystemDataKeys[key],
+			})
 		}
-	}
+		return hit
+	})
 }

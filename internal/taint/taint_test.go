@@ -264,7 +264,7 @@ func TestCorpusSampleSuperset(t *testing.T) {
 		}
 		target := res.Targets[0]
 		var its []uint32
-		for _, it := range s.Manifest.ITS {
+		for _, it := range s.Manifest.ITSIn(target.Bin.Name) {
 			its = append(its, it.Entry)
 		}
 		cts := New(target.Bin, target.Model, Options{UseCTS: true, StringFilter: true}).Run()

@@ -52,13 +52,12 @@ func TestNonFetchersRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := res.Targets[0]
-	truth := map[uint32]bool{}
-	for _, its := range s.Manifest.ITS {
-		truth[its.Entry] = true
-	}
 	// Handlers, loggers, parsers: none should verify.
 	rejected := 0
 	for _, h := range s.Manifest.Handlers {
+		if h.Binary != target.Bin.Name {
+			continue
+		}
 		o := Candidate(target.Bin, target.Model, h.Entry)
 		if o.Verified {
 			t.Errorf("handler %s verified as ITS", h.FuncName)

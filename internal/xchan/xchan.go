@@ -1,17 +1,19 @@
 // Package xchan models the cross-binary communication channels of a
 // firmware corpus: the shared nvram-like configuration store, process
-// environment variables, and spawned-helper argument vectors. It
-// enumerates every setter and getter call site with its statically
-// recovered key and pairs writers to readers, so taint published by one
-// binary can become a seed source in another.
+// environment variables, and spawned-helper argument vectors. It is the
+// one place that decides the channel model: the key of an accessor call
+// site (Key), the "<chan>:<key>" identity that joins writers to readers
+// (ID, ParseID), and every setter and getter endpoint of a binary
+// (Endpoints), so taint published by one binary can become a seed source
+// in another.
 //
-// Endpoints and pairs are value types ordered deterministically; the
-// corpus fixpoint and its report iterate them without any map-order
-// dependence.
+// Endpoints are value types ordered deterministically; the corpus fixpoint
+// and its report iterate them without any map-order dependence.
 package xchan
 
 import (
 	"sort"
+	"strings"
 
 	"fits/internal/binimg"
 	"fits/internal/cfg"
@@ -31,18 +33,46 @@ type Endpoint struct {
 	// Import is the accessor's library function name (nvram_set, env_get, ...).
 	Import string
 	Chan   know.ChanKind
-	// Key is the statically recovered channel key. For keyless getters
-	// (spawned-helper argv) it is the binary's own path — the key a
-	// fw_spawn setter names. Endpoints whose key cannot be recovered are
-	// not emitted; they cannot be paired.
+	// Key is the call site's channel key (see Key). Endpoints whose key
+	// cannot be recovered are not emitted; they cannot be paired.
 	Key string
 	// Setter distinguishes writers from readers.
 	Setter bool
 }
 
 // ID renders the endpoint's channel identity, the join key of the corpus
-// fixpoint: "<chan>:<key>".
-func (e Endpoint) ID() string { return e.Chan.String() + ":" + e.Key }
+// fixpoint.
+func (e Endpoint) ID() string { return ID(e.Chan, e.Key) }
+
+// ID renders a channel identity: "<chan>:<key>" (e.g. "nvram:wl_key").
+// Taint alerts carry endpoints in this form; ParseID reads it back.
+func ID(ch know.ChanKind, key string) string { return ch.String() + ":" + key }
+
+// ParseID splits an identity rendered by ID into its channel kind and key.
+func ParseID(id string) (know.ChanKind, string, bool) {
+	name, key, ok := strings.Cut(id, ":")
+	if ok {
+		for ch := know.ChanNVRAM; ch <= know.ChanSpawn; ch++ {
+			if name == ch.String() {
+				return ch, key, true
+			}
+		}
+	}
+	return 0, "", false
+}
+
+// Key gives the channel key of the accessor call at site in fn: a keyless
+// accessor (negative KeyParam) is keyed by self, the binary's own image
+// path — the key a fw_spawn setter names; any other key is the non-empty
+// string constant passed at KeyParam. ok is false when that constant
+// cannot be recovered: such a site cannot be paired with any other.
+func Key(spec know.ChannelSpec, self string, bin *binimg.Binary, fn *cfg.Function, site uint32) (string, bool) {
+	if spec.KeyParam < 0 {
+		return self, true
+	}
+	key, ok := dataflow.StringArg(bin, fn, site, isa.Reg(spec.KeyParam))
+	return key, ok && key != ""
+}
 
 // Endpoints enumerates the channel accessor call sites of one binary, in
 // deterministic (function, site) order.
@@ -50,33 +80,19 @@ func Endpoints(path string, bin *binimg.Binary, model *cfg.Model) []Endpoint {
 	var out []Endpoint
 	for _, f := range model.FuncsInOrder() {
 		for _, cs := range f.Calls {
-			var spec know.ChannelSpec
-			setter := false
-			if s, ok := know.ChannelSetters[cs.ImportName]; ok {
-				spec, setter = s, true
-			} else if g, ok := know.ChannelGetters[cs.ImportName]; ok {
-				spec = g
-			} else {
-				continue
-			}
-			caller, _ := model.FuncAt(cs.Caller)
-			if caller == nil {
-				continue
-			}
-			key := path
-			if spec.KeyParam >= 0 {
-				c, ok := dataflow.BacktrackRegister(caller, cs.Addr, isa.Reg(spec.KeyParam))
-				if !ok {
+			spec, setter := know.ChannelSetters[cs.ImportName]
+			if !setter {
+				var ok bool
+				if spec, ok = know.ChannelGetters[cs.ImportName]; !ok {
 					continue
 				}
-				s, ok := dataflow.ClassifyStringConstant(bin, c)
-				if !ok || s == "" {
-					continue
-				}
-				key = s
+			}
+			key, ok := Key(spec, path, bin, f, cs.Addr)
+			if !ok {
+				continue
 			}
 			out = append(out, Endpoint{
-				Binary: path, Func: cs.Caller, Site: cs.Addr,
+				Binary: path, Func: f.Entry, Site: cs.Addr,
 				Import: cs.ImportName, Chan: spec.Chan, Key: key, Setter: setter,
 			})
 		}
@@ -85,21 +101,14 @@ func Endpoints(path string, bin *binimg.Binary, model *cfg.Model) []Endpoint {
 	return out
 }
 
-// GetterKeys collects, per channel kind, the set of keys some getter in
-// the corpus reads. The fixpoint only propagates written keys a reader
-// exists for.
-func GetterKeys(eps []Endpoint) map[know.ChanKind]map[string]bool {
-	out := map[know.ChanKind]map[string]bool{}
+// GetterIDs collects the IDs of the endpoints some getter in eps reads.
+// The fixpoint only propagates written endpoints a reader exists for.
+func GetterIDs(eps []Endpoint) map[string]bool {
+	out := map[string]bool{}
 	for _, e := range eps {
-		if e.Setter {
-			continue
+		if !e.Setter {
+			out[e.ID()] = true
 		}
-		m := out[e.Chan]
-		if m == nil {
-			m = map[string]bool{}
-			out[e.Chan] = m
-		}
-		m[e.Key] = true
 	}
 	return out
 }

@@ -163,13 +163,27 @@ func TestPairEndpointsDeterministic(t *testing.T) {
 }
 
 func TestGetterKeys(t *testing.T) {
-	keys := GetterKeys(corpusEndpoints(t))
-	want := map[know.ChanKind]map[string]bool{
-		know.ChanNVRAM: {"wl_key": true, "unwritten": true},
-		know.ChanEnv:   {"TZ_OFF": true},
-		know.ChanSpawn: {"bin/helper": true},
+	ids := GetterIDs(corpusEndpoints(t))
+	want := map[string]bool{"nvram:wl_key": true, "nvram:unwritten": true, "env:TZ_OFF": true, "spawn:bin/helper": true}
+	if !reflect.DeepEqual(ids, want) {
+		t.Fatalf("GetterIDs = %+v, want %+v", ids, want)
 	}
-	if !reflect.DeepEqual(keys, want) {
-		t.Fatalf("GetterKeys = %+v, want %+v", keys, want)
+}
+
+// TestParseIDInvertsID covers every channel kind an accessor declares.
+func TestParseIDInvertsID(t *testing.T) {
+	for _, specs := range []map[string]know.ChannelSpec{know.ChannelSetters, know.ChannelGetters} {
+		for name, spec := range specs {
+			for _, key := range []string{"wl_key", "bin/nettool", "a:b"} {
+				if ch, k, ok := ParseID(ID(spec.Chan, key)); !ok || ch != spec.Chan || k != key {
+					t.Errorf("%s: ParseID(ID(%v, %q)) = %v, %q, %v", name, spec.Chan, key, ch, k, ok)
+				}
+			}
+		}
+	}
+	for _, id := range []string{"", "wl_key", "disk:wl_key"} {
+		if _, _, ok := ParseID(id); ok {
+			t.Errorf("ParseID(%q) accepted", id)
+		}
 	}
 }
