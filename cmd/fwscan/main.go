@@ -70,20 +70,11 @@ func main() {
 
 	ctx, cancel := spec.Context(context.Background())
 	defer cancel()
-	// One image goes straight through Analyze; a batch shares one scheduler,
-	// intern table and cache across images via the corpus entry point.
-	var results []*fits.Result
-	if len(images) == 1 {
-		res, err := fits.AnalyzeContext(ctx, images[0], aopts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		results = []*fits.Result{res}
-	} else {
-		results, err = fits.AnalyzeCorpus(ctx, images, aopts)
-		if err != nil {
-			log.Fatal(err)
-		}
+	// The images share one scheduler, intern table and cache; each result
+	// is byte-identical to analyzing its image alone.
+	results, err := fits.AnalyzeCorpus(ctx, images, aopts)
+	if err != nil {
+		log.Fatal(err)
 	}
 	total := 0
 	for i, res := range results {

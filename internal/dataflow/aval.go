@@ -16,7 +16,8 @@
 // is also the taint engine's, and so is its abstract state: State (an
 // inline register file plus a copy-on-write memory slice) and Temps (the
 // temporaries of one lifted instruction) are the one lattice every
-// intraprocedural fixpoint in the system runs on.
+// intraprocedural fixpoint in the system runs on, and Interp is the one
+// interpreter of the IR over them.
 package dataflow
 
 import (

@@ -1,6 +1,8 @@
 package dataflow
 
 import (
+	"sync"
+
 	"fits/internal/cfg"
 	"fits/internal/ir"
 	"fits/internal/isa"
@@ -35,142 +37,74 @@ type AnchorFunc func(cs cfg.CallSite) AnchorInfo
 // its flow facts. anchors may be nil when anchor classification is not
 // needed.
 func Analyze(fn *cfg.Function, anchors AnchorFunc) FlowFacts {
-	a := &analyzer{fn: fn, anchors: anchors}
-	return a.run()
-}
-
-type analyzer struct {
-	fn      *cfg.Function
-	anchors AnchorFunc
-	facts   FlowFacts
-	record  bool
-	temps   Temps
-}
-
-func (a *analyzer) run() FlowFacts {
+	a := analyzers.Get().(*analyzer)
+	*a = analyzer{anchors: anchors}
+	a.Fn, a.Hooks = fn, a
 	var entry State
-	for i := 0; i < a.fn.Params && i < 4; i++ {
+	for i := 0; i < fn.Params && i < 4; i++ {
 		entry.Set(RegLoc(isa.Reg(i)), AVal{Kind: KTop, Taint: ParamMask(1 << i)})
 	}
 	entry.Set(RegLoc(isa.SP), AVal{Kind: KSPRel, C: 0})
 
-	sol := Forward(a.fn, entry, a.transfer)
+	sol := Forward(fn, entry, a.Block)
 	a.facts.Truncated = !sol.Converged
-
-	// Final recording pass over the fixed point.
-	a.record = true
-	for _, ba := range a.fn.Order {
-		if in := sol.In(ba); in != nil {
-			st := in.Clone()
-			a.transfer(a.fn.Blocks[ba], &st)
-		}
-	}
-	return a.facts
+	a.Replay(&sol)
+	facts := a.facts
+	*a = analyzer{}
+	analyzers.Put(a)
+	return facts
 }
 
-// inLoop reports whether block b lies in a natural loop. Only the recording
-// pass asks, once per parameter-controlled branch, so a scan of the loops
-// is cheaper than a lookup table built on every Analyze call.
-func (a *analyzer) inLoop(b uint32) bool {
-	for _, lp := range a.fn.Loops {
-		if lp.Body[b] {
-			return true
-		}
-	}
-	return false
+// analyzers recycles the analyzer Analyze runs once per function: set as
+// its own Hooks, an analyzer escapes to the heap.
+var analyzers = sync.Pool{New: func() any { return new(analyzer) }}
+
+// analyzer is reachdef's side of the shared interpreter: its Replay
+// collects the flow facts.
+type analyzer struct {
+	Interp
+	anchors AnchorFunc
+	facts   FlowFacts
 }
 
-// eval computes one IR expression over the abstract state. A method rather
-// than a closure inside transfer: transfer runs once per block visit on the
-// pipeline's hottest path, and the closure pair (function object plus the
-// captured recursion cell) was one heap allocation per visit each.
-func (a *analyzer) eval(e ir.Expr, st *State) AVal {
-	switch e := e.(type) {
-	case *ir.Const:
-		return AVal{Kind: KConst, C: int32(e.V)}
-	case *ir.RdTmp:
-		v, _ := a.temps.Get(e.T)
-		return v
-	case *ir.Get:
-		return st.Get(RegLoc(e.R))
-	case *ir.Binop:
-		return Binop(e.Op, a.eval(e.L, st), a.eval(e.R, st))
-	case *ir.Load:
-		addr := a.eval(e.Addr, st)
-		switch addr.Kind {
-		case KSPRel:
-			v := st.Get(SlotLoc(addr.C))
-			v.Taint |= addr.Taint
-			return v
-		case KConst:
-			v := st.Get(GlobLoc(uint32(addr.C)))
-			v.Taint |= addr.Taint
-			return AVal{Kind: KTop, Taint: v.Taint}
-		}
-		// Dereferencing a parameter-derived pointer yields
-		// parameter-derived data.
-		return top(addr.Taint)
+// Load, Store and Called add nothing: a parameter-derived address already
+// taints what a load through it reads.
+func (a *analyzer) Load(_ uint32, _ AVal, t ParamMask) ParamMask { return t }
+func (a *analyzer) Store(uint32, AVal, AVal)                     {}
+func (a *analyzer) Called(uint32, *State)                        {}
+
+// Exit records a parameter-controlled branch, and a loop when the branch
+// lies in one. A scan of the loops, asked once per such branch, is cheaper
+// than a lookup table built on every Analyze call.
+func (a *analyzer) Exit(blk *cfg.BasicBlock, cond ir.Expr, st *State) {
+	if !a.Eval(cond, st).Taint.Has() {
+		return
 	}
-	return AVal{Kind: KTop}
+	a.facts.ParamControlsBranch = true
+	for i := 0; i < len(a.Fn.Loops) && !a.facts.ParamControlsLoop; i++ {
+		a.facts.ParamControlsLoop = a.Fn.Loops[i].Body[blk.Start]
+	}
 }
 
-// transfer interprets one basic block over an abstract state, mutating st.
-func (a *analyzer) transfer(blk *cfg.BasicBlock, st *State) {
-	for _, irb := range blk.IR {
-		a.temps.Reset()
-		for _, s := range irb.Stmts {
-			switch s := s.(type) {
-			case *ir.WrTmp:
-				a.temps.Set(s.T, s.E, a.eval(s.E, st))
-			case *ir.Put:
-				st.Set(RegLoc(s.R), a.eval(s.E, st))
-			case *ir.Store:
-				addr := a.eval(s.Addr, st)
-				val := a.eval(s.Val, st)
-				switch addr.Kind {
-				case KSPRel:
-					st.Set(SlotLoc(addr.C), val)
-				case KConst:
-					st.Set(GlobLoc(uint32(addr.C)), val)
-				}
-			case *ir.Exit:
-				if a.record {
-					cond := a.eval(s.Cond, st)
-					if cond.Taint.Has() {
-						a.facts.ParamControlsBranch = true
-						if !a.facts.ParamControlsLoop && a.inLoop(blk.Start) {
-							a.facts.ParamControlsLoop = true
-						}
-					}
-				}
-			case *ir.Call:
-				if a.record && a.anchors != nil {
-					// Linear scan: the record pass visits each block once
-					// and functions have few call sites, so an index map
-					// would cost more to build than it saves.
-					for _, cs := range a.fn.Calls {
-						if cs.Addr != irb.Addr {
-							continue
-						}
-						info := a.anchors(cs)
-						if !info.Anchor {
-							continue
-						}
-						for i := 0; i < info.Arity && i < 4; i++ {
-							if st.Get(RegLoc(isa.Reg(i))).Taint.Has() {
-								a.facts.ParamToAnchor = true
-							}
-						}
-					}
-				}
-				st.Call()
-			case *ir.Ret:
-				if a.record && st.Get(RegLoc(isa.R0)).Taint.Has() {
-					a.facts.TaintedReturn = true
-				}
-			case *ir.Sys:
-				st.Set(RegLoc(isa.R0), AVal{Kind: KTop})
-			}
+// Call records a parameter-derived argument of an anchor call.
+func (a *analyzer) Call(_ *cfg.BasicBlock, cs *cfg.CallSite, st *State) {
+	if a.anchors == nil {
+		return
+	}
+	info := a.anchors(*cs)
+	if !info.Anchor {
+		return
+	}
+	for i := 0; i < info.Arity && i < 4; i++ {
+		if st.Get(RegLoc(isa.Reg(i))).Taint.Has() {
+			a.facts.ParamToAnchor = true
 		}
+	}
+}
+
+// Ret records a parameter-derived return value.
+func (a *analyzer) Ret(st *State) {
+	if st.Get(RegLoc(isa.R0)).Taint.Has() {
+		a.facts.TaintedReturn = true
 	}
 }

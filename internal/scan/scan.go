@@ -66,12 +66,16 @@ func Run(ctx context.Context, t *loader.Target, eng Engine, opts taint.Options, 
 
 // key is the memo key of one scan: the engine, the target's content hash,
 // and every taint.Options field that can change the alert list. Precision
-// and Probe never change output and are left out.
+// and Probe never change output and are left out, and the symbolic engine
+// reads only ITS and ITSOut.
 // The engines treat ITS as a set, so its entries are sorted; map-valued
 // fields are written in sorted key order, and free-form strings quoted so
 // no two option sets share a key. Built with strconv rather than fmt: a
 // corpus fixpoint builds one key per binary per round.
 func key(t *loader.Target, eng Engine, o taint.Options) string {
+	if eng == Symbolic {
+		o = taint.Options{ITS: o.ITS, ITSOut: o.ITSOut}
+	}
 	b := make([]byte, 0, 256)
 	b = strconv.AppendUint(append(b, "engine="...), uint64(eng), 10)
 	b = strconv.AppendBool(append(b, "|cts="...), o.UseCTS)

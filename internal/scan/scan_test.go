@@ -68,9 +68,17 @@ func nonZero(t reflect.Type) reflect.Value {
 	return v
 }
 
+// symbolicReads lists the taint.Options fields the symbolic engine reads;
+// no other field may split its cache entries.
+var symbolicReads = map[string]bool{
+	"ITS":    true,
+	"ITSOut": true,
+}
+
 // TestKeyCoversEveryOutputField: setting any taint.Options field except the
-// output-neutral ones changes the scan key, so a field added later can never
-// silently alias cache entries computed without it.
+// output-neutral ones changes the static scan key, so a field added later
+// can never silently alias cache entries computed without it. The symbolic
+// key changes with exactly the fields that engine reads.
 func TestKeyCoversEveryOutputField(t *testing.T) {
 	target := &loader.Target{Hash: modelcache.HashBytes([]byte("bin"))}
 	base := key(target, Static, taint.Options{})
@@ -90,6 +98,10 @@ func TestKeyCoversEveryOutputField(t *testing.T) {
 		}
 		if !outputNeutral[f.Name] && !changed {
 			t.Errorf("field %s does not change the key: scans differing only in it alias one entry", f.Name)
+		}
+		symChanged := key(target, Symbolic, o) != key(target, Symbolic, taint.Options{})
+		if symbolicReads[f.Name] != symChanged {
+			t.Errorf("field %s changes the symbolic key: %v, want %v", f.Name, symChanged, symbolicReads[f.Name])
 		}
 	}
 	for _, other := range []string{

@@ -1,6 +1,8 @@
 package taint
 
 import (
+	"sync"
+
 	"fits/internal/cfg"
 	"fits/internal/dataflow"
 	"fits/internal/ir"
@@ -32,25 +34,26 @@ type memoKey struct {
 	ep    string
 }
 
-// intra runs the taint dataflow over one function and acts on the findings.
+// intra is the taint engine's side of the shared interpreter: loads and
+// stores of globals and unresolved addresses carry taint between
+// activations, the seed call's return is tainted, and the recording passes
+// find range checks and act at calls.
 type intra struct {
+	dataflow.Interp
 	e     *Engine
-	fn    *cfg.Function
 	sd    seed
 	from  SourceKind
 	key   string
 	depth int
 
+	// acting selects the second recording pass, which raises alerts and
+	// recurses; the first one only finds range checks.
+	acting bool
 	// sanitizing lists the blocks holding range checks on tainted data;
 	// idom, the dominator tree they are tested against, is built only
 	// when there is one.
 	sanitizing []uint32
 	idom       map[uint32]uint32
-
-	// temps and at are the instruction transfer is evaluating: its
-	// temporaries and its address (the alias pass keys loads on it).
-	temps dataflow.Temps
-	at    uint32
 }
 
 // propagateValue seeds taint at the return of the call at seedAddr in fn.
@@ -85,12 +88,20 @@ func (e *Engine) propagate(fn *cfg.Function, sd seed, from SourceKind, key strin
 	}
 	e.memo[mk] = true
 
-	in := &intra{e: e, fn: fn, sd: sd, from: from, key: key, depth: depth}
+	in := intras.Get().(*intra)
+	*in = intra{e: e, sd: sd, from: from, key: key, depth: depth}
+	in.Fn, in.Hooks = fn, in
 	in.run()
+	*in = intra{}
+	intras.Put(in)
 }
 
+// intras recycles the activation propagate runs once per seeded function:
+// set as its own Hooks, an intra escapes to the heap.
+var intras = sync.Pool{New: func() any { return new(intra) }}
+
 func (in *intra) run() {
-	fn := in.fn
+	fn := in.Fn
 	var entry dataflow.State
 	entry.Set(dataflow.RegLoc(isa.SP), dataflow.AVal{Kind: dataflow.KSPRel})
 	for i := 0; i < 4; i++ {
@@ -99,32 +110,19 @@ func (in *intra) run() {
 		}
 	}
 
-	sol := dataflow.Forward(fn, entry, in.flow)
+	sol := dataflow.Forward(fn, entry, in.Block)
 	if !sol.Converged {
 		in.e.unconverged[fn.Entry] = true
 	}
 
 	// Pass 2a: find sanitizing blocks (dominating range checks on taint).
-	for _, ba := range fn.Order {
-		if fixed := sol.In(ba); fixed != nil {
-			obs := observer{}
-			st := fixed.Clone()
-			in.transfer(fn.Blocks[ba], &st, &obs)
-			if obs.rangeCheck {
-				in.sanitizing = append(in.sanitizing, ba)
-			}
-		}
-	}
+	in.Replay(&sol)
 	if len(in.sanitizing) > 0 {
 		in.idom = cfg.Dominators(fn)
 	}
 	// Pass 2b: alerts and interprocedural continuation.
-	for _, ba := range fn.Order {
-		if fixed := sol.In(ba); fixed != nil {
-			st := fixed.Clone()
-			in.transfer(fn.Blocks[ba], &st, &observer{act: in})
-		}
-	}
+	in.acting = true
+	in.Replay(&sol)
 }
 
 // sanitizedAt reports whether any sanitizing block strictly dominates blk.
@@ -137,116 +135,56 @@ func (in *intra) sanitizedAt(blk uint32) bool {
 	return false
 }
 
-// observer collects facts during a recording transfer.
-type observer struct {
-	rangeCheck bool
-	act        *intra // non-nil: raise alerts and recurse
-}
-
-// flow is the fixpoint's transfer: transfer without an observer.
-func (in *intra) flow(blk *cfg.BasicBlock, st *dataflow.State) {
-	in.transfer(blk, st, nil)
-}
-
-// eval computes one IR expression over st and the current instruction's
-// temporaries. Loads are where taint enters beyond the seeds: a constant
-// address reads a global some store marked tainted, and an unresolved one
-// may read a location the points-to pass saw a tainted store reach.
-func (in *intra) eval(e ir.Expr, st *dataflow.State) dataflow.AVal {
-	switch e := e.(type) {
-	case *ir.Const:
-		return dataflow.AVal{Kind: dataflow.KConst, C: int32(e.V)}
-	case *ir.RdTmp:
-		v, _ := in.temps.Get(e.T)
-		return v
-	case *ir.Get:
-		return st.Get(dataflow.RegLoc(e.R))
-	case *ir.Binop:
-		return dataflow.Binop(e.Op, in.eval(e.L, st), in.eval(e.R, st))
-	case *ir.Load:
-		a := in.eval(e.Addr, st)
-		switch a.Kind {
-		case dataflow.KSPRel:
-			v := st.Get(dataflow.SlotLoc(a.C))
-			v.Taint |= a.Taint
-			return v
-		case dataflow.KConst:
-			t := st.Get(dataflow.GlobLoc(uint32(a.C))).Taint | a.Taint
-			if in.e.taintedGlobals[uint32(a.C)] {
-				t = tainted
-			}
-			return dataflow.AVal{Taint: t}
-		}
-		// Unresolved address: the points-to pass may know which
-		// abstract location this load reads.
-		t := a.Taint
-		if t == 0 && in.e.aliasLoadTainted(in.fn, in.at) {
-			t = tainted
-		}
-		return dataflow.AVal{Taint: t}
+// Load taints a load from a global some store marked tainted, and one
+// through an unresolved address the points-to pass saw a tainted store
+// reach.
+func (in *intra) Load(at uint32, addr dataflow.AVal, t dataflow.ParamMask) dataflow.ParamMask {
+	if addr.Kind == dataflow.KConst && in.e.taintedGlobals[uint32(addr.C)] ||
+		addr.Kind != dataflow.KConst && t == 0 && in.e.aliasLoadTainted(in.Fn, at) {
+		return tainted
 	}
-	return dataflow.AVal{}
+	return t
 }
 
-// transfer interprets one block, updating st in place. obs selects
-// recording behaviour; nil means plain dataflow.
-func (in *intra) transfer(blk *cfg.BasicBlock, st *dataflow.State, obs *observer) {
-	for _, irb := range blk.IR {
-		in.at = irb.Addr
-		in.temps.Reset()
-		for _, s := range irb.Stmts {
-			switch s := s.(type) {
-			case *ir.WrTmp:
-				in.temps.Set(s.T, s.E, in.eval(s.E, st))
-			case *ir.Put:
-				st.Set(dataflow.RegLoc(s.R), in.eval(s.E, st))
-			case *ir.Store:
-				a := in.eval(s.Addr, st)
-				v := in.eval(s.Val, st)
-				switch a.Kind {
-				case dataflow.KSPRel:
-					st.Set(dataflow.SlotLoc(a.C), v)
-				case dataflow.KConst:
-					st.Set(dataflow.GlobLoc(uint32(a.C)), v)
-					if v.Taint.Has() {
-						in.e.taintedGlobals[uint32(a.C)] = true
-					}
-				default:
-					// A tainted value stored through an unresolved pointer
-					// is exactly what value tracking used to drop; hand it
-					// to the points-to pass.
-					if v.Taint.Has() {
-						in.e.aliasStoreTainted(in.fn, irb.Addr)
-					}
-				}
-			case *ir.Exit:
-				if obs != nil && in.isRangeCheck(s.Cond) {
-					obs.rangeCheck = true
-				}
-			case *ir.Call:
-				if obs != nil && obs.act != nil {
-					in.atCall(irb.Addr, blk.Start, st)
-				}
-				st.Call()
-				// The seed call's return is tainted by definition.
-				if in.sd.retSiteAddr == irb.Addr {
-					st.Set(dataflow.RegLoc(isa.R0), dataflow.AVal{Taint: tainted})
-				}
-			case *ir.Sys:
-				st.Set(dataflow.RegLoc(isa.R0), dataflow.AVal{})
-			}
-		}
+// Store marks a global that receives a tainted value. A tainted value
+// stored through an unresolved pointer is exactly what value tracking used
+// to drop; it goes to the points-to pass.
+func (in *intra) Store(at uint32, addr, v dataflow.AVal) {
+	if !v.Taint.Has() {
+		return
+	}
+	if addr.Kind == dataflow.KConst {
+		in.e.taintedGlobals[uint32(addr.C)] = true
+	} else {
+		in.e.aliasStoreTainted(in.Fn, at)
 	}
 }
+
+// Called taints the seed call's return, by definition.
+func (in *intra) Called(at uint32, st *dataflow.State) {
+	if in.sd.retSiteAddr == at {
+		st.Set(dataflow.RegLoc(isa.R0), dataflow.AVal{Taint: tainted})
+	}
+}
+
+// Exit records blk as sanitizing when it range-checks tainted data.
+func (in *intra) Exit(blk *cfg.BasicBlock, cond ir.Expr, st *dataflow.State) {
+	if !in.acting && in.isRangeCheck(cond, st) {
+		in.sanitizing = append(in.sanitizing, blk.Start)
+	}
+}
+
+// Ret observes nothing.
+func (in *intra) Ret(*dataflow.State) {}
 
 // isRangeCheck recognizes a branch comparing a tainted value against a
 // nonzero constant bound with an ordering comparison.
-func (in *intra) isRangeCheck(cond ir.Expr) bool {
+func (in *intra) isRangeCheck(cond ir.Expr, st *dataflow.State) bool {
 	rt, ok := cond.(*ir.RdTmp)
 	if !ok {
 		return false
 	}
-	_, def := in.temps.Get(rt.T)
+	_, def := in.Temps.Get(rt.T)
 	bin, ok := def.(*ir.Binop)
 	if !ok {
 		return false
@@ -254,22 +192,10 @@ func (in *intra) isRangeCheck(cond ir.Expr) bool {
 	if bin.Op != ir.CmpLT && bin.Op != ir.CmpGE {
 		return false
 	}
-	l, r := in.operand(bin.L), in.operand(bin.R)
+	l, r := in.Eval(bin.L, st), in.Eval(bin.R, st)
 	lc := l.Kind == dataflow.KConst && l.C != 0
 	rc := r.Kind == dataflow.KConst && r.C != 0
 	return (l.Taint.Has() && rc) || (r.Taint.Has() && lc)
-}
-
-// operand is the value of a comparison operand: a temporary or a constant.
-func (in *intra) operand(e ir.Expr) dataflow.AVal {
-	switch e := e.(type) {
-	case *ir.RdTmp:
-		v, _ := in.temps.Get(e.T)
-		return v
-	case *ir.Const:
-		return dataflow.AVal{Kind: dataflow.KConst, C: int32(e.V)}
-	}
-	return dataflow.AVal{}
 }
 
 // argTainted reports whether argument register r holds tainted data.
@@ -277,65 +203,64 @@ func argTainted(st *dataflow.State, r int) bool {
 	return st.Get(dataflow.RegLoc(isa.Reg(r))).Taint.Has()
 }
 
-// atCall raises alerts at sink calls and recurses into custom callees.
-func (in *intra) atCall(addr, blockStart uint32, st *dataflow.State) {
-	for _, cs := range in.fn.Calls {
-		if cs.Addr != addr {
-			continue
-		}
-		if spec, ok := know.Sinks[cs.ImportName]; ok {
-			for _, pi := range spec.DangerousParams {
-				if pi < 4 && argTainted(st, pi) {
-					if in.sanitizedAt(blockStart) {
-						break
-					}
-					a := Alert{
-						Binary: in.e.bin.Name, Site: addr, Func: in.fn.Entry,
-						Sink: cs.ImportName, Kind: spec.Kind, From: in.from, Key: in.key,
-					}
-					if in.e.opts.StringFilter && in.from == FromITS && SystemDataKeys[in.key] {
-						a.Filtered = true
-					}
-					in.e.report(a)
+// Call raises alerts at sink calls and recurses into custom callees, in
+// the acting pass.
+func (in *intra) Call(blk *cfg.BasicBlock, cs *cfg.CallSite, st *dataflow.State) {
+	if !in.acting {
+		return
+	}
+	if spec, ok := know.Sinks[cs.ImportName]; ok {
+		for _, pi := range spec.DangerousParams {
+			if pi < 4 && argTainted(st, pi) {
+				if in.sanitizedAt(blk.Start) {
 					break
 				}
-			}
-			continue
-		}
-		if spec, ok := know.ChannelSetters[cs.ImportName]; ok && in.e.opts.ChannelWrites {
-			// A tainted value published onto a cross-binary channel: record
-			// the written endpoint as a channel-write pseudo-alert. Only
-			// recoverable keys can be joined to a getter, so sites without
-			// one are dropped here.
-			if spec.ValParam >= 0 && spec.ValParam < 4 &&
-				argTainted(st, spec.ValParam) && !in.sanitizedAt(blockStart) {
-				if wkey, ok := xchan.Key(spec, in.e.opts.SelfPath, in.e.bin, in.fn, cs.Addr); ok {
-					in.e.report(Alert{
-						Binary: in.e.bin.Name, Site: addr, Func: in.fn.Entry,
-						Sink: cs.ImportName, Kind: know.SinkChannelWrite,
-						From: in.from, Key: in.key,
-						Via: xchan.ID(spec.Chan, wkey),
-					})
+				a := Alert{
+					Binary: in.e.bin.Name, Site: cs.Addr, Func: in.Fn.Entry,
+					Sink: cs.ImportName, Kind: spec.Kind, From: in.from, Key: in.key,
 				}
-			}
-			continue
-		}
-		if cs.Target == 0 || cs.ImportName != "" {
-			continue
-		}
-		callee, ok := in.e.model.FuncAt(cs.Target)
-		if !ok || callee.ImportStub {
-			continue
-		}
-		var mask uint8
-		for r := 0; r < 4; r++ {
-			if argTainted(st, r) {
-				mask |= 1 << r
+				if in.e.opts.StringFilter && in.from == FromITS && SystemDataKeys[in.key] {
+					a.Filtered = true
+				}
+				in.e.report(a)
+				break
 			}
 		}
-		if mask == 0 || in.sanitizedAt(blockStart) {
-			continue
-		}
-		in.e.propagateParams(callee, mask, in.from, in.key, in.depth+1)
+		return
 	}
+	if spec, ok := know.ChannelSetters[cs.ImportName]; ok && in.e.opts.ChannelWrites {
+		// A tainted value published onto a cross-binary channel: record
+		// the written endpoint as a channel-write pseudo-alert. Only
+		// recoverable keys can be joined to a getter, so sites without
+		// one are dropped here.
+		if spec.ValParam >= 0 && spec.ValParam < 4 &&
+			argTainted(st, spec.ValParam) && !in.sanitizedAt(blk.Start) {
+			if wkey, ok := xchan.Key(spec, in.e.opts.SelfPath, in.e.bin, in.Fn, cs.Addr); ok {
+				in.e.report(Alert{
+					Binary: in.e.bin.Name, Site: cs.Addr, Func: in.Fn.Entry,
+					Sink: cs.ImportName, Kind: know.SinkChannelWrite,
+					From: in.from, Key: in.key,
+					Via: xchan.ID(spec.Chan, wkey),
+				})
+			}
+		}
+		return
+	}
+	if cs.Target == 0 || cs.ImportName != "" {
+		return
+	}
+	callee, ok := in.e.model.FuncAt(cs.Target)
+	if !ok || callee.ImportStub {
+		return
+	}
+	var mask uint8
+	for r := 0; r < 4; r++ {
+		if argTainted(st, r) {
+			mask |= 1 << r
+		}
+	}
+	if mask == 0 || in.sanitizedAt(blk.Start) {
+		return
+	}
+	in.e.propagateParams(callee, mask, in.from, in.key, in.depth+1)
 }

@@ -1,13 +1,14 @@
 #!/bin/sh
 # netlines.sh BASE: added, removed and net Go lines per package between the
 # git revision BASE and the working tree, untracked files included. Test
-# files (_test.go), the bench/ module and everything that is not Go source
-# (Markdown included) are left out, so every simplicity change reports the
-# same figure. Run it as `make netlines BASE=<rev>`.
+# files (_test.go), testdata/ fixtures (which Go tooling ignores), the bench/
+# module and everything that is not Go source (Markdown included) are left
+# out, so every simplicity change reports the same figure. Run it as
+# `make netlines BASE=<rev>`.
 set -euf # -f: the pathspecs below are for git, not for shell globbing
 base=${1:?usage: netlines.sh <rev>}
 cd "$(git rev-parse --show-toplevel)"
-spec="*.go :(exclude)*_test.go :(exclude)bench/"
+spec="*.go :(exclude)*_test.go :(exclude)*/testdata/* :(exclude)bench/"
 
 {
 	# shellcheck disable=SC2086 # spec is a word list of pathspecs
