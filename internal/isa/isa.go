@@ -66,8 +66,8 @@ const (
 	OpAnd      // Rd = Rs1 & Rs2
 	OpOr       // Rd = Rs1 | Rs2
 	OpXor      // Rd = Rs1 ^ Rs2
-	OpShl      // Rd = Rs1 << (Rs2 & 63)
-	OpShr      // Rd = Rs1 >> (Rs2 & 63)
+	OpShl      // Rd = Rs1 << (Rs2 & 31)
+	OpShr      // Rd = Rs1 >> (Rs2 & 31), logical
 	OpAddi     // Rd = Rs1 + Imm
 	OpLdb      // Rd = mem8[Rs1 + Imm]
 	OpLdw      // Rd = mem32[Rs1 + Imm]
