@@ -48,16 +48,30 @@ type SymState struct {
 	// those (ir.TestTempsAreBlockLocal), so T mod MaxBlockTemps never
 	// collides within a block.
 	temps [ir.MaxBlockTemps]SVal
-	// mem tracks concrete-address stores made on this path; memUnknown
-	// memoizes the unknown produced for each concrete address read before
-	// any tracked store and not answered by the image. Both are allocated
-	// on first write.
-	mem        map[uint32]SVal
-	memUnknown map[uint32]SVal
+	// mem tracks concrete-address stores made on this path, one cell per
+	// store, keyed by its first byte; cells never overlap. memUnknown
+	// memoizes the unknown produced for each concrete address and width
+	// read before any tracked store and not answered by the image. Both are
+	// allocated on first write.
+	mem        map[uint32]memCell
+	memUnknown map[memKey]SVal
 	nextID     int
 	// trustWritable makes concrete loads read writable initialized
 	// sections from the image too, not only text and rodata.
 	trustWritable bool
+}
+
+// memCell is one tracked store: its value and the bytes it wrote. A byte
+// cell's value is already masked to the byte.
+type memCell struct {
+	val  SVal
+	size uint8
+}
+
+// memKey names the unknown read by a load of size bytes at addr.
+type memKey struct {
+	addr uint32
+	size uint8
 }
 
 // NewSymState returns a state at function entry: every register unknown
@@ -135,29 +149,123 @@ func (s *SymState) Eval(x ir.Expr) SVal {
 		if !ok {
 			return SLoad{Addr: addr}
 		}
-		if v, ok := s.mem[c.V]; ok {
-			return v
-		}
-		if s.trusts(c.V) {
-			if x.Size == 1 {
-				if b, ok := s.bin.ByteAt(c.V); ok {
-					return SConst{V: uint32(b)}
-				}
-			} else if w, ok := s.bin.WordAt(c.V); ok {
-				return SConst{V: w}
-			}
-		}
-		if v, ok := s.memUnknown[c.V]; ok {
-			return v
-		}
-		v := s.Fresh()
-		if s.memUnknown == nil {
-			s.memUnknown = map[uint32]SVal{}
-		}
-		s.memUnknown[c.V] = v
-		return v
+		return s.load(c.V, x.Size)
 	}
 	return s.Fresh()
+}
+
+// load reads size bytes at the concrete address a: the value of a tracked
+// store of exactly that width there, else the bytes the tracked stores and
+// the image pin down, else an unknown. A load that tracked stores cover
+// only in part, or with a symbolic value, reads a fresh unknown, never a
+// stale image byte.
+func (s *SymState) load(a uint32, size int) SVal {
+	if c, ok := s.mem[a]; ok && int(c.size) == size {
+		return c.val
+	}
+	if v, stored := s.loadStored(a, size); stored {
+		return v
+	}
+	if s.trusts(a) {
+		if size == 1 {
+			if b, ok := s.bin.ByteAt(a); ok {
+				return SConst{V: uint32(b)}
+			}
+		} else if w, ok := s.bin.WordAt(a); ok {
+			return SConst{V: w}
+		}
+	}
+	k := memKey{addr: a, size: uint8(size)}
+	if v, ok := s.memUnknown[k]; ok {
+		return v
+	}
+	v := s.Fresh()
+	if s.memUnknown == nil {
+		s.memUnknown = map[memKey]SVal{}
+	}
+	s.memUnknown[k] = v
+	return v
+}
+
+// loadStored is load when tracked stores cover some of the size bytes at a
+// (stored is false when they cover none): the constant the stored and
+// trusted image bytes make up, or a fresh unknown when any byte is not a
+// known constant.
+func (s *SymState) loadStored(a uint32, size int) (v SVal, stored bool) {
+	var w uint32
+	known := true
+	for i := size - 1; i >= 0; i-- {
+		x := a + uint32(i)
+		b, hit, ok := s.storedByte(x)
+		if !hit && s.trusts(x) {
+			b, ok = s.bin.ByteAt(x)
+		}
+		stored = stored || hit
+		known = known && ok
+		w = w<<8 | uint32(b)
+	}
+	if !stored {
+		return nil, false
+	}
+	if !known {
+		return s.Fresh(), true
+	}
+	return SConst{V: w}, true
+}
+
+// storedByte returns the byte at a as the tracked stores left it: hit
+// reports that a cell covers a, ok that its value is a known constant.
+func (s *SymState) storedByte(a uint32) (b byte, hit, ok bool) {
+	for off := uint32(0); off < isa.WordSize; off++ {
+		c, found := s.mem[a-off]
+		if !found || off >= uint32(c.size) {
+			continue
+		}
+		if k, isConst := c.val.(SConst); isConst {
+			return byte(k.V >> (8 * off)), true, true
+		}
+		return 0, true, false
+	}
+	return 0, false, false
+}
+
+// store records a concrete store of size bytes at a. A byte store keeps
+// the value's low byte. Older cells the new one overlaps keep only the
+// bytes outside it, as byte cells: their constant bytes, or a fresh unknown
+// for each byte of a symbolic value.
+func (s *SymState) store(a uint32, v SVal, size int) {
+	if size == 1 {
+		v = simplify(ir.And, v, SConst{V: 0xff})
+	}
+	if s.mem == nil {
+		s.mem = map[uint32]memCell{}
+	}
+	// A cell overlapping [a, end) starts at most a word's width before a.
+	end := a + uint32(size)
+	for b := a - (isa.WordSize - 1); b != end; b++ {
+		s.split(b, a, end)
+	}
+	s.mem[a] = memCell{val: v, size: uint8(size)}
+}
+
+// split removes the cell at b if it overlaps [lo, hi), re-adding the bytes
+// it wrote outside that range as byte cells.
+func (s *SymState) split(b, lo, hi uint32) {
+	c, ok := s.mem[b]
+	if !ok || b+uint32(c.size) <= lo {
+		return
+	}
+	delete(s.mem, b)
+	k, isConst := c.val.(SConst)
+	for i := uint32(0); i < uint32(c.size); i++ {
+		if x := b + i; x < lo || x >= hi {
+			if isConst {
+				s.mem[x] = memCell{val: SConst{V: k.V >> (8 * i) & 0xff}, size: 1}
+			} else {
+				s.mem[x] = memCell{val: s.Fresh(), size: 1}
+			}
+		}
+	}
 }
 
 // trusts reports whether a concrete load from addr may read the image.
@@ -187,10 +295,7 @@ func (s *SymState) Step(st ir.Stmt) (clobbered bool) {
 		if !ok {
 			return true
 		}
-		if s.mem == nil {
-			s.mem = map[uint32]SVal{}
-		}
-		s.mem[c.V] = val
+		s.store(c.V, val, st.Size)
 	case *ir.Call:
 		for r := isa.Reg(0); r < 4; r++ {
 			s.Regs[r] = s.Fresh()

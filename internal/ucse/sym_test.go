@@ -164,3 +164,54 @@ func TestSymStateLoadTrust(t *testing.T) {
 		t.Errorf("explorer load of .data = %v, want SConst{7}", got)
 	}
 }
+
+// TestSymStateAccessWidth: tracked stores keep their width. A byte store
+// keeps only the low byte, a narrower load of a wider store reads its low
+// bytes, and a load that a store covers only in part assembles the stored
+// and image bytes — or, when one of them is not a known constant, reads an
+// unknown rather than a stale image byte.
+func TestSymStateAccessWidth(t *testing.T) {
+	st := symBin(t)
+	addr := &ir.Const{V: int64(FakeSP - 8)}
+	load := func(size int) SVal { return st.Eval(&ir.Load{Addr: addr, Size: size}) }
+	store := func(at *ir.Const, v SVal, size int) {
+		t.Helper()
+		st.SetTemp(0, v)
+		if st.Step(&ir.Store{Addr: at, Val: &ir.RdTmp{T: 0}, Size: size}) {
+			t.Fatal("concrete store reported as clobbering")
+		}
+	}
+	store(addr, SConst{V: 0x1234}, 1)
+	if got := load(1); got != (SConst{V: 0x34}) {
+		t.Errorf("byte load after byte store of 0x1234 = %v, want 0x34", got)
+	}
+	store(addr, SConst{V: 0x11223344}, 4)
+	if got := load(1); got != (SConst{V: 0x44}) {
+		t.Errorf("byte load of a stored word 0x11223344 = %v, want 0x44", got)
+	}
+	store(&ir.Const{V: int64(FakeSP - 7)}, SConst{V: 0xaa}, 1)
+	if got := load(4); got != (SConst{V: 0x1122aa44}) {
+		t.Errorf("word load after a byte store into the word = %v, want 0x1122aa44", got)
+	}
+	if got := load(1); got != (SConst{V: 0x44}) {
+		t.Errorf("byte load of the word's untouched low byte = %v, want 0x44", got)
+	}
+
+	// A symbolic word partly overwritten by a byte: what is left of it is
+	// unknown, and so is any word read across it.
+	u := st.Fresh()
+	store(addr, u, 4)
+	store(&ir.Const{V: int64(FakeSP - 6)}, SConst{V: 1}, 1)
+	if got, ok := load(4).(SUnknown); !ok || got == u {
+		t.Errorf("word load across a partly overwritten symbolic word = %v, want a fresh unknown", got)
+	}
+	if _, ok := load(1).(SConst); ok {
+		t.Error("byte of a symbolic word read as a constant")
+	}
+	// A symbolic byte store keeps only the low byte: it is not the whole
+	// value it was given.
+	store(addr, u, 1)
+	if got := load(1); got == u {
+		t.Errorf("byte load after a symbolic byte store = %v, the unmasked value", got)
+	}
+}
