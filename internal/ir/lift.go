@@ -334,16 +334,23 @@ func (l *Lifter) Lift(addr uint32, in isa.Instr) (*Block, error) {
 		l.emit(&retNode)
 
 	case isa.OpPush:
-		val := l.read(in.Rs1)
+		// SP -= 4; mem32[SP] = Rs1: Rs1 is read after the update, so
+		// push sp stores the decremented SP.
 		sp := l.bin(Sub, l.read(isa.SP), l.cnst(isa.WordSize))
 		l.emit(l.puts.new(Put{R: isa.SP, E: sp}))
-		l.emit(l.stores.new(Store{Addr: sp, Val: val, Size: isa.WordSize}))
+		l.emit(l.stores.new(Store{Addr: sp, Val: l.read(in.Rs1), Size: isa.WordSize}))
 
 	case isa.OpPop:
+		// Rd = mem32[SP]; SP += 4: the increment reads SP after Rd is
+		// written, so pop sp ends at the loaded word plus 4.
 		sp := l.read(isa.SP)
 		t := l.tmp()
 		l.emit(l.wrtmps.new(WrTmp{T: t, E: l.loads.new(Load{Addr: sp, Size: isa.WordSize})}))
-		l.emit(l.puts.new(Put{R: in.Rd, E: l.rdtmps.new(RdTmp{T: t})}))
+		val := l.rdtmps.new(RdTmp{T: t})
+		l.emit(l.puts.new(Put{R: in.Rd, E: val}))
+		if in.Rd == isa.SP {
+			sp = val
+		}
 		l.emit(l.puts.new(Put{R: isa.SP, E: l.bin(Add, sp, l.cnst(isa.WordSize))}))
 
 	case isa.OpSys:

@@ -56,13 +56,16 @@ func liftReserved(t *testing.T, what string, base uint32, ins []isa.Instr) {
 }
 
 // everyOpcode returns each opcode with small, large and negative immediates,
-// so constant operands both hit and miss the shared small-constant range.
+// so constant operands both hit and miss the shared small-constant range,
+// and once more with SP as destination and source (push sp and pop sp lift
+// to their own shapes).
 func everyOpcode() []isa.Instr {
 	var ins []isa.Instr
 	for op := isa.OpNop; op.Valid(); op++ {
 		for _, imm := range []int32{4, 0x1234, -8} {
 			ins = append(ins, isa.Instr{Op: op, Rd: isa.R1, Rs1: isa.R2, Rs2: isa.SP, Imm: imm})
 		}
+		ins = append(ins, isa.Instr{Op: op, Rd: isa.SP, Rs1: isa.SP, Rs2: isa.R2, Imm: 4})
 	}
 	return ins
 }
