@@ -97,7 +97,8 @@ netlines:
 
 # A FuzzKaronte input is a whole binary that takes milliseconds to build
 # and explore, so minimizing a new one under go's default 60s budget would
-# eat the whole smoke; its minimization is capped at ten runs.
+# eat the whole smoke; its minimization is capped at ten runs, and so is
+# FuzzLiftSemantics', which emulates each sequence's prefixes.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/binimg
 	$(GO) test -run='^$$' -fuzz=FuzzEncodeDecodeRoundTrip -fuzztime=$(FUZZTIME) ./internal/binimg
@@ -111,5 +112,6 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFrontend -fuzztime=$(FUZZTIME) ./internal/frontend
 	$(GO) test -run='^$$' -fuzz=FuzzLibc -fuzztime=$(FUZZTIME) ./internal/emu
 	$(GO) test -run='^$$' -fuzz=FuzzKaronte -fuzztime=$(FUZZTIME) -fuzzminimizetime=10x ./internal/karonte
+	$(GO) test -run='^$$' -fuzz=FuzzLiftSemantics -fuzztime=$(FUZZTIME) -fuzzminimizetime=10x ./internal/ir
 
 ci: vet fmt-check lint build test race fuzz-smoke precision-smoke examples-smoke bench-smoke bench-check serve-smoke
