@@ -53,6 +53,9 @@ func Generate(spec SampleSpec) (*Sample, error) {
 	}
 	r := rand.New(rand.NewSource(spec.Seed))
 	arch := profile.Archs[r.Intn(len(profile.Archs))]
+	if spec.Arch != 0 {
+		arch = spec.Arch
+	}
 
 	knobs := appKnobs{
 		Name:       profile.BinName,

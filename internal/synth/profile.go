@@ -127,6 +127,10 @@ type SampleSpec struct {
 	// VulnAliased cases; Dataset() leaves it nil so the standard corpus is
 	// byte-identical.
 	ExtraHandlers map[HandlerCategory]int
+	// Arch overrides the encoding the vendor profile would pick, after
+	// the pick has drawn from the seed, so nothing else about the sample
+	// changes. Dataset() leaves it zero: each profile's own pick.
+	Arch isa.Arch
 }
 
 func specSeed(vendor, product, version string) int64 {
