@@ -119,7 +119,7 @@ func dump(bin *binimg.Binary, m *cfg.Model, only uint32, showIR bool) {
 				addr := blk.Start + uint32(i*isa.Width)
 				note := annotate(bin, m, fn, addr, in)
 				if showIR {
-					for _, s := range blk.IR[i].Stmts {
+					for _, s := range fn.InstrIR(blk, i) {
 						fmt.Printf("    %08x   %s%s\n", addr, s, note)
 						note = "" // annotate only the first line
 					}

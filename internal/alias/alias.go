@@ -119,33 +119,25 @@ func Analyze(bin *binimg.Binary, fn *cfg.Function) *Facts {
 		if blk == nil {
 			continue
 		}
-		for _, irb := range blk.IR {
-			for _, s := range irb.Stmts {
-				switch s := s.(type) {
-				case *ir.WrTmp:
-					for _, ld := range loadsIn(s.E) {
-						if l, ok := classify(bin, st.Eval(ld.Addr)); ok {
-							add(f.Loads, irb.Addr, l)
-						}
+		for k := range blk.Instrs {
+			addr := blk.Start + uint32(k*isa.Width)
+			stmts := fn.InstrIR(blk, k)
+			for i := range stmts {
+				s := &stmts[i]
+				switch s.Kind {
+				case ir.Load:
+					if l, ok := classify(bin, st.Arg(s.A)); ok {
+						add(f.Loads, addr, l)
 					}
-				case *ir.Put:
-					for _, ld := range loadsIn(s.E) {
-						if l, ok := classify(bin, st.Eval(ld.Addr)); ok {
-							add(f.Loads, irb.Addr, l)
-						}
-					}
-				case *ir.Store:
-					if l, ok := classify(bin, st.Eval(s.Addr)); ok {
-						add(f.Stores, irb.Addr, l)
+				case ir.Store:
+					if l, ok := classify(bin, st.Arg(s.A)); ok {
+						add(f.Stores, addr, l)
 					}
 				}
-				wasAlloc := false
-				if _, ok := s.(*ir.Call); ok {
-					wasAlloc = alloc[irb.Addr]
-				}
+				wasAlloc := (s.Kind == ir.Call || s.Kind == ir.Tramp) && alloc[addr]
 				st.Step(s)
 				if wasAlloc {
-					st.Regs[isa.R0] = ucse.SAlloc{Site: irb.Addr}
+					st.Regs[isa.R0] = ucse.SAlloc{Site: addr}
 				}
 			}
 		}
@@ -164,17 +156,6 @@ func Analyze(bin *binimg.Binary, fn *cfg.Function) *Facts {
 		}
 	}
 	return f
-}
-
-// loadsIn collects the load subexpressions of x in evaluation order.
-func loadsIn(x ir.Expr) []*ir.Load {
-	switch x := x.(type) {
-	case *ir.Load:
-		return append(loadsIn(x.Addr), x)
-	case *ir.Binop:
-		return append(loadsIn(x.L), loadsIn(x.R)...)
-	}
-	return nil
 }
 
 // classify resolves a symbolic address to an abstract location. Only

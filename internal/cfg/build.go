@@ -289,18 +289,18 @@ func buildFunction(bin *binimg.Binary, x *textIndex, entry uint32, extraJumps ma
 			return nil, fmt.Errorf("cfg: undecodable import stub at 0x%x", entry)
 		}
 		ins := []isa.Instr{x.ins[ei]}
-		lifter := ir.NewLifter()
+		var lifter ir.Lifter
 		lifter.Reserve(ins)
-		irb, err := lifter.Lift(entry, ins[0])
-		if err != nil {
+		if err := lifter.Lift(entry, ins[0]); err != nil {
 			return nil, err
 		}
-		blk := &BasicBlock{Start: entry, Instrs: ins, IR: []*ir.Block{irb}}
+		blk := &BasicBlock{Start: entry, Instrs: ins}
 		return &Function{
 			Entry:      entry,
 			Name:       im.Name + "@plt",
 			Blocks:     map[uint32]*BasicBlock{entry: blk},
 			Order:      []uint32{entry},
+			IR:         lifter.Code(),
 			ImportStub: true,
 			ImportName: im.Name,
 		}, nil
@@ -369,10 +369,11 @@ func buildFunction(bin *binimg.Binary, x *textIndex, entry uint32, extraJumps ma
 	}
 
 	// Count block boundaries up front so the block array and the shared
-	// instruction/IR backing arrays are allocated exactly once; every block's
-	// Instrs and IR are then contiguous subslices of those arrays. The block
-	// array is never appended to beyond its exact capacity, so *BasicBlock
-	// pointers stay stable.
+	// instruction and IR arrays are allocated exactly once; every block's
+	// Instrs is then a contiguous subslice of the instruction array, and its
+	// IR a contiguous range of the function's. The block array is never
+	// appended to beyond its exact capacity, so *BasicBlock pointers stay
+	// stable.
 	nblocks := 0
 	for i, a := range addrs {
 		if i == 0 || x.at(x.leader, a) || addrs[i-1]+isa.Width != a || instrArr[i-1].EndsBlock() {
@@ -394,16 +395,14 @@ func buildFunction(bin *binimg.Binary, x *textIndex, entry uint32, extraJumps ma
 		f.Calls = make([]CallSite, 0, ncalls)
 	}
 	blockArr := make([]BasicBlock, 0, nblocks)
-	irArr := make([]*ir.Block, 0, len(addrs))
 
-	lifter := ir.NewLifter()
+	var lifter ir.Lifter
 	lifter.Reserve(instrArr)
 	var cur *BasicBlock
-	curStart := 0 // index into instrArr/irArr where cur's run begins
+	lifted := 0 // instructions lifted so far; cur's run begins at cur.First
 	flush := func() {
 		if cur != nil {
-			cur.Instrs = instrArr[curStart:len(irArr):len(irArr)]
-			cur.IR = irArr[curStart:len(irArr):len(irArr)]
+			cur.Instrs = instrArr[cur.First:lifted:lifted]
 			f.Blocks[cur.Start] = cur
 			f.Order = append(f.Order, cur.Start)
 			cur = nil
@@ -413,15 +412,13 @@ func buildFunction(bin *binimg.Binary, x *textIndex, entry uint32, extraJumps ma
 		in := instrArr[i]
 		if x.at(x.leader, a) || cur == nil || (i > 0 && addrs[i-1]+isa.Width != a) {
 			flush()
-			blockArr = append(blockArr, BasicBlock{Start: a})
+			blockArr = append(blockArr, BasicBlock{Start: a, First: int32(lifted)})
 			cur = &blockArr[len(blockArr)-1]
-			curStart = len(irArr)
 		}
-		irb, err := lifter.Lift(a, in)
-		if err != nil {
+		if err := lifter.Lift(a, in); err != nil {
 			return nil, err
 		}
-		irArr = append(irArr, irb)
+		lifted++
 		if in.IsCall() {
 			cs := CallSite{Caller: entry, Addr: a, Block: cur.Start}
 			if in.Op == isa.OpCall {
@@ -460,6 +457,7 @@ func buildFunction(bin *binimg.Binary, x *textIndex, entry uint32, extraJumps ma
 		}
 	}
 	flush()
+	f.IR = lifter.Code()
 
 	// Record computed jumps and any resolutions applied. JumpTables stays
 	// nil (all reads are nil-safe) unless a resolution actually landed:
@@ -487,48 +485,25 @@ func buildFunction(bin *binimg.Binary, x *textIndex, entry uint32, extraJumps ma
 }
 
 // estimateParams counts argument registers (r0..r3) read before written,
-// scanning blocks in address order — the standard stripped-binary heuristic.
+// scanning the function's statements in address order — the standard
+// stripped-binary heuristic.
 func estimateParams(f *Function) int {
 	// Only r0..r3 matter, so two tiny arrays beat two heap maps on a path
 	// that runs once per recovered function.
 	var written, used [4]bool
-	var scanExpr func(e ir.Expr)
-	scanExpr = func(e ir.Expr) {
-		switch e := e.(type) {
-		case *ir.Get:
-			if e.R < 4 && !written[e.R] {
-				used[e.R] = true
+	for _, s := range f.IR.Stmts {
+		switch s.Kind {
+		case ir.Get:
+			if r := s.A.Reg(); r < 4 && !written[r] {
+				used[r] = true
 			}
-		case *ir.Load:
-			scanExpr(e.Addr)
-		case *ir.Binop:
-			scanExpr(e.L)
-			scanExpr(e.R)
-		}
-	}
-	for _, ba := range f.Order {
-		for _, irb := range f.Blocks[ba].IR {
-			for _, s := range irb.Stmts {
-				switch s := s.(type) {
-				case *ir.WrTmp:
-					scanExpr(s.E)
-				case *ir.Put:
-					scanExpr(s.E)
-					if s.R < 4 {
-						written[s.R] = true
-					}
-				case *ir.Store:
-					scanExpr(s.Addr)
-					scanExpr(s.Val)
-				case *ir.Exit:
-					scanExpr(s.Cond)
-				case *ir.Call:
-					// Calls clobber r0..r3; stop attributing later reads.
-					for r := isa.Reg(0); r < 4; r++ {
-						written[r] = true
-					}
-				}
+		case ir.Put:
+			if r := s.R(); r < 4 {
+				written[r] = true
 			}
+		case ir.Call, ir.Tramp:
+			// Calls clobber r0..r3; stop attributing later reads.
+			written = [4]bool{true, true, true, true}
 		}
 	}
 	// Parameters are passed in order, so the count is the highest used

@@ -31,11 +31,13 @@ type CallSite struct {
 	ImportName string
 }
 
-// BasicBlock is a straight-line run of instructions with its lifted IR.
+// BasicBlock is a straight-line run of instructions. Its lifted IR is a
+// range of its function's: instruction k of the block is instruction
+// First+k of Function.IR (see Function.InstrIR).
 type BasicBlock struct {
 	Start  uint32
+	First  int32
 	Instrs []isa.Instr
-	IR     []*ir.Block
 	Succs  []uint32
 }
 
@@ -58,6 +60,9 @@ type Function struct {
 	Order  []uint32 // block start addresses in ascending order
 	Calls  []CallSite
 	Loops  []Loop
+	// IR is the lifted form of every instruction of every block, in
+	// address order.
+	IR ir.Code
 	// Params is the estimated parameter count: argument registers read
 	// before being written.
 	Params int
@@ -83,6 +88,12 @@ func (f *Function) BlocksInOrder() []*BasicBlock {
 		out = append(out, f.Blocks[a])
 	}
 	return out
+}
+
+// InstrIR returns the lifted statements of instruction k of b, one of f's
+// blocks.
+func (f *Function) InstrIR(b *BasicBlock, k int) []ir.Stmt {
+	return f.IR.Instr(int(b.First) + k)
 }
 
 // OrderIndex returns the position in f.Order of the block starting at

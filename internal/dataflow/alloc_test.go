@@ -22,20 +22,17 @@ func loopFunc(t testing.TB, init isa.Instr, n int) *cfg.Function {
 	ins = append(ins,
 		isa.Instr{Op: isa.OpBlt, Rs1: isa.R1, Rs2: isa.R0, Imm: int32(addr(1))},
 		isa.Instr{Op: isa.OpRet})
-	l := ir.NewLifter()
+	var l ir.Lifter
 	l.Reserve(ins)
-	lifted := make([]*ir.Block, len(ins))
 	for i, in := range ins {
-		b, err := l.Lift(addr(i), in)
-		if err != nil {
+		if err := l.Lift(addr(i), in); err != nil {
 			t.Fatal(err)
 		}
-		lifted[i] = b
 	}
-	fn := &cfg.Function{Entry: addr(0), Blocks: map[uint32]*cfg.BasicBlock{}, Params: 1}
+	fn := &cfg.Function{Entry: addr(0), Blocks: map[uint32]*cfg.BasicBlock{}, Params: 1, IR: l.Code()}
 	body := map[uint32]bool{}
 	for i, in := range ins {
-		blk := &cfg.BasicBlock{Start: addr(i), Instrs: []isa.Instr{in}, IR: lifted[i : i+1]}
+		blk := &cfg.BasicBlock{Start: addr(i), First: int32(i), Instrs: []isa.Instr{in}}
 		switch {
 		case i == n:
 			blk.Succs = []uint32{addr(1), addr(n + 1)}

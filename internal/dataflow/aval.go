@@ -290,37 +290,33 @@ func (s *State) joinMem(o *State) bool {
 }
 
 // Temps is the temporary environment of one lifted instruction. The lifter
-// writes at most ir.MaxBlockTemps temporaries per ir.Block, numbered
-// consecutively, and reads each only later in the same ir.Block (pinned by
-// ir.TestTempsAreBlockLocal), so a fixed array indexed by t - base, reset at
-// every ir.Block, replaces a function-wide environment. Reads of temporaries
-// not written since the last Reset are untainted Top with no expression.
+// writes at most ir.MaxBlockTemps temporaries per instruction, numbered
+// from zero, and reads each only later in the same instruction (pinned by
+// ir.TestTempsAreBlockLocal), so a fixed array, reset at every
+// instruction, replaces a function-wide environment. Reads of temporaries
+// not written since the last Reset are untainted Top with no definition.
 type Temps struct {
-	base  ir.Temp
-	n     int
-	vals  [ir.MaxBlockTemps]AVal
-	exprs [ir.MaxBlockTemps]ir.Expr
+	n    int
+	vals [ir.MaxBlockTemps]AVal
+	defs [ir.MaxBlockTemps]*ir.Stmt
 }
 
-// Reset empties the environment; call it at the start of every ir.Block.
+// Reset empties the environment; call it at the start of every instruction.
 func (t *Temps) Reset() { t.n = 0 }
 
-// Set records that tmp = e evaluated to v. The first write after Reset fixes
-// the base; a write that does not extend the consecutive run is dropped.
-func (t *Temps) Set(tmp ir.Temp, e ir.Expr, v AVal) {
-	if t.n == 0 {
-		t.base = tmp
-	}
-	if t.n < len(t.vals) && tmp == t.base+ir.Temp(t.n) {
-		t.vals[t.n], t.exprs[t.n] = v, e
+// Set records that def, writing tmp, evaluated to v. A write that does not
+// extend the run of temporaries written since Reset is dropped.
+func (t *Temps) Set(tmp ir.Temp, def *ir.Stmt, v AVal) {
+	if int(tmp) == t.n && t.n < len(t.vals) {
+		t.vals[t.n], t.defs[t.n] = v, def
 		t.n++
 	}
 }
 
-// Get returns tmp's value and defining expression.
-func (t *Temps) Get(tmp ir.Temp) (AVal, ir.Expr) {
-	if i := tmp - t.base; i >= 0 && int(i) < t.n {
-		return t.vals[i], t.exprs[i]
+// Get returns tmp's value and defining statement.
+func (t *Temps) Get(tmp ir.Temp) (AVal, *ir.Stmt) {
+	if int(tmp) < t.n {
+		return t.vals[tmp], t.defs[tmp]
 	}
 	return AVal{}, nil
 }

@@ -78,7 +78,7 @@ type ArgOrigin struct {
 }
 
 // BacktrackRegister walks instructions backwards from (not including) the
-// call at callAddr inside caller, tracking reg through the IR expressions of
+// call at callAddr inside caller, tracking reg through the IR statements of
 // Table 2 until it can be represented by a constant:
 //
 //	PUT(r) = const          -> done
@@ -120,25 +120,25 @@ func BacktrackArg(caller *cfg.Function, callAddr uint32, reg isa.Reg) ArgOrigin 
 			if limit--; limit < 0 {
 				return ArgOrigin{}
 			}
-			irb := blk.IR[i]
-			var src ir.Expr
+			stmts := caller.InstrIR(blk, i)
+			var src ir.Arg
 			if trackReg {
-				e, found, stop := putsTo(irb, target)
+				a, found, stop := putsTo(stmts, target)
 				if stop {
 					return ArgOrigin{}
 				}
 				if !found {
 					continue
 				}
-				src = e
+				src = a
 			} else {
-				e, found := storesToSlot(irb, slot)
+				a, found := storesToSlot(stmts, slot)
 				if !found {
 					continue
 				}
-				src = e
+				src = a
 			}
-			o := traceExpr(irb, src, 0)
+			o := traceArg(stmts, src, 0)
 			switch o.kind {
 			case traceConst:
 				return ArgOrigin{Kind: OriginConst, Const: o.c + offset + o.off}
@@ -168,83 +168,87 @@ func BacktrackArg(caller *cfg.Function, callAddr uint32, reg isa.Reg) ArgOrigin 
 			return ArgOrigin{}
 		}
 		blk = caller.Blocks[ps[0]]
-		startIdx = len(blk.IR) - 1
+		startIdx = len(blk.Instrs) - 1
 	}
 	return ArgOrigin{}
 }
 
-// putsTo returns the expression assigned to reg by the lifted instruction.
-// stop reports that the register is clobbered here with an untrackable value
-// (a call or system primitive), which terminates backtracking.
-func putsTo(irb *ir.Block, reg isa.Reg) (e ir.Expr, found, stop bool) {
-	for i := len(irb.Stmts) - 1; i >= 0; i-- {
-		if p, ok := irb.Stmts[i].(*ir.Put); ok && p.R == reg {
-			return p.E, true, false
-		}
-		// A call clobbers argument registers: the value does not
-		// originate before it.
-		if _, ok := irb.Stmts[i].(*ir.Call); ok {
+// putsTo returns the operand assigned to reg by one lifted instruction's
+// statements. stop reports that the register is clobbered here with an
+// untrackable value (a call or system primitive), which terminates
+// backtracking.
+func putsTo(stmts []ir.Stmt, reg isa.Reg) (a ir.Arg, found, stop bool) {
+	for i := len(stmts) - 1; i >= 0; i-- {
+		switch s := &stmts[i]; s.Kind {
+		case ir.Put:
+			if s.R() == reg {
+				return s.A, true, false
+			}
+		case ir.Call, ir.Tramp:
+			// A call clobbers argument registers: the value does not
+			// originate before it.
 			if reg < 4 || reg == isa.LR {
-				return nil, false, true
+				return ir.Arg{}, false, true
+			}
+		case ir.Sys:
+			if reg == isa.R0 {
+				return ir.Arg{}, false, true
 			}
 		}
-		if _, ok := irb.Stmts[i].(*ir.Sys); ok && reg == isa.R0 {
-			return nil, false, true
-		}
 	}
-	return nil, false, false
+	return ir.Arg{}, false, false
 }
 
-// tempDef returns the expression the lifted instruction last writes to t.
-func tempDef(irb *ir.Block, t ir.Temp) (ir.Expr, bool) {
-	for i := len(irb.Stmts) - 1; i >= 0; i-- {
-		if w, ok := irb.Stmts[i].(*ir.WrTmp); ok && w.T == t {
-			return w.E, true
+// tempDef returns the statement of one lifted instruction that last writes
+// temporary t.
+func tempDef(stmts []ir.Stmt, t ir.Temp) (*ir.Stmt, bool) {
+	for i := len(stmts) - 1; i >= 0; i-- {
+		if s := &stmts[i]; s.Writes() && s.T() == t {
+			return s, true
 		}
 	}
 	return nil, false
 }
 
-// spOffset resolves an address expression within one lifted instruction to
-// an SP-relative offset.
-func spOffset(irb *ir.Block, e ir.Expr, depth int) (int32, bool) {
+// spOffset resolves an address operand within one lifted instruction to an
+// SP-relative offset.
+func spOffset(stmts []ir.Stmt, a ir.Arg, depth int) (int32, bool) {
 	if depth > 8 {
 		return 0, false
 	}
-	switch e := e.(type) {
-	case *ir.Get:
-		if e.R == isa.SP {
-			return 0, true
+	switch a.Kind {
+	case ir.ArgReg:
+		return 0, a.Reg() == isa.SP
+	case ir.ArgTmp:
+		d, ok := tempDef(stmts, a.Temp())
+		if !ok {
+			return 0, false
 		}
-	case *ir.RdTmp:
-		if inner, ok := tempDef(irb, e.T); ok {
-			return spOffset(irb, inner, depth+1)
-		}
-	case *ir.Binop:
-		if e.Op == ir.Add {
-			if c, ok := e.R.(*ir.Const); ok {
-				if base, ok := spOffset(irb, e.L, depth+1); ok {
-					return base + int32(c.V), true
-				}
+		switch {
+		case d.Kind == ir.Get:
+			return spOffset(stmts, d.A, depth+1)
+		case d.Kind == ir.Bin && d.Op == ir.Add && d.B.Kind == ir.ArgConst:
+			if base, ok := spOffset(stmts, d.A, depth+1); ok {
+				return base + d.B.V, true
 			}
 		}
 	}
 	return 0, false
 }
 
-// storesToSlot returns the value expression stored to [sp+slot] by the
-// lifted instruction, if any.
-func storesToSlot(irb *ir.Block, slot int32) (ir.Expr, bool) {
-	for i := len(irb.Stmts) - 1; i >= 0; i-- {
-		st, ok := irb.Stmts[i].(*ir.Store)
-		if !ok {
+// storesToSlot returns the value operand stored to [sp+slot] by one lifted
+// instruction, if any.
+func storesToSlot(stmts []ir.Stmt, slot int32) (ir.Arg, bool) {
+	for i := len(stmts) - 1; i >= 0; i-- {
+		s := &stmts[i]
+		if s.Kind != ir.Store {
 			continue
 		}
-		if off, ok := spOffset(irb, st.Addr, 0); ok && off == slot {
-			return st.Val, true
+		if off, ok := spOffset(stmts, s.A, 0); ok && off == slot {
+			return s.B, true
 		}
 	}
-	return nil, false
+	return ir.Arg{}, false
 }
 
 // trace result kinds.
@@ -265,49 +269,51 @@ type traceResult struct {
 	off  uint32
 }
 
-// traceExpr resolves an expression within one lifted instruction to a
+// traceArg resolves an operand within one lifted instruction to a
 // constant, a register to keep tracking, or a stack slot, accumulating
 // additive constant offsets.
-func traceExpr(irb *ir.Block, e ir.Expr, depth int) traceResult {
+func traceArg(stmts []ir.Stmt, a ir.Arg, depth int) traceResult {
 	if depth > 16 {
 		return traceResult{}
 	}
-	switch e := e.(type) {
-	case *ir.Const:
-		return traceResult{kind: traceConst, c: uint32(e.V)}
-	case *ir.Get:
-		return traceResult{kind: traceReg, reg: e.R}
-	case *ir.RdTmp:
-		inner, ok := tempDef(irb, e.T)
+	switch a.Kind {
+	case ir.ArgConst:
+		return traceResult{kind: traceConst, c: uint32(a.V)}
+	case ir.ArgReg:
+		return traceResult{kind: traceReg, reg: a.Reg()}
+	case ir.ArgTmp:
+		d, ok := tempDef(stmts, a.Temp())
 		if !ok {
 			return traceResult{}
 		}
-		return traceExpr(irb, inner, depth+1)
-	case *ir.Binop:
-		// Only additive offsets with a constant operand are folded,
-		// per Table 2's Binop(t, constant) rule.
-		if e.Op != ir.Add {
-			return traceResult{}
-		}
-		if rc, okc := e.R.(*ir.Const); okc {
-			r := traceExpr(irb, e.L, depth+1)
-			r.off += uint32(rc.V)
-			return r
-		}
-		if lc, okc := e.L.(*ir.Const); okc {
-			r := traceExpr(irb, e.R, depth+1)
-			r.off += uint32(lc.V)
-			return r
-		}
-		return traceResult{}
-	case *ir.Load:
-		// A word reloaded from a stack slot continues through the
-		// slot's last store.
-		if e.Size != isa.WordSize {
-			return traceResult{}
-		}
-		if off, ok := spOffset(irb, e.Addr, 0); ok {
-			return traceResult{kind: traceSlot, slot: off}
+		switch d.Kind {
+		case ir.Get:
+			return traceArg(stmts, d.A, depth+1)
+		case ir.Bin:
+			// Only additive offsets with a constant operand are folded,
+			// per Table 2's Binop(t, constant) rule.
+			if d.Op != ir.Add {
+				return traceResult{}
+			}
+			if d.B.Kind == ir.ArgConst {
+				r := traceArg(stmts, d.A, depth+1)
+				r.off += uint32(d.B.V)
+				return r
+			}
+			if d.A.Kind == ir.ArgConst {
+				r := traceArg(stmts, d.B, depth+1)
+				r.off += uint32(d.A.V)
+				return r
+			}
+		case ir.Load:
+			// A word reloaded from a stack slot continues through the
+			// slot's last store.
+			if d.Size != isa.WordSize {
+				return traceResult{}
+			}
+			if off, ok := spOffset(stmts, d.A, 0); ok {
+				return traceResult{kind: traceSlot, slot: off}
+			}
 		}
 	}
 	return traceResult{}

@@ -76,8 +76,8 @@ func (a *analyzer) Called(uint32, *State)                        {}
 // Exit records a parameter-controlled branch, and a loop when the branch
 // lies in one. A scan of the loops, asked once per such branch, is cheaper
 // than a lookup table built on every Analyze call.
-func (a *analyzer) Exit(blk *cfg.BasicBlock, cond ir.Expr, st *State) {
-	if !a.Eval(cond, st).Taint.Has() {
+func (a *analyzer) Exit(blk *cfg.BasicBlock, cond ir.Arg, st *State) {
+	if !a.Arg(cond, st).Taint.Has() {
 		return
 	}
 	a.facts.ParamControlsBranch = true

@@ -12,27 +12,34 @@ import (
 // pass: a loop A -> B -> C -> B where C moves the parameter's taint into r1,
 // so B's input only gains the r1 taint when C's back edge is re-joined.
 func loopFn() *cfg.Function {
-	blk := func(start uint32, stmts []ir.Stmt, succs ...uint32) *cfg.BasicBlock {
+	// Blocks B and C hold one instruction each, instructions 0 and 1 of
+	// the function's IR; the entry block A holds none.
+	blk := func(start uint32, first, n int, succs ...uint32) *cfg.BasicBlock {
 		return &cfg.BasicBlock{
-			Start: start,
-			IR:    []*ir.Block{{Addr: start, Stmts: stmts}},
-			Succs: succs,
+			Start:  start,
+			First:  int32(first),
+			Instrs: make([]isa.Instr, n),
+			Succs:  succs,
 		}
 	}
-	a := blk(0x0, nil, 0x10)
-	b := blk(0x10, []ir.Stmt{
-		// r2 = r1: observable only once r1 carries taint (second pass).
-		&ir.WrTmp{T: 0, E: &ir.Get{R: isa.Reg(1)}},
-		&ir.Put{R: isa.Reg(2), E: &ir.RdTmp{T: 0}},
-	}, 0x20)
-	c := blk(0x20, []ir.Stmt{
-		// r1 = r0: moves the parameter taint into r1 before looping back.
-		&ir.WrTmp{T: 1, E: &ir.Get{R: isa.Reg(0)}},
-		&ir.Put{R: isa.Reg(1), E: &ir.RdTmp{T: 1}},
-		// Branch on r2 so the converged loop records param-controls-branch.
-		&ir.WrTmp{T: 2, E: &ir.Get{R: isa.Reg(2)}},
-		&ir.Exit{Cond: &ir.RdTmp{T: 2}, Target: 0x10},
-	}, 0x10)
+	a := blk(0x0, 0, 0, 0x10)
+	b := blk(0x10, 0, 1, 0x20)
+	c := blk(0x20, 1, 1, 0x10)
+	code := ir.Code{
+		Stmts: []ir.Stmt{
+			// B: r2 = r1, observable only once r1 carries taint (second pass).
+			{Kind: ir.Get, Dst: 0, A: ir.Reg(isa.Reg(1))},
+			{Kind: ir.Put, Dst: 2, A: ir.Tmp(0)},
+			// C: r1 = r0 moves the parameter taint into r1 before looping
+			// back; the branch on r2 makes the converged loop record
+			// param-controls-branch.
+			{Kind: ir.Get, Dst: 0, A: ir.Reg(isa.Reg(0))},
+			{Kind: ir.Put, Dst: 1, A: ir.Tmp(0)},
+			{Kind: ir.Get, Dst: 1, A: ir.Reg(isa.Reg(2))},
+			{Kind: ir.Exit, A: ir.Tmp(1), B: ir.Const(0x10)},
+		},
+		Starts: []int32{0, 2, 6},
+	}
 	return &cfg.Function{
 		Entry:  0x0,
 		Name:   "loop",
@@ -40,6 +47,7 @@ func loopFn() *cfg.Function {
 		Order:  []uint32{0x0, 0x10, 0x20},
 		Loops:  []cfg.Loop{{Head: 0x10, Body: map[uint32]bool{0x10: true, 0x20: true}}},
 		Params: 1,
+		IR:     code,
 	}
 }
 

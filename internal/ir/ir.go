@@ -2,9 +2,12 @@
 // operate on, and the lifter that translates decoded machine instructions
 // into it.
 //
-// The expression grammar follows Table 2 of the paper exactly: PUT(r) = t,
-// t = GET(r), t = Binop(t, t|const), t = Load(t), Store(t) = t, so the
-// backtracking rules of the call-site analysis can be stated verbatim.
+// The statement grammar follows Table 2 of the paper exactly: t = GET(r),
+// t = Binop(t, t|const), t = Load(t), PUT(r) = t|const, Store(t) = t, so the
+// backtracking rules of the call-site analysis can be stated verbatim. Every
+// operand is a temporary, a register or a constant, never a nested
+// expression, so a statement is one fixed-size value and a function's IR is
+// one statement array, as a pyvex IRSB is.
 package ir
 
 import (
@@ -13,38 +16,59 @@ import (
 	"fits/internal/isa"
 )
 
-// Temp is a single-assignment temporary introduced by the lifter.
-type Temp int
+// Temp is a single-assignment temporary. Temporaries are local to the
+// lifted instruction that writes them: each instruction numbers its own
+// from zero.
+type Temp uint8
 
 func (t Temp) String() string { return fmt.Sprintf("t%d", int(t)) }
 
-// Expr is an IR expression: Const, RdTmp, Get, Load or Binop. Expressions
-// are held as pointers (only *Const etc. implement Expr): the lifter carves
-// nodes out of typed arenas, so building a function costs a handful of chunk
-// allocations instead of one interface box per node. Nodes are immutable
-// after construction — several expressions may share one node (small
-// constants, register reads), and cached models share nodes across analyses.
-type Expr interface {
-	isExpr()
-	String() string
+// ArgKind says what an operand is.
+type ArgKind uint8
+
+// Operand kinds. The zero Arg is no operand.
+const (
+	ArgNone ArgKind = iota
+	ArgTmp
+	ArgReg
+	ArgConst
+)
+
+// Arg is a statement operand: a temporary, a guest register or a 32-bit
+// constant, held inline.
+type Arg struct {
+	Kind ArgKind
+	V    int32 // the temp, the register or the constant
 }
 
-// Const is an integer literal or absolute address.
-type Const struct{ V int64 }
+// Tmp is the operand reading temporary t.
+func Tmp(t Temp) Arg { return Arg{Kind: ArgTmp, V: int32(t)} }
 
-// RdTmp reads a temporary.
-type RdTmp struct{ T Temp }
+// Reg is the operand reading register r.
+func Reg(r isa.Reg) Arg { return Arg{Kind: ArgReg, V: int32(r)} }
 
-// Get reads a guest register.
-type Get struct{ R isa.Reg }
+// Const is the constant operand v.
+func Const(v uint32) Arg { return Arg{Kind: ArgConst, V: int32(v)} }
 
-// Load reads memory at the address given by an expression.
-type Load struct {
-	Addr Expr
-	Size int // bytes: 1 or isa.WordSize
+// Temp returns the temporary a reads.
+func (a Arg) Temp() Temp { return Temp(a.V) }
+
+// Reg returns the register a reads.
+func (a Arg) Reg() isa.Reg { return isa.Reg(a.V) }
+
+func (a Arg) String() string {
+	switch a.Kind {
+	case ArgTmp:
+		return a.Temp().String()
+	case ArgReg:
+		return a.Reg().String()
+	case ArgConst:
+		return fmt.Sprintf("0x%x", uint32(a.V))
+	}
+	return "-"
 }
 
-// BinOp is the operator of a Binop expression.
+// BinOp is the operator of a Bin statement.
 type BinOp uint8
 
 // Binary operators.
@@ -124,128 +148,92 @@ func b2u(b bool) uint32 {
 	return 0
 }
 
-// Binop combines two expressions.
-type Binop struct {
-	Op   BinOp
-	L, R Expr
-}
+// Kind is a statement's opcode.
+type Kind uint8
 
-func (*Const) isExpr() {}
-func (*RdTmp) isExpr() {}
-func (*Get) isExpr()   {}
-func (*Load) isExpr()  {}
-func (*Binop) isExpr() {}
-
-func (c *Const) String() string { return fmt.Sprintf("0x%x", uint64(c.V)) }
-func (r *RdTmp) String() string { return r.T.String() }
-func (g *Get) String() string   { return fmt.Sprintf("GET(%s)", g.R) }
-func (l *Load) String() string  { return fmt.Sprintf("Load%d(%s)", l.Size*8, l.Addr) }
-func (b *Binop) String() string { return fmt.Sprintf("%s(%s,%s)", b.Op, b.L, b.R) }
-
-// Stmt is an IR statement. Like Expr, statements are pointer-implemented
-// arena nodes; see the Expr comment for the ownership rules.
-type Stmt interface {
-	isStmt()
-	String() string
-}
-
-// WrTmp assigns an expression to a fresh temporary: t = expr.
-type WrTmp struct {
-	T Temp
-	E Expr
-}
-
-// Put writes a guest register: PUT(r) = expr.
-type Put struct {
-	R isa.Reg
-	E Expr
-}
-
-// Store writes memory: Store(addr) = val.
-type Store struct {
-	Addr Expr
-	Val  Expr
-	Size int
-}
-
-// Exit is a conditional transfer: if cond goto Target.
-type Exit struct {
-	Cond   Expr
-	Target uint32
-}
-
-// Jump is an unconditional transfer. Target may be nil for computed jumps,
-// in which case Dyn holds the address expression.
-type Jump struct {
-	Target uint32
-	Dyn    Expr
-}
-
-// CallKind distinguishes direct, indirect and trampoline calls.
-type CallKind uint8
-
-// Call kinds.
+// Statement kinds, with the operands each reads. Get, Bin and Load write
+// the temporary Dst; Put writes the register Dst.
 const (
-	CallDirect CallKind = iota
-	CallIndirect
-	CallTramp
+	Get   Kind = iota // t = GET(A), A a register
+	Bin               // t = Op(A, B)
+	Load              // t = Load(A), Size bytes
+	Put               // PUT(Dst) = A
+	Store             // Store(A) = B, Size bytes
+	Exit              // if (A) goto B, B a constant
+	Jump              // goto A: a constant, or a temp for a computed jump
+	Call              // call A: a constant, or a temp for an indirect call
+	Tramp             // call [got:A]: a PLT trampoline through GOT slot A
+	Ret               // return from the current function
+	Sys               // system primitive number A (terminal library behaviour)
 )
 
-// Call transfers to a function and returns. Target is set for direct calls;
-// Dyn holds the address expression for indirect calls; GOT holds the GOT
-// slot address for trampolines.
-type Call struct {
-	Kind   CallKind
-	Target uint32
-	Dyn    Expr
-	GOT    uint32
+// Stmt is one IR statement: an opcode, a destination and up to two
+// operands, in 20 bytes.
+type Stmt struct {
+	Kind Kind
+	Op   BinOp // Bin's operator
+	Size uint8 // bytes a Load or Store accesses: 1 or isa.WordSize
+	Dst  uint8 // the temp a Get, Bin or Load writes; the register a Put writes
+	A, B Arg
 }
 
-// Ret returns from the current function.
-type Ret struct{}
+// T returns the temporary a Get, Bin or Load writes.
+func (s Stmt) T() Temp { return Temp(s.Dst) }
 
-// Sys invokes a system primitive (terminal library behaviour).
-type Sys struct{ Num int32 }
+// R returns the register a Put writes.
+func (s Stmt) R() isa.Reg { return isa.Reg(s.Dst) }
 
-func (*WrTmp) isStmt() {}
-func (*Put) isStmt()   {}
-func (*Store) isStmt() {}
-func (*Exit) isStmt()  {}
-func (*Jump) isStmt()  {}
-func (*Call) isStmt()  {}
-func (*Ret) isStmt()   {}
-func (*Sys) isStmt()   {}
-
-func (s *WrTmp) String() string { return fmt.Sprintf("%s = %s", s.T, s.E) }
-func (s *Put) String() string   { return fmt.Sprintf("PUT(%s) = %s", s.R, s.E) }
-func (s *Store) String() string {
-	return fmt.Sprintf("Store%d(%s) = %s", s.Size*8, s.Addr, s.Val)
-}
-func (s *Exit) String() string { return fmt.Sprintf("if (%s) goto 0x%x", s.Cond, s.Target) }
-func (s *Jump) String() string {
-	if s.Dyn != nil {
-		return fmt.Sprintf("goto %s", s.Dyn)
+// Target returns the constant destination of an Exit, or of a Jump, Call
+// or Tramp (its GOT slot) whose A is a constant.
+func (s Stmt) Target() uint32 {
+	if s.Kind == Exit {
+		return uint32(s.B.V)
 	}
-	return fmt.Sprintf("goto 0x%x", s.Target)
+	return uint32(s.A.V)
 }
-func (s *Call) String() string {
+
+// Dynamic reports whether a Jump or Call goes through a computed address.
+func (s Stmt) Dynamic() bool { return s.A.Kind == ArgTmp }
+
+// Writes reports whether the statement writes its temporary Dst.
+func (s Stmt) Writes() bool { return s.Kind <= Load }
+
+func (s Stmt) String() string {
 	switch s.Kind {
-	case CallIndirect:
-		return fmt.Sprintf("call %s", s.Dyn)
-	case CallTramp:
-		return fmt.Sprintf("call [got:0x%x]", s.GOT)
-	default:
-		return fmt.Sprintf("call 0x%x", s.Target)
+	case Get:
+		return fmt.Sprintf("%s = GET(%s)", s.T(), s.A)
+	case Bin:
+		return fmt.Sprintf("%s = %s(%s,%s)", s.T(), s.Op, s.A, s.B)
+	case Load:
+		return fmt.Sprintf("%s = Load%d(%s)", s.T(), int(s.Size)*8, s.A)
+	case Put:
+		return fmt.Sprintf("PUT(%s) = %s", s.R(), s.A)
+	case Store:
+		return fmt.Sprintf("Store%d(%s) = %s", int(s.Size)*8, s.A, s.B)
+	case Exit:
+		return fmt.Sprintf("if (%s) goto %s", s.A, s.B)
+	case Jump:
+		return fmt.Sprintf("goto %s", s.A)
+	case Call:
+		return fmt.Sprintf("call %s", s.A)
+	case Tramp:
+		return fmt.Sprintf("call [got:%s]", s.A)
+	case Ret:
+		return "ret"
+	case Sys:
+		return fmt.Sprintf("sys %d", s.A.V)
 	}
+	return fmt.Sprintf("Kind(%d)", uint8(s.Kind))
 }
-func (*Ret) String() string   { return "ret" }
-func (s *Sys) String() string { return fmt.Sprintf("sys %d", s.Num) }
 
-// Block is the lifted form of a single machine instruction: a short list of
-// statements. Its temporaries are its own: it writes at most MaxBlockTemps
-// consecutively numbered ones and reads no other.
-type Block struct {
-	Addr  uint32
-	Raw   isa.Instr
-	Stmts []Stmt
+// Code is one function's lifted IR: the statements of its instructions in
+// address order, in one array, and where each instruction's run of them
+// starts. Instruction i's statements are Stmts[Starts[i]:Starts[i+1]], so
+// Starts holds one entry more than there are instructions.
+type Code struct {
+	Stmts  []Stmt
+	Starts []int32
 }
+
+// Instr returns instruction i's statements.
+func (c *Code) Instr(i int) []Stmt { return c.Stmts[c.Starts[i]:c.Starts[i+1]] }

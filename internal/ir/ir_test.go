@@ -10,59 +10,48 @@ import (
 	"fits/internal/isa"
 )
 
-func lift1(t *testing.T, in isa.Instr) *Block {
+func lift1(t *testing.T, in isa.Instr) []Stmt {
 	t.Helper()
-	b, err := NewLifter().Lift(0x1000, in)
-	if err != nil {
+	l := new(Lifter)
+	if err := l.Lift(0x1000, in); err != nil {
 		t.Fatalf("lift %v: %v", in, err)
 	}
-	return b
+	code := l.Code()
+	return code.Instr(0)
 }
 
 func TestLiftMovi(t *testing.T) {
 	b := lift1(t, isa.Instr{Op: isa.OpMovi, Rd: isa.R2, Imm: 77})
-	if len(b.Stmts) != 1 {
-		t.Fatalf("got %d stmts", len(b.Stmts))
+	if len(b) != 1 {
+		t.Fatalf("got %d stmts", len(b))
 	}
-	p, ok := b.Stmts[0].(*Put)
-	if !ok || p.R != isa.R2 {
-		t.Fatalf("stmt = %v", b.Stmts[0])
-	}
-	if c, ok := p.E.(*Const); !ok || c.V != 77 {
-		t.Fatalf("value = %v", p.E)
+	if p := b[0]; p.Kind != Put || p.R() != isa.R2 || p.A != Const(77) {
+		t.Fatalf("stmt = %v", p)
 	}
 }
 
 func TestLiftAdd(t *testing.T) {
 	b := lift1(t, isa.Instr{Op: isa.OpAdd, Rd: isa.R0, Rs1: isa.R1, Rs2: isa.R2})
-	// Expect: t0=GET(r1); t1=GET(r2); t2=Binop(Add,t0,t1); PUT(r0)=t2
-	if len(b.Stmts) != 4 {
-		t.Fatalf("got %d stmts: %v", len(b.Stmts), b)
+	// Expect: t0=GET(r1); t1=GET(r2); t2=Add(t0,t1); PUT(r0)=t2
+	if len(b) != 4 {
+		t.Fatalf("got %d stmts: %v", len(b), b)
 	}
-	w, ok := b.Stmts[2].(*WrTmp)
-	if !ok {
-		t.Fatalf("stmt 2 = %v", b.Stmts[2])
+	if w := b[2]; w.Kind != Bin || w.Op != Add || w.A != Tmp(0) || w.B != Tmp(1) {
+		t.Fatalf("stmt 2 = %v", w)
 	}
-	bo, ok := w.E.(*Binop)
-	if !ok || bo.Op != Add {
-		t.Fatalf("expr = %v", w.E)
-	}
-	p := b.Stmts[3].(*Put)
-	if p.R != isa.R0 {
-		t.Errorf("dest = %v", p.R)
+	if p := b[3]; p.Kind != Put || p.R() != isa.R0 || p.A != Tmp(2) {
+		t.Errorf("stmt 3 = %v", p)
 	}
 }
 
 func TestLiftLoadStore(t *testing.T) {
 	b := lift1(t, isa.Instr{Op: isa.OpLdw, Rd: isa.R4, Rs1: isa.R5, Imm: 12})
 	var foundLoad bool
-	for _, s := range b.Stmts {
-		if w, ok := s.(*WrTmp); ok {
-			if l, ok := w.E.(*Load); ok {
-				foundLoad = true
-				if l.Size != isa.WordSize {
-					t.Errorf("load size = %d", l.Size)
-				}
+	for _, s := range b {
+		if s.Kind == Load {
+			foundLoad = true
+			if s.Size != isa.WordSize {
+				t.Errorf("load size = %d", s.Size)
 			}
 		}
 	}
@@ -72,11 +61,11 @@ func TestLiftLoadStore(t *testing.T) {
 
 	b = lift1(t, isa.Instr{Op: isa.OpStb, Rs1: isa.R5, Rs2: isa.R6, Imm: 3})
 	var foundStore bool
-	for _, s := range b.Stmts {
-		if st, ok := s.(*Store); ok {
+	for _, s := range b {
+		if s.Kind == Store {
 			foundStore = true
-			if st.Size != 1 {
-				t.Errorf("store size = %d", st.Size)
+			if s.Size != 1 {
+				t.Errorf("store size = %d", s.Size)
 			}
 		}
 	}
@@ -87,46 +76,40 @@ func TestLiftLoadStore(t *testing.T) {
 
 func TestLiftBranch(t *testing.T) {
 	b := lift1(t, isa.Instr{Op: isa.OpBne, Rs1: isa.R0, Rs2: isa.R1, Imm: 0x2000})
-	last := b.Stmts[len(b.Stmts)-1]
-	e, ok := last.(*Exit)
-	if !ok {
+	last := b[len(b)-1]
+	if last.Kind != Exit {
 		t.Fatalf("last stmt = %v", last)
 	}
-	if e.Target != 0x2000 {
-		t.Errorf("target = %#x", e.Target)
+	if last.Target() != 0x2000 {
+		t.Errorf("target = %#x", last.Target())
 	}
 	// Condition must be a CmpNE binop temporary.
-	w := b.Stmts[len(b.Stmts)-2].(*WrTmp)
-	if bo := w.E.(*Binop); bo.Op != CmpNE {
-		t.Errorf("cond op = %v", bo.Op)
+	if w := b[len(b)-2]; w.Kind != Bin || w.Op != CmpNE || last.A != Tmp(w.T()) {
+		t.Errorf("cond = %v", w)
 	}
 }
 
 func TestLiftCalls(t *testing.T) {
 	b := lift1(t, isa.Instr{Op: isa.OpCall, Imm: 0x3000})
-	var c *Call
+	var c Stmt
 	var found bool
-	for _, s := range b.Stmts {
-		if cs, ok := s.(*Call); ok {
-			c, found = cs, true
+	for _, s := range b {
+		if s.Kind == Call {
+			c, found = s, true
 		}
 	}
-	if !found || c.Kind != CallDirect || c.Target != 0x3000 {
+	if !found || c.Dynamic() || c.Target() != 0x3000 {
 		t.Fatalf("call = %+v found=%v", c, found)
 	}
 	// LR must receive the return address.
-	p, ok := b.Stmts[0].(*Put)
-	if !ok || p.R != isa.LR {
-		t.Fatalf("first stmt = %v", b.Stmts[0])
-	}
-	if cv := p.E.(*Const); cv.V != 0x1000+isa.Width {
-		t.Errorf("return addr = %#x", cv.V)
+	if p := b[0]; p.Kind != Put || p.R() != isa.LR || p.A != Const(0x1000+isa.Width) {
+		t.Fatalf("first stmt = %v", p)
 	}
 
 	b = lift1(t, isa.Instr{Op: isa.OpCallr, Rs1: isa.R7})
 	found = false
-	for _, s := range b.Stmts {
-		if cs, ok := s.(*Call); ok && cs.Kind == CallIndirect {
+	for _, s := range b {
+		if s.Kind == Call && s.Dynamic() {
 			found = true
 		}
 	}
@@ -135,11 +118,10 @@ func TestLiftCalls(t *testing.T) {
 	}
 
 	b = lift1(t, isa.Instr{Op: isa.OpTramp, Imm: 0x9000})
-	cs, ok := b.Stmts[0].(*Call)
-	if !ok || cs.Kind != CallTramp || cs.GOT != 0x9000 {
-		t.Fatalf("tramp = %v", b.Stmts[0])
+	if cs := b[0]; cs.Kind != Tramp || cs.Target() != 0x9000 {
+		t.Fatalf("tramp = %v", cs)
 	}
-	if _, ok := b.Stmts[1].(*Ret); !ok {
+	if b[1].Kind != Ret {
 		t.Error("tramp must be followed by ret")
 	}
 }
@@ -147,14 +129,12 @@ func TestLiftCalls(t *testing.T) {
 func TestLiftPushPop(t *testing.T) {
 	b := lift1(t, isa.Instr{Op: isa.OpPush, Rs1: isa.LR})
 	var gotStore, gotSPPut bool
-	for _, s := range b.Stmts {
-		switch s := s.(type) {
-		case *Store:
+	for _, s := range b {
+		switch {
+		case s.Kind == Store:
 			gotStore = true
-		case *Put:
-			if s.R == isa.SP {
-				gotSPPut = true
-			}
+		case s.Kind == Put && s.R() == isa.SP:
+			gotSPPut = true
 		}
 	}
 	if !gotStore || !gotSPPut {
@@ -163,16 +143,12 @@ func TestLiftPushPop(t *testing.T) {
 
 	b = lift1(t, isa.Instr{Op: isa.OpPop, Rd: isa.R9})
 	var gotLoad, gotDest bool
-	for _, s := range b.Stmts {
-		switch s := s.(type) {
-		case *WrTmp:
-			if _, ok := s.E.(*Load); ok {
-				gotLoad = true
-			}
-		case *Put:
-			if s.R == isa.R9 {
-				gotDest = true
-			}
+	for _, s := range b {
+		switch {
+		case s.Kind == Load:
+			gotLoad = true
+		case s.Kind == Put && s.R() == isa.R9:
+			gotDest = true
 		}
 	}
 	if !gotLoad || !gotDest {
@@ -180,6 +156,9 @@ func TestLiftPushPop(t *testing.T) {
 	}
 }
 
+// TestLiftAllTempsUnique: lifting a run of instructions into one Code
+// gives each instruction its own contiguous range of statements, in
+// order, and within an instruction no temp is assigned twice.
 func TestLiftAllTempsUnique(t *testing.T) {
 	ins := []isa.Instr{
 		{Op: isa.OpAdd, Rd: isa.R0, Rs1: isa.R1, Rs2: isa.R2},
@@ -187,30 +166,33 @@ func TestLiftAllTempsUnique(t *testing.T) {
 		{Op: isa.OpBeq, Rs1: isa.R3, Rs2: isa.R0, Imm: 0x40},
 		{Op: isa.OpRet},
 	}
-	l := NewLifter()
-	blocks, err := liftAll(l, 0x100, ins)
+	code, err := liftAll(new(Lifter), 0x100, ins)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(blocks) != len(ins) {
-		t.Fatalf("got %d blocks", len(blocks))
+	if len(code.Starts) != len(ins)+1 || code.Starts[0] != 0 || int(code.Starts[len(ins)]) != len(code.Stmts) {
+		t.Fatalf("starts %v do not cover %d statements of %d instructions", code.Starts, len(code.Stmts), len(ins))
 	}
-	seen := map[Temp]bool{}
-	for _, b := range blocks {
-		for _, s := range b.Stmts {
-			if w, ok := s.(*WrTmp); ok {
-				if seen[w.T] {
-					t.Fatalf("temp %v assigned twice", w.T)
-				}
-				seen[w.T] = true
+	for i, in := range ins {
+		if code.Starts[i] > code.Starts[i+1] {
+			t.Fatalf("instruction %d starts at %d, after instruction %d ends", i, code.Starts[i], i+1)
+		}
+		seen := map[Temp]bool{}
+		for _, s := range code.Instr(i) {
+			if !s.Writes() {
+				continue
 			}
+			if seen[s.T()] {
+				t.Fatalf("%v: temp %v assigned twice", in, s.T())
+			}
+			seen[s.T()] = true
+		}
+		if len(seen) != liftCounts[in.Op].temps {
+			t.Errorf("%v: %d temps, want %d", in, len(seen), liftCounts[in.Op].temps)
 		}
 	}
-	if int(l.next) != len(seen) {
-		t.Errorf("temps allocated = %d, seen %d", l.next, len(seen))
-	}
-	if blocks[1].Addr != 0x100+isa.Width {
-		t.Errorf("block addr = %#x", blocks[1].Addr)
+	if got := code.Instr(2); got[len(got)-1].Kind != Exit {
+		t.Errorf("instruction 2 = %v, want it to end in its exit", got)
 	}
 }
 
@@ -229,43 +211,20 @@ func TestQuickLiftWellFormed(t *testing.T) {
 		if !in.Op.Valid() {
 			return true
 		}
-		b, err := NewLifter().Lift(0x400, in)
-		if err != nil {
+		l := new(Lifter)
+		if err := l.Lift(0x400, in); err != nil {
 			return false
 		}
+		code := l.Code()
 		defined := map[Temp]bool{}
-		var useOK func(e Expr) bool
-		useOK = func(e Expr) bool {
-			switch e := e.(type) {
-			case *RdTmp:
-				return defined[e.T]
-			case *Load:
-				return useOK(e.Addr)
-			case *Binop:
-				return useOK(e.L) && useOK(e.R)
-			default:
-				return true
+		for _, s := range code.Instr(0) {
+			for _, a := range []Arg{s.A, s.B} {
+				if a.Kind == ArgTmp && !defined[a.Temp()] {
+					return false
+				}
 			}
-		}
-		for _, s := range b.Stmts {
-			switch s := s.(type) {
-			case *WrTmp:
-				if !useOK(s.E) {
-					return false
-				}
-				defined[s.T] = true
-			case *Put:
-				if !useOK(s.E) {
-					return false
-				}
-			case *Store:
-				if !useOK(s.Addr) || !useOK(s.Val) {
-					return false
-				}
-			case *Exit:
-				if !useOK(s.Cond) {
-					return false
-				}
+			if s.Writes() {
+				defined[s.T()] = true
 			}
 			if s.String() == "" {
 				return false
@@ -278,21 +237,20 @@ func TestQuickLiftWellFormed(t *testing.T) {
 	}
 }
 
-// String renders a lifted instruction, one statement a line; only tests
-// print one.
-func (b *Block) String() string {
+// blockString renders a lifted instruction, one statement a line.
+func blockString(addr uint32, raw isa.Instr, stmts []Stmt) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "0x%x: %s\n", b.Addr, b.Raw)
-	for _, s := range b.Stmts {
+	fmt.Fprintf(&sb, "0x%x: %s\n", addr, raw)
+	for _, s := range stmts {
 		fmt.Fprintf(&sb, "    %s\n", s)
 	}
 	return sb.String()
 }
 
 func TestStringers(t *testing.T) {
-	b := lift1(t, isa.Instr{Op: isa.OpAdd, Rd: isa.R0, Rs1: isa.R1, Rs2: isa.R2})
-	s := b.String()
-	for _, want := range []string{"0x1000", "GET(r1)", "PUT(r0)"} {
+	in := isa.Instr{Op: isa.OpAdd, Rd: isa.R0, Rs1: isa.R1, Rs2: isa.R2}
+	s := blockString(0x1000, in, lift1(t, in))
+	for _, want := range []string{"0x1000", "t0 = GET(r1)", "t2 = Add(t0,t1)", "PUT(r0) = t2"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("block string missing %q:\n%s", want, s)
 		}
@@ -300,11 +258,23 @@ func TestStringers(t *testing.T) {
 	if Temp(3).String() != "t3" {
 		t.Error("temp stringer")
 	}
-	if (&Jump{Dyn: &Get{R: isa.R1}}).String() != "goto GET(r1)" {
-		t.Errorf("dyn jump stringer: %s", &Jump{Dyn: &Get{R: isa.R1}})
-	}
-	if !strings.Contains((&Sys{Num: 4}).String(), "4") {
-		t.Error("sys stringer")
+	for _, c := range []struct {
+		s    Stmt
+		want string
+	}{
+		{Stmt{Kind: Jump, A: Tmp(1)}, "goto t1"},
+		{Stmt{Kind: Jump, A: Const(0x40)}, "goto 0x40"},
+		{Stmt{Kind: Load, Dst: 1, Size: 1, A: Tmp(0)}, "t1 = Load8(t0)"},
+		{Stmt{Kind: Store, Size: 4, A: Tmp(2), B: Tmp(0)}, "Store32(t2) = t0"},
+		{Stmt{Kind: Exit, A: Tmp(2), B: Const(0x2000)}, "if (t2) goto 0x2000"},
+		{Stmt{Kind: Call, A: Const(0xfffffff8)}, "call 0xfffffff8"},
+		{Stmt{Kind: Tramp, A: Const(0x9000)}, "call [got:0x9000]"},
+		{Stmt{Kind: Ret}, "ret"},
+		{Stmt{Kind: Sys, A: Const(4)}, "sys 4"},
+	} {
+		if got := c.s.String(); got != c.want {
+			t.Errorf("%+v prints %q, want %q", c.s, got, c.want)
+		}
 	}
 	if !strings.Contains(BinOp(99).String(), "99") {
 		t.Error("invalid binop stringer")

@@ -6,232 +6,121 @@ import (
 	"fits/internal/isa"
 )
 
-// Lifter translates machine instructions into IR blocks. Temporaries are
-// numbered per lifter, so a whole function lifted by one Lifter never reuses
-// a number; each Block writes at most MaxBlockTemps of them, consecutively,
-// and reads only the ones it wrote itself, which lets the dataflow analyses
-// keep a fixed per-instruction temporary environment.
+// Lifter translates machine instructions into one Code. Each instruction
+// writes at most MaxBlockTemps temporaries, numbered from zero, and reads
+// only the ones it wrote itself, which lets the analyses keep a fixed
+// per-instruction temporary environment.
 //
-// Blocks, statements, and IR nodes are carved out of arenas owned by the
-// lifter. Reserve sizes every arena exactly for the instructions about to be
-// lifted, so lifting a function costs one allocation per arena it uses and
-// leaves no slack. Chunks are append-only and never reallocated (a fresh
-// chunk starts before one could grow), so returned pointers and subslices
-// stay valid for the lifter's lifetime. Register reads, Ret, and small
-// constants resolve to shared immutable package-level nodes and allocate
-// nothing at all.
+// Reserve sizes the statement and start arrays exactly for the instructions
+// about to be lifted, so lifting a function costs two allocations and
+// leaves no slack. The zero Lifter is ready to use.
 type Lifter struct {
-	next   Temp
-	blocks []Block
-	stmts  []Stmt
-
-	wrtmps arena[WrTmp]
-	puts   arena[Put]
-	stores arena[Store]
-	exits  arena[Exit]
-	jumps  arena[Jump]
-	calls  arena[Call]
-	syss   arena[Sys]
-	consts arena[Const]
-	rdtmps arena[RdTmp]
-	binops arena[Binop]
-	loads  arena[Load]
-	gets   arena[Get]
+	code Code
+	next Temp
 }
 
-// plainChunk sizes the chunk a lifter starts when an arena has no reserved
-// room left: only an un-reserved lifter, or one whose reservation was
-// mis-counted, ever gets here.
-const plainChunk = 128
+// liftCount is what Lift emits for one instruction: its statements, and how
+// many of them write a temporary.
+type liftCount struct{ stmts, temps int }
 
-// arena hands out stable pointers to values of one node type. Existing
-// elements are never moved, so previously returned pointers stay valid.
-type arena[T any] struct{ chunk []T }
-
-// reserve makes room for exactly n more nodes in one chunk. An arena that
-// will not be used (n == 0) allocates nothing.
-func (a *arena[T]) reserve(n int) {
-	if cap(a.chunk)-len(a.chunk) < n {
-		a.chunk = make([]T, 0, n)
-	}
-}
-
-func (a *arena[T]) new(v T) *T {
-	if len(a.chunk) == cap(a.chunk) {
-		a.chunk = make([]T, 0, plainChunk)
-	}
-	a.chunk = append(a.chunk, v)
-	return &a.chunk[len(a.chunk)-1]
-}
-
-// liftCount is what Lift emits for one instruction, arena by arena.
-type liftCount struct {
-	stmts, wrtmps, rdtmps, puts, binops, loads, stores, exits, jumps, calls, syss int
-}
-
-func (c *liftCount) add(d liftCount) {
-	c.stmts += d.stmts
-	c.wrtmps += d.wrtmps
-	c.rdtmps += d.rdtmps
-	c.puts += d.puts
-	c.binops += d.binops
-	c.loads += d.loads
-	c.stores += d.stores
-	c.exits += d.exits
-	c.jumps += d.jumps
-	c.calls += d.calls
-	c.syss += d.syss
-}
-
-// Lift's templates, counted. A register read is a WrTmp of a shared Get plus
-// an RdTmp; a Binop is a WrTmp plus an RdTmp around the Binop node. The
-// table must agree with Lift exactly, which TestReserveIsExact checks for
-// every opcode: a short count falls back to a plain chunk, a long one leaves
-// slack in a cached model.
+// Lift's templates, counted. The table must agree with Lift exactly, which
+// TestReserveIsExact checks for every opcode: a short count grows the
+// statement array, a long one leaves slack in a cached model.
 var (
-	aluCount    = liftCount{stmts: 4, wrtmps: 3, rdtmps: 3, binops: 1, puts: 1}
-	loadCount   = liftCount{stmts: 4, wrtmps: 3, rdtmps: 3, binops: 1, loads: 1, puts: 1}
-	storeCount  = liftCount{stmts: 4, wrtmps: 3, rdtmps: 3, binops: 1, stores: 1}
-	branchCount = liftCount{stmts: 4, wrtmps: 3, rdtmps: 3, binops: 1, exits: 1}
+	// ALU, load, store and branch instructions each lift to three
+	// temp-writing statements and one Put, Store or Exit.
+	threeTemps = liftCount{stmts: 4, temps: 3}
 
 	liftCounts = [...]liftCount{
 		isa.OpNop:   {},
-		isa.OpMovi:  {stmts: 1, puts: 1},
-		isa.OpMov:   {stmts: 2, wrtmps: 1, rdtmps: 1, puts: 1},
-		isa.OpAdd:   aluCount,
-		isa.OpSub:   aluCount,
-		isa.OpMul:   aluCount,
-		isa.OpDiv:   aluCount,
-		isa.OpAnd:   aluCount,
-		isa.OpOr:    aluCount,
-		isa.OpXor:   aluCount,
-		isa.OpShl:   aluCount,
-		isa.OpShr:   aluCount,
-		isa.OpAddi:  {stmts: 3, wrtmps: 2, rdtmps: 2, binops: 1, puts: 1},
-		isa.OpLdb:   loadCount,
-		isa.OpLdw:   loadCount,
-		isa.OpStb:   storeCount,
-		isa.OpStw:   storeCount,
-		isa.OpBeq:   branchCount,
-		isa.OpBne:   branchCount,
-		isa.OpBlt:   branchCount,
-		isa.OpBge:   branchCount,
-		isa.OpJmp:   {stmts: 1, jumps: 1},
-		isa.OpJr:    {stmts: 2, wrtmps: 1, rdtmps: 1, jumps: 1},
-		isa.OpCall:  {stmts: 2, puts: 1, calls: 1},
-		isa.OpCallr: {stmts: 3, wrtmps: 1, rdtmps: 1, puts: 1, calls: 1},
+		isa.OpMovi:  {stmts: 1},
+		isa.OpMov:   {stmts: 2, temps: 1},
+		isa.OpAdd:   threeTemps,
+		isa.OpSub:   threeTemps,
+		isa.OpMul:   threeTemps,
+		isa.OpDiv:   threeTemps,
+		isa.OpAnd:   threeTemps,
+		isa.OpOr:    threeTemps,
+		isa.OpXor:   threeTemps,
+		isa.OpShl:   threeTemps,
+		isa.OpShr:   threeTemps,
+		isa.OpAddi:  {stmts: 3, temps: 2},
+		isa.OpLdb:   threeTemps,
+		isa.OpLdw:   threeTemps,
+		isa.OpStb:   threeTemps,
+		isa.OpStw:   threeTemps,
+		isa.OpBeq:   threeTemps,
+		isa.OpBne:   threeTemps,
+		isa.OpBlt:   threeTemps,
+		isa.OpBge:   threeTemps,
+		isa.OpJmp:   {stmts: 1},
+		isa.OpJr:    {stmts: 2, temps: 1},
+		isa.OpCall:  {stmts: 2},
+		isa.OpCallr: {stmts: 3, temps: 1},
 		isa.OpRet:   {stmts: 1},
-		isa.OpPush:  {stmts: 5, wrtmps: 3, rdtmps: 3, binops: 1, puts: 1, stores: 1},
-		isa.OpPop:   {stmts: 5, wrtmps: 3, rdtmps: 3, binops: 1, loads: 1, puts: 2},
-		isa.OpSys:   {stmts: 1, syss: 1},
-		isa.OpTramp: {stmts: 2, calls: 1},
+		isa.OpPush:  {stmts: 5, temps: 3},
+		isa.OpPop:   {stmts: 5, temps: 3},
+		isa.OpSys:   {stmts: 1},
+		isa.OpTramp: {stmts: 2},
 	}
 )
 
-// MaxBlockTemps is the most temporaries one lifted Block writes: the largest
-// wrtmps count in liftCounts (the three-temp ALU, memory, branch and stack
-// templates). TestTempsAreBlockLocal keeps the two equal.
+// MaxBlockTemps is the most temporaries one lifted instruction writes: the
+// largest temps count in liftCounts (the three-temp ALU, memory, branch and
+// stack templates). TestTempsAreBlockLocal keeps the two equal.
 const MaxBlockTemps = 3
 
-// constNodes is how many Const nodes lifting in allocates: an immediate
-// operand outside the shared small range, or a call's return address. Return
-// addresses are counted as allocated, which holds for every text section
-// (each lies above the small range).
-func constNodes(in isa.Instr) int {
-	switch in.Op {
-	case isa.OpMovi, isa.OpAddi, isa.OpLdb, isa.OpLdw, isa.OpStb, isa.OpStw:
-		if !isSmallConst(int64(in.Imm)) {
-			return 1
-		}
-	case isa.OpCall, isa.OpCallr:
-		return 1
-	}
-	return 0
-}
-
-// Shared immutable nodes: one Get per guest register, one Ret, and the small
-// non-negative constants (section offsets, word sizes, return-address bases
-// all hit this range). Nothing may ever write through these pointers.
-var (
-	getNodes    [isa.NumRegs]Get
-	retNode     Ret
-	smallConsts [256]Const
-)
-
-func init() {
-	for r := range getNodes {
-		getNodes[r] = Get{R: isa.Reg(r)}
-	}
-	for v := range smallConsts {
-		smallConsts[v] = Const{V: int64(v)}
-	}
-}
-
-// GetExpr returns the canonical node reading register r (shared for
-// in-range registers, so it never allocates on the decode-validated path).
-func (l *Lifter) GetExpr(r isa.Reg) *Get {
-	if r >= 0 && int(r) < len(getNodes) {
-		return &getNodes[r]
-	}
-	return l.gets.new(Get{R: r})
-}
-
-func isSmallConst(v int64) bool { return v >= 0 && v < int64(len(smallConsts)) }
-
-func (l *Lifter) cnst(v int64) *Const {
-	if isSmallConst(v) {
-		return &smallConsts[v]
-	}
-	return l.consts.new(Const{V: v})
-}
-
-// Reserve sizes the block and statement arrays and every node arena for
-// exactly the instructions in ins, so a caller that knows a function's
-// instructions before lifting them (the CFG builder) pays one allocation per
-// arena and keeps no slack. Lifting anything beyond ins falls back to plain
-// chunks.
+// Reserve sizes the statement and start arrays for exactly the instructions
+// in ins, so a caller that knows a function's instructions before lifting
+// them (the CFG builder) allocates each once and keeps no slack. Lifting
+// anything beyond ins grows the arrays.
 func (l *Lifter) Reserve(ins []isa.Instr) {
-	var c liftCount
-	consts, blocks := 0, 0
+	stmts, n := 0, 0
 	for _, in := range ins {
-		if int(in.Op) >= len(liftCounts) {
-			continue // Lift rejects it without emitting anything
+		if int(in.Op) < len(liftCounts) { // Lift rejects the rest unlifted
+			stmts += liftCounts[in.Op].stmts
+			n++
 		}
-		c.add(liftCounts[in.Op])
-		consts += constNodes(in)
-		blocks++
 	}
-	if cap(l.blocks)-len(l.blocks) < blocks {
-		l.blocks = make([]Block, 0, blocks)
+	if len(l.code.Starts) == 0 {
+		n++ // the first instruction's start
 	}
-	if cap(l.stmts)-len(l.stmts) < c.stmts {
-		l.stmts = make([]Stmt, 0, c.stmts)
-	}
-	l.wrtmps.reserve(c.wrtmps)
-	l.rdtmps.reserve(c.rdtmps)
-	l.puts.reserve(c.puts)
-	l.binops.reserve(c.binops)
-	l.loads.reserve(c.loads)
-	l.stores.reserve(c.stores)
-	l.exits.reserve(c.exits)
-	l.jumps.reserve(c.jumps)
-	l.calls.reserve(c.calls)
-	l.syss.reserve(c.syss)
-	l.consts.reserve(consts)
+	l.code.Stmts = reserve(l.code.Stmts, stmts)
+	l.code.Starts = reserve(l.code.Starts, n)
 }
 
-// NewLifter returns a lifter with a fresh temporary namespace.
-func NewLifter() *Lifter { return &Lifter{} }
+// reserve returns s with room for exactly n more elements.
+func reserve[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	out := make([]T, len(s), len(s)+n)
+	copy(out, s)
+	return out
+}
 
-func (l *Lifter) tmp() Temp {
-	t := l.next
+// Code returns what has been lifted so far.
+func (l *Lifter) Code() Code { return l.code }
+
+func (l *Lifter) emit(s Stmt) { l.code.Stmts = append(l.code.Stmts, s) }
+
+// def emits s writing the next temporary and returns that temporary.
+func (l *Lifter) def(s Stmt) Arg {
+	s.Dst = uint8(l.next)
 	l.next++
-	return t
+	l.emit(s)
+	return Tmp(s.T())
 }
+
+// read loads a register into a fresh temporary.
+func (l *Lifter) read(r isa.Reg) Arg { return l.def(Stmt{Kind: Get, A: Reg(r)}) }
+
+func (l *Lifter) bin(op BinOp, a, b Arg) Arg { return l.def(Stmt{Kind: Bin, Op: op, A: a, B: b}) }
+
+func (l *Lifter) put(r isa.Reg, a Arg) { l.emit(Stmt{Kind: Put, Dst: uint8(r), A: a}) }
 
 // Instruction-to-IR operator tables, hoisted to package level so Lift does
-// not materialize a fresh map per lifted instruction (these two literals
-// dominated the lift path's allocation profile).
+// not materialize a fresh map per lifted instruction.
 var binOpFor = map[isa.Op]BinOp{
 	isa.OpAdd: Add, isa.OpSub: Sub, isa.OpMul: Mul, isa.OpDiv: Div,
 	isa.OpAnd: And, isa.OpOr: Or, isa.OpXor: Xor, isa.OpShl: Shl,
@@ -242,127 +131,100 @@ var cmpOpFor = map[isa.Op]BinOp{
 	isa.OpBeq: CmpEQ, isa.OpBne: CmpNE, isa.OpBlt: CmpLT, isa.OpBge: CmpGE,
 }
 
-func (l *Lifter) emit(s Stmt) { l.stmts = append(l.stmts, s) }
-
-// read loads a register into a fresh temporary and returns it.
-func (l *Lifter) read(r isa.Reg) Expr {
-	t := l.tmp()
-	l.emit(l.wrtmps.new(WrTmp{T: t, E: l.GetExpr(r)}))
-	return l.rdtmps.new(RdTmp{T: t})
+// accessSize is the bytes a load or store opcode accesses.
+func accessSize(op isa.Op) uint8 {
+	if op == isa.OpLdb || op == isa.OpStb {
+		return 1
+	}
+	return isa.WordSize
 }
 
-func (l *Lifter) bin(op BinOp, x, y Expr) Expr {
-	t := l.tmp()
-	l.emit(l.wrtmps.new(WrTmp{T: t, E: l.binops.new(Binop{Op: op, L: x, R: y})}))
-	return l.rdtmps.new(RdTmp{T: t})
-}
-
-// Lift translates one instruction at the given address. The address is
-// needed to resolve fall-through targets of conditional branches.
-func (l *Lifter) Lift(addr uint32, in isa.Instr) (*Block, error) {
+// Lift appends the statements of one instruction at the given address. The
+// address is needed for the return address of calls.
+func (l *Lifter) Lift(addr uint32, in isa.Instr) error {
 	if int(in.Op) >= len(liftCounts) {
-		return nil, fmt.Errorf("ir: cannot lift %v at 0x%x", in.Op, addr)
+		return fmt.Errorf("ir: cannot lift %v at 0x%x", in.Op, addr)
 	}
-	// A block's statements are one subslice, so they must fit the current
-	// statement chunk.
-	if len(l.blocks) == cap(l.blocks) {
-		l.blocks = make([]Block, 0, plainChunk)
+	if len(l.code.Starts) == 0 {
+		l.code.Starts = append(l.code.Starts, 0)
 	}
-	if cap(l.stmts)-len(l.stmts) < liftCounts[in.Op].stmts {
-		l.stmts = make([]Stmt, 0, plainChunk)
-	}
-	l.blocks = append(l.blocks, Block{Addr: addr, Raw: in})
-	b := &l.blocks[len(l.blocks)-1]
-	start := len(l.stmts)
+	l.next = 0
 
 	switch in.Op {
 	case isa.OpNop:
 		// no statements
 
 	case isa.OpMovi:
-		l.emit(l.puts.new(Put{R: in.Rd, E: l.cnst(int64(in.Imm))}))
+		l.put(in.Rd, Const(uint32(in.Imm)))
 
 	case isa.OpMov:
-		l.emit(l.puts.new(Put{R: in.Rd, E: l.read(in.Rs1)}))
+		l.put(in.Rd, l.read(in.Rs1))
 
 	case isa.OpAdd, isa.OpSub, isa.OpMul, isa.OpDiv, isa.OpAnd, isa.OpOr,
 		isa.OpXor, isa.OpShl, isa.OpShr:
-		l.emit(l.puts.new(Put{R: in.Rd, E: l.bin(binOpFor[in.Op], l.read(in.Rs1), l.read(in.Rs2))}))
+		x := l.read(in.Rs1)
+		l.put(in.Rd, l.bin(binOpFor[in.Op], x, l.read(in.Rs2)))
 
 	case isa.OpAddi:
-		l.emit(l.puts.new(Put{R: in.Rd, E: l.bin(Add, l.read(in.Rs1), l.cnst(int64(in.Imm)))}))
+		l.put(in.Rd, l.bin(Add, l.read(in.Rs1), Const(uint32(in.Imm))))
 
 	case isa.OpLdb, isa.OpLdw:
-		size := 1
-		if in.Op == isa.OpLdw {
-			size = isa.WordSize
-		}
-		addrE := l.bin(Add, l.read(in.Rs1), l.cnst(int64(in.Imm)))
-		t := l.tmp()
-		l.emit(l.wrtmps.new(WrTmp{T: t, E: l.loads.new(Load{Addr: addrE, Size: size})}))
-		l.emit(l.puts.new(Put{R: in.Rd, E: l.rdtmps.new(RdTmp{T: t})}))
+		at := l.bin(Add, l.read(in.Rs1), Const(uint32(in.Imm)))
+		l.put(in.Rd, l.def(Stmt{Kind: Load, Size: accessSize(in.Op), A: at}))
 
 	case isa.OpStb, isa.OpStw:
-		size := 1
-		if in.Op == isa.OpStw {
-			size = isa.WordSize
-		}
 		val := l.read(in.Rs2)
-		addrE := l.bin(Add, l.read(in.Rs1), l.cnst(int64(in.Imm)))
-		l.emit(l.stores.new(Store{Addr: addrE, Val: val, Size: size}))
+		at := l.bin(Add, l.read(in.Rs1), Const(uint32(in.Imm)))
+		l.emit(Stmt{Kind: Store, Size: accessSize(in.Op), A: at, B: val})
 
 	case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge:
-		cond := l.bin(cmpOpFor[in.Op], l.read(in.Rs1), l.read(in.Rs2))
-		l.emit(l.exits.new(Exit{Cond: cond, Target: uint32(in.Imm)}))
+		x := l.read(in.Rs1)
+		cond := l.bin(cmpOpFor[in.Op], x, l.read(in.Rs2))
+		l.emit(Stmt{Kind: Exit, A: cond, B: Const(uint32(in.Imm))})
 
 	case isa.OpJmp:
-		l.emit(l.jumps.new(Jump{Target: uint32(in.Imm)}))
+		l.emit(Stmt{Kind: Jump, A: Const(uint32(in.Imm))})
 
 	case isa.OpJr:
-		l.emit(l.jumps.new(Jump{Dyn: l.read(in.Rs1)}))
+		l.emit(Stmt{Kind: Jump, A: l.read(in.Rs1)})
 
 	case isa.OpCall:
-		l.emit(l.puts.new(Put{R: isa.LR, E: l.cnst(int64(addr) + isa.Width)}))
-		l.emit(l.calls.new(Call{Kind: CallDirect, Target: uint32(in.Imm)}))
+		l.put(isa.LR, Const(addr+isa.Width))
+		l.emit(Stmt{Kind: Call, A: Const(uint32(in.Imm))})
 
 	case isa.OpCallr:
 		target := l.read(in.Rs1)
-		l.emit(l.puts.new(Put{R: isa.LR, E: l.cnst(int64(addr) + isa.Width)}))
-		l.emit(l.calls.new(Call{Kind: CallIndirect, Dyn: target}))
+		l.put(isa.LR, Const(addr+isa.Width))
+		l.emit(Stmt{Kind: Call, A: target})
 
 	case isa.OpRet:
-		l.emit(&retNode)
+		l.emit(Stmt{Kind: Ret})
 
 	case isa.OpPush:
 		// SP -= 4; mem32[SP] = Rs1: Rs1 is read after the update, so
 		// push sp stores the decremented SP.
-		sp := l.bin(Sub, l.read(isa.SP), l.cnst(isa.WordSize))
-		l.emit(l.puts.new(Put{R: isa.SP, E: sp}))
-		l.emit(l.stores.new(Store{Addr: sp, Val: l.read(in.Rs1), Size: isa.WordSize}))
+		sp := l.bin(Sub, l.read(isa.SP), Const(isa.WordSize))
+		l.put(isa.SP, sp)
+		l.emit(Stmt{Kind: Store, Size: isa.WordSize, A: sp, B: l.read(in.Rs1)})
 
 	case isa.OpPop:
 		// Rd = mem32[SP]; SP += 4: the increment reads SP after Rd is
 		// written, so pop sp ends at the loaded word plus 4.
 		sp := l.read(isa.SP)
-		t := l.tmp()
-		l.emit(l.wrtmps.new(WrTmp{T: t, E: l.loads.new(Load{Addr: sp, Size: isa.WordSize})}))
-		val := l.rdtmps.new(RdTmp{T: t})
-		l.emit(l.puts.new(Put{R: in.Rd, E: val}))
+		val := l.def(Stmt{Kind: Load, Size: isa.WordSize, A: sp})
+		l.put(in.Rd, val)
 		if in.Rd == isa.SP {
 			sp = val
 		}
-		l.emit(l.puts.new(Put{R: isa.SP, E: l.bin(Add, sp, l.cnst(isa.WordSize))}))
+		l.put(isa.SP, l.bin(Add, sp, Const(isa.WordSize)))
 
 	case isa.OpSys:
-		l.emit(l.syss.new(Sys{Num: in.Imm}))
+		l.emit(Stmt{Kind: Sys, A: Const(uint32(in.Imm))})
 
 	case isa.OpTramp:
-		l.emit(l.calls.new(Call{Kind: CallTramp, GOT: uint32(in.Imm)}))
-		l.emit(&retNode)
-
+		l.emit(Stmt{Kind: Tramp, A: Const(uint32(in.Imm))})
+		l.emit(Stmt{Kind: Ret})
 	}
-	if end := len(l.stmts); end > start {
-		b.Stmts = l.stmts[start:end:end]
-	}
-	return b, nil
+	l.code.Starts = append(l.code.Starts, int32(len(l.code.Stmts)))
+	return nil
 }

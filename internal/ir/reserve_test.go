@@ -6,7 +6,7 @@ import (
 	"fits/internal/isa"
 )
 
-// chunkState is one lifter array's backing chunk: the address of its first
+// chunkState is one lifter array's backing array: the address of its first
 // slot (nil when there is none), its length and its capacity.
 type chunkState struct {
 	first    any
@@ -23,32 +23,26 @@ func stateOf[T any](s []T) chunkState {
 
 func lifterChunks(l *Lifter) map[string]chunkState {
 	return map[string]chunkState{
-		"blocks": stateOf(l.blocks), "stmts": stateOf(l.stmts),
-		"wrtmps": stateOf(l.wrtmps.chunk), "rdtmps": stateOf(l.rdtmps.chunk),
-		"puts": stateOf(l.puts.chunk), "binops": stateOf(l.binops.chunk),
-		"loads": stateOf(l.loads.chunk), "stores": stateOf(l.stores.chunk),
-		"exits": stateOf(l.exits.chunk), "jumps": stateOf(l.jumps.chunk),
-		"calls": stateOf(l.calls.chunk), "syss": stateOf(l.syss.chunk),
-		"consts": stateOf(l.consts.chunk), "gets": stateOf(l.gets.chunk),
+		"stmts": stateOf(l.code.Stmts), "starts": stateOf(l.code.Starts),
 	}
 }
 
 // liftReserved lifts ins at consecutive addresses from base after reserving
-// for them, and fails unless every array finished exactly full in the chunk
-// Reserve allocated.
+// for them, and fails unless the statement and start arrays finished
+// exactly full in the arrays Reserve allocated.
 func liftReserved(t *testing.T, what string, base uint32, ins []isa.Instr) {
 	t.Helper()
-	l := NewLifter()
+	l := new(Lifter)
 	l.Reserve(ins)
 	reserved := lifterChunks(l)
 	for i, in := range ins {
-		if _, err := l.Lift(base+uint32(i*isa.Width), in); err != nil {
+		if err := l.Lift(base+uint32(i*isa.Width), in); err != nil {
 			t.Fatalf("%s: lift %v: %v", what, in, err)
 		}
 	}
 	for name, got := range lifterChunks(l) {
 		if got.first != reserved[name].first {
-			t.Errorf("%s: %s outgrew its reservation of %d and started a second chunk", what, name, reserved[name].cap)
+			t.Errorf("%s: %s outgrew its reservation of %d and was reallocated", what, name, reserved[name].cap)
 		} else if got.len != got.cap {
 			t.Errorf("%s: %s reserved %d, used %d", what, name, got.cap, got.len)
 		}
@@ -71,8 +65,8 @@ func everyOpcode() []isa.Instr {
 }
 
 // TestReserveIsExact keeps Reserve's count table in step with Lift's
-// templates: after reserving for exactly the instructions lifted, every
-// arena, the statement array and the block array end full, in one chunk.
+// templates: after reserving for exactly the instructions lifted, the
+// statement and start arrays end full, never reallocated.
 func TestReserveIsExact(t *testing.T) {
 	for _, in := range everyOpcode() {
 		liftReserved(t, in.String(), 0x10000, []isa.Instr{in})

@@ -143,28 +143,30 @@ func (m *machine) lifted(t *testing.T, bin *binimg.Binary, ins []isa.Instr) (*uc
 		st.Regs[r] = ucse.SConst{V: v}
 	}
 	st.Regs[isa.LR] = ucse.SConst{V: retSent}
-	l := ir.NewLifter()
+	var l ir.Lifter
 	l.Reserve(ins)
-	var next uint32
 	for i, in := range ins {
-		addr := bin.Text.Addr + uint32(i*isa.Width)
-		blk, err := l.Lift(addr, in)
-		if err != nil {
+		if err := l.Lift(bin.Text.Addr+uint32(i*isa.Width), in); err != nil {
 			t.Fatal(err)
 		}
-		next = addr + isa.Width
-		for _, s := range blk.Stmts {
-			switch s := s.(type) {
-			case *ir.Exit:
-				if constant(t, st.Eval(s.Cond), "exit condition") != 0 {
-					next = s.Target
+	}
+	code := l.Code()
+	var next uint32
+	for i := range ins {
+		next = bin.Text.Addr + uint32((i+1)*isa.Width)
+		stmts := code.Instr(i)
+		for j := range stmts {
+			switch s := &stmts[j]; s.Kind {
+			case ir.Exit:
+				if constant(t, st.Arg(s.A), "exit condition") != 0 {
+					next = s.Target()
 				}
-			case *ir.Jump:
-				next = s.Target
-				if s.Dyn != nil {
-					next = constant(t, st.Eval(s.Dyn), "jump target")
+			case ir.Jump:
+				next = s.Target()
+				if s.Dynamic() {
+					next = constant(t, st.Arg(s.A), "jump target")
 				}
-			case *ir.Ret:
+			case ir.Ret:
 				next = constant(t, st.Regs[isa.LR], "return address")
 			default:
 				if st.Step(s) {
@@ -270,7 +272,7 @@ func FuzzLiftSemantics(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := st.Eval(&ir.Load{Addr: &ir.Const{V: int64(a)}, Size: 1}); got != (ucse.SConst{V: uint32(want)}) {
+			if got := st.Load(ucse.SConst{V: a}, 1); got != (ucse.SConst{V: uint32(want)}) {
 				diffs = append(diffs, fmt.Sprintf("mem[%#x]: emu %#x, lifted %s", a, want, ucse.Render(got)))
 			}
 		}

@@ -6,19 +6,16 @@ import (
 	"fits/internal/isa"
 )
 
-// liftAll lifts a contiguous run of instructions starting at base, one
-// block per instruction, reserving for exactly them first.
-func liftAll(l *Lifter, base uint32, ins []isa.Instr) ([]*Block, error) {
+// liftAll lifts a contiguous run of instructions starting at base into one
+// Code, reserving for exactly them first.
+func liftAll(l *Lifter, base uint32, ins []isa.Instr) (Code, error) {
 	l.Reserve(ins)
-	out := make([]*Block, 0, len(ins))
 	for i, in := range ins {
-		b, err := l.Lift(base+uint32(i*isa.Width), in)
-		if err != nil {
-			return out, err
+		if err := l.Lift(base+uint32(i*isa.Width), in); err != nil {
+			return l.Code(), err
 		}
-		out = append(out, b)
 	}
-	return out, nil
+	return l.Code(), nil
 }
 
 // roundTrip encodes ins in arch's encoding and decodes it back.
@@ -36,84 +33,55 @@ func roundTrip(t *testing.T, arch isa.Arch, ins []isa.Instr) []isa.Instr {
 	return out
 }
 
-// checkBlockTemps fails unless b's temporaries are its own: its WrTmps use
-// consecutive temps, at most MaxBlockTemps of them, and every RdTmp reads a
-// temp written earlier in b.
-func checkBlockTemps(t *testing.T, what string, b *Block) {
+// checkBlockTemps fails unless one instruction's temporaries are its own:
+// its statements write consecutive temps from t0, at most MaxBlockTemps of
+// them and exactly as many as liftCounts says, and every temp operand reads
+// a temp written earlier in it.
+func checkBlockTemps(t *testing.T, what string, raw isa.Instr, stmts []Stmt) {
 	t.Helper()
-	var written []Temp
-	isWritten := func(tmp Temp) bool {
-		for _, w := range written {
-			if w == tmp {
-				return true
+	written := 0
+	for _, s := range stmts {
+		for _, a := range []Arg{s.A, s.B} {
+			if a.Kind == ArgTmp && int(a.Temp()) >= written {
+				t.Errorf("%s: %s: %s reads %s before this instruction writes it", what, raw, s, a)
 			}
 		}
-		return false
-	}
-	var reads func(e Expr)
-	reads = func(e Expr) {
-		switch e := e.(type) {
-		case *RdTmp:
-			if !isWritten(e.T) {
-				t.Errorf("%s: %s reads %s before this block writes it", what, b.Raw, e.T)
+		if s.Writes() {
+			if int(s.T()) != written {
+				t.Errorf("%s: %s: %s writes %s, want t%d", what, raw, s, s.T(), written)
 			}
-		case *Load:
-			reads(e.Addr)
-		case *Binop:
-			reads(e.L)
-			reads(e.R)
+			written++
 		}
 	}
-	for _, s := range b.Stmts {
-		switch s := s.(type) {
-		case *WrTmp:
-			reads(s.E)
-			if n := len(written); n > 0 && s.T != written[n-1]+1 {
-				t.Errorf("%s: %s writes %s after %s", what, b.Raw, s.T, written[n-1])
-			}
-			written = append(written, s.T)
-		case *Put:
-			reads(s.E)
-		case *Store:
-			reads(s.Addr)
-			reads(s.Val)
-		case *Exit:
-			reads(s.Cond)
-		case *Jump:
-			if s.Dyn != nil {
-				reads(s.Dyn)
-			}
-		case *Call:
-			if s.Dyn != nil {
-				reads(s.Dyn)
-			}
-		}
+	if written > MaxBlockTemps {
+		t.Errorf("%s: %s writes %d temps, MaxBlockTemps is %d", what, raw, written, MaxBlockTemps)
 	}
-	if len(written) > MaxBlockTemps {
-		t.Errorf("%s: %s writes %d temps, MaxBlockTemps is %d", what, b.Raw, len(written), MaxBlockTemps)
+	if want := liftCounts[raw.Op].temps; written != want {
+		t.Errorf("%s: %s writes %d temps, liftCounts says %d", what, raw, written, want)
 	}
 }
 
 // TestTempsAreBlockLocal pins the lifter invariant behind the analyses'
 // per-instruction temporary environment (dataflow.Temps): over every opcode
 // and immediate shape, and through each architecture's encoding, every
-// lifted Block writes at most MaxBlockTemps consecutive temps and reads only
-// those. MaxBlockTemps must also be exactly the largest template count.
+// lifted instruction writes at most MaxBlockTemps consecutive temps from t0
+// and reads only those. MaxBlockTemps must also be exactly the largest
+// template count.
 func TestTempsAreBlockLocal(t *testing.T) {
 	most := 0
 	for _, c := range liftCounts {
-		most = max(most, c.wrtmps)
+		most = max(most, c.temps)
 	}
 	if most != MaxBlockTemps {
-		t.Fatalf("liftCounts writes at most %d temps per block, MaxBlockTemps is %d", most, MaxBlockTemps)
+		t.Fatalf("liftCounts writes at most %d temps per instruction, MaxBlockTemps is %d", most, MaxBlockTemps)
 	}
 	lift := func(what string, base uint32, ins []isa.Instr) {
-		blocks, err := liftAll(NewLifter(), base, ins)
+		code, err := liftAll(new(Lifter), base, ins)
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
-		for _, b := range blocks {
-			checkBlockTemps(t, what, b)
+		for i, in := range ins {
+			checkBlockTemps(t, what, in, code.Instr(i))
 		}
 	}
 	fn := everyOpcode()

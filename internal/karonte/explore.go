@@ -165,7 +165,7 @@ func (e *Engine) runPath(p *path, work *[]*path) (cut bool) {
 				continue
 			}
 		}
-		if p.idx >= len(blk.IR) {
+		if p.idx >= len(blk.Instrs) {
 			// Fall through to the next block.
 			next := blk.End()
 			if _, ok := p.fn.Blocks[next]; !ok {
@@ -174,9 +174,8 @@ func (e *Engine) runPath(p *path, work *[]*path) (cut bool) {
 			p.block, p.idx = next, 0
 			continue
 		}
-		irb := blk.IR[p.idx]
 		e.stepsLeft--
-		ctl := e.execInstr(p, irb, work)
+		ctl := e.execInstr(p, blk.Start+uint32(p.idx*isa.Width), p.fn.InstrIR(blk, p.idx), work)
 		switch ctl {
 		case ctlNext:
 			p.idx++
@@ -205,40 +204,50 @@ const (
 	ctlEnd
 )
 
-// eval computes an expression's value on the path's machine state and its
-// taint label. A load from a tainted source region the path has not stored
-// to reads a fresh unknown, not the image bytes beneath it: the source
-// wrote there.
-func (p *path) eval(x ir.Expr) (ucse.SVal, int) {
-	switch x := x.(type) {
-	case *ir.RdTmp:
-		return p.st.Eval(x), p.temps[uint(x.T)%ir.MaxBlockTemps]
-	case *ir.Get:
-		return p.st.Eval(x), p.regs[x.R]
-	case *ir.Binop:
-		_, l := p.eval(x.L)
-		_, r := p.eval(x.R)
-		return p.st.Eval(x), p.merge(l, r)
-	case *ir.Load:
-		addr, label := p.eval(x.Addr)
+// arg returns an operand's value on the path's machine state and its
+// taint label.
+func (p *path) arg(a ir.Arg) (ucse.SVal, int) {
+	switch a.Kind {
+	case ir.ArgTmp:
+		return p.st.Arg(a), p.temps[uint(a.V)%ir.MaxBlockTemps]
+	case ir.ArgReg:
+		return p.st.Arg(a), p.regs[a.Reg()]
+	}
+	return p.st.Arg(a), 0
+}
+
+// value computes what a Get, Bin or Load statement writes to its temporary
+// and its taint label. A load from a tainted source region the path has not
+// stored to reads a fresh unknown, not the image bytes beneath it: the
+// source wrote there.
+func (p *path) value(s *ir.Stmt) (ucse.SVal, int) {
+	switch s.Kind {
+	case ir.Get:
+		return p.arg(s.A)
+	case ir.Bin:
+		_, l := p.arg(s.A)
+		_, r := p.arg(s.B)
+		return p.st.Value(s), p.merge(l, r)
+	case ir.Load:
+		addr, label := p.arg(s.A)
 		c, ok := addr.(ucse.SConst)
 		if !ok {
 			if lbl, ok := p.symPtr[pointer(addr)]; ok {
 				label = p.merge(lbl, label)
 			}
-			return p.st.Eval(x), label
+			return p.st.Load(addr, int(s.Size)), label
 		}
 		if lbl, ok := p.mem[c.V]; ok {
-			return p.st.Eval(x), lbl
+			return p.st.Load(addr, int(s.Size)), lbl
 		}
 		for _, rg := range p.regions {
 			if c.V >= rg.base && c.V < rg.base+rg.size {
 				return p.st.Fresh(), p.merge(rg.label, label)
 			}
 		}
-		return p.st.Eval(x), label
+		return p.st.Load(addr, int(s.Size)), label
 	}
-	return p.st.Eval(x), 0
+	return p.st.Value(s), 0
 }
 
 // merge combines two labels, honoring per-path sanitization kills.
@@ -261,22 +270,22 @@ func (p *path) argLabel() int {
 	return label
 }
 
-// execInstr executes one lifted instruction.
-func (e *Engine) execInstr(p *path, irb *ir.Block, work *[]*path) ctlKind {
-	for _, s := range irb.Stmts {
-		switch s := s.(type) {
-		case *ir.WrTmp:
-			v, label := p.eval(s.E)
-			p.st.SetTemp(s.T, v)
-			p.temps[uint(s.T)%ir.MaxBlockTemps] = label
+// execInstr executes the statements of the lifted instruction at addr.
+func (e *Engine) execInstr(p *path, addr uint32, stmts []ir.Stmt, work *[]*path) ctlKind {
+	for i := range stmts {
+		switch s := &stmts[i]; s.Kind {
+		case ir.Get, ir.Bin, ir.Load:
+			v, label := p.value(s)
+			p.st.SetTemp(s.T(), v)
+			p.temps[uint(s.Dst)%ir.MaxBlockTemps] = label
 			// Sanitization: ordering comparisons of tainted values against
 			// nonzero constant bounds kill the label on this path. Region
 			// taint is unaffected (the engine cannot see which object a
 			// length check covered), matching its classical-source false
 			// positives.
-			if b, ok := s.E.(*ir.Binop); ok && (b.Op == ir.CmpLT || b.Op == ir.CmpGE) {
-				l, ll := p.eval(b.L)
-				r, rl := p.eval(b.R)
+			if s.Kind == ir.Bin && (s.Op == ir.CmpLT || s.Op == ir.CmpGE) {
+				l, ll := p.arg(s.A)
+				r, rl := p.arg(s.B)
 				if ll != 0 && nonzeroConst(r) {
 					p.killed[ll] = true
 				}
@@ -284,34 +293,34 @@ func (e *Engine) execInstr(p *path, irb *ir.Block, work *[]*path) ctlKind {
 					p.killed[rl] = true
 				}
 			}
-		case *ir.Put:
-			p.st.Regs[s.R], p.regs[s.R] = p.eval(s.E)
-		case *ir.Store:
-			addr, _ := p.eval(s.Addr)
-			_, label := p.eval(s.Val)
+		case ir.Put:
+			p.st.Regs[s.R()], p.regs[s.R()] = p.arg(s.A)
+		case ir.Store:
+			addr, _ := p.arg(s.A)
+			_, label := p.arg(s.B)
 			p.st.Step(s)
 			if c, ok := addr.(ucse.SConst); ok {
 				p.mem[c.V] = label
 			} else if label != 0 && !p.killed[label] {
 				p.symPtr[pointer(addr)] = label
 			}
-		case *ir.Exit:
-			if c, ok := p.st.Eval(s.Cond).(ucse.SConst); ok {
+		case ir.Exit:
+			if c, ok := p.st.Arg(s.A).(ucse.SConst); ok {
 				if c.V != 0 {
-					return e.jumpTo(p, s.Target)
+					return e.jumpTo(p, s.Target())
 				}
 				continue
 			}
 			// Fork: taken branch enqueued, fall-through continues.
 			taken := p.clone()
-			if e.jumpTo(taken, s.Target) == ctlJumped {
+			if e.jumpTo(taken, s.Target()) == ctlJumped {
 				*work = append(*work, taken)
 			}
 			continue
-		case *ir.Jump:
-			if s.Dyn != nil {
+		case ir.Jump:
+			if s.Dynamic() {
 				// Computed jump: fork over the resolved jump-table targets.
-				ts := p.fn.JumpTables[irb.Addr]
+				ts := p.fn.JumpTables[addr]
 				if len(ts) == 0 {
 					return ctlEnd
 				}
@@ -326,16 +335,18 @@ func (e *Engine) execInstr(p *path, irb *ir.Block, work *[]*path) ctlKind {
 				}
 				return e.jumpTo(p, ts[0])
 			}
-			return e.jumpTo(p, s.Target)
-		case *ir.Call:
-			return e.execCall(p, irb, s, work)
-		case *ir.Ret:
+			return e.jumpTo(p, s.Target())
+		case ir.Call:
+			return e.execCall(p, addr, s, work)
+		case ir.Tramp:
+			return ctlEnd // trampoline inside a stub function: not executed directly
+		case ir.Ret:
 			if len(p.stack) == 0 {
 				return ctlEnd
 			}
 			p.pop()
 			return ctlJumped
-		case *ir.Sys:
+		case ir.Sys:
 			p.setR0(0)
 		}
 	}
@@ -356,17 +367,17 @@ func (e *Engine) jumpTo(p *path, target uint32) ctlKind {
 	return ctlJumped
 }
 
-// execCall handles direct, trampoline-stub and resolved indirect calls.
-func (e *Engine) execCall(p *path, irb *ir.Block, c *ir.Call, work *[]*path) ctlKind {
+// execCall handles direct and resolved indirect calls; a call whose target
+// is an import stub applies the library function's effect.
+func (e *Engine) execCall(p *path, addr uint32, c *ir.Stmt, work *[]*path) ctlKind {
 	// Determine candidate targets.
 	var targets []uint32
-	switch c.Kind {
-	case ir.CallDirect:
-		targets = []uint32{c.Target}
-	case ir.CallIndirect:
+	if !c.Dynamic() {
+		targets = []uint32{c.Target()}
+	} else {
 		seen := map[uint32]bool{}
 		for _, cs := range p.fn.Calls {
-			if cs.Addr == irb.Addr && cs.Target != 0 && !seen[cs.Target] {
+			if cs.Addr == addr && cs.Target != 0 && !seen[cs.Target] {
 				seen[cs.Target] = true
 				targets = append(targets, cs.Target)
 			}
@@ -374,8 +385,6 @@ func (e *Engine) execCall(p *path, irb *ir.Block, c *ir.Call, work *[]*path) ctl
 		if len(targets) > maxForkTargets {
 			targets = targets[:maxForkTargets]
 		}
-	default:
-		return ctlEnd // trampoline inside a stub function: not executed directly
 	}
 	if len(targets) == 0 {
 		p.setR0(0)
@@ -386,11 +395,11 @@ func (e *Engine) execCall(p *path, irb *ir.Block, c *ir.Call, work *[]*path) ctl
 	// Fork on extra indirect targets.
 	for _, t := range targets[1:] {
 		alt := p.clone()
-		if e.enterCall(alt, irb, t) {
+		if e.enterCall(alt, addr, t) {
 			*work = append(*work, alt)
 		}
 	}
-	if e.enterCall(p, irb, targets[0]) {
+	if e.enterCall(p, addr, targets[0]) {
 		return ctlJumped
 	}
 	p.idx++
@@ -410,10 +419,10 @@ func (p *path) taintPointee(arg ucse.SVal, size uint32, label int) {
 
 // enterCall applies a call to one resolved target: import effects, source
 // effects, or a followed call. Returns true when the path was repositioned.
-func (e *Engine) enterCall(p *path, irb *ir.Block, target uint32) bool {
+func (e *Engine) enterCall(p *path, site, target uint32) bool {
 	// Import stub: apply the library function's effect in place.
 	if im, ok := e.bin.ImportAtStub(target); ok {
-		e.applyImport(p, irb.Addr, im.Name)
+		e.applyImport(p, site, im.Name)
 		p.idx++
 		return true
 	}

@@ -79,12 +79,14 @@ func Check(bin *binimg.Binary, fn *cfg.Function, site uint32) Result {
 		exits := 0
 		var cond ucse.SVal
 		var taken uint32
-		for _, irb := range blk.IR {
-			for _, s := range irb.Stmts {
-				if x, ok := s.(*ir.Exit); ok {
+		for k := range blk.Instrs {
+			stmts := fn.InstrIR(blk, k)
+			for j := range stmts {
+				s := &stmts[j]
+				if s.Kind == ir.Exit {
 					exits++
-					taken = x.Target
-					cond = st.Eval(x.Cond)
+					taken = s.Target()
+					cond = st.Arg(s.A)
 					continue
 				}
 				if st.Step(s) {

@@ -168,7 +168,7 @@ func (in *intra) Called(at uint32, st *dataflow.State) {
 }
 
 // Exit records blk as sanitizing when it range-checks tainted data.
-func (in *intra) Exit(blk *cfg.BasicBlock, cond ir.Expr, st *dataflow.State) {
+func (in *intra) Exit(blk *cfg.BasicBlock, cond ir.Arg, st *dataflow.State) {
 	if !in.acting && in.isRangeCheck(cond, st) {
 		in.sanitizing = append(in.sanitizing, blk.Start)
 	}
@@ -179,20 +179,15 @@ func (in *intra) Ret(*dataflow.State) {}
 
 // isRangeCheck recognizes a branch comparing a tainted value against a
 // nonzero constant bound with an ordering comparison.
-func (in *intra) isRangeCheck(cond ir.Expr, st *dataflow.State) bool {
-	rt, ok := cond.(*ir.RdTmp)
-	if !ok {
+func (in *intra) isRangeCheck(cond ir.Arg, st *dataflow.State) bool {
+	if cond.Kind != ir.ArgTmp {
 		return false
 	}
-	_, def := in.Temps.Get(rt.T)
-	bin, ok := def.(*ir.Binop)
-	if !ok {
+	_, def := in.Temps.Get(cond.Temp())
+	if def == nil || def.Kind != ir.Bin || (def.Op != ir.CmpLT && def.Op != ir.CmpGE) {
 		return false
 	}
-	if bin.Op != ir.CmpLT && bin.Op != ir.CmpGE {
-		return false
-	}
-	l, r := in.Eval(bin.L, st), in.Eval(bin.R, st)
+	l, r := in.Arg(def.A, st), in.Arg(def.B, st)
 	lc := l.Kind == dataflow.KConst && l.C != 0
 	rc := r.Kind == dataflow.KConst && r.C != 0
 	return (l.Taint.Has() && rc) || (r.Taint.Has() && lc)

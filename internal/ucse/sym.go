@@ -43,10 +43,10 @@ const (
 type SymState struct {
 	bin  *binimg.Binary
 	Regs [isa.NumRegs]SVal
-	// temps holds the current ir.Block's temporaries. The lifter writes at
-	// most ir.MaxBlockTemps consecutive ones per block and reads only
+	// temps holds the current instruction's temporaries. The lifter writes
+	// at most ir.MaxBlockTemps of them per instruction and reads only
 	// those (ir.TestTempsAreBlockLocal), so T mod MaxBlockTemps never
-	// collides within a block.
+	// collides within an instruction.
 	temps [ir.MaxBlockTemps]SVal
 	// mem tracks concrete-address stores made on this path, one cell per
 	// store, keyed by its first byte; cells never overlap. memUnknown
@@ -126,32 +126,42 @@ func simplify(op ir.BinOp, l, r SVal) SVal {
 	return SBin{Op: op, L: l, R: r}
 }
 
-// Eval computes an IR expression in the current state.
-func (s *SymState) Eval(x ir.Expr) SVal {
-	switch x := x.(type) {
-	case *ir.Const:
-		return SConst{V: uint32(x.V)}
-	case *ir.RdTmp:
-		if v := s.temps[uint(x.T)%ir.MaxBlockTemps]; v != nil {
-			return v
-		}
+// Arg returns an operand's value in the current state.
+func (s *SymState) Arg(a ir.Arg) SVal {
+	var v SVal
+	switch a.Kind {
+	case ir.ArgConst:
+		return SConst{V: uint32(a.V)}
+	case ir.ArgTmp:
+		v = s.temps[uint(a.V)%ir.MaxBlockTemps]
+	case ir.ArgReg:
+		v = s.Regs[a.Reg()]
+	}
+	if v == nil {
 		return s.Fresh()
-	case *ir.Get:
-		if v := s.Regs[x.R]; v != nil {
-			return v
-		}
-		return s.Fresh()
-	case *ir.Binop:
-		return simplify(x.Op, s.Eval(x.L), s.Eval(x.R))
-	case *ir.Load:
-		addr := s.Eval(x.Addr)
-		c, ok := addr.(SConst)
-		if !ok {
-			return SLoad{Addr: addr}
-		}
-		return s.load(c.V, x.Size)
+	}
+	return v
+}
+
+// Value computes what a Get, Bin or Load statement writes to its temporary.
+func (s *SymState) Value(st *ir.Stmt) SVal {
+	switch st.Kind {
+	case ir.Get:
+		return s.Arg(st.A)
+	case ir.Bin:
+		return simplify(st.Op, s.Arg(st.A), s.Arg(st.B))
+	case ir.Load:
+		return s.Load(s.Arg(st.A), int(st.Size))
 	}
 	return s.Fresh()
+}
+
+// Load reads size bytes at addr: a symbolic address reads SLoad.
+func (s *SymState) Load(addr SVal, size int) SVal {
+	if c, ok := addr.(SConst); ok {
+		return s.load(c.V, size)
+	}
+	return SLoad{Addr: addr}
 }
 
 // load reads size bytes at the concrete address a: the value of a tracked
@@ -282,27 +292,27 @@ func (s *SymState) trusts(addr uint32) bool {
 // callee can write through any pointer), a syscall, or a store through a
 // symbolic address. Control statements (Exit/Jump/Ret) have no state
 // effect here — callers handle control flow themselves.
-func (s *SymState) Step(st ir.Stmt) (clobbered bool) {
-	switch st := st.(type) {
-	case *ir.WrTmp:
-		s.temps[uint(st.T)%ir.MaxBlockTemps] = s.Eval(st.E)
-	case *ir.Put:
-		s.Regs[st.R] = s.Eval(st.E)
-	case *ir.Store:
-		addr := s.Eval(st.Addr)
-		val := s.Eval(st.Val)
+func (s *SymState) Step(st *ir.Stmt) (clobbered bool) {
+	switch st.Kind {
+	case ir.Get, ir.Bin, ir.Load:
+		s.temps[uint(st.Dst)%ir.MaxBlockTemps] = s.Value(st)
+	case ir.Put:
+		s.Regs[st.R()] = s.Arg(st.A)
+	case ir.Store:
+		addr := s.Arg(st.A)
+		val := s.Arg(st.B)
 		c, ok := addr.(SConst)
 		if !ok {
 			return true
 		}
-		s.store(c.V, val, st.Size)
-	case *ir.Call:
+		s.store(c.V, val, int(st.Size))
+	case ir.Call, ir.Tramp:
 		for r := isa.Reg(0); r < 4; r++ {
 			s.Regs[r] = s.Fresh()
 		}
 		s.Regs[isa.LR] = s.Fresh()
 		return true
-	case *ir.Sys:
+	case ir.Sys:
 		s.Regs[isa.R0] = s.Fresh()
 		return true
 	}

@@ -22,45 +22,45 @@ func symBin(t *testing.T) *SymState {
 
 func TestSymStateTracksConcreteStores(t *testing.T) {
 	st := symBin(t)
-	addr := &ir.Const{V: int64(FakeSP - 8)}
-	if st.Step(&ir.Store{Addr: addr, Val: &ir.Const{V: 42}, Size: 4}) {
+	addr := ir.Const(FakeSP - 8)
+	if st.Step(&ir.Stmt{Kind: ir.Store, Size: 4, A: addr, B: ir.Const(42)}) {
 		t.Fatal("concrete store reported as clobbering")
 	}
-	got := st.Eval(&ir.Load{Addr: addr, Size: 4})
+	got := st.Load(SConst{V: FakeSP - 8}, 4)
 	if c, ok := got.(SConst); !ok || c.V != 42 {
 		t.Fatalf("load after tracked store = %v, want SConst{42}", got)
 	}
 	st.HavocMemory()
-	u1 := st.Eval(&ir.Load{Addr: addr, Size: 4})
+	u1 := st.Load(SConst{V: FakeSP - 8}, 4)
 	if _, ok := u1.(SUnknown); !ok {
 		t.Fatalf("load after havoc = %v, want fresh unknown", u1)
 	}
 	// Repeated loads of one address share an identity until the next
 	// clobber — the property the interval solver depends on.
-	u2 := st.Eval(&ir.Load{Addr: addr, Size: 4})
+	u2 := st.Load(SConst{V: FakeSP - 8}, 4)
 	if u1 != u2 {
 		t.Errorf("two loads of one address got distinct identities: %v vs %v", u1, u2)
 	}
 	st.HavocMemory()
-	if u3 := st.Eval(&ir.Load{Addr: addr, Size: 4}); u3 == u1 {
+	if u3 := st.Load(SConst{V: FakeSP - 8}, 4); u3 == u1 {
 		t.Error("identity survived a memory havoc")
 	}
 }
 
 func TestSymStateStepClobberReporting(t *testing.T) {
 	st := symBin(t)
-	if !st.Step(&ir.Call{}) {
+	if !st.Step(&ir.Stmt{Kind: ir.Call, A: ir.Const(0x1000)}) {
 		t.Error("call not reported as clobbering")
 	}
-	if !st.Step(&ir.Sys{}) {
+	if !st.Step(&ir.Stmt{Kind: ir.Sys}) {
 		t.Error("syscall not reported as clobbering")
 	}
 	// A store through a symbolic address clobbers; the symbolic value here
 	// is whatever an uninitialized register holds.
-	if !st.Step(&ir.Store{Addr: &ir.Get{R: isa.R1}, Val: &ir.Const{V: 1}, Size: 4}) {
+	if !st.Step(&ir.Stmt{Kind: ir.Store, Size: 4, A: ir.Reg(isa.R1), B: ir.Const(1)}) {
 		t.Error("symbolic-address store not reported as clobbering")
 	}
-	if st.Step(&ir.WrTmp{T: 1, E: &ir.Const{V: 5}}) {
+	if st.Step(&ir.Stmt{Kind: ir.Get, Dst: 1, A: ir.Reg(isa.R2)}) {
 		t.Error("temp write reported as clobbering")
 	}
 }
@@ -68,7 +68,7 @@ func TestSymStateStepClobberReporting(t *testing.T) {
 func TestSymStateCallInvalidatesCallerSaved(t *testing.T) {
 	st := symBin(t)
 	st.Regs[isa.R0] = SConst{V: 7}
-	st.Step(&ir.Call{})
+	st.Step(&ir.Stmt{Kind: ir.Call, A: ir.Const(0x1000)})
 	if _, ok := st.Regs[isa.R0].(SUnknown); !ok {
 		t.Errorf("R0 after call = %v, want fresh unknown", st.Regs[isa.R0])
 	}
@@ -127,15 +127,15 @@ func TestSimplifyExported(t *testing.T) {
 
 func TestSymStateCloneIsolation(t *testing.T) {
 	st := symBin(t)
-	addr := &ir.Const{V: int64(FakeSP - 8)}
-	st.Step(&ir.Store{Addr: addr, Val: &ir.Const{V: 1}, Size: 4})
+	addr := ir.Const(FakeSP - 8)
+	st.Step(&ir.Stmt{Kind: ir.Store, Size: 4, A: addr, B: ir.Const(1)})
 	fork := st.Clone()
-	fork.Step(&ir.Store{Addr: addr, Val: &ir.Const{V: 2}, Size: 4})
+	fork.Step(&ir.Stmt{Kind: ir.Store, Size: 4, A: addr, B: ir.Const(2)})
 	fork.Regs[isa.R0] = SConst{V: 9}
-	if got := st.Eval(&ir.Load{Addr: addr, Size: 4}); got != (SConst{V: 1}) {
+	if got := st.Load(SConst{V: FakeSP - 8}, 4); got != (SConst{V: 1}) {
 		t.Errorf("parent load after fork's store = %v, want SConst{1}", got)
 	}
-	if got := fork.Eval(&ir.Load{Addr: addr, Size: 4}); got != (SConst{V: 2}) {
+	if got := fork.Load(SConst{V: FakeSP - 8}, 4); got != (SConst{V: 2}) {
 		t.Errorf("fork load = %v, want SConst{2}", got)
 	}
 	if st.Regs[isa.R0] == fork.Regs[isa.R0] {
@@ -154,13 +154,13 @@ func TestSymStateLoadTrust(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	load := &ir.Load{Addr: &ir.Const{V: int64(bin.Data.Addr)}, Size: 4}
+	load := func(st *SymState) SVal { return st.Load(SConst{V: bin.Data.Addr}, 4) }
 	st := NewSymState(bin)
-	if got, ok := st.Eval(load).(SUnknown); !ok {
+	if got, ok := load(st).(SUnknown); !ok {
 		t.Errorf("precision-pass load of .data = %v, want an unknown", got)
 	}
 	st = NewPathState(bin)
-	if got := st.Eval(load); got != (SConst{V: 7}) {
+	if got := load(st); got != (SConst{V: 7}) {
 		t.Errorf("explorer load of .data = %v, want SConst{7}", got)
 	}
 }
@@ -172,12 +172,12 @@ func TestSymStateLoadTrust(t *testing.T) {
 // unknown rather than a stale image byte.
 func TestSymStateAccessWidth(t *testing.T) {
 	st := symBin(t)
-	addr := &ir.Const{V: int64(FakeSP - 8)}
-	load := func(size int) SVal { return st.Eval(&ir.Load{Addr: addr, Size: size}) }
-	store := func(at *ir.Const, v SVal, size int) {
+	addr := ir.Const(FakeSP - 8)
+	load := func(size int) SVal { return st.Load(SConst{V: FakeSP - 8}, size) }
+	store := func(at ir.Arg, v SVal, size int) {
 		t.Helper()
 		st.SetTemp(0, v)
-		if st.Step(&ir.Store{Addr: at, Val: &ir.RdTmp{T: 0}, Size: size}) {
+		if st.Step(&ir.Stmt{Kind: ir.Store, Size: uint8(size), A: at, B: ir.Tmp(0)}) {
 			t.Fatal("concrete store reported as clobbering")
 		}
 	}
@@ -189,7 +189,7 @@ func TestSymStateAccessWidth(t *testing.T) {
 	if got := load(1); got != (SConst{V: 0x44}) {
 		t.Errorf("byte load of a stored word 0x11223344 = %v, want 0x44", got)
 	}
-	store(&ir.Const{V: int64(FakeSP - 7)}, SConst{V: 0xaa}, 1)
+	store(ir.Const(FakeSP-7), SConst{V: 0xaa}, 1)
 	if got := load(4); got != (SConst{V: 0x1122aa44}) {
 		t.Errorf("word load after a byte store into the word = %v, want 0x1122aa44", got)
 	}
@@ -201,7 +201,7 @@ func TestSymStateAccessWidth(t *testing.T) {
 	// unknown, and so is any word read across it.
 	u := st.Fresh()
 	store(addr, u, 4)
-	store(&ir.Const{V: int64(FakeSP - 6)}, SConst{V: 1}, 1)
+	store(ir.Const(FakeSP-6), SConst{V: 1}, 1)
 	if got, ok := load(4).(SUnknown); !ok || got == u {
 		t.Errorf("word load across a partly overwritten symbolic word = %v, want a fresh unknown", got)
 	}

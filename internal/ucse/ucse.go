@@ -107,35 +107,37 @@ func (e *Engine) Explore() []Resolution {
 			}
 			var branchTargets []uint32
 			fellThrough := true
-			for _, irb := range blk.IR {
+			for k := range blk.Instrs {
 				if p.steps++; p.steps > maxSteps {
 					return
 				}
-				for _, st := range irb.Stmts {
-					switch st := st.(type) {
-					case *ir.Exit:
+				addr := blk.Start + uint32(k*isa.Width)
+				stmts := e.fn.InstrIR(blk, k)
+				for i := range stmts {
+					switch st := &stmts[i]; st.Kind {
+					case ir.Exit:
 						// Under-constrained: both outcomes are feasible
 						// unless the condition folded to a constant.
-						switch c := s.Eval(st.Cond).(type) {
+						switch c := s.Arg(st.A).(type) {
 						case SConst:
 							if c.V != 0 {
-								branchTargets = append(branchTargets, st.Target)
+								branchTargets = append(branchTargets, st.Target())
 								fellThrough = false
 							}
 						default:
-							branchTargets = append(branchTargets, st.Target)
+							branchTargets = append(branchTargets, st.Target())
 						}
-					case *ir.Jump:
-						if st.Dyn == nil {
-							branchTargets = append(branchTargets, st.Target)
+					case ir.Jump:
+						if st.Dynamic() {
+							e.observeJump(s, addr, st)
 						} else {
-							e.observeJump(s, irb.Addr, st)
+							branchTargets = append(branchTargets, st.Target())
 						}
 						fellThrough = false
-					case *ir.Ret:
+					case ir.Ret:
 						fellThrough = false
-					case *ir.Call:
-						e.observeCall(s, irb.Addr, st)
+					case ir.Call:
+						e.observeCall(s, addr, st)
 						s.Step(st)
 					default:
 						s.Step(st)
@@ -211,8 +213,8 @@ func (e *Engine) JumpTargets() map[uint32][]uint32 {
 // pointer, or a load from a table whose concrete base the address pins down.
 // With a symbolic residue (the table-index pattern) the table is scanned;
 // without one the single word at base is the target.
-func (e *Engine) targets(s *SymState, dyn ir.Expr) (ts []uint32, tableBase uint32) {
-	switch t := s.Eval(dyn).(type) {
+func (e *Engine) targets(s *SymState, dyn ir.Arg) (ts []uint32, tableBase uint32) {
+	switch t := s.Arg(dyn).(type) {
 	case SConst:
 		if e.isCodePtr(t.V) {
 			return []uint32{t.V}, 0
@@ -235,18 +237,18 @@ func (e *Engine) targets(s *SymState, dyn ir.Expr) (ts []uint32, tableBase uint3
 
 // observeJump resolves a computed jump's table, the switch-dispatch pattern
 // Load(table + index*4).
-func (e *Engine) observeJump(s *SymState, addr uint32, j *ir.Jump) {
-	if ts, _ := e.targets(s, j.Dyn); len(ts) > 0 {
+func (e *Engine) observeJump(s *SymState, addr uint32, j *ir.Stmt) {
+	if ts, _ := e.targets(s, j.A); len(ts) > 0 {
 		e.jumps[addr] = mergeTargets(e.jumps[addr], ts)
 	}
 }
 
 // observeCall inspects indirect call targets at a call statement.
-func (e *Engine) observeCall(s *SymState, addr uint32, c *ir.Call) {
-	if c.Kind != ir.CallIndirect {
+func (e *Engine) observeCall(s *SymState, addr uint32, c *ir.Stmt) {
+	if !c.Dynamic() {
 		return
 	}
-	ts, base := e.targets(s, c.Dyn)
+	ts, base := e.targets(s, c.A)
 	if len(ts) == 0 {
 		return
 	}
