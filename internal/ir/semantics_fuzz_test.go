@@ -1,11 +1,10 @@
 package ir_test
 
-// FuzzLiftSemantics checks the lifter against the emulator, instruction by
-// instruction semantics included: a random straight-line sequence, in each
-// of the three encodings, runs under emu from a concrete register file and
-// a small concrete memory, and its lifted IR runs under ucse's path state
-// from the same inputs. Every register, every byte of the memory window and
-// the next PC must agree.
+// FuzzLiftSemantics checks what the lifted IR means against the emulator:
+// a random straight-line sequence, in each of the three encodings, runs
+// under emu from a concrete register file and a small concrete memory, and
+// its lifted IR runs under ucse's path state from the same inputs. Every
+// register, every byte of the memory window and the next PC must agree.
 
 import (
 	"encoding/binary"
@@ -25,7 +24,8 @@ const (
 	memWindow = 64 // bytes of concrete memory: the binary's data section
 	maxBody   = 12 // straight-line instructions before the final branch
 	instrLen  = 8  // fuzz bytes per generated instruction
-	retSent   = 0xdeadbeec
+	// retSent is the return address emu.CallFunction puts in LR.
+	retSent = 0xdeadbeec
 )
 
 // Body and final-branch opcodes: everything but call, callr, sys and tramp,
