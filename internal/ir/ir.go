@@ -151,8 +151,8 @@ func b2u(b bool) uint32 {
 // Kind is a statement's opcode.
 type Kind uint8
 
-// Statement kinds, with the operands each reads. Get, Bin and Load write
-// the temporary Dst; Put writes the register Dst.
+// Statement kinds, with the operands each reads. Get, Bin and Load, the
+// first three, write the temporary Dst; Put writes the register Dst.
 const (
 	Get   Kind = iota // t = GET(A), A a register
 	Bin               // t = Op(A, B)
@@ -195,7 +195,8 @@ func (s Stmt) Target() uint32 {
 // Dynamic reports whether a Jump or Call goes through a computed address.
 func (s Stmt) Dynamic() bool { return s.A.Kind == ArgTmp }
 
-// Writes reports whether the statement writes its temporary Dst.
+// Writes reports whether the statement writes its temporary Dst: it is a
+// Get, Bin or Load.
 func (s Stmt) Writes() bool { return s.Kind <= Load }
 
 func (s Stmt) String() string {
